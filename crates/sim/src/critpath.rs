@@ -30,6 +30,7 @@ use crate::engine::SimResult;
 use crate::obs::Cause;
 use crate::trace::{Activity, Span};
 use logp_core::{Cycles, ProcId};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// Classification of one critical-path segment.
@@ -501,39 +502,104 @@ pub struct ObsAggregate {
     pub critical: Components,
 }
 
-/// The engine-side state behind [`ObsAggregate`]: per-processor span
-/// buffers pruned to the earliest outstanding wait window (`floors`),
-/// cumulative path components per live causal record (`cps`, refcounted
-/// by the commands that still cite them), and the running terminal
-/// candidate.
+/// One buffered activity span, reduced to what wait-window attribution
+/// reads: a window's busy cycles per class are the difference of two
+/// [`busy_before`] lookups instead of a scan over the spans between.
+#[derive(Debug, Clone, Copy)]
+struct SpanSum {
+    start: Cycles,
+    /// Busy cycles by class ([`busy_total`] order) over every earlier
+    /// span of this processor (spans pruned from the buffer included). The span's own class and
+    /// length are the one difference to the next entry's `before` (or,
+    /// for the newest span, to the processor's running total).
+    before: [Cycles; 4],
+}
+
+/// Busy cycles by class on one processor strictly before `t`, from its
+/// start-ordered, pairwise-disjoint span buffer and running `total`. `t`
+/// must not precede the buffer's prune bound. Adds the buffer entries
+/// read to `probes`.
+fn busy_before(spans: &[SpanSum], total: [Cycles; 4], t: Cycles, probes: &mut u64) -> [Cycles; 4] {
+    // Windows end at the current instant, so the first span at or after
+    // `t` is usually the newest one (just opened) or none; else bisect.
+    let next = match spans {
+        [.., last] if last.start < t => spans.len(),
+        [.., prev, _] if prev.start < t => spans.len() - 1,
+        [] => 0,
+        _ => {
+            *probes += spans.len().ilog2() as u64;
+            spans.partition_point(|s| s.start < t)
+        }
+    };
+    *probes += 2;
+    // Everything through the span before `next`, less that span's part
+    // at or after `t` (only its own class differs between the two).
+    let through = spans.get(next).map_or(total, |s| s.before);
+    let Some(s) = next.checked_sub(1).map(|i| &spans[i]) else {
+        return through;
+    };
+    std::array::from_fn(|c| through[c].min(s.before[c] + (t - s.start)))
+}
+
+/// A processor's activity totals by busy class: `o`, compute, stall,
+/// barrier — the classes an activity span can carry.
+fn busy_total(c: &Components) -> [Cycles; 4] {
+    [c.o, c.compute, c.stall, c.barrier]
+}
+
+/// The engine-side state behind [`ObsAggregate`]. Every per-record step
+/// is an array index, a deque end, or a bisection — no hashing, no
+/// ordered maps, no scans:
+///
+/// * per-processor span buffers with running busy totals ([`SpanSum`]),
+///   pruned to the earliest outstanding wait window (`floors`);
+/// * the cumulative path components a queued command starts from travel
+///   with the command (`bases`, in lockstep with the engine's command
+///   queue), copied from the record whose handler issued it;
+/// * in-flight messages and armed timers carry their own components in
+///   the engine's side arrays, so no record is ever looked up by id.
+///
+/// Memory is the in-flight population plus the pruned buffers: queued
+/// commands, outstanding window starts, and the spans since the oldest
+/// of them.
 pub(crate) struct OnlineAgg {
     pub(crate) agg: ObsAggregate,
-    /// First processor this aggregate covers: `spans`, `floors`, and
-    /// `agg.per_proc` are indexed `[p - first]`. `0` for a whole-machine
-    /// aggregate; a lane's range base for the parallel engine's per-lane
-    /// aggregates (merged with [`OnlineAgg::absorb`] at the end of the
-    /// run).
+    /// First processor this aggregate covers: the per-processor vectors
+    /// and `agg.per_proc` are indexed `[p - first]`. `0` for a
+    /// whole-machine aggregate; a lane's range base for the parallel
+    /// engine's per-lane aggregates (merged with [`OnlineAgg::absorb`]
+    /// at the end of the run).
     first: usize,
-    /// Per-processor activity spans, start-ordered, pruned below the
-    /// processor's earliest outstanding window start.
-    spans: Vec<Vec<Span>>,
-    /// Multiset of outstanding window starts per processor (command
-    /// submits awaiting execution, arrivals awaiting reception).
-    floors: Vec<std::collections::BTreeMap<Cycles, u32>>,
-    /// Cumulative critical-path components per live record, keyed by
-    /// [`OnlineAgg::cause_key`].
-    cps: std::collections::HashMap<u64, Components>,
-    /// Commands still citing each record as their cause.
-    rc: std::collections::HashMap<u64, i64>,
-    /// The base components of the most recently dequeued command's cause
-    /// (copied at `pop_meta` time, before any eviction).
-    pub(crate) pending_base: Components,
-    /// `(submit, base)` per processor currently waiting in the barrier.
-    barrier_bases: std::collections::HashMap<ProcId, (Cycles, Components)>,
+    /// Per-processor activity spans, start-ordered and disjoint, pruned
+    /// below the processor's earliest outstanding window start. Their
+    /// running totals are `agg.per_proc`.
+    spans: Vec<Vec<SpanSum>>,
+    /// Outstanding window starts per processor (command submits awaiting
+    /// execution, arrivals awaiting reception) as `(time, count)`, sorted
+    /// by time. Starts arrive in non-decreasing time, so entries append
+    /// at the back; a count that drops to zero mid-deque stays until it
+    /// reaches an end.
+    floors: Vec<VecDeque<(Cycles, u32)>>,
+    /// Per processor, `(base, commands left)` for every handler
+    /// invocation with commands still queued, oldest first: the
+    /// cumulative components of the record that triggered the handler.
+    bases: Vec<VecDeque<(Components, u32)>>,
+    /// Cumulative components of the record whose handler runs next: a
+    /// delivery, a timer fire or a barrier release, each followed by its
+    /// handler(s) before any other such record completes.
+    handler_cum: Components,
+    /// Cumulative components of each processor's compute in flight (its
+    /// handler runs at the compute's end, with other records between).
+    compute_cum: Vec<Components>,
+    /// The base components of the most recently dequeued command.
+    pending_base: Components,
+    /// `(proc, submit, base)` per processor waiting in the barrier.
+    entrants: Vec<(ProcId, Cycles, Components)>,
     /// Best terminal candidate: `(completion, kind-rank, id)` max, with
     /// its cumulative components captured at completion time.
     best: Option<(Cycles, u8, u64, Components)>,
-    scratch: Vec<PathStep>,
+    /// Most buffer entries read for one wait window (debug builds only).
+    probes_max: u64,
 }
 
 impl OnlineAgg {
@@ -542,13 +608,11 @@ impl OnlineAgg {
     }
 
     /// Aggregate covering processors `[first, first + len)` only. All
-    /// per-lane state is independent of the other lanes': span/floor
-    /// windows are strictly lane-local, and the `cps`/`rc` refcount maps
-    /// are keyed by records whose citing commands run on this lane (a
-    /// cross-lane message's record migrates to the destination lane with
-    /// its cumulative components, so its key is only ever live in one
-    /// aggregate — barrier keys excepted, which every lane receives via
-    /// [`OnlineAgg::on_barrier_external`]).
+    /// per-lane state is independent of the other lanes': span, floor
+    /// and base queues are strictly lane-local, a cross-lane message's
+    /// record migrates to the destination lane with its cumulative
+    /// components, and a barrier's components reach every lane via
+    /// [`OnlineAgg::on_barrier_external`].
     pub(crate) fn for_range(first: usize, len: usize, grid: Cycles) -> Self {
         OnlineAgg {
             agg: ObsAggregate {
@@ -558,13 +622,14 @@ impl OnlineAgg {
             },
             first,
             spans: vec![Vec::new(); len],
-            floors: vec![std::collections::BTreeMap::new(); len],
-            cps: std::collections::HashMap::new(),
-            rc: std::collections::HashMap::new(),
+            floors: vec![VecDeque::new(); len],
+            bases: vec![VecDeque::new(); len],
+            handler_cum: Components::default(),
+            compute_cum: vec![Components::default(); len],
             pending_base: Components::default(),
-            barrier_bases: std::collections::HashMap::new(),
+            entrants: Vec::new(),
             best: None,
-            scratch: Vec::new(),
+            probes_max: 0,
         }
     }
 
@@ -597,61 +662,68 @@ impl OnlineAgg {
         self.agg.computes += other.agg.computes;
         self.agg.barriers += other.agg.barriers;
         self.agg.timers += other.agg.timers;
+        self.probes_max = self.probes_max.max(other.probes_max);
         if let Some((t, k, i, cum)) = other.best {
             self.consider(t, k, i, &cum);
         }
     }
 
-    /// Pack a [`Cause`] into a map key: 3 kind bits over the 41-bit id
-    /// space of structured streaming ids. `None` for roots.
-    fn cause_key(c: Cause) -> Option<u64> {
-        match c {
-            Cause::Start => None,
-            Cause::Msg(id) => Some((1 << 61) | id),
-            Cause::Compute(id) => Some((2 << 61) | id),
-            Cause::Barrier(id) => Some((3 << 61) | id),
-            Cause::Retry(id) => Some((4 << 61) | id),
+    /// Open `n` wait windows on processor index `i` at `t`.
+    fn add_floor(&mut self, i: usize, t: Cycles, n: u32) {
+        let f = &mut self.floors[i];
+        // At the back, except that a lane engine can run a barrier
+        // release a little behind arrivals it has already queued.
+        let at = match f.back() {
+            Some(back) if back.0 >= t => f.partition_point(|e| e.0 < t),
+            _ => f.len(),
+        };
+        match f.get_mut(at) {
+            Some(e) if e.0 == t => e.1 += n,
+            _ => f.insert(at, (t, n)),
+        }
+    }
+
+    /// Close one wait window opened at `t` on `p` (tolerates a missing
+    /// entry: crash cleanup abandons windows wholesale).
+    fn remove_floor(&mut self, p: ProcId, t: Cycles) {
+        let i = self.pi(p);
+        let f = &mut self.floors[i];
+        let at = f.partition_point(|e| e.0 < t);
+        match f.get_mut(at) {
+            Some(e) if e.0 == t && e.1 > 0 => e.1 -= 1,
+            _ => return,
+        }
+        while f.front().is_some_and(|e| e.1 == 0) {
+            f.pop_front();
+        }
+        while f.back().is_some_and(|e| e.1 == 0) {
+            f.pop_back();
         }
     }
 
     /// A handler triggered by `cause` queued `issued` commands on `p` at
-    /// time `now`.
+    /// time `now`: they start from the triggering record's components.
     pub(crate) fn on_push(&mut self, p: ProcId, cause: Cause, now: Cycles, issued: usize) {
-        if let Some(key) = Self::cause_key(cause) {
-            *self.rc.entry(key).or_insert(0) += issued as i64;
-        }
         let i = self.pi(p);
-        *self.floors[i].entry(now).or_insert(0) += issued as u32;
-    }
-
-    /// A command citing `cause` was dequeued: capture its base components
-    /// and release one reference.
-    pub(crate) fn on_pop(&mut self, cause: Cause) {
-        let Some(key) = Self::cause_key(cause) else {
-            self.pending_base = Components::default();
-            return;
+        let base = match cause {
+            Cause::Start => Components::default(),
+            Cause::Compute(_) => self.compute_cum[i],
+            Cause::Msg(_) | Cause::Barrier(_) | Cause::Retry(_) => self.handler_cum,
         };
-        self.pending_base = self.cps.get(&key).copied().unwrap_or_default();
-        if let Some(n) = self.rc.get_mut(&key) {
-            *n -= 1;
-            if *n <= 0 {
-                self.rc.remove(&key);
-                self.cps.remove(&key);
-            }
-        }
+        self.bases[i].push_back((base, issued as u32));
+        self.add_floor(i, now, issued as u32);
     }
 
-    /// A handler triggered by `cause` issued no commands: nothing will
-    /// ever cite the record again. Barrier causes are shared by every
-    /// released processor and stay (bounded by the barrier count).
-    pub(crate) fn on_leaf(&mut self, cause: Cause) {
-        if matches!(cause, Cause::Barrier(_)) {
-            return;
-        }
-        if let Some(key) = Self::cause_key(cause) {
-            if !self.rc.contains_key(&key) {
-                self.cps.remove(&key);
-            }
+    /// The oldest queued command of `p` was dequeued: capture its base
+    /// components.
+    pub(crate) fn on_pop(&mut self, p: ProcId) {
+        let i = self.pi(p);
+        let q = &mut self.bases[i];
+        let (base, left) = q.front_mut().expect("bases track cmds in lockstep");
+        self.pending_base = *base;
+        *left -= 1;
+        if *left == 0 {
+            q.pop_front();
         }
     }
 
@@ -661,6 +733,15 @@ impl OnlineAgg {
         let len = sp.end - sp.start;
         self.agg.global.add(kind, len);
         let p = self.pi(sp.proc);
+        // `per_proc` is the running per-class busy total.
+        let before = busy_total(&self.agg.per_proc[p]);
+        debug_assert!(
+            self.spans[p].last().is_none_or(|s| {
+                let len: Cycles = before.iter().zip(s.before).map(|(b, a)| b - a).sum();
+                s.start + len <= sp.start
+            }),
+            "a processor's spans arrive in start order and never overlap"
+        );
         self.agg.per_proc[p].add(kind, len);
         if self.agg.grid > 0 {
             // Split exactly at bin boundaries so binning is independent
@@ -677,38 +758,31 @@ impl OnlineAgg {
                 cur = seg;
             }
         }
-        self.spans[p].push(*sp);
-        if self.spans[p].len() > 64 {
+        let spans = &mut self.spans[p];
+        spans.push(SpanSum {
+            start: sp.start,
+            before,
+        });
+        if spans.len() > 64 {
             // Spans wholly before both the earliest outstanding window
-            // and this span's start can never be attributed again.
+            // and this span's start can never be attributed again: all
+            // that start by then, bar the last (which may run past it).
             let bound = self.floors[p]
-                .keys()
-                .next()
-                .copied()
-                .unwrap_or(Cycles::MAX)
+                .front()
+                .map_or(Cycles::MAX, |e| e.0)
                 .min(sp.start);
-            let keep = self.spans[p].partition_point(|s| s.end <= bound);
-            if keep > 0 {
-                self.spans[p].drain(..keep);
-            }
-        }
-    }
-
-    /// Remove one outstanding-window entry at `t` on `p` (tolerates a
-    /// missing entry: crash cleanup abandons windows wholesale).
-    fn remove_floor(&mut self, p: ProcId, t: Cycles) {
-        let i = self.pi(p);
-        if let Some(n) = self.floors[i].get_mut(&t) {
-            *n -= 1;
-            if *n == 0 {
-                self.floors[i].remove(&t);
+            let keep = spans.partition_point(|s| s.start <= bound);
+            if keep > 1 {
+                spans.drain(..keep - 1);
             }
         }
     }
 
     /// Classify the wait window `[from, to)` on `proc` into `cum`
-    /// ([`attribute_window`] semantics; `retry` remaps idle to
-    /// [`StepKind::Retry`] as the backward walk does for timer windows).
+    /// ([`attribute_window`] semantics: busy spans keep their class, idle
+    /// cycles before `gate` are `g`, after it `wait`; `retry` remaps idle
+    /// to [`StepKind::Retry`] as the backward walk does for timer
+    /// windows).
     fn window(
         &mut self,
         proc: ProcId,
@@ -718,21 +792,37 @@ impl OnlineAgg {
         retry: bool,
         cum: &mut Components,
     ) {
-        self.scratch.clear();
-        attribute_window(
-            &self.spans[proc as usize - self.first],
-            proc,
-            from,
-            to,
-            gate,
-            &mut self.scratch,
-        );
-        for st in &self.scratch {
-            let kind = match st.kind {
-                StepKind::G | StepKind::Wait if retry => StepKind::Retry,
-                k => k,
-            };
-            cum.add(kind, st.cycles());
+        if to <= from {
+            return;
+        }
+        let p = self.pi(proc);
+        let (spans, total) = (&self.spans[p][..], busy_total(&self.agg.per_proc[p]));
+        let mid = gate.clamp(from, to);
+        let mut probes = 0;
+        let at_from = busy_before(spans, total, from, &mut probes);
+        let at_to = busy_before(spans, total, to, &mut probes);
+        let at_mid = if mid == from {
+            at_from
+        } else if mid == to {
+            at_to
+        } else {
+            busy_before(spans, total, mid, &mut probes)
+        };
+        cum.o += at_to[0] - at_from[0];
+        cum.compute += at_to[1] - at_from[1];
+        cum.stall += at_to[2] - at_from[2];
+        cum.barrier += at_to[3] - at_from[3];
+        let busy = |a: [Cycles; 4], b: [Cycles; 4]| -> Cycles { (0..4).map(|c| b[c] - a[c]).sum() };
+        let idle_head = (mid - from) - busy(at_from, at_mid);
+        let idle_tail = (to - mid) - busy(at_mid, at_to);
+        if retry {
+            cum.add(StepKind::Retry, idle_head + idle_tail);
+        } else {
+            cum.add(StepKind::G, idle_head);
+            cum.add(StepKind::Wait, idle_tail);
+        }
+        if cfg!(debug_assertions) {
+            self.probes_max = self.probes_max.max(probes);
         }
     }
 
@@ -776,7 +866,7 @@ impl OnlineAgg {
     /// window opens at `t`.
     pub(crate) fn on_arrival(&mut self, dst: ProcId, t: Cycles) {
         let i = self.pi(dst);
-        *self.floors[i].entry(t).or_insert(0) += 1;
+        self.add_floor(i, t, 1);
     }
 
     /// Reception began: attribute the destination-side wait window.
@@ -792,7 +882,7 @@ impl OnlineAgg {
         cum.add(StepKind::O, m.deliver - m.recv_start);
         self.agg.global.add(StepKind::L, m.arrive - m.sent);
         self.consider(m.deliver, 0, m.id, &cum);
-        self.cps.insert((1 << 61) | m.id, cum);
+        self.handler_cum = cum;
         self.agg.delivered += 1;
     }
 
@@ -804,14 +894,22 @@ impl OnlineAgg {
         cum.add(StepKind::Compute, c.end - c.start);
         self.remove_floor(c.proc, c.submit);
         self.consider(c.end, 1, c.id, &cum);
-        self.cps.insert((2 << 61) | c.id, cum);
+        let i = self.pi(c.proc);
+        self.compute_cum[i] = cum;
         self.agg.computes += 1;
     }
 
     /// A processor entered the barrier: park its submit and base until
     /// release decides the binding entrant.
     pub(crate) fn on_barrier_enter(&mut self, p: ProcId, submit: Cycles) {
-        self.barrier_bases.insert(p, (submit, self.pending_base));
+        self.entrants.push((p, submit, self.pending_base));
+    }
+
+    /// Close every parked entrant's window.
+    fn release_entrants(&mut self) {
+        for (p, submit, _) in std::mem::take(&mut self.entrants) {
+            self.remove_floor(p, submit);
+        }
     }
 
     /// The barrier released: attribute the binding entrant's window and
@@ -821,59 +919,56 @@ impl OnlineAgg {
     /// (every released processor's next command cites the barrier as its
     /// cause, whatever lane it lives on).
     pub(crate) fn on_barrier_release(&mut self, b: &crate::obs::BarrierRecord) -> Components {
-        let (_, base) = self
-            .barrier_bases
-            .get(&b.last_proc)
-            .copied()
-            .unwrap_or_default();
-        let mut cum = base;
+        let mut cum = self
+            .entrants
+            .iter()
+            .find(|e| e.0 == b.last_proc)
+            .map_or_else(Components::default, |e| e.2);
         self.window(b.last_proc, b.submit, b.enter, b.submit, false, &mut cum);
         cum.add(StepKind::Barrier, b.release - b.enter);
         self.consider(b.release, 2, b.id, &cum);
-        self.cps.insert((3 << 61) | b.id, cum);
-        for (p, (submit, _)) in std::mem::take(&mut self.barrier_bases) {
-            self.remove_floor(p, submit);
-        }
+        self.handler_cum = cum;
+        self.release_entrants();
         self.agg.barriers += 1;
         cum
     }
 
-    /// A barrier bound on another lane released: publish its cumulative
-    /// components under the shared [`Cause::Barrier`] key and close this
-    /// lane's entrants' windows. The binding lane already did
+    /// A barrier bound on another lane released: take its cumulative
+    /// components for this lane's release handlers and close this lane's
+    /// entrants' windows. The binding lane already did
     /// [`OnlineAgg::on_barrier_release`] (terminal candidate + count), so
     /// neither happens here.
-    pub(crate) fn on_barrier_external(&mut self, id: u64, cum: Components) {
-        self.cps.insert((3 << 61) | id, cum);
-        for (p, (submit, _)) in std::mem::take(&mut self.barrier_bases) {
-            self.remove_floor(p, submit);
-        }
+    pub(crate) fn on_barrier_external(&mut self, cum: Components) {
+        self.handler_cum = cum;
+        self.release_entrants();
     }
 
-    /// A timer was armed (accounting only; its window stays open until
-    /// the fire).
-    pub(crate) fn on_timer_armed(&mut self) {
+    /// A timer was armed: account it and return the base components to
+    /// keep with it (its window stays open until the fire).
+    pub(crate) fn on_timer_armed(&mut self) -> Components {
         self.agg.timers += 1;
+        self.pending_base
     }
 
     /// A timer fired: attribute its arming window with idle remapped to
-    /// `retry`, and publish the cumulative components under the
-    /// [`Cause::Retry`] key.
+    /// `retry`, and publish the cumulative components for its handler.
     pub(crate) fn on_timer_fire(&mut self, t: &crate::obs::TimerRecord, base: Components) {
         let mut cum = base;
         self.window(t.proc, t.submit, t.fire, t.submit, true, &mut cum);
         self.remove_floor(t.proc, t.submit);
-        self.cps.insert((4 << 61) | t.id, cum);
+        self.handler_cum = cum;
     }
 
-    /// Close the aggregate: capture the terminal candidate's path.
-    pub(crate) fn finish(mut self, emitted: u64) -> ObsAggregate {
+    /// Close the aggregate: capture the terminal candidate's path. Also
+    /// returns the most span-buffer entries any one wait window read
+    /// (debug builds; 0 in release).
+    pub(crate) fn finish(mut self, emitted: u64) -> (ObsAggregate, u64) {
         if let Some((t, _, _, cum)) = self.best.take() {
             self.agg.critical_total = t;
             self.agg.critical = cum;
         }
         self.agg.emitted = emitted;
-        self.agg
+        (self.agg, self.probes_max)
     }
 }
 

@@ -334,9 +334,9 @@ impl EventHeap {
 #[derive(Debug)]
 struct InboxItem {
     /// Packed ordering key: arrival time in the high 64 bits, sequence
-    /// number in the low 64 (same trick as [`Event::key`]). Also the
-    /// lookup key for the message's observability payload in
-    /// the observability side-map when observability is active.
+    /// number in the low 64 (same trick as [`Event::key`]). The low half
+    /// also names the message's observability payload in the
+    /// destination's `inbox_obs` queue when observability is active.
     key: u128,
     msg: Message,
 }
@@ -468,16 +468,16 @@ pub(crate) const OUT_BIT: MsgSlot = 1 << 31;
 /// outbox; which field is live depends on the observability mode.
 #[derive(Debug, Default)]
 pub(crate) struct OutObs {
-    /// Ride-along value for `msg_slab_obs` at the destination (record id
-    /// when streaming, injection time when metrics-only; unused when the
-    /// retained record travels instead).
+    /// Ride-along value for `msg_slab_obs` at the destination: the
+    /// injection time of a metrics-only run (with the lifecycle log on,
+    /// `rec` or `infl` travels instead and the destination assigns it).
     pub(crate) val: u64,
     /// Retained-mode lifecycle record: created at the source but appended
     /// to the *destination* lane's log at exchange (its id is assigned
     /// there), so every later lifecycle update stays lane-local.
     pub(crate) rec: Option<Box<MsgRecord>>,
     /// Streaming-mode in-flight entry (record + critical-path cumulative),
-    /// moved from the source lane's `inflight` map to the destination's.
+    /// created at the source lane, parked in the destination's `inflight`.
     pub(crate) infl: Option<Box<(MsgRecord, crate::critpath::Components)>>,
 }
 
@@ -520,6 +520,61 @@ struct GaugeSet {
     per_dst: Vec<GaugeId>,
 }
 
+/// Records in progress, addressed by the slot [`Slab::insert`] returned.
+/// Freed slots are reused, so the vector is as long as the most records
+/// ever in progress at once.
+pub(crate) struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    pub(crate) fn insert(&mut self, v: T) -> u64 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(v);
+                slot as u64
+            }
+            None => {
+                self.slots.push(Some(v));
+                self.slots.len() as u64 - 1
+            }
+        }
+    }
+
+    fn get_mut(&mut self, slot: u64) -> Option<&mut T> {
+        self.slots.get_mut(slot as usize)?.as_mut()
+    }
+
+    fn take(&mut self, slot: u64) -> Option<T> {
+        let v = self.slots.get_mut(slot as usize)?.take()?;
+        self.free.push(slot as u32);
+        Some(v)
+    }
+
+    /// Empty the slab, yielding what was still in progress.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
+        self.free.clear();
+        self.slots.drain(..).flatten()
+    }
+}
+
+/// Take the payload noted under `key` out of one processor's side queue
+/// (`inbox_obs`, `timer_obs`): the front entry, bar rare reorderings.
+fn take_noted(queue: &mut VecDeque<(u64, u64)>, key: u64) -> Option<u64> {
+    let at = queue.iter().position(|e| e.0 == key)?;
+    queue.remove(at).map(|e| e.1)
+}
+
 /// Streaming-observability state: present when a sink or the online
 /// aggregate is configured. Lifecycle records divert here the moment
 /// they complete — `ObsLog` stays empty and memory stays bounded by the
@@ -548,10 +603,11 @@ struct StreamState {
     /// engine; msgs key by source, computes and timers by owner).
     sctr: Off<u64>,
     /// Messages injected but not yet delivered: the record so far plus
-    /// its critical-path cumulative at injection.
-    inflight: std::collections::HashMap<u64, (MsgRecord, crate::critpath::Components)>,
-    /// Armed timers that have not fired yet.
-    timers_live: std::collections::HashMap<u64, (TimerRecord, crate::critpath::Components)>,
+    /// its critical-path cumulative at injection. The slot rides with the
+    /// message (`msg_slab_obs` → `inbox_obs` → `recv_obs`).
+    inflight: Slab<(MsgRecord, crate::critpath::Components)>,
+    /// Armed timers that have not fired yet (slots held in `timer_obs`).
+    timers_live: Slab<(TimerRecord, crate::critpath::Components)>,
     /// Records offered to the sink (post-sampling).
     emitted: u64,
 }
@@ -629,15 +685,21 @@ struct ObsState {
     recv_obs: Off<u64>,
     /// Per-processor [`ComputeRecord`] id of the compute in flight.
     cur_compute: Off<u64>,
-    /// Ride-along observability payload per message slab slot (record id
-    /// when the lifecycle log is on, injection time otherwise).
+    /// Ride-along observability payload per message slab slot: the
+    /// `inflight` slot when streaming, the record id when retaining,
+    /// the injection time when only metrics are on.
     msg_slab_obs: Vec<u64>,
-    /// Payloads of messages sitting in inboxes, keyed by
-    /// [`InboxItem::key`] so `InboxItem` itself stays lean.
-    inbox_obs: std::collections::HashMap<u128, u64>,
-    /// [`TimerRecord`] ids of armed timers, keyed by the `TimerFire`
-    /// event's sequence number (lifecycle log only).
-    timer_obs: std::collections::HashMap<u64, u64>,
+    /// Per destination, `(inbox key's low half, payload)` of the messages
+    /// sitting in its inbox, so `InboxItem` itself stays lean. Arrivals
+    /// are processed in key order, which is the order the inbox hands
+    /// them back, so [`take_noted`] finds a reception's entry in front.
+    inbox_obs: Off<VecDeque<(u64, u64)>>,
+    /// Per processor, `(TimerFire event sequence, payload)` of its armed
+    /// timers (lifecycle log only): the `timers_live` slot when
+    /// streaming, the record id when retaining. Equal timeouts fire in
+    /// arming order, so a fire's entry is in front too; otherwise it is
+    /// among the few timers this one processor has armed.
+    timer_obs: Off<VecDeque<(u64, u64)>>,
     /// `(proc, submit, enter, cause)` of the last barrier entrant, for
     /// the [`BarrierRecord`] written at release.
     barrier_last: (ProcId, Cycles, Cycles, Cause),
@@ -684,8 +746,8 @@ impl ObsState {
             recv_obs: Off::from(vec![0; p]),
             cur_compute: Off::from(vec![0; p]),
             msg_slab_obs: Vec::new(),
-            inbox_obs: std::collections::HashMap::new(),
-            timer_obs: std::collections::HashMap::new(),
+            inbox_obs: Off::from(vec![VecDeque::new(); p]),
+            timer_obs: Off::from(vec![VecDeque::new(); p]),
             barrier_last: (0, 0, 0, Cause::Start),
             stream: (config.sink.is_some() || config.aggregate).then(|| {
                 let spec = config.sink.clone().unwrap_or(crate::obs::SinkSpec::Null);
@@ -701,8 +763,8 @@ impl ObsState {
                     next_timer: 0,
                     next_barrier: 0,
                     sctr: Off::default(),
-                    inflight: std::collections::HashMap::new(),
-                    timers_live: std::collections::HashMap::new(),
+                    inflight: Slab::default(),
+                    timers_live: Slab::default(),
                     emitted: 0,
                 })
             }),
@@ -751,8 +813,8 @@ impl ObsState {
             recv_obs: Off::with_base(vec![0; len], base),
             cur_compute: Off::with_base(vec![0; len], base),
             msg_slab_obs: Vec::new(),
-            inbox_obs: std::collections::HashMap::new(),
-            timer_obs: std::collections::HashMap::new(),
+            inbox_obs: Off::with_base(vec![VecDeque::new(); len], base),
+            timer_obs: Off::with_base(vec![VecDeque::new(); len], base),
             barrier_last: (0, 0, 0, Cause::Start),
             stream,
         }
@@ -1446,7 +1508,7 @@ impl Sim {
                     .expect("cmd_meta tracks cmds in lockstep");
                 if let Some(st) = o.stream.as_deref_mut() {
                     if let Some(agg) = st.agg.as_mut() {
-                        agg.on_pop(meta.0);
+                        agg.on_pop(idx as ProcId);
                     }
                 }
                 meta
@@ -1463,7 +1525,7 @@ impl Sim {
         let now = self.now;
         let obs = self.obs.as_deref_mut().expect("only called when observed");
         let val = obs.msg_slab_obs[slot as usize];
-        obs.inbox_obs.insert(key, val);
+        obs.inbox_obs[dst as usize].push_back((key as u64, val));
         if let Some(st) = obs.stream.as_deref_mut() {
             if let Some(agg) = st.agg.as_mut() {
                 agg.on_arrival(dst, now);
@@ -1478,10 +1540,10 @@ impl Sim {
     fn note_reception(&mut self, p: ProcId, key: u128, recv_gate: Cycles) {
         let now = self.now;
         if let Some(obs) = self.obs.as_deref_mut() {
-            let val = obs.inbox_obs.remove(&key).unwrap_or(0);
+            let val = take_noted(&mut obs.inbox_obs[p as usize], key as u64).unwrap_or(0);
             obs.recv_obs[p as usize] = val;
             if let Some(st) = obs.stream.as_deref_mut() {
-                if let Some((rec, cum)) = st.inflight.get_mut(&val) {
+                if let Some((rec, cum)) = st.inflight.get_mut(val) {
                     rec.recv_gate = recv_gate;
                     rec.recv_start = now;
                     if let Some(agg) = st.agg.as_mut() {
@@ -1552,11 +1614,9 @@ impl Sim {
                 };
                 if outgoing {
                     let o = out.expect("OUT_BIT slot without outbox").obs_at(oi);
-                    o.val = rec.id;
                     o.infl = Some(Box::new((rec, cum)));
                 } else {
-                    slab_val = Some(rec.id);
-                    st.inflight.insert(rec.id, (rec, cum));
+                    slab_val = Some(st.inflight.insert((rec, cum)));
                 }
             } else if outgoing {
                 // Retained mode: the record is appended to the
@@ -1608,24 +1668,24 @@ impl Sim {
             return;
         };
         if obs.msg_log {
+            let mut rec = MsgRecord {
+                id: obs.log.msgs.len() as u64,
+                src,
+                dst,
+                tag,
+                words,
+                cause: meta.0,
+                submit: meta.1,
+                send_gate,
+                inject,
+                sent,
+                arrive: UNSET,
+                recv_gate: UNSET,
+                recv_start: UNSET,
+                deliver: UNSET,
+            };
             if let Some(st) = obs.stream.as_deref_mut() {
-                let id = st.msg_id(src);
-                let rec = MsgRecord {
-                    id,
-                    src,
-                    dst,
-                    tag,
-                    words,
-                    cause: meta.0,
-                    submit: meta.1,
-                    send_gate,
-                    inject,
-                    sent,
-                    arrive: UNSET,
-                    recv_gate: UNSET,
-                    recv_start: UNSET,
-                    deliver: UNSET,
-                };
+                rec.id = st.msg_id(src);
                 if let Some(agg) = st.agg.as_mut() {
                     agg.on_lost(src, meta.1, dup);
                 }
@@ -1634,23 +1694,7 @@ impl Sim {
                     st.sink.on_msg(&out);
                 }
             } else {
-                let id = obs.log.msgs.len() as u64;
-                obs.log.msgs.push(MsgRecord {
-                    id,
-                    src,
-                    dst,
-                    tag,
-                    words,
-                    cause: meta.0,
-                    submit: meta.1,
-                    send_gate,
-                    inject,
-                    sent,
-                    arrive: UNSET,
-                    recv_gate: UNSET,
-                    recv_start: UNSET,
-                    deliver: UNSET,
-                });
+                obs.log.msgs.push(rec);
             }
         }
         if obs.metrics_on {
@@ -1659,75 +1703,59 @@ impl Sim {
         }
     }
 
-    /// Record an armed timer's lifecycle, keyed by the `TimerFire`
-    /// event's sequence number so the fire can recover the record id.
+    /// Record an armed timer's lifecycle, noted under the `TimerFire`
+    /// event's sequence number so the fire can recover the record.
     #[cold]
     #[inline(never)]
     fn record_timer(&mut self, p: ProcId, tag: u64, meta: (Cause, Cycles), fire: Cycles, seq: u64) {
         let now = self.now;
-        if let Some(obs) = self.obs.as_deref_mut() {
-            if obs.msg_log {
-                if let Some(st) = obs.stream.as_deref_mut() {
-                    let id = st.timer_id(p);
-                    let rec = TimerRecord {
-                        id,
-                        proc: p,
-                        tag,
-                        cause: meta.0,
-                        submit: meta.1,
-                        armed: now,
-                        fire,
-                    };
-                    let base = match st.agg.as_mut() {
-                        Some(agg) => {
-                            agg.on_timer_armed();
-                            agg.pending_base
-                        }
-                        None => Default::default(),
-                    };
-                    st.timers_live.insert(id, (rec, base));
-                    obs.timer_obs.insert(seq, id);
-                } else {
-                    let id = obs.log.timers.len() as u64;
-                    obs.log.timers.push(TimerRecord {
-                        id,
-                        proc: p,
-                        tag,
-                        cause: meta.0,
-                        submit: meta.1,
-                        armed: now,
-                        fire,
-                    });
-                    obs.timer_obs.insert(seq, id);
-                }
-            }
-        }
+        let Some(obs) = self.obs.as_deref_mut().filter(|o| o.msg_log) else {
+            return;
+        };
+        let mut rec = TimerRecord {
+            id: obs.log.timers.len() as u64,
+            proc: p,
+            tag,
+            cause: meta.0,
+            submit: meta.1,
+            armed: now,
+            fire,
+        };
+        let val = if let Some(st) = obs.stream.as_deref_mut() {
+            rec.id = st.timer_id(p);
+            let base = st.agg.as_mut().map(|agg| agg.on_timer_armed());
+            st.timers_live.insert((rec, base.unwrap_or_default()))
+        } else {
+            obs.log.timers.push(rec);
+            rec.id
+        };
+        obs.timer_obs[p as usize].push_back((seq, val));
     }
 
     /// Resolve a firing timer's causal identity from its event key.
     #[cold]
     #[inline(never)]
-    fn timer_cause(&mut self, key: u128) -> Cause {
-        match self.obs.as_deref_mut() {
-            Some(o) if o.msg_log => match o.timer_obs.remove(&key_seq(key)) {
-                Some(id) => {
-                    if let Some(st) = o.stream.as_deref_mut() {
-                        if let Some((rec, base)) = st.timers_live.remove(&id) {
-                            if let Some(agg) = st.agg.as_mut() {
-                                agg.on_timer_fire(&rec, base);
-                            }
-                            if st.sampler.pass_proc(rec.proc) {
-                                st.emitted += 1;
-                                st.sink.on_timer(&rec);
-                            }
-                        }
-                    }
-                    Cause::Retry(id)
-                }
-                None => Cause::Start,
-            },
-            _ => Cause::Start,
+    fn timer_cause(&mut self, p: ProcId, key: u128) -> Cause {
+        let Some(o) = self.obs.as_deref_mut().filter(|o| o.msg_log) else {
+            return Cause::Start;
+        };
+        let Some(val) = take_noted(&mut o.timer_obs[p as usize], key_seq(key)) else {
+            return Cause::Start;
+        };
+        let Some(st) = o.stream.as_deref_mut() else {
+            return Cause::Retry(val);
+        };
+        let Some((rec, base)) = st.timers_live.take(val) else {
+            return Cause::Start;
+        };
+        if let Some(agg) = st.agg.as_mut() {
+            agg.on_timer_fire(&rec, base);
         }
+        if st.sampler.pass_proc(rec.proc) {
+            st.emitted += 1;
+            st.sink.on_timer(&rec);
+        }
+        Cause::Retry(rec.id)
     }
 
     /// Record the end of a capacity-stall episode.
@@ -1743,45 +1771,46 @@ impl Sim {
         }
     }
 
-    /// Record a delivery completing now; `obs_val` is the message's
-    /// ride-along payload.
+    /// Record the delivery completing now on `p` (whose reception parked
+    /// the message's ride-along payload in `recv_obs`) and return the
+    /// [`Cause`] its handler cites.
     #[cold]
     #[inline(never)]
-    fn record_delivery(&mut self, obs_val: u64) {
+    fn record_delivery(&mut self, p: ProcId) -> Cause {
         let now = self.now;
         let Some(obs) = self.obs.as_deref_mut() else {
-            return;
+            return Cause::Start;
         };
-        let since = if obs.msg_log {
-            if let Some(st) = obs.stream.as_deref_mut() {
-                match st.inflight.remove(&obs_val) {
-                    Some((mut rec, cum)) => {
-                        rec.deliver = now;
-                        if let Some(agg) = st.agg.as_mut() {
-                            agg.on_delivery(&rec, cum);
-                        }
-                        let submit = rec.submit;
-                        if let Some(out) = st.sampler.offer_msg(rec) {
-                            st.emitted += 1;
-                            st.sink.on_msg(&out);
-                        }
-                        submit
+        let val = obs.recv_obs[p as usize];
+        let (since, cause) = if !obs.msg_log {
+            (val, Cause::Start)
+        } else if let Some(st) = obs.stream.as_deref_mut() {
+            match st.inflight.take(val) {
+                Some((mut rec, cum)) => {
+                    rec.deliver = now;
+                    if let Some(agg) = st.agg.as_mut() {
+                        agg.on_delivery(&rec, cum);
                     }
-                    None => now,
+                    let (submit, id) = (rec.submit, rec.id);
+                    if let Some(out) = st.sampler.offer_msg(rec) {
+                        st.emitted += 1;
+                        st.sink.on_msg(&out);
+                    }
+                    (submit, Cause::Msg(id))
                 }
-            } else {
-                let rec = &mut obs.log.msgs[obs_val as usize];
-                rec.deliver = now;
-                rec.submit
+                None => (now, Cause::Start),
             }
         } else {
-            obs_val
+            let rec = &mut obs.log.msgs[val as usize];
+            rec.deliver = now;
+            (rec.submit, Cause::Msg(val))
         };
         if obs.metrics_on {
             let (c, h) = (obs.c_delivered, obs.h_latency);
             obs.metrics.inc(c, 1);
             obs.metrics.observe(h, now - since);
         }
+        cause
     }
 
     /// Record a compute committing now: the record is complete at
@@ -1794,17 +1823,17 @@ impl Sim {
             return;
         };
         if obs.msg_log {
+            let mut rec = ComputeRecord {
+                id: obs.log.computes.len() as u64,
+                proc: p,
+                tag,
+                cause: meta.0,
+                submit: meta.1,
+                start: now,
+                end: now + dur,
+            };
             if let Some(st) = obs.stream.as_deref_mut() {
-                let id = st.compute_id(p);
-                let rec = ComputeRecord {
-                    id,
-                    proc: p,
-                    tag,
-                    cause: meta.0,
-                    submit: meta.1,
-                    start: now,
-                    end: now + dur,
-                };
+                rec.id = st.compute_id(p);
                 if let Some(agg) = st.agg.as_mut() {
                     agg.on_compute(&rec);
                 }
@@ -1812,20 +1841,10 @@ impl Sim {
                     st.emitted += 1;
                     st.sink.on_compute(&rec);
                 }
-                obs.cur_compute[p as usize] = id;
             } else {
-                let id = obs.log.computes.len() as u64;
-                obs.log.computes.push(ComputeRecord {
-                    id,
-                    proc: p,
-                    tag,
-                    cause: meta.0,
-                    submit: meta.1,
-                    start: now,
-                    end: now + dur,
-                });
-                obs.cur_compute[p as usize] = id;
+                obs.log.computes.push(rec);
             }
+            obs.cur_compute[p as usize] = rec.id;
         }
         if obs.metrics_on {
             let c = obs.c_computes;
@@ -1847,16 +1866,16 @@ impl Sim {
             return Cause::Start;
         }
         let (last_proc, submit, enter, cause) = obs.barrier_last;
+        let mut rec = BarrierRecord {
+            id: obs.log.barriers.len() as u64,
+            last_proc,
+            submit,
+            enter,
+            release: now,
+            cause,
+        };
         if let Some(st) = obs.stream.as_deref_mut() {
-            let id = st.barrier_id();
-            let rec = BarrierRecord {
-                id,
-                last_proc,
-                submit,
-                enter,
-                release: now,
-                cause,
-            };
+            rec.id = st.barrier_id();
             if let Some(agg) = st.agg.as_mut() {
                 agg.on_barrier_release(&rec);
             }
@@ -1864,19 +1883,10 @@ impl Sim {
                 st.emitted += 1;
                 st.sink.on_barrier(&rec);
             }
-            Cause::Barrier(id)
         } else {
-            let id = obs.log.barriers.len() as u64;
-            obs.log.barriers.push(BarrierRecord {
-                id,
-                last_proc,
-                submit,
-                enter,
-                release: now,
-                cause,
-            });
-            Cause::Barrier(id)
+            obs.log.barriers.push(rec);
         }
+        Cause::Barrier(rec.id)
     }
 
     /// Emit gauge samples for every grid instant strictly before `t`
@@ -2119,15 +2129,15 @@ impl Sim {
             self.stats.msgs_dropped += 1;
         }
         // Everything buffered in the dead interface is lost.
-        while let Some(Reverse(item)) = self.procs[idx].inbox.pop() {
+        while self.procs[idx].inbox.pop().is_some() {
             if !SHARDED {
                 self.outstanding_to[idx] -= 1;
             }
             self.stats.msgs_dropped += 1;
-            if OBS {
-                if let Some(obs) = self.obs.as_deref_mut() {
-                    obs.inbox_obs.remove(&item.key);
-                }
+        }
+        if OBS {
+            if let Some(obs) = self.obs.as_deref_mut() {
+                obs.inbox_obs[idx].clear();
             }
         }
         // A crashed processor no longer counts toward the barrier quorum.
@@ -2178,8 +2188,6 @@ impl Sim {
         self.procs[p as usize].cmds.extend(cmds.drain(..));
         if OBS && issued > 0 {
             self.push_meta(p, cause, issued);
-        } else if OBS {
-            self.note_leaf(cause);
         }
         self.cmd_scratch = cmds;
     }
@@ -2199,20 +2207,6 @@ impl Sim {
                     if let Some(agg) = st.agg.as_mut() {
                         agg.on_push(p, cause, now, issued);
                     }
-                }
-            }
-        }
-    }
-
-    /// A handler issued no commands: nothing will ever cite its trigger
-    /// again, so the online aggregate may drop the record's components.
-    #[cold]
-    #[inline(never)]
-    fn note_leaf(&mut self, cause: Cause) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            if let Some(st) = obs.stream.as_deref_mut() {
-                if let Some(agg) = st.agg.as_mut() {
-                    agg.on_leaf(cause);
                 }
             }
         }
@@ -2799,22 +2793,19 @@ impl Sim {
             self.sample_gauges_to(self.now + 1);
         }
         let mut aggregate = None;
-        let mut sink_err = None;
+        let mut agg_window_probes_max = 0;
         let (obs_log, metrics) = match self.obs.take() {
             Some(mut o) => {
                 if let Some(st) = o.stream.take() {
-                    match Self::finish_stream(*st) {
-                        Ok(agg) => aggregate = agg,
-                        Err(e) => sink_err = Some(e),
+                    if let Some((agg, probes)) = Self::finish_stream(*st).map_err(SimError::Sink)? {
+                        aggregate = Some(agg);
+                        agg_window_probes_max = probes;
                     }
                 }
                 (o.log, o.metrics)
             }
             None => (ObsLog::default(), MetricsRegistry::default()),
         };
-        if let Some(e) = sink_err {
-            return Err(SimError::Sink(e));
-        }
         #[cfg(debug_assertions)]
         let reallocs = self.arena_reallocs;
         #[cfg(not(debug_assertions))]
@@ -2841,6 +2832,7 @@ impl Sim {
             lane_wall_ns: std::mem::take(&mut self.v_lane_wall_ns),
             barrier_wait_ns: self.v_barrier_wait_ns,
             capacity_relaxed: self.v_capacity_relaxed,
+            agg_window_probes_max,
         };
         Ok((
             SimResult {
@@ -2858,12 +2850,12 @@ impl Sim {
     /// Close out a streaming run: emit the records the run left
     /// incomplete (undelivered messages after crashes or drops, timers
     /// cancelled by halt) sorted by id, release deferred sampling
-    /// selections, finalize the aggregate, and flush the sink.
-    fn finish_stream(mut st: StreamState) -> Result<Option<crate::critpath::ObsAggregate>, String> {
-        let mut msgs: Vec<MsgRecord> = std::mem::take(&mut st.inflight)
-            .into_values()
-            .map(|(m, _)| m)
-            .collect();
+    /// selections, finalize the aggregate (returned with its debug probe
+    /// count), and flush the sink.
+    fn finish_stream(
+        mut st: StreamState,
+    ) -> Result<Option<(crate::critpath::ObsAggregate, u64)>, String> {
+        let mut msgs: Vec<MsgRecord> = st.inflight.drain().map(|(m, _)| m).collect();
         msgs.sort_unstable_by_key(|m| m.id);
         for m in msgs {
             if let Some(out) = st.sampler.offer_msg(m) {
@@ -2871,10 +2863,7 @@ impl Sim {
                 st.sink.on_msg(&out);
             }
         }
-        let mut timers: Vec<TimerRecord> = std::mem::take(&mut st.timers_live)
-            .into_values()
-            .map(|(t, _)| t)
-            .collect();
+        let mut timers: Vec<TimerRecord> = st.timers_live.drain().map(|(t, _)| t).collect();
         timers.sort_unstable_by_key(|t| t.id);
         for t in timers {
             if st.sampler.pass_proc(t.proc) {
@@ -3013,19 +3002,7 @@ impl Sim {
                     // outstanding bound may proceed.
                     self.outstanding_to[p as usize] -= 1;
                     let cause = if OBS {
-                        match self.obs.as_deref() {
-                            Some(o) => {
-                                let obs_val = o.recv_obs[p as usize];
-                                let log = o.msg_log;
-                                self.record_delivery(obs_val);
-                                if log {
-                                    Cause::Msg(obs_val)
-                                } else {
-                                    Cause::Start
-                                }
-                            }
-                            None => Cause::Start,
-                        }
+                        self.record_delivery(p)
                     } else {
                         Cause::Start
                     };
@@ -3070,7 +3047,7 @@ impl Sim {
                         continue;
                     }
                     let cause = if OBS {
-                        self.timer_cause(key)
+                        self.timer_cause(p, key)
                     } else {
                         Cause::Start
                     };

@@ -67,7 +67,7 @@
 //! The check is still deterministic in the worker count.
 
 use super::{
-    event_key, EventHeap, EventKind, Lane, ObsState, Off, OutObs, Outbox, Sim, SimError,
+    event_key, EventHeap, EventKind, Lane, ObsState, Off, OutObs, Outbox, Sim, SimError, Slab,
     StreamState,
 };
 use crate::critpath::OnlineAgg;
@@ -398,10 +398,7 @@ impl Sim {
                     let OutObs { val, rec, infl } = d.obs;
                     let val = if obs.msg_log {
                         if let Some(st) = obs.stream.as_deref_mut() {
-                            let b = infl.expect("streaming outbox payload");
-                            let id = b.0.id;
-                            st.inflight.insert(id, *b);
-                            id
+                            st.inflight.insert(*infl.expect("streaming outbox payload"))
                         } else {
                             let mut rec = *rec.expect("retained outbox payload");
                             let id = obs.log.msgs.len() as u64;
@@ -460,8 +457,8 @@ impl Sim {
                     next_timer: 0,
                     next_barrier: 0,
                     sctr: Off::with_base(vec![0; len], first),
-                    inflight: std::collections::HashMap::new(),
-                    timers_live: std::collections::HashMap::new(),
+                    inflight: Slab::default(),
+                    timers_live: Slab::default(),
                     emitted: 0,
                 })
             });
@@ -607,8 +604,12 @@ impl Sim {
                         .stream
                         .as_deref_mut()
                         .expect("lane streams imply a parent stream");
-                    pst.inflight.extend(lst.inflight.drain());
-                    pst.timers_live.extend(lst.timers_live.drain());
+                    for m in lst.inflight.drain() {
+                        pst.inflight.insert(m);
+                    }
+                    for t in lst.timers_live.drain() {
+                        pst.timers_live.insert(t);
+                    }
                     if let (Some(pa), Some(la)) = (parent_agg.as_mut(), lst.agg.take()) {
                         pa.absorb(la);
                     }
@@ -964,7 +965,7 @@ impl Sim {
                 .and_then(|o| o.stream.as_deref_mut())
                 .and_then(|st| st.agg.as_mut())
             {
-                agg.on_barrier_external(id, cum);
+                agg.on_barrier_external(cum);
             }
         }
     }

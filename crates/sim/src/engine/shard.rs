@@ -344,19 +344,7 @@ impl Sim {
                 st.stats.msgs_recvd += 1;
                 let msg = st.receiving.take().expect("a reception was in progress");
                 let cause = if OBS {
-                    match self.obs.as_deref() {
-                        Some(o) => {
-                            let obs_val = o.recv_obs[p as usize];
-                            let log = o.msg_log;
-                            self.record_delivery(obs_val);
-                            if log {
-                                Cause::Msg(obs_val)
-                            } else {
-                                Cause::Start
-                            }
-                        }
-                        None => Cause::Start,
-                    }
+                    self.record_delivery(p)
                 } else {
                     Cause::Start
                 };
@@ -368,7 +356,7 @@ impl Sim {
                     return Ok(());
                 }
                 let cause = if OBS {
-                    self.timer_cause(key)
+                    self.timer_cause(p, key)
                 } else {
                     Cause::Start
                 };

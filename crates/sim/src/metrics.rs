@@ -317,6 +317,9 @@ pub struct EngineVitals {
     /// because the sharded engine doesn't implement the capacity stall
     /// protocol (see the one-time warning on stderr).
     pub capacity_relaxed: u64,
+    /// Most span-buffer entries the online aggregate read to attribute
+    /// one wait window (debug builds count; release builds report 0).
+    pub agg_window_probes_max: u64,
 }
 
 impl Default for EngineVitals {
@@ -336,6 +339,7 @@ impl Default for EngineVitals {
             lane_wall_ns: Vec::new(),
             barrier_wait_ns: 0,
             capacity_relaxed: 0,
+            agg_window_probes_max: 0,
         }
     }
 }
@@ -423,7 +427,12 @@ impl EngineVitals {
         s.push_str("],\n");
         let _ = writeln!(s, "  \"wall_imbalance\": {:.3},", self.wall_imbalance());
         let _ = writeln!(s, "  \"barrier_wait_ns\": {},", self.barrier_wait_ns);
-        let _ = writeln!(s, "  \"capacity_relaxed\": {}", self.capacity_relaxed);
+        let _ = writeln!(s, "  \"capacity_relaxed\": {},", self.capacity_relaxed);
+        let _ = writeln!(
+            s,
+            "  \"agg_window_probes_max\": {}",
+            self.agg_window_probes_max
+        );
         s.push_str("}\n");
         s
     }

@@ -338,32 +338,71 @@ pub struct NullSink;
 
 impl ObsSink for NullSink {}
 
+/// Field names per record kind, in the order the sink writes them. One
+/// schema serves both directions: [`JsonlSink`] writes `{"k":"<kind>"`
+/// then `,"<key>":<value>` per entry, [`replay_jsonl`] fills the same
+/// slots back.
+const MSG_KEYS: [&str; 15] = [
+    "id", "src", "dst", "tag", "words", "cs", "ci", "submit", "gate", "inject", "sent", "arrive",
+    "rgate", "rstart", "deliver",
+];
+const COMPUTE_KEYS: [&str; 8] = ["id", "proc", "tag", "cs", "ci", "submit", "start", "end"];
+const BARRIER_KEYS: [&str; 7] = ["id", "proc", "cs", "ci", "submit", "enter", "release"];
+const TIMER_KEYS: [&str; 8] = ["id", "proc", "tag", "cs", "ci", "submit", "armed", "fire"];
+const SPAN_KEYS: [&str; 4] = ["proc", "start", "end", "act"];
+
+/// What every line starts with, up to the one-byte kind.
+const LINE_HEAD: &str = "{\"k\":\"";
+
 /// Streaming JSONL writer: one record per line, kinds `m` (message), `c`
 /// (compute), `b` (barrier), `t` (timer), `s` (activity span). Timestamps
-/// print as raw `u64` (so [`UNSET`] round-trips exactly).
+/// print as raw `u64` (so [`UNSET`] round-trips exactly). Lines are
+/// encoded straight into one reusable buffer that goes to the file in
+/// 64 KiB writes.
 pub struct JsonlSink {
-    out: Option<std::io::BufWriter<std::fs::File>>,
+    out: Option<std::fs::File>,
     err: Option<String>,
-    buf: String,
+    buf: Vec<u8>,
 }
 
 impl JsonlSink {
+    /// Buffered bytes that trigger a write.
+    const FLUSH_AT: usize = 1 << 16;
+
     pub fn create(path: &Path) -> Self {
         let (out, err) = match std::fs::File::create(path) {
-            Ok(f) => (Some(std::io::BufWriter::new(f)), None),
+            Ok(f) => (Some(f), None),
             Err(e) => (None, Some(format!("create {}: {e}", path.display()))),
         };
         JsonlSink {
             out,
             err,
-            buf: String::with_capacity(256),
+            buf: Vec::with_capacity(Self::FLUSH_AT + 512),
         }
     }
 
-    fn line(&mut self) {
-        self.buf.push('\n');
+    /// Append one line: the kind, then `vals` under `keys`.
+    fn line<const N: usize>(&mut self, kind: u8, keys: &[&str; N], vals: [u64; N]) {
+        let buf = &mut self.buf;
+        buf.extend_from_slice(LINE_HEAD.as_bytes());
+        buf.extend_from_slice(&[kind, b'"']);
+        for (key, v) in keys.iter().zip(vals) {
+            buf.extend_from_slice(b",\"");
+            buf.extend_from_slice(key.as_bytes());
+            buf.extend_from_slice(b"\":");
+            push_decimal(buf, v);
+        }
+        buf.extend_from_slice(b"}\n");
+        if buf.len() >= Self::FLUSH_AT {
+            self.flush_buf();
+        }
+    }
+
+    /// Hand the buffered lines to the file; the first I/O error is
+    /// latched for [`ObsSink::finish`] and later lines are discarded.
+    fn flush_buf(&mut self) {
         if let Some(out) = self.out.as_mut() {
-            if let Err(e) = out.write_all(self.buf.as_bytes()) {
+            if let Err(e) = out.write_all(&self.buf) {
                 self.err.get_or_insert_with(|| format!("write: {e}"));
                 self.out = None;
             }
@@ -372,38 +411,77 @@ impl JsonlSink {
     }
 }
 
+/// A run that ends in an error never reaches `finish`; what it streamed
+/// so far still lands in the file.
+impl Drop for JsonlSink {
+    fn drop(&mut self) {
+        self.flush_buf();
+    }
+}
+
 impl ObsSink for JsonlSink {
     fn on_msg(&mut self, m: &MsgRecord) {
-        encode_msg(m, &mut self.buf);
-        self.line();
+        let (cs, ci) = cause_parts(m.cause);
+        self.line(
+            b'm',
+            &MSG_KEYS,
+            [
+                m.id,
+                m.src as u64,
+                m.dst as u64,
+                m.tag as u64,
+                m.words,
+                cs,
+                ci,
+                m.submit,
+                m.send_gate,
+                m.inject,
+                m.sent,
+                m.arrive,
+                m.recv_gate,
+                m.recv_start,
+                m.deliver,
+            ],
+        );
     }
     fn on_compute(&mut self, c: &ComputeRecord) {
-        encode_compute(c, &mut self.buf);
-        self.line();
+        let (cs, ci) = cause_parts(c.cause);
+        let vals = [c.id, c.proc as u64, c.tag, cs, ci, c.submit, c.start, c.end];
+        self.line(b'c', &COMPUTE_KEYS, vals);
     }
     fn on_barrier(&mut self, b: &BarrierRecord) {
-        encode_barrier(b, &mut self.buf);
-        self.line();
+        let (cs, ci) = cause_parts(b.cause);
+        let vals = [
+            b.id,
+            b.last_proc as u64,
+            cs,
+            ci,
+            b.submit,
+            b.enter,
+            b.release,
+        ];
+        self.line(b'b', &BARRIER_KEYS, vals);
     }
     fn on_timer(&mut self, t: &TimerRecord) {
-        encode_timer(t, &mut self.buf);
-        self.line();
+        let (cs, ci) = cause_parts(t.cause);
+        let vals = [
+            t.id,
+            t.proc as u64,
+            t.tag,
+            cs,
+            ci,
+            t.submit,
+            t.armed,
+            t.fire,
+        ];
+        self.line(b't', &TIMER_KEYS, vals);
     }
     fn on_span(&mut self, s: &Span) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            self.buf,
-            "{{\"k\":\"s\",\"proc\":{},\"start\":{},\"end\":{},\"act\":{}}}",
-            s.proc, s.start, s.end, s.activity as u8
-        );
-        self.line();
+        let vals = [s.proc as u64, s.start, s.end, s.activity as u64];
+        self.line(b's', &SPAN_KEYS, vals);
     }
     fn finish(&mut self) -> Result<(), String> {
-        if let Some(out) = self.out.as_mut() {
-            if let Err(e) = out.flush() {
-                self.err.get_or_insert_with(|| format!("flush: {e}"));
-            }
-        }
+        self.flush_buf();
         match self.err.take() {
             Some(e) => Err(e),
             None => Ok(()),
@@ -411,7 +489,33 @@ impl ObsSink for JsonlSink {
     }
 }
 
-fn cause_parts(c: Cause) -> (u8, u64) {
+/// Append `v` in decimal, two digits per division.
+fn push_decimal(buf: &mut Vec<u8>, mut v: u64) {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+    let mut tmp = [0u8; 20];
+    let mut at = tmp.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        tmp[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        tmp[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        tmp[at] = b'0' + v as u8;
+    }
+    buf.extend_from_slice(&tmp[at..]);
+}
+
+fn cause_parts(c: Cause) -> (u64, u64) {
     match c {
         Cause::Start => (0, 0),
         Cause::Msg(id) => (1, id),
@@ -421,136 +525,164 @@ fn cause_parts(c: Cause) -> (u8, u64) {
     }
 }
 
-fn cause_from_parts(cs: u64, ci: u64) -> Result<Cause, String> {
+fn cause_from_parts(cs: u64, ci: u64, line: &str) -> Result<Cause, String> {
     Ok(match cs {
         0 => Cause::Start,
         1 => Cause::Msg(ci),
         2 => Cause::Compute(ci),
         3 => Cause::Barrier(ci),
         4 => Cause::Retry(ci),
-        _ => return Err(format!("unknown cause tag {cs}")),
+        _ => return Err(format!("bad \"cs\" in {line:?}: unknown cause tag {cs}")),
     })
 }
 
-fn encode_msg(m: &MsgRecord, buf: &mut String) {
-    use std::fmt::Write as _;
-    let (cs, ci) = cause_parts(m.cause);
-    let _ = write!(
-        buf,
-        "{{\"k\":\"m\",\"id\":{},\"src\":{},\"dst\":{},\"tag\":{},\"words\":{},\"cs\":{cs},\"ci\":{ci},\
-         \"submit\":{},\"gate\":{},\"inject\":{},\"sent\":{},\"arrive\":{},\"rgate\":{},\"rstart\":{},\"deliver\":{}}}",
-        m.id, m.src, m.dst, m.tag, m.words, m.submit, m.send_gate, m.inject, m.sent, m.arrive,
-        m.recv_gate, m.recv_start, m.deliver
-    );
+/// The `,"key":digits` pairs of one record line (everything after its
+/// `{"k":"x"` head) parsed into `keys`' slots in one left-to-right pass.
+/// Fields normally come in `keys` order, which costs one comparison per
+/// field; any order is accepted and unknown keys are skipped. Every key
+/// of `keys` is required exactly once and every value must fit a `u64`.
+fn parse_fields<const N: usize>(line: &str, keys: &[&str; N]) -> Result<[u64; N], String> {
+    let malformed = || format!("malformed record line {line:?}");
+    let b = line.as_bytes();
+    let mut vals = [0u64; N];
+    let mut seen = 0u32;
+    let mut next = 0;
+    let mut at = LINE_HEAD.len() + 2;
+    loop {
+        match b.get(at) {
+            Some(b',') if b.get(at + 1) == Some(&b'"') => at += 2,
+            Some(b'}') if at + 1 == b.len() => break,
+            _ => return Err(malformed()),
+        }
+        let len = b[at..]
+            .iter()
+            .position(|&c| c == b'"')
+            .ok_or_else(malformed)?;
+        // Both cuts sit on ASCII quotes, so the slice is on char boundaries.
+        let key = &line[at..at + len];
+        at += len + 1;
+        if b.get(at) != Some(&b':') {
+            return Err(malformed());
+        }
+        at += 1;
+        let digits = at;
+        let mut v = 0u64;
+        while let Some(d) = b.get(at).filter(|c| c.is_ascii_digit()) {
+            v = v
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(d - b'0')))
+                .ok_or_else(|| format!("bad {key:?} in {line:?}: exceeds u64"))?;
+            at += 1;
+        }
+        if at == digits {
+            return Err(format!("bad {key:?} in {line:?}: not a number"));
+        }
+        let slot = if next < N && keys[next] == key {
+            next
+        } else {
+            match keys.iter().position(|k| *k == key) {
+                Some(slot) => slot,
+                None => continue,
+            }
+        };
+        if seen & (1 << slot) != 0 {
+            return Err(format!("duplicate field {key:?} in {line:?}"));
+        }
+        seen |= 1 << slot;
+        vals[slot] = v;
+        next = slot + 1;
+    }
+    match keys.iter().enumerate().find(|(i, _)| seen & (1 << i) == 0) {
+        Some((_, key)) => Err(format!("missing field {key:?} in {line:?}")),
+        None => Ok(vals),
+    }
 }
 
-fn encode_compute(c: &ComputeRecord, buf: &mut String) {
-    use std::fmt::Write as _;
-    let (cs, ci) = cause_parts(c.cause);
-    let _ = write!(
-        buf,
-        "{{\"k\":\"c\",\"id\":{},\"proc\":{},\"tag\":{},\"cs\":{cs},\"ci\":{ci},\"submit\":{},\"start\":{},\"end\":{}}}",
-        c.id, c.proc, c.tag, c.submit, c.start, c.end
-    );
-}
-
-fn encode_barrier(b: &BarrierRecord, buf: &mut String) {
-    use std::fmt::Write as _;
-    let (cs, ci) = cause_parts(b.cause);
-    let _ = write!(
-        buf,
-        "{{\"k\":\"b\",\"id\":{},\"proc\":{},\"cs\":{cs},\"ci\":{ci},\"submit\":{},\"enter\":{},\"release\":{}}}",
-        b.id, b.last_proc, b.submit, b.enter, b.release
-    );
-}
-
-fn encode_timer(t: &TimerRecord, buf: &mut String) {
-    use std::fmt::Write as _;
-    let (cs, ci) = cause_parts(t.cause);
-    let _ = write!(
-        buf,
-        "{{\"k\":\"t\",\"id\":{},\"proc\":{},\"tag\":{},\"cs\":{cs},\"ci\":{ci},\"submit\":{},\"armed\":{},\"fire\":{}}}",
-        t.id, t.proc, t.tag, t.submit, t.armed, t.fire
-    );
-}
-
-/// Extract the numeric value of `"key":` from a JSONL line (the encoder
-/// above never nests or quotes numbers, so a flat scan suffices).
-fn field(line: &str, key: &str) -> Result<u64, String> {
-    let pat = format!("\"{key}\":");
-    let at = line
-        .find(&pat)
-        .ok_or_else(|| format!("missing field {key:?} in {line:?}"))?;
-    let rest = &line[at + pat.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<u64>()
-        .map_err(|e| format!("bad {key:?} in {line:?}: {e}"))
+/// A processor id or tag field: must fit the record's `u32`.
+fn narrow(v: u64, key: &str, line: &str) -> Result<u32, String> {
+    u32::try_from(v).map_err(|_| format!("bad {key:?} in {line:?}: exceeds u32"))
 }
 
 /// Parse a [`JsonlSink`] stream back into an [`ObsLog`]. Records sort by
 /// id per kind; span lines (`"k":"s"`) are activity-trace material, not
-/// log records, and are skipped. On the classic engine the result is the
-/// retained log verbatim; on the sharded engine apply
+/// log records, and are skipped unread. On the classic engine the result
+/// is the retained log verbatim; on the sharded engine apply
 /// [`ObsLog::canonicalize`] before comparing.
+///
+/// The text is untrusted: a line that is not a complete record — no
+/// `{"k":"<kind>"` head, an unknown kind, a missing, repeated or
+/// non-numeric field (the cause fields `cs`/`ci` included), a value past
+/// `u64` (or `u32` for processor ids and message tags) — is an `Err`
+/// naming the field and quoting the line, never a panic.
 pub fn replay_jsonl(text: &str) -> Result<ObsLog, String> {
     let mut log = ObsLog::default();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let k = line
-            .find("\"k\":\"")
-            .and_then(|i| line[i + 5..].chars().next())
-            .ok_or_else(|| format!("missing kind in {line:?}"))?;
-        let cause = cause_from_parts(
-            field(line, "cs").unwrap_or(0),
-            field(line, "ci").unwrap_or(0),
-        );
-        match k {
-            'm' => log.msgs.push(MsgRecord {
-                id: field(line, "id")?,
-                src: field(line, "src")? as ProcId,
-                dst: field(line, "dst")? as ProcId,
-                tag: field(line, "tag")? as u32,
-                words: field(line, "words")?,
-                cause: cause?,
-                submit: field(line, "submit")?,
-                send_gate: field(line, "gate")?,
-                inject: field(line, "inject")?,
-                sent: field(line, "sent")?,
-                arrive: field(line, "arrive")?,
-                recv_gate: field(line, "rgate")?,
-                recv_start: field(line, "rstart")?,
-                deliver: field(line, "deliver")?,
-            }),
-            'c' => log.computes.push(ComputeRecord {
-                id: field(line, "id")?,
-                proc: field(line, "proc")? as ProcId,
-                tag: field(line, "tag")?,
-                cause: cause?,
-                submit: field(line, "submit")?,
-                start: field(line, "start")?,
-                end: field(line, "end")?,
-            }),
-            'b' => log.barriers.push(BarrierRecord {
-                id: field(line, "id")?,
-                last_proc: field(line, "proc")? as ProcId,
-                submit: field(line, "submit")?,
-                enter: field(line, "enter")?,
-                release: field(line, "release")?,
-                cause: cause?,
-            }),
-            't' => log.timers.push(TimerRecord {
-                id: field(line, "id")?,
-                proc: field(line, "proc")? as ProcId,
-                tag: field(line, "tag")?,
-                cause: cause?,
-                submit: field(line, "submit")?,
-                armed: field(line, "armed")?,
-                fire: field(line, "fire")?,
-            }),
-            's' => {}
-            other => return Err(format!("unknown record kind {other:?}")),
+    for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        let kind = match line.strip_prefix(LINE_HEAD).map(str::as_bytes) {
+            Some([kind, b'"', ..]) => *kind,
+            _ => return Err(format!("missing kind in {line:?}")),
+        };
+        match kind {
+            b's' => {}
+            b'm' => {
+                let [id, src, dst, tag, words, cs, ci, submit, send_gate, inject, sent, arrive, recv_gate, recv_start, deliver] =
+                    parse_fields(line, &MSG_KEYS)?;
+                log.msgs.push(MsgRecord {
+                    id,
+                    src: narrow(src, "src", line)?,
+                    dst: narrow(dst, "dst", line)?,
+                    tag: narrow(tag, "tag", line)?,
+                    words,
+                    cause: cause_from_parts(cs, ci, line)?,
+                    submit,
+                    send_gate,
+                    inject,
+                    sent,
+                    arrive,
+                    recv_gate,
+                    recv_start,
+                    deliver,
+                });
+            }
+            b'c' => {
+                let [id, proc, tag, cs, ci, submit, start, end] =
+                    parse_fields(line, &COMPUTE_KEYS)?;
+                log.computes.push(ComputeRecord {
+                    id,
+                    proc: narrow(proc, "proc", line)?,
+                    tag,
+                    cause: cause_from_parts(cs, ci, line)?,
+                    submit,
+                    start,
+                    end,
+                });
+            }
+            b'b' => {
+                let [id, proc, cs, ci, submit, enter, release] = parse_fields(line, &BARRIER_KEYS)?;
+                log.barriers.push(BarrierRecord {
+                    id,
+                    last_proc: narrow(proc, "proc", line)?,
+                    submit,
+                    enter,
+                    release,
+                    cause: cause_from_parts(cs, ci, line)?,
+                });
+            }
+            b't' => {
+                let [id, proc, tag, cs, ci, submit, armed, fire] = parse_fields(line, &TIMER_KEYS)?;
+                log.timers.push(TimerRecord {
+                    id,
+                    proc: narrow(proc, "proc", line)?,
+                    tag,
+                    cause: cause_from_parts(cs, ci, line)?,
+                    submit,
+                    armed,
+                    fire,
+                });
+            }
+            _ => {
+                let kind = line[LINE_HEAD.len()..].chars().next();
+                return Err(format!("unknown record kind {kind:?} in {line:?}"));
+            }
         }
     }
     log.msgs.sort_by_key(|m| m.id);
@@ -613,8 +745,10 @@ impl Ord for ResEntry {
 /// Applies an [`ObsSampling`] policy to the record stream.
 pub(crate) struct Sampler {
     policy: ObsSampling,
-    /// Per-source message ordinal (head/tail and reservoir identity).
-    seq: HashMap<ProcId, u64>,
+    /// Messages offered so far per source, indexed by processor — the
+    /// head/tail and reservoir identity. The other policies never read
+    /// it, so they never count.
+    seq: Vec<u64>,
     /// Head-k and tail-k buffers per source.
     head: HashMap<ProcId, Vec<MsgRecord>>,
     tail: HashMap<ProcId, VecDeque<MsgRecord>>,
@@ -626,7 +760,7 @@ impl Sampler {
     pub(crate) fn new(policy: ObsSampling) -> Self {
         Sampler {
             policy,
-            seq: HashMap::new(),
+            seq: Vec::new(),
             head: HashMap::new(),
             tail: HashMap::new(),
             res: BinaryHeap::new(),
@@ -657,41 +791,43 @@ impl Sampler {
     /// Offer a completed message record. `Some` means emit immediately;
     /// `None` means it was dropped or deferred until [`Sampler::drain`].
     pub(crate) fn offer_msg(&mut self, rec: MsgRecord) -> Option<MsgRecord> {
-        let n = self.seq.entry(rec.src).or_insert(0);
-        let ordinal = *n;
-        *n += 1;
-        match &self.policy {
-            ObsSampling::All => Some(rec),
+        let (k, seed) = match &self.policy {
+            ObsSampling::All => return Some(rec),
             ObsSampling::Stride(_) | ObsSampling::ProcSet(_) => {
-                self.pass_proc(rec.src).then_some(rec)
+                return self.pass_proc(rec.src).then_some(rec)
             }
-            ObsSampling::HeadTail(k) => {
-                let k = *k as usize;
-                if ordinal < k as u64 {
-                    self.head.entry(rec.src).or_default().push(rec);
-                } else {
-                    let ring = self.tail.entry(rec.src).or_default();
-                    if ring.len() == k {
-                        ring.pop_front();
-                    }
-                    if k > 0 {
-                        ring.push_back(rec);
-                    }
+            ObsSampling::HeadTail(k) => (*k as usize, None),
+            ObsSampling::Reservoir { k, seed } => (*k as usize, Some(*seed)),
+        };
+        let src = rec.src as usize;
+        if self.seq.len() <= src {
+            self.seq.resize(src + 1, 0);
+        }
+        let ordinal = self.seq[src];
+        self.seq[src] += 1;
+        match seed {
+            None if ordinal < k as u64 => self.head.entry(rec.src).or_default().push(rec),
+            None => {
+                let ring = self.tail.entry(rec.src).or_default();
+                if ring.len() == k {
+                    ring.pop_front();
                 }
-                None
+                if k > 0 {
+                    ring.push_back(rec);
+                }
             }
-            ObsSampling::Reservoir { k, seed } => {
+            Some(seed) => {
                 let rank = (
-                    logp_core::rng::mix(&[*seed, 0x5245_5356, rec.src as u64, ordinal]),
+                    logp_core::rng::mix(&[seed, 0x5245_5356, rec.src as u64, ordinal]),
                     ((rec.src as u64) << 40) | ordinal,
                 );
                 self.res.push(ResEntry { rank, rec });
-                if self.res.len() > *k as usize {
+                if self.res.len() > k {
                     self.res.pop();
                 }
-                None
             }
         }
+        None
     }
 
     /// Deferred records (head/tail, reservoir), sorted by id so the

@@ -6,10 +6,16 @@
 use logp::algos::broadcast::run_optimal_broadcast;
 use logp::algos::reduce::run_optimal_sum;
 use logp::core::broadcast::optimal_broadcast_time;
+use logp::core::rng::mix;
 use logp::core::summation::sum_capacity_bounded;
 use logp::prelude::*;
 use logp::sim::critpath::StepKind;
-use logp::sim::{critical_path, perfetto_trace_json, replay_jsonl, Activity, FaultPlan, SinkSpec};
+use logp::sim::reliable::{Endpoint, RetryConfig};
+use logp::sim::{
+    critical_path, perfetto_trace_json, replay_jsonl, Activity, BarrierRecord, Cause,
+    ComputeRecord, FaultPlan, JsonlSink, MsgRecord, ObsLog, ObsSink, SinkSpec, Span, TimerRecord,
+};
+use std::fmt::Write as _;
 
 /// Three machine presets plus the paper's Figure-3/Figure-4 machines.
 fn presets() -> Vec<LogP> {
@@ -467,4 +473,398 @@ fn disabled_observability_changes_nothing() {
     assert!(plain.result.obs.is_empty());
     assert!(plain.result.trace.spans.is_empty());
     assert!(plain.result.metrics.gauges().is_empty());
+}
+
+// ---------------------------------------------------------------------------
+// The JSONL artifact: encoder bytes, replay round trip, hostile input
+// ---------------------------------------------------------------------------
+
+const UNSET: u64 = u64::MAX;
+
+fn cause_parts(c: Cause) -> (u8, u64) {
+    match c {
+        Cause::Start => (0, 0),
+        Cause::Msg(id) => (1, id),
+        Cause::Compute(id) => (2, id),
+        Cause::Barrier(id) => (3, id),
+        Cause::Retry(id) => (4, id),
+    }
+}
+
+/// The format as first written — `fmt::write!` per line — kept as the
+/// oracle the sink's hand-rolled encoder must match byte for byte.
+fn oracle_jsonl(log: &ObsLog, spans: &[Span]) -> String {
+    let mut s = String::new();
+    for m in &log.msgs {
+        let (cs, ci) = cause_parts(m.cause);
+        let _ = writeln!(
+            s,
+            "{{\"k\":\"m\",\"id\":{},\"src\":{},\"dst\":{},\"tag\":{},\"words\":{},\"cs\":{cs},\"ci\":{ci},\
+             \"submit\":{},\"gate\":{},\"inject\":{},\"sent\":{},\"arrive\":{},\"rgate\":{},\"rstart\":{},\"deliver\":{}}}",
+            m.id, m.src, m.dst, m.tag, m.words, m.submit, m.send_gate, m.inject, m.sent, m.arrive,
+            m.recv_gate, m.recv_start, m.deliver
+        );
+    }
+    for c in &log.computes {
+        let (cs, ci) = cause_parts(c.cause);
+        let _ = writeln!(
+            s,
+            "{{\"k\":\"c\",\"id\":{},\"proc\":{},\"tag\":{},\"cs\":{cs},\"ci\":{ci},\"submit\":{},\"start\":{},\"end\":{}}}",
+            c.id, c.proc, c.tag, c.submit, c.start, c.end
+        );
+    }
+    for b in &log.barriers {
+        let (cs, ci) = cause_parts(b.cause);
+        let _ = writeln!(
+            s,
+            "{{\"k\":\"b\",\"id\":{},\"proc\":{},\"cs\":{cs},\"ci\":{ci},\"submit\":{},\"enter\":{},\"release\":{}}}",
+            b.id, b.last_proc, b.submit, b.enter, b.release
+        );
+    }
+    for t in &log.timers {
+        let (cs, ci) = cause_parts(t.cause);
+        let _ = writeln!(
+            s,
+            "{{\"k\":\"t\",\"id\":{},\"proc\":{},\"tag\":{},\"cs\":{cs},\"ci\":{ci},\"submit\":{},\"armed\":{},\"fire\":{}}}",
+            t.id, t.proc, t.tag, t.submit, t.armed, t.fire
+        );
+    }
+    for sp in spans {
+        let _ = writeln!(
+            s,
+            "{{\"k\":\"s\",\"proc\":{},\"start\":{},\"end\":{},\"act\":{}}}",
+            sp.proc, sp.start, sp.end, sp.activity as u8
+        );
+    }
+    s
+}
+
+/// Records of every kind, ids ascending per kind, cycling through every
+/// `Cause` variant and the extremes of every field width (`0`, one- to
+/// twenty-digit values, `UNSET`/`u64::MAX`, `u32::MAX`) — enough lines
+/// to push the sink through several buffer flushes.
+fn artifact_records() -> (ObsLog, Vec<Span>) {
+    let edge = |i: u64| match i % 7 {
+        0 => 0,
+        1 => 9,
+        2 => 10,
+        3 => 99_999,
+        4 => mix(&[0xA27, i]),
+        5 => u64::MAX - 1,
+        _ => UNSET,
+    };
+    let cause = |i: u64| match i % 5 {
+        0 => Cause::Start,
+        1 => Cause::Msg(edge(i)),
+        2 => Cause::Compute(edge(i + 1)),
+        3 => Cause::Barrier(edge(i + 2)),
+        _ => Cause::Retry(edge(i + 3)),
+    };
+    let narrow = |i: u64| {
+        if i.is_multiple_of(3) {
+            u32::MAX
+        } else {
+            edge(i) as u32
+        }
+    };
+    let mut log = ObsLog::default();
+    let mut spans = Vec::new();
+    for i in 0..700u64 {
+        log.msgs.push(MsgRecord {
+            id: i,
+            src: narrow(i),
+            dst: narrow(i + 1),
+            tag: narrow(i + 2),
+            words: edge(i + 3),
+            cause: cause(i),
+            submit: edge(i),
+            send_gate: edge(i + 1),
+            inject: edge(i + 2),
+            sent: edge(i + 3),
+            arrive: edge(i + 4),
+            recv_gate: edge(i + 5),
+            recv_start: edge(i + 6),
+            deliver: if i.is_multiple_of(2) { UNSET } else { edge(i) },
+        });
+        log.computes.push(ComputeRecord {
+            id: i,
+            proc: narrow(i),
+            tag: edge(i + 1),
+            cause: cause(i + 1),
+            submit: edge(i + 2),
+            start: edge(i + 3),
+            end: edge(i + 4),
+        });
+        log.barriers.push(BarrierRecord {
+            id: i,
+            last_proc: narrow(i + 1),
+            submit: edge(i),
+            enter: edge(i + 1),
+            release: edge(i + 2),
+            cause: cause(i + 2),
+        });
+        log.timers.push(TimerRecord {
+            id: i,
+            proc: narrow(i + 2),
+            tag: edge(i + 6),
+            cause: cause(i + 3),
+            submit: edge(i + 4),
+            armed: edge(i + 5),
+            fire: edge(i + 6),
+        });
+        spans.push(Span {
+            proc: narrow(i),
+            start: edge(i),
+            end: edge(i + 1),
+            activity: [
+                Activity::SendOverhead,
+                Activity::RecvOverhead,
+                Activity::Compute,
+                Activity::Stall,
+                Activity::Barrier,
+            ][(i % 5) as usize],
+        });
+    }
+    (log, spans)
+}
+
+/// What `JsonlSink` writes for `log` + `spans`, in `oracle_jsonl`'s order.
+fn sink_jsonl(log: &ObsLog, spans: &[Span], name: &str) -> String {
+    let path = std::env::temp_dir().join(format!("logp_{name}_{}.jsonl", std::process::id()));
+    let mut sink = JsonlSink::create(&path);
+    log.msgs.iter().for_each(|m| sink.on_msg(m));
+    log.computes.iter().for_each(|c| sink.on_compute(c));
+    log.barriers.iter().for_each(|b| sink.on_barrier(b));
+    log.timers.iter().for_each(|t| sink.on_timer(t));
+    spans.iter().for_each(|sp| sink.on_span(sp));
+    sink.finish().expect("temp file writes");
+    let text = std::fs::read_to_string(&path).expect("the sink wrote its file");
+    let _ = std::fs::remove_file(&path);
+    text
+}
+
+/// The sink's bytes are the original `write!` encoder's bytes, and they
+/// replay to exactly the records that went in (spans are not log
+/// records and drop out).
+#[test]
+fn jsonl_sink_matches_the_format_oracle_and_round_trips() {
+    let (log, spans) = artifact_records();
+    let text = sink_jsonl(&log, &spans, "oracle");
+    assert!(text.len() > 4 * (1 << 16), "must cross several flushes");
+    assert_eq!(text, oracle_jsonl(&log, &spans));
+    assert_eq!(replay_jsonl(&text).expect("own output replays"), log);
+}
+
+/// Replayed text is input we do not control: a record line missing its
+/// cause, a number past `u64`, a processor id past `u32`, a cut-off or
+/// repeated field are all errors that name the field and quote the
+/// line; span lines are skipped whatever they hold.
+#[test]
+fn replay_rejects_incomplete_and_out_of_range_records() {
+    let good = "{\"k\":\"c\",\"id\":0,\"proc\":1,\"tag\":2,\"cs\":1,\"ci\":7,\"submit\":3,\"start\":4,\"end\":5}";
+    let log = replay_jsonl(good).unwrap();
+    assert_eq!(log.computes[0].cause, Cause::Msg(7));
+    // Field order is free and unknown keys are ignored.
+    let shuffled = "{\"k\":\"c\",\"end\":5,\"x\":9,\"ci\":7,\"cs\":1,\"id\":0,\"proc\":1,\"tag\":2,\"submit\":3,\"start\":4}";
+    assert_eq!(replay_jsonl(shuffled).unwrap(), log);
+    assert!(replay_jsonl("\n{\"k\":\"s\",\"proc\":garbage\n\n")
+        .unwrap()
+        .is_empty());
+
+    let err_of = |line: &str| replay_jsonl(line).expect_err(line);
+    for (key, cut) in [
+        ("cs", "\"cs\":1,"),
+        ("ci", "\"ci\":7,"),
+        ("end", ",\"end\":5"),
+    ] {
+        let line = good.replace(cut, "");
+        let err = err_of(&line);
+        assert!(
+            err.contains(&format!("missing field {key:?}")) && err.contains(&format!("{line:?}")),
+            "{err}"
+        );
+    }
+    let kinds = [
+        "{\"k\":\"m\",\"id\":0,\"src\":0,\"dst\":1,\"tag\":0,\"words\":1,\"submit\":0,\"gate\":0,\"inject\":0,\"sent\":2,\"arrive\":8,\"rgate\":0,\"rstart\":8,\"deliver\":10}",
+        "{\"k\":\"b\",\"id\":0,\"proc\":1,\"submit\":3,\"enter\":4,\"release\":5}",
+        "{\"k\":\"t\",\"id\":0,\"proc\":1,\"tag\":2,\"submit\":3,\"armed\":4,\"fire\":5}",
+    ];
+    for line in kinds {
+        assert!(err_of(line).contains("missing field \"cs\""), "{line}");
+    }
+    let cases = [
+        (
+            good.replace("\"id\":0", "\"id\":18446744073709551616"),
+            "bad \"id\"",
+        ),
+        (
+            good.replace("\"proc\":1", "\"proc\":4294967296"),
+            "bad \"proc\"",
+        ),
+        (good.replace("\"cs\":1", "\"cs\":5"), "bad \"cs\""),
+        (good.replace("\"tag\":2", "\"tag\":x"), "bad \"tag\""),
+        (
+            good.replace("\"tag\":2", "\"tag\":2,\"tag\":2"),
+            "duplicate field \"tag\"",
+        ),
+        (good[..good.len() - 3].to_string(), "malformed record line"),
+        (
+            good.replace("\"k\":\"c\"", "\"k\":\"q\""),
+            "unknown record kind",
+        ),
+        (good.replacen('{', "", 1), "missing kind"),
+    ];
+    for (line, what) in cases {
+        let err = err_of(&line);
+        assert!(
+            err.contains(what) && err.contains(&format!("{line:?}")),
+            "{err}"
+        );
+    }
+}
+
+/// Seeded byte-mutation and truncation fuzz over real sink output:
+/// `replay_jsonl` answers `Ok` or `Err` on every mutant, never a panic
+/// (an overflowing index or slice would abort the test).
+#[test]
+fn replay_survives_mutated_and_truncated_streams() {
+    let (mut log, spans) = artifact_records();
+    log.msgs.truncate(12);
+    log.computes.truncate(6);
+    log.barriers.truncate(6);
+    log.timers.truncate(6);
+    let text = sink_jsonl(&log, &spans[..6], "fuzz").into_bytes();
+    let alphabet = b"{}\":,0123456789kmcbtsx \n\xff\xc3";
+    let (mut ok, mut err) = (0u32, 0u32);
+    for i in 0..12_000u64 {
+        let mut bytes = text.clone();
+        for j in 0..1 + mix(&[i, 1]) % 3 {
+            let at = (mix(&[i, 2, j]) % bytes.len() as u64) as usize;
+            match mix(&[i, 3, j]) % 4 {
+                0 => bytes[at] = alphabet[(mix(&[i, 4, j]) % alphabet.len() as u64) as usize],
+                1 => bytes[at] ^= 1 << (mix(&[i, 5, j]) % 8),
+                2 => drop(bytes.remove(at)),
+                _ => bytes.truncate(at),
+            }
+        }
+        // The API takes `&str`; bytes that are no longer UTF-8 are cut
+        // at the first bad one, as a reader would have failed there.
+        let valid = match std::str::from_utf8(&bytes) {
+            Ok(s) => s,
+            Err(e) => std::str::from_utf8(&bytes[..e.valid_up_to()]).unwrap(),
+        };
+        match replay_jsonl(valid) {
+            Ok(_) => ok += 1,
+            Err(_) => err += 1,
+        }
+    }
+    assert!(
+        ok > 100 && err > 1_000,
+        "both outcomes exercised: {ok} ok, {err} err"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Deep backlog: the online aggregate against the backward walk
+// ---------------------------------------------------------------------------
+
+/// Everyone computes and meets in a barrier; on the release processor 0
+/// queues `k` reliable sends (each with its retransmission timer) and a
+/// compute every 16th from ONE handler, so every one of those commands
+/// waits in a window that opens at the release and spans all the
+/// activity before it. Receivers compute per message; once every send is
+/// acknowledged the root's long closing compute is the run's unique last
+/// event.
+struct Backlog {
+    k: u32,
+    ep: Endpoint,
+    closed: bool,
+}
+
+impl Process for Backlog {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.compute(3 + u64::from(ctx.me()), 0);
+        ctx.barrier();
+    }
+    fn on_barrier_release(&mut self, ctx: &mut Ctx<'_>) {
+        if ctx.me() == 0 {
+            for i in 0..self.k {
+                if i % 16 == 0 {
+                    ctx.compute(2, 1);
+                }
+                let dst = 1 + i % (ctx.procs() - 1);
+                self.ep.send(ctx, dst, 1, Data::U64(u64::from(i)));
+            }
+        }
+    }
+    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
+        if self.ep.on_message(msg, ctx).is_some() {
+            ctx.compute(1, 2);
+        }
+        if ctx.me() == 0 && self.ep.idle() && !self.closed {
+            self.closed = true;
+            ctx.compute(200, 3);
+        }
+    }
+    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
+        self.ep.on_timer(tag, ctx);
+    }
+}
+
+/// The online aggregate equals `critical_path` on the retained log —
+/// total and every component — when one handler's backlog is 1, 65
+/// (past the 64-span prune threshold) or 300 commands deep, with
+/// computes, a barrier, retransmission timers and a drop/dup/delay plan
+/// in play (every class but `stall` lands on some path), on the classic engine and on 2 and 8 lanes, serial and under
+/// 1 and 2 workers. The spans read per wait window stay a handful
+/// however deep the backlog (the linear scan this replaces read about
+/// one per queued command).
+#[test]
+fn online_aggregate_matches_critical_path_under_deep_backlog() {
+    let m = LogP::new(12, 2, 3, 12).unwrap();
+    let plan = FaultPlan::new(0xBAC7106)
+        .with_drop_ppm(30_000)
+        .with_dup_ppm(10_000)
+        .with_delay(20_000, 5);
+    for k in [1u32, 65, 300] {
+        let run = |config: SimConfig| {
+            let mut sim = Sim::new(m, config.with_faults(plan.clone()));
+            sim.set_all(|_| {
+                Box::new(Backlog {
+                    k,
+                    ep: Endpoint::new(RetryConfig::for_model(&m)),
+                    closed: false,
+                })
+            });
+            sim.run().expect("every reliable send is acknowledged")
+        };
+        for (lanes, workers) in [(0u32, 0u32), (2, 0), (2, 1), (2, 2), (8, 0), (8, 1), (8, 2)] {
+            let base = SimConfig {
+                barrier_cost: 5,
+                ..SimConfig::default()
+            }
+            .with_shards(lanes)
+            .with_workers(workers);
+            let what = format!("k={k}, {lanes} lanes, {workers} workers");
+            let retained = run(base.clone().with_msg_log(true));
+            let cp = critical_path(&retained).expect("msg log recorded");
+            let streamed = run(base.with_aggregate(true));
+            let agg = streamed.aggregate.as_ref().expect("aggregate maintained");
+            assert_eq!(streamed.stats, retained.stats, "{what}");
+            assert_eq!(agg.critical_total, cp.total, "terminal instant, {what}");
+            assert_eq!(agg.critical_total, retained.stats.completion, "{what}");
+            assert_eq!(agg.critical, cp.components, "decomposition, {what}");
+            assert_eq!(agg.timers as usize, retained.obs.timers.len(), "{what}");
+            let c = &cp.components;
+            assert!(
+                c.o > 0 && c.l > 0 && c.compute >= 200 && c.barrier >= 5,
+                "{what}"
+            );
+            if cfg!(debug_assertions) {
+                // Three bisections of a buffer of a few hundred spans.
+                let probes = streamed.vitals.agg_window_probes_max;
+                assert!((1..=40).contains(&probes), "{probes} spans read, {what}");
+            }
+        }
+    }
 }
