@@ -20,119 +20,43 @@
 //! bit-identical across thread counts, lane counts, and worker counts —
 //! the same bar as every built-in `Process`.
 
-use crate::ir::{NodeId, Op, WlError, Workload};
+use crate::ir::{Op, Span, WlError, Workload};
+use crate::lower::{lower, Plan};
 use logp_core::hier::Hierarchy;
 use logp_core::{Cycles, LogP, ProcId};
 use logp_sim::{Ctx, Message, ProcStats, Process, SharedCell, Sim, SimConfig, SimError, SimResult};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Completion-time slot for a node that never completed.
 pub const UNSET: Cycles = Cycles::MAX;
 
-/// The per-processor slice of a compiled workload.
-#[derive(Debug, Default)]
-struct ProcPlan {
-    /// Operations in declaration order (local index order).
-    ops: Vec<Op>,
-    /// Global [`NodeId`] of each local node.
-    global: Vec<NodeId>,
-    /// In-degree of each local node (explicit deps + implicit barrier
-    /// fences; channel pairing is tracked by delivery, not counted).
-    indeg: Vec<u32>,
-    /// Local successors of each local node.
-    succs: Vec<Vec<u32>>,
-    /// Recv nodes per `(src, tag)` channel, in declaration order: the
-    /// i-th delivery on the channel satisfies the i-th entry.
-    chans: HashMap<(ProcId, u32), Vec<u32>>,
-}
-
-/// A workload compiled into per-processor plans, shareable across the
-/// engine's worker threads.
-#[derive(Debug, Clone)]
-pub struct Compiled {
-    plans: Vec<Arc<ProcPlan>>,
-    node_count: usize,
-}
-
-/// Split a validated workload into per-processor plans.
-fn compile(wl: &Workload) -> Compiled {
-    let mut plans: Vec<ProcPlan> = (0..wl.procs).map(|_| ProcPlan::default()).collect();
-    let mut local_of = vec![0u32; wl.nodes.len()];
-    for node in &wl.nodes {
-        let pp = &mut plans[node.proc as usize];
-        let li = pp.ops.len() as u32;
-        local_of[node.id as usize] = li;
-        pp.ops.push(node.op.clone());
-        pp.global.push(node.id);
-        pp.indeg.push(0);
-        pp.succs.push(Vec::new());
-        if let Op::Recv { src, tag } = node.op {
-            pp.chans.entry((src, tag)).or_default().push(li);
-        }
-    }
-    for node in &wl.nodes {
-        let pp = &mut plans[node.proc as usize];
-        let li = local_of[node.id as usize];
-        for &d in &node.deps {
-            // The validator guarantees deps stay on one processor.
-            let dl = local_of[d as usize];
-            pp.succs[dl as usize].push(li);
-            pp.indeg[li as usize] += 1;
-        }
-    }
-    // A barrier is a full fence on its processor: every earlier node
-    // completes before the barrier fires (otherwise a later-ready send
-    // could queue up behind the barrier command and starve another
-    // processor into deadlock), and no later node fires before the
-    // release. The fence also orders a processor's barrier rounds, so
-    // round k matches up across processors. Duplicate edges with
-    // explicit `after:` lists are harmless: each `succs` entry pairs
-    // with one `indeg` increment.
-    for pp in &mut plans {
-        let mut segment: Vec<u32> = Vec::new();
-        let mut last_barrier: Option<u32> = None;
-        for li in 0..pp.ops.len() as u32 {
-            if matches!(pp.ops[li as usize], Op::Barrier) {
-                for &s in &segment {
-                    pp.succs[s as usize].push(li);
-                    pp.indeg[li as usize] += 1;
-                }
-                segment.clear();
-            } else {
-                segment.push(li);
-            }
-            if let Some(b) = last_barrier {
-                pp.succs[b as usize].push(li);
-                pp.indeg[li as usize] += 1;
-            }
-            if matches!(pp.ops[li as usize], Op::Barrier) {
-                last_barrier = Some(li);
-            }
-        }
-    }
-    Compiled {
-        plans: plans.into_iter().map(Arc::new).collect(),
-        node_count: wl.nodes.len(),
-    }
-}
-
-/// The interpreter: one per processor, all sharing a compiled plan.
+/// The interpreter: one per processor, all sharing the lowered plan.
+/// Nodes are named by local index: position among this processor's
+/// nodes, in declaration order.
 struct WlProc {
-    plan: Arc<ProcPlan>,
+    plan: Arc<Plan>,
+    /// This processor's first slot and first recv-table entry in the plan.
+    base: usize,
+    recv_base: usize,
     /// Unfinished dependency count per local node.
     deps_left: Vec<u32>,
-    /// Node completed.
-    done: Vec<bool>,
+    /// Completion cycle per local node ([`UNSET`] until it completes).
+    done_at: Vec<Cycles>,
     /// Recv delivered (may precede readiness).
     delivered: Vec<bool>,
-    /// Next unsatisfied recv per channel (index into `plan.chans`).
-    chan_next: HashMap<(ProcId, u32), usize>,
+    /// Deliveries so far on each channel, kept at the channel's first
+    /// entry in this processor's stretch of the recv table.
+    chan_next: Vec<u32>,
+    /// Ready nodes not yet fired; the smallest local index fires first.
+    ready: BinaryHeap<Reverse<u32>>,
     /// Barrier nodes entered but not yet released, FIFO.
     barrier_fifo: VecDeque<u32>,
     remaining: usize,
     halted: bool,
-    /// Per-node completion cycle, indexed by global [`NodeId`].
+    /// Per-node completion cycle of the whole run, indexed by node id;
+    /// this processor's share is written when it is dropped.
     times: SharedCell<Vec<Cycles>>,
     /// Deliveries with no matching recv left on their channel.
     unmatched: SharedCell<u64>,
@@ -140,18 +64,24 @@ struct WlProc {
 
 impl WlProc {
     fn new(
-        plan: Arc<ProcPlan>,
+        plan: Arc<Plan>,
+        p: ProcId,
         times: SharedCell<Vec<Cycles>>,
         unmatched: SharedCell<u64>,
     ) -> Self {
-        let n = plan.ops.len();
+        let p = p as usize;
+        let slots = plan.proc_start[p] as usize..plan.proc_start[p + 1] as usize;
+        let recvs = (plan.recv_start[p + 1] - plan.recv_start[p]) as usize;
         WlProc {
-            deps_left: plan.indeg.clone(),
-            done: vec![false; n],
-            delivered: vec![false; n],
-            chan_next: HashMap::new(),
+            base: slots.start,
+            recv_base: plan.recv_start[p] as usize,
+            deps_left: plan.indeg[slots.clone()].to_vec(),
+            done_at: vec![UNSET; slots.len()],
+            delivered: vec![false; slots.len()],
+            chan_next: vec![0; recvs],
+            ready: BinaryHeap::new(),
             barrier_fifo: VecDeque::new(),
-            remaining: n,
+            remaining: slots.len(),
             halted: false,
             times,
             unmatched,
@@ -159,38 +89,37 @@ impl WlProc {
         }
     }
 
-    /// Mark a node complete and collect newly ready successors.
-    fn finish(&mut self, li: u32, ctx: &mut Ctx<'_>, ready: &mut BTreeSet<u32>) {
+    /// Mark a node complete and queue its newly ready successors.
+    fn finish(&mut self, li: u32, ctx: &mut Ctx<'_>) {
         let i = li as usize;
-        if self.done[i] {
+        if self.done_at[i] != UNSET {
             return;
         }
-        self.done[i] = true;
+        self.done_at[i] = ctx.now();
         self.remaining -= 1;
-        let id = self.plan.global[i] as usize;
-        let now = ctx.now();
-        self.times.with(|t| t[id] = now);
-        let plan = self.plan.clone();
-        for &s in &plan.succs[i] {
-            let d = &mut self.deps_left[s as usize];
-            *d -= 1;
-            if *d == 0 {
-                ready.insert(s);
+        let plan = &*self.plan;
+        let slot = self.base + i;
+        let succs = plan.succ_start[slot] as usize..plan.succ_start[slot + 1] as usize;
+        for &s in &plan.succs[succs] {
+            let s = s - self.base as u32;
+            let left = &mut self.deps_left[s as usize];
+            *left -= 1;
+            if *left == 0 {
+                self.ready.push(Reverse(s));
             }
         }
     }
 
     /// Issue a ready node's operation.
-    fn fire(&mut self, li: u32, ctx: &mut Ctx<'_>, ready: &mut BTreeSet<u32>) {
-        let op = self.plan.ops[li as usize].clone();
-        match op {
+    fn fire(&mut self, li: u32, ctx: &mut Ctx<'_>) {
+        match self.plan.ops[self.base + li as usize] {
             Op::Send { dst, tag, payload } => {
                 ctx.send(dst, tag, payload.to_data());
-                self.finish(li, ctx, ready);
+                self.finish(li, ctx);
             }
             Op::Recv { .. } => {
                 if self.delivered[li as usize] {
-                    self.finish(li, ctx, ready);
+                    self.finish(li, ctx);
                 }
                 // Otherwise wait for on_message; deps_left is already 0,
                 // so delivery alone completes the node.
@@ -206,59 +135,77 @@ impl WlProc {
 
     /// Fire ready nodes in local (declaration) order until quiescent,
     /// then halt if the plan is exhausted.
-    fn drive(&mut self, mut ready: BTreeSet<u32>, ctx: &mut Ctx<'_>) {
-        while let Some(li) = ready.pop_first() {
-            self.fire(li, ctx, &mut ready);
+    fn drive(&mut self, ctx: &mut Ctx<'_>) {
+        while let Some(Reverse(li)) = self.ready.pop() {
+            self.fire(li, ctx);
         }
         if self.remaining == 0 && !self.halted {
             self.halted = true;
             ctx.halt();
         }
     }
+
+    /// A callback's whole job: node `li` is done, run what that frees.
+    fn complete(&mut self, li: u32, ctx: &mut Ctx<'_>) {
+        self.finish(li, ctx);
+        self.drive(ctx);
+    }
+}
+
+impl Drop for WlProc {
+    /// Publish this processor's completion times, once, when the engine
+    /// lets go of it — whether or not its schedule finished.
+    fn drop(&mut self) {
+        // The cell's lock may be poisoned while a failed run unwinds.
+        if std::thread::panicking() {
+            return;
+        }
+        let ids = &self.plan.global[self.base..self.base + self.done_at.len()];
+        self.times.with(|t| {
+            for (&id, &at) in ids.iter().zip(&self.done_at) {
+                t[id as usize] = at;
+            }
+        });
+    }
 }
 
 impl Process for WlProc {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let ready: BTreeSet<u32> = (0..self.deps_left.len() as u32)
-            .filter(|&li| self.deps_left[li as usize] == 0)
-            .collect();
-        self.drive(ready, ctx);
+        let n = self.deps_left.len() as u32;
+        let ready = (0..n).filter(|&li| self.deps_left[li as usize] == 0);
+        self.ready = ready.map(Reverse).collect();
+        self.drive(ctx);
     }
 
     fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let key = (msg.src, msg.tag);
-        let slot = self.chan_next.entry(key).or_insert(0);
-        let Some(&li) = self.plan.chans.get(&key).and_then(|c| c.get(*slot)) else {
+        let (plan, key) = (&*self.plan, (msg.src, msg.tag));
+        let keys = &plan.recv_key[self.recv_base..self.recv_base + self.chan_next.len()];
+        let first = keys.partition_point(|k| *k < key);
+        let at = first + self.chan_next.get(first).map_or(0, |&n| n as usize);
+        if keys.get(at) != Some(&key) {
             // No recv left on this channel (stray or duplicated message).
             self.unmatched.with(|u| *u += 1);
             return;
-        };
-        *slot += 1;
+        }
+        self.chan_next[first] += 1;
+        let li = plan.recv_slot[self.recv_base + at] - self.base as u32;
         self.delivered[li as usize] = true;
-        if self.deps_left[li as usize] == 0 && !self.done[li as usize] {
-            let mut ready = BTreeSet::new();
-            self.finish(li, ctx, &mut ready);
-            self.drive(ready, ctx);
+        if self.deps_left[li as usize] == 0 {
+            self.complete(li, ctx);
         }
     }
 
     fn on_compute_done(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        let mut ready = BTreeSet::new();
-        self.finish(tag as u32, ctx, &mut ready);
-        self.drive(ready, ctx);
+        self.complete(tag as u32, ctx);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        let mut ready = BTreeSet::new();
-        self.finish(tag as u32, ctx, &mut ready);
-        self.drive(ready, ctx);
+        self.complete(tag as u32, ctx);
     }
 
     fn on_barrier_release(&mut self, ctx: &mut Ctx<'_>) {
         if let Some(li) = self.barrier_fifo.pop_front() {
-            let mut ready = BTreeSet::new();
-            self.finish(li, ctx, &mut ready);
-            self.drive(ready, ctx);
+            self.complete(li, ctx);
         }
     }
 }
@@ -323,11 +270,11 @@ pub struct WlRun {
 /// Interpret a workload on machine `m` (re-dimensioned to the
 /// workload's processor count) under `config` — classic engine by
 /// default, sharded with [`SimConfig::with_shards`], parallel lanes
-/// with `with_workers`. Validates first; never panics on bad input.
+/// with `with_workers`. Checks the program first (the same function as
+/// [`Workload::validate`]); never panics on bad input.
 pub fn run_workload(wl: &Workload, m: &LogP, config: SimConfig) -> Result<WlRun, WlRunError> {
-    wl.validate().map_err(WlRunError::Invalid)?;
-    let machine = m.with_p(wl.procs);
-    run_on(wl, Sim::new(machine, config))
+    let plan = lower(wl).map_err(WlRunError::Invalid)?;
+    run_on(wl, plan, Sim::new(m.with_p(wl.procs), config))
 }
 
 /// Interpret a workload on a hierarchical machine: every message pays
@@ -341,29 +288,28 @@ pub fn run_workload_hier(
     h: &Hierarchy,
     config: SimConfig,
 ) -> Result<WlRun, WlRunError> {
-    wl.validate().map_err(WlRunError::Invalid)?;
+    let plan = lower(wl).map_err(WlRunError::Invalid)?;
     if wl.procs != h.p() {
-        return Err(WlRunError::Invalid(WlError {
-            line: 0,
-            col: 0,
-            msg: format!(
-                "workload uses {} processors but the hierarchy has {}",
-                wl.procs,
-                h.p()
-            ),
-            help: Some("size the workload's `procs` to the hierarchy's total rank count".into()),
-        }));
+        let msg = format!(
+            "workload uses {} processors but the hierarchy has {}",
+            wl.procs,
+            h.p()
+        );
+        return Err(WlRunError::Invalid(WlError::at(Span::NONE, msg).with_help(
+            "size the workload's `procs` to the hierarchy's total rank count",
+        )));
     }
-    run_on(wl, Sim::new_hier(h, config))
+    run_on(wl, plan, Sim::new_hier(h, config))
 }
 
-fn run_on(wl: &Workload, mut sim: Sim) -> Result<WlRun, WlRunError> {
-    let compiled = compile(wl);
-    let times = SharedCell::of(vec![UNSET; compiled.node_count]);
+fn run_on(wl: &Workload, plan: Plan, mut sim: Sim) -> Result<WlRun, WlRunError> {
+    let plan = Arc::new(plan);
+    let times = SharedCell::of(vec![UNSET; wl.nodes.len()]);
     let unmatched = SharedCell::of(0u64);
     sim.set_all(|p| {
         Box::new(WlProc::new(
-            compiled.plans[p as usize].clone(),
+            plan.clone(),
+            p,
             times.clone(),
             unmatched.clone(),
         ))

@@ -10,12 +10,11 @@
 //! Construction paths: the text loader ([`crate::parse`]), the corpus
 //! emitters ([`crate::corpus`]), trace replay ([`crate::replay`]), the
 //! fuzz generator ([`crate::fuzz`]), or the [`Workload::node`] builder
-//! directly. Every path funnels through [`Workload::validate`] before the
-//! interpreter will touch it.
+//! directly. Every path funnels through the same check ([`Workload::validate`],
+//! or the interpreter's own call of it) before a node runs.
 
 use logp_core::{Cycles, ProcId};
 use logp_sim::Data;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Index of a node within [`Workload::nodes`] (also its `id` field).
@@ -194,6 +193,14 @@ pub struct WlError {
     pub help: Option<String>,
 }
 
+/// Return a [`WlError`] at a span, with a formatted message.
+macro_rules! bail {
+    ($span:expr, $($msg:tt)+) => {
+        return Err(WlError::at($span, format!($($msg)+)))
+    };
+}
+pub(crate) use bail;
+
 impl WlError {
     pub(crate) fn at(span: Span, msg: impl Into<String>) -> Self {
         WlError {
@@ -254,402 +261,29 @@ impl Workload {
         id
     }
 
-    fn span_of(&self, id: NodeId) -> Span {
+    pub(crate) fn span_of(&self, id: NodeId) -> Span {
         self.spans.get(id as usize).map_or(Span::NONE, |s| s.node)
     }
 
-    fn dep_span(&self, id: NodeId, k: usize) -> Span {
+    pub(crate) fn dep_span(&self, id: NodeId, k: usize) -> Span {
         self.spans
             .get(id as usize)
             .and_then(|s| s.deps.get(k).copied())
             .unwrap_or(Span::NONE)
     }
 
-    /// The barrier-round index of every barrier node: a processor's k-th
-    /// barrier (declaration order) participates in global round k.
-    fn barrier_rounds(&self) -> HashMap<NodeId, u32> {
-        let mut per_proc: HashMap<ProcId, u32> = HashMap::new();
-        let mut rounds = HashMap::new();
-        for n in &self.nodes {
-            if matches!(n.op, Op::Barrier) {
-                let r = per_proc.entry(n.proc).or_insert(0);
-                rounds.insert(n.id, *r);
-                *r += 1;
-            }
-        }
-        rounds
-    }
-
     /// Reject every malformed program: duplicate labels, out-of-range
     /// processors, self-sends, dangling or cross-processor dependencies,
-    /// unmatched send/recv pairs, uneven barrier participation, and
-    /// cycles (through explicit edges, channel order, and barrier
-    /// rounds). Never panics; every rejection carries the span of the
-    /// offending token.
+    /// unmatched send/recv pairs, uneven barrier participation, cycles
+    /// (through explicit edges, channel order, and barrier rounds), and
+    /// sizes past the limits in `docs/WORKLOADS.md`. Never panics; every
+    /// rejection carries the span of the offending token. A node is known
+    /// by its index in [`Workload::nodes`]; the `id` field is not read.
+    ///
+    /// This is the interpreter's check-and-lower with the lowered plan
+    /// dropped: [`crate::interp::run_workload`] runs the same function
+    /// once and keeps the plan.
     pub fn validate(&self) -> Result<(), WlError> {
-        if self.procs == 0 {
-            return Err(WlError::at(
-                Span::NONE,
-                format!("workload `{}` declares procs 0; need at least 1", self.name),
-            ));
-        }
-        let n = self.nodes.len();
-        let mut seen: HashMap<&str, NodeId> = HashMap::with_capacity(n);
-        for node in &self.nodes {
-            let sp = self.span_of(node.id);
-            if let Some(&first) = seen.get(node.label.as_str()) {
-                return Err(WlError::at(
-                    sp,
-                    format!(
-                        "duplicate label `{}` (first defined at line {})",
-                        node.label,
-                        self.span_of(first).line
-                    ),
-                ));
-            }
-            seen.insert(node.label.as_str(), node.id);
-            if node.proc >= self.procs {
-                return Err(WlError::at(
-                    sp,
-                    format!(
-                        "node `{}` runs on processor {} but the workload declares procs {} \
-                         (valid: 0..={})",
-                        node.label,
-                        node.proc,
-                        self.procs,
-                        self.procs - 1
-                    ),
-                ));
-            }
-            match node.op {
-                Op::Send { dst, .. } => {
-                    if dst >= self.procs {
-                        return Err(WlError::at(
-                            sp,
-                            format!(
-                                "send `{}` targets processor {} but the workload declares \
-                                 procs {} (valid: 0..={})",
-                                node.label,
-                                dst,
-                                self.procs,
-                                self.procs - 1
-                            ),
-                        ));
-                    }
-                    if dst == node.proc {
-                        return Err(WlError::at(
-                            sp,
-                            format!(
-                                "send `{}` sends processor {} a message to itself; \
-                                 the LogP network has no self-loop",
-                                node.label, dst
-                            ),
-                        ));
-                    }
-                }
-                Op::Recv { src, .. } => {
-                    if src >= self.procs {
-                        return Err(WlError::at(
-                            sp,
-                            format!(
-                                "recv `{}` expects a message from processor {} but the \
-                                 workload declares procs {} (valid: 0..={})",
-                                node.label,
-                                src,
-                                self.procs,
-                                self.procs - 1
-                            ),
-                        ));
-                    }
-                    if src == node.proc {
-                        return Err(WlError::at(
-                            sp,
-                            format!(
-                                "recv `{}` expects a message from its own processor {}; \
-                                 the LogP network has no self-loop",
-                                node.label, src
-                            ),
-                        ));
-                    }
-                }
-                Op::Compute { .. } | Op::Barrier | Op::Timer { .. } => {}
-            }
-            let mut dedup: Vec<NodeId> = Vec::new();
-            for (k, &d) in node.deps.iter().enumerate() {
-                let dsp = self.dep_span(node.id, k);
-                let Some(dep) = self.nodes.get(d as usize) else {
-                    return Err(WlError::at(
-                        dsp,
-                        format!(
-                            "node `{}` depends on unknown node id {d} (the workload has \
-                             {n} nodes)",
-                            node.label
-                        ),
-                    ));
-                };
-                if d == node.id {
-                    return Err(WlError::at(
-                        dsp,
-                        format!("node `{}` depends on itself", node.label),
-                    ));
-                }
-                if dedup.contains(&d) {
-                    return Err(WlError::at(
-                        dsp,
-                        format!(
-                            "node `{}` lists dependency `{}` twice",
-                            node.label, dep.label
-                        ),
-                    ));
-                }
-                dedup.push(d);
-                if dep.proc != node.proc {
-                    return Err(WlError::at(
-                        dsp,
-                        format!(
-                            "node `{}` (processor {}) depends on `{}` (processor {}); \
-                             `after:` edges must stay on one processor",
-                            node.label, node.proc, dep.label, dep.proc
-                        ),
-                    )
-                    .with_help(
-                        "cross-processor ordering is carried by a send/recv pair on a \
-                         shared tag",
-                    ));
-                }
-            }
-        }
-        self.validate_channels()?;
-        self.validate_barriers()?;
-        self.validate_acyclic()
-    }
-
-    /// Every `(src, dst, tag)` channel must pair sends and recvs 1:1.
-    fn validate_channels(&self) -> Result<(), WlError> {
-        type Chan = (ProcId, ProcId, u32);
-        let mut sends: HashMap<Chan, Vec<NodeId>> = HashMap::new();
-        let mut recvs: HashMap<Chan, Vec<NodeId>> = HashMap::new();
-        for node in &self.nodes {
-            match node.op {
-                Op::Send { dst, tag, .. } => sends
-                    .entry((node.proc, dst, tag))
-                    .or_default()
-                    .push(node.id),
-                Op::Recv { src, tag } => recvs
-                    .entry((src, node.proc, tag))
-                    .or_default()
-                    .push(node.id),
-                _ => continue,
-            };
-        }
-        // Deterministic report order: first offending node in declaration
-        // order, across both surplus directions.
-        let mut worst: Option<(NodeId, String)> = None;
-        let empty: Vec<NodeId> = Vec::new();
-        for (&(src, dst, tag), s) in &sends {
-            let r = recvs.get(&(src, dst, tag)).unwrap_or(&empty);
-            if s.len() > r.len() {
-                let id = s[r.len()];
-                let msg = format!(
-                    "send `{}` has no matching recv: channel {src} -> {dst} tag={tag} has \
-                     {} send(s) but {} recv(s)",
-                    self.nodes[id as usize].label,
-                    s.len(),
-                    r.len()
-                );
-                if worst.as_ref().is_none_or(|(w, _)| id < *w) {
-                    worst = Some((id, msg));
-                }
-            }
-        }
-        for (&(src, dst, tag), r) in &recvs {
-            let s = sends.get(&(src, dst, tag)).unwrap_or(&empty);
-            if r.len() > s.len() {
-                let id = r[s.len()];
-                let msg = format!(
-                    "recv `{}` has no matching send: channel {src} -> {dst} tag={tag} has \
-                     {} send(s) but {} recv(s)",
-                    self.nodes[id as usize].label,
-                    s.len(),
-                    r.len()
-                );
-                if worst.as_ref().is_none_or(|(w, _)| id < *w) {
-                    worst = Some((id, msg));
-                }
-            }
-        }
-        match worst {
-            Some((id, msg)) => Err(WlError::at(self.span_of(id), msg).with_help(
-                "every send needs exactly one recv on the same (src, dst, tag) channel; \
-                 the i-th send pairs with the i-th recv in declaration order",
-            )),
-            None => Ok(()),
-        }
-    }
-
-    /// The global barrier releases only when every processor enters, so
-    /// every processor must declare the same number of barrier nodes.
-    fn validate_barriers(&self) -> Result<(), WlError> {
-        let mut count = vec![0u32; self.procs as usize];
-        let mut last_barrier = None;
-        for node in &self.nodes {
-            if matches!(node.op, Op::Barrier) {
-                count[node.proc as usize] += 1;
-                last_barrier = Some(node.id);
-            }
-        }
-        let Some(witness) = last_barrier else {
-            return Ok(());
-        };
-        let max = *count.iter().max().expect("procs >= 1");
-        if let Some(short) = count.iter().position(|&c| c < max) {
-            // Point at the first barrier node of a processor that has
-            // more rounds than the short one.
-            let id = self
-                .nodes
-                .iter()
-                .find(|nd| matches!(nd.op, Op::Barrier) && count[nd.proc as usize] == max)
-                .map_or(witness, |nd| nd.id);
-            return Err(WlError::at(
-                self.span_of(id),
-                format!(
-                    "uneven barrier participation: processor {} enters {} barrier(s) but \
-                     processor {short} enters {}; the global barrier would never release",
-                    self.nodes[id as usize].proc, max, count[short]
-                ),
-            )
-            .with_help("give every processor the same number of barrier statements"));
-        }
-        Ok(())
-    }
-
-    /// Kahn toposort over the real nodes plus one virtual node per
-    /// barrier round; leftover nodes form a cycle, reported by label.
-    fn validate_acyclic(&self) -> Result<(), WlError> {
-        let n = self.nodes.len();
-        let rounds = self.barrier_rounds();
-        let nrounds = rounds.values().map(|&r| r + 1).max().unwrap_or(0) as usize;
-        let total = n + nrounds;
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); total];
-        let mut indeg = vec![0u32; total];
-        let mut edge = |from: usize, to: usize| {
-            succs[from].push(to as u32);
-            indeg[to] += 1;
-        };
-        for node in &self.nodes {
-            let i = node.id as usize;
-            for &d in &node.deps {
-                // A dependency on a barrier node means "after that round
-                // releases", which involves every participant.
-                match rounds.get(&d) {
-                    Some(&r) => edge(n + r as usize, i),
-                    None => edge(d as usize, i),
-                }
-            }
-            if let Some(&r) = rounds.get(&node.id) {
-                // Entering round r contributes to its release, and a
-                // processor reaches round r only after round r-1 released.
-                edge(i, n + r as usize);
-                if r > 0 {
-                    edge(n + r as usize - 1, i);
-                }
-            }
-        }
-        // A barrier is a full fence on its processor (matching the
-        // interpreter): every earlier node on the processor completes
-        // before the barrier is entered, and every later node waits
-        // for the round's release.
-        let mut segment: Vec<Vec<usize>> = vec![Vec::new(); self.procs as usize];
-        let mut last_release: Vec<Option<usize>> = vec![None; self.procs as usize];
-        for node in &self.nodes {
-            let q = node.proc as usize;
-            let i = node.id as usize;
-            if let Some(&r) = rounds.get(&node.id) {
-                for &s in &segment[q] {
-                    edge(s, i);
-                }
-                segment[q].clear();
-                last_release[q] = Some(n + r as usize);
-            } else {
-                if let Some(rel) = last_release[q] {
-                    edge(rel, i);
-                }
-                segment[q].push(i);
-            }
-        }
-        // Channel order: the i-th send on a channel precedes the i-th recv.
-        type Chan = (ProcId, ProcId, u32);
-        let mut sends: HashMap<Chan, Vec<NodeId>> = HashMap::new();
-        let mut recvs: HashMap<Chan, Vec<NodeId>> = HashMap::new();
-        for node in &self.nodes {
-            match node.op {
-                Op::Send { dst, tag, .. } => sends
-                    .entry((node.proc, dst, tag))
-                    .or_default()
-                    .push(node.id),
-                Op::Recv { src, tag } => recvs
-                    .entry((src, node.proc, tag))
-                    .or_default()
-                    .push(node.id),
-                _ => continue,
-            };
-        }
-        for (chan, s) in &sends {
-            if let Some(r) = recvs.get(chan) {
-                for (&si, &ri) in s.iter().zip(r.iter()) {
-                    edge(si as usize, ri as usize);
-                }
-            }
-        }
-        let mut ready: Vec<usize> = (0..total).filter(|&i| indeg[i] == 0).collect();
-        let mut done = 0usize;
-        while let Some(i) = ready.pop() {
-            done += 1;
-            for &s in &succs[i] {
-                indeg[s as usize] -= 1;
-                if indeg[s as usize] == 0 {
-                    ready.push(s as usize);
-                }
-            }
-        }
-        if done == total {
-            return Ok(());
-        }
-        // Walk the residual graph to print one concrete cycle.
-        let start = (0..total).find(|&i| indeg[i] > 0).expect("cycle exists");
-        let mut path = vec![start];
-        let mut on_path = vec![false; total];
-        on_path[start] = true;
-        let cycle = loop {
-            let cur = *path.last().expect("non-empty");
-            let next = succs[cur]
-                .iter()
-                .map(|&s| s as usize)
-                .find(|&s| indeg[s] > 0)
-                .expect("residual node keeps a residual successor");
-            if on_path[next] {
-                let from = path.iter().position(|&x| x == next).expect("on path");
-                break &path[from..];
-            }
-            on_path[next] = true;
-            path.push(next);
-        };
-        let name = |i: usize| -> String {
-            if i < n {
-                format!("`{}`", self.nodes[i].label)
-            } else {
-                format!("barrier round {}", i - n)
-            }
-        };
-        let mut labels: Vec<String> = cycle.iter().map(|&i| name(i)).collect();
-        labels.push(name(cycle[0]));
-        let anchor = cycle.iter().copied().find(|&i| i < n);
-        let span = anchor.map_or(Span::NONE, |i| self.span_of(i as NodeId));
-        Err(
-            WlError::at(span, format!("dependency cycle: {}", labels.join(" -> "))).with_help(
-                "a node cannot (transitively) wait on itself; check `after:` lists, \
-             send/recv pairing order, and barrier rounds",
-            ),
-        )
+        crate::lower::lower(self).map(drop)
     }
 }

@@ -35,6 +35,7 @@ pub mod corpus;
 pub mod fuzz;
 pub mod interp;
 pub mod ir;
+mod lower;
 pub mod parse;
 pub mod replay;
 

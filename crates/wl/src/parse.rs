@@ -21,9 +21,10 @@
 //! checks syntax only; [`load_workload`] also runs
 //! [`Workload::validate`] so the result is ready to interpret.
 
-use crate::ir::{Node, NodeId, NodeSpans, Op, Payload, Span, WlError, Workload};
+use crate::ir::{bail, Node, NodeId, NodeSpans, Op, Payload, Span, WlError, Workload};
+use crate::lower::{Keyed, Labels, MAX_BLOCK_WORDS, MAX_PROCS};
 use logp_core::ProcId;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 const OPS: [&str; 5] = ["send", "recv", "compute", "barrier", "timer"];
 const DIRECTIVES: [&str; 3] = ["workload", "procs", "preset"];
@@ -31,7 +32,25 @@ const DIRECTIVES: [&str; 3] = ["workload", "procs", "preset"];
 /// Parse the text form, resolving labels. Syntax errors only — run
 /// [`load_workload`] to also validate the DAG.
 pub fn parse_workload(text: &str) -> Result<Workload, WlError> {
-    Parser::default().parse(text)
+    // Sized for ~32-byte statements, so a typical file never regrows its
+    // tables; all three grow on demand past that.
+    let guess = (text.len() / 32).min(1 << 20);
+    let mut p = Parser {
+        text,
+        lineno: 1,
+        nodes: Vec::with_capacity(guess),
+        spans: Vec::with_capacity(guess),
+        labels: Labels::with_capacity_and_hasher(guess, Keyed::default()),
+        ..Parser::default()
+    };
+    while p.at < text.len() {
+        let parsed = p.statement();
+        // A stray character anywhere on the line outranks whatever the
+        // statement tripped over first.
+        p.end_line()?;
+        parsed?;
+    }
+    p.finish()
 }
 
 /// Parse and validate: the returned workload is accepted by
@@ -42,23 +61,6 @@ pub fn load_workload(text: &str) -> Result<Workload, WlError> {
     Ok(wl)
 }
 
-/// One raw statement before label resolution.
-struct RawNode {
-    label: String,
-    proc: ProcId,
-    op: Op,
-    deps: Vec<(String, Span)>,
-    span: Span,
-}
-
-#[derive(Default)]
-struct Parser {
-    name: Option<String>,
-    procs: Option<u32>,
-    preset: Option<String>,
-    nodes: Vec<RawNode>,
-}
-
 /// A token with its 1-based source position.
 #[derive(Clone, Copy)]
 struct Tok<'a> {
@@ -66,8 +68,35 @@ struct Tok<'a> {
     span: Span,
 }
 
-fn err(span: Span, msg: impl Into<String>) -> WlError {
-    WlError::at(span, msg)
+/// The loader: one pass over the text, a token at a time, a line at a
+/// time. Nodes are built in place; labels are interned as they are
+/// defined, so an `after:` entry naming an earlier node resolves on the
+/// spot.
+#[derive(Default)]
+struct Parser<'a> {
+    text: &'a str,
+    /// Read position, and where the current line started.
+    at: usize,
+    line_start: usize,
+    lineno: u32,
+    /// Offset of the first character of this line that no token can
+    /// hold; the line ends there as far as `next` is concerned.
+    stray: Option<usize>,
+    name: Option<&'a str>,
+    procs: Option<u32>,
+    preset: Option<&'a str>,
+    nodes: Vec<Node>,
+    spans: Vec<NodeSpans>,
+    labels: Labels<'a>,
+    /// The first redefined label: `(redefinition, first definition)`.
+    /// Reported after the pass, since any syntax error outranks it.
+    duplicate: Option<(NodeId, NodeId)>,
+    /// `after:` entries naming a label not defined yet, patched (or
+    /// rejected) at the end: `(node, position in its deps, label)`.
+    forward: Vec<(NodeId, u32, &'a str)>,
+    /// The `after:` list of the statement being parsed.
+    deps: Vec<NodeId>,
+    dep_spans: Vec<Span>,
 }
 
 /// Levenshtein distance, for "did you mean" suggestions.
@@ -87,15 +116,27 @@ fn levenshtein(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// The closest candidate within edit distance 2, if any.
-fn did_you_mean<'c>(s: &str, candidates: impl IntoIterator<Item = &'c str>) -> Option<&'c str> {
-    candidates
+/// `e`, with `hint(m)` as help when a candidate `m` is within edit
+/// distance 2 of `s`: the closest one, and among equally close ones the
+/// earliest.
+fn suggest<'c>(
+    e: WlError,
+    s: &str,
+    candidates: impl IntoIterator<Item = &'c str>,
+    hint: impl Fn(&str) -> String,
+) -> WlError {
+    let close = candidates
         .into_iter()
         .map(|c| (levenshtein(s, c), c))
         .filter(|&(d, c)| d <= 2 && d < c.len())
-        .min_by_key(|&(d, _)| d)
-        .map(|(_, c)| c)
+        .min_by_key(|&(d, _)| d);
+    match close {
+        Some((_, m)) => e.with_help(hint(m)),
+        None => e,
+    }
 }
+
+const AFTER_HINT: &str = "did you mean `after:` (with the colon)?";
 
 fn is_ident(s: &str) -> bool {
     let mut chars = s.chars();
@@ -105,454 +146,417 @@ fn is_ident(s: &str) -> bool {
         && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Split a line into tokens. Words are runs of `[A-Za-z0-9_@=]`, with a
-/// trailing `:` attached (for `label:` and `after:`); `->` and `,` are
-/// punctuation tokens; `#` starts a comment.
-fn tokenize(line: &str, lineno: u32) -> Result<Vec<Tok<'_>>, WlError> {
-    let mut toks = Vec::new();
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        let span = Span::new(lineno, i as u32 + 1);
-        if c == '#' {
-            break;
-        }
-        if c.is_ascii_whitespace() {
-            i += 1;
-        } else if c == '-' && bytes.get(i + 1) == Some(&b'>') {
-            toks.push(Tok { s: "->", span });
-            i += 2;
-        } else if c == ',' {
-            toks.push(Tok { s: ",", span });
-            i += 1;
-        } else if c.is_ascii_alphanumeric() || c == '_' || c == '@' || c == '=' {
-            let start = i;
-            while i < bytes.len() {
-                let w = bytes[i] as char;
-                if w.is_ascii_alphanumeric() || w == '_' || w == '@' || w == '=' {
-                    i += 1;
-                } else {
-                    break;
-                }
-            }
-            if bytes.get(i) == Some(&b':') {
-                i += 1;
-            }
-            toks.push(Tok {
-                s: &line[start..i],
-                span,
-            });
-        } else {
-            return Err(err(span, format!("unexpected character `{c}`")));
-        }
+fn parse_num(t: Tok<'_>, what: impl std::fmt::Display) -> Result<u64, WlError> {
+    match t.s.parse::<u64>() {
+        Ok(v) => Ok(v),
+        Err(_) => bail!(t.span, "expected {what} (a number), got `{}`", t.s),
     }
-    Ok(toks)
-}
-
-fn parse_num(t: Tok<'_>, what: &str) -> Result<u64, WlError> {
-    t.s.parse::<u64>()
-        .map_err(|_| err(t.span, format!("expected {what} (a number), got `{}`", t.s)))
 }
 
 fn parse_proc(t: Tok<'_>, what: &str) -> Result<ProcId, WlError> {
     let v = parse_num(t, what)?;
-    u32::try_from(v).map_err(|_| err(t.span, format!("{what} {v} does not fit a processor id")))
+    match u32::try_from(v) {
+        Ok(p) => Ok(p),
+        Err(_) => bail!(t.span, "{what} {v} does not fit a processor id"),
+    }
 }
 
-impl Parser {
-    fn parse(mut self, text: &str) -> Result<Workload, WlError> {
-        for (idx, line) in text.lines().enumerate() {
-            let toks = tokenize(line, idx as u32 + 1)?;
-            if toks.is_empty() {
-                continue;
+impl<'a> Parser<'a> {
+    /// The next token of the current line, if it has one. Words are runs
+    /// of `[A-Za-z0-9_@=]`, with a trailing `:` attached (for `label:`
+    /// and `after:`); `->` and `,` are punctuation tokens; `#` starts a
+    /// comment. A line ends at `\n`; a `\r` before it is whitespace like
+    /// any other.
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let bytes = self.text.as_bytes();
+        let word = |c: u8| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'@' | b'=');
+        loop {
+            let start = self.at;
+            let rest = &bytes[start..];
+            match *rest.first()? {
+                b'\n' => return None,
+                b'#' => {
+                    self.at += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
+                    return None;
+                }
+                c if c.is_ascii_whitespace() => {
+                    self.at += 1;
+                    continue;
+                }
+                b',' => self.at += 1,
+                b'-' if rest.get(1) == Some(&b'>') => self.at += 2,
+                c if word(c) => {
+                    self.at += rest.iter().position(|&c| !word(c)).unwrap_or(rest.len());
+                    self.at += usize::from(bytes.get(self.at) == Some(&b':'));
+                }
+                _ => {
+                    self.stray.get_or_insert(start);
+                    return None;
+                }
             }
-            self.statement(&toks)?;
+            return Some(Tok {
+                s: &self.text[start..self.at],
+                span: self.span_at(start),
+            });
         }
-        let Some(name) = self.name.take() else {
-            return Err(err(
-                Span::new(1, 1),
-                "missing `workload <name>` header (it must be the first statement)",
-            ));
-        };
-        let Some(procs) = self.procs.take() else {
-            return Err(err(
-                Span::new(1, 1),
-                "missing `procs <N>` header (declare the processor count)",
-            ));
-        };
-        self.resolve(name, procs)
     }
 
-    fn statement(&mut self, toks: &[Tok<'_>]) -> Result<(), WlError> {
-        let head = toks[0];
+    fn span_at(&self, offset: usize) -> Span {
+        Span::new(self.lineno, (offset - self.line_start) as u32 + 1)
+    }
+
+    /// Move to the next line, reporting this line's stray character if it
+    /// has one — whether or not the statement read that far.
+    fn end_line(&mut self) -> Result<(), WlError> {
+        while self.stray.is_none() && self.next().is_some() {}
+        if let Some(at) = self.stray {
+            // Everything before it on the line is ASCII, so the byte
+            // offset is the character column.
+            let c = self.text[at..].chars().next().expect("in bounds");
+            bail!(self.span_at(at), "unexpected character `{c}`");
+        }
+        // `next` stopped at the newline or at the end of the text.
+        self.at = (self.at + 1).min(self.text.len());
+        (self.line_start, self.lineno) = (self.at, self.lineno + 1);
+        Ok(())
+    }
+
+    fn statement(&mut self) -> Result<(), WlError> {
+        let Some(head) = self.next() else {
+            return Ok(());
+        };
         if DIRECTIVES.contains(&head.s) {
-            return self.directive(head, &toks[1..]);
+            return self.directive(head);
         }
         let Some(label) = head.s.strip_suffix(':').filter(|l| !l.is_empty()) else {
-            let mut e = err(
+            let e = WlError::at(
                 head.span,
                 format!("expected `label:` to open the statement, got `{}`", head.s),
             );
             if OPS.contains(&head.s) {
-                e = e.with_help(format!(
-                    "statements are labeled; try `n{}: {} ...`",
-                    self.nodes.len(),
-                    head.s
-                ));
-            } else if let Some(m) = did_you_mean(head.s, DIRECTIVES) {
-                e = e.with_help(format!("did you mean the directive `{m}`?"));
+                let n = self.nodes.len();
+                let try_this = format!("statements are labeled; try `n{n}: {} ...`", head.s);
+                return Err(e.with_help(try_this));
             }
-            return Err(e);
+            return Err(suggest(e, head.s, DIRECTIVES, |m| {
+                format!("did you mean the directive `{m}`?")
+            }));
         };
         if !is_ident(label) {
-            return Err(err(
+            bail!(
                 head.span,
-                format!("invalid label `{label}` (labels are [A-Za-z_][A-Za-z0-9_]*)"),
-            ));
+                "invalid label `{label}` (labels are [A-Za-z_][A-Za-z0-9_]*)"
+            );
         }
-        if self.name.is_none() {
-            return Err(err(
+        let headers = [
+            ("workload <name>", self.name.is_none()),
+            ("procs <N>", self.procs.is_none()),
+        ];
+        if let Some((header, _)) = headers.iter().find(|h| h.1) {
+            bail!(
                 head.span,
-                "missing `workload <name>` header (it must come before the first node)",
-            ));
+                "missing `{header}` header (it must come before the first node)"
+            );
         }
-        if self.procs.is_none() {
-            return Err(err(
+        let Some(kw) = self.next() else {
+            bail!(
                 head.span,
-                "missing `procs <N>` header (it must come before the first node)",
-            ));
-        }
-        let Some(&kw) = toks.get(1) else {
-            return Err(err(
-                head.span,
-                format!("label `{label}` has no operation; expected one of {OPS:?}"),
-            ));
+                "label `{label}` has no operation; expected one of {OPS:?}"
+            );
         };
         if !OPS.contains(&kw.s) {
-            let mut e = err(kw.span, format!("unknown operation `{}`", kw.s));
-            if let Some(m) = did_you_mean(kw.s, OPS) {
-                e = e.with_help(format!("did you mean `{m}`?"));
-            }
-            return Err(e);
+            let e = WlError::at(kw.span, format!("unknown operation `{}`", kw.s));
+            return Err(suggest(e, kw.s, OPS, |m| format!("did you mean `{m}`?")));
         }
-        let (proc, op, rest) = self.operation(kw, &toks[2..])?;
-        let deps = Self::after(rest, kw)?;
-        self.nodes.push(RawNode {
+        let id = self.nodes.len() as NodeId;
+        if id == NodeId::MAX {
+            bail!(head.span, "too many nodes: node ids are 32 bits");
+        }
+        let (proc, op, rest) = self.operation(kw)?;
+        self.after(id, rest, kw)?;
+        match self.labels.entry(label) {
+            Entry::Vacant(free) => drop(free.insert(id)),
+            Entry::Occupied(first) => drop(self.duplicate.get_or_insert((id, *first.get()))),
+        }
+        self.nodes.push(Node {
+            id,
             label: label.to_string(),
             proc,
             op,
-            deps,
-            span: head.span,
+            deps: self.deps.clone(),
+        });
+        self.spans.push(NodeSpans {
+            node: head.span,
+            deps: self.dep_spans.clone(),
         });
         Ok(())
     }
 
-    fn directive(&mut self, head: Tok<'_>, rest: &[Tok<'_>]) -> Result<(), WlError> {
-        let one_word = |what: &str| -> Result<String, WlError> {
-            match rest {
-                [t] => Ok(t.s.to_string()),
-                [] => Err(err(head.span, format!("`{}` needs {what}", head.s))),
-                [_, extra, ..] => Err(err(
-                    extra.span,
-                    format!("unexpected token `{}` after `{} <{what}>`", extra.s, head.s),
-                )),
-            }
+    fn directive(&mut self, head: Tok<'a>) -> Result<(), WlError> {
+        let seen = match head.s {
+            "workload" => self.name.is_some(),
+            "procs" => self.procs.is_some(),
+            _ => self.preset.is_some(),
+        };
+        if seen {
+            bail!(head.span, "duplicate `{}` directive", head.s);
+        }
+        let (arg, extra) = (self.next(), self.next());
+        let one_word = |what: &str| match (arg, extra) {
+            (Some(t), None) => Ok(t),
+            (None, _) => bail!(head.span, "`{}` needs {what}", head.s),
+            (_, Some(x)) => bail!(
+                x.span,
+                "unexpected token `{}` after `{} <{what}>`",
+                x.s,
+                head.s
+            ),
         };
         match head.s {
             "workload" => {
-                if self.name.is_some() {
-                    return Err(err(head.span, "duplicate `workload` directive"));
-                }
                 let name = one_word("a name")?;
-                if !is_ident(&name) {
-                    return Err(err(
-                        rest[0].span,
-                        format!("invalid workload name `{name}` (use [A-Za-z_][A-Za-z0-9_]*)"),
-                    ));
+                if !is_ident(name.s) {
+                    bail!(
+                        name.span,
+                        "invalid workload name `{}` (use [A-Za-z_][A-Za-z0-9_]*)",
+                        name.s
+                    );
                 }
-                self.name = Some(name);
+                self.name = Some(name.s);
             }
             "procs" => {
-                if self.procs.is_some() {
-                    return Err(err(head.span, "duplicate `procs` directive"));
-                }
-                let [t] = rest else {
-                    return Err(err(head.span, "`procs` needs a processor count"));
+                let (Some(t), None) = (arg, extra) else {
+                    bail!(head.span, "`procs` needs a processor count");
                 };
-                let n = parse_proc(*t, "the processor count")?;
+                let n = parse_proc(t, "the processor count")?;
                 if n == 0 {
-                    return Err(err(t.span, "procs must be at least 1"));
+                    bail!(t.span, "procs must be at least 1");
+                }
+                if n > MAX_PROCS {
+                    bail!(
+                        t.span,
+                        "procs {n} is more than the engines address (at most {MAX_PROCS})"
+                    );
                 }
                 self.procs = Some(n);
             }
-            "preset" => {
-                if self.preset.is_some() {
-                    return Err(err(head.span, "duplicate `preset` directive"));
-                }
-                self.preset = Some(one_word("a machine-preset name")?);
-            }
-            _ => unreachable!("caller checked DIRECTIVES"),
+            _ => self.preset = Some(one_word("a machine-preset name")?.s),
         }
         Ok(())
     }
 
     /// Parse one operation's positional arguments and `key=value`
-    /// options; returns `(proc, op, unconsumed-suffix)` where the suffix
-    /// is empty or an `after:` clause.
-    fn operation<'a, 't>(
-        &self,
-        kw: Tok<'t>,
-        args: &'a [Tok<'t>],
-    ) -> Result<(ProcId, Op, &'a [Tok<'t>]), WlError> {
+    /// options; returns `(proc, op, next)` where `next` is the first
+    /// token not consumed: nothing, or what should be `after:`.
+    fn operation(&mut self, kw: Tok<'a>) -> Result<(ProcId, Op, Option<Tok<'a>>), WlError> {
         match kw.s {
             "send" | "recv" => {
-                let [src_t, arrow, dst_t, rest @ ..] = args else {
-                    return Err(err(kw.span, format!("`{}` needs `<src> -> <dst>`", kw.s)));
+                let (Some(src), Some(arrow), Some(dst)) = (self.next(), self.next(), self.next())
+                else {
+                    bail!(kw.span, "`{}` needs `<src> -> <dst>`", kw.s);
                 };
-                let src = parse_proc(*src_t, "the source processor")?;
+                let src = parse_proc(src, "the source processor")?;
                 if arrow.s != "->" {
-                    return Err(err(
+                    bail!(
                         arrow.span,
-                        format!(
-                            "expected `->` after the source processor, got `{}`",
-                            arrow.s
-                        ),
-                    ));
+                        "expected `->` after the source processor, got `{}`",
+                        arrow.s
+                    );
                 }
-                let dst = parse_proc(*dst_t, "the destination processor")?;
-                let (opts, rest) = Self::options(rest, kw)?;
-                let mut tag = 0u32;
-                let mut payload = Payload::Empty;
-                for (key, val, span) in opts {
-                    match key {
-                        "tag" => {
-                            tag = u32::try_from(val).map_err(|_| {
-                                err(span, format!("tag {val} does not fit 32 bits"))
-                            })?;
-                        }
-                        "data" if kw.s == "send" => payload = Payload::Word(val),
-                        "words" if kw.s == "send" => {
-                            let w = u32::try_from(val).map_err(|_| {
-                                err(span, format!("payload size {val} words is too large"))
-                            })?;
-                            payload = Payload::Block(w);
-                        }
-                        "data" | "words" => {
-                            return Err(err(
-                                span,
-                                format!("`{key}=` is only valid on `send`, not `recv`"),
-                            ));
-                        }
-                        other => {
-                            let mut e =
-                                err(span, format!("unknown option `{other}=` on `{}`", kw.s));
-                            let known: &[&str] = if kw.s == "send" {
-                                &["tag", "data", "words"]
-                            } else {
-                                &["tag"]
-                            };
-                            if let Some(m) = did_you_mean(other, known.iter().copied()) {
-                                e = e.with_help(format!("did you mean `{m}=`?"));
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
-                let (proc, op) = if kw.s == "send" {
-                    (src, Op::Send { dst, tag, payload })
+                let dst = parse_proc(dst, "the destination processor")?;
+                let (tag, payload, rest) = self.options(kw)?;
+                Ok(if kw.s == "send" {
+                    (src, Op::Send { dst, tag, payload }, rest)
                 } else {
-                    (dst, Op::Recv { src, tag })
-                };
-                Ok((proc, op, rest))
+                    (dst, Op::Recv { src, tag }, rest)
+                })
             }
             "compute" | "timer" => {
-                let [cyc_t, rest @ ..] = args else {
-                    return Err(err(kw.span, format!("`{}` needs `<cycles> @<proc>`", kw.s)));
+                let Some(cycles) = self.next() else {
+                    bail!(kw.span, "`{}` needs `<cycles> @<proc>`", kw.s);
                 };
-                let cycles = parse_num(*cyc_t, "a cycle count")?;
-                let (proc, rest) = Self::at_proc(rest, kw, "the cycle count")?;
+                let cycles = parse_num(cycles, "a cycle count")?;
+                let proc = self.at_proc(kw, "the cycle count")?;
                 let op = if kw.s == "compute" {
                     Op::Compute { cycles }
                 } else {
                     Op::Timer { cycles }
                 };
-                Ok((proc, op, rest))
+                Ok((proc, op, self.next()))
             }
-            "barrier" => {
-                let (proc, rest) = Self::at_proc(args, kw, "`barrier`")?;
-                Ok((proc, Op::Barrier, rest))
-            }
-            _ => unreachable!("caller checked OPS"),
+            _ => Ok((self.at_proc(kw, "`barrier`")?, Op::Barrier, self.next())),
         }
     }
 
     /// Expect a `@<proc>` token next.
-    fn at_proc<'a, 't>(
-        args: &'a [Tok<'t>],
-        kw: Tok<'t>,
-        after_what: &str,
-    ) -> Result<(ProcId, &'a [Tok<'t>]), WlError> {
-        let [t, rest @ ..] = args else {
-            return Err(err(
-                kw.span,
-                format!("`{}` needs a `@<proc>` processor assignment", kw.s),
-            ));
+    fn at_proc(&mut self, kw: Tok<'a>, after_what: &str) -> Result<ProcId, WlError> {
+        let Some(t) = self.next() else {
+            bail!(kw.span, "`{}` needs a `@<proc>` processor assignment", kw.s);
         };
         let Some(num) = t.s.strip_prefix('@') else {
-            return Err(err(
+            bail!(
                 t.span,
-                format!("expected `@<proc>` after {after_what}, got `{}`", t.s),
-            ));
+                "expected `@<proc>` after {after_what}, got `{}`",
+                t.s
+            );
         };
-        let proc = parse_proc(
-            Tok {
-                s: num,
-                span: Span::new(t.span.line, t.span.col + 1),
-            },
-            "the processor id",
-        )?;
-        Ok((proc, rest))
+        let span = Span::new(t.span.line, t.span.col + 1);
+        parse_proc(Tok { s: num, span }, "the processor id")
     }
 
-    /// Collect leading `key=value` tokens; stops at `after:` or end.
-    #[allow(clippy::type_complexity)]
-    fn options<'a, 't>(
-        args: &'a [Tok<'t>],
-        kw: Tok<'t>,
-    ) -> Result<(Vec<(&'t str, u64, Span)>, &'a [Tok<'t>]), WlError> {
-        let mut opts = Vec::new();
-        let mut rest = args;
-        while let [t, tail @ ..] = rest {
-            if t.s == "after:" {
-                break;
-            }
+    /// Read `key=value` tokens up to `after:` or the end of the line;
+    /// returns `(tag, payload, the after: token)`. A malformed token
+    /// anywhere in the run outranks a well-formed option that does not
+    /// apply, so the first of those is held back until the run ends.
+    fn options(&mut self, kw: Tok<'a>) -> Result<(u32, Payload, Option<Tok<'a>>), WlError> {
+        let send = kw.s == "send";
+        let (mut tag, mut payload) = (0u32, Payload::Empty);
+        let mut rejected: Option<WlError> = None;
+        let rest = loop {
+            let t = match self.next() {
+                Some(t) if t.s != "after:" => t,
+                rest => break rest,
+            };
             let Some((key, val)) = t.s.split_once('=') else {
-                let mut e = err(
+                let e = WlError::at(
                     t.span,
                     format!("unexpected token `{}` after `{} <src> -> <dst>`", t.s, kw.s),
                 );
-                if t.s == "after" {
-                    e = e.with_help("did you mean `after:` (with the colon)?");
-                }
-                return Err(e);
+                return Err(match t.s {
+                    "after" => e.with_help(AFTER_HINT),
+                    _ => e,
+                });
             };
-            let v = parse_num(
-                Tok {
-                    s: val,
-                    span: Span::new(t.span.line, t.span.col + key.len() as u32 + 1),
-                },
-                &format!("a value for `{key}=`"),
-            )?;
-            opts.push((key, v, t.span));
-            rest = tail;
-        }
-        Ok((opts, rest))
+            let span = Span::new(t.span.line, t.span.col + key.len() as u32 + 1);
+            let val = parse_num(Tok { s: val, span }, format_args!("a value for `{key}=`"))?;
+            let reject = |msg: String| Some(WlError::at(t.span, msg));
+            let rejection = match (key, u32::try_from(val)) {
+                ("tag", Ok(v)) => {
+                    tag = v;
+                    None
+                }
+                ("tag", Err(_)) => reject(format!("tag {val} does not fit 32 bits")),
+                ("data", _) if send => {
+                    payload = Payload::Word(val);
+                    None
+                }
+                ("words", Ok(w)) if send && w <= MAX_BLOCK_WORDS => {
+                    payload = Payload::Block(w);
+                    None
+                }
+                ("words", _) if send => reject(format!(
+                    "payload size {val} words is too large (at most {MAX_BLOCK_WORDS})"
+                )),
+                ("data" | "words", _) => {
+                    reject(format!("`{key}=` is only valid on `send`, not `recv`"))
+                }
+                _ => {
+                    let e = WlError::at(t.span, format!("unknown option `{key}=` on `{}`", kw.s));
+                    let known = &["tag", "data", "words"][..if send { 3 } else { 1 }];
+                    Some(suggest(e, key, known.iter().copied(), |m| {
+                        format!("did you mean `{m}=`?")
+                    }))
+                }
+            };
+            rejected = rejected.or(rejection);
+        };
+        rejected.map_or(Ok((tag, payload, rest)), Err)
     }
 
     /// Parse the trailing `after: a, b, c` clause (labels, comma or
-    /// whitespace separated).
-    fn after(rest: &[Tok<'_>], kw: Tok<'_>) -> Result<Vec<(String, Span)>, WlError> {
-        let [head, labels @ ..] = rest else {
-            return Ok(Vec::new());
+    /// whitespace separated) of node `id` into `self.deps`; `head` is the
+    /// first token after the operation, if any.
+    fn after(&mut self, id: NodeId, head: Option<Tok<'a>>, kw: Tok<'a>) -> Result<(), WlError> {
+        self.deps.clear();
+        self.dep_spans.clear();
+        let Some(head) = head else {
+            return Ok(());
         };
         if head.s != "after:" {
-            let mut e = err(
+            let e = WlError::at(
                 head.span,
                 format!(
                     "unexpected token `{}` at end of `{}` statement",
                     head.s, kw.s
                 ),
             );
-            if head.s == "after" || did_you_mean(head.s, ["after:"]).is_some() {
-                e = e.with_help("did you mean `after:` (with the colon)?");
-            }
-            return Err(e);
+            return Err(suggest(e, head.s, ["after:"], |_| AFTER_HINT.into()));
         }
-        let mut deps = Vec::new();
+        // The dangling comma, if the last token was one.
+        let mut comma = None;
         let mut want_label = true;
-        for t in labels {
+        while let Some(t) = self.next() {
             if t.s == "," {
                 if want_label {
-                    return Err(err(
-                        t.span,
-                        "expected a dependency label, got `,`".to_string(),
-                    ));
+                    bail!(t.span, "expected a dependency label, got `,`");
                 }
-                want_label = true;
+                (comma, want_label) = (Some(t.span), true);
             } else if is_ident(t.s) {
-                deps.push((t.s.to_string(), t.span));
-                want_label = false;
+                let known = self.labels.get(t.s).copied();
+                if known.is_none() {
+                    self.forward.push((id, self.deps.len() as u32, t.s));
+                }
+                self.deps.push(known.unwrap_or(NodeId::MAX));
+                self.dep_spans.push(t.span);
+                (comma, want_label) = (None, false);
             } else {
-                return Err(err(
-                    t.span,
-                    format!("expected a dependency label, got `{}`", t.s),
-                ));
+                bail!(t.span, "expected a dependency label, got `{}`", t.s);
             }
         }
-        if deps.is_empty() {
-            return Err(err(
-                head.span,
-                "`after:` needs at least one dependency label",
-            ));
+        if self.deps.is_empty() {
+            bail!(head.span, "`after:` needs at least one dependency label");
         }
-        if want_label {
-            let last = labels.last().expect("deps non-empty implies labels");
-            return Err(err(
-                last.span,
-                "trailing `,` in `after:` list (expected another label)",
-            ));
+        if let Some(span) = comma {
+            bail!(
+                span,
+                "trailing `,` in `after:` list (expected another label)"
+            );
         }
-        Ok(deps)
+        Ok(())
     }
 
-    /// Resolve dependency labels to node ids and assemble the workload.
-    fn resolve(self, name: String, procs: u32) -> Result<Workload, WlError> {
-        let mut ids: HashMap<&str, NodeId> = HashMap::with_capacity(self.nodes.len());
-        for (i, raw) in self.nodes.iter().enumerate() {
-            if let Some(&first) = ids.get(raw.label.as_str()) {
-                return Err(err(
-                    raw.span,
-                    format!(
-                        "duplicate label `{}` (first defined at line {})",
-                        raw.label, self.nodes[first as usize].span.line
-                    ),
-                ));
-            }
-            ids.insert(raw.label.as_str(), i as NodeId);
-        }
-        let mut wl = Workload {
-            name,
-            procs,
-            preset: self.preset.clone(),
-            nodes: Vec::with_capacity(self.nodes.len()),
-            spans: Vec::with_capacity(self.nodes.len()),
+    /// Headers present, labels unique, forward references patched.
+    fn finish(self) -> Result<Workload, WlError> {
+        let start = Span::new(1, 1);
+        let Some(name) = self.name else {
+            bail!(
+                start,
+                "missing `workload <name>` header (it must be the first statement)"
+            );
         };
-        for (i, raw) in self.nodes.iter().enumerate() {
-            let mut deps = Vec::with_capacity(raw.deps.len());
-            let mut dep_spans = Vec::with_capacity(raw.deps.len());
-            for (dep, span) in &raw.deps {
-                let Some(&id) = ids.get(dep.as_str()) else {
-                    let mut e = err(*span, format!("unknown dependency `{dep}`"));
-                    if let Some(m) = did_you_mean(dep, ids.keys().copied()) {
-                        e = e.with_help(format!("did you mean `{m}`?"));
-                    }
-                    return Err(e);
-                };
-                deps.push(id);
-                dep_spans.push(*span);
-            }
-            wl.nodes.push(Node {
-                id: i as NodeId,
-                label: raw.label.clone(),
-                proc: raw.proc,
-                op: raw.op.clone(),
-                deps,
-            });
-            wl.spans.push(NodeSpans {
-                node: raw.span,
-                deps: dep_spans,
-            });
+        let Some(procs) = self.procs else {
+            bail!(
+                start,
+                "missing `procs <N>` header (declare the processor count)"
+            );
+        };
+        let mut wl = Workload {
+            name: name.to_string(),
+            procs,
+            preset: self.preset.map(str::to_string),
+            nodes: self.nodes,
+            spans: self.spans,
+        };
+        if let Some((again, first)) = self.duplicate {
+            bail!(
+                wl.span_of(again),
+                "duplicate label `{}` (first defined at line {})",
+                wl.nodes[again as usize].label,
+                wl.span_of(first).line
+            );
+        }
+        for (node, k, label) in self.forward {
+            let Some(&dep) = self.labels.get(label) else {
+                let e = WlError::at(
+                    wl.dep_span(node, k as usize),
+                    format!("unknown dependency `{label}`"),
+                );
+                let defined = wl.nodes.iter().map(|n| n.label.as_str());
+                return Err(suggest(e, label, defined, |m| {
+                    format!("did you mean `{m}`?")
+                }));
+            };
+            wl.nodes[node as usize].deps[k as usize] = dep;
         }
         Ok(wl)
     }
@@ -603,13 +607,9 @@ pub fn to_text(wl: &Workload) -> String {
                 let _ = write!(out, "timer {} @{}", cycles, node.proc);
             }
         }
-        if !node.deps.is_empty() {
-            let labels: Vec<&str> = node
-                .deps
-                .iter()
-                .map(|&d| wl.nodes[d as usize].label.as_str())
-                .collect();
-            let _ = write!(out, " after: {}", labels.join(", "));
+        for (k, &d) in node.deps.iter().enumerate() {
+            out.push_str(if k == 0 { " after: " } else { ", " });
+            out.push_str(&wl.nodes[d as usize].label);
         }
         let _ = writeln!(out);
     }

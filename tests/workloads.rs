@@ -799,9 +799,167 @@ fn snapshot_validator_errors() {
     );
 }
 
+/// Sizes are checked where they are declared, before anything is
+/// allocated for them: `procs 4294967295` used to abort the process
+/// with a 17 GB allocation.
+#[test]
+fn snapshot_size_limit_errors() {
+    snap(
+        "workload x\nprocs 4294967295\nn0: compute 1 @0\n",
+        2,
+        7,
+        "procs 4294967295 is more than the engines address (at most 1048576)",
+        None,
+    );
+    snap(
+        "workload x\nprocs 1048577\n",
+        2,
+        7,
+        "procs 1048577 is more than the engines address (at most 1048576)",
+        None,
+    );
+    load_workload("workload x\nprocs 1048576\nn0: compute 1 @1048575\n").expect("the limit itself");
+    snap(
+        &format!("{HDR}a: send 0 -> 1 words=1048577\nb: recv 0 -> 1\n"),
+        3,
+        16,
+        "payload size 1048577 words is too large (at most 1048576)",
+        None,
+    );
+    snap(
+        &format!("{HDR}a: send 0 -> 1 words=4294967296\nb: recv 0 -> 1\n"),
+        3,
+        16,
+        "payload size 4294967296 words is too large (at most 1048576)",
+        None,
+    );
+}
+
+#[test]
+fn snapshot_non_ascii_and_crlf() {
+    // The character itself, at its character column (it used to print
+    // the first byte of its encoding, `Ã`).
+    snap(
+        &format!("{HDR}n0: compute 1 @0 é\n"),
+        3,
+        18,
+        "unexpected character `é`",
+        None,
+    );
+    snap(
+        &format!("{HDR}n0: compute 1 @0 # ünïcödé in a comment is fine\nn1: → \n"),
+        4,
+        5,
+        "unexpected character `→`",
+        None,
+    );
+    // `\r\n` line ends: accepted, and columns are those of the `\n` file.
+    let unix =
+        "workload t\nprocs 2\na: send 0 -> 1 tag=3\nb: recv 0 -> 1 tag=3 after: c\nc: timer 2 @1\n";
+    let dos = unix.replace('\n', "\r\n");
+    let (a, b) = (
+        load_workload(unix).expect("loads"),
+        load_workload(&dos).expect("loads"),
+    );
+    assert_eq!(a, b);
+    assert_eq!(format!("{:?}", a.spans), format!("{:?}", b.spans));
+    snap(
+        "workload t\r\nprocs 2\r\na: compute 1 @0 $\r\n",
+        3,
+        17,
+        "unexpected character `$`",
+        None,
+    );
+    snap(
+        "workload t\r\nprocs 2\r\na: compute 1\r\n",
+        3,
+        4,
+        "`compute` needs a `@<proc>` processor assignment",
+        None,
+    );
+}
+
+/// A node that waits on a cycle without being on it is the first vertex
+/// the toposort leaves over; reporting the cycle used to panic there.
+#[test]
+fn snapshot_cycle_with_a_downstream_node() {
+    snap(
+        &format!(
+            "{HDR}c: compute 1 @0 after: a\na: compute 1 @0 after: b\nb: compute 1 @0 after: a\n"
+        ),
+        4,
+        1,
+        "dependency cycle: `a` -> `b` -> `a`",
+        Some(
+            "a node cannot (transitively) wait on itself; check `after:` lists, send/recv \
+             pairing order, and barrier rounds",
+        ),
+    );
+}
+
 // ---------------------------------------------------------------------
 // Interpreter diagnostics are errors, not panics.
 // ---------------------------------------------------------------------
+
+/// There is no way to the interpreter around the checks: a workload
+/// built by hand, or edited after it loaded, is checked by the run itself.
+#[test]
+fn run_workload_checks_hand_built_and_edited_workloads() {
+    use logp::wl::{Op, Payload, WlRunError, Workload};
+    let m = LogP::fig3();
+    let invalid = |wl: &Workload| match run_workload(wl, &m, SimConfig::default()) {
+        Err(WlRunError::Invalid(e)) => e.to_string(),
+        other => panic!("expected an invalid-workload error, got {other:?}"),
+    };
+    let mut huge = Workload::new("huge", u32::MAX);
+    huge.node("n0", 0, Op::Compute { cycles: 1 }, &[]);
+    assert_eq!(
+        invalid(&huge),
+        "0:0: workload `huge` declares procs 4294967295; need 1..=1048576 (what the engines address)"
+    );
+    assert_eq!(huge.validate().unwrap_err().to_string(), invalid(&huge));
+    let mut block = Workload::new("block", 2);
+    let payload = Payload::Block(u32::MAX);
+    block.node(
+        "tx",
+        0,
+        Op::Send {
+            dst: 1,
+            tag: 0,
+            payload,
+        },
+        &[],
+    );
+    block.node("rx", 1, Op::Recv { src: 0, tag: 0 }, &[]);
+    assert_eq!(
+        invalid(&block),
+        "0:0: send `tx` declares a payload over 1048576 words"
+    );
+    // Edits after a successful load.
+    let good = load_workload(&format!(
+        "{HDR}a: compute 1 @0\nb: compute 1 @1\nc: send 0 -> 1\nd: recv 0 -> 1\n"
+    ))
+    .expect("loads");
+    run_workload(&good, &m, SimConfig::default()).expect("runs");
+    let mut edited = good.clone();
+    edited.nodes[1].deps.push(0);
+    assert!(invalid(&edited).contains("`after:` edges must stay on one processor"));
+    let mut edited = good.clone();
+    edited.nodes[0].deps.push(9);
+    assert!(invalid(&edited).contains("depends on unknown node id 9"));
+    let mut edited = good.clone();
+    edited.nodes[1].label = "a".into();
+    assert!(invalid(&edited).contains("duplicate label `a`"));
+    let mut edited = good.clone();
+    edited.nodes[3].op = Op::Compute { cycles: 1 };
+    assert!(invalid(&edited).contains("send `c` has no matching recv"));
+    let mut edited = good.clone();
+    edited.nodes[0].deps.push(0);
+    assert!(invalid(&edited).contains("node `a` depends on itself"));
+    let mut edited = good;
+    edited.procs = 1;
+    assert!(invalid(&edited).contains("node `b` runs on processor 1"));
+}
 
 #[test]
 fn dropped_message_reports_incomplete_not_panic() {
