@@ -3,7 +3,7 @@
 //!
 //! * `ping_pong` — two processors bouncing one word back and forth; every
 //!   event carries a handler dispatch, so this measures raw per-event
-//!   overhead (heap pop, handler swap, command drain).
+//!   overhead (queue pop, handler swap, command drain).
 //! * `all_to_all` — P processors each streaming rounds of P−1 sends under
 //!   the ⌈L/g⌉ capacity constraint; this saturates the stall/release
 //!   bookkeeping (`Release`, waiter wakeups) that a naive engine spends

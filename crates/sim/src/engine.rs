@@ -20,8 +20,8 @@
 //!   if drift is configured).
 //!
 //! The engine is single-threaded and bit-deterministic for a given
-//! `(programs, model, config)` triple: ties in the event heap are broken
-//! by (class, sequence number).
+//! `(programs, model, config)` triple: same-cycle events are ordered by
+//! (class, sequence number) — see [`calendar`] for the queue's contract.
 
 use crate::config::SimConfig;
 use crate::faults::FaultState;
@@ -37,8 +37,16 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+pub mod calendar;
 pub mod plane;
 pub mod shard;
+
+use calendar::Calendar;
+
+/// Latest instant a run may reach. Half the `u64` range, so no sum of a
+/// few in-range terms — and none of the calendar's slot arithmetic — can
+/// wrap.
+pub const TIME_LIMIT: Cycles = Cycles::MAX / 2;
 
 /// Errors terminating a simulation abnormally.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +59,15 @@ pub enum SimError {
     /// A streaming observability sink failed to create, write, or flush
     /// its output (the simulation itself completed).
     Sink(String),
+    /// Processor `proc`, at cycle `now`, reached a `command` (`cycles`
+    /// long, where it has a duration) that would carry simulated time
+    /// past [`TIME_LIMIT`].
+    TimeOverflow {
+        proc: ProcId,
+        now: Cycles,
+        command: &'static str,
+        cycles: Cycles,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -68,6 +85,16 @@ impl std::fmt::Display for SimError {
             SimError::Sink(msg) => {
                 write!(f, "streaming observability sink failed: {msg}")
             }
+            SimError::TimeOverflow {
+                proc,
+                now,
+                command,
+                cycles,
+            } => write!(
+                f,
+                "simulated time overflow: `{command}` ({cycles} cycles) on processor {proc} \
+                 at cycle {now} would pass the limit of {TIME_LIMIT} cycles"
+            ),
         }
     }
 }
@@ -181,9 +208,9 @@ enum EventKind {
     /// stream is exactly `⌈L/g⌉` — the model's capacity.
     Release { src: ProcId, dst: ProcId },
     /// A message reaches its destination's network interface. The payload
-    /// lives in the engine's message slab (`Sim::msg_slab`) so heap
-    /// entries stay small — sift operations move every byte of an event,
-    /// and an inline `Message` would triple the element size.
+    /// lives in the engine's message slab (`Sim::msg_slab`) so queue
+    /// entries stay small — sorting a cycle's batch moves every byte of an
+    /// event, and an inline `Message` would triple the element size.
     Arrive(MsgSlot),
     /// Send overhead complete; the sender may proceed.
     SendDone(ProcId),
@@ -225,116 +252,23 @@ impl EventKind {
     }
 }
 
-/// Packed event ordering key: `time` in the high 64 bits, `class` in the
-/// next 8, sequence number in the low 56. One u128 comparison replaces
-/// the three-field lexicographic compare in the hot heap operations.
-/// 56 bits of sequence outlast any admissible event budget (`max_events`
-/// caps runs at well under 2^56 scheduling operations).
-fn event_key(time: Cycles, class: u8, seq: u64) -> u128 {
+/// Within-cycle event order: `class` in the top 8 bits, sequence number
+/// in the low 56 (an event's time is its calendar slot). 56 bits of
+/// sequence outlast any admissible event budget (`max_events` caps runs at
+/// well under 2^56 scheduling operations).
+fn event_ord(class: u8, seq: u64) -> u64 {
     debug_assert!(seq < 1 << 56, "event sequence overflow");
-    ((time as u128) << 64) | ((class as u128) << 56) | seq as u128
+    (class as u64) << 56 | seq
 }
 
-fn key_time(key: u128) -> Cycles {
-    (key >> 64) as Cycles
-}
-
-fn key_seq(key: u128) -> u64 {
-    (key & ((1 << 56) - 1)) as u64
-}
-
-/// A 4-ary min-heap specialized for the event queue.
-///
-/// Compared to `std::collections::BinaryHeap<Reverse<Event>>` this keeps
-/// the u128 keys in their own array (sift comparisons touch nothing
-/// else), halves the tree depth, and drops the `Reverse` wrapper — the
-/// event queue is the simulator's single hottest data structure. All keys
-/// are distinct (the sequence number is unique per event), so pop order
-/// is total and deterministic.
-#[derive(Default)]
-struct EventHeap {
-    keys: Vec<u128>,
-    kinds: Vec<EventKind>,
-}
-
-impl EventHeap {
-    const ARITY: usize = 4;
-
-    fn with_capacity(cap: usize) -> Self {
-        EventHeap {
-            keys: Vec::with_capacity(cap),
-            kinds: Vec::with_capacity(cap),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, key: u128, kind: EventKind) {
-        self.keys.push(key);
-        self.kinds.push(kind);
-        let mut i = self.keys.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / Self::ARITY;
-            if self.keys[parent] <= key {
-                break;
-            }
-            self.keys.swap(i, parent);
-            self.kinds.swap(i, parent);
-            i = parent;
-        }
-    }
-
-    /// Smallest key without popping it (the window driver's lookahead
-    /// probe).
-    #[inline]
-    fn peek(&self) -> Option<u128> {
-        self.keys.first().copied()
-    }
-
-    // `always`: runs once per event at the top of the loop; with the
-    // loop monomorphized twice the inliner otherwise outlines it.
-    #[inline(always)]
-    fn pop(&mut self) -> Option<(u128, EventKind)> {
-        let n = self.keys.len();
-        if n == 0 {
-            return None;
-        }
-        self.keys.swap(0, n - 1);
-        self.kinds.swap(0, n - 1);
-        let key = self.keys.pop().expect("heap non-empty");
-        let kind = self.kinds.pop().expect("heap non-empty");
-        let n = n - 1;
-        // Sift down over fixed-length slices: the bound `n` is pinned to
-        // both lengths up front, so every index below stays provably in
-        // range regardless of the inlining context.
-        let keys = &mut self.keys[..n];
-        let kinds = &mut self.kinds[..n];
-        let mut i = 0;
-        loop {
-            let first = i * Self::ARITY + 1;
-            if first >= n {
-                break;
-            }
-            let mut min = first;
-            for c in first + 1..(first + Self::ARITY).min(n) {
-                if keys[c] < keys[min] {
-                    min = c;
-                }
-            }
-            if keys[i] <= keys[min] {
-                break;
-            }
-            keys.swap(i, min);
-            kinds.swap(i, min);
-            i = min;
-        }
-        Some((key, kind))
-    }
+fn ord_seq(ord: u64) -> u64 {
+    ord & ((1 << 56) - 1)
 }
 
 #[derive(Debug)]
 struct InboxItem {
     /// Packed ordering key: arrival time in the high 64 bits, sequence
-    /// number in the low 64 (same trick as [`Event::key`]). The low half
+    /// number in the low 64. The low half
     /// also names the message's observability payload in the
     /// destination's `inbox_obs` queue when observability is active.
     key: u128,
@@ -398,11 +332,14 @@ struct ProcState {
 }
 
 impl ProcState {
-    fn new(program: Box<dyn Process>, inbox_cap: usize) -> Self {
+    /// Queues allocate on first use: at large P most processors see one
+    /// message and a handful of commands, and two up-front allocations
+    /// apiece were most of construction time and memory.
+    fn new(program: Box<dyn Process>) -> Self {
         ProcState {
             program: Some(program),
-            cmds: VecDeque::with_capacity(4),
-            inbox: BinaryHeap::with_capacity(inbox_cap),
+            cmds: VecDeque::new(),
+            inbox: BinaryHeap::new(),
             busy_until: 0,
             next_send_slot: 0,
             next_recv_slot: 0,
@@ -420,27 +357,26 @@ impl ProcState {
 }
 
 /// One event lane of the sharded engine (`crate::shard`): a contiguous
-/// block of processors with its own event heap and message slab. The
+/// block of processors with its own event queue and message slab. The
 /// classic path never constructs these.
 struct Lane {
-    /// Near-term calendar: a power-of-two ring of per-cycle buckets.
-    /// Cycle `t` lives in `buckets[t & (buckets.len() - 1)]`; the ring
-    /// covers `[bbase, bbase + buckets.len())`, wide enough that every
-    /// window-local push (and, on ordinary machines, every arrival)
-    /// inserts in O(1) instead of sifting a heap.
-    buckets: Vec<Vec<(u128, EventKind)>>,
-    /// First cycle the ring currently covers (the active window start).
-    bbase: Cycles,
-    /// Events parked in `buckets` (scan shortcut).
-    bcount: u64,
-    /// Overflow queue for events beyond the ring horizon (long timers
-    /// and computes, bulk streams); spilled into the ring when their
-    /// window arrives.
-    far: EventHeap,
+    cal: Calendar<EventKind>,
     /// Messages in flight toward this lane's processors (allocated in the
     /// *destination's* lane so arrivals stay lane-local).
     slab: Vec<Option<Message>>,
     free: Vec<MsgSlot>,
+}
+
+impl Lane {
+    /// A lane of `procs` processors with a `span`-cycle calendar, arenas
+    /// pre-sized so the standard collectives never regrow them.
+    fn new(span: Cycles, procs: usize) -> Self {
+        Lane {
+            cal: Calendar::new(span, procs + 16),
+            slab: Vec::with_capacity(2 * procs + 16),
+            free: Vec::with_capacity(2 * procs + 16),
+        }
+    }
 }
 
 /// One barrier-relevant state change, logged by the sharded engine during
@@ -839,9 +775,16 @@ pub struct Sim {
     model: LogP,
     config: SimConfig,
     procs: Off<ProcState>,
-    heap: EventHeap,
+    /// The classic engine's event queue (built when the run starts, once
+    /// the hierarchy — and so the span — is known; lanes own theirs).
+    cal: Calendar<EventKind>,
     seq: u64,
     now: Cycles,
+    /// Latest `now` at which a processor may still act: [`TIME_LIMIT`]
+    /// less the furthest any one step schedules ahead (set by `run`).
+    horizon: Cycles,
+    /// First simulated-time overflow met; ends the run with this error.
+    overflow: Option<SimError>,
     in_flight_from: Vec<u64>,
     in_flight_to: Vec<u64>,
     /// Messages injected toward each destination whose reception has not
@@ -892,7 +835,7 @@ pub struct Sim {
     // Everything below is built by the sharded driver and stays empty on
     // the classic path; the `SHARDED = false` monomorphizations never
     // touch it.
-    /// Per-lane event heaps and message slabs.
+    /// Per-lane event queues and message slabs.
     lanes: Vec<Lane>,
     /// Processor → owning lane.
     lane_of: Off<u32>,
@@ -913,7 +856,8 @@ pub struct Sim {
     /// instead of the (absent) destination lane.
     out: Option<Box<Outbox>>,
     /// Debug-only count of arena growths past the construction-time
-    /// pre-size (event heap, message slab). Million-processor setup must
+    /// pre-size (overflow heap, message slab; calendar buckets grow by
+    /// design and are not counted). Million-processor setup must
     /// allocate each arena exactly once; tests pin this at zero for the
     /// standard collectives.
     #[cfg(debug_assertions)]
@@ -923,9 +867,10 @@ pub struct Sim {
     v_windows: u64,
     /// Quiescence fast-forwards (sharded driver).
     v_fast_forwards: u64,
-    /// Deepest calendar bucket drained in one batch (sharded driver).
+    /// Deepest calendar bucket drained in one batch, and events that
+    /// overflowed a calendar ring: folded from the queues when the run
+    /// ends ([`Sim::fold_queue_vitals`]).
     v_bucket_max: u64,
-    /// Events spilled to a lane's `far` heap.
     v_far_spills: u64,
     /// Events processed per lane (sharded driver).
     v_lane_events: Vec<u64>,
@@ -985,19 +930,18 @@ impl Sim {
             })
             .collect();
         let max_outstanding = capacity.saturating_add(ni_buffer);
-        // Inbox occupancy is bounded by the per-destination outstanding
-        // window when capacity is enforced; clamp for the unenforced case.
-        let inbox_cap = max_outstanding.min(64) as usize + 1;
         Sim {
             model,
             procs: Off::from(
                 (0..p)
-                    .map(|_| ProcState::new(Box::new(crate::process::Passive), inbox_cap))
+                    .map(|_| ProcState::new(Box::new(crate::process::Passive)))
                     .collect::<Vec<_>>(),
             ),
-            heap: EventHeap::with_capacity(4 * p + 16),
+            cal: Calendar::default(),
             seq: 0,
             now: 0,
+            horizon: TIME_LIMIT,
+            overflow: None,
             in_flight_from: vec![0; p],
             in_flight_to: vec![0; p],
             outstanding_to: vec![0; p],
@@ -1167,13 +1111,46 @@ impl Sim {
 
     #[inline]
     fn schedule(&mut self, time: Cycles, kind: EventKind) {
-        let class = kind.class();
         self.seq += 1;
+        self.cal.push(time, event_ord(kind.class(), self.seq), kind);
+    }
+
+    /// Fold a finished queue's counters into the run's vitals.
+    fn fold_queue_vitals(&mut self, cal: &Calendar<EventKind>) {
+        self.v_bucket_max = self.v_bucket_max.max(cal.depth_max);
+        self.v_far_spills += cal.far_spills;
         #[cfg(debug_assertions)]
-        if self.heap.keys.len() == self.heap.keys.capacity() {
-            self.arena_reallocs += 1;
+        {
+            self.arena_reallocs += cal.far_regrows;
         }
-        self.heap.push(event_key(time, class, self.seq), kind);
+    }
+
+    /// The end of a `cycles`-long `command` that processor `p` starts
+    /// now, or `None` — with the run's error recorded — when that would
+    /// pass the horizon.
+    #[inline]
+    fn end_of(&mut self, p: ProcId, command: &'static str, cycles: Cycles) -> Option<Cycles> {
+        let end = self.now.checked_add(cycles).filter(|&t| t <= self.horizon);
+        if end.is_none() {
+            self.overflow.get_or_insert(SimError::TimeOverflow {
+                proc: p,
+                now: self.now,
+                command,
+                cycles,
+            });
+            // Stop at the next event: the budget check reports it.
+            self.config.max_events = 0;
+        }
+        end
+    }
+
+    /// Why the event budget check tripped: a time overflow ended the run
+    /// early, or the budget really is spent.
+    #[cold]
+    fn budget_error(&mut self) -> SimError {
+        self.overflow.take().unwrap_or(SimError::MaxEventsExceeded {
+            limit: self.config.max_events,
+        })
     }
 
     /// Park a message in the slab until its `Arrive` event fires.
@@ -1204,7 +1181,7 @@ impl Sim {
     // ---- sharded lane engine primitives ----
     //
     // The sharded engine keys every event canonically: the low 56 bits of
-    // the heap key are `(proc + 1) << 36 | ctr` where `ctr` is a
+    // the event order are `(proc + 1) << 36 | ctr` where `ctr` is a
     // per-processor issuance counter (`pctr`), so same-timestamp ordering
     // depends only on processor-local execution order and is therefore
     // identical for every lane count. Crash events use the bare processor
@@ -1223,28 +1200,14 @@ impl Sim {
         c
     }
 
-    /// Park an event in the lane owning `owner`: O(1) into the calendar
-    /// ring when the instant is within the ring horizon, otherwise into
-    /// the lane's overflow heap (spilled back when its window arrives).
-    /// Event times never precede `bbase` — they are strictly after
-    /// `self.now`, which the window driver keeps at or above every
-    /// lane's ring base.
+    /// Park an event in the calendar of the lane owning `owner`. Event
+    /// times never precede that calendar's base — they are at or after
+    /// `self.now`, which the window driver keeps at or above every lane's
+    /// ring base.
     #[inline]
-    fn push_lane(&mut self, owner: ProcId, key: u128, kind: EventKind) {
-        let lane = &mut self.lanes[self.lane_of[owner as usize] as usize];
-        let t = key_time(key);
-        let b = lane.buckets.len() as u64;
-        if t.wrapping_sub(lane.bbase) < b {
-            lane.buckets[(t & (b - 1)) as usize].push((key, kind));
-            lane.bcount += 1;
-        } else {
-            #[cfg(debug_assertions)]
-            if lane.far.keys.len() == lane.far.keys.capacity() {
-                self.arena_reallocs += 1;
-            }
-            lane.far.push(key, kind);
-            self.v_far_spills += 1;
-        }
+    fn push_lane(&mut self, owner: ProcId, time: Cycles, ord: u64, kind: EventKind) {
+        let li = self.lane_of[owner as usize] as usize;
+        self.lanes[li].cal.push(time, ord, kind);
     }
 
     /// Schedule an event on either engine. On the classic path this is
@@ -1269,7 +1232,7 @@ impl Sim {
             _ => unreachable!("classic-only event scheduled on the sharded path"),
         };
         let seq = ((owner as u64 + 1) << 36) | self.bump_pctr(owner);
-        self.push_lane(owner, event_key(time, kind.class(), seq), kind);
+        self.push_lane(owner, time, event_ord(kind.class(), seq), kind);
         seq
     }
 
@@ -1302,7 +1265,7 @@ impl Sim {
             out.events.push((time, seq, slot & !OUT_BIT));
             return;
         }
-        self.push_lane(dst, event_key(time, 0, seq), EventKind::Arrive(slot));
+        self.push_lane(dst, time, event_ord(0, seq), EventKind::Arrive(slot));
     }
 
     /// Park a message in its destination lane's slab (sharded path). The
@@ -1416,7 +1379,7 @@ impl Sim {
         };
         let scale = self.proc_scale[proc as usize] + noise;
         let scaled = cycles as i128 * scale.max(0) as i128 / 1024;
-        scaled.max(0) as Cycles
+        Cycles::try_from(scaled).unwrap_or(Cycles::MAX)
     }
 
     /// Record one message injected from `src` toward `dst`: bump both
@@ -1460,7 +1423,7 @@ impl Sim {
         };
         let scale = self.proc_scale[proc as usize] + noise;
         let scaled = cycles as i128 * scale.max(0) as i128 / 1024;
-        scaled.max(0) as Cycles
+        Cycles::try_from(scaled).unwrap_or(Cycles::MAX)
     }
 
     fn span(&mut self, proc: ProcId, start: Cycles, end: Cycles, activity: Activity) {
@@ -1732,14 +1695,14 @@ impl Sim {
         obs.timer_obs[p as usize].push_back((seq, val));
     }
 
-    /// Resolve a firing timer's causal identity from its event key.
+    /// Resolve a firing timer's causal identity from its event sequence.
     #[cold]
     #[inline(never)]
-    fn timer_cause(&mut self, p: ProcId, key: u128) -> Cause {
+    fn timer_cause(&mut self, p: ProcId, seq: u64) -> Cause {
         let Some(o) = self.obs.as_deref_mut().filter(|o| o.msg_log) else {
             return Cause::Start;
         };
-        let Some(val) = take_noted(&mut o.timer_obs[p as usize], key_seq(key)) else {
+        let Some(val) = take_noted(&mut o.timer_obs[p as usize], seq) else {
             return Cause::Start;
         };
         let Some(st) = o.stream.as_deref_mut() else {
@@ -2225,6 +2188,15 @@ impl Sim {
         if self.procs[idx].engaged || self.procs[idx].halted {
             return;
         }
+        if now > self.horizon {
+            // Model-sized steps crept up to the limit: end the run here.
+            let what = self.procs[idx]
+                .cmds
+                .front()
+                .map_or("receive", Command::name);
+            self.end_of(p, what, 0);
+            return;
+        }
         // Active-message polling: at every command boundary, an already
         // arrived message whose reception can start *now* is serviced
         // before the next command (the CM-5 communication layer polls the
@@ -2254,6 +2226,13 @@ impl Sim {
                         .config
                         .loggp_big_g
                         .expect("send_bulk requires SimConfig::loggp_big_g");
+                    // LogGP semantics: the processor pays only `o`; the
+                    // interface streams the remaining words at `G` each,
+                    // blocking the *next* injection until done.
+                    let stream = (words - 1).saturating_mul(big_g);
+                    if self.end_of(p, "send_bulk", stream).is_none() {
+                        return;
+                    }
                     let st = &self.procs[idx];
                     let s = st.busy_until.max(st.next_send_slot);
                     if now < s {
@@ -2316,10 +2295,6 @@ impl Sim {
                         }
                     }
                     let (pl, o, g) = self.pair_log(p, dst);
-                    // LogGP semantics: the processor pays only `o`; the
-                    // interface streams the remaining words at `G` each,
-                    // blocking the *next* injection until done.
-                    let stream = (words - 1) * big_g;
                     let st = &mut self.procs[idx];
                     st.busy_until = now + o;
                     st.next_send_slot = (now + g).max(now + o + stream);
@@ -2497,22 +2472,25 @@ impl Sim {
                         self.sched::<SHARDED>(t, EventKind::Wake(p));
                         return;
                     }
+                    let dur = self.draw_compute_on::<SHARDED>(p, cycles);
+                    let Some(done) = self.end_of(p, "compute", dur) else {
+                        return;
+                    };
                     self.procs[idx].cmds.pop_front();
                     let meta = if OBS {
                         self.pop_meta(idx)
                     } else {
                         (Cause::Start, now)
                     };
-                    let dur = self.draw_compute_on::<SHARDED>(p, cycles);
                     let st = &mut self.procs[idx];
-                    st.busy_until = now + dur;
+                    st.busy_until = done;
                     st.stats.compute += dur;
                     st.engaged = true;
-                    self.span(p, now, now + dur, Activity::Compute);
+                    self.span(p, now, done, Activity::Compute);
                     if OBS {
                         self.record_compute(p, tag, meta, dur);
                     }
-                    self.sched::<SHARDED>(now + dur, EventKind::ComputeDone(p, tag));
+                    self.sched::<SHARDED>(done, EventKind::ComputeDone(p, tag));
                 }
                 Command::Barrier => {
                     if now < self.procs[idx].busy_until {
@@ -2561,15 +2539,18 @@ impl Sim {
                 }
                 Command::Timer { cycles, tag } => {
                     // Arming is free: no overhead, no gap, no busy wait.
+                    let Some(fire) = self.end_of(p, "timer", cycles) else {
+                        return;
+                    };
                     self.procs[idx].cmds.pop_front();
                     let meta = if OBS {
                         self.pop_meta(idx)
                     } else {
                         (Cause::Start, now)
                     };
-                    let seq = self.sched::<SHARDED>(now + cycles, EventKind::TimerFire(p, tag));
+                    let seq = self.sched::<SHARDED>(fire, EventKind::TimerFire(p, tag));
                     if OBS {
-                        self.record_timer(p, tag, meta, now + cycles, seq);
+                        self.record_timer(p, tag, meta, fire, seq);
                     }
                     // Keep draining the command queue behind the timer.
                     self.advance::<OBS, FAULTS, SHARDED>(p);
@@ -2712,7 +2693,7 @@ impl Sim {
         // their presence is invariant across the whole event loop.
         //
         // `shards >= 2` selects the windowed lane engine (`crate::shard`);
-        // `0` and `1` run the classic single-heap engine unchanged. Gauge
+        // `0` and `1` run the classic single-queue engine unchanged. Gauge
         // sampling (`metrics_grid > 0`) needs globally time-ordered event
         // processing, which windowed lanes deliberately give up, so those
         // runs stay on the classic engine.
@@ -2751,6 +2732,20 @@ impl Sim {
                 );
             });
         }
+        // No single step schedules further ahead than this (saturating:
+        // an absurd model leaves no room and fails its first step).
+        let (ol, g) = match self.hierarchy() {
+            Some(h) => (
+                h.max_reach(),
+                h.levels().iter().map(|lv| lv.g).max().unwrap_or(0),
+            ),
+            None => (self.model.o.saturating_add(self.model.l), self.model.g),
+        };
+        let delay = self.config.faults.as_ref().map_or(0, |f| f.max_delay);
+        let reach = [g, delay, delay, self.config.barrier_cost]
+            .iter()
+            .fold(ol, |a, &b| a.saturating_add(b));
+        self.horizon = TIME_LIMIT.saturating_sub(reach);
         let workers = self.config.workers;
         let wall_start = std::time::Instant::now();
         match (self.obs.is_some(), self.faults.is_some(), sharded) {
@@ -2768,7 +2763,15 @@ impl Sim {
             (true, true, true) => self.drive_sharded::<true, true>()?,
         }
         let wall_ns = wall_start.elapsed().as_nanos() as u64;
-        // Heap pops are time-ordered, so the clock is monotone and the
+        if let Some(e) = self.overflow.take() {
+            return Err(e);
+        }
+        let cal = std::mem::take(&mut self.cal);
+        self.fold_queue_vitals(&cal);
+        for lane in std::mem::take(&mut self.lanes) {
+            self.fold_queue_vitals(&lane.cal);
+        }
+        // Queue pops are time-ordered, so the clock is monotone and the
         // final `now` is the completion time — no per-event max needed.
         self.stats.completion = self.now;
         // Quiescence with unexecuted work is a deadlock, not a normal
@@ -2814,11 +2817,8 @@ impl Sim {
             engine: if sharded { "sharded" } else { "classic" },
             wall_ns,
             events: self.stats.events,
-            // The parallel driver leaves `self.lanes` empty (lane state
-            // lives in the per-lane Sims), so fall back to the per-lane
-            // event counts it merged.
             lanes: if sharded {
-                self.lanes.len().max(self.v_lane_events.len()) as u32
+                self.v_lane_events.len() as u32
             } else {
                 1
             },
@@ -2887,6 +2887,7 @@ impl Sim {
     /// merged body inside [`Sim::run`].
     #[inline(never)]
     fn drive<const OBS: bool, const FAULTS: bool>(&mut self) -> Result<(), SimError> {
+        self.cal = Calendar::new(self.ring_span(), self.model.p as usize + 16);
         if FAULTS {
             // Schedule the crash plan before anything else: a cycle-0
             // crash suppresses even `on_start`, and later crashes get the
@@ -2917,18 +2918,16 @@ impl Sim {
         for p in 0..self.model.p {
             self.advance::<OBS, FAULTS, false>(p);
         }
-        while let Some((key, kind)) = self.heap.pop() {
+        while let Some((t, ord, kind)) = self.cal.pop::<true>(Cycles::MAX) {
             self.stats.events += 1;
             if self.stats.events > self.config.max_events {
-                return Err(SimError::MaxEventsExceeded {
-                    limit: self.config.max_events,
-                });
+                return Err(self.budget_error());
             }
-            debug_assert!(key_time(key) >= self.now, "time must not run backwards");
+            debug_assert!(t >= self.now, "time must not run backwards");
             if OBS {
-                self.sample_gauges_to(key_time(key));
+                self.sample_gauges_to(t);
             }
-            self.now = key_time(key);
+            self.now = t;
             match kind {
                 EventKind::Release { src, dst } => {
                     let (lvl, _) = self.pair_level(src, dst);
@@ -3047,7 +3046,7 @@ impl Sim {
                         continue;
                     }
                     let cause = if OBS {
-                        self.timer_cause(p, key)
+                        self.timer_cause(p, ord_seq(ord))
                     } else {
                         Cause::Start
                     };

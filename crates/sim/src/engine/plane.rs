@@ -67,7 +67,7 @@
 //! The check is still deterministic in the worker count.
 
 use super::{
-    event_key, EventHeap, EventKind, Lane, ObsState, Off, OutObs, Outbox, Sim, SimError, Slab,
+    event_ord, Calendar, EventKind, Lane, ObsState, Off, OutObs, Outbox, Sim, SimError, Slab,
     StreamState,
 };
 use crate::critpath::OnlineAgg;
@@ -243,7 +243,7 @@ fn worker_loop<const OBS: bool, const FAULTS: bool>(
                     JOB_START_ADVANCE => cell.sim.start_advances::<OBS, FAULTS>(),
                     JOB_PUMP_FIRST | JOB_PUMP => {
                         if kind == JOB_PUMP_FIRST {
-                            cell.sim.rebase_lane(0, t0);
+                            cell.sim.lanes[0].cal.advance_to(t0);
                         }
                         cell.pump = cell.sim.pump_lane::<OBS, FAULTS>(0, t_end);
                     }
@@ -415,7 +415,7 @@ impl Sim {
                     }
                     obs.msg_slab_obs[s] = val;
                 }
-                sim.push_lane(dst, event_key(d.time, 0, d.seq), EventKind::Arrive(slot));
+                sim.push_lane(dst, d.time, event_ord(0, d.seq), EventKind::Arrive(slot));
             }
         }
     }
@@ -466,9 +466,11 @@ impl Sim {
                 model: self.model,
                 config: self.config.clone(),
                 procs: Off::with_base(procs.by_ref().take(len).collect(), first),
-                heap: EventHeap::default(),
+                cal: Calendar::default(),
                 seq: 0,
                 now: 0,
+                horizon: self.horizon,
+                overflow: None,
                 in_flight_from: Vec::new(),
                 in_flight_to: Vec::new(),
                 outstanding_to: Vec::new(),
@@ -495,14 +497,7 @@ impl Sim {
                     ))
                 }),
                 obs: (OBS).then(|| Box::new(ObsState::for_lane(first, len, &self.config, stream))),
-                lanes: vec![Lane {
-                    buckets: vec![Vec::new(); bspan as usize],
-                    bbase: 0,
-                    bcount: 0,
-                    far: EventHeap::with_capacity(len + 16),
-                    slab: Vec::with_capacity(2 * len + 16),
-                    free: Vec::with_capacity(2 * len + 16),
-                }],
+                lanes: vec![Lane::new(bspan, len)],
                 lane_of: Off::with_base(vec![0; len], first),
                 pctr: Off::with_base(vec![0; len], first),
                 rings: Off::with_base(vec![VecDeque::new(); len], first),
@@ -575,8 +570,10 @@ impl Sim {
                 .max(sim.stats.max_inflight_per_dst);
             self.alive += sim.alive;
             self.barrier_count += sim.barrier_count;
-            self.v_bucket_max = self.v_bucket_max.max(sim.v_bucket_max);
-            self.v_far_spills += sim.v_far_spills;
+            self.fold_queue_vitals(&sim.lanes[0].cal);
+            if self.overflow.is_none() {
+                self.overflow = sim.overflow.take();
+            }
             self.v_lane_events.push(sim.v_lane_events[0]);
             self.v_lane_wall_ns.push(cell.wall_ns);
             #[cfg(debug_assertions)]
@@ -738,7 +735,7 @@ impl Sim {
                 if t == 0 {
                     sim.apply_crash::<OBS, true>(cp);
                 } else {
-                    sim.push_lane(cp, event_key(t, 0, cp as u64), EventKind::Crash(cp));
+                    sim.push_lane(cp, t, event_ord(0, cp as u64), EventKind::Crash(cp));
                 }
             }
         }
@@ -786,7 +783,7 @@ impl Sim {
                     }
                     let mut t0 = pending_release;
                     for cell in &cells {
-                        if let Some(t) = cell.lock().unwrap().sim.lane_min(0) {
+                        if let Some(t) = cell.lock().unwrap().sim.lanes[0].cal.next_time() {
                             if t0.is_none_or(|b| t < b) {
                                 t0 = Some(t);
                             }

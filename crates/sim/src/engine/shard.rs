@@ -13,13 +13,14 @@
 //! ```
 //!
 //! Partition the processors into contiguous *lanes*, each with its own
-//! event heap and message slab. Within a half-open window `[T, T + W)`
+//! event queue (a [`super::calendar::Calendar`]) and message slab. Within
+//! a half-open window `[T, T + W)`
 //! the lanes are causally independent: any cross-processor influence
 //! created inside the window (an arrival) lands at or after `T + W`, i.e.
-//! in a later window. Each lane can therefore drain its own heap
+//! in a later window. Each lane can therefore drain its own queue
 //! event-by-event through the window with no global ordering at all, and
 //! cross-lane arrivals are pushed directly into the destination's lane
-//! heap for a future window. The next window starts at the earliest
+//! queue for a future window. The next window starts at the earliest
 //! pending event across all lanes — empty stretches are skipped in one
 //! step (quiescence fast-forward), so a mostly-idle machine costs nothing
 //! per idle cycle.
@@ -29,9 +30,9 @@
 //! Bit-identical results across lane counts require that nothing
 //! observable depends on *which* lane processed an event first:
 //!
-//! * **Canonical keys.** Every heap key's tiebreak is
+//! * **Canonical keys.** Every event's same-cycle tiebreak is
 //!   `(proc + 1) << 36 | ctr` with `ctr` a per-processor issuance
-//!   counter, so same-cycle ordering inside any one heap is a pure
+//!   counter, so same-cycle ordering inside any one queue is a pure
 //!   function of processor-local execution order — identical however the
 //!   processors are grouped. Arrivals carry their *source's* counter and
 //!   reuse it as the destination inbox tiebreak.
@@ -79,7 +80,7 @@
 //! bit-identical to each other in all configurations, including under
 //! observability and fault plans.
 
-use super::{event_key, key_seq, key_time, EventHeap, EventKind, InboxItem, Lane, Sim, SimError};
+use super::{event_ord, ord_seq, EventKind, InboxItem, Lane, Sim, SimError};
 use crate::obs::Cause;
 use crate::trace::Activity;
 use logp_core::Cycles;
@@ -88,7 +89,7 @@ use std::collections::VecDeque;
 
 impl Sim {
     /// Partition the processors into contiguous lanes and build the
-    /// sharded engine's state (lane heaps and slabs, canonical counters,
+    /// sharded engine's state (lane queues and slabs, canonical counters,
     /// source rings). Arenas are pre-sized so steady-state collectives
     /// never reallocate (pinned by the debug realloc counter).
     pub(super) fn setup_lanes(&mut self) {
@@ -105,15 +106,7 @@ impl Sim {
             for q in first..=last {
                 self.lane_of[q] = li as u32;
             }
-            let lp = last - first + 1;
-            self.lanes.push(Lane {
-                buckets: vec![Vec::new(); b as usize],
-                bbase: 0,
-                bcount: 0,
-                far: EventHeap::with_capacity(lp + 16),
-                slab: Vec::with_capacity(2 * lp + 16),
-                free: Vec::with_capacity(2 * lp + 16),
-            });
+            self.lanes.push(Lane::new(b, last - first + 1));
         }
         self.pctr = super::Off::from(vec![0; p]);
         self.rings = super::Off::from(vec![VecDeque::new(); p]);
@@ -163,16 +156,17 @@ impl Sim {
         }
     }
 
-    /// Calendar-ring span: a power of two covering one full window plus
-    /// the arrival horizon (`o + L` past the window start), so every
-    /// plain-send arrival inserts O(1). Capped so absurd `L` cannot
-    /// balloon the ring — beyond-horizon events overflow into the `far`
-    /// heap and are spilled back when their window comes, so the cap
-    /// costs time, never correctness.
+    /// Calendar-ring span, for every engine: a power of two covering one
+    /// full window plus the arrival horizon (`o + L` past the window
+    /// start), so every plain-send arrival inserts O(1). Capped so absurd
+    /// `L` cannot balloon the ring — beyond-horizon events wait in the
+    /// calendar's overflow heap, so the cap costs time, never correctness.
     pub(super) fn ring_span(&self) -> Cycles {
-        (self.model_lookahead() + self.max_reach() + 2)
-            .next_power_of_two()
+        self.model_lookahead()
+            .saturating_add(self.max_reach())
+            .saturating_add(2)
             .clamp(16, 8192)
+            .next_power_of_two()
     }
 
     /// Effective window width: the model lookahead, narrowed if the
@@ -182,95 +176,26 @@ impl Sim {
         self.model_lookahead().min(self.ring_span() / 2)
     }
 
-    /// The earliest pending instant in lane `li`, if any. Ring entries
-    /// always precede `far` entries (pushes beyond the horizon go to
-    /// `far`; rebasing spills everything nearer back into the ring), so
-    /// the ring scan short-circuits the heap.
-    pub(super) fn lane_min(&self, li: usize) -> Option<Cycles> {
-        let lane = &self.lanes[li];
-        if lane.bcount == 0 {
-            return lane.far.peek().map(key_time);
-        }
-        let b = lane.buckets.len() as u64;
-        (lane.bbase..lane.bbase + b).find(|&t| !lane.buckets[(t & (b - 1)) as usize].is_empty())
-    }
-
-    /// Move lane `li`'s ring base up to `t0` and spill newly in-horizon
-    /// overflow events into the ring. Bucketed leftovers stay valid: they
-    /// all lie in `[t0, old_base + span) ⊆ [t0, t0 + span)`.
-    pub(super) fn rebase_lane(&mut self, li: usize, t0: Cycles) {
-        let lane = &mut self.lanes[li];
-        lane.bbase = t0;
-        let b = lane.buckets.len() as u64;
-        let horizon = t0.saturating_add(b);
-        while lane.far.peek().is_some_and(|k| key_time(k) < horizon) {
-            let (key, kind) = lane.far.pop().expect("peeked non-empty");
-            lane.buckets[(key_time(key) & (b - 1)) as usize].push((key, kind));
-            lane.bcount += 1;
-        }
-    }
-
-    /// Drain one lane's calendar through `[bbase, t_end)`. Returns the
+    /// Drain one lane's calendar through the cycles before `t_end`, in
+    /// exactly the order a per-lane heap would have popped. Returns the
     /// timestamp of the last event processed, or `None` if the lane had
     /// nothing due.
-    ///
-    /// Each cycle's bucket is taken out, sorted by packed key, and
-    /// drained in order — exactly the order the per-lane heap would have
-    /// popped. Zero-duration corners (`o = 0` sends, `compute(0)`,
-    /// `timer(0)`) can insert *into the cycle being drained*; those land
-    /// in the vacated bucket and are merged into the unprocessed tail,
-    /// preserving heap semantics (the next event is always the minimum
-    /// remaining key).
     pub(super) fn pump_lane<const OBS: bool, const FAULTS: bool>(
         &mut self,
         li: usize,
         t_end: Cycles,
     ) -> Result<Option<Cycles>, SimError> {
-        let mut last = None;
         let mut n_ev = 0u64;
-        let b = self.lanes[li].buckets.len() as u64;
-        let mut t = self.lanes[li].bbase;
-        while t < t_end {
-            if self.lanes[li].bcount == 0 {
-                break;
-            }
-            let slot = (t & (b - 1)) as usize;
-            if self.lanes[li].buckets[slot].is_empty() {
-                t += 1;
-                continue;
-            }
-            let mut batch = std::mem::take(&mut self.lanes[li].buckets[slot]);
-            self.lanes[li].bcount -= batch.len() as u64;
-            batch.sort_unstable_by_key(|e| e.0);
-            let mut i = 0;
-            loop {
-                if !self.lanes[li].buckets[slot].is_empty() {
-                    // Rare: same-cycle insertions made while draining.
-                    let late = std::mem::take(&mut self.lanes[li].buckets[slot]);
-                    self.lanes[li].bcount -= late.len() as u64;
-                    batch.extend(late);
-                    batch[i..].sort_unstable_by_key(|e| e.0);
-                }
-                if i >= batch.len() {
-                    break;
-                }
-                let (key, kind) = batch[i];
-                i += 1;
-                self.process_event::<OBS, FAULTS>(key, kind)?;
-                n_ev += 1;
-                last = Some(self.now);
-            }
-            self.v_bucket_max = self.v_bucket_max.max(batch.len() as u64);
-            batch.clear();
-            // Hand the allocation back so steady-state cycles reuse it.
-            let hole = &mut self.lanes[li].buckets[slot];
-            if hole.capacity() < batch.capacity() {
-                *hole = batch;
-            }
-            t += 1;
+        while let Some((t, ord, kind)) = self.lanes[li].cal.pop::<false>(t_end - 1) {
+            // Time is monotone per pass; the global clock rewinds when
+            // the driver switches lanes, which is exactly the reordering
+            // the window bound licenses.
+            self.now = t;
+            self.process_event::<OBS, FAULTS>(ord, kind)?;
+            n_ev += 1;
         }
         self.v_lane_events[li] += n_ev;
-        Ok(last)
+        Ok((n_ev > 0).then_some(self.now))
     }
 
     /// Dispatch one sharded event: the lane-engine counterpart of the
@@ -278,19 +203,13 @@ impl Sim {
     /// path with it.
     fn process_event<const OBS: bool, const FAULTS: bool>(
         &mut self,
-        key: u128,
+        ord: u64,
         kind: EventKind,
     ) -> Result<(), SimError> {
         self.stats.events += 1;
         if self.stats.events > self.config.max_events {
-            return Err(SimError::MaxEventsExceeded {
-                limit: self.config.max_events,
-            });
+            return Err(self.budget_error());
         }
-        // Time is monotone per lane (cycles drain in order); the
-        // global clock rewinds when the driver switches lanes, which
-        // is exactly the reordering the window bound licenses.
-        self.now = key_time(key);
         match kind {
             EventKind::Arrive(slot) => {
                 let msg = self.unstash_msg_sharded(slot);
@@ -306,7 +225,7 @@ impl Sim {
                 // The source-canonical event tiebreak doubles as the
                 // inbox tiebreak, so same-cycle arrival order at a
                 // destination is lane-count-invariant.
-                let ikey = InboxItem::key(self.now, key_seq(key));
+                let ikey = InboxItem::key(self.now, ord_seq(ord));
                 if OBS {
                     self.note_arrival(dst, slot, ikey);
                 }
@@ -356,7 +275,7 @@ impl Sim {
                     return Ok(());
                 }
                 let cause = if OBS {
-                    self.timer_cause(p, key)
+                    self.timer_cause(p, ord_seq(ord))
                 } else {
                     Cause::Start
                 };
@@ -498,8 +417,8 @@ impl Sim {
     }
 
     /// The windowed lane driver. Mirrors [`Sim::drive`]'s prologue and
-    /// event semantics, replacing the single globally ordered heap with
-    /// per-lane heaps drained window-by-window.
+    /// event semantics, replacing the single globally ordered queue with
+    /// per-lane queues drained window-by-window.
     #[inline(never)]
     pub(crate) fn drive_sharded<const OBS: bool, const FAULTS: bool>(
         &mut self,
@@ -525,7 +444,7 @@ impl Sim {
                 if t == 0 {
                     self.apply_crash::<OBS, true>(p);
                 } else {
-                    self.push_lane(p, event_key(t, 0, p as u64), EventKind::Crash(p));
+                    self.push_lane(p, t, event_ord(0, p as u64), EventKind::Crash(p));
                 }
             }
         }
@@ -555,8 +474,8 @@ impl Sim {
             // machine with nothing due until cycle 10^9 costs one probe,
             // not 10^9 window steps.
             let mut t0 = pending_release;
-            for li in 0..self.lanes.len() {
-                if let Some(t) = self.lane_min(li) {
+            for lane in &self.lanes {
+                if let Some(t) = lane.cal.next_time() {
                     if t0.is_none_or(|b| t < b) {
                         t0 = Some(t);
                     }
@@ -569,8 +488,8 @@ impl Sim {
             if prev_end.is_some_and(|e| t0 > e) {
                 self.v_fast_forwards += 1;
             }
-            for li in 0..self.lanes.len() {
-                self.rebase_lane(li, t0);
+            for lane in &mut self.lanes {
+                lane.cal.advance_to(t0);
             }
             let t_end = t0.saturating_add(w);
             prev_end = Some(t_end);

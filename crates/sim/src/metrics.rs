@@ -295,13 +295,15 @@ pub struct EngineVitals {
     /// Quiescence fast-forwards: windows whose start was advanced past
     /// empty simulated time to the global next-event instant.
     pub fast_forwards: u64,
-    /// Deepest calendar bucket drained in one per-cycle batch.
+    /// Deepest calendar bucket drained in one per-cycle batch, on either
+    /// engine (0 when no queue ever outgrew its few-event heap).
     pub bucket_depth_max: u64,
-    /// Events that overflowed a lane's calendar ring into the `far`
-    /// heap.
+    /// Events scheduled beyond a calendar ring's span, into its overflow
+    /// heap (either engine).
     pub far_spills: u64,
-    /// Arena regrowths observed during the run (debug builds count
-    /// them; release builds report 0).
+    /// Regrowths of an overflow heap or message slab past its
+    /// construction-time size (debug builds count them; release builds
+    /// report 0).
     pub arena_reallocs: u64,
     /// Worker threads the lanes ran on (0 = serial execution — the
     /// classic engine or the single-threaded sharded driver).

@@ -45,6 +45,20 @@ pub enum Command {
     Halt,
 }
 
+impl Command {
+    /// The command's name as programs spell it (for error messages).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Command::Send { .. } => "send",
+            Command::SendBulk { .. } => "send_bulk",
+            Command::Compute { .. } => "compute",
+            Command::Barrier => "barrier",
+            Command::Timer { .. } => "timer",
+            Command::Halt => "halt",
+        }
+    }
+}
+
 /// Execution context passed to every handler.
 pub struct Ctx<'a> {
     now: Cycles,
