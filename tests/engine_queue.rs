@@ -1,13 +1,20 @@
 //! The engine's event queue, and proof that swapping it changed nothing.
 //!
-//! * **Identity corpus.** `tests/data/engine_identity.txt` holds, for 360
+//! * **Identity corpus.** `tests/data/engine_identity.txt` holds, for 420
 //!   seeded classic-engine configurations, one hash over the whole
 //!   `SimResult` (stats including `events`, every span, the lifecycle log,
-//!   metrics with gauge series, the online aggregate) as the engine
-//!   produced it at the commit *before* the classic loop moved from its
-//!   4-ary heap onto the calendar queue (PR 14). The engine must
-//!   reproduce every line: same pop order, same event count, same
-//!   everything.
+//!   metrics with gauge series, the online aggregate). Rows 0–359 are the
+//!   engine as it was at the commit *before* the classic loop moved from
+//!   its 4-ary heap onto the calendar queue (PR 14); rows 360–419 (machines
+//!   with `o > g`, where a bulk send's `send_gate` differs from a small
+//!   send's) were recorded at the parent of PR 15, before the engine's
+//!   twin send arms were folded. The engine must reproduce every line:
+//!   same pop order, same event count, same everything.
+//! * **Lane corpus.** `tests/data/lane_identity.txt` holds the same
+//!   configurations on the lane engine — `shards ∈ {2, 8}` ×
+//!   `workers ∈ {0, 2}`, gauge rows left out (they run on the classic
+//!   engine) — recorded at the parent of PR 15 as well, so the lanes and
+//!   the window executor are pinned to a commit, not only to each other.
 //! * **The queue against a model.** 10,400 seeded push/pop streams through
 //!   `Calendar`, driven both the classic way and the lane-engine way,
 //!   popped side by side with a `BinaryHeap`.
@@ -26,7 +33,11 @@ use logp::wl::{
 };
 
 const IDENTITY_FILE: &str = "tests/data/engine_identity.txt";
-const IDENTITY_CONFIGS: u64 = 360;
+const LANE_FILE: &str = "tests/data/lane_identity.txt";
+const IDENTITY_CONFIGS: u64 = 420;
+/// Configurations from here on run machines with `o > g`.
+const O_ABOVE_G_FROM: u64 = 360;
+const LANE_ENGINES: [(u32, u32); 4] = [(2, 0), (2, 2), (8, 0), (8, 2)];
 
 fn fnv1a(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -55,11 +66,22 @@ fn presets() -> [LogP; 6] {
     ]
 }
 
-/// Socket / node / cluster, `L_out` far past the inner levels.
-fn three_levels() -> Hierarchy {
+/// The flat machine of configuration `i`.
+fn machine(i: u64) -> LogP {
+    if i >= O_ABOVE_G_FROM {
+        LogP::new(6, 5, 2, 8).unwrap()
+    } else {
+        presets()[(i % 6) as usize]
+    }
+}
+
+/// Socket / node / cluster, `L_out` far past the inner levels; from
+/// `O_ABOVE_G_FROM` on, the node level has `o > g`.
+fn three_levels(i: u64) -> Hierarchy {
+    let node_o = if i >= O_ABOVE_G_FROM { 9 } else { 4 };
     Hierarchy::new(vec![
         Level::new(4, 1, 2, 2).unwrap(),
-        Level::new(20, 4, 6, 2).unwrap(),
+        Level::new(20, node_o, 6, 2).unwrap(),
         Level::new(300, 12, 16, 3).unwrap(),
     ])
     .unwrap()
@@ -142,11 +164,15 @@ impl Process for Chatter {
     }
 }
 
-/// Configuration `i` of the corpus, run on the classic engine; the line
-/// it contributes to the identity file.
-fn identity_line(i: u64) -> String {
+/// Configuration `i` of the corpus, run on the classic engine
+/// (`lanes = None`) or on `(shards, workers)`; the line it contributes to
+/// the identity file of that engine.
+fn identity_line(i: u64, lanes: Option<(u32, u32)>) -> String {
     let mut rng = CounterRng::new(0x4556_5155_4555 ^ i); // "EVQUEU"
     let mut cfg = SimConfig::default().with_seed(rng.next_u64());
+    if let Some((shards, workers)) = lanes {
+        cfg = cfg.with_shards(shards).with_workers(workers);
+    }
     if i % 2 == 1 {
         cfg = cfg.with_jitter(3);
     }
@@ -166,7 +192,7 @@ fn identity_line(i: u64) -> String {
     };
     let family = ["wl", "hier", "chatter"][((i / 5) % 3) as usize];
     let p = match family {
-        "hier" => three_levels().p(),
+        "hier" => three_levels(i).p(),
         _ => 0,
     };
     let fault = (i / 15) % 4;
@@ -195,12 +221,11 @@ fn identity_line(i: u64) -> String {
     };
     let outcome = match family {
         "chatter" => {
-            let base = presets()[(i % 6) as usize];
-            let m = base.with_p([6, 24, 64, 160][(i % 4) as usize]);
+            let m = machine(i).with_p([6, 24, 64, 160][(i % 4) as usize]);
             if let Some(plan) = plan(m.p, &mut rng) {
                 cfg = cfg.with_faults(plan);
             }
-            let bulk = i.is_multiple_of(7);
+            let bulk = i.is_multiple_of(7) || (i >= O_ABOVE_G_FROM && i.is_multiple_of(2));
             if bulk {
                 cfg = cfg.with_big_g(1 + rng.next_in(3));
             }
@@ -235,33 +260,46 @@ fn identity_line(i: u64) -> String {
                 cfg = cfg.with_faults(plan);
             }
             let run = if family == "hier" {
-                run_workload_hier(&wl, &three_levels(), cfg)
+                run_workload_hier(&wl, &three_levels(i), cfg)
             } else {
-                run_workload(&wl, &presets()[(i % 6) as usize], cfg)
+                run_workload(&wl, &machine(i), cfg)
             };
             run.map(|r| r.result).map_err(|e| e.to_string())
         }
     };
+    let engine = lanes.map_or(String::new(), |(s, w)| format!(" s{s}w{w}"));
     match outcome {
         Ok(r) => format!(
-            "{i:03} {family} {obs} f{fault} ok events={} {:016x}",
+            "{i:03} {family} {obs} f{fault}{engine} ok events={} {:016x}",
             r.stats.events,
             result_hash(&r)
         ),
-        Err(e) => format!("{i:03} {family} {obs} f{fault} err {}", e.escape_debug()),
+        Err(e) => format!(
+            "{i:03} {family} {obs} f{fault}{engine} err {}",
+            e.escape_debug()
+        ),
     }
 }
 
 fn identity_lines() -> Vec<String> {
-    (0..IDENTITY_CONFIGS).map(identity_line).collect()
+    (0..IDENTITY_CONFIGS)
+        .map(|i| identity_line(i, None))
+        .collect()
 }
 
-#[test]
-fn classic_engine_reproduces_the_recorded_corpus() {
-    let recorded = std::fs::read_to_string(IDENTITY_FILE).expect(IDENTITY_FILE);
+/// Every non-gauge configuration (gauge sampling runs on the classic
+/// engine whatever `shards` says) on every lane engine.
+fn lane_lines() -> Vec<String> {
+    (0..IDENTITY_CONFIGS)
+        .filter(|i| i % 5 != 4)
+        .flat_map(|i| LANE_ENGINES.map(|e| identity_line(i, Some(e))))
+        .collect()
+}
+
+fn assert_reproduces(file: &str, now: &[String]) {
+    let recorded = std::fs::read_to_string(file).expect(file);
     let recorded: Vec<&str> = recorded.lines().collect();
-    let now = identity_lines();
-    assert_eq!(recorded.len(), now.len(), "configuration count");
+    assert_eq!(recorded.len(), now.len(), "{file}: configuration count");
     // The corpus must keep reaching full results under every fault plan.
     for f in ["f0", "f1", "f2", "f3"] {
         let ok = now
@@ -272,28 +310,40 @@ fn classic_engine_reproduces_the_recorded_corpus() {
     }
     let bad: Vec<String> = recorded
         .iter()
-        .zip(&now)
+        .zip(now)
         .filter(|(r, n)| r != n)
         .map(|(r, n)| format!("recorded: {r}\n     now: {n}"))
         .collect();
     assert!(
         bad.is_empty(),
-        "{} of {} configurations changed:\n{}",
+        "{file}: {} of {} configurations changed:\n{}",
         bad.len(),
         now.len(),
         bad[..bad.len().min(20)].join("\n")
     );
 }
 
-/// Rewrites the identity file from the engine in the tree. It was run
-/// once, at the parent of PR 14; running it again pins whatever the
-/// engine does now, so do that only for a deliberate change of behaviour.
 #[test]
-#[ignore = "rewrites tests/data/engine_identity.txt"]
-fn regenerate_identity_file() {
-    let mut out = identity_lines().join("\n");
-    out.push('\n');
-    std::fs::write(IDENTITY_FILE, out).expect(IDENTITY_FILE);
+fn classic_engine_reproduces_the_recorded_corpus() {
+    assert_reproduces(IDENTITY_FILE, &identity_lines());
+}
+
+#[test]
+fn lane_engines_reproduce_the_recorded_corpus() {
+    assert_reproduces(LANE_FILE, &lane_lines());
+}
+
+/// Rewrites both identity files from the engine in the tree (run at the
+/// parent of PR 14 for classic rows 0–359, and at the parent of PR 15 for
+/// the `o > g` rows and the lane file); running it again pins whatever
+/// the engine does now, so do that only for a deliberate change of
+/// behaviour.
+#[test]
+#[ignore = "rewrites tests/data/engine_identity.txt and lane_identity.txt"]
+fn regenerate_identity_files() {
+    for (file, lines) in [(IDENTITY_FILE, identity_lines()), (LANE_FILE, lane_lines())] {
+        std::fs::write(file, lines.join("\n") + "\n").expect(file);
+    }
 }
 
 // ---------------------------------------------------------------------------
