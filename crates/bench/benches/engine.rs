@@ -8,7 +8,8 @@ use logp_sim::process::Process;
 use logp_sim::{Ctx, Data, Message, Sim, SimConfig};
 
 /// P0 and P1 bounce a decrementing counter: pure per-event overhead,
-/// the same workload `engine_hotloop` tracks in `BENCH_engine.json`.
+/// the same workload as `engine_hotloop`'s and the ledger's `p2p_chain`
+/// (`bash benchmark/run.sh`).
 struct PingPong {
     rounds: u64,
 }

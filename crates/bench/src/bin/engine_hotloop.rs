@@ -10,8 +10,10 @@
 //!   its time allocating for.
 //!
 //! Prints one JSON object to stdout so results can be diffed across
-//! engine revisions (see `BENCH_engine.json` at the repo root);
-//! `--json PATH` writes the object to a file instead. The table on
+//! engine revisions (the tracked numbers are the ledger's `p2p_chain` and
+//! `p2p_dense` `msgs_per_s` and `sim.engine.ns_per_event`, from
+//! `bash benchmark/run.sh`); `--json PATH` writes the object to a file
+//! instead. The table on
 //! stderr is for humans. `--reps N` overrides the repetition count.
 
 use std::time::Instant;

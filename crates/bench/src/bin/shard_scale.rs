@@ -678,7 +678,7 @@ fn main() {
     // dispatch to the classic engine and pay nothing for the sharding
     // feature. Classic and 1-shard repetitions are interleaved in this
     // same process so both sides see identical machine conditions
-    // (BENCH_engine.json's absolute numbers were recorded under
+    // (absolute numbers from another session were recorded under
     // different co-tenant load; the same-session classic run is the
     // anchor for the ±1% claim). The workloads keep the hotloop shapes
     // but run ~4× longer, lifting each repetition well above the

@@ -25,9 +25,9 @@
 //! (4 lanes); the `full` mode is classic-only because a metrics sampling
 //! grid pins dispatch to the classic engine.
 //!
-//! Prints one JSON object to stdout (diffable, `BENCH_obs.json` at the
-//! repo root records the reference numbers); the stderr table is for
-//! humans. `--reps N` overrides repetitions. `--check` runs a fast
+//! Prints one JSON object to stdout (diffable; the tracked numbers are
+//! the ledger's `sim.obs.slowdown_*` on `obs_stream`, from
+//! `bash benchmark/run.sh`); the stderr table is for humans. `--reps N` overrides repetitions. `--check` runs a fast
 //! correctness mode instead of a timing mode: every mode must finish
 //! with identical completion times and event counts (observability must
 //! never perturb the simulation), and the observed modes must actually

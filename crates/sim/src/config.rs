@@ -42,7 +42,8 @@ pub struct SimConfig {
     pub ni_buffer: Option<u64>,
     /// LogGP bulk gap `G`: cycles per additional word of a long message
     /// streamed by the network interface (§5.4's long-message extension,
-    /// the LogGP refinement). `None` disables `send_bulk`.
+    /// the LogGP refinement). `None` disables `send_bulk`: a program that
+    /// issues one ends the run with `SimError::MissingBigG`.
     pub loggp_big_g: Option<Cycles>,
     /// Cost charged for the hardware barrier after the last processor
     /// arrives (the CM-5 has "a broadcast/scan/prefix control network";

@@ -68,6 +68,14 @@ pub enum SimError {
         command: &'static str,
         cycles: Cycles,
     },
+    /// Processor `proc`, at cycle `now`, reached a `command` that streams
+    /// words at the LogGP gap `G` on a machine configured without one
+    /// ([`SimConfig::with_big_g`]).
+    MissingBigG {
+        proc: ProcId,
+        now: Cycles,
+        command: &'static str,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -94,6 +102,11 @@ impl std::fmt::Display for SimError {
                 f,
                 "simulated time overflow: `{command}` ({cycles} cycles) on processor {proc} \
                  at cycle {now} would pass the limit of {TIME_LIMIT} cycles"
+            ),
+            SimError::MissingBigG { proc, now, command } => write!(
+                f,
+                "`{command}` on processor {proc} at cycle {now} needs the LogGP gap G, \
+                 which this machine does not define (SimConfig::with_big_g)"
             ),
         }
     }
@@ -520,23 +533,16 @@ struct StreamState {
     sink: Box<dyn crate::obs::ObsSink>,
     sampler: crate::obs::Sampler,
     agg: Option<crate::critpath::OnlineAgg>,
-    /// Sharded-engine run: record ids are structured
-    /// `((proc + 1) << 40) | per_proc_seq` instead of dense, so they
-    /// depend only on processor-local execution order — never on the
-    /// lane count. `ObsLog::canonicalize` renumbers either form
-    /// identically.
-    sharded: bool,
-    /// Dense next-id counters (classic engine) — identical to the ids
+    /// Dense next-id counters, one per [`RecKind`] — identical to the ids
     /// the retained log would assign, so the streamed records equal the
-    /// retained ones verbatim.
-    next_msg: u64,
-    next_compute: u64,
-    next_timer: u64,
-    /// Barrier ids are dense on both engines (releases are globally
-    /// ordered).
-    next_barrier: u64,
-    /// Per-processor sequence counters for structured ids (sharded
-    /// engine; msgs key by source, computes and timers by owner).
+    /// retained ones verbatim. The classic engine numbers every kind this
+    /// way; the lanes only barriers (releases are globally ordered).
+    next_dense: [u64; 4],
+    /// Per-processor sequence counters, non-empty on a lane-engine run:
+    /// record ids are then structured `((proc + 1) << 40) | per_proc_seq`
+    /// instead of dense, so they depend only on processor-local
+    /// execution order — never on the lane count.
+    /// `ObsLog::canonicalize` renumbers either form identically.
     sctr: Off<u64>,
     /// Messages injected but not yet delivered: the record so far plus
     /// its critical-path cumulative at injection. The slot rides with the
@@ -548,48 +554,44 @@ struct StreamState {
     emitted: u64,
 }
 
+/// The lifecycle record kinds a stream numbers.
+#[derive(Clone, Copy)]
+enum RecKind {
+    Msg,
+    Compute,
+    Timer,
+    Barrier,
+}
+
 impl StreamState {
-    fn msg_id(&mut self, src: ProcId) -> u64 {
-        if self.sharded {
-            Self::structured(&mut self.sctr, src)
-        } else {
-            let id = self.next_msg;
-            self.next_msg += 1;
-            id
+    fn new(
+        sink: Box<dyn crate::obs::ObsSink>,
+        sampler: crate::obs::Sampler,
+        agg: Option<crate::critpath::OnlineAgg>,
+        sctr: Off<u64>,
+    ) -> Self {
+        StreamState {
+            sink,
+            sampler,
+            agg,
+            next_dense: [0; 4],
+            sctr,
+            inflight: Slab::default(),
+            timers_live: Slab::default(),
+            emitted: 0,
         }
     }
 
-    fn compute_id(&mut self, p: ProcId) -> u64 {
-        if self.sharded {
-            Self::structured(&mut self.sctr, p)
+    /// The id of the next `kind` record owned by processor `p` (messages
+    /// key by source, computes and timers by owner, barriers by nobody).
+    fn next_id(&mut self, kind: RecKind, p: ProcId) -> u64 {
+        let (c, owner) = if self.sctr.len() > 0 && !matches!(kind, RecKind::Barrier) {
+            (&mut self.sctr[p as usize], (p as u64 + 1) << 40)
         } else {
-            let id = self.next_compute;
-            self.next_compute += 1;
-            id
-        }
-    }
-
-    fn timer_id(&mut self, p: ProcId) -> u64 {
-        if self.sharded {
-            Self::structured(&mut self.sctr, p)
-        } else {
-            let id = self.next_timer;
-            self.next_timer += 1;
-            id
-        }
-    }
-
-    fn barrier_id(&mut self) -> u64 {
-        let id = self.next_barrier;
-        self.next_barrier += 1;
-        id
-    }
-
-    fn structured(sctr: &mut Off<u64>, p: ProcId) -> u64 {
-        let c = &mut sctr[p as usize];
-        let id = ((p as u64 + 1) << 40) | *c;
+            (&mut self.next_dense[kind as usize], 0)
+        };
         *c += 1;
-        id
+        owner | (*c - 1)
     }
 }
 
@@ -645,7 +647,20 @@ struct ObsState {
 }
 
 impl ObsState {
-    fn new(p: usize, config: &SimConfig) -> Self {
+    /// Observability state for the processors `range`: the whole machine,
+    /// or one lane of the parallel executor (`engine::plane`). Every
+    /// per-processor array is based at `range.start`, and instruments are
+    /// registered in one fixed order, so per-lane registries merge
+    /// elementwise at the end of the run. Lane runs never sample gauges
+    /// (the dispatch requires `metrics_grid == 0`), and a lane's `stream`
+    /// is its staging stream: an always-pass sampler in front of a buffer
+    /// sink, re-sampled and re-emitted in serial order by the coordinator
+    /// at each barrier.
+    fn new(
+        range: std::ops::Range<usize>,
+        config: &SimConfig,
+        stream: Option<Box<StreamState>>,
+    ) -> Self {
         let mut metrics = MetricsRegistry::default();
         let c_injected = metrics.counter("messages_injected");
         let c_delivered = metrics.counter("messages_delivered");
@@ -659,10 +674,12 @@ impl ObsState {
             ready_cmds: metrics.gauge("ready_cmds"),
             inbox_depth: metrics.gauge("inbox_depth"),
             util_ppk: metrics.gauge("util_ppk"),
-            per_dst: (0..p)
+            per_dst: range
+                .clone()
                 .map(|d| metrics.gauge(&format!("inflight_dst_{d}")))
                 .collect(),
         });
+        let (base, len) = (range.start, range.len());
         ObsState {
             log: ObsLog::default(),
             metrics,
@@ -678,73 +695,6 @@ impl ObsState {
             h_latency,
             h_stall,
             gauges,
-            cmd_meta: Off::from(vec![VecDeque::new(); p]),
-            recv_obs: Off::from(vec![0; p]),
-            cur_compute: Off::from(vec![0; p]),
-            msg_slab_obs: Vec::new(),
-            inbox_obs: Off::from(vec![VecDeque::new(); p]),
-            timer_obs: Off::from(vec![VecDeque::new(); p]),
-            barrier_last: (0, 0, 0, Cause::Start),
-            stream: (config.sink.is_some() || config.aggregate).then(|| {
-                let spec = config.sink.clone().unwrap_or(crate::obs::SinkSpec::Null);
-                Box::new(StreamState {
-                    sink: spec.build(),
-                    sampler: crate::obs::Sampler::new(config.sampling.clone()),
-                    agg: config
-                        .aggregate
-                        .then(|| crate::critpath::OnlineAgg::new(p, config.agg_grid)),
-                    sharded: false,
-                    next_msg: 0,
-                    next_compute: 0,
-                    next_timer: 0,
-                    next_barrier: 0,
-                    sctr: Off::default(),
-                    inflight: Slab::default(),
-                    timers_live: Slab::default(),
-                    emitted: 0,
-                })
-            }),
-        }
-    }
-
-    /// Observability state for one per-lane Sim of the parallel executor
-    /// (`engine::plane`): the same instrument layout as [`ObsState::new`]
-    /// — registered in the same order, so per-lane registries merge
-    /// elementwise at the end of the run — with every per-processor array
-    /// based at the lane's processor range. Gauges never exist here (the
-    /// sharded dispatch requires `metrics_grid == 0`). The `stream` the
-    /// caller passes (if any) is the lane's staging stream: an
-    /// always-pass sampler in front of a buffer sink, re-sampled and
-    /// re-emitted in serial order by the coordinator at each barrier.
-    fn for_lane(
-        base: usize,
-        len: usize,
-        config: &SimConfig,
-        stream: Option<Box<StreamState>>,
-    ) -> Self {
-        let mut metrics = MetricsRegistry::default();
-        let c_injected = metrics.counter("messages_injected");
-        let c_delivered = metrics.counter("messages_delivered");
-        let c_stall_episodes = metrics.counter("stall_episodes");
-        let c_computes = metrics.counter("computes");
-        let c_barrier_entries = metrics.counter("barrier_entries");
-        let h_latency = metrics.histogram("msg_latency_cycles");
-        let h_stall = metrics.histogram("stall_cycles");
-        ObsState {
-            log: ObsLog::default(),
-            metrics,
-            msg_log: config.record_msg_log,
-            metrics_on: config.record_metrics,
-            grid: 0,
-            next_sample: 0,
-            c_injected,
-            c_delivered,
-            c_stall_episodes,
-            c_computes,
-            c_barrier_entries,
-            h_latency,
-            h_stall,
-            gauges: None,
             cmd_meta: Off::with_base(vec![VecDeque::new(); len], base),
             recv_obs: Off::with_base(vec![0; len], base),
             cur_compute: Off::with_base(vec![0; len], base),
@@ -775,16 +725,22 @@ pub struct Sim {
     model: LogP,
     config: SimConfig,
     procs: Off<ProcState>,
-    /// The classic engine's event queue (built when the run starts, once
-    /// the hierarchy — and so the span — is known; lanes own theirs).
+    /// The classic engine's event queue. Like the rest of that engine's
+    /// own state — admission windows, waiter lists, message slab — it is
+    /// built by `drive` when the run starts (the hierarchy, and so the
+    /// span and the depth, is known then) and stays empty on the lanes,
+    /// which own theirs.
     cal: Calendar<EventKind>,
     seq: u64,
     now: Cycles,
     /// Latest `now` at which a processor may still act: [`TIME_LIMIT`]
     /// less the furthest any one step schedules ahead (set by `run`).
     horizon: Cycles,
-    /// First simulated-time overflow met; ends the run with this error.
+    /// First command that could not execute (a simulated-time overflow,
+    /// a bulk send without `G`); ends the run with this error.
     overflow: Option<SimError>,
+    /// Messages in each endpoint's capacity window, one window per
+    /// hierarchy level (stride-indexed `level * P + proc`).
     in_flight_from: Vec<u64>,
     in_flight_to: Vec<u64>,
     /// Messages injected toward each destination whose reception has not
@@ -855,37 +811,13 @@ pub struct Sim {
     /// destination falls outside this Sim's processor range diverts here
     /// instead of the (absent) destination lane.
     out: Option<Box<Outbox>>,
-    /// Debug-only count of arena growths past the construction-time
-    /// pre-size (overflow heap, message slab; calendar buckets grow by
-    /// design and are not counted). Million-processor setup must
-    /// allocate each arena exactly once; tests pin this at zero for the
-    /// standard collectives.
-    #[cfg(debug_assertions)]
-    arena_reallocs: u64,
-    // ---- engine vitals (host-side self-telemetry; see EngineVitals) ----
-    /// Lookahead windows executed (sharded driver).
-    v_windows: u64,
-    /// Quiescence fast-forwards (sharded driver).
-    v_fast_forwards: u64,
-    /// Deepest calendar bucket drained in one batch, and events that
-    /// overflowed a calendar ring: folded from the queues when the run
-    /// ends ([`Sim::fold_queue_vitals`]).
-    v_bucket_max: u64,
-    v_far_spills: u64,
-    /// Events processed per lane (sharded driver).
-    v_lane_events: Vec<u64>,
-    /// Worker threads the run executed on (0 = serial).
-    v_workers: u32,
-    /// Wall time each lane spent pumping, summed over windows (parallel
-    /// executor only).
-    v_lane_wall_ns: Vec<u64>,
-    /// Wall time the coordinator spent waiting at window barriers
-    /// (parallel executor only).
-    v_barrier_wait_ns: u64,
-    /// 1 when a capacity-enforcing config ran on the sharded engine,
-    /// which relaxes enforcement to the source-side window (see
-    /// DESIGN.md); surfaced as the `vitals_capacity_relaxed` counter.
-    v_capacity_relaxed: u64,
+    /// Host-side self-telemetry, filled in place as the run goes and
+    /// handed to the result as is. Its `arena_reallocs` counts (debug
+    /// builds only) growths of a pre-sized arena — overflow heap, message
+    /// slab; calendar buckets grow by design — past its construction-time
+    /// size: million-processor setup must allocate each arena exactly
+    /// once, and tests pin this at zero for the standard collectives.
+    vitals: crate::metrics::EngineVitals,
 }
 
 impl Sim {
@@ -908,16 +840,6 @@ impl Sim {
             config.record_metrics = true;
         }
         let p = model.p as usize;
-        let capacity = if config.enforce_capacity {
-            model.capacity()
-        } else {
-            u64::MAX
-        };
-        let ni_buffer = if config.enforce_capacity {
-            config.ni_buffer.unwrap_or_else(|| model.capacity() + 2)
-        } else {
-            u64::MAX
-        };
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let skew = config.proc_skew_ppk as i64;
         let proc_scale: Vec<i64> = (0..p)
@@ -929,57 +851,88 @@ impl Sim {
                 }
             })
             .collect();
-        let max_outstanding = capacity.saturating_add(ni_buffer);
+        let procs: Vec<ProcState> = (0..p)
+            .map(|_| ProcState::new(Box::new(crate::process::Passive)))
+            .collect();
+        let faults = config.faults.clone().map(|plan| {
+            for &(proc, _) in &plan.crashes {
+                assert!(
+                    proc < model.p,
+                    "fault plan crashes processor {proc} but P = {}",
+                    model.p
+                );
+            }
+            Box::new(FaultState::new(plan, p))
+        });
+        let obs = (config.record_msg_log || config.record_metrics).then(|| {
+            let stream = (config.sink.is_some() || config.aggregate).then(|| {
+                let spec = config.sink.clone().unwrap_or(crate::obs::SinkSpec::Null);
+                let agg = config
+                    .aggregate
+                    .then(|| crate::critpath::OnlineAgg::new(p, config.agg_grid));
+                let sampler = crate::obs::Sampler::new(config.sampling.clone());
+                Box::new(StreamState::new(spec.build(), sampler, agg, Off::default()))
+            });
+            Box::new(ObsState::new(0..p, &config, stream))
+        });
+        let mut sim = Sim::assemble(
+            model,
+            config,
+            procs.into(),
+            proc_scale.into(),
+            rng,
+            faults,
+            obs,
+        );
+        if sim.config.enforce_capacity {
+            sim.set_capacity(model.capacity());
+        }
+        sim
+    }
+
+    /// The one place a `Sim` is put together: the whole machine
+    /// ([`Sim::new`]) or one lane's slice of it (`engine::plane`), from
+    /// the per-processor state it owns. Everything an engine builds for
+    /// itself when the run starts — the classic queue, windows and slab,
+    /// the lanes' calendars, counters and rings — starts empty, so a lane
+    /// costs nothing sized by the whole machine.
+    fn assemble(
+        model: LogP,
+        config: SimConfig,
+        procs: Off<ProcState>,
+        proc_scale: Off<i64>,
+        rng: SmallRng,
+        faults: Option<Box<FaultState>>,
+        obs: Option<Box<ObsState>>,
+    ) -> Self {
         Sim {
             model,
-            procs: Off::from(
-                (0..p)
-                    .map(|_| ProcState::new(Box::new(crate::process::Passive)))
-                    .collect::<Vec<_>>(),
-            ),
+            alive: procs.len() as u32,
+            procs,
             cal: Calendar::default(),
             seq: 0,
             now: 0,
             horizon: TIME_LIMIT,
             overflow: None,
-            in_flight_from: vec![0; p],
-            in_flight_to: vec![0; p],
-            outstanding_to: vec![0; p],
-            dst_waiters: (0..p).map(|_| VecDeque::new()).collect(),
+            in_flight_from: Vec::new(),
+            in_flight_to: Vec::new(),
+            outstanding_to: Vec::new(),
+            dst_waiters: Vec::new(),
             rng,
-            proc_scale: Off::from(proc_scale),
+            proc_scale,
             trace: Trace::default(),
-            stats: SimStats {
-                procs: vec![ProcStats::default(); p],
-                ..Default::default()
-            },
+            stats: SimStats::default(),
             barrier_count: 0,
-            alive: model.p,
-            capacity,
+            capacity: u64::MAX,
             cmd_scratch: Vec::with_capacity(8),
             waiter_scratch: Vec::new(),
             released_scratch: Vec::new(),
-            // Sized from P so million-processor construction does one
-            // allocation per arena instead of doubling growth: in-flight
-            // messages are bounded by the per-source window when capacity
-            // is enforced, and the collectives top out near one message
-            // per processor plus slack when it is not.
-            msg_slab: Vec::with_capacity(2 * p + 16),
-            msg_free: Vec::with_capacity(2 * p + 16),
-            max_outstanding,
-            faults: config.faults.clone().map(|plan| {
-                for &(proc, _) in &plan.crashes {
-                    assert!(
-                        proc < model.p,
-                        "fault plan crashes processor {proc} but P = {}",
-                        model.p
-                    );
-                }
-                Box::new(FaultState::new(plan, p))
-            }),
+            msg_slab: Vec::new(),
+            msg_free: Vec::new(),
+            max_outstanding: u64::MAX,
+            faults,
             hier: None,
-            obs: (config.record_msg_log || config.record_metrics)
-                .then(|| Box::new(ObsState::new(p, &config))),
+            obs,
             config,
             lanes: Vec::new(),
             lane_of: Off::default(),
@@ -987,18 +940,17 @@ impl Sim {
             rings: Off::default(),
             bdeltas: Vec::new(),
             out: None,
-            #[cfg(debug_assertions)]
-            arena_reallocs: 0,
-            v_windows: 0,
-            v_fast_forwards: 0,
-            v_bucket_max: 0,
-            v_far_spills: 0,
-            v_lane_events: Vec::new(),
-            v_workers: 0,
-            v_lane_wall_ns: Vec::new(),
-            v_barrier_wait_ns: 0,
-            v_capacity_relaxed: 0,
+            vitals: Default::default(),
         }
+    }
+
+    /// Enforce capacity with a scalar admission window (the lanes' source
+    /// ring, the NI-buffer base) of `window` messages; a machine that
+    /// never calls this admits without bound.
+    fn set_capacity(&mut self, window: u64) {
+        let ni_buffer = self.config.ni_buffer.unwrap_or_else(|| window + 2);
+        self.capacity = window;
+        self.max_outstanding = window.saturating_add(ni_buffer);
     }
 
     /// Create a machine over a hierarchical description: every message
@@ -1014,7 +966,6 @@ impl Sim {
     /// the same documented relaxation as its flat destination-side rule.
     pub fn new_hier(h: &Hierarchy, config: SimConfig) -> Self {
         let mut sim = Sim::new(h.flat_projection(), config);
-        let p = sim.model.p as usize;
         let enforce = sim.config.enforce_capacity;
         let caps: Vec<u64> = (0..h.depth())
             .map(|k| {
@@ -1025,17 +976,11 @@ impl Sim {
                 }
             })
             .collect();
-        // The scalar window (sharded source ring, NI-buffer base) is the
-        // loosest level's; per-level admission uses `caps`.
-        sim.capacity = if enforce { h.capacity() } else { u64::MAX };
-        let ni_buffer = if enforce {
-            sim.config.ni_buffer.unwrap_or_else(|| h.capacity() + 2)
-        } else {
-            u64::MAX
-        };
-        sim.max_outstanding = sim.capacity.saturating_add(ni_buffer);
-        sim.in_flight_from = vec![0; h.depth() * p];
-        sim.in_flight_to = vec![0; h.depth() * p];
+        // The scalar window is the loosest level's; per-level admission
+        // uses `caps`.
+        if enforce {
+            sim.set_capacity(h.capacity());
+        }
         sim.hier = Some(Box::new(HierState { h: h.clone(), caps }));
         sim
     }
@@ -1086,7 +1031,7 @@ impl Sim {
     /// zero so `P = 10^6` setup stays one-allocation-per-arena.
     #[cfg(debug_assertions)]
     pub fn arena_reallocs(&self) -> u64 {
-        self.arena_reallocs
+        self.vitals.arena_reallocs
     }
 
     /// The machine model being simulated.
@@ -1117,11 +1062,12 @@ impl Sim {
 
     /// Fold a finished queue's counters into the run's vitals.
     fn fold_queue_vitals(&mut self, cal: &Calendar<EventKind>) {
-        self.v_bucket_max = self.v_bucket_max.max(cal.depth_max);
-        self.v_far_spills += cal.far_spills;
+        let v = &mut self.vitals;
+        v.bucket_depth_max = v.bucket_depth_max.max(cal.depth_max);
+        v.far_spills += cal.far_spills;
         #[cfg(debug_assertions)]
         {
-            self.arena_reallocs += cal.far_regrows;
+            v.arena_reallocs += cal.far_regrows;
         }
     }
 
@@ -1132,19 +1078,36 @@ impl Sim {
     fn end_of(&mut self, p: ProcId, command: &'static str, cycles: Cycles) -> Option<Cycles> {
         let end = self.now.checked_add(cycles).filter(|&t| t <= self.horizon);
         if end.is_none() {
-            self.overflow.get_or_insert(SimError::TimeOverflow {
+            self.fail(SimError::TimeOverflow {
                 proc: p,
                 now: self.now,
                 command,
                 cycles,
             });
-            // Stop at the next event: the budget check reports it.
-            self.config.max_events = 0;
         }
         end
     }
 
-    /// Why the event budget check tripped: a time overflow ended the run
+    /// End the run with `e`, unless an earlier command already failed it.
+    /// The run stops at the next event, where the budget check reports
+    /// the error — so no event pays a branch for this.
+    #[cold]
+    fn fail(&mut self, e: SimError) {
+        self.overflow.get_or_insert(e);
+        self.config.max_events = 0;
+    }
+
+    /// Count one more event against the budget.
+    #[inline]
+    fn count_event(&mut self) -> Result<(), SimError> {
+        self.stats.events += 1;
+        if self.stats.events > self.config.max_events {
+            return Err(self.budget_error());
+        }
+        Ok(())
+    }
+
+    /// Why the event budget check tripped: a command failed the run
     /// early, or the budget really is spent.
     #[cold]
     fn budget_error(&mut self) -> SimError {
@@ -1162,7 +1125,7 @@ impl Sim {
         } else {
             #[cfg(debug_assertions)]
             if self.msg_slab.len() == self.msg_slab.capacity() {
-                self.arena_reallocs += 1;
+                self.vitals.arena_reallocs += 1;
             }
             self.msg_slab.push(Some(msg));
             (self.msg_slab.len() - 1) as MsgSlot
@@ -1287,7 +1250,7 @@ impl Sim {
         } else {
             #[cfg(debug_assertions)]
             if lane.slab.len() == lane.slab.capacity() {
-                self.arena_reallocs += 1;
+                self.vitals.arena_reallocs += 1;
             }
             lane.slab.push(Some(msg));
             (lane.slab.len() - 1) as MsgSlot
@@ -1339,33 +1302,39 @@ impl Sim {
         (ring.len() as u64) < self.capacity
     }
 
-    /// Latency draw on either engine. The sharded draw is counter-mode
-    /// (`logp_core::rng`): a pure function of `(seed, src, ctr)`, so the
-    /// stream each source sees is independent of lane count. The two
-    /// engines draw different (equally legitimate) jitter streams; they
-    /// coincide exactly when `latency_jitter` is 0.
+    /// A uniform draw from `0..=max` for processor `p`: the one place
+    /// the engines' noise sources differ. The classic engine draws from a
+    /// sequential generator in global event order; the lanes draw
+    /// counter-mode (`logp_core::rng`), a pure function of `(seed, stream,
+    /// p, ctr)`, so what each processor sees is independent of the lane
+    /// count. The two are different (equally legitimate) streams; they
+    /// coincide exactly when nothing is drawn.
     #[inline]
-    fn draw_latency_on<const SHARDED: bool>(&mut self, src: ProcId, l: Cycles) -> Cycles {
-        if !SHARDED {
-            return self.draw_latency(l);
+    fn noise<const SHARDED: bool>(&mut self, p: ProcId, stream: u64, max: u64) -> u64 {
+        if SHARDED {
+            let ctr = self.bump_pctr(p);
+            logp_core::rng::mix(&[self.config.seed, stream, p as u64, ctr]) % (max + 1)
+        } else {
+            self.rng.gen_range(0..=max)
         }
+    }
+
+    /// The flight time of a message `src` injects over a link of latency
+    /// `l`: `l` less the configured jitter.
+    #[inline]
+    fn draw_latency<const SHARDED: bool>(&mut self, src: ProcId, l: Cycles) -> Cycles {
         let j = self.config.latency_jitter.min(l.saturating_sub(1));
         if j == 0 {
             l
         } else {
-            let ctr = self.bump_pctr(src);
-            let r = logp_core::rng::mix(&[self.config.seed, 0x004C_4154, src as u64, ctr]);
-            l - r % (j + 1)
+            l - self.noise::<SHARDED>(src, 0x004C_4154, j)
         }
     }
 
-    /// Compute-perturbation draw on either engine (sharded: counter-mode
-    /// per processor, see [`Sim::draw_latency_on`]).
+    /// The duration of a nominally `cycles`-long compute on `proc`, under
+    /// its systematic skew and the configured per-compute drift.
     #[inline]
-    fn draw_compute_on<const SHARDED: bool>(&mut self, proc: ProcId, cycles: Cycles) -> Cycles {
-        if !SHARDED {
-            return self.draw_compute(proc, cycles);
-        }
+    fn draw_compute<const SHARDED: bool>(&mut self, proc: ProcId, cycles: Cycles) -> Cycles {
         let ppk = self.config.drift_ppk as i64;
         if cycles == 0 || (ppk == 0 && self.config.proc_skew_ppk == 0) {
             return cycles;
@@ -1373,25 +1342,28 @@ impl Sim {
         let noise = if ppk == 0 {
             0
         } else {
-            let ctr = self.bump_pctr(proc);
-            let r = logp_core::rng::mix(&[self.config.seed, 0x0044_5246, proc as u64, ctr]);
-            -ppk + (r % (2 * ppk as u64 + 1)) as i64
+            self.noise::<SHARDED>(proc, 0x0044_5246, 2 * ppk as u64) as i64 - ppk
         };
         let scale = self.proc_scale[proc as usize] + noise;
         let scaled = cycles as i128 * scale.max(0) as i128 / 1024;
         Cycles::try_from(scaled).unwrap_or(Cycles::MAX)
     }
 
-    /// Record one message injected from `src` toward `dst`: bump both
-    /// in-flight windows and the destination's NI occupancy, and track
-    /// the high-water marks reported in [`SimStats`]. Shared by `Send`
-    /// and `SendBulk` so the two paths cannot drift apart.
+    /// Record one message injected from `src` toward `dst` in the classic
+    /// engine's windows: bump both in-flight counts at the pair's level
+    /// and track the high-water marks reported in [`SimStats`]. A message
+    /// that `arrives` also occupies the destination's NI buffer until its
+    /// reception completes; one dropped in flight never reaches it.
     #[inline]
-    fn note_injection(&mut self, lvl: usize, src: usize, dst: usize) {
+    fn note_injection(&mut self, src: ProcId, dst: ProcId, arrives: bool) {
+        let (lvl, _) = self.pair_level(src, dst);
         let b = lvl * self.model.p as usize;
+        let (src, dst) = (src as usize, dst as usize);
         self.in_flight_from[b + src] += 1;
         self.in_flight_to[b + dst] += 1;
-        self.outstanding_to[dst] += 1;
+        if arrives {
+            self.outstanding_to[dst] += 1;
+        }
         self.stats.max_inflight_per_src = self
             .stats
             .max_inflight_per_src
@@ -1400,30 +1372,6 @@ impl Sim {
             .stats
             .max_inflight_per_dst
             .max(self.in_flight_to[b + dst]);
-    }
-
-    fn draw_latency(&mut self, l: Cycles) -> Cycles {
-        let j = self.config.latency_jitter.min(l.saturating_sub(1));
-        if j == 0 {
-            l
-        } else {
-            l - self.rng.gen_range(0..=j)
-        }
-    }
-
-    fn draw_compute(&mut self, proc: ProcId, cycles: Cycles) -> Cycles {
-        let ppk = self.config.drift_ppk as i64;
-        if cycles == 0 || (ppk == 0 && self.config.proc_skew_ppk == 0) {
-            return cycles;
-        }
-        let noise = if ppk == 0 {
-            0
-        } else {
-            self.rng.gen_range(-ppk..=ppk)
-        };
-        let scale = self.proc_scale[proc as usize] + noise;
-        let scaled = cycles as i128 * scale.max(0) as i128 / 1024;
-        Cycles::try_from(scaled).unwrap_or(Cycles::MAX)
     }
 
     fn span(&mut self, proc: ProcId, start: Cycles, end: Cycles, activity: Activity) {
@@ -1570,7 +1518,7 @@ impl Sim {
                 deliver: UNSET,
             };
             if let Some(st) = obs.stream.as_deref_mut() {
-                rec.id = st.msg_id(src);
+                rec.id = st.next_id(RecKind::Msg, src);
                 let cum = match st.agg.as_mut() {
                     Some(agg) => agg.on_send(&rec, dup),
                     None => Default::default(),
@@ -1648,7 +1596,7 @@ impl Sim {
                 deliver: UNSET,
             };
             if let Some(st) = obs.stream.as_deref_mut() {
-                rec.id = st.msg_id(src);
+                rec.id = st.next_id(RecKind::Msg, src);
                 if let Some(agg) = st.agg.as_mut() {
                     agg.on_lost(src, meta.1, dup);
                 }
@@ -1685,7 +1633,7 @@ impl Sim {
             fire,
         };
         let val = if let Some(st) = obs.stream.as_deref_mut() {
-            rec.id = st.timer_id(p);
+            rec.id = st.next_id(RecKind::Timer, p);
             let base = st.agg.as_mut().map(|agg| agg.on_timer_armed());
             st.timers_live.insert((rec, base.unwrap_or_default()))
         } else {
@@ -1796,7 +1744,7 @@ impl Sim {
                 end: now + dur,
             };
             if let Some(st) = obs.stream.as_deref_mut() {
-                rec.id = st.compute_id(p);
+                rec.id = st.next_id(RecKind::Compute, p);
                 if let Some(agg) = st.agg.as_mut() {
                     agg.on_compute(&rec);
                 }
@@ -1838,7 +1786,7 @@ impl Sim {
             cause,
         };
         if let Some(st) = obs.stream.as_deref_mut() {
-            rec.id = st.barrier_id();
+            rec.id = st.next_id(RecKind::Barrier, last_proc);
             if let Some(agg) = st.agg.as_mut() {
                 agg.on_barrier_release(&rec);
             }
@@ -1902,13 +1850,16 @@ impl Sim {
             .is_some_and(|f| f.crashed[p as usize])
     }
 
-    /// Inject a committed send through the fault layer: consult the plan,
-    /// then drop the message, stretch its flight, and/or inject a trailing
-    /// duplicate. Replaces the fault-free injection tail (note_injection →
-    /// stash → Release/Arrive scheduling); `lat` was drawn by the caller
-    /// so the engine RNG stream is identical to the fault-free path.
+    /// Put a committed send on the wire: the tail every message goes
+    /// through, exactly once. The message enters the capacity windows
+    /// (classic) or its source's release ring (lanes), is parked in the
+    /// slab and recorded, and leaves the window after `flight` cycles of
+    /// network occupancy — streaming plus latency, not the sender's
+    /// overhead `o`, which only delays the arrival. `dup` marks the fault
+    /// layer's trailing copy of a message.
+    #[inline]
     #[allow(clippy::too_many_arguments)]
-    fn inject_faulty<const OBS: bool, const SHARDED: bool>(
+    fn inject<const OBS: bool, const SHARDED: bool>(
         &mut self,
         src: ProcId,
         dst: ProcId,
@@ -1918,56 +1869,12 @@ impl Sim {
         meta: (Cause, Cycles),
         send_gate: Cycles,
         o: Cycles,
-        stream: Cycles,
-        lat: Cycles,
+        flight: Cycles,
+        dup: bool,
     ) {
         let now = self.now;
-        let idx = src as usize;
-        let d = self
-            .faults
-            .as_deref_mut()
-            .expect("FAULTS implies a fault plan")
-            .decide(src, dst, &data);
-        if d.drop {
-            // The message occupies both network windows for its would-be
-            // flight — the sender cannot tell a dropped message from a
-            // slow one — but the destination NI never sees it: no slab
-            // slot, no Arrive, no NI-buffer occupancy.
-            self.stats.msgs_dropped += 1;
-            if SHARDED {
-                self.ring_push(idx, now + stream + lat + d.delay);
-            } else {
-                let (lvl, _) = self.pair_level(src, dst);
-                let b = lvl * self.model.p as usize;
-                self.in_flight_from[b + idx] += 1;
-                self.in_flight_to[b + dst as usize] += 1;
-                self.stats.max_inflight_per_src = self
-                    .stats
-                    .max_inflight_per_src
-                    .max(self.in_flight_from[b + idx]);
-                self.stats.max_inflight_per_dst = self
-                    .stats
-                    .max_inflight_per_dst
-                    .max(self.in_flight_to[b + dst as usize]);
-            }
-            if OBS {
-                self.record_lost(src, dst, tag, words, meta, send_gate, now, now + o, false);
-            }
-            if !SHARDED {
-                self.schedule(
-                    now + stream + lat + d.delay,
-                    EventKind::Release { src, dst },
-                );
-            }
-            return;
-        }
-        if d.delay > 0 {
-            self.stats.msgs_delayed += 1;
-        }
-        let copy = d.duplicate.then(|| data.clone());
         if !SHARDED {
-            let (lvl, _) = self.pair_level(src, dst);
-            self.note_injection(lvl, idx, dst as usize);
+            self.note_injection(src, dst, true);
         }
         let msg = Message {
             src,
@@ -1981,71 +1888,76 @@ impl Sim {
             self.stash_msg(msg)
         };
         if OBS {
+            let (sent, arrive) = (now + o, now + o + flight);
             self.record_send(
-                slot,
-                src,
-                dst,
-                tag,
-                words,
-                meta,
-                send_gate,
-                now,
-                now + o,
-                now + o + stream + lat + d.delay,
-                false,
+                slot, src, dst, tag, words, meta, send_gate, now, sent, arrive, dup,
             );
         }
         if SHARDED {
-            self.ring_push(idx, now + stream + lat + d.delay);
+            self.ring_push(src as usize, now + flight);
         } else {
-            self.schedule(
-                now + stream + lat + d.delay,
-                EventKind::Release { src, dst },
-            );
+            self.schedule(now + flight, EventKind::Release { src, dst });
         }
-        self.sched_arrive::<SHARDED>(now + o + stream + lat + d.delay, slot, src, dst);
+        self.sched_arrive::<SHARDED>(now + o + flight, slot, src, dst);
+    }
+
+    /// Inject a committed send through the fault layer: consult the plan,
+    /// then drop the message, stretch its flight, and/or inject a trailing
+    /// duplicate. `flight` was drawn by the caller, so the engine's noise
+    /// stream is identical to the fault-free path.
+    #[allow(clippy::too_many_arguments)]
+    fn inject_faulty<const OBS: bool, const SHARDED: bool>(
+        &mut self,
+        src: ProcId,
+        dst: ProcId,
+        tag: u32,
+        data: Data,
+        words: u64,
+        meta: (Cause, Cycles),
+        send_gate: Cycles,
+        o: Cycles,
+        flight: Cycles,
+    ) {
+        let now = self.now;
+        let d = self
+            .faults
+            .as_deref_mut()
+            .expect("FAULTS implies a fault plan")
+            .decide(src, dst, &data);
+        let flight = flight + d.delay;
+        if d.drop {
+            // The message occupies both network windows for its would-be
+            // flight — the sender cannot tell a dropped message from a
+            // slow one — but the destination NI never sees it: no slab
+            // slot, no Arrive, no NI-buffer occupancy.
+            self.stats.msgs_dropped += 1;
+            if OBS {
+                self.record_lost(src, dst, tag, words, meta, send_gate, now, now + o, false);
+            }
+            if SHARDED {
+                self.ring_push(src as usize, now + flight);
+            } else {
+                self.note_injection(src, dst, false);
+                self.schedule(now + flight, EventKind::Release { src, dst });
+            }
+            return;
+        }
+        if d.delay > 0 {
+            self.stats.msgs_delayed += 1;
+        }
+        let copy = d.duplicate.then(|| data.clone());
+        self.inject::<OBS, SHARDED>(
+            src, dst, tag, data, words, meta, send_gate, o, flight, false,
+        );
         if let Some(data) = copy {
             // The duplicate is a full extra injection (own capacity
             // window, own lifecycle record) trailing the original by at
             // least one cycle, so duplicates also reorder.
             self.stats.msgs_duplicated += 1;
-            let extra = d.delay + d.dup_delay;
-            if !SHARDED {
-                let (lvl, _) = self.pair_level(src, dst);
-                self.note_injection(lvl, idx, dst as usize);
-            }
-            let msg = Message {
-                src,
-                dst,
-                tag,
-                data,
-            };
-            let slot = if SHARDED {
-                self.stash_msg_sharded(dst, msg)
-            } else {
-                self.stash_msg(msg)
-            };
-            if OBS {
-                self.record_send(
-                    slot,
-                    src,
-                    dst,
-                    tag,
-                    words,
-                    meta,
-                    send_gate,
-                    now,
-                    now + o,
-                    now + o + stream + lat + extra,
-                    true,
-                );
-            }
-            if SHARDED {
-                self.ring_push(idx, now + stream + lat + extra);
-            } else {
-                self.schedule(now + stream + lat + extra, EventKind::Release { src, dst });
-            }
-            self.sched_arrive::<SHARDED>(now + o + stream + lat + extra, slot, src, dst);
+            let flight = flight + d.dup_delay;
+            self.inject::<OBS, SHARDED>(
+                src, dst, tag, data, words, meta, send_gate, o, flight, true,
+            );
         }
     }
 
@@ -2219,149 +2131,43 @@ impl Sim {
         }
         if let Some(cmd) = self.procs[idx].cmds.front() {
             match *cmd {
-                Command::SendBulk {
-                    dst, tag, words, ..
-                } => {
-                    let big_g = self
-                        .config
-                        .loggp_big_g
-                        .expect("send_bulk requires SimConfig::loggp_big_g");
-                    // LogGP semantics: the processor pays only `o`; the
-                    // interface streams the remaining words at `G` each,
-                    // blocking the *next* injection until done.
-                    let stream = (words - 1).saturating_mul(big_g);
-                    if self.end_of(p, "send_bulk", stream).is_none() {
-                        return;
-                    }
+                // One arm for both sends — LogGP's identity: a one-word
+                // bulk message *is* a small message. The processor pays
+                // only `o`; the interface streams the remaining words at
+                // `G` each, blocking the *next* injection until done.
+                Command::Send { dst, tag, .. } | Command::SendBulk { dst, tag, .. } => {
+                    // A bulk message's word count, and how long it streams.
+                    let (bulk, stream) = match *cmd {
+                        Command::SendBulk { words, .. } => {
+                            let Some(big_g) = self.config.loggp_big_g else {
+                                self.fail(SimError::MissingBigG {
+                                    proc: p,
+                                    now,
+                                    command: "send_bulk",
+                                });
+                                return;
+                            };
+                            let stream = (words - 1).saturating_mul(big_g);
+                            if self.end_of(p, "send_bulk", stream).is_none() {
+                                return;
+                            }
+                            (Some(words), stream)
+                        }
+                        _ => (None, 0),
+                    };
+                    // Gate on the processor and the gap ...
                     let st = &self.procs[idx];
                     let s = st.busy_until.max(st.next_send_slot);
                     if now < s {
                         self.sched::<SHARDED>(s, EventKind::Wake(p));
                         return;
                     }
+                    // ... and on capacity.
                     if SHARDED {
                         // Source window via the release ring; destination
                         // admission is relaxed on the sharded path (its
                         // zero-lookahead coupling is what lanes remove —
                         // see `crate::shard`).
-                        if self.config.enforce_capacity && !self.ring_admit(idx, now) {
-                            let wake = self.rings[idx][0];
-                            let st = &mut self.procs[idx];
-                            st.stall_since.get_or_insert(now);
-                            st.waiting_on_src = true;
-                            self.sched::<SHARDED>(wake, EventKind::Wake(p));
-                            return;
-                        }
-                    } else {
-                        let (lvl, cap) = self.pair_level(p, dst);
-                        let b = lvl * self.model.p as usize;
-                        if self.in_flight_from[b + idx] >= cap {
-                            let st = &mut self.procs[idx];
-                            st.stall_since.get_or_insert(now);
-                            st.waiting_on_src = true;
-                            return;
-                        }
-                        if self.in_flight_to[b + dst as usize] >= cap
-                            || self.outstanding_to[dst as usize] >= self.max_outstanding
-                        {
-                            let st = &mut self.procs[idx];
-                            st.stall_since.get_or_insert(now);
-                            if !st.waiting_on_dst {
-                                st.waiting_on_dst = true;
-                                self.dst_waiters[dst as usize].push_back(p);
-                            }
-                            return;
-                        }
-                    }
-                    // Committed: dequeue by value so the payload moves
-                    // instead of cloning.
-                    let data = match self.procs[idx].cmds.pop_front() {
-                        Some(Command::SendBulk { data, .. }) => data,
-                        _ => unreachable!("front of queue checked above"),
-                    };
-                    let meta = if OBS {
-                        self.pop_meta(idx)
-                    } else {
-                        (Cause::Start, now)
-                    };
-                    let st = &mut self.procs[idx];
-                    st.waiting_on_src = false;
-                    let send_gate = st.next_send_slot;
-                    if let Some(since) = st.stall_since.take() {
-                        st.stats.stall += now - since;
-                        self.span(p, since, now, Activity::Stall);
-                        if OBS {
-                            self.record_stall(now - since);
-                        }
-                    }
-                    let (pl, o, g) = self.pair_log(p, dst);
-                    let st = &mut self.procs[idx];
-                    st.busy_until = now + o;
-                    st.next_send_slot = (now + g).max(now + o + stream);
-                    st.stats.send_overhead += o;
-                    st.stats.msgs_sent += 1;
-                    self.span(p, now, now + o, Activity::SendOverhead);
-                    if FAULTS {
-                        let lat = self.draw_latency_on::<SHARDED>(p, pl);
-                        self.inject_faulty::<OBS, SHARDED>(
-                            p, dst, tag, data, words, meta, send_gate, o, stream, lat,
-                        );
-                    } else {
-                        if !SHARDED {
-                            let (lvl, _) = self.pair_level(p, dst);
-                            self.note_injection(lvl, idx, dst as usize);
-                        }
-                        let lat = self.draw_latency_on::<SHARDED>(p, pl);
-                        let msg = Message {
-                            src: p,
-                            dst,
-                            tag,
-                            data,
-                        };
-                        let slot = if SHARDED {
-                            self.stash_msg_sharded(dst, msg)
-                        } else {
-                            self.stash_msg(msg)
-                        };
-                        if OBS {
-                            self.record_send(
-                                slot,
-                                p,
-                                dst,
-                                tag,
-                                words,
-                                meta,
-                                send_gate,
-                                now,
-                                now + o,
-                                now + o + stream + lat,
-                                false,
-                            );
-                        }
-                        // The capacity window mirrors the small-message
-                        // rule: it covers the message's network occupancy
-                        // (streaming plus flight), not the sender's
-                        // overhead.
-                        if SHARDED {
-                            self.ring_push(idx, now + stream + lat);
-                        } else {
-                            self.schedule(now + stream + lat, EventKind::Release { src: p, dst });
-                        }
-                        self.sched_arrive::<SHARDED>(now + o + stream + lat, slot, p, dst);
-                    }
-                    self.finish_send::<SHARDED>(p);
-                }
-                Command::Send { dst, tag, .. } => {
-                    let st = &self.procs[idx];
-                    let s = st.busy_until.max(st.next_send_slot);
-                    if now < s {
-                        self.sched::<SHARDED>(s, EventKind::Wake(p));
-                        return;
-                    }
-                    if SHARDED {
-                        // Source window via the release ring; destination
-                        // admission is relaxed on the sharded path (see
-                        // `crate::shard`).
                         if self.config.enforce_capacity && !self.ring_admit(idx, now) {
                             let wake = self.rings[idx][0];
                             let st = &mut self.procs[idx];
@@ -2392,10 +2198,10 @@ impl Sim {
                             return;
                         }
                     }
-                    // Proceed with the send at `now`: dequeue by value so
-                    // the payload moves instead of cloning.
+                    // Committed: dequeue by value so the payload moves
+                    // instead of cloning.
                     let data = match self.procs[idx].cmds.pop_front() {
-                        Some(Command::Send { data, .. }) => data,
+                        Some(Command::Send { data, .. } | Command::SendBulk { data, .. }) => data,
                         _ => unreachable!("front of queue checked above"),
                     };
                     let meta = if OBS {
@@ -2413,56 +2219,32 @@ impl Sim {
                             self.record_stall(now - since);
                         }
                     }
+                    // Pay `o`. The next send waits out the gap — and,
+                    // behind a bulk message, the stream, which starts
+                    // when `o` ends: with `o > g` even a one-word bulk
+                    // message holds the next send until `now + o`
+                    // (visible only as the next `MsgRecord::send_gate`).
                     let (pl, o, g) = self.pair_log(p, dst);
                     let st = &mut self.procs[idx];
                     st.busy_until = now + o;
-                    st.next_send_slot = now + g;
+                    st.next_send_slot = match bulk {
+                        Some(_) => (now + g).max(now + o + stream),
+                        None => now + g,
+                    };
                     st.stats.send_overhead += o;
                     st.stats.msgs_sent += 1;
                     self.span(p, now, now + o, Activity::SendOverhead);
+                    // Inject.
+                    let words = bulk.unwrap_or(1);
+                    let flight = stream + self.draw_latency::<SHARDED>(p, pl);
                     if FAULTS {
-                        let lat = self.draw_latency_on::<SHARDED>(p, pl);
                         self.inject_faulty::<OBS, SHARDED>(
-                            p, dst, tag, data, 1, meta, send_gate, o, 0, lat,
+                            p, dst, tag, data, words, meta, send_gate, o, flight,
                         );
                     } else {
-                        if !SHARDED {
-                            let (lvl, _) = self.pair_level(p, dst);
-                            self.note_injection(lvl, idx, dst as usize);
-                        }
-                        let lat = self.draw_latency_on::<SHARDED>(p, pl);
-                        let msg = Message {
-                            src: p,
-                            dst,
-                            tag,
-                            data,
-                        };
-                        let slot = if SHARDED {
-                            self.stash_msg_sharded(dst, msg)
-                        } else {
-                            self.stash_msg(msg)
-                        };
-                        if OBS {
-                            self.record_send(
-                                slot,
-                                p,
-                                dst,
-                                tag,
-                                1,
-                                meta,
-                                send_gate,
-                                now,
-                                now + o,
-                                now + o + lat,
-                                false,
-                            );
-                        }
-                        if SHARDED {
-                            self.ring_push(idx, now + lat);
-                        } else {
-                            self.schedule(now + lat, EventKind::Release { src: p, dst });
-                        }
-                        self.sched_arrive::<SHARDED>(now + o + lat, slot, p, dst);
+                        self.inject::<OBS, SHARDED>(
+                            p, dst, tag, data, words, meta, send_gate, o, flight, false,
+                        );
                     }
                     self.finish_send::<SHARDED>(p);
                 }
@@ -2472,7 +2254,7 @@ impl Sim {
                         self.sched::<SHARDED>(t, EventKind::Wake(p));
                         return;
                     }
-                    let dur = self.draw_compute_on::<SHARDED>(p, cycles);
+                    let dur = self.draw_compute::<SHARDED>(p, cycles);
                     let Some(done) = self.end_of(p, "compute", dur) else {
                         return;
                     };
@@ -2708,12 +2490,13 @@ impl Sim {
         // the first record is allocated: dense (classic — identical to
         // retained-log ids) or structured per-processor (sharded —
         // lane-count-invariant).
-        if let Some(obs) = self.obs.as_deref_mut() {
-            if let Some(st) = obs.stream.as_deref_mut() {
-                st.sharded = sharded;
-                if sharded {
-                    st.sctr = Off::from(vec![0; self.model.p as usize]);
-                }
+        if let Some(st) = self
+            .obs
+            .as_deref_mut()
+            .and_then(|o| o.stream.as_deref_mut())
+        {
+            if sharded {
+                st.sctr = Off::from(vec![0; self.model.p as usize]);
             }
         }
         // The sharded engine's capacity model admits every arrival
@@ -2722,7 +2505,7 @@ impl Sim {
         // config is silently relaxed there. Surface that: a vitals
         // counter on every such run, plus a one-time structured warning.
         if sharded && self.config.enforce_capacity {
-            self.v_capacity_relaxed = 1;
+            self.vitals.capacity_relaxed = 1;
             static CAPACITY_WARN: std::sync::Once = std::sync::Once::new();
             CAPACITY_WARN.call_once(|| {
                 eprintln!(
@@ -2787,53 +2570,33 @@ impl Sim {
         if !stuck.is_empty() {
             return Err(SimError::Deadlock { stuck });
         }
-        for p in 0..self.model.p as usize {
-            self.stats.procs[p] = self.procs[p].stats;
-        }
+        self.stats.procs = self.procs.iter().map(|st| st.stats).collect();
         // Close the gauge series with the end-of-run state (one sample at
         // the completion instant).
         if self.obs.is_some() {
             self.sample_gauges_to(self.now + 1);
         }
         let mut aggregate = None;
-        let mut agg_window_probes_max = 0;
         let (obs_log, metrics) = match self.obs.take() {
             Some(mut o) => {
                 if let Some(st) = o.stream.take() {
                     if let Some((agg, probes)) = Self::finish_stream(*st).map_err(SimError::Sink)? {
                         aggregate = Some(agg);
-                        agg_window_probes_max = probes;
+                        self.vitals.agg_window_probes_max = probes;
                     }
                 }
                 (o.log, o.metrics)
             }
             None => (ObsLog::default(), MetricsRegistry::default()),
         };
-        #[cfg(debug_assertions)]
-        let reallocs = self.arena_reallocs;
-        #[cfg(not(debug_assertions))]
-        let reallocs = 0u64;
-        let vitals = crate::metrics::EngineVitals {
-            engine: if sharded { "sharded" } else { "classic" },
-            wall_ns,
-            events: self.stats.events,
-            lanes: if sharded {
-                self.v_lane_events.len() as u32
-            } else {
-                1
-            },
-            lane_events: std::mem::take(&mut self.v_lane_events),
-            windows: self.v_windows,
-            fast_forwards: self.v_fast_forwards,
-            bucket_depth_max: self.v_bucket_max,
-            far_spills: self.v_far_spills,
-            arena_reallocs: reallocs,
-            workers: self.v_workers,
-            lane_wall_ns: std::mem::take(&mut self.v_lane_wall_ns),
-            barrier_wait_ns: self.v_barrier_wait_ns,
-            capacity_relaxed: self.v_capacity_relaxed,
-            agg_window_probes_max,
-        };
+        let mut vitals = self.vitals;
+        vitals.wall_ns = wall_ns;
+        vitals.events = self.stats.events;
+        if sharded {
+            vitals.engine = "sharded";
+            vitals.lanes = vitals.lane_events.len() as u32;
+        }
+        let reallocs = vitals.arena_reallocs;
         Ok((
             SimResult {
                 stats: self.stats,
@@ -2880,188 +2643,226 @@ impl Sim {
         Ok(agg)
     }
 
-    /// The event loop, monomorphized over observability. With `OBS`
-    /// false every hook below folds away and the loop compiles to the
-    /// uninstrumented hot path. `inline(never)` keeps the two
+    /// Plant one crash-stop of the fault plan: a cycle-0 crash applies
+    /// at once (it suppresses even `on_start`), a later one becomes an
+    /// event ordered before every same-cycle arrival — on the classic
+    /// engine by being scheduled before anything else, on the lanes by
+    /// the bare processor id as its canonical key.
+    fn plant_crash<const OBS: bool, const SHARDED: bool>(&mut self, p: ProcId, t: Cycles) {
+        if t == 0 {
+            self.apply_crash::<OBS, SHARDED>(p);
+        } else if SHARDED {
+            self.push_lane(p, t, event_ord(0, p as u64), EventKind::Crash(p));
+        } else {
+            self.schedule(t, EventKind::Crash(p));
+        }
+    }
+
+    /// Run `on_start` on this Sim's processors, in processor-id order.
+    fn start_handlers<const OBS: bool, const FAULTS: bool>(&mut self) {
+        for q in self.proc_range() {
+            if FAULTS && self.procs[q].halted {
+                continue;
+            }
+            self.run_handler::<OBS, _>(q as ProcId, Cause::Start, |prog, ctx| prog.on_start(ctx));
+        }
+    }
+
+    /// First progress attempt of this Sim's processors, after every
+    /// `on_start` has run.
+    fn start_advances<const OBS: bool, const FAULTS: bool, const SHARDED: bool>(&mut self) {
+        for q in self.proc_range() {
+            self.advance::<OBS, FAULTS, SHARDED>(q as ProcId);
+        }
+    }
+
+    /// The classic event loop, monomorphized over observability. With
+    /// `OBS` false every hook below folds away and the loop compiles to
+    /// the uninstrumented hot path. `inline(never)` keeps the
     /// monomorphizations as separate compact functions instead of one
     /// merged body inside [`Sim::run`].
     #[inline(never)]
     fn drive<const OBS: bool, const FAULTS: bool>(&mut self) -> Result<(), SimError> {
-        self.cal = Calendar::new(self.ring_span(), self.model.p as usize + 16);
+        let p = self.model.p as usize;
+        self.cal = Calendar::new(self.ring_span(), p + 16);
+        let windows = self.hier.as_deref().map_or(1, |hs| hs.h.depth()) * p;
+        self.in_flight_from = vec![0; windows];
+        self.in_flight_to = vec![0; windows];
+        self.outstanding_to = vec![0; p];
+        self.dst_waiters = vec![VecDeque::new(); p];
+        // Sized from P so million-processor runs do one allocation per
+        // arena instead of doubling growth: in-flight messages are bounded
+        // by the per-source window when capacity is enforced, and the
+        // collectives top out near one message per processor plus slack
+        // when it is not.
+        self.msg_slab = Vec::with_capacity(2 * p + 16);
+        self.msg_free = Vec::with_capacity(2 * p + 16);
         if FAULTS {
-            // Schedule the crash plan before anything else: a cycle-0
-            // crash suppresses even `on_start`, and later crashes get the
-            // lowest sequence numbers of their cycle so they order before
-            // same-cycle arrivals.
-            let crashes = self
+            let plan = &self
                 .faults
                 .as_deref()
                 .expect("FAULTS implies a fault plan")
-                .plan
-                .crashes
-                .clone();
-            for (p, t) in crashes {
-                if t == 0 {
-                    self.apply_crash::<OBS, false>(p);
-                } else {
-                    self.schedule(t, EventKind::Crash(p));
-                }
+                .plan;
+            for (cp, t) in plan.crashes.clone() {
+                self.plant_crash::<OBS, false>(cp, t);
             }
         }
-        // Start handlers fire at time 0 in processor-id order.
-        for p in 0..self.model.p {
-            if FAULTS && self.procs[p as usize].halted {
-                continue;
-            }
-            self.run_handler::<OBS, _>(p, Cause::Start, |prog, ctx| prog.on_start(ctx));
-        }
-        for p in 0..self.model.p {
-            self.advance::<OBS, FAULTS, false>(p);
-        }
+        self.start_handlers::<OBS, FAULTS>();
+        self.start_advances::<OBS, FAULTS, false>();
         while let Some((t, ord, kind)) = self.cal.pop::<true>(Cycles::MAX) {
-            self.stats.events += 1;
-            if self.stats.events > self.config.max_events {
-                return Err(self.budget_error());
-            }
+            self.count_event()?;
             debug_assert!(t >= self.now, "time must not run backwards");
             if OBS {
                 self.sample_gauges_to(t);
             }
             self.now = t;
-            match kind {
-                EventKind::Release { src, dst } => {
-                    let (lvl, _) = self.pair_level(src, dst);
-                    let b = lvl * self.model.p as usize;
-                    self.in_flight_from[b + src as usize] -= 1;
-                    self.in_flight_to[b + dst as usize] -= 1;
-                    // Wake capacity waiters of this destination (FIFO; each
-                    // re-checks and re-queues if still blocked).
-                    self.wake_dst_waiters::<OBS, FAULTS>(dst as usize);
-                    // The source may have been stalled on its own window.
-                    if self.procs[src as usize].waiting_on_src {
-                        self.procs[src as usize].waiting_on_src = false;
-                        self.advance::<OBS, FAULTS, false>(src);
-                    }
-                }
-                EventKind::Arrive(slot) => {
-                    let msg = self.unstash_msg(slot);
-                    let dst = msg.dst;
-                    if FAULTS && self.is_crashed(dst) {
-                        // Dead interface: the message is lost, but its
-                        // NI-buffer slot frees for blocked senders.
-                        self.stats.msgs_dropped += 1;
-                        self.outstanding_to[dst as usize] -= 1;
-                        self.wake_dst_waiters::<OBS, FAULTS>(dst as usize);
-                        continue;
-                    }
-                    self.stats.total_msgs += 1;
-                    self.seq += 1;
-                    let key = InboxItem::key(self.now, self.seq);
-                    if OBS {
-                        self.note_arrival(dst, slot, key);
-                    }
-                    self.procs[dst as usize]
-                        .inbox
-                        .push(Reverse(InboxItem { key, msg }));
-                    self.advance::<OBS, FAULTS, false>(dst);
-                }
-                EventKind::SendDone(p) => {
-                    self.procs[p as usize].engaged = false;
-                    self.advance::<OBS, FAULTS, false>(p);
-                }
-                EventKind::ComputeDone(p, tag) => {
-                    if FAULTS && self.is_crashed(p) {
-                        continue;
-                    }
-                    self.procs[p as usize].engaged = false;
-                    let cause = if OBS {
-                        match self.obs.as_deref() {
-                            Some(o) if o.msg_log => Cause::Compute(o.cur_compute[p as usize]),
-                            _ => Cause::Start,
-                        }
-                    } else {
-                        Cause::Start
-                    };
-                    self.run_handler::<OBS, _>(p, cause, |prog, ctx| {
-                        prog.on_compute_done(tag, ctx)
-                    });
-                    self.advance::<OBS, FAULTS, false>(p);
-                }
-                EventKind::RecvDone(p) => {
-                    if FAULTS && self.is_crashed(p) {
-                        // The reception died with the processor; its NI
-                        // slot was freed by the crash cleanup.
-                        continue;
-                    }
-                    let st = &mut self.procs[p as usize];
-                    st.engaged = false;
-                    st.stats.msgs_recvd += 1;
-                    let msg = st.receiving.take().expect("a reception was in progress");
-                    // The NI buffer slot frees: senders blocked on the
-                    // outstanding bound may proceed.
-                    self.outstanding_to[p as usize] -= 1;
-                    let cause = if OBS {
-                        self.record_delivery(p)
-                    } else {
-                        Cause::Start
-                    };
-                    self.wake_dst_waiters::<OBS, FAULTS>(p as usize);
-                    self.run_handler::<OBS, _>(p, cause, |prog, ctx| prog.on_message(&msg, ctx));
-                    self.advance::<OBS, FAULTS, false>(p);
-                }
-                EventKind::BarrierRelease => {
-                    self.barrier_count = 0;
-                    let bcause = if OBS {
-                        self.record_barrier_release()
-                    } else {
-                        Cause::Start
-                    };
-                    let mut released = std::mem::take(&mut self.released_scratch);
-                    released
-                        .extend((0..self.model.p).filter(|&p| self.procs[p as usize].in_barrier));
-                    for &p in &released {
-                        let st = &mut self.procs[p as usize];
-                        st.in_barrier = false;
-                        st.engaged = false;
-                        st.busy_until = self.now;
-                        let entered = st.barrier_entered_at;
-                        st.stats.barrier_wait += self.now - entered;
-                        self.span(p, entered, self.now, Activity::Barrier);
-                    }
-                    for &p in &released {
-                        self.run_handler::<OBS, _>(p, bcause, |prog, ctx| {
-                            prog.on_barrier_release(ctx)
-                        });
-                    }
-                    for &p in &released {
-                        self.advance::<OBS, FAULTS, false>(p);
-                    }
-                    released.clear();
-                    self.released_scratch = released;
-                }
-                EventKind::TimerFire(p, tag) => {
-                    // Timers die with their processor: a halted or
-                    // crashed processor never observes the fire.
-                    if self.procs[p as usize].halted {
-                        continue;
-                    }
-                    let cause = if OBS {
-                        self.timer_cause(p, ord_seq(ord))
-                    } else {
-                        Cause::Start
-                    };
-                    self.run_handler::<OBS, _>(p, cause, |prog, ctx| prog.on_timer(tag, ctx));
-                    self.advance::<OBS, FAULTS, false>(p);
-                }
-                EventKind::Crash(p) => {
-                    debug_assert!(FAULTS, "crash events only exist under a fault plan");
-                    self.apply_crash::<OBS, false>(p);
-                }
-                EventKind::Wake(p) => {
-                    self.advance::<OBS, FAULTS, false>(p);
-                }
-            }
+            self.process_event::<OBS, FAULTS, false>(ord, kind);
         }
         Ok(())
+    }
+
+    /// Run one event's handler: the only dispatch over [`EventKind`], for
+    /// the classic loop and the lanes alike. What only the classic engine
+    /// has — `Release` and `BarrierRelease` events, destination-side
+    /// admission (`outstanding_to`, the waiter lists), a global sequence
+    /// as inbox tiebreak — sits behind `!SHARDED`.
+    #[inline]
+    fn process_event<const OBS: bool, const FAULTS: bool, const SHARDED: bool>(
+        &mut self,
+        ord: u64,
+        kind: EventKind,
+    ) {
+        match kind {
+            EventKind::Release { src, dst } => {
+                // Lanes admit from source rings and schedule no releases.
+                debug_assert!(!SHARDED, "a release event on the lanes");
+                if SHARDED {
+                    return;
+                }
+                let (lvl, _) = self.pair_level(src, dst);
+                let b = lvl * self.model.p as usize;
+                self.in_flight_from[b + src as usize] -= 1;
+                self.in_flight_to[b + dst as usize] -= 1;
+                // Wake capacity waiters of this destination (FIFO; each
+                // re-checks and re-queues if still blocked).
+                self.wake_dst_waiters::<OBS, FAULTS>(dst as usize);
+                // The source may have been stalled on its own window.
+                if self.procs[src as usize].waiting_on_src {
+                    self.procs[src as usize].waiting_on_src = false;
+                    self.advance::<OBS, FAULTS, false>(src);
+                }
+            }
+            EventKind::Arrive(slot) => {
+                let msg = if SHARDED {
+                    self.unstash_msg_sharded(slot)
+                } else {
+                    self.unstash_msg(slot)
+                };
+                let dst = msg.dst;
+                if FAULTS && self.is_crashed(dst) {
+                    // Dead interface: the message is lost, but its
+                    // NI-buffer slot frees for blocked senders.
+                    self.stats.msgs_dropped += 1;
+                    if !SHARDED {
+                        self.outstanding_to[dst as usize] -= 1;
+                        self.wake_dst_waiters::<OBS, FAULTS>(dst as usize);
+                    }
+                    return;
+                }
+                self.stats.total_msgs += 1;
+                // On the lanes the source-canonical event tiebreak doubles
+                // as the inbox tiebreak, so same-cycle arrival order at a
+                // destination is lane-count-invariant.
+                let seq = if SHARDED {
+                    ord_seq(ord)
+                } else {
+                    self.seq += 1;
+                    self.seq
+                };
+                let key = InboxItem::key(self.now, seq);
+                if OBS {
+                    self.note_arrival(dst, slot, key);
+                }
+                self.procs[dst as usize]
+                    .inbox
+                    .push(Reverse(InboxItem { key, msg }));
+                self.advance::<OBS, FAULTS, SHARDED>(dst);
+            }
+            EventKind::SendDone(p) => {
+                self.procs[p as usize].engaged = false;
+                self.advance::<OBS, FAULTS, SHARDED>(p);
+            }
+            EventKind::ComputeDone(p, tag) => {
+                if FAULTS && self.is_crashed(p) {
+                    return;
+                }
+                self.procs[p as usize].engaged = false;
+                let cause = match self.obs.as_deref() {
+                    Some(o) if OBS && o.msg_log => Cause::Compute(o.cur_compute[p as usize]),
+                    _ => Cause::Start,
+                };
+                self.run_handler::<OBS, _>(p, cause, |prog, ctx| prog.on_compute_done(tag, ctx));
+                self.advance::<OBS, FAULTS, SHARDED>(p);
+            }
+            EventKind::RecvDone(p) => {
+                if FAULTS && self.is_crashed(p) {
+                    // The reception died with the processor; its NI
+                    // slot was freed by the crash cleanup.
+                    return;
+                }
+                let st = &mut self.procs[p as usize];
+                st.engaged = false;
+                st.stats.msgs_recvd += 1;
+                let msg = st.receiving.take().expect("a reception was in progress");
+                if !SHARDED {
+                    self.outstanding_to[p as usize] -= 1;
+                }
+                let cause = if OBS {
+                    self.record_delivery(p)
+                } else {
+                    Cause::Start
+                };
+                if !SHARDED {
+                    // The NI buffer slot is free: senders blocked on the
+                    // outstanding bound may proceed.
+                    self.wake_dst_waiters::<OBS, FAULTS>(p as usize);
+                }
+                self.run_handler::<OBS, _>(p, cause, |prog, ctx| prog.on_message(&msg, ctx));
+                self.advance::<OBS, FAULTS, SHARDED>(p);
+            }
+            EventKind::BarrierRelease => {
+                // Scheduled by the classic `check_barrier` only; the lane
+                // drivers call the release at the replayed instant.
+                self.apply_barrier_release::<OBS, FAULTS, SHARDED>(self.now);
+            }
+            EventKind::TimerFire(p, tag) => {
+                // Timers die with their processor: a halted or
+                // crashed processor never observes the fire.
+                if self.procs[p as usize].halted {
+                    return;
+                }
+                let cause = if OBS {
+                    self.timer_cause(p, ord_seq(ord))
+                } else {
+                    Cause::Start
+                };
+                self.run_handler::<OBS, _>(p, cause, |prog, ctx| prog.on_timer(tag, ctx));
+                self.advance::<OBS, FAULTS, SHARDED>(p);
+            }
+            EventKind::Crash(p) => {
+                debug_assert!(FAULTS, "crash events only exist under a fault plan");
+                self.apply_crash::<OBS, SHARDED>(p);
+            }
+            EventKind::Wake(p) => {
+                if SHARDED {
+                    // A stalled sender woke itself at its source ring's
+                    // head: the slot is free now, so the retried send
+                    // re-polls the network first (what the classic
+                    // `Release` arm does for it).
+                    self.procs[p as usize].waiting_on_src = false;
+                }
+                self.advance::<OBS, FAULTS, SHARDED>(p);
+            }
+        }
     }
 }

@@ -66,10 +66,7 @@
 //! within a round of the budget may fail slightly later than serially.
 //! The check is still deterministic in the worker count.
 
-use super::{
-    event_ord, Calendar, EventKind, Lane, ObsState, Off, OutObs, Outbox, Sim, SimError, Slab,
-    StreamState,
-};
+use super::{event_ord, EventKind, ObsState, Off, OutObs, Outbox, Sim, SimError, StreamState};
 use crate::critpath::OnlineAgg;
 use crate::message::Message;
 use crate::obs::{BarrierRecord, Cause, ComputeRecord, MsgRecord, ObsSampling, TimerRecord};
@@ -77,7 +74,6 @@ use crate::trace::Span;
 use logp_core::Cycles;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -240,7 +236,7 @@ fn worker_loop<const OBS: bool, const FAULTS: bool>(
                 let start = std::time::Instant::now();
                 match kind {
                     JOB_START_HANDLERS => cell.sim.start_handlers::<OBS, FAULTS>(),
-                    JOB_START_ADVANCE => cell.sim.start_advances::<OBS, FAULTS>(),
+                    JOB_START_ADVANCE => cell.sim.start_advances::<OBS, FAULTS, true>(),
                     JOB_PUMP_FIRST | JOB_PUMP => {
                         if kind == JOB_PUMP_FIRST {
                             cell.sim.lanes[0].cal.advance_to(t0);
@@ -252,7 +248,7 @@ fn worker_loop<const OBS: bool, const FAULTS: bool>(
                         let bcause = *ctrl.bcause.lock().unwrap();
                         cell.sim.barrier_release_handlers::<OBS>(bcause);
                     }
-                    JOB_REL_ADVANCE => cell.sim.barrier_release_advance::<OBS, FAULTS>(),
+                    JOB_REL_ADVANCE => cell.sim.barrier_release_advance::<OBS, FAULTS, true>(),
                     _ => unreachable!("unknown job kind"),
                 }
                 cell.wall_ns += start.elapsed().as_nanos() as u64;
@@ -268,26 +264,6 @@ fn worker_loop<const OBS: bool, const FAULTS: bool>(
 }
 
 impl Sim {
-    /// The serial driver's prologue handler pass, restricted to this
-    /// Sim's processor range.
-    fn start_handlers<const OBS: bool, const FAULTS: bool>(&mut self) {
-        for q in self.proc_range() {
-            let p = q as logp_core::ProcId;
-            if FAULTS && self.procs[q].halted {
-                continue;
-            }
-            self.run_handler::<OBS, _>(p, Cause::Start, |prog, ctx| prog.on_start(ctx));
-        }
-    }
-
-    /// The serial driver's prologue advance pass, restricted to this
-    /// Sim's processor range.
-    fn start_advances<const OBS: bool, const FAULTS: bool>(&mut self) {
-        for q in self.proc_range() {
-            self.advance::<OBS, FAULTS, true>(q as logp_core::ProcId);
-        }
-    }
-
     /// Replay staged lane emissions (in lane order == serial order)
     /// through the parent's real sampler and sink.
     fn flush_stages(&mut self, stages: &[Arc<Mutex<Vec<Staged>>>]) {
@@ -432,89 +408,48 @@ impl Sim {
         aggregate: bool,
     ) -> (Vec<Mutex<LaneCell>>, Vec<Arc<Mutex<Vec<Staged>>>>) {
         let p = self.model.p as usize;
-        let bspan = self.ring_span();
         let mut procs = std::mem::replace(&mut self.procs, Off::from(Vec::new()))
             .into_vec()
             .into_iter();
         let mut scales = std::mem::take(&mut self.proc_scale).into_vec().into_iter();
-        let plan = self.faults.as_deref().map(|f| f.plan.clone());
         let mut cells = Vec::with_capacity(n);
         let mut stages = Vec::new();
-        for li in 0..n {
-            let first = li * per;
-            let last = ((li + 1) * per).min(p) - 1;
-            let len = last - first + 1;
+        for first in (0..p).step_by(per) {
+            let len = per.min(p - first);
             let stream = streaming.then(|| {
                 let stage: Arc<Mutex<Vec<Staged>>> = Arc::new(Mutex::new(Vec::new()));
                 stages.push(stage.clone());
-                Box::new(StreamState {
-                    sink: Box::new(StageSink(stage)),
-                    sampler: crate::obs::Sampler::new(ObsSampling::All),
-                    agg: aggregate.then(|| OnlineAgg::for_range(first, len, self.config.agg_grid)),
-                    sharded: true,
-                    next_msg: 0,
-                    next_compute: 0,
-                    next_timer: 0,
-                    next_barrier: 0,
-                    sctr: Off::with_base(vec![0; len], first),
-                    inflight: Slab::default(),
-                    timers_live: Slab::default(),
-                    emitted: 0,
-                })
+                Box::new(StreamState::new(
+                    Box::new(StageSink(stage)),
+                    crate::obs::Sampler::new(ObsSampling::All),
+                    aggregate.then(|| OnlineAgg::for_range(first, len, self.config.agg_grid)),
+                    Off::with_base(vec![0; len], first),
+                ))
             });
-            let sim = Sim {
-                model: self.model,
-                config: self.config.clone(),
-                procs: Off::with_base(procs.by_ref().take(len).collect(), first),
-                cal: Calendar::default(),
-                seq: 0,
-                now: 0,
-                horizon: self.horizon,
-                overflow: None,
-                in_flight_from: Vec::new(),
-                in_flight_to: Vec::new(),
-                outstanding_to: Vec::new(),
-                dst_waiters: Vec::new(),
-                rng: SmallRng::seed_from_u64(self.config.seed),
-                proc_scale: Off::with_base(scales.by_ref().take(len).collect(), first),
-                trace: crate::trace::Trace::default(),
-                stats: crate::trace::SimStats::default(),
-                barrier_count: 0,
-                alive: len as u32,
-                capacity: self.capacity,
-                cmd_scratch: Vec::with_capacity(8),
-                waiter_scratch: Vec::new(),
-                released_scratch: Vec::new(),
-                msg_slab: Vec::new(),
-                msg_free: Vec::new(),
-                max_outstanding: self.max_outstanding,
-                hier: self.hier.clone(),
-                faults: (FAULTS).then(|| {
-                    Box::new(crate::faults::FaultState::for_range(
-                        plan.clone().expect("FAULTS implies a fault plan"),
-                        first,
-                        len,
-                    ))
-                }),
-                obs: (OBS).then(|| Box::new(ObsState::for_lane(first, len, &self.config, stream))),
-                lanes: vec![Lane::new(bspan, len)],
-                lane_of: Off::with_base(vec![0; len], first),
-                pctr: Off::with_base(vec![0; len], first),
-                rings: Off::with_base(vec![VecDeque::new(); len], first),
-                bdeltas: Vec::new(),
-                out: Some(Box::new(Outbox::default())),
-                #[cfg(debug_assertions)]
-                arena_reallocs: 0,
-                v_windows: 0,
-                v_fast_forwards: 0,
-                v_bucket_max: 0,
-                v_far_spills: 0,
-                v_lane_events: vec![0; 1],
-                v_workers: 0,
-                v_lane_wall_ns: Vec::new(),
-                v_barrier_wait_ns: 0,
-                v_capacity_relaxed: 0,
-            };
+            let faults = self.faults.as_deref().filter(|_| FAULTS).map(|f| {
+                Box::new(crate::faults::FaultState::for_range(
+                    f.plan.clone(),
+                    first,
+                    len,
+                ))
+            });
+            let obs =
+                OBS.then(|| Box::new(ObsState::new(first..first + len, &self.config, stream)));
+            let mut sim = Sim::assemble(
+                self.model,
+                self.config.clone(),
+                Off::with_base(procs.by_ref().take(len).collect(), first),
+                Off::with_base(scales.by_ref().take(len).collect(), first),
+                SmallRng::seed_from_u64(self.config.seed),
+                faults,
+                obs,
+            );
+            sim.horizon = self.horizon;
+            sim.capacity = self.capacity;
+            sim.max_outstanding = self.max_outstanding;
+            sim.hier = self.hier.clone();
+            sim.out = Some(Box::new(Outbox::default()));
+            sim.setup_lanes(len);
             cells.push(Mutex::new(LaneCell {
                 sim,
                 pump: Ok(None),
@@ -540,8 +475,8 @@ impl Sim {
         let p = self.model.p as usize;
         let mut procs = Vec::with_capacity(p);
         let mut scales = Vec::with_capacity(p);
-        self.v_lane_events = Vec::with_capacity(n);
-        self.v_lane_wall_ns = Vec::with_capacity(n);
+        self.vitals.lane_events = Vec::with_capacity(n);
+        self.vitals.lane_wall_ns = Vec::with_capacity(n);
         self.alive = 0;
         self.barrier_count = 0;
         // Per-lane retained-log id bases, filled in lane order; the cause
@@ -574,12 +509,9 @@ impl Sim {
             if self.overflow.is_none() {
                 self.overflow = sim.overflow.take();
             }
-            self.v_lane_events.push(sim.v_lane_events[0]);
-            self.v_lane_wall_ns.push(cell.wall_ns);
-            #[cfg(debug_assertions)]
-            {
-                self.arena_reallocs += sim.arena_reallocs;
-            }
+            self.vitals.lane_events.push(sim.vitals.lane_events[0]);
+            self.vitals.lane_wall_ns.push(cell.wall_ns);
+            self.vitals.arena_reallocs += sim.vitals.arena_reallocs;
             self.trace.spans.append(&mut sim.trace.spans);
             if FAULTS {
                 let pf = self
@@ -692,14 +624,10 @@ impl Sim {
         &mut self,
         workers: u32,
     ) -> Result<(), SimError> {
-        let p = self.model.p as usize;
-        let want = (self.config.shards as usize).min(p);
-        let per = self.lane_width(want);
-        let n = p.div_ceil(per);
+        let (per, n) = self.lane_partition();
         let nworkers = (workers as usize).clamp(1, n);
-        self.v_workers = nworkers as u32;
-        let w = self.window_width();
-        let mut alive_base = self.alive as i64;
+        self.vitals.workers = nworkers as u32;
+        let mut win = self.windows();
         // Streaming runs keep the parent's sampler and sink live (fed in
         // serial order by the stage flush); the parent's aggregate is
         // held out here so the lifecycle record at each release consults
@@ -717,26 +645,9 @@ impl Sim {
         let aggregate = parent_agg.is_some();
         let (cells, stages) = self.build_lane_cells::<OBS, FAULTS>(per, n, streaming, aggregate);
         if FAULTS {
-            // Crash schedule, exactly as the serial driver routes it —
-            // earliest crash per processor, t = 0 applied before the
-            // prologue, later ones parked in the owner's lane calendar.
-            let mut crashes = self
-                .faults
-                .as_deref()
-                .expect("FAULTS implies a fault plan")
-                .plan
-                .crashes
-                .clone();
-            crashes.sort_unstable_by_key(|&(cp, t)| (cp, t));
-            crashes.dedup_by_key(|&mut (cp, _)| cp);
-            for (cp, t) in crashes {
-                let li = cp as usize / per;
-                let sim = &mut cells[li].lock().unwrap().sim;
-                if t == 0 {
-                    sim.apply_crash::<OBS, true>(cp);
-                } else {
-                    sim.push_lane(cp, t, event_ord(0, cp as u64), EventKind::Crash(cp));
-                }
+            for (cp, t) in self.lane_crashes() {
+                let sim = &mut cells[cp as usize / per].lock().unwrap().sim;
+                sim.plant_crash::<OBS, true>(cp, t);
             }
         }
         let ctrl = Ctrl::new();
@@ -748,85 +659,63 @@ impl Sim {
                 s.spawn(move || worker_loop::<OBS, FAULTS>(me, nworkers, cells, ctrl));
             }
             let mut run = |this: &mut Sim, gen: &mut u64| -> Result<Cycles, SimError> {
+                // One job on every lane, then the window barrier.
+                let mut round = |this: &mut Sim, kind: u8, t0: Cycles, t_end: Cycles| {
+                    ctrl.publish(gen, kind, t0, t_end);
+                    this.vitals.barrier_wait_ns += ctrl.await_workers(nworkers as u64);
+                };
+                // Gather the lanes' barrier deltas and return the machine's
+                // `(alive, entered)` counts for the quorum check.
+                let quorum = |this: &mut Sim| {
+                    let (mut alive, mut entered) = (0u32, 0u32);
+                    for cell in &cells {
+                        let sim = &mut cell.lock().unwrap().sim;
+                        this.bdeltas.append(&mut sim.bdeltas);
+                        alive += sim.alive;
+                        entered += sim.barrier_count;
+                    }
+                    (alive, entered)
+                };
                 // Prologue: handlers (no emissions), then advances.
-                ctrl.publish(gen, JOB_START_HANDLERS, 0, 0);
-                this.v_barrier_wait_ns += ctrl.await_workers(nworkers as u64);
-                ctrl.publish(gen, JOB_START_ADVANCE, 0, 0);
-                this.v_barrier_wait_ns += ctrl.await_workers(nworkers as u64);
+                round(this, JOB_START_HANDLERS, 0, 0);
+                round(this, JOB_START_ADVANCE, 0, 0);
                 this.flush_stages(&stages);
                 // Prologue sends happen at t = 0, *before* the first
                 // window's start — the `arrival >= t0 + W` bound does not
                 // cover them, so their cross-lane arrivals can land inside
                 // the first window and must be delivered before it pumps.
                 this.exchange_outboxes::<OBS>(&cells, per);
-                let mut pending_release: Option<Cycles> = None;
-                let mut completion: Cycles = 0;
-                let mut prev_end: Option<Cycles> = None;
                 loop {
-                    // The quorum may already be complete before any
-                    // window runs: if every processor enters a barrier
-                    // straight from `on_start` (or from a release
-                    // handler), no event is scheduled anywhere and the
-                    // release instant is the only pending instant.
-                    if pending_release.is_none() {
-                        let mut alive_sum = 0u32;
-                        let mut count_sum = 0u32;
-                        for cell in &cells {
-                            let cell = &mut *cell.lock().unwrap();
-                            this.bdeltas.append(&mut cell.sim.bdeltas);
-                            alive_sum += cell.sim.alive;
-                            count_sum += cell.sim.barrier_count;
-                        }
-                        if alive_sum > 0 && count_sum == alive_sum {
-                            pending_release = Some(this.barrier_release_time(alive_base));
-                        }
-                    }
-                    let mut t0 = pending_release;
-                    for cell in &cells {
-                        if let Some(t) = cell.lock().unwrap().sim.lanes[0].cal.next_time() {
-                            if t0.is_none_or(|b| t < b) {
-                                t0 = Some(t);
-                            }
-                        }
-                    }
-                    let Some(t0) = t0 else {
+                    let (alive, entered) = quorum(this);
+                    this.check_quorum(&mut win, alive, entered);
+                    let next_event = cells
+                        .iter()
+                        .filter_map(|c| c.lock().unwrap().sim.lanes[0].cal.next_time())
+                        .min();
+                    let Some((t0, t_end)) = this.open_window(&mut win, next_event) else {
                         break;
                     };
-                    this.v_windows += 1;
-                    if prev_end.is_some_and(|e| t0 > e) {
-                        this.v_fast_forwards += 1;
-                    }
-                    let t_end = t0.saturating_add(w);
-                    prev_end = Some(t_end);
                     let mut first = true;
                     loop {
                         let kind = if first { JOB_PUMP_FIRST } else { JOB_PUMP };
                         first = false;
-                        ctrl.publish(gen, kind, t0, t_end);
-                        this.v_barrier_wait_ns += ctrl.await_workers(nworkers as u64);
+                        round(this, kind, t0, t_end);
                         let mut progressed = false;
                         let mut err: Option<SimError> = None;
                         let mut events_sum = 0u64;
-                        let mut alive_sum = 0u32;
-                        let mut count_sum = 0u32;
                         for cell in &cells {
                             let cell = &mut *cell.lock().unwrap();
                             match std::mem::replace(&mut cell.pump, Ok(None)) {
                                 Ok(Some(t)) => {
-                                    completion = completion.max(t);
+                                    win.completion = win.completion.max(t);
                                     progressed = true;
                                 }
                                 Ok(None) => {}
                                 Err(e) => {
-                                    if err.is_none() {
-                                        err = Some(e);
-                                    }
+                                    err.get_or_insert(e);
                                 }
                             }
-                            this.bdeltas.append(&mut cell.sim.bdeltas);
                             events_sum += cell.sim.stats.events;
-                            alive_sum += cell.sim.alive;
-                            count_sum += cell.sim.barrier_count;
                         }
                         if let Some(e) = err {
                             return Err(e);
@@ -837,60 +726,43 @@ impl Sim {
                             });
                         }
                         this.flush_stages(&stages);
-                        if pending_release.is_none() && alive_sum > 0 && count_sum == alive_sum {
-                            pending_release = Some(this.barrier_release_time(alive_base));
-                        }
-                        if let Some(t_rel) = pending_release {
-                            if t_rel < t_end {
-                                // The serial release sequence: lifecycle
-                                // record on the parent, then the three
-                                // phases across all lanes in order.
-                                this.now = t_rel;
-                                let bcause = if OBS {
-                                    this.record_barrier_release()
-                                } else {
-                                    Cause::Start
-                                };
-                                if OBS && aggregate {
-                                    if let Cause::Barrier(id) = bcause {
-                                        this.barrier_agg_split(&cells, per, id, t_rel);
-                                    }
+                        let (alive, entered) = quorum(this);
+                        this.check_quorum(&mut win, alive, entered);
+                        if let Some(t_rel) = win.release_due(t_end) {
+                            // The serial release sequence: lifecycle
+                            // record on the parent, then the three
+                            // phases across all lanes in order.
+                            this.now = t_rel;
+                            let bcause = if OBS {
+                                this.record_barrier_release()
+                            } else {
+                                Cause::Start
+                            };
+                            if OBS && aggregate {
+                                if let Cause::Barrier(id) = bcause {
+                                    this.barrier_agg_split(&cells, per, id, t_rel);
                                 }
-                                *ctrl.bcause.lock().unwrap() = bcause;
-                                ctrl.publish(gen, JOB_REL_COLLECT, t_rel, t_end);
-                                this.v_barrier_wait_ns += ctrl.await_workers(nworkers as u64);
-                                this.flush_stages(&stages);
-                                ctrl.publish(gen, JOB_REL_HANDLERS, t_rel, t_end);
-                                this.v_barrier_wait_ns += ctrl.await_workers(nworkers as u64);
-                                ctrl.publish(gen, JOB_REL_ADVANCE, t_rel, t_end);
-                                this.v_barrier_wait_ns += ctrl.await_workers(nworkers as u64);
-                                this.flush_stages(&stages);
-                                completion = completion.max(t_rel);
-                                // The parent's deltas predate the release
-                                // and are consumed. Entries pushed by the
-                                // release handlers themselves (a processor
-                                // can re-enter the next round, or halt,
-                                // inside `on_barrier_release`) are still
-                                // parked in the cells; they belong to the
-                                // next round's replay, so they are kept
-                                // and the baseline backs out their
-                                // alive-deltas.
-                                this.bdeltas.clear();
-                                let mut alive = 0i64;
-                                for cell in &cells {
-                                    let cell = &mut *cell.lock().unwrap();
-                                    alive += cell.sim.alive as i64;
-                                    alive -= cell
-                                        .sim
-                                        .bdeltas
-                                        .iter()
-                                        .map(|d| d.dalive as i64)
-                                        .sum::<i64>();
-                                }
-                                alive_base = alive;
-                                pending_release = None;
-                                progressed = true;
                             }
+                            *ctrl.bcause.lock().unwrap() = bcause;
+                            round(this, JOB_REL_COLLECT, t_rel, t_end);
+                            this.flush_stages(&stages);
+                            round(this, JOB_REL_HANDLERS, t_rel, t_end);
+                            round(this, JOB_REL_ADVANCE, t_rel, t_end);
+                            this.flush_stages(&stages);
+                            // The parent's deltas predate the release
+                            // and are consumed. Entries pushed by the
+                            // release handlers themselves (a processor
+                            // can re-enter the next round, or halt,
+                            // inside `on_barrier_release`) are still
+                            // parked in the cells; they belong to the
+                            // next round's replay, so they are kept
+                            // and the baseline backs out their
+                            // alive-deltas.
+                            this.bdeltas.clear();
+                            let lanes =
+                                cells.iter().map(|c| c.lock().unwrap().sim.alive_baseline());
+                            win.released(t_rel, lanes.sum());
+                            progressed = true;
                         }
                         if !progressed {
                             break;
@@ -898,16 +770,10 @@ impl Sim {
                     }
                     this.exchange_outboxes::<OBS>(&cells, per);
                 }
-                // Ring-back completion: the latest release instant still
-                // parked in any source ring (see the serial driver).
-                for cell in &cells {
-                    for ring in cell.lock().unwrap().sim.rings.iter() {
-                        if let Some(&r) = ring.back() {
-                            completion = completion.max(r);
-                        }
-                    }
-                }
-                Ok(completion)
+                let rings = cells
+                    .iter()
+                    .map(|c| c.lock().unwrap().sim.last_ring_release());
+                Ok(win.completion.max(rings.max().unwrap_or(0)))
             };
             let result = run(self, &mut gen);
             ctrl.publish(&mut gen, JOB_EXIT, 0, 0);

@@ -80,52 +80,66 @@
 //! bit-identical to each other in all configurations, including under
 //! observability and fault plans.
 
-use super::{event_ord, ord_seq, EventKind, InboxItem, Lane, Sim, SimError};
+use super::{Lane, Off, Sim, SimError};
 use crate::obs::Cause;
 use crate::trace::Activity;
-use logp_core::Cycles;
-use std::cmp::Reverse;
+use logp_core::{Cycles, ProcId};
 use std::collections::VecDeque;
 
+/// The window bookkeeping of one lane-engine run, shared by the serial
+/// driver and the parallel executor: which window is open, whether a
+/// completed barrier quorum awaits its release, and how far the run got.
+pub(super) struct Windows {
+    /// Window width (see [`Sim::window_width`]).
+    width: Cycles,
+    /// End of the previous window (a later start is a fast-forward).
+    prev_end: Option<Cycles>,
+    /// Release instant of a barrier whose quorum has completed, until
+    /// the release is applied.
+    pending_release: Option<Cycles>,
+    /// `alive` before any barrier delta still logged: the baseline of
+    /// the next quorum replay.
+    alive_base: i64,
+    /// Latest instant anything happened.
+    pub(super) completion: Cycles,
+}
+
 impl Sim {
-    /// Partition the processors into contiguous lanes and build the
-    /// sharded engine's state (lane queues and slabs, canonical counters,
-    /// source rings). Arenas are pre-sized so steady-state collectives
-    /// never reallocate (pinned by the debug realloc counter).
-    pub(super) fn setup_lanes(&mut self) {
-        let p = self.model.p as usize;
-        let want = (self.config.shards as usize).min(p);
-        let per = self.lane_width(want);
-        let n = p.div_ceil(per);
-        let b = self.ring_span();
-        self.lane_of = super::Off::from(vec![0; p]);
-        self.lanes = Vec::with_capacity(n);
-        for li in 0..n {
-            let first = li * per;
-            let last = ((li + 1) * per).min(p) - 1;
-            for q in first..=last {
-                self.lane_of[q] = li as u32;
-            }
-            self.lanes.push(Lane::new(b, last - first + 1));
-        }
-        self.pctr = super::Off::from(vec![0; p]);
-        self.rings = super::Off::from(vec![VecDeque::new(); p]);
-        self.v_lane_events = vec![0; n];
+    /// Build the lane engine's state over this Sim's processors —
+    /// contiguous lanes `per` wide, each with its queue and message slab,
+    /// plus the canonical counters and source rings. The serial driver
+    /// partitions the whole machine; a lane Sim of the parallel executor
+    /// owns exactly one lane. Arenas are pre-sized so steady-state
+    /// collectives never reallocate (pinned by the debug realloc counter).
+    pub(super) fn setup_lanes(&mut self, per: usize) {
+        let range = self.proc_range();
+        let (first, len) = (range.start, range.len());
+        let span = self.ring_span();
+        self.lanes = range
+            .step_by(per)
+            .map(|lo| Lane::new(span, per.min(first + len - lo)))
+            .collect();
+        self.lane_of = Off::with_base((0..len).map(|i| (i / per) as u32).collect(), first);
+        self.pctr = Off::with_base(vec![0; len], first);
+        self.rings = Off::with_base(vec![VecDeque::new(); len], first);
+        self.vitals.lane_events = vec![0; self.lanes.len()];
     }
 
-    /// The lane width for `want` requested lanes: processors per
-    /// contiguous lane, rounded up to a topology-group boundary on
-    /// hierarchical machines so intra-group traffic stays lane-local
-    /// (results are lane-count invariant either way; alignment only
-    /// moves the cut points). Shared by the serial sharded driver and
-    /// the parallel executor so their partitions cannot drift apart.
-    pub(super) fn lane_width(&self, want: usize) -> usize {
+    /// The lane partition of the whole machine: `(per, n)`, processors
+    /// per contiguous lane and the number of lanes. The width is rounded
+    /// up to a topology-group boundary on hierarchical machines so
+    /// intra-group traffic stays lane-local (results are lane-count
+    /// invariant either way; alignment only moves the cut points). Shared
+    /// by the serial sharded driver and the parallel executor so their
+    /// partitions cannot drift apart.
+    pub(super) fn lane_partition(&self) -> (usize, usize) {
         let p = self.model.p as usize;
-        let per = p.div_ceil(want.max(1));
-        match self.hierarchy() {
-            Some(h) => h.align_lane(per),
-            None => per,
-        }
+        let want = (self.config.shards as usize).clamp(1, p);
+        let per = match self.hierarchy() {
+            Some(h) => h.align_lane(p.div_ceil(want)),
+            None => p.div_ceil(want),
+        };
+        (per, p.div_ceil(per))
     }
 
     /// The model's conservative lookahead: no send inside `[T, T + W)`
@@ -191,113 +205,12 @@ impl Sim {
             // the driver switches lanes, which is exactly the reordering
             // the window bound licenses.
             self.now = t;
-            self.process_event::<OBS, FAULTS>(ord, kind)?;
+            self.count_event()?;
+            self.process_event::<OBS, FAULTS, true>(ord, kind);
             n_ev += 1;
         }
-        self.v_lane_events[li] += n_ev;
+        self.vitals.lane_events[li] += n_ev;
         Ok((n_ev > 0).then_some(self.now))
-    }
-
-    /// Dispatch one sharded event: the lane-engine counterpart of the
-    /// classic drive loop's match, sharing `advance` and every handler
-    /// path with it.
-    fn process_event<const OBS: bool, const FAULTS: bool>(
-        &mut self,
-        ord: u64,
-        kind: EventKind,
-    ) -> Result<(), SimError> {
-        self.stats.events += 1;
-        if self.stats.events > self.config.max_events {
-            return Err(self.budget_error());
-        }
-        match kind {
-            EventKind::Arrive(slot) => {
-                let msg = self.unstash_msg_sharded(slot);
-                let dst = msg.dst;
-                if FAULTS && self.is_crashed(dst) {
-                    // Dead interface: the message is lost. (No NI
-                    // occupancy to release — the sharded engine does
-                    // not track destination admission.)
-                    self.stats.msgs_dropped += 1;
-                    return Ok(());
-                }
-                self.stats.total_msgs += 1;
-                // The source-canonical event tiebreak doubles as the
-                // inbox tiebreak, so same-cycle arrival order at a
-                // destination is lane-count-invariant.
-                let ikey = InboxItem::key(self.now, ord_seq(ord));
-                if OBS {
-                    self.note_arrival(dst, slot, ikey);
-                }
-                self.procs[dst as usize]
-                    .inbox
-                    .push(Reverse(InboxItem { key: ikey, msg }));
-                self.advance::<OBS, FAULTS, true>(dst);
-            }
-            EventKind::SendDone(p) => {
-                self.procs[p as usize].engaged = false;
-                self.advance::<OBS, FAULTS, true>(p);
-            }
-            EventKind::ComputeDone(p, tag) => {
-                if FAULTS && self.is_crashed(p) {
-                    return Ok(());
-                }
-                self.procs[p as usize].engaged = false;
-                let cause = if OBS {
-                    match self.obs.as_deref() {
-                        Some(o) if o.msg_log => Cause::Compute(o.cur_compute[p as usize]),
-                        _ => Cause::Start,
-                    }
-                } else {
-                    Cause::Start
-                };
-                self.run_handler::<OBS, _>(p, cause, |prog, ctx| prog.on_compute_done(tag, ctx));
-                self.advance::<OBS, FAULTS, true>(p);
-            }
-            EventKind::RecvDone(p) => {
-                if FAULTS && self.is_crashed(p) {
-                    return Ok(());
-                }
-                let st = &mut self.procs[p as usize];
-                st.engaged = false;
-                st.stats.msgs_recvd += 1;
-                let msg = st.receiving.take().expect("a reception was in progress");
-                let cause = if OBS {
-                    self.record_delivery(p)
-                } else {
-                    Cause::Start
-                };
-                self.run_handler::<OBS, _>(p, cause, |prog, ctx| prog.on_message(&msg, ctx));
-                self.advance::<OBS, FAULTS, true>(p);
-            }
-            EventKind::TimerFire(p, tag) => {
-                if self.procs[p as usize].halted {
-                    return Ok(());
-                }
-                let cause = if OBS {
-                    self.timer_cause(p, ord_seq(ord))
-                } else {
-                    Cause::Start
-                };
-                self.run_handler::<OBS, _>(p, cause, |prog, ctx| prog.on_timer(tag, ctx));
-                self.advance::<OBS, FAULTS, true>(p);
-            }
-            EventKind::Crash(p) => {
-                debug_assert!(FAULTS, "crash events only exist under a fault plan");
-                self.apply_crash::<OBS, true>(p);
-            }
-            EventKind::Wake(p) => {
-                // Self-scheduled at the source ring head: the slot is
-                // free now, so the retried send re-polls the network
-                // first (the classic `Release` arm's wake semantics).
-                self.procs[p as usize].waiting_on_src = false;
-                self.advance::<OBS, FAULTS, true>(p);
-            }
-            EventKind::Release { .. } | EventKind::BarrierRelease => {
-                unreachable!("classic-only event on the sharded path")
-            }
-        }
-        Ok(())
     }
 
     /// Replay the logged barrier deltas in canonical `(t, proc)` order to
@@ -335,13 +248,21 @@ impl Sim {
         t_done + self.config.barrier_cost
     }
 
-    /// Release the barrier at `t_rel`: the classic `BarrierRelease` arm,
-    /// re-run against the canonical release instant. Split into three
-    /// per-processor phases so the parallel executor (`engine::plane`)
-    /// can run each phase lane-by-lane in processor order — reproducing
-    /// this exact serial sequence — with the lifecycle record written
-    /// once by the coordinator between phases.
-    fn apply_barrier_release<const OBS: bool, const FAULTS: bool>(&mut self, t_rel: Cycles) {
+    /// Release the barrier at `t_rel`: the instant of the classic
+    /// engine's `BarrierRelease` event, or the one the lane drivers
+    /// replayed. Split into three per-processor phases so the parallel
+    /// executor (`engine::plane`) can run each phase lane-by-lane in
+    /// processor order — reproducing this exact serial sequence — with
+    /// the lifecycle record written once by the coordinator between
+    /// phases.
+    pub(super) fn apply_barrier_release<
+        const OBS: bool,
+        const FAULTS: bool,
+        const SHARDED: bool,
+    >(
+        &mut self,
+        t_rel: Cycles,
+    ) {
         self.now = t_rel;
         let bcause = if OBS {
             self.record_barrier_release()
@@ -350,7 +271,7 @@ impl Sim {
         };
         self.barrier_release_collect(t_rel);
         self.barrier_release_handlers::<OBS>(bcause);
-        self.barrier_release_advance::<OBS, FAULTS>();
+        self.barrier_release_advance::<OBS, FAULTS, SHARDED>();
     }
 
     /// Phase 1: collect this Sim's released processors into
@@ -362,7 +283,7 @@ impl Sim {
         let mut released = std::mem::take(&mut self.released_scratch);
         released.extend(
             self.proc_range()
-                .map(|p| p as logp_core::ProcId)
+                .map(|p| p as ProcId)
                 .filter(|&p| self.procs[p as usize].in_barrier),
         );
         for &p in &released {
@@ -388,10 +309,16 @@ impl Sim {
     }
 
     /// Phase 3: advance the released processors, consuming the scratch.
-    pub(super) fn barrier_release_advance<const OBS: bool, const FAULTS: bool>(&mut self) {
+    pub(super) fn barrier_release_advance<
+        const OBS: bool,
+        const FAULTS: bool,
+        const SHARDED: bool,
+    >(
+        &mut self,
+    ) {
         let mut released = std::mem::take(&mut self.released_scratch);
         for &p in &released {
-            self.advance::<OBS, FAULTS, true>(p);
+            self.advance::<OBS, FAULTS, SHARDED>(p);
         }
         released.clear();
         self.released_scratch = released;
@@ -416,6 +343,83 @@ impl Sim {
         obs.log.canonicalize();
     }
 
+    /// The fault plan's crash-stops as the lane engines take them: one
+    /// per processor (the earliest wins — a processor cannot die twice),
+    /// to be planted with [`Sim::plant_crash`] in the owner's lane.
+    pub(super) fn lane_crashes(&self) -> Vec<(ProcId, Cycles)> {
+        let faults = self.faults.as_deref().expect("FAULTS implies a fault plan");
+        let mut crashes = faults.plan.crashes.clone();
+        crashes.sort_unstable_by_key(|&(p, t)| (p, t));
+        crashes.dedup_by_key(|&mut (p, _)| p);
+        crashes
+    }
+
+    /// Fresh window bookkeeping; `self.alive` before any delta is the
+    /// first replay baseline.
+    pub(super) fn windows(&self) -> Windows {
+        Windows {
+            width: self.window_width(),
+            prev_end: None,
+            pending_release: None,
+            alive_base: self.alive as i64,
+            completion: 0,
+        }
+    }
+
+    /// Note a completed barrier quorum: `entered` of the `alive`
+    /// processors (summed over the machine) wait in the barrier, and
+    /// every delta logged so far is in `self.bdeltas`. The quorum may be
+    /// complete before any window runs — if every processor enters a
+    /// barrier straight from `on_start` (or from a release handler), no
+    /// event is scheduled anywhere and the release instant is the only
+    /// pending instant.
+    pub(super) fn check_quorum(&mut self, win: &mut Windows, alive: u32, entered: u32) {
+        if win.pending_release.is_none() && alive > 0 && entered == alive {
+            win.pending_release = Some(self.barrier_release_time(win.alive_base));
+        }
+    }
+
+    /// Open the next window `[t0, t_end)` at the earliest pending instant
+    /// anywhere — `next_event` over the lane queues, or a pending barrier
+    /// release — or return `None` at quiescence. Jumping straight there
+    /// is the quiescence fast-forward: a machine with nothing due until
+    /// cycle 10^9 costs one probe, not 10^9 window steps.
+    pub(super) fn open_window(
+        &mut self,
+        win: &mut Windows,
+        next_event: Option<Cycles>,
+    ) -> Option<(Cycles, Cycles)> {
+        let t0 = match (win.pending_release, next_event) {
+            (Some(r), Some(e)) => r.min(e),
+            (r, e) => r.or(e)?,
+        };
+        self.vitals.windows += 1;
+        if win.prev_end.is_some_and(|e| t0 > e) {
+            self.vitals.fast_forwards += 1;
+        }
+        let t_end = t0.saturating_add(win.width);
+        win.prev_end = Some(t_end);
+        Some((t0, t_end))
+    }
+
+    /// `alive` less the alive-deltas still logged in `self.bdeltas`: this
+    /// Sim's share of the next replay baseline.
+    pub(super) fn alive_baseline(&self) -> i64 {
+        self.alive as i64 - self.bdeltas.iter().map(|d| d.dalive as i64).sum::<i64>()
+    }
+
+    /// The latest network-release instant still parked in a source ring.
+    /// The classic engine's clock ends at the last event popped — which
+    /// includes the per-message `Release` bookkeeping events, so its
+    /// completion covers the network fully draining (a dropped message's
+    /// release, or `g > L` windows, can trail the last delivery). Rings
+    /// evict an entry only while processing an event at or after it, so
+    /// this maximum matches the classic engine's final `Release` exactly.
+    pub(super) fn last_ring_release(&self) -> Cycles {
+        let backs = self.rings.iter().filter_map(|ring| ring.back());
+        backs.copied().max().unwrap_or(0)
+    }
+
     /// The windowed lane driver. Mirrors [`Sim::drive`]'s prologue and
     /// event semantics, replacing the single globally ordered queue with
     /// per-lane queues drained window-by-window.
@@ -423,76 +427,24 @@ impl Sim {
     pub(crate) fn drive_sharded<const OBS: bool, const FAULTS: bool>(
         &mut self,
     ) -> Result<(), SimError> {
-        self.setup_lanes();
-        let w = self.window_width();
-        // `alive` before any delta below is the replay baseline.
-        let mut alive_base = self.alive as i64;
+        self.setup_lanes(self.lane_partition().0);
+        let mut win = self.windows();
         if FAULTS {
-            // One crash per processor (the earliest wins — a processor
-            // cannot die twice), keyed canonically below every
-            // counter-derived key of its cycle.
-            let mut crashes = self
-                .faults
-                .as_deref()
-                .expect("FAULTS implies a fault plan")
-                .plan
-                .crashes
-                .clone();
-            crashes.sort_unstable_by_key(|&(p, t)| (p, t));
-            crashes.dedup_by_key(|&mut (p, _)| p);
-            for (p, t) in crashes {
-                if t == 0 {
-                    self.apply_crash::<OBS, true>(p);
-                } else {
-                    self.push_lane(p, t, event_ord(0, p as u64), EventKind::Crash(p));
-                }
+            for (p, t) in self.lane_crashes() {
+                self.plant_crash::<OBS, true>(p, t);
             }
         }
-        for p in 0..self.model.p {
-            if FAULTS && self.procs[p as usize].halted {
-                continue;
-            }
-            self.run_handler::<OBS, _>(p, Cause::Start, |prog, ctx| prog.on_start(ctx));
-        }
-        for p in 0..self.model.p {
-            self.advance::<OBS, FAULTS, true>(p);
-        }
-        let mut pending_release: Option<Cycles> = None;
-        let mut completion: Cycles = 0;
-        let mut prev_end: Option<Cycles> = None;
+        self.start_handlers::<OBS, FAULTS>();
+        self.start_advances::<OBS, FAULTS, true>();
         loop {
-            // The quorum may already be complete before any window runs:
-            // if every processor enters a barrier straight from
-            // `on_start` (or from a release handler), no event is
-            // scheduled anywhere and the release instant is the only
-            // pending instant.
-            if pending_release.is_none() && self.alive > 0 && self.barrier_count == self.alive {
-                pending_release = Some(self.barrier_release_time(alive_base));
-            }
-            // Next window start: the earliest pending instant anywhere.
-            // Jumping straight to it is the quiescence fast-forward — a
-            // machine with nothing due until cycle 10^9 costs one probe,
-            // not 10^9 window steps.
-            let mut t0 = pending_release;
-            for lane in &self.lanes {
-                if let Some(t) = lane.cal.next_time() {
-                    if t0.is_none_or(|b| t < b) {
-                        t0 = Some(t);
-                    }
-                }
-            }
-            let Some(t0) = t0 else {
+            self.check_quorum(&mut win, self.alive, self.barrier_count);
+            let next_event = self.lanes.iter().filter_map(|l| l.cal.next_time()).min();
+            let Some((t0, t_end)) = self.open_window(&mut win, next_event) else {
                 break;
             };
-            self.v_windows += 1;
-            if prev_end.is_some_and(|e| t0 > e) {
-                self.v_fast_forwards += 1;
-            }
             for lane in &mut self.lanes {
                 lane.cal.advance_to(t0);
             }
-            let t_end = t0.saturating_add(w);
-            prev_end = Some(t_end);
             // Drain the window to a fixed point: a barrier release inside
             // the window re-arms processors across every lane, so lanes
             // are re-pumped (same bound) until nothing is due before
@@ -501,53 +453,48 @@ impl Sim {
                 let mut progressed = false;
                 for li in 0..self.lanes.len() {
                     if let Some(t) = self.pump_lane::<OBS, FAULTS>(li, t_end)? {
-                        completion = completion.max(t);
+                        win.completion = win.completion.max(t);
                         progressed = true;
                     }
                 }
-                if pending_release.is_none() && self.alive > 0 && self.barrier_count == self.alive {
-                    pending_release = Some(self.barrier_release_time(alive_base));
-                }
-                if let Some(t_rel) = pending_release {
-                    if t_rel < t_end {
-                        let consumed = self.bdeltas.len();
-                        self.apply_barrier_release::<OBS, FAULTS>(t_rel);
-                        completion = completion.max(t_rel);
-                        // Deltas before the release are consumed; the
-                        // next quorum replays from the post-release
-                        // state. Entries pushed by the release handlers
-                        // themselves (a processor can re-enter the next
-                        // round, or halt, inside `on_barrier_release`)
-                        // belong to the next round and are kept, with
-                        // the replay baseline backed out of their
-                        // alive-deltas.
-                        self.bdeltas.drain(..consumed);
-                        alive_base = self.alive as i64
-                            - self.bdeltas.iter().map(|d| d.dalive as i64).sum::<i64>();
-                        pending_release = None;
-                        progressed = true;
-                    }
+                self.check_quorum(&mut win, self.alive, self.barrier_count);
+                if let Some(t_rel) = win.release_due(t_end) {
+                    let consumed = self.bdeltas.len();
+                    self.apply_barrier_release::<OBS, FAULTS, true>(t_rel);
+                    // Deltas before the release are consumed; the next
+                    // quorum replays from the post-release state. Entries
+                    // pushed by the release handlers themselves (a
+                    // processor can re-enter the next round, or halt,
+                    // inside `on_barrier_release`) belong to the next
+                    // round and are kept, with the replay baseline backed
+                    // out of their alive-deltas.
+                    self.bdeltas.drain(..consumed);
+                    win.released(t_rel, self.alive_baseline());
+                    progressed = true;
                 }
                 if !progressed {
                     break;
                 }
             }
         }
-        // The classic engine's clock ends at the last event popped —
-        // which includes the per-message `Release` bookkeeping events, so
-        // its completion covers the network fully draining (a dropped
-        // message's release, or `g > L` windows, can trail the last
-        // delivery). The sharded equivalent is the latest release
-        // instant still parked in any source ring: rings evict an entry
-        // only while processing an event at or after it, so the maximum
-        // below matches the classic engine's final `Release` exactly.
-        for ring in self.rings.iter() {
-            if let Some(&r) = ring.back() {
-                completion = completion.max(r);
-            }
-        }
-        self.now = completion;
+        self.now = win.completion.max(self.last_ring_release());
         self.canonicalize_results();
         Ok(())
+    }
+}
+
+impl Windows {
+    /// The pending barrier release, if it falls inside the window ending
+    /// at `t_end`.
+    pub(super) fn release_due(&self, t_end: Cycles) -> Option<Cycles> {
+        self.pending_release.filter(|&t_rel| t_rel < t_end)
+    }
+
+    /// The release at `t_rel` has been applied; `alive_base` is the
+    /// machine's [`Sim::alive_baseline`] after it.
+    pub(super) fn released(&mut self, t_rel: Cycles, alive_base: i64) {
+        self.completion = self.completion.max(t_rel);
+        self.alive_base = alive_base;
+        self.pending_release = None;
     }
 }

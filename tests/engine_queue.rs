@@ -572,6 +572,52 @@ fn time_overflow_is_a_typed_error_on_every_engine() {
     }
 }
 
+/// A bulk send on a machine that never set `G` is a configuration
+/// mistake, reported as one — not a panic inside the engine, and not a
+/// lost worker thread — whether the first command of the run trips it or
+/// one issued mid-run by a processor a message woke.
+#[test]
+fn bulk_send_without_big_g_is_a_typed_error_on_every_engine() {
+    struct BulkOnMessage;
+    impl Process for BulkOnMessage {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            if ctx.me() == 0 {
+                ctx.send(5, 0, Data::Empty);
+            }
+        }
+        fn on_message(&mut self, _: &Message, ctx: &mut Ctx<'_>) {
+            ctx.send_bulk(2, 0, Data::Empty, 4);
+        }
+    }
+    for (shards, workers) in [(0, 0), (2, 0), (8, 2)] {
+        let cfg = SimConfig::default()
+            .with_shards(shards)
+            .with_workers(workers);
+        let missing = |proc, now| SimError::MissingBigG {
+            proc,
+            now,
+            command: "send_bulk",
+        };
+        let mut sim = Sim::new(LogP::fig3(), cfg.clone());
+        sim.set_process(0, Box::new(OneHuge("send_bulk", 0)));
+        let e = sim.run().expect_err("no G to stream at");
+        assert_eq!(e, missing(0, 0), "shards={shards} workers={workers}");
+        let text = e.to_string();
+        assert!(
+            text.contains("`send_bulk`") && text.contains("processor 0") && text.contains("G"),
+            "{text}"
+        );
+        // P0's message reaches P5 at 2o + L = 10.
+        let mut sim = Sim::new(LogP::fig3(), cfg);
+        sim.set_all(|_| Box::new(BulkOnMessage));
+        assert_eq!(
+            sim.run().err(),
+            Some(missing(5, 10)),
+            "shards={shards} workers={workers}"
+        );
+    }
+}
+
 /// Issues one command with a hostile duration.
 struct OneHuge(&'static str, u64);
 
