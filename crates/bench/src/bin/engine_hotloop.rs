@@ -197,21 +197,6 @@ fn main() {
             });
             sim
         }),
-        // The parallel window executor on the same hot loop: a tiny
-        // machine maximizes the per-window handshake cost relative to
-        // useful work, so this point tracks the coordination floor, not
-        // a speedup (see shard_scale's worker_scale for that).
-        measure("all_to_all_shards8_workers2", reps, &obs, |config| {
-            let mut sim = Sim::new(model, config.with_shards(8).with_workers(2));
-            sim.set_all(|_| {
-                Box::new(AllToAll {
-                    rounds: 400,
-                    done: 0,
-                    got: 0,
-                })
-            });
-            sim
-        }),
     ];
 
     eprintln!(

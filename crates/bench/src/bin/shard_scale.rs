@@ -20,22 +20,13 @@
 //! event count is smaller by design; holding the numerator fixed makes
 //! the column a pure wall-clock ratio on identical workloads.
 //!
-//! Besides the serial lane sweep, a lane/worker cross-product times the
-//! parallel window executor (`--workers` on `SimConfig`) at {1, 2, 4, 8}
-//! threads against the serial 8-lane driver, with serial and parallel
-//! repetitions interleaved in-process so the ratio is co-tenant-drift
-//! free, and every pair asserted bit-identical.
-//!
 //! `--check` runs the correctness pins instead of timing sweeps:
 //! `shards == 1` is bit-identical to the legacy engine on the
 //! `engine_hotloop` workloads, lane counts {2, 4, 8} are bit-identical
 //! to each other (capacity on and off, observed and bare), the classic
 //! and lane engines agree on the workload projection when both are
 //! uncapped, and the P = 1M broadcast/all-reduce agree between the
-//! classic engine and 2/8 lanes. `--check --workers N` pins the parallel
-//! executor at `N` threads bit-identical to the serial sharded driver
-//! instead (all-to-all both blast orders, a prologue blast, and the
-//! P = 1M broadcast).
+//! classic engine and 2/8 lanes.
 //!
 //! Prints one JSON object to stdout (`--json PATH` writes it to a file
 //! instead); the table on stderr is for humans. `--reps N` overrides
@@ -267,85 +258,10 @@ fn sweep(
     }
 }
 
-/// One lane/worker cross-product point: serial and parallel repetitions
-/// interleaved in this same process (the hotloop-parity methodology) so
-/// both sides of the ratio share machine conditions.
-struct WorkerPoint {
-    name: &'static str,
-    shards: u32,
-    workers: u32,
-    serial_best_secs: f64,
-    parallel_best_secs: f64,
-}
-
-impl WorkerPoint {
-    fn json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"host_cores\":{},\"shards\":{},\"workers\":{},\"serial_best_secs\":{:.6},\"parallel_best_secs\":{:.6},\"speedup_vs_serial_lanes\":{:.3}}}",
-            self.name,
-            host_cores(),
-            self.shards,
-            self.workers,
-            self.serial_best_secs,
-            self.parallel_best_secs,
-            self.serial_best_secs / self.parallel_best_secs
-        )
-    }
-}
-
-/// Time the parallel window executor against the serial sharded driver
-/// at a fixed lane count, interleaving the two sides' repetitions, and
-/// assert the results bit-identical while at it.
-fn worker_scale(
-    name: &'static str,
-    shards: u32,
-    workers_list: &[u32],
-    reps: u32,
-    run: impl Fn(u32) -> SimResult,
-) -> Vec<WorkerPoint> {
-    let reference = run(0);
-    let mut points = Vec::new();
-    eprintln!("\n{name} worker scale ({shards} lanes, serial/parallel interleaved):");
-    eprintln!(
-        "{:>8} {:>14} {:>16} {:>9}",
-        "workers", "serial_secs", "parallel_secs", "speedup"
-    );
-    for &w in workers_list {
-        let mut best_s = f64::INFINITY;
-        let mut best_p = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let rs = run(0);
-            best_s = best_s.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            let rp = run(w);
-            best_p = best_p.min(t0.elapsed().as_secs_f64());
-            assert_eq!(rs, reference, "{name}: serial rep diverged");
-            assert_eq!(rp, reference, "{name}: {w}-worker run diverged from serial");
-        }
-        eprintln!(
-            "{:>8} {:>14.4} {:>16.4} {:>8.2}x",
-            w,
-            best_s,
-            best_p,
-            best_s / best_p
-        );
-        points.push(WorkerPoint {
-            name,
-            shards,
-            workers: w,
-            serial_best_secs: best_s,
-            parallel_best_secs: best_p,
-        });
-    }
-    points
-}
-
 /// Logical cores visible to this process. Recorded in *every* JSON
 /// section, not just the envelope: sections are routinely copy-pasted
-/// into comparisons on their own, and a speedup column measured on a
-/// 1-core host (where parallel lanes cannot help) is meaningless
-/// without this qualifier attached. See EXPERIMENTS.md.
+/// into comparisons on their own, and timings are meaningless without
+/// the host attached. See EXPERIMENTS.md.
 fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -364,72 +280,6 @@ fn projection(r: &SimResult) -> (u64, u64, u64, Vec<(u64, u64)>) {
             .map(|p| (p.msgs_sent, p.msgs_recvd))
             .collect(),
     )
-}
-
-/// Worker-count pins for CI: `--check --workers N` verifies that the
-/// parallel window executor at `N` worker threads is bit-identical to
-/// the serial sharded driver — on the all-to-all heap-pressure shape
-/// (both blast orders, observed and bare), on a prologue blast whose
-/// cross-lane arrivals land inside the first lookahead window, and on
-/// the P = 1M broadcast scale target.
-fn check_workers(workers: u32) {
-    let m256 = LogP::new(6, 2, 4, 256).expect("valid model");
-    for (observed, stagger) in [(false, false), (false, true), (true, true)] {
-        let base = if observed {
-            SimConfig::observed()
-        } else {
-            SimConfig::default()
-        };
-        for shards in [2u32, 8] {
-            let config = base.clone().with_shards(shards);
-            let serial = all_to_all_sim(m256, config.clone(), 2, stagger)
-                .run()
-                .unwrap();
-            let parallel = all_to_all_sim(m256, config.with_workers(workers), 2, stagger)
-                .run()
-                .unwrap();
-            assert_eq!(
-                serial, parallel,
-                "all_to_all diverged at {shards} lanes, {workers} workers (obs={observed})"
-            );
-        }
-    }
-    eprintln!("check: {workers} workers ≡ serial lanes on all_to_all ... ok");
-
-    // One full exchange issued entirely from `on_start`: prologue sends
-    // predate the first window's start, so their arrivals are exchanged
-    // before it pumps (regression pin; see `engine::plane`).
-    let m64 = LogP::new(6, 2, 4, 64).expect("valid model");
-    let serial = all_to_all_sim(m64, SimConfig::observed().with_shards(4), 1, true)
-        .run()
-        .unwrap();
-    let parallel = all_to_all_sim(
-        m64,
-        SimConfig::observed().with_shards(4).with_workers(workers),
-        1,
-        true,
-    )
-    .run()
-    .unwrap();
-    assert_eq!(
-        serial, parallel,
-        "prologue blast diverged at {workers} workers"
-    );
-    eprintln!("check: {workers} workers ≡ serial lanes on prologue blast ... ok");
-
-    let m1m = LogP::new(60, 4, 8, 1_000_000).expect("valid model");
-    let serial = run_optimal_broadcast(&m1m, SimConfig::default().with_shards(8));
-    let parallel = run_optimal_broadcast(
-        &m1m,
-        SimConfig::default().with_shards(8).with_workers(workers),
-    );
-    assert_eq!(
-        serial.result, parallel.result,
-        "P=1M broadcast diverged at {workers} workers"
-    );
-    eprintln!("check: P=1M broadcast serial ≡ {workers} workers ... ok");
-
-    println!("shard_scale --check --workers {workers}: all pins hold");
 }
 
 /// Correctness pins for CI: `--check` exercises dispatch, lane-count
@@ -573,7 +423,6 @@ fn main() {
     let mut run_check = false;
     let mut run_obs_smoke = false;
     let mut smoke_p: u32 = 100_000;
-    let mut workers: Option<u32> = None;
     let obs = ObsArgs::from_args();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -586,13 +435,6 @@ fn main() {
             }
             "--json" => {
                 json_path = Some(args.next().expect("--json takes a file path"));
-            }
-            "--workers" => {
-                workers = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--workers takes a thread count"),
-                );
             }
             "--check" => run_check = true,
             "--obs-smoke" => run_obs_smoke = true,
@@ -609,8 +451,8 @@ fn main() {
             "--stream" => {}
             other => {
                 panic!(
-                    "unknown argument {other:?} (expected --reps N | --json PATH | --check \
-                     [--workers N] | --obs-smoke [--p N] | --stream | \
+                    "unknown argument {other:?} (expected --reps N | --json PATH | --check | \
+                     --obs-smoke [--p N] | --stream | \
                      --trace-out/--metrics-out/--vitals-out PREFIX)"
                 )
             }
@@ -618,10 +460,7 @@ fn main() {
     }
 
     if run_check {
-        match workers {
-            Some(w) => check_workers(w),
-            None => check(),
-        }
+        check();
         return;
     }
     if run_obs_smoke {
@@ -654,25 +493,6 @@ fn main() {
         run.result
     });
     ared.print();
-
-    // The lane/worker cross-product: the parallel window executor at
-    // {1, 2, 4, 8} worker threads against the serial 8-lane driver,
-    // serial and parallel repetitions interleaved so the ratio is
-    // drift-free. Each pair is also asserted bit-identical.
-    let worker_counts = [1u32, 2, 4, 8];
-    let mut wpoints = worker_scale("all_to_all", 8, &worker_counts, reps, |w| {
-        all_to_all_sim(
-            m1k,
-            SimConfig::default().with_shards(8).with_workers(w),
-            1,
-            true,
-        )
-        .run()
-        .unwrap()
-    });
-    wpoints.extend(worker_scale("broadcast_1m", 8, &worker_counts, 2, |w| {
-        run_optimal_broadcast(&m1m, SimConfig::default().with_shards(8).with_workers(w)).result
-    }));
 
     // 1-shard parity on the engine_hotloop workloads: `shards: 1` must
     // dispatch to the classic engine and pay nothing for the sharding
@@ -732,16 +552,11 @@ fn main() {
     }
 
     let json = format!(
-        "{{\"bench\":\"shard_scale\",\"host_cores\":{},\"sweeps\":[{},{},{}],\"worker_scale\":[{}],\"hotloop_parity\":[{}]}}",
+        "{{\"bench\":\"shard_scale\",\"host_cores\":{},\"sweeps\":[{},{},{}],\"hotloop_parity\":[{}]}}",
         host_cores(),
         a2a.json(),
         bcast.json(),
         ared.json(),
-        wpoints
-            .iter()
-            .map(WorkerPoint::json)
-            .collect::<Vec<_>>()
-            .join(","),
         parity_items.join(","),
     );
     match json_path {

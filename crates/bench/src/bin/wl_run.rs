@@ -7,8 +7,7 @@
 //!   preset each file declares and print one JSON object per program.
 //! * `--file PATH [--preset NAME]` — run one program. The machine
 //!   defaults to the file's `preset` directive (fig3 if absent);
-//!   `--preset` overrides. `--shards N` / `--workers N` select the
-//!   sharded engine and the parallel window executor.
+//!   `--preset` overrides. `--shards N` selects the sharded engine.
 //! * `--fuzz N [--seed S]` — generate N random valid DAGs and run each
 //!   differentially: classic vs lanes {2, 4}, asserting bit-identical
 //!   completion, per-node finish times, and workload projection.
@@ -183,7 +182,6 @@ fn main() {
     let mut file: Option<String> = None;
     let mut cli_preset: Option<String> = None;
     let mut shards: u32 = 0;
-    let mut workers: u32 = 0;
     let mut seed: u64 = 0x5eed;
     let mut fuzz: Option<u64> = None;
     let mut run_check = false;
@@ -198,12 +196,6 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--shards takes a lane count");
-            }
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers takes a thread count");
             }
             "--seed" => {
                 seed = args
@@ -227,7 +219,7 @@ fn main() {
             "--stream" | "--full" => {}
             other => panic!(
                 "unknown argument {other:?} (expected --file PATH [--preset NAME] \
-                 [--shards N --workers N] | --fuzz N [--seed S] | --check | --emit-corpus | \
+                 [--shards N] | --fuzz N [--seed S] | --check | --emit-corpus | \
                  --stream | --trace-out/--metrics-out/--vitals-out PREFIX)"
             ),
         }
@@ -250,9 +242,6 @@ fn main() {
     let mut config = SimConfig::default();
     if shards > 0 {
         config = config.with_shards(shards);
-    }
-    if workers > 0 {
-        config = config.with_workers(workers);
     }
 
     match file {

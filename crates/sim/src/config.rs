@@ -87,15 +87,6 @@ pub struct SimConfig {
     /// backpressure), and runs needing gauge sampling
     /// (`metrics_grid > 0`) fall back to the classic engine.
     pub shards: u32,
-    /// Worker threads for the sharded engine (`0` = run the lanes
-    /// serially on the calling thread, today's behavior). With `n >= 1`,
-    /// lanes advance concurrently on a scoped pool of `n` OS threads
-    /// within each lookahead window; cross-lane sends are exchanged at
-    /// the window barrier in canonical `(src_lane, seq)` order, so every
-    /// result — `SimResult`, streamed artifacts, sampled sets — is
-    /// bit-identical for any worker count (including `0`). Ignored when
-    /// the run dispatches to the classic engine (`shards < 2`).
-    pub workers: u32,
     /// Streaming observability sink: lifecycle records flow here as they
     /// complete instead of accumulating in `SimResult::obs` (which stays
     /// empty), so memory is bounded by in-flight messages, not total
@@ -135,7 +126,6 @@ impl Default for SimConfig {
             max_events: 2_000_000_000,
             faults: None,
             shards: 0,
-            workers: 0,
             sink: None,
             sampling: ObsSampling::All,
             aggregate: false,
@@ -274,12 +264,14 @@ impl SimConfig {
         self
     }
 
-    /// Execute the sharded engine's lanes on `n` worker threads (`0`
-    /// restores the serial default). Results are bit-identical for any
-    /// worker count; see the `workers` field. A no-op unless the run
-    /// dispatches to the sharded engine (`with_shards(n >= 2)`).
-    pub fn with_workers(mut self, n: u32) -> Self {
-        self.workers = n;
+    // Inert: the parallel window executor is gone (DESIGN.md, "The
+    // parallel executor that was removed"). Kept only because the frozen
+    // `benchmark/` harness calls it; delete together with the always-zero
+    // vitals field beside `EngineVitals::arena_reallocs` once the ROADMAP
+    // item 1a follow-up (`benchmark`: drop the `sim.plane.*` probes) has
+    // landed.
+    #[doc(hidden)]
+    pub fn with_workers(self, _n: u32) -> Self {
         self
     }
 }

@@ -119,18 +119,6 @@ impl Components {
         self.o + self.g + self.l + self.compute + self.stall + self.barrier + self.wait + self.retry
     }
 
-    /// Component-wise accumulate (used when merging per-lane aggregates).
-    pub(crate) fn accum(&mut self, other: &Components) {
-        self.o += other.o;
-        self.g += other.g;
-        self.l += other.l;
-        self.compute += other.compute;
-        self.stall += other.stall;
-        self.barrier += other.barrier;
-        self.wait += other.wait;
-        self.retry += other.retry;
-    }
-
     pub(crate) fn add(&mut self, kind: StepKind, cycles: Cycles) {
         match kind {
             StepKind::O => self.o += cycles,
@@ -564,12 +552,6 @@ fn busy_total(c: &Components) -> [Cycles; 4] {
 /// of them.
 pub(crate) struct OnlineAgg {
     pub(crate) agg: ObsAggregate,
-    /// First processor this aggregate covers: the per-processor vectors
-    /// and `agg.per_proc` are indexed `[p - first]`. `0` for a
-    /// whole-machine aggregate; a lane's range base for the parallel
-    /// engine's per-lane aggregates (merged with [`OnlineAgg::absorb`]
-    /// at the end of the run).
-    first: usize,
     /// Per-processor activity spans, start-ordered and disjoint, pruned
     /// below the processor's earliest outstanding window start. Their
     /// running totals are `agg.per_proc`.
@@ -604,67 +586,21 @@ pub(crate) struct OnlineAgg {
 
 impl OnlineAgg {
     pub(crate) fn new(p: usize, grid: Cycles) -> Self {
-        Self::for_range(0, p, grid)
-    }
-
-    /// Aggregate covering processors `[first, first + len)` only. All
-    /// per-lane state is independent of the other lanes': span, floor
-    /// and base queues are strictly lane-local, a cross-lane message's
-    /// record migrates to the destination lane with its cumulative
-    /// components, and a barrier's components reach every lane via
-    /// [`OnlineAgg::on_barrier_external`].
-    pub(crate) fn for_range(first: usize, len: usize, grid: Cycles) -> Self {
         OnlineAgg {
             agg: ObsAggregate {
-                per_proc: vec![Components::default(); len],
+                per_proc: vec![Components::default(); p],
                 grid,
                 ..Default::default()
             },
-            first,
-            spans: vec![Vec::new(); len],
-            floors: vec![VecDeque::new(); len],
-            bases: vec![VecDeque::new(); len],
+            spans: vec![Vec::new(); p],
+            floors: vec![VecDeque::new(); p],
+            bases: vec![VecDeque::new(); p],
             handler_cum: Components::default(),
-            compute_cum: vec![Components::default(); len],
+            compute_cum: vec![Components::default(); p],
             pending_base: Components::default(),
             entrants: Vec::new(),
             best: None,
             probes_max: 0,
-        }
-    }
-
-    /// Index of `p` into the range-local vectors.
-    #[inline]
-    fn pi(&self, p: ProcId) -> usize {
-        p as usize - self.first
-    }
-
-    /// Merge a lane aggregate into this whole-machine one. Activity
-    /// totals and record counts are order-independent sums; `per_proc`
-    /// slots accumulate into this aggregate's disjoint range; the
-    /// terminal candidate is the same `(t, kind, id)` max the serial
-    /// engine would have kept.
-    pub(crate) fn absorb(&mut self, other: OnlineAgg) {
-        self.agg.global.accum(&other.agg.global);
-        for (i, c) in other.agg.per_proc.iter().enumerate() {
-            self.agg.per_proc[other.first + i].accum(c);
-        }
-        if self.agg.bins.len() < other.agg.bins.len() {
-            self.agg
-                .bins
-                .resize(other.agg.bins.len(), Components::default());
-        }
-        for (b, ob) in self.agg.bins.iter_mut().zip(&other.agg.bins) {
-            b.accum(ob);
-        }
-        self.agg.msgs += other.agg.msgs;
-        self.agg.delivered += other.agg.delivered;
-        self.agg.computes += other.agg.computes;
-        self.agg.barriers += other.agg.barriers;
-        self.agg.timers += other.agg.timers;
-        self.probes_max = self.probes_max.max(other.probes_max);
-        if let Some((t, k, i, cum)) = other.best {
-            self.consider(t, k, i, &cum);
         }
     }
 
@@ -686,7 +622,7 @@ impl OnlineAgg {
     /// Close one wait window opened at `t` on `p` (tolerates a missing
     /// entry: crash cleanup abandons windows wholesale).
     fn remove_floor(&mut self, p: ProcId, t: Cycles) {
-        let i = self.pi(p);
+        let i = p as usize;
         let f = &mut self.floors[i];
         let at = f.partition_point(|e| e.0 < t);
         match f.get_mut(at) {
@@ -704,7 +640,7 @@ impl OnlineAgg {
     /// A handler triggered by `cause` queued `issued` commands on `p` at
     /// time `now`: they start from the triggering record's components.
     pub(crate) fn on_push(&mut self, p: ProcId, cause: Cause, now: Cycles, issued: usize) {
-        let i = self.pi(p);
+        let i = p as usize;
         let base = match cause {
             Cause::Start => Components::default(),
             Cause::Compute(_) => self.compute_cum[i],
@@ -717,7 +653,7 @@ impl OnlineAgg {
     /// The oldest queued command of `p` was dequeued: capture its base
     /// components.
     pub(crate) fn on_pop(&mut self, p: ProcId) {
-        let i = self.pi(p);
+        let i = p as usize;
         let q = &mut self.bases[i];
         let (base, left) = q.front_mut().expect("bases track cmds in lockstep");
         self.pending_base = *base;
@@ -732,7 +668,7 @@ impl OnlineAgg {
         let kind = StepKind::from_activity(sp.activity);
         let len = sp.end - sp.start;
         self.agg.global.add(kind, len);
-        let p = self.pi(sp.proc);
+        let p = sp.proc as usize;
         // `per_proc` is the running per-class busy total.
         let before = busy_total(&self.agg.per_proc[p]);
         debug_assert!(
@@ -795,7 +731,7 @@ impl OnlineAgg {
         if to <= from {
             return;
         }
-        let p = self.pi(proc);
+        let p = proc as usize;
         let (spans, total) = (&self.spans[p][..], busy_total(&self.agg.per_proc[p]));
         let mid = gate.clamp(from, to);
         let mut probes = 0;
@@ -865,7 +801,7 @@ impl OnlineAgg {
     /// A message reached its destination's interface: its reception wait
     /// window opens at `t`.
     pub(crate) fn on_arrival(&mut self, dst: ProcId, t: Cycles) {
-        let i = self.pi(dst);
+        let i = dst as usize;
         self.add_floor(i, t, 1);
     }
 
@@ -894,7 +830,7 @@ impl OnlineAgg {
         cum.add(StepKind::Compute, c.end - c.start);
         self.remove_floor(c.proc, c.submit);
         self.consider(c.end, 1, c.id, &cum);
-        let i = self.pi(c.proc);
+        let i = c.proc as usize;
         self.compute_cum[i] = cum;
         self.agg.computes += 1;
     }
@@ -905,20 +841,9 @@ impl OnlineAgg {
         self.entrants.push((p, submit, self.pending_base));
     }
 
-    /// Close every parked entrant's window.
-    fn release_entrants(&mut self) {
-        for (p, submit, _) in std::mem::take(&mut self.entrants) {
-            self.remove_floor(p, submit);
-        }
-    }
-
     /// The barrier released: attribute the binding entrant's window and
-    /// the barrier cost, release every entrant's window. Returns the
-    /// barrier record's cumulative components so the parallel engine's
-    /// coordinator can replicate them into the other lanes' aggregates
-    /// (every released processor's next command cites the barrier as its
-    /// cause, whatever lane it lives on).
-    pub(crate) fn on_barrier_release(&mut self, b: &crate::obs::BarrierRecord) -> Components {
+    /// the barrier cost, release every entrant's window.
+    pub(crate) fn on_barrier_release(&mut self, b: &crate::obs::BarrierRecord) {
         let mut cum = self
             .entrants
             .iter()
@@ -928,19 +853,10 @@ impl OnlineAgg {
         cum.add(StepKind::Barrier, b.release - b.enter);
         self.consider(b.release, 2, b.id, &cum);
         self.handler_cum = cum;
-        self.release_entrants();
+        for (p, submit, _) in std::mem::take(&mut self.entrants) {
+            self.remove_floor(p, submit);
+        }
         self.agg.barriers += 1;
-        cum
-    }
-
-    /// A barrier bound on another lane released: take its cumulative
-    /// components for this lane's release handlers and close this lane's
-    /// entrants' windows. The binding lane already did
-    /// [`OnlineAgg::on_barrier_release`] (terminal candidate + count), so
-    /// neither happens here.
-    pub(crate) fn on_barrier_external(&mut self, cum: Components) {
-        self.handler_cum = cum;
-        self.release_entrants();
     }
 
     /// A timer was armed: account it and return the base components to

@@ -38,7 +38,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 pub mod calendar;
-pub mod plane;
 pub mod shard;
 
 use calendar::Calendar;
@@ -76,6 +75,9 @@ pub enum SimError {
         now: Cycles,
         command: &'static str,
     },
+    /// The fault plan crash-stops processor `proc`, which a machine of
+    /// `p` processors does not have.
+    CrashOutOfRange { proc: ProcId, p: u32 },
 }
 
 impl std::fmt::Display for SimError {
@@ -108,74 +110,14 @@ impl std::fmt::Display for SimError {
                 "`{command}` on processor {proc} at cycle {now} needs the LogGP gap G, \
                  which this machine does not define (SimConfig::with_big_g)"
             ),
+            SimError::CrashOutOfRange { proc, p } => {
+                write!(f, "fault plan crashes processor {proc} but P = {p}")
+            }
         }
     }
 }
 
 impl std::error::Error for SimError {}
-
-/// A `Vec` indexed by global processor id but storing only the range
-/// `[base, base + len)`. The parallel lane executor (`engine::plane`)
-/// splits every per-processor array of the parent [`Sim`] into per-lane
-/// chunks wrapped in `Off`, so all engine code keeps indexing by global
-/// processor id unchanged; ordinary runs use `base == 0`, where the
-/// subtraction folds into the existing bounds check. Out-of-range access
-/// panics (a missed cross-lane interception site is a bug, not a race).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Off<T> {
-    v: Vec<T>,
-    base: usize,
-}
-
-impl<T> Off<T> {
-    #[inline]
-    pub(crate) fn with_base(v: Vec<T>, base: usize) -> Self {
-        Off { v, base }
-    }
-
-    #[inline]
-    pub(crate) fn base(&self) -> usize {
-        self.base
-    }
-
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.v.len()
-    }
-
-    #[inline]
-    pub(crate) fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.v.iter()
-    }
-
-    /// The owned backing storage (merging lane chunks back into a parent).
-    #[inline]
-    pub(crate) fn into_vec(self) -> Vec<T> {
-        self.v
-    }
-}
-
-impl<T> From<Vec<T>> for Off<T> {
-    #[inline]
-    fn from(v: Vec<T>) -> Self {
-        Off { v, base: 0 }
-    }
-}
-
-impl<T> std::ops::Index<usize> for Off<T> {
-    type Output = T;
-    #[inline]
-    fn index(&self, i: usize) -> &T {
-        &self.v[i - self.base]
-    }
-}
-
-impl<T> std::ops::IndexMut<usize> for Off<T> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut self.v[i - self.base]
-    }
-}
 
 /// Results of a completed run.
 #[derive(Debug, Clone, Default)]
@@ -408,57 +350,6 @@ struct BarrierDelta {
     meta: Option<(Cause, Cycles)>,
 }
 
-/// Marks a [`MsgSlot`] as an index into a lane's cross-lane [`Outbox`]
-/// instead of its message slab (parallel executor only). Slot values stay
-/// well below this bit on both paths (bounded by in-flight messages).
-pub(crate) const OUT_BIT: MsgSlot = 1 << 31;
-
-/// Observability payload riding with one cross-lane message through the
-/// outbox; which field is live depends on the observability mode.
-#[derive(Debug, Default)]
-pub(crate) struct OutObs {
-    /// Ride-along value for `msg_slab_obs` at the destination: the
-    /// injection time of a metrics-only run (with the lifecycle log on,
-    /// `rec` or `infl` travels instead and the destination assigns it).
-    pub(crate) val: u64,
-    /// Retained-mode lifecycle record: created at the source but appended
-    /// to the *destination* lane's log at exchange (its id is assigned
-    /// there), so every later lifecycle update stays lane-local.
-    pub(crate) rec: Option<Box<MsgRecord>>,
-    /// Streaming-mode in-flight entry (record + critical-path cumulative),
-    /// created at the source lane, parked in the destination's `inflight`.
-    pub(crate) infl: Option<Box<(MsgRecord, crate::critpath::Components)>>,
-}
-
-/// Cross-lane traffic staged by one lane [`Sim`] during a window pass
-/// (parallel executor only; `None` on ordinary Sims). Drained by the
-/// coordinator at the window barrier and delivered into destination lanes
-/// in canonical `(src_lane, arrival, seq)` order.
-#[derive(Debug, Default)]
-pub(crate) struct Outbox {
-    /// Message payloads, indexed by the low bits of an `OUT_BIT` slot.
-    pub(crate) msgs: Vec<Option<Message>>,
-    /// Observability payloads, parallel to `msgs` (left empty when
-    /// observability is off).
-    pub(crate) obs: Vec<OutObs>,
-    /// Scheduled arrivals: `(time, seq, slot_idx)` with the
-    /// source-canonical sequence the destination orders by.
-    pub(crate) events: Vec<(Cycles, u64, MsgSlot)>,
-}
-
-impl Outbox {
-    /// The observability payload slot for outbox entry `idx`, growing the
-    /// side-array on demand (so the observability-off path never touches
-    /// it).
-    #[inline]
-    pub(crate) fn obs_at(&mut self, idx: usize) -> &mut OutObs {
-        if self.obs.len() <= idx {
-            self.obs.resize_with(idx + 1, OutObs::default);
-        }
-        &mut self.obs[idx]
-    }
-}
-
 /// Gauge handles, allocated only when `SimConfig::metrics_grid > 0`.
 struct GaugeSet {
     inflight_total: GaugeId,
@@ -472,7 +363,7 @@ struct GaugeSet {
 /// Records in progress, addressed by the slot [`Slab::insert`] returned.
 /// Freed slots are reused, so the vector is as long as the most records
 /// ever in progress at once.
-pub(crate) struct Slab<T> {
+struct Slab<T> {
     slots: Vec<Option<T>>,
     free: Vec<u32>,
 }
@@ -487,7 +378,7 @@ impl<T> Default for Slab<T> {
 }
 
 impl<T> Slab<T> {
-    pub(crate) fn insert(&mut self, v: T) -> u64 {
+    fn insert(&mut self, v: T) -> u64 {
         match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = Some(v);
@@ -511,7 +402,7 @@ impl<T> Slab<T> {
     }
 
     /// Empty the slab, yielding what was still in progress.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
+    fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
         self.free.clear();
         self.slots.drain(..).flatten()
     }
@@ -543,7 +434,7 @@ struct StreamState {
     /// instead of dense, so they depend only on processor-local
     /// execution order — never on the lane count.
     /// `ObsLog::canonicalize` renumbers either form identically.
-    sctr: Off<u64>,
+    sctr: Vec<u64>,
     /// Messages injected but not yet delivered: the record so far plus
     /// its critical-path cumulative at injection. The slot rides with the
     /// message (`msg_slab_obs` → `inbox_obs` → `recv_obs`).
@@ -568,14 +459,13 @@ impl StreamState {
         sink: Box<dyn crate::obs::ObsSink>,
         sampler: crate::obs::Sampler,
         agg: Option<crate::critpath::OnlineAgg>,
-        sctr: Off<u64>,
     ) -> Self {
         StreamState {
             sink,
             sampler,
             agg,
             next_dense: [0; 4],
-            sctr,
+            sctr: Vec::new(),
             inflight: Slab::default(),
             timers_live: Slab::default(),
             emitted: 0,
@@ -585,7 +475,7 @@ impl StreamState {
     /// The id of the next `kind` record owned by processor `p` (messages
     /// key by source, computes and timers by owner, barriers by nobody).
     fn next_id(&mut self, kind: RecKind, p: ProcId) -> u64 {
-        let (c, owner) = if self.sctr.len() > 0 && !matches!(kind, RecKind::Barrier) {
+        let (c, owner) = if !self.sctr.is_empty() && !matches!(kind, RecKind::Barrier) {
             (&mut self.sctr[p as usize], (p as u64 + 1) << 40)
         } else {
             (&mut self.next_dense[kind as usize], 0)
@@ -618,11 +508,11 @@ struct ObsState {
     /// Per-processor per-command metadata `(cause, submit)`, in lockstep
     /// with that processor's `cmds` (lifecycle log only). Lives here (not
     /// in `ProcState`) so the disabled engine keeps its lean layout.
-    cmd_meta: Off<VecDeque<(Cause, Cycles)>>,
+    cmd_meta: Vec<VecDeque<(Cause, Cycles)>>,
     /// Per-processor payload of the message paying reception overhead.
-    recv_obs: Off<u64>,
+    recv_obs: Vec<u64>,
     /// Per-processor [`ComputeRecord`] id of the compute in flight.
-    cur_compute: Off<u64>,
+    cur_compute: Vec<u64>,
     /// Ride-along observability payload per message slab slot: the
     /// `inflight` slot when streaming, the record id when retaining,
     /// the injection time when only metrics are on.
@@ -631,13 +521,13 @@ struct ObsState {
     /// sitting in its inbox, so `InboxItem` itself stays lean. Arrivals
     /// are processed in key order, which is the order the inbox hands
     /// them back, so [`take_noted`] finds a reception's entry in front.
-    inbox_obs: Off<VecDeque<(u64, u64)>>,
+    inbox_obs: Vec<VecDeque<(u64, u64)>>,
     /// Per processor, `(TimerFire event sequence, payload)` of its armed
     /// timers (lifecycle log only): the `timers_live` slot when
     /// streaming, the record id when retaining. Equal timeouts fire in
     /// arming order, so a fire's entry is in front too; otherwise it is
     /// among the few timers this one processor has armed.
-    timer_obs: Off<VecDeque<(u64, u64)>>,
+    timer_obs: Vec<VecDeque<(u64, u64)>>,
     /// `(proc, submit, enter, cause)` of the last barrier entrant, for
     /// the [`BarrierRecord`] written at release.
     barrier_last: (ProcId, Cycles, Cycles, Cause),
@@ -647,20 +537,8 @@ struct ObsState {
 }
 
 impl ObsState {
-    /// Observability state for the processors `range`: the whole machine,
-    /// or one lane of the parallel executor (`engine::plane`). Every
-    /// per-processor array is based at `range.start`, and instruments are
-    /// registered in one fixed order, so per-lane registries merge
-    /// elementwise at the end of the run. Lane runs never sample gauges
-    /// (the dispatch requires `metrics_grid == 0`), and a lane's `stream`
-    /// is its staging stream: an always-pass sampler in front of a buffer
-    /// sink, re-sampled and re-emitted in serial order by the coordinator
-    /// at each barrier.
-    fn new(
-        range: std::ops::Range<usize>,
-        config: &SimConfig,
-        stream: Option<Box<StreamState>>,
-    ) -> Self {
+    /// Observability state for a machine of `p` processors.
+    fn new(p: usize, config: &SimConfig, stream: Option<Box<StreamState>>) -> Self {
         let mut metrics = MetricsRegistry::default();
         let c_injected = metrics.counter("messages_injected");
         let c_delivered = metrics.counter("messages_delivered");
@@ -674,12 +552,10 @@ impl ObsState {
             ready_cmds: metrics.gauge("ready_cmds"),
             inbox_depth: metrics.gauge("inbox_depth"),
             util_ppk: metrics.gauge("util_ppk"),
-            per_dst: range
-                .clone()
+            per_dst: (0..p)
                 .map(|d| metrics.gauge(&format!("inflight_dst_{d}")))
                 .collect(),
         });
-        let (base, len) = (range.start, range.len());
         ObsState {
             log: ObsLog::default(),
             metrics,
@@ -695,12 +571,12 @@ impl ObsState {
             h_latency,
             h_stall,
             gauges,
-            cmd_meta: Off::with_base(vec![VecDeque::new(); len], base),
-            recv_obs: Off::with_base(vec![0; len], base),
-            cur_compute: Off::with_base(vec![0; len], base),
+            cmd_meta: vec![VecDeque::new(); p],
+            recv_obs: vec![0; p],
+            cur_compute: vec![0; p],
             msg_slab_obs: Vec::new(),
-            inbox_obs: Off::with_base(vec![VecDeque::new(); len], base),
-            timer_obs: Off::with_base(vec![VecDeque::new(); len], base),
+            inbox_obs: vec![VecDeque::new(); p],
+            timer_obs: vec![VecDeque::new(); p],
             barrier_last: (0, 0, 0, Cause::Start),
             stream,
         }
@@ -724,7 +600,7 @@ struct HierState {
 pub struct Sim {
     model: LogP,
     config: SimConfig,
-    procs: Off<ProcState>,
+    procs: Vec<ProcState>,
     /// The classic engine's event queue. Like the rest of that engine's
     /// own state — admission windows, waiter lists, message slab — it is
     /// built by `drive` when the run starts (the hierarchy, and so the
@@ -736,8 +612,9 @@ pub struct Sim {
     /// Latest `now` at which a processor may still act: [`TIME_LIMIT`]
     /// less the furthest any one step schedules ahead (set by `run`).
     horizon: Cycles,
-    /// First command that could not execute (a simulated-time overflow,
-    /// a bulk send without `G`); ends the run with this error.
+    /// First thing that could not execute (a command overflowing
+    /// simulated time, a bulk send without `G`, a fault plan crashing a
+    /// processor the machine lacks); ends the run with this error.
     overflow: Option<SimError>,
     /// Messages in each endpoint's capacity window, one window per
     /// hierarchy level (stride-indexed `level * P + proc`).
@@ -750,7 +627,7 @@ pub struct Sim {
     rng: SmallRng,
     /// Per-processor systematic compute scale in parts-per-1024 (1024 =
     /// nominal speed); drawn once at construction from `proc_skew_ppk`.
-    proc_scale: Off<i64>,
+    proc_scale: Vec<i64>,
     trace: Trace,
     stats: SimStats,
     barrier_count: u32,
@@ -794,23 +671,18 @@ pub struct Sim {
     /// Per-lane event queues and message slabs.
     lanes: Vec<Lane>,
     /// Processor → owning lane.
-    lane_of: Off<u32>,
+    lane_of: Vec<u32>,
     /// Per-processor counters feeding the low 36 bits of every canonical
     /// event key that processor issues (and its latency/drift draws), so
     /// keys and draws depend only on processor-local execution order —
     /// never on how processors are partitioned into lanes.
-    pctr: Off<u64>,
+    pctr: Vec<u64>,
     /// Per-source release-time rings: the network-release instants of the
     /// source's in-flight messages, kept sorted. Replaces the classic
     /// engine's `Release` events for source-capacity admission.
-    rings: Off<VecDeque<Cycles>>,
+    rings: Vec<VecDeque<Cycles>>,
     /// Barrier deltas logged during the current window pass.
     bdeltas: Vec<BarrierDelta>,
-    /// Cross-lane outbox: present only on the per-lane Sims the parallel
-    /// executor builds (`engine::plane`). When set, a send whose
-    /// destination falls outside this Sim's processor range diverts here
-    /// instead of the (absent) destination lane.
-    out: Option<Box<Outbox>>,
     /// Host-side self-telemetry, filled in place as the run goes and
     /// handed to the result as is. Its `arena_reallocs` counts (debug
     /// builds only) growths of a pre-sized arena — overflow heap, message
@@ -854,16 +726,10 @@ impl Sim {
         let procs: Vec<ProcState> = (0..p)
             .map(|_| ProcState::new(Box::new(crate::process::Passive)))
             .collect();
-        let faults = config.faults.clone().map(|plan| {
-            for &(proc, _) in &plan.crashes {
-                assert!(
-                    proc < model.p,
-                    "fault plan crashes processor {proc} but P = {}",
-                    model.p
-                );
-            }
-            Box::new(FaultState::new(plan, p))
-        });
+        let faults = config
+            .faults
+            .clone()
+            .map(|plan| Box::new(FaultState::new(plan, p)));
         let obs = (config.record_msg_log || config.record_metrics).then(|| {
             let stream = (config.sink.is_some() || config.aggregate).then(|| {
                 let spec = config.sink.clone().unwrap_or(crate::obs::SinkSpec::Null);
@@ -871,43 +737,16 @@ impl Sim {
                     .aggregate
                     .then(|| crate::critpath::OnlineAgg::new(p, config.agg_grid));
                 let sampler = crate::obs::Sampler::new(config.sampling.clone());
-                Box::new(StreamState::new(spec.build(), sampler, agg, Off::default()))
+                Box::new(StreamState::new(spec.build(), sampler, agg))
             });
-            Box::new(ObsState::new(0..p, &config, stream))
+            Box::new(ObsState::new(p, &config, stream))
         });
-        let mut sim = Sim::assemble(
+        // Everything an engine builds for itself when the run starts —
+        // the classic queue, windows and slab, the lanes' calendars,
+        // counters and rings — starts empty.
+        let mut sim = Sim {
             model,
-            config,
-            procs.into(),
-            proc_scale.into(),
-            rng,
-            faults,
-            obs,
-        );
-        if sim.config.enforce_capacity {
-            sim.set_capacity(model.capacity());
-        }
-        sim
-    }
-
-    /// The one place a `Sim` is put together: the whole machine
-    /// ([`Sim::new`]) or one lane's slice of it (`engine::plane`), from
-    /// the per-processor state it owns. Everything an engine builds for
-    /// itself when the run starts — the classic queue, windows and slab,
-    /// the lanes' calendars, counters and rings — starts empty, so a lane
-    /// costs nothing sized by the whole machine.
-    fn assemble(
-        model: LogP,
-        config: SimConfig,
-        procs: Off<ProcState>,
-        proc_scale: Off<i64>,
-        rng: SmallRng,
-        faults: Option<Box<FaultState>>,
-        obs: Option<Box<ObsState>>,
-    ) -> Self {
-        Sim {
-            model,
-            alive: procs.len() as u32,
+            alive: model.p,
             procs,
             cal: Calendar::default(),
             seq: 0,
@@ -935,13 +774,22 @@ impl Sim {
             obs,
             config,
             lanes: Vec::new(),
-            lane_of: Off::default(),
-            pctr: Off::default(),
-            rings: Off::default(),
+            lane_of: Vec::new(),
+            pctr: Vec::new(),
+            rings: Vec::new(),
             bdeltas: Vec::new(),
-            out: None,
             vitals: Default::default(),
+        };
+        if sim.config.enforce_capacity {
+            sim.set_capacity(model.capacity());
         }
+        // A crash scheduled on a processor the machine does not have is
+        // bad input, reported by `run`.
+        let mut crashed = sim.config.faults.iter().flat_map(|plan| &plan.crashes);
+        if let Some(&(proc, _)) = crashed.find(|c| c.0 >= model.p) {
+            sim.fail(SimError::CrashOutOfRange { proc, p: model.p });
+        }
+        sim
     }
 
     /// Enforce capacity with a scalar admission window (the lanes' source
@@ -1016,14 +864,6 @@ impl Sim {
             }
             None => (0, self.capacity),
         }
-    }
-
-    /// The half-open global processor-id range this Sim owns: the full
-    /// machine for ordinary Sims, one lane's slice for the per-lane Sims
-    /// of the parallel executor.
-    #[inline]
-    fn proc_range(&self) -> std::ops::Range<usize> {
-        self.procs.base()..self.procs.base() + self.procs.len()
     }
 
     /// Debug builds count every growth of a pre-sized arena past its
@@ -1215,19 +1055,6 @@ impl Sim {
             return;
         }
         let seq = ((src as u64 + 1) << 36) | self.bump_pctr(src);
-        if slot & OUT_BIT != 0 {
-            // Cross-lane send on the parallel executor: the arrival is
-            // exchanged at the window barrier. The source-canonical seq
-            // was drawn above exactly as for a local arrival, so keys —
-            // and therefore the merged schedule — are identical to a
-            // serial run.
-            let out = self
-                .out
-                .as_deref_mut()
-                .expect("OUT_BIT slot without outbox");
-            out.events.push((time, seq, slot & !OUT_BIT));
-            return;
-        }
         self.push_lane(dst, time, event_ord(0, seq), EventKind::Arrive(slot));
     }
 
@@ -1236,11 +1063,6 @@ impl Sim {
     /// observability side-arrays stay dense across lanes.
     #[inline]
     fn stash_msg_sharded(&mut self, dst: ProcId, msg: Message) -> MsgSlot {
-        if self.out.is_some() && !self.proc_range().contains(&(dst as usize)) {
-            let out = self.out.as_deref_mut().expect("checked above");
-            out.msgs.push(Some(msg));
-            return (out.msgs.len() - 1) as MsgSlot | OUT_BIT;
-        }
         let n = self.lanes.len() as u32;
         let li = self.lane_of[dst as usize];
         let lane = &mut self.lanes[li as usize];
@@ -1489,20 +1311,12 @@ impl Sim {
         arrive: Cycles,
         dup: bool,
     ) {
-        let outgoing = slot & OUT_BIT != 0;
-        let oi = (slot & !OUT_BIT) as usize;
-        let out = self.out.as_deref_mut();
         let Some(obs) = self.obs.as_deref_mut() else {
             return;
         };
-        // An outgoing (cross-lane, parallel executor) message's payload
-        // rides the outbox instead of this Sim's side-arrays: the
-        // destination lane installs it at the window exchange, so every
-        // later lifecycle update stays lane-local.
-        let mut slab_val = None;
-        if obs.msg_log {
+        let val = if obs.msg_log {
             let mut rec = MsgRecord {
-                id: 0,
+                id: obs.log.msgs.len() as u64,
                 src,
                 dst,
                 tag,
@@ -1523,38 +1337,23 @@ impl Sim {
                     Some(agg) => agg.on_send(&rec, dup),
                     None => Default::default(),
                 };
-                if outgoing {
-                    let o = out.expect("OUT_BIT slot without outbox").obs_at(oi);
-                    o.infl = Some(Box::new((rec, cum)));
-                } else {
-                    slab_val = Some(st.inflight.insert((rec, cum)));
-                }
-            } else if outgoing {
-                // Retained mode: the record is appended to the
-                // *destination* lane's log at exchange (ids are assigned
-                // there; the end-of-run merge renumbers them globally).
-                out.expect("OUT_BIT slot without outbox").obs_at(oi).rec = Some(Box::new(rec));
+                st.inflight.insert((rec, cum))
             } else {
-                rec.id = obs.log.msgs.len() as u64;
-                slab_val = Some(rec.id);
                 obs.log.msgs.push(rec);
+                rec.id
             }
-        } else if outgoing {
-            out.expect("OUT_BIT slot without outbox").obs_at(oi).val = inject;
         } else {
-            slab_val = Some(inject);
-        }
+            inject
+        };
         if obs.metrics_on {
             let c = obs.c_injected;
             obs.metrics.inc(c, 1);
         }
-        if let Some(val) = slab_val {
-            let s = slot as usize;
-            if obs.msg_slab_obs.len() <= s {
-                obs.msg_slab_obs.resize(s + 1, 0);
-            }
-            obs.msg_slab_obs[s] = val;
+        let s = slot as usize;
+        if obs.msg_slab_obs.len() <= s {
+            obs.msg_slab_obs.resize(s + 1, 0);
         }
+        obs.msg_slab_obs[s] = val;
     }
 
     /// Record a message the fault layer dropped in flight: it gets a
@@ -2470,6 +2269,10 @@ impl Sim {
     /// counter is compiled out). The pre-sizing pin tests use this to
     /// assert that construction-time arena capacities stay exact.
     pub fn run_counting_reallocs(mut self) -> Result<(SimResult, u64), SimError> {
+        // A machine `Sim::new` could not build as configured.
+        if let Some(e) = self.overflow.take() {
+            return Err(e);
+        }
         // Pick the monomorphization once: `self.obs` and `self.faults`
         // are installed before the run and never change during it, so
         // their presence is invariant across the whole event loop.
@@ -2496,7 +2299,7 @@ impl Sim {
             .and_then(|o| o.stream.as_deref_mut())
         {
             if sharded {
-                st.sctr = Off::from(vec![0; self.model.p as usize]);
+                st.sctr = vec![0; self.model.p as usize];
             }
         }
         // The sharded engine's capacity model admits every arrival
@@ -2529,17 +2332,12 @@ impl Sim {
             .iter()
             .fold(ol, |a, &b| a.saturating_add(b));
         self.horizon = TIME_LIMIT.saturating_sub(reach);
-        let workers = self.config.workers;
         let wall_start = std::time::Instant::now();
         match (self.obs.is_some(), self.faults.is_some(), sharded) {
             (false, false, false) => self.drive::<false, false>()?,
             (false, true, false) => self.drive::<false, true>()?,
             (true, false, false) => self.drive::<true, false>()?,
             (true, true, false) => self.drive::<true, true>()?,
-            (false, false, true) if workers >= 1 => self.drive_parallel::<false, false>(workers)?,
-            (false, true, true) if workers >= 1 => self.drive_parallel::<false, true>(workers)?,
-            (true, false, true) if workers >= 1 => self.drive_parallel::<true, false>(workers)?,
-            (true, true, true) if workers >= 1 => self.drive_parallel::<true, true>(workers)?,
             (false, false, true) => self.drive_sharded::<false, false>()?,
             (false, true, true) => self.drive_sharded::<false, true>()?,
             (true, false, true) => self.drive_sharded::<true, false>()?,
@@ -2658,21 +2456,17 @@ impl Sim {
         }
     }
 
-    /// Run `on_start` on this Sim's processors, in processor-id order.
-    fn start_handlers<const OBS: bool, const FAULTS: bool>(&mut self) {
-        for q in self.proc_range() {
-            if FAULTS && self.procs[q].halted {
+    /// Run `on_start` on every processor in id order, then give each its
+    /// first progress attempt.
+    fn start_all<const OBS: bool, const FAULTS: bool, const SHARDED: bool>(&mut self) {
+        for q in 0..self.model.p {
+            if FAULTS && self.procs[q as usize].halted {
                 continue;
             }
-            self.run_handler::<OBS, _>(q as ProcId, Cause::Start, |prog, ctx| prog.on_start(ctx));
+            self.run_handler::<OBS, _>(q, Cause::Start, |prog, ctx| prog.on_start(ctx));
         }
-    }
-
-    /// First progress attempt of this Sim's processors, after every
-    /// `on_start` has run.
-    fn start_advances<const OBS: bool, const FAULTS: bool, const SHARDED: bool>(&mut self) {
-        for q in self.proc_range() {
-            self.advance::<OBS, FAULTS, SHARDED>(q as ProcId);
+        for q in 0..self.model.p {
+            self.advance::<OBS, FAULTS, SHARDED>(q);
         }
     }
 
@@ -2707,8 +2501,7 @@ impl Sim {
                 self.plant_crash::<OBS, false>(cp, t);
             }
         }
-        self.start_handlers::<OBS, FAULTS>();
-        self.start_advances::<OBS, FAULTS, false>();
+        self.start_all::<OBS, FAULTS, false>();
         while let Some((t, ord, kind)) = self.cal.pop::<true>(Cycles::MAX) {
             self.count_event()?;
             debug_assert!(t >= self.now, "time must not run backwards");
@@ -2832,7 +2625,7 @@ impl Sim {
             }
             EventKind::BarrierRelease => {
                 // Scheduled by the classic `check_barrier` only; the lane
-                // drivers call the release at the replayed instant.
+                // driver calls the release at the replayed instant.
                 self.apply_barrier_release::<OBS, FAULTS, SHARDED>(self.now);
             }
             EventKind::TimerFire(p, tag) => {

@@ -80,16 +80,16 @@
 //! bit-identical to each other in all configurations, including under
 //! observability and fault plans.
 
-use super::{Lane, Off, Sim, SimError};
+use super::{Lane, Sim, SimError};
 use crate::obs::Cause;
 use crate::trace::Activity;
 use logp_core::{Cycles, ProcId};
 use std::collections::VecDeque;
 
-/// The window bookkeeping of one lane-engine run, shared by the serial
-/// driver and the parallel executor: which window is open, whether a
-/// completed barrier quorum awaits its release, and how far the run got.
-pub(super) struct Windows {
+/// The window bookkeeping of one lane-engine run: which window is open,
+/// whether a completed barrier quorum awaits its release, and how far the
+/// run got.
+struct Windows {
     /// Window width (see [`Sim::window_width`]).
     width: Cycles,
     /// End of the previous window (a later start is a fast-forward).
@@ -101,45 +101,38 @@ pub(super) struct Windows {
     /// the next quorum replay.
     alive_base: i64,
     /// Latest instant anything happened.
-    pub(super) completion: Cycles,
+    completion: Cycles,
 }
 
 impl Sim {
-    /// Build the lane engine's state over this Sim's processors —
-    /// contiguous lanes `per` wide, each with its queue and message slab,
-    /// plus the canonical counters and source rings. The serial driver
-    /// partitions the whole machine; a lane Sim of the parallel executor
-    /// owns exactly one lane. Arenas are pre-sized so steady-state
+    /// Build the lane engine's state: contiguous lanes `per` processors
+    /// wide, each with its queue and message slab, plus the canonical
+    /// counters and source rings. Arenas are pre-sized so steady-state
     /// collectives never reallocate (pinned by the debug realloc counter).
-    pub(super) fn setup_lanes(&mut self, per: usize) {
-        let range = self.proc_range();
-        let (first, len) = (range.start, range.len());
+    fn setup_lanes(&mut self, per: usize) {
+        let p = self.model.p as usize;
         let span = self.ring_span();
-        self.lanes = range
+        self.lanes = (0..p)
             .step_by(per)
-            .map(|lo| Lane::new(span, per.min(first + len - lo)))
+            .map(|lo| Lane::new(span, per.min(p - lo)))
             .collect();
-        self.lane_of = Off::with_base((0..len).map(|i| (i / per) as u32).collect(), first);
-        self.pctr = Off::with_base(vec![0; len], first);
-        self.rings = Off::with_base(vec![VecDeque::new(); len], first);
+        self.lane_of = (0..p).map(|i| (i / per) as u32).collect();
+        self.pctr = vec![0; p];
+        self.rings = vec![VecDeque::new(); p];
         self.vitals.lane_events = vec![0; self.lanes.len()];
     }
 
-    /// The lane partition of the whole machine: `(per, n)`, processors
-    /// per contiguous lane and the number of lanes. The width is rounded
-    /// up to a topology-group boundary on hierarchical machines so
-    /// intra-group traffic stays lane-local (results are lane-count
-    /// invariant either way; alignment only moves the cut points). Shared
-    /// by the serial sharded driver and the parallel executor so their
-    /// partitions cannot drift apart.
-    pub(super) fn lane_partition(&self) -> (usize, usize) {
+    /// Processors per contiguous lane. The width is rounded up to a
+    /// topology-group boundary on hierarchical machines so intra-group
+    /// traffic stays lane-local (results are lane-count invariant either
+    /// way; alignment only moves the cut points).
+    fn lane_width(&self) -> usize {
         let p = self.model.p as usize;
         let want = (self.config.shards as usize).clamp(1, p);
-        let per = match self.hierarchy() {
+        match self.hierarchy() {
             Some(h) => h.align_lane(p.div_ceil(want)),
             None => p.div_ceil(want),
-        };
-        (per, p.div_ceil(per))
+        }
     }
 
     /// The model's conservative lookahead: no send inside `[T, T + W)`
@@ -194,7 +187,7 @@ impl Sim {
     /// exactly the order a per-lane heap would have popped. Returns the
     /// timestamp of the last event processed, or `None` if the lane had
     /// nothing due.
-    pub(super) fn pump_lane<const OBS: bool, const FAULTS: bool>(
+    fn pump_lane<const OBS: bool, const FAULTS: bool>(
         &mut self,
         li: usize,
         t_end: Cycles,
@@ -218,7 +211,7 @@ impl Sim {
     /// instant `t_done + barrier_cost`. Also repairs `barrier_last` —
     /// lane passes update it in pass order, but the record belongs to the
     /// canonically last entrant.
-    pub(super) fn barrier_release_time(&mut self, alive_base: i64) -> Cycles {
+    fn barrier_release_time(&mut self, alive_base: i64) -> Cycles {
         self.bdeltas.sort_unstable_by_key(|d| (d.t, d.proc));
         let mut count = 0i64;
         let mut alive = alive_base;
@@ -249,12 +242,10 @@ impl Sim {
     }
 
     /// Release the barrier at `t_rel`: the instant of the classic
-    /// engine's `BarrierRelease` event, or the one the lane drivers
-    /// replayed. Split into three per-processor phases so the parallel
-    /// executor (`engine::plane`) can run each phase lane-by-lane in
-    /// processor order — reproducing this exact serial sequence — with
-    /// the lifecycle record written once by the coordinator between
-    /// phases.
+    /// engine's `BarrierRelease` event, or the one the lane driver
+    /// replayed. Every released processor's barrier state and span close
+    /// before any `on_barrier_release` handler runs, and every handler
+    /// runs before any processor advances.
     pub(super) fn apply_barrier_release<
         const OBS: bool,
         const FAULTS: bool,
@@ -269,23 +260,9 @@ impl Sim {
         } else {
             Cause::Start
         };
-        self.barrier_release_collect(t_rel);
-        self.barrier_release_handlers::<OBS>(bcause);
-        self.barrier_release_advance::<OBS, FAULTS, SHARDED>();
-    }
-
-    /// Phase 1: collect this Sim's released processors into
-    /// `released_scratch` (kept there across the three phases) and close
-    /// their barrier state and spans.
-    pub(super) fn barrier_release_collect(&mut self, t_rel: Cycles) {
-        self.now = t_rel;
         self.barrier_count = 0;
         let mut released = std::mem::take(&mut self.released_scratch);
-        released.extend(
-            self.proc_range()
-                .map(|p| p as ProcId)
-                .filter(|&p| self.procs[p as usize].in_barrier),
-        );
+        released.extend((0..self.model.p).filter(|&p| self.procs[p as usize].in_barrier));
         for &p in &released {
             let st = &mut self.procs[p as usize];
             st.in_barrier = false;
@@ -295,28 +272,9 @@ impl Sim {
             st.stats.barrier_wait += t_rel - entered;
             self.span(p, entered, t_rel, Activity::Barrier);
         }
-        self.released_scratch = released;
-    }
-
-    /// Phase 2: run the released processors' `on_barrier_release`
-    /// handlers (no sink emissions — handler metadata is aggregate-only).
-    pub(super) fn barrier_release_handlers<const OBS: bool>(&mut self, bcause: Cause) {
-        let released = std::mem::take(&mut self.released_scratch);
         for &p in &released {
             self.run_handler::<OBS, _>(p, bcause, |prog, ctx| prog.on_barrier_release(ctx));
         }
-        self.released_scratch = released;
-    }
-
-    /// Phase 3: advance the released processors, consuming the scratch.
-    pub(super) fn barrier_release_advance<
-        const OBS: bool,
-        const FAULTS: bool,
-        const SHARDED: bool,
-    >(
-        &mut self,
-    ) {
-        let mut released = std::mem::take(&mut self.released_scratch);
         for &p in &released {
             self.advance::<OBS, FAULTS, SHARDED>(p);
         }
@@ -330,7 +288,7 @@ impl Sim {
     /// passes append records in pass order; the canonical order is the
     /// per-record primary timestamp with the owning processor as
     /// tiebreak (both lane-count-invariant).
-    pub(super) fn canonicalize_results(&mut self) {
+    fn canonicalize_results(&mut self) {
         if self.config.record_trace {
             self.trace.spans.sort_by_key(|s| s.proc);
         }
@@ -343,10 +301,10 @@ impl Sim {
         obs.log.canonicalize();
     }
 
-    /// The fault plan's crash-stops as the lane engines take them: one
+    /// The fault plan's crash-stops as the lane engine takes them: one
     /// per processor (the earliest wins — a processor cannot die twice),
     /// to be planted with [`Sim::plant_crash`] in the owner's lane.
-    pub(super) fn lane_crashes(&self) -> Vec<(ProcId, Cycles)> {
+    fn lane_crashes(&self) -> Vec<(ProcId, Cycles)> {
         let faults = self.faults.as_deref().expect("FAULTS implies a fault plan");
         let mut crashes = faults.plan.crashes.clone();
         crashes.sort_unstable_by_key(|&(p, t)| (p, t));
@@ -356,7 +314,7 @@ impl Sim {
 
     /// Fresh window bookkeeping; `self.alive` before any delta is the
     /// first replay baseline.
-    pub(super) fn windows(&self) -> Windows {
+    fn windows(&self) -> Windows {
         Windows {
             width: self.window_width(),
             prev_end: None,
@@ -366,15 +324,13 @@ impl Sim {
         }
     }
 
-    /// Note a completed barrier quorum: `entered` of the `alive`
-    /// processors (summed over the machine) wait in the barrier, and
-    /// every delta logged so far is in `self.bdeltas`. The quorum may be
-    /// complete before any window runs — if every processor enters a
-    /// barrier straight from `on_start` (or from a release handler), no
-    /// event is scheduled anywhere and the release instant is the only
-    /// pending instant.
-    pub(super) fn check_quorum(&mut self, win: &mut Windows, alive: u32, entered: u32) {
-        if win.pending_release.is_none() && alive > 0 && entered == alive {
+    /// Note a completed barrier quorum: every live processor waits in the
+    /// barrier. The quorum may be complete before any window runs — if
+    /// every processor enters a barrier straight from `on_start` (or from
+    /// a release handler), no event is scheduled anywhere and the release
+    /// instant is the only pending instant.
+    fn check_quorum(&mut self, win: &mut Windows) {
+        if win.pending_release.is_none() && self.alive > 0 && self.barrier_count == self.alive {
             win.pending_release = Some(self.barrier_release_time(win.alive_base));
         }
     }
@@ -384,7 +340,7 @@ impl Sim {
     /// release — or return `None` at quiescence. Jumping straight there
     /// is the quiescence fast-forward: a machine with nothing due until
     /// cycle 10^9 costs one probe, not 10^9 window steps.
-    pub(super) fn open_window(
+    fn open_window(
         &mut self,
         win: &mut Windows,
         next_event: Option<Cycles>,
@@ -402,9 +358,9 @@ impl Sim {
         Some((t0, t_end))
     }
 
-    /// `alive` less the alive-deltas still logged in `self.bdeltas`: this
-    /// Sim's share of the next replay baseline.
-    pub(super) fn alive_baseline(&self) -> i64 {
+    /// `alive` less the alive-deltas still logged in `self.bdeltas`: the
+    /// next replay baseline.
+    fn alive_baseline(&self) -> i64 {
         self.alive as i64 - self.bdeltas.iter().map(|d| d.dalive as i64).sum::<i64>()
     }
 
@@ -415,7 +371,7 @@ impl Sim {
     /// release, or `g > L` windows, can trail the last delivery). Rings
     /// evict an entry only while processing an event at or after it, so
     /// this maximum matches the classic engine's final `Release` exactly.
-    pub(super) fn last_ring_release(&self) -> Cycles {
+    fn last_ring_release(&self) -> Cycles {
         let backs = self.rings.iter().filter_map(|ring| ring.back());
         backs.copied().max().unwrap_or(0)
     }
@@ -427,17 +383,16 @@ impl Sim {
     pub(crate) fn drive_sharded<const OBS: bool, const FAULTS: bool>(
         &mut self,
     ) -> Result<(), SimError> {
-        self.setup_lanes(self.lane_partition().0);
+        self.setup_lanes(self.lane_width());
         let mut win = self.windows();
         if FAULTS {
             for (p, t) in self.lane_crashes() {
                 self.plant_crash::<OBS, true>(p, t);
             }
         }
-        self.start_handlers::<OBS, FAULTS>();
-        self.start_advances::<OBS, FAULTS, true>();
+        self.start_all::<OBS, FAULTS, true>();
         loop {
-            self.check_quorum(&mut win, self.alive, self.barrier_count);
+            self.check_quorum(&mut win);
             let next_event = self.lanes.iter().filter_map(|l| l.cal.next_time()).min();
             let Some((t0, t_end)) = self.open_window(&mut win, next_event) else {
                 break;
@@ -457,7 +412,7 @@ impl Sim {
                         progressed = true;
                     }
                 }
-                self.check_quorum(&mut win, self.alive, self.barrier_count);
+                self.check_quorum(&mut win);
                 if let Some(t_rel) = win.release_due(t_end) {
                     let consumed = self.bdeltas.len();
                     self.apply_barrier_release::<OBS, FAULTS, true>(t_rel);
@@ -486,13 +441,13 @@ impl Sim {
 impl Windows {
     /// The pending barrier release, if it falls inside the window ending
     /// at `t_end`.
-    pub(super) fn release_due(&self, t_end: Cycles) -> Option<Cycles> {
+    fn release_due(&self, t_end: Cycles) -> Option<Cycles> {
         self.pending_release.filter(|&t_rel| t_rel < t_end)
     }
 
     /// The release at `t_rel` has been applied; `alive_base` is the
     /// machine's [`Sim::alive_baseline`] after it.
-    pub(super) fn released(&mut self, t_rel: Cycles, alive_base: i64) {
+    fn released(&mut self, t_rel: Cycles, alive_base: i64) {
         self.completion = self.completion.max(t_rel);
         self.alive_base = alive_base;
         self.pending_release = None;

@@ -233,27 +233,16 @@ pub(crate) struct FaultState {
     /// keyed by `(src, dst, seq)`.
     attempts: HashMap<(ProcId, ProcId, u64), u64>,
     /// Which processors have crashed so far (dead NI, no handlers).
-    /// Offset-indexed: per-lane Sims of the parallel executor hold only
-    /// their own range.
-    pub(crate) crashed: crate::engine::Off<bool>,
+    pub(crate) crashed: Vec<bool>,
 }
 
 impl FaultState {
     pub(crate) fn new(plan: FaultPlan, p: usize) -> Self {
-        Self::for_range(plan, 0, p)
-    }
-
-    /// Fault state covering the processor range `[base, base + len)`.
-    /// Valid for a lane Sim because every decision and crash lookup is
-    /// keyed at the processor that owns it: `decide` runs at the source,
-    /// crash checks at the destination's own lane, and the sparse
-    /// `(src, dst)` counters are disjoint across source lanes.
-    pub(crate) fn for_range(plan: FaultPlan, base: usize, len: usize) -> Self {
         FaultState {
             plan,
             chan_seq: HashMap::new(),
             attempts: HashMap::new(),
-            crashed: crate::engine::Off::with_base(vec![false; len], base),
+            crashed: vec![false; p],
         }
     }
 

@@ -18,9 +18,8 @@
 //! (L, o, g) of its endpoints' lowest common level, with per-level
 //! capacity windows (`docs/HIERARCHY.md`). [`SimConfig::with_shards`]
 //! switches to the sharded engine (per-lane calendar queues under
-//! L-lookahead, for million-rank runs) and `with_workers` executes its
-//! lanes on a thread pool; results are bit-identical across engines,
-//! lane counts and worker counts. The [`obs`]/[`critpath`]/[`metrics`]
+//! L-lookahead, for million-rank runs); results are bit-identical across
+//! engines and lane counts. The [`obs`]/[`critpath`]/[`metrics`]
 //! modules explain *why* a run took as long as it did, [`faults`] and
 //! [`reliable`] take away and rebuild the model's reliable-delivery
 //! assumption, and [`runner`] fans sweeps across threads

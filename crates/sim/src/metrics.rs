@@ -215,33 +215,6 @@ impl MetricsRegistry {
         s
     }
 
-    /// Merge another registry created with the identical instrument
-    /// layout (same create calls in the same order — the parallel
-    /// engine's per-lane registries, built by the same constructor as the
-    /// parent's): counters and histogram cells add, gauge samples append
-    /// (lane registries never sample gauges — the sharded engine requires
-    /// `metrics_grid == 0`), and min/max fold.
-    pub(crate) fn absorb(&mut self, other: &MetricsRegistry) {
-        debug_assert_eq!(self.counters.len(), other.counters.len());
-        debug_assert_eq!(self.gauges.len(), other.gauges.len());
-        debug_assert_eq!(self.hists.len(), other.hists.len());
-        for (c, oc) in self.counters.iter_mut().zip(&other.counters) {
-            c.value += oc.value;
-        }
-        for (g, og) in self.gauges.iter_mut().zip(&other.gauges) {
-            g.samples.extend_from_slice(&og.samples);
-        }
-        for (h, oh) in self.hists.iter_mut().zip(&other.hists) {
-            for (b, ob) in h.buckets.iter_mut().zip(&oh.buckets) {
-                *b += ob;
-            }
-            h.count += oh.count;
-            h.sum += oh.sum;
-            h.min = h.min.min(oh.min);
-            h.max = h.max.max(oh.max);
-        }
-    }
-
     /// Flat CSV export: `kind,name,a,b` rows — counters (`name,value,`),
     /// gauge samples (`name,t,value`), histogram buckets
     /// (`name,bucket_lo,count`).
@@ -305,15 +278,11 @@ pub struct EngineVitals {
     /// construction-time size (debug builds count them; release builds
     /// report 0).
     pub arena_reallocs: u64,
-    /// Worker threads the lanes ran on (0 = serial execution — the
-    /// classic engine or the single-threaded sharded driver).
-    pub workers: u32,
-    /// Per-lane host wall-clock time in nanoseconds, summed over every
-    /// window phase that lane executed (parallel engine only; empty
-    /// otherwise).
-    pub lane_wall_ns: Vec<u64>,
-    /// Host nanoseconds the coordinator spent waiting at window barriers
-    /// for the slowest lane (parallel engine only).
+    // Always 0: the parallel window executor is gone. Kept only because
+    // the frozen `benchmark/` harness reads it; delete together with the
+    // inert builder at the end of `SimConfig` once the ROADMAP item 1a
+    // follow-up (`benchmark`: drop the `sim.plane.*` probes) has landed.
+    #[doc(hidden)]
     pub barrier_wait_ns: u64,
     /// 1 when the run silently relaxed `SimConfig::enforce_capacity`
     /// because the sharded engine doesn't implement the capacity stall
@@ -337,8 +306,6 @@ impl Default for EngineVitals {
             bucket_depth_max: 0,
             far_spills: 0,
             arena_reallocs: 0,
-            workers: 0,
-            lane_wall_ns: Vec::new(),
             barrier_wait_ns: 0,
             capacity_relaxed: 0,
             agg_window_probes_max: 0,
@@ -379,21 +346,6 @@ impl EngineVitals {
         max / avg
     }
 
-    /// Wall-clock load-imbalance ratio across worker-executed lanes:
-    /// slowest lane's window-time over the mean (1.0 = perfectly
-    /// balanced; 0.0 when the run wasn't parallel).
-    pub fn wall_imbalance(&self) -> f64 {
-        if self.lane_wall_ns.is_empty() {
-            return 0.0;
-        }
-        let max = *self.lane_wall_ns.iter().max().unwrap() as f64;
-        let avg = self.lane_wall_ns.iter().sum::<u64>() as f64 / self.lane_wall_ns.len() as f64;
-        if avg == 0.0 {
-            return 0.0;
-        }
-        max / avg
-    }
-
     /// Export as a standalone JSON object (the `--vitals-out` artifact
     /// schema; see `docs/OBSERVABILITY.md`).
     pub fn to_json(&self) -> String {
@@ -418,17 +370,6 @@ impl EngineVitals {
         let _ = writeln!(s, "  \"far_spills\": {},", self.far_spills);
         let _ = writeln!(s, "  \"lane_imbalance\": {:.3},", self.imbalance());
         let _ = writeln!(s, "  \"arena_reallocs\": {},", self.arena_reallocs);
-        let _ = writeln!(s, "  \"workers\": {},", self.workers);
-        s.push_str("  \"lane_wall_ns\": [");
-        for (i, n) in self.lane_wall_ns.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{n}");
-        }
-        s.push_str("],\n");
-        let _ = writeln!(s, "  \"wall_imbalance\": {:.3},", self.wall_imbalance());
-        let _ = writeln!(s, "  \"barrier_wait_ns\": {},", self.barrier_wait_ns);
         let _ = writeln!(s, "  \"capacity_relaxed\": {},", self.capacity_relaxed);
         let _ = writeln!(
             s,
@@ -443,7 +384,7 @@ impl EngineVitals {
     /// Intended for artifact assembly only — installing into a
     /// `SimResult`'s registry would break lane-count invariance.
     pub fn install(&self, reg: &mut MetricsRegistry) {
-        let pairs: [(&'static str, u64); 11] = [
+        let pairs: [(&'static str, u64); 9] = [
             ("vitals_wall_ns", self.wall_ns),
             ("vitals_events", self.events),
             ("vitals_lanes", self.lanes as u64),
@@ -452,8 +393,6 @@ impl EngineVitals {
             ("vitals_bucket_depth_max", self.bucket_depth_max),
             ("vitals_far_spills", self.far_spills),
             ("vitals_arena_reallocs", self.arena_reallocs),
-            ("vitals_workers", self.workers as u64),
-            ("vitals_barrier_wait_ns", self.barrier_wait_ns),
             ("vitals_capacity_relaxed", self.capacity_relaxed),
         ];
         for (name, v) in pairs {

@@ -315,10 +315,9 @@ impl SinkSpec {
 /// the sharded engine dependent on the lane count; canonicalize replayed
 /// logs before comparing across lane counts).
 ///
-/// Sinks must be `Send` so the engine's parallel lane executor can stage
-/// records on worker threads; the sink itself is only ever *called* from
-/// one thread at a time (the coordinator), in the same order as a serial
-/// run, so implementations need no internal synchronization.
+/// Sinks must be `Send`, so a configured machine can move to another
+/// thread; a sink is only ever *called* from the thread running the
+/// simulation, so implementations need no internal synchronization.
 pub trait ObsSink: Send {
     fn on_msg(&mut self, _m: &MsgRecord) {}
     fn on_compute(&mut self, _c: &ComputeRecord) {}

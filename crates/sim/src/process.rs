@@ -151,11 +151,9 @@ impl<'a> Ctx<'a> {
 /// they react to. A processor whose handlers never issue commands simply
 /// receives messages as they arrive (paying `o` per reception).
 ///
-/// Processes must be `Send`: the sharded engine can move a processor's
-/// state to a worker thread when [`crate::SimConfig::with_workers`] is
-/// set. Handlers still run one-at-a-time per processor, and all shared
-/// state in this crate ([`crate::SharedCell`], message payloads) already
-/// satisfies the bound.
+/// Processes must be `Send`, so a loaded machine can move to another
+/// thread. Handlers run one at a time, and all shared state in this crate
+/// ([`crate::SharedCell`], message payloads) already satisfies the bound.
 pub trait Process: Send {
     /// Called once at time 0, in processor-id order.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}

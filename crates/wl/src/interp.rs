@@ -258,7 +258,7 @@ impl std::error::Error for WlRunError {}
 pub struct WlRun {
     /// Completion time of the whole run (last event).
     pub completion: Cycles,
-    /// Completion cycle of every node, indexed by [`NodeId`].
+    /// Completion cycle of every node, indexed by [`crate::NodeId`].
     pub node_times: Vec<Cycles>,
     /// Deliveries that matched no recv (0 unless the fault plan
     /// duplicates messages).
@@ -269,9 +269,9 @@ pub struct WlRun {
 
 /// Interpret a workload on machine `m` (re-dimensioned to the
 /// workload's processor count) under `config` — classic engine by
-/// default, sharded with [`SimConfig::with_shards`], parallel lanes
-/// with `with_workers`. Checks the program first (the same function as
-/// [`Workload::validate`]); never panics on bad input.
+/// default, sharded with [`SimConfig::with_shards`]. Checks the program
+/// first (the same function as [`Workload::validate`]); never panics on
+/// bad input.
 pub fn run_workload(wl: &Workload, m: &LogP, config: SimConfig) -> Result<WlRun, WlRunError> {
     let plan = lower(wl).map_err(WlRunError::Invalid)?;
     run_on(wl, plan, Sim::new(m.with_p(wl.procs), config))

@@ -77,8 +77,7 @@ fn main() {
 
     // 3. Execute a custom program on the simulated machine. At large P,
     //    swap `SimConfig::default()` for `.with_shards(8)` (per-lane
-    //    calendar queues) and `.with_workers(4)` (parallel window
-    //    executor) — results stay bit-identical; see `examples/
+    //    calendar queues) — results stay bit-identical; see `examples/
     //    workload_dsl.rs` and the `shard_scale` bench.
     let lap_times: SharedCell<Vec<Cycles>> = SharedCell::new();
     let mut sim = Sim::new(m, SimConfig::default());

@@ -1,7 +1,7 @@
 //! Workload DSL walkthrough: write a program as text, load it with real
 //! error reporting, run it on the classic engine, then re-run the same
-//! program bit-identically on the sharded engine with parallel workers
-//! and print the engine vitals.
+//! program bit-identically on the sharded engine and print the engine
+//! vitals.
 //!
 //! ```sh
 //! cargo run --release --example workload_dsl
@@ -71,9 +71,9 @@ g3:    recv 3 -> 0 tag=3
         }
     }
 
-    // 3. The same program on the sharded engine — 4 calendar lanes with
-    //    2 parallel window workers — must agree bit-for-bit.
-    let cfg = SimConfig::default().with_shards(4).with_workers(2);
+    // 3. The same program on the sharded engine — 4 calendar lanes —
+    //    must agree bit-for-bit.
+    let cfg = SimConfig::default().with_shards(4);
     let sharded = run_workload(&wl, &m, cfg).expect("runs");
     assert_eq!(sharded.completion, classic.completion);
     assert_eq!(sharded.node_times, classic.node_times);

@@ -11,10 +11,10 @@
 //!   twin send arms were folded. The engine must reproduce every line:
 //!   same pop order, same event count, same everything.
 //! * **Lane corpus.** `tests/data/lane_identity.txt` holds the same
-//!   configurations on the lane engine — `shards ∈ {2, 8}` ×
-//!   `workers ∈ {0, 2}`, gauge rows left out (they run on the classic
-//!   engine) — recorded at the parent of PR 15 as well, so the lanes and
-//!   the window executor are pinned to a commit, not only to each other.
+//!   configurations on the lane engine — `shards ∈ {2, 8}`, gauge rows
+//!   left out (they run on the classic engine) — recorded at the parent
+//!   of PR 15 as well, so the lanes are pinned to a commit, not only to
+//!   each other.
 //! * **The queue against a model.** 10,400 seeded push/pop streams through
 //!   `Calendar`, driven both the classic way and the lane-engine way,
 //!   popped side by side with a `BinaryHeap`.
@@ -37,7 +37,7 @@ const LANE_FILE: &str = "tests/data/lane_identity.txt";
 const IDENTITY_CONFIGS: u64 = 420;
 /// Configurations from here on run machines with `o > g`.
 const O_ABOVE_G_FROM: u64 = 360;
-const LANE_ENGINES: [(u32, u32); 4] = [(2, 0), (2, 2), (8, 0), (8, 2)];
+const LANE_ENGINES: [u32; 2] = [2, 8];
 
 fn fnv1a(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -165,13 +165,13 @@ impl Process for Chatter {
 }
 
 /// Configuration `i` of the corpus, run on the classic engine
-/// (`lanes = None`) or on `(shards, workers)`; the line it contributes to
-/// the identity file of that engine.
-fn identity_line(i: u64, lanes: Option<(u32, u32)>) -> String {
+/// (`lanes = None`) or on that many lanes; the line it contributes to the
+/// identity file of that engine.
+fn identity_line(i: u64, lanes: Option<u32>) -> String {
     let mut rng = CounterRng::new(0x4556_5155_4555 ^ i); // "EVQUEU"
     let mut cfg = SimConfig::default().with_seed(rng.next_u64());
-    if let Some((shards, workers)) = lanes {
-        cfg = cfg.with_shards(shards).with_workers(workers);
+    if let Some(shards) = lanes {
+        cfg = cfg.with_shards(shards);
     }
     if i % 2 == 1 {
         cfg = cfg.with_jitter(3);
@@ -267,7 +267,8 @@ fn identity_line(i: u64, lanes: Option<(u32, u32)>) -> String {
             run.map(|r| r.result).map_err(|e| e.to_string())
         }
     };
-    let engine = lanes.map_or(String::new(), |(s, w)| format!(" s{s}w{w}"));
+    // The recorded lane rows are labelled `s<lanes>w0`.
+    let engine = lanes.map_or(String::new(), |s| format!(" s{s}w0"));
     match outcome {
         Ok(r) => format!(
             "{i:03} {family} {obs} f{fault}{engine} ok events={} {:016x}",
@@ -491,17 +492,12 @@ impl Process for ZeroCorners {
 fn zero_duration_corners_keep_their_order() {
     let m = LogP::new(5, 0, 3, 2).unwrap();
     let mut runs = Vec::new();
-    for (shards, workers) in [(0, 0), (2, 0), (2, 1), (2, 2)] {
+    for shards in [0, 2] {
         let log = Log::new();
-        let mut sim = Sim::new(
-            m,
-            SimConfig::default()
-                .with_shards(shards)
-                .with_workers(workers),
-        );
+        let mut sim = Sim::new(m, SimConfig::default().with_shards(shards));
         sim.set_all(|_| Box::new(ZeroCorners(log.clone())));
         let r = sim.run().expect("runs to completion");
-        assert_eq!(r.stats.completion, 10, "shards={shards} workers={workers}");
+        assert_eq!(r.stats.completion, 10, "shards={shards}");
         let mut per_proc = log.get();
         per_proc.sort_by_key(|e| e.0); // stable: each processor's own order
         runs.push(per_proc);
@@ -540,10 +536,8 @@ fn time_overflow_is_a_typed_error_on_every_engine() {
         command,
         cycles,
     };
-    for (shards, workers) in [(0, 0), (2, 0), (2, 1)] {
-        let cfg = SimConfig::default()
-            .with_shards(shards)
-            .with_workers(workers);
+    for shards in [0, 2] {
+        let cfg = SimConfig::default().with_shards(shards);
         match run_workload(&wl, &LogP::fig3(), cfg.clone()) {
             Err(WlRunError::Sim(e)) => {
                 assert_eq!(e, huge("compute", u64::MAX), "shards={shards}");
@@ -553,7 +547,7 @@ fn time_overflow_is_a_typed_error_on_every_engine() {
                     "{text}"
                 );
             }
-            other => panic!("shards={shards} workers={workers}: {other:?}"),
+            other => panic!("shards={shards}: {other:?}"),
         }
         // Timers and bulk streams past the limit, and a second step from
         // just under it.
@@ -573,9 +567,9 @@ fn time_overflow_is_a_typed_error_on_every_engine() {
 }
 
 /// A bulk send on a machine that never set `G` is a configuration
-/// mistake, reported as one — not a panic inside the engine, and not a
-/// lost worker thread — whether the first command of the run trips it or
-/// one issued mid-run by a processor a message woke.
+/// mistake, reported as one — not a panic inside the engine — whether the
+/// first command of the run trips it or one issued mid-run by a processor
+/// a message woke.
 #[test]
 fn bulk_send_without_big_g_is_a_typed_error_on_every_engine() {
     struct BulkOnMessage;
@@ -589,10 +583,8 @@ fn bulk_send_without_big_g_is_a_typed_error_on_every_engine() {
             ctx.send_bulk(2, 0, Data::Empty, 4);
         }
     }
-    for (shards, workers) in [(0, 0), (2, 0), (8, 2)] {
-        let cfg = SimConfig::default()
-            .with_shards(shards)
-            .with_workers(workers);
+    for shards in [0, 2, 8] {
+        let cfg = SimConfig::default().with_shards(shards);
         let missing = |proc, now| SimError::MissingBigG {
             proc,
             now,
@@ -601,7 +593,7 @@ fn bulk_send_without_big_g_is_a_typed_error_on_every_engine() {
         let mut sim = Sim::new(LogP::fig3(), cfg.clone());
         sim.set_process(0, Box::new(OneHuge("send_bulk", 0)));
         let e = sim.run().expect_err("no G to stream at");
-        assert_eq!(e, missing(0, 0), "shards={shards} workers={workers}");
+        assert_eq!(e, missing(0, 0), "shards={shards}");
         let text = e.to_string();
         assert!(
             text.contains("`send_bulk`") && text.contains("processor 0") && text.contains("G"),
@@ -610,12 +602,33 @@ fn bulk_send_without_big_g_is_a_typed_error_on_every_engine() {
         // P0's message reaches P5 at 2o + L = 10.
         let mut sim = Sim::new(LogP::fig3(), cfg);
         sim.set_all(|_| Box::new(BulkOnMessage));
-        assert_eq!(
-            sim.run().err(),
-            Some(missing(5, 10)),
-            "shards={shards} workers={workers}"
-        );
+        assert_eq!(sim.run().err(), Some(missing(5, 10)), "shards={shards}");
     }
+}
+
+/// A fault plan that crashes a processor the machine does not have is bad
+/// input, reported as such by `run` on every engine and by `run_workload`.
+#[test]
+fn crash_of_a_missing_processor_is_a_typed_error_on_every_engine() {
+    let plan = FaultPlan::new(7).with_crash(3, 0).with_crash(99, 5);
+    let bad = SimError::CrashOutOfRange { proc: 99, p: 8 };
+    for shards in [0, 2, 8] {
+        let cfg = SimConfig::default()
+            .with_shards(shards)
+            .with_faults(plan.clone());
+        let sim = Sim::new(LogP::fig3(), cfg.clone());
+        assert_eq!(sim.run().err(), Some(bad.clone()), "shards={shards}");
+        let wl = load_workload("workload w\nprocs 8\na: compute 1 @0\n").expect("valid");
+        match run_workload(&wl, &LogP::fig3(), cfg) {
+            Err(WlRunError::Sim(e)) => assert_eq!(e, bad, "shards={shards}"),
+            other => panic!("shards={shards}: {other:?}"),
+        }
+    }
+    let text = bad.to_string();
+    assert!(
+        text.contains("processor 99") && text.contains("P = 8"),
+        "{text}"
+    );
 }
 
 /// Issues one command with a hostile duration.

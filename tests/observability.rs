@@ -815,8 +815,8 @@ impl Process for Backlog {
 /// total and every component — when one handler's backlog is 1, 65
 /// (past the 64-span prune threshold) or 300 commands deep, with
 /// computes, a barrier, retransmission timers and a drop/dup/delay plan
-/// in play (every class but `stall` lands on some path), on the classic engine and on 2 and 8 lanes, serial and under
-/// 1 and 2 workers. The spans read per wait window stay a handful
+/// in play (every class but `stall` lands on some path), on the classic
+/// engine and on 2 and 8 lanes. The spans read per wait window stay a handful
 /// however deep the backlog (the linear scan this replaces read about
 /// one per queued command).
 #[test]
@@ -838,14 +838,13 @@ fn online_aggregate_matches_critical_path_under_deep_backlog() {
             });
             sim.run().expect("every reliable send is acknowledged")
         };
-        for (lanes, workers) in [(0u32, 0u32), (2, 0), (2, 1), (2, 2), (8, 0), (8, 1), (8, 2)] {
+        for lanes in [0u32, 2, 8] {
             let base = SimConfig {
                 barrier_cost: 5,
                 ..SimConfig::default()
             }
-            .with_shards(lanes)
-            .with_workers(workers);
-            let what = format!("k={k}, {lanes} lanes, {workers} workers");
+            .with_shards(lanes);
+            let what = format!("k={k}, {lanes} lanes");
             let retained = run(base.clone().with_msg_log(true));
             let cp = critical_path(&retained).expect("msg log recorded");
             let streamed = run(base.with_aggregate(true));

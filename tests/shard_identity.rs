@@ -321,244 +321,6 @@ impl Process for TreeFanOut {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Worker-count invariance: the parallel window executor
-// (`logp_sim::engine::plane`) must reproduce the serial sharded engine's
-// `SimResult` — and every exported artifact — bit for bit at every worker
-// count, in every configuration.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn broadcast_bit_identical_across_worker_counts() {
-    for m in machines() {
-        for config in [
-            SimConfig::default(),
-            SimConfig::observed(),
-            SimConfig::observed().with_jitter(3).with_drift(8),
-        ] {
-            let run = |workers: u32| -> SimResult {
-                run_optimal_broadcast(&m, config.clone().with_shards(8).with_workers(workers))
-                    .result
-            };
-            let serial = run(0);
-            for workers in [1u32, 2, 4, 8] {
-                assert_eq!(
-                    serial,
-                    run(workers),
-                    "serial vs {workers} workers diverged on {m:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn faulted_run_bit_identical_across_worker_counts() {
-    for m in machines() {
-        let plan = FaultPlan::new(0xFEED)
-            .with_drop_ppm(50_000)
-            .with_dup_ppm(20_000)
-            .with_delay(30_000, 7)
-            .with_crash(m.p - 1, 40)
-            .with_crash(0, 0);
-        let config = SimConfig::observed()
-            .with_jitter(3)
-            .with_shards(4)
-            .with_faults(plan.clone());
-        let run = |workers: u32| -> SimResult {
-            let mut sim = Sim::new(m, config.clone().with_workers(workers));
-            sim.set_all(|_| Box::new(Scatter { rounds: 4 }));
-            sim.run().expect("scatter terminates")
-        };
-        let serial = run(0);
-        for workers in [1u32, 2, 4, 8] {
-            assert_eq!(
-                serial,
-                run(workers),
-                "serial vs {workers} workers diverged under faults on {m:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn barrier_programs_bit_identical_across_worker_counts() {
-    struct BarrierHop;
-    impl Process for BarrierHop {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            let me = ctx.me();
-            let p = ctx.procs();
-            ctx.compute(u64::from(me % 5) * 3, 0);
-            ctx.barrier();
-            ctx.send((me + 1) % p, 1, Data::U64(u64::from(me)));
-            ctx.barrier();
-        }
-    }
-    for m in machines() {
-        for config in [
-            SimConfig::observed().with_shards(3),
-            SimConfig::observed().with_jitter(2).with_shards(8),
-        ] {
-            let run = |workers: u32| -> SimResult {
-                let mut sim = Sim::new(m, config.clone().with_workers(workers));
-                sim.set_all(|_| Box::new(BarrierHop));
-                sim.run().expect("barrier program terminates")
-            };
-            let serial = run(0);
-            for workers in [1u32, 2, 4, 8] {
-                assert_eq!(
-                    serial,
-                    run(workers),
-                    "serial vs {workers} workers diverged on barriers on {m:?}"
-                );
-            }
-        }
-    }
-}
-
-/// Prologue sends: `on_start` runs at t = 0, *before* the first
-/// window's start, so its cross-lane arrivals are not covered by the
-/// `arrival >= t0 + W` window bound and can land inside the first
-/// window. The parallel executor must deliver the prologue outboxes
-/// before the first window pumps (regression: an all-to-all blast from
-/// `on_start` let a destination's capacity wake overtake an arrival the
-/// serial engine services first).
-#[test]
-fn prologue_blast_bit_identical_across_worker_counts() {
-    struct Blast;
-    impl Process for Blast {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            let me = ctx.me();
-            let p = ctx.procs();
-            for k in 1..p {
-                ctx.send((me + k) % p, 0, Data::Empty);
-            }
-        }
-    }
-    for m in machines() {
-        for shards in [2u32, 4, 8] {
-            let run = |workers: u32| -> SimResult {
-                let mut sim = Sim::new(
-                    m,
-                    SimConfig::observed()
-                        .with_shards(shards)
-                        .with_workers(workers),
-                );
-                sim.set_all(|_| Box::new(Blast));
-                sim.run().expect("blast terminates")
-            };
-            let serial = run(0);
-            for workers in [1u32, 2, 4] {
-                assert_eq!(
-                    serial,
-                    run(workers),
-                    "prologue blast diverged at {shards} lanes, {workers} workers on {m:?}"
-                );
-            }
-        }
-    }
-}
-
-/// Streamed artifacts must be *byte*-identical across worker counts:
-/// lane emissions stage per lane and flush through the parent's sampler
-/// and sink in lane order at every window barrier, which is exactly the
-/// serial emission order.
-#[test]
-fn streamed_artifacts_byte_identical_across_worker_counts() {
-    let dir = std::env::temp_dir().join("logp_worker_stream_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let m = LogP::new(14, 3, 5, 27).unwrap();
-    let policies = [
-        ObsSampling::All,
-        ObsSampling::Stride(3),
-        ObsSampling::Reservoir { k: 9, seed: 0x5EED },
-    ];
-    for (pi, policy) in policies.into_iter().enumerate() {
-        let run = |workers: u32| -> (String, String) {
-            let jsonl = dir.join(format!("p{pi}_w{workers}.jsonl"));
-            let perfetto = dir.join(format!("p{pi}_w{workers}.pftrace.json"));
-            for (sink, path) in [
-                (SinkSpec::Jsonl(jsonl.clone()), &jsonl),
-                (SinkSpec::Perfetto(perfetto.clone()), &perfetto),
-            ] {
-                let config = SimConfig::default()
-                    .with_jitter(2)
-                    .with_shards(8)
-                    .with_workers(workers)
-                    .with_sink(sink)
-                    .with_sampling(policy.clone());
-                let res = run_optimal_broadcast(&m, config).result;
-                assert!(res.obs.is_empty(), "streaming retains nothing");
-                assert!(path.exists());
-            }
-            (
-                std::fs::read_to_string(&jsonl).unwrap(),
-                std::fs::read_to_string(&perfetto).unwrap(),
-            )
-        };
-        let serial = run(0);
-        for workers in [1u32, 2, 4, 8] {
-            assert_eq!(
-                serial,
-                run(workers),
-                "policy {policy:?} artifacts diverged at {workers} workers"
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Online aggregation under workers: the per-lane aggregates absorbed
-/// into the parent must equal the serial sharded aggregate exactly
-/// (same critical path, same per-processor components, same histograms),
-/// under jitter and faults.
-#[test]
-fn aggregation_invariant_across_worker_counts() {
-    let m = LogP::new(14, 3, 5, 27).unwrap();
-    let plan = FaultPlan::new(0xFEED)
-        .with_drop_ppm(40_000)
-        .with_delay(25_000, 5);
-    let run = |workers: u32| {
-        let config = SimConfig::default()
-            .with_jitter(2)
-            .with_shards(4)
-            .with_workers(workers)
-            .with_faults(plan.clone())
-            .with_aggregate(true);
-        let mut sim = Sim::new(m, config);
-        sim.set_all(|_| Box::new(Scatter { rounds: 4 }));
-        sim.run().expect("scatter terminates")
-    };
-    let serial = run(0);
-    assert!(
-        serial.aggregate.is_some(),
-        "aggregation must produce a report"
-    );
-    for workers in [1u32, 2, 4, 8] {
-        assert_eq!(
-            serial,
-            run(workers),
-            "aggregate diverged at {workers} workers"
-        );
-    }
-}
-
-/// Worker counts above the lane count clamp harmlessly, and the vitals
-/// report the clamped worker count plus per-lane wall times.
-#[test]
-fn worker_vitals_report_parallel_shape() {
-    let m = LogP::new(6, 2, 4, 8).unwrap();
-    let r = run_optimal_broadcast(&m, SimConfig::default().with_shards(4).with_workers(16));
-    let v = &r.result.vitals;
-    assert_eq!(v.engine, "sharded");
-    assert_eq!(v.workers, 4, "workers clamp to the lane count");
-    assert_eq!(v.lane_wall_ns.len() as u32, v.lanes);
-    let serial = run_optimal_broadcast(&m, SimConfig::default().with_shards(4));
-    let vs = &serial.result.vitals;
-    assert_eq!(vs.workers, 0, "serial sharded runs report zero workers");
-    assert!(vs.lane_wall_ns.is_empty());
-}
-
 /// The million-processor target: broadcast and all-reduce at `P = 1M`
 /// complete and agree across the classic engine and every lane count.
 /// Ignored by default — it is minutes of work in a debug build; the

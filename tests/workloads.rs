@@ -1,6 +1,6 @@
 //! Workload DSL end-to-end tests: golden-corpus parity against the
 //! built-in `Process` implementations (cycle-exact on all five
-//! presets, identical across lane and worker counts), loader
+//! presets, identical across lane counts), loader
 //! error-message snapshots (every rejection path asserts its span and
 //! message), text round-trips, trace-replay round-trips, and the
 //! replayed-JSONL canonicalization pin.
@@ -28,8 +28,7 @@ fn presets() -> Vec<(&'static str, LogP, Cycles)> {
 }
 
 /// Every engine configuration the acceptance bar names: classic
-/// (lane count 1), sharded lanes {2, 4, 8}, and the parallel window
-/// executor at worker counts {1, 2, 4, 8}.
+/// (lane count 1) and sharded lanes {2, 4, 8}.
 ///
 /// All configs relax the finite-capacity stall (the sharded engine
 /// never enforces it), so cross-engine bit-identity is defined on the
@@ -45,12 +44,6 @@ fn engines() -> Vec<(String, SimConfig)> {
         v.push((
             format!("lanes{lanes}"),
             relax(SimConfig::default().with_shards(lanes)),
-        ));
-    }
-    for w in [1u32, 2, 4, 8] {
-        v.push((
-            format!("lanes8-workers{w}"),
-            relax(SimConfig::default().with_shards(8).with_workers(w)),
         ));
     }
     v
