@@ -1,0 +1,261 @@
+//! The collectives of `logp-algos`, pinned to a commit rather than to each
+//! other.
+//!
+//! `tests/data/collective_identity.txt` holds one line per (public runner
+//! of `broadcast` / `hier` / `allreduce` / `reduce` / `kbroadcast`) ×
+//! (machine) × (fault plan, for the resilient runners) × (classic engine,
+//! four lanes): a hash over everything the runner returns — `Debug` of the
+//! result struct, so arrival / final order, `retries`, `messages` and the
+//! whole `SimResult` under `SimConfig::observed()` (every span, every
+//! message record with its tag, every counter) are in it. The file was
+//! recorded at the parent of the PR that folded the eight hand-copied
+//! collective programs into one tree program and a `Reliable<P>` wrapper;
+//! the runners must reproduce every line.
+//!
+//! Machines are the six presets of `tests/engine_queue.rs`; `hier` also
+//! runs that file's `three_levels` hierarchies and `Hierarchy::flat` of
+//! each preset. `run_survivor_broadcast` is left out of the lossy plan:
+//! it sends unreliably, so it cannot complete there.
+
+use logp::algos::allreduce::{
+    run_allreduce_doubling, run_allreduce_reduce_bcast, run_reliable_allreduce,
+};
+use logp::algos::broadcast::{
+    run_optimal_broadcast, run_reliable_broadcast, run_shape_broadcast, run_survivor_broadcast,
+    run_tree_broadcast,
+};
+use logp::algos::hier::{
+    flat_tree, hier_tree, run_flat_allreduce_on, run_flat_broadcast_on, run_flat_sum_on,
+    run_hier_allreduce, run_hier_broadcast, run_hier_sum, run_tree_allreduce_on,
+    run_tree_broadcast_on, run_tree_reduce_on,
+};
+use logp::algos::kbroadcast::{
+    run_kbcast_binomial, run_kbcast_optimal_tree, run_kbcast_scatter_gather,
+    run_reliable_kbroadcast,
+};
+use logp::algos::reduce::{run_binomial_sum, run_optimal_sum, run_reliable_sum, run_sum_schedule};
+use logp::core::broadcast::{shape_children, TreeShape};
+use logp::core::hier::{Hierarchy, Level};
+use logp::core::summation::{min_sum_time, optimal_sum_schedule};
+use logp::core::LogP;
+use logp::sim::reliable::RetryConfig;
+use logp::sim::{FaultPlan, SimConfig};
+
+const IDENTITY_FILE: &str = "tests/data/collective_identity.txt";
+/// Lane counts the corpus runs on (`0` = the classic engine).
+const ENGINES: [u32; 2] = [0, 4];
+
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The presets of `tests/engine_queue.rs`.
+fn presets() -> [LogP; 6] {
+    [
+        LogP::fig3(),
+        LogP::fig4(),
+        LogP::new(60, 20, 40, 16).unwrap(),
+        LogP::new(200, 4, 8, 32).unwrap(),
+        LogP::new(2, 1, 12, 24).unwrap(),
+        LogP::new(5, 0, 3, 12).unwrap(),
+    ]
+}
+
+/// `three_levels` of `tests/engine_queue.rs`: socket / node / cluster,
+/// the node level with `o < g` or `o > g`.
+fn three_levels(node_o: u64) -> Hierarchy {
+    Hierarchy::new(vec![
+        Level::new(4, 1, 2, 2).unwrap(),
+        Level::new(20, node_o, 6, 2).unwrap(),
+        Level::new(300, 12, 16, 3).unwrap(),
+    ])
+    .unwrap()
+}
+
+/// The fault plans of the resilient runners: none (a zero-rate plan),
+/// crash-only with the root among the crashed, and a lossy network.
+fn plans(p: u32) -> [(&'static str, FaultPlan); 3] {
+    [
+        ("none", FaultPlan::new(0xC011)),
+        (
+            "crash",
+            FaultPlan::new(0xC011).with_crash(0, 0).with_crash(p - 2, 7),
+        ),
+        (
+            "lossy",
+            FaultPlan::new(0xC011)
+                .with_drop_ppm(50_000)
+                .with_dup_ppm(20_000)
+                .with_delay(100_000, 9),
+        ),
+    ]
+}
+
+/// The lines recorded so far, and the engine + machine the next ones run on.
+struct Corpus {
+    lines: Vec<String>,
+    lanes: u32,
+    machine: String,
+}
+
+impl Corpus {
+    fn cfg(&self) -> SimConfig {
+        SimConfig::observed()
+            .with_seed(0x1D)
+            .with_shards(self.lanes)
+    }
+}
+
+/// One corpus line: the label, then a hash over the run's `Debug` with
+/// the vitals (which measure the host and the build profile) reset.
+macro_rules! pin {
+    ($c:expr, $label:expr, $run:expr) => {{
+        let mut run = $run;
+        run.result.vitals = Default::default();
+        let hash = fnv1a(&format!("{run:?}"));
+        let (label, done) = ($label, run.completion);
+        let line = format!(
+            "{label} {} s{} completion={done} {hash:016x}",
+            $c.machine, $c.lanes
+        );
+        $c.lines.push(line);
+    }};
+}
+
+fn flat_lines(c: &mut Corpus, m: &LogP) {
+    let p = m.p;
+    let retry = RetryConfig::for_tree(m, p).with_max_retries(16);
+    let values: Vec<f64> = (0..p).map(|q| f64::from(q % 7) + 0.5).collect();
+    let items: Vec<u64> = (0..7).map(|k| k * 7 + 1).collect();
+
+    let binary = shape_children(TreeShape::Binary, p);
+    pin!(c, "broadcast.tree", run_tree_broadcast(m, &binary, c.cfg()));
+    pin!(c, "broadcast.optimal", run_optimal_broadcast(m, c.cfg()));
+    for shape in [
+        TreeShape::Flat,
+        TreeShape::Linear,
+        TreeShape::Binary,
+        TreeShape::Binomial,
+    ] {
+        let label = format!("broadcast.shape.{shape:?}");
+        pin!(c, label, run_shape_broadcast(m, shape, c.cfg()));
+    }
+
+    let run = run_allreduce_reduce_bcast(m, &values, c.cfg());
+    pin!(c, "allreduce.reduce_bcast", run);
+    let pow2 = m.with_p(1 << p.ilog2());
+    let run = run_allreduce_doubling(&pow2, &values[..pow2.p as usize], c.cfg());
+    pin!(c, "allreduce.doubling", run);
+
+    let t = min_sum_time(m, 3 * u64::from(p) + 5, p);
+    pin!(c, "reduce.optimal", run_optimal_sum(m, t, c.cfg()));
+    let sched = optimal_sum_schedule(m, t + 3);
+    pin!(c, "reduce.schedule", run_sum_schedule(&sched, c.cfg()));
+    pin!(c, "reduce.binomial", run_binomial_sum(m, 100, c.cfg()));
+
+    let run = run_kbcast_optimal_tree(m, &items, c.cfg());
+    pin!(c, "kbroadcast.optimal_tree", run);
+    pin!(
+        c,
+        "kbroadcast.binomial",
+        run_kbcast_binomial(m, &items, c.cfg())
+    );
+    let run = run_kbcast_scatter_gather(m, &items, c.cfg());
+    pin!(c, "kbroadcast.scatter_gather", run);
+
+    for (name, plan) in plans(p) {
+        if name != "lossy" {
+            let run = run_survivor_broadcast(m, &plan, c.cfg()).unwrap();
+            pin!(c, format!("broadcast.survivor.{name}"), run);
+        }
+        let run = run_reliable_broadcast(m, &plan, retry.clone(), c.cfg()).unwrap();
+        pin!(c, format!("broadcast.reliable.{name}"), run);
+        let run = run_reliable_allreduce(m, &values, &plan, retry.clone(), c.cfg()).unwrap();
+        pin!(c, format!("allreduce.reliable.{name}"), run);
+        let run = run_reliable_sum(m, 100, &plan, retry.clone(), c.cfg()).unwrap();
+        pin!(c, format!("reduce.reliable.{name}"), run);
+        let run = run_reliable_kbroadcast(m, &items, &plan, retry.clone(), c.cfg()).unwrap();
+        pin!(c, format!("kbroadcast.reliable.{name}"), run);
+    }
+}
+
+fn hier_lines(c: &mut Corpus, h: &Hierarchy) {
+    let values: Vec<f64> = (0..h.p()).map(|q| f64::from(q % 7) + 0.5).collect();
+    let v = &values;
+    let (ht, ft) = (hier_tree(h), flat_tree(h));
+    let run = run_tree_broadcast_on(h, &ft, 7.5, c.cfg());
+    pin!(c, "hier.tree_broadcast_on", run);
+    pin!(
+        c,
+        "hier.tree_reduce_on",
+        run_tree_reduce_on(h, &ft, v, c.cfg())
+    );
+    let run = run_tree_allreduce_on(h, &ht, &ft, v, c.cfg());
+    pin!(c, "hier.tree_allreduce_on", run);
+    pin!(
+        c,
+        "hier.hier_broadcast",
+        run_hier_broadcast(h, 7.5, c.cfg())
+    );
+    let run = run_flat_broadcast_on(h, 7.5, c.cfg());
+    pin!(c, "hier.flat_broadcast_on", run);
+    pin!(c, "hier.hier_sum", run_hier_sum(h, v, c.cfg()));
+    pin!(c, "hier.flat_sum_on", run_flat_sum_on(h, v, c.cfg()));
+    pin!(c, "hier.hier_allreduce", run_hier_allreduce(h, v, c.cfg()));
+    let run = run_flat_allreduce_on(h, v, c.cfg());
+    pin!(c, "hier.flat_allreduce_on", run);
+}
+
+fn identity_lines() -> Vec<String> {
+    let mut c = Corpus {
+        lines: Vec::new(),
+        lanes: 0,
+        machine: String::new(),
+    };
+    for lanes in ENGINES {
+        c.lanes = lanes;
+        for (i, m) in presets().iter().enumerate() {
+            c.machine = format!("m{i}");
+            flat_lines(&mut c, m);
+            hier_lines(&mut c, &Hierarchy::flat(m));
+        }
+        for node_o in [4, 9] {
+            c.machine = format!("three_levels.o{node_o}");
+            hier_lines(&mut c, &three_levels(node_o));
+        }
+    }
+    c.lines
+}
+
+#[test]
+fn collectives_reproduce_the_recorded_corpus() {
+    let now = identity_lines();
+    let recorded = std::fs::read_to_string(IDENTITY_FILE).expect(IDENTITY_FILE);
+    let recorded: Vec<&str> = recorded.lines().collect();
+    assert_eq!(recorded.len(), now.len(), "{IDENTITY_FILE}: line count");
+    let bad: Vec<String> = recorded
+        .iter()
+        .zip(&now)
+        .filter(|(r, n)| r != n)
+        .map(|(r, n)| format!("recorded: {r}\n     now: {n}"))
+        .collect();
+    assert!(
+        bad.is_empty(),
+        "{IDENTITY_FILE}: {} of {} lines changed:\n{}",
+        bad.len(),
+        now.len(),
+        bad[..bad.len().min(20)].join("\n")
+    );
+}
+
+/// Rewrites the corpus from the runners in the tree (run at the parent of
+/// the PR that wrote every collective once); running it again pins
+/// whatever the runners do now, so do that only for a deliberate change
+/// of behaviour.
+#[test]
+#[ignore = "rewrites tests/data/collective_identity.txt"]
+fn regenerate_collective_identity() {
+    std::fs::write(IDENTITY_FILE, identity_lines().join("\n") + "\n").expect(IDENTITY_FILE);
+}
