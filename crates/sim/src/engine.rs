@@ -631,6 +631,9 @@ pub struct Sim {
     trace: Trace,
     stats: SimStats,
     barrier_count: u32,
+    /// Classic engine: a `BarrierRelease` is scheduled and has not fired
+    /// (the lanes keep theirs in `Windows::pending_release`).
+    release_pending: bool,
     alive: u32,
     capacity: u64,
     /// Reusable command buffer for handler invocations (hot path: one
@@ -762,6 +765,7 @@ impl Sim {
             trace: Trace::default(),
             stats: SimStats::default(),
             barrier_count: 0,
+            release_pending: false,
             capacity: u64::MAX,
             cmd_scratch: Vec::with_capacity(8),
             waiter_scratch: Vec::new(),
@@ -2249,8 +2253,11 @@ impl Sim {
         self.waiter_scratch = waiters;
     }
 
+    /// Schedule the release once per quorum: a processor crashing while
+    /// it waits in a complete barrier completes the quorum "again".
     fn check_barrier(&mut self) {
-        if self.alive > 0 && self.barrier_count == self.alive {
+        if !self.release_pending && self.alive > 0 && self.barrier_count == self.alive {
+            self.release_pending = true;
             self.schedule(
                 self.now + self.config.barrier_cost,
                 EventKind::BarrierRelease,
@@ -2626,6 +2633,7 @@ impl Sim {
             EventKind::BarrierRelease => {
                 // Scheduled by the classic `check_barrier` only; the lane
                 // driver calls the release at the replayed instant.
+                self.release_pending = false;
                 self.apply_barrier_release::<OBS, FAULTS, SHARDED>(self.now);
             }
             EventKind::TimerFire(p, tag) => {

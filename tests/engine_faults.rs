@@ -276,3 +276,38 @@ fn timer_caused_sends_appear_as_retry_edges() {
     assert_eq!(cp.components.l, m.l);
     assert_eq!(cp.components.sum(), cp.total);
 }
+
+/// A processor that crashes while it waits in a *complete* barrier must
+/// not complete the quorum a second time: the classic engine used to
+/// schedule a second release, which then let the next round go early
+/// (releases at 10, 13, 21, 24 here). One release per quorum, on every
+/// engine.
+#[test]
+fn crash_inside_a_complete_barrier_releases_it_once() {
+    struct Rounds(u32);
+    impl Process for Rounds {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.barrier();
+        }
+        fn on_barrier_release(&mut self, ctx: &mut Ctx<'_>) {
+            self.0 -= 1;
+            if self.0 > 0 {
+                ctx.compute(1, 0);
+                ctx.barrier();
+            }
+        }
+    }
+    for shards in [0, 2, 4] {
+        let mut config = SimConfig::default()
+            .with_msg_log(true)
+            .with_shards(shards)
+            .with_faults(FaultPlan::new(1).with_crash(1, 3));
+        config.barrier_cost = 10;
+        let mut sim = Sim::new(model().with_p(4), config);
+        sim.set_all(|_| Box::new(Rounds(3)));
+        let res = sim.run().unwrap();
+        let releases: Vec<u64> = res.obs.barriers.iter().map(|b| b.release).collect();
+        assert_eq!(releases, [10, 21, 32], "shards = {shards}");
+        assert_eq!(res.stats.completion, 32, "shards = {shards}");
+    }
+}

@@ -9,7 +9,13 @@
 //!   with `o > g`, where a bulk send's `send_gate` differs from a small
 //!   send's) were recorded at the parent of PR 15, before the engine's
 //!   twin send arms were folded. The engine must reproduce every line:
-//!   same pop order, same event count, same everything.
+//!   same pop order, same event count, same everything. One row was
+//!   re-recorded since, for a declared change of behaviour: row 239
+//!   (`chatter gauges f3`) read `err … deadlocked …` because the classic
+//!   engine released a barrier twice when a processor crashed while
+//!   waiting in a complete one (`tests/engine_faults.rs`,
+//!   `crash_inside_a_complete_barrier_releases_it_once`); with one release
+//!   per quorum the run completes, as it always did on the lanes.
 //! * **Lane corpus.** `tests/data/lane_identity.txt` holds the same
 //!   configurations on the lane engine — `shards ∈ {2, 8}`, gauge rows
 //!   left out (they run on the classic engine) — recorded at the parent
@@ -335,10 +341,11 @@ fn lane_engines_reproduce_the_recorded_corpus() {
 }
 
 /// Rewrites both identity files from the engine in the tree (run at the
-/// parent of PR 14 for classic rows 0–359, and at the parent of PR 15 for
-/// the `o > g` rows and the lane file); running it again pins whatever
-/// the engine does now, so do that only for a deliberate change of
-/// behaviour.
+/// parent of PR 14 for classic rows 0–359, at the parent of PR 15 for
+/// the `o > g` rows and the lane file, and with the barrier double-release
+/// fixed, which changed classic row 239 alone); running it again pins
+/// whatever the engine does now, so do that only for a deliberate change
+/// of behaviour.
 #[test]
 #[ignore = "rewrites tests/data/engine_identity.txt and lane_identity.txt"]
 fn regenerate_identity_files() {
