@@ -13,17 +13,29 @@
 //!   advocates.
 
 use crate::resilient::{
-    survivor_binomial_role, survivor_tree_children, ResilientError, SurvivorMap,
+    survivor_binomial_children, survivor_tree_children, ResilientError, SurvivorMap,
 };
-use logp_core::broadcast::optimal_broadcast_tree;
+use crate::tree::{run_tree, Phases, Wire};
+use logp_core::broadcast::{binomial_children, optimal_broadcast_tree};
 use logp_core::{Cycles, LogP, ProcId};
-use logp_sim::reliable::{Endpoint, RetryConfig};
+use logp_sim::reliable::RetryConfig;
 use logp_sim::{Ctx, Data, FaultPlan, Message, Process, SharedCell, Sim, SimConfig, SimResult};
 use std::collections::HashMap;
 
-const TAG_UP: u32 = 0x91;
-const TAG_DOWN: u32 = 0x92;
 const TAG_XCHG: u32 = 0x93;
+
+/// One combine addition per received partial sum.
+const PLAIN: Wire = Wire {
+    up: 0x91,
+    down: 0x92,
+    combine: 1,
+};
+/// The reliable all-reduce has always combined on receipt; its results
+/// are pinned to that.
+const RELIABLE: Wire = Wire {
+    combine: 0,
+    ..PLAIN
+};
 
 /// Outcome: every processor's final value and completion time.
 #[derive(Debug, Clone, Default)]
@@ -46,62 +58,6 @@ pub struct AllReduceRun {
 // Strategy 1: binomial reduce, then optimal broadcast.
 // ---------------------------------------------------------------------
 
-struct ReduceBcast {
-    value: f64,
-    expect_up: u32,
-    got_up: u32,
-    up_parent: Option<ProcId>,
-    down_children: Vec<ProcId>,
-    reduced: bool,
-    out: SharedCell<AllReduceOutcome>,
-}
-
-impl ReduceBcast {
-    fn try_send_up(&mut self, ctx: &mut Ctx<'_>) {
-        if self.got_up == self.expect_up && !self.reduced {
-            self.reduced = true;
-            match self.up_parent {
-                Some(p) => ctx.send(p, TAG_UP, Data::F64(self.value)),
-                None => self.distribute(ctx), // root: switch to broadcast
-            }
-        }
-    }
-
-    fn distribute(&mut self, ctx: &mut Ctx<'_>) {
-        for &c in &self.down_children {
-            ctx.send(c, TAG_DOWN, Data::F64(self.value));
-        }
-        let rec = (ctx.me(), self.value, ctx.now());
-        self.out.with(|o| o.finals.push(rec));
-    }
-}
-
-impl Process for ReduceBcast {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.try_send_up(ctx);
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        match msg.tag {
-            TAG_UP => {
-                self.value += msg.data.as_f64();
-                self.got_up += 1;
-                // One combine addition per received partial sum.
-                ctx.compute(1, 0);
-            }
-            TAG_DOWN => {
-                self.value = msg.data.as_f64();
-                self.distribute(ctx);
-            }
-            other => unreachable!("unknown tag {other}"),
-        }
-    }
-
-    fn on_compute_done(&mut self, _tag: u64, ctx: &mut Ctx<'_>) {
-        self.try_send_up(ctx);
-    }
-}
-
 /// Reduce-then-broadcast all-reduce over one value per processor.
 pub fn run_allreduce_reduce_bcast(m: &LogP, values: &[f64], config: SimConfig) -> AllReduceRun {
     let p = m.p;
@@ -109,32 +65,12 @@ pub fn run_allreduce_reduce_bcast(m: &LogP, values: &[f64], config: SimConfig) -
     // Up tree: binomial (trailing-zeros convention); down tree: the
     // optimal broadcast tree — arrival-ordered ids happen to be 0..P, and
     // tree node ids coincide with processor ids here.
-    let bt = optimal_broadcast_tree(m);
-    let down = bt.children();
-    let out: SharedCell<AllReduceOutcome> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    for q in 0..p {
-        let expect_up = logp_core::broadcast::binomial_children(q, p).len() as u32;
-        let up_parent = if q == 0 {
-            None
-        } else {
-            Some(logp_core::broadcast::binomial_parent(q))
-        };
-        sim.set_process(
-            q,
-            Box::new(ReduceBcast {
-                value: values[q as usize],
-                expect_up,
-                got_up: 0,
-                up_parent,
-                down_children: down[q as usize].clone(),
-                reduced: false,
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("all-reduce terminates");
-    finish(out, result, p, values)
+    let up: Vec<_> = (0..p).map(|q| binomial_children(q, p)).collect();
+    let down = optimal_broadcast_tree(m).children();
+    let (sim, phases) = (Sim::new(*m, config), Phases::UpDown(&up, &down));
+    let run = run_tree(sim, &PLAIN, 0, 0..p, phases, |q| values[q as usize], None)
+        .expect("every processor finishes exactly once");
+    finish(&run.finals, run.result, values.iter().sum())
 }
 
 // ---------------------------------------------------------------------
@@ -214,73 +150,15 @@ pub fn run_allreduce_doubling(m: &LogP, values: &[f64], config: SimConfig) -> Al
         );
     }
     let result = sim.run().expect("all-reduce terminates");
-    finish(out, result, p, values)
+    let oc = out.get();
+    assert_eq!(oc.finals.len(), p as usize, "every processor must finish");
+    finish(&oc.finals, result, values.iter().sum())
 }
 
 // ---------------------------------------------------------------------
-// Fault-tolerant variant: binomial reduce + optimal broadcast over the
-// survivors, every edge carried by a reliable endpoint.
+// Fault-tolerant variant: the same two trees over the survivors, every
+// edge carried by a reliable endpoint.
 // ---------------------------------------------------------------------
-
-struct ReliableAllReduce {
-    ep: Endpoint,
-    value: f64,
-    expect_up: u32,
-    got_up: u32,
-    up_parent: Option<ProcId>,
-    down_children: Vec<ProcId>,
-    out: SharedCell<AllReduceOutcome>,
-}
-
-impl ReliableAllReduce {
-    fn maybe_send_up(&mut self, ctx: &mut Ctx<'_>) {
-        if self.got_up != self.expect_up {
-            return;
-        }
-        match self.up_parent {
-            Some(p) => {
-                self.ep.send(ctx, p, TAG_UP, Data::F64(self.value));
-            }
-            None => self.distribute(ctx), // root: switch to broadcast
-        }
-    }
-
-    fn distribute(&mut self, ctx: &mut Ctx<'_>) {
-        for &c in &self.down_children {
-            self.ep.send(ctx, c, TAG_DOWN, Data::F64(self.value));
-        }
-        let rec = (ctx.me(), self.value, ctx.now());
-        self.out.with(|o| o.finals.push(rec));
-    }
-}
-
-impl Process for ReliableAllReduce {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.maybe_send_up(ctx);
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let Some(inner) = self.ep.on_message(msg, ctx) else {
-            return; // ack or suppressed duplicate
-        };
-        match msg.tag {
-            TAG_UP => {
-                self.value += inner.as_f64();
-                self.got_up += 1;
-                self.maybe_send_up(ctx);
-            }
-            TAG_DOWN => {
-                self.value = inner.as_f64();
-                self.distribute(ctx);
-            }
-            other => unreachable!("unknown tag {other}"),
-        }
-    }
-
-    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        self.ep.on_timer(tag, ctx);
-    }
-}
 
 /// All-reduce that tolerates the fault plan: the *survivors'* values are
 /// combined up a binomial tree over survivor ranks and broadcast back
@@ -295,83 +173,43 @@ pub fn run_reliable_allreduce(
     retry: RetryConfig,
     config: SimConfig,
 ) -> Result<AllReduceRun, ResilientError> {
-    let p = m.p;
-    assert_eq!(values.len(), p as usize);
-    let map = SurvivorMap::new(p, plan)?;
+    assert_eq!(values.len(), m.p as usize);
+    let map = SurvivorMap::new(m.p, plan)?;
+    let up = survivor_binomial_children(m.p, &map);
     let down = survivor_tree_children(m, &map);
-    let out: SharedCell<AllReduceOutcome> = SharedCell::new();
-    let mut sim = Sim::new(*m, config.with_faults(plan.clone()));
-    for r in 0..map.k() {
-        let q = map.id_of(r);
-        let (expect_up, up_parent) = survivor_binomial_role(&map, r);
-        sim.set_process(
-            q,
-            Box::new(ReliableAllReduce {
-                ep: Endpoint::new(retry.clone()),
-                value: values[q as usize],
-                expect_up,
-                got_up: 0,
-                up_parent,
-                down_children: down[q as usize].clone(),
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("reliable all-reduce terminates");
-    let oc = out.get();
-    assert_eq!(
-        oc.finals.len(),
-        map.k() as usize,
-        "every survivor must finish"
-    );
-    let expect: f64 = map.survivors().iter().map(|&q| values[q as usize]).sum();
-    let tol = 1e-12 * expect.abs().max(1.0);
-    for (q, v, _) in &oc.finals {
-        assert!(map.is_survivor(*q));
-        assert!(
-            (*v - expect).abs() <= tol,
-            "survivor {q} holds a wrong total: {v} vs {expect}"
-        );
-    }
-    // Logical completion: the last survivor's final value, not the tail
-    // of stale retransmission timers in `stats.completion`.
-    let done = oc.finals.iter().map(|f| f.2).max().unwrap_or(0);
-    Ok(AllReduceRun {
-        value: expect,
-        completion: done,
-        messages: result.stats.total_msgs,
-        result,
-    })
+    let sim = Sim::new(*m, config.with_faults(plan.clone()));
+    let ranks = map.survivors().iter().copied();
+    let (phases, value) = (Phases::UpDown(&up, &down), |q| values[q as usize]);
+    let run = run_tree(
+        sim,
+        &RELIABLE,
+        map.root(),
+        ranks,
+        phases,
+        value,
+        Some(retry),
+    )?;
+    let expect = map.survivors().iter().map(|&q| values[q as usize]).sum();
+    // Logical completion (in `finish`): the last survivor's final value,
+    // not the tail of stale retransmission timers in `stats.completion`.
+    Ok(finish(&run.finals, run.result, expect))
 }
 
-fn finish(
-    out: SharedCell<AllReduceOutcome>,
-    result: SimResult,
-    p: u32,
-    values: &[f64],
-) -> AllReduceRun {
-    let oc = out.get();
-    assert_eq!(oc.finals.len(), p as usize, "every processor must finish");
-    let expect: f64 = values.iter().sum();
+/// Every final must be the expected total; completion is the last one.
+fn finish(finals: &[(ProcId, f64, Cycles)], result: SimResult, expect: f64) -> AllReduceRun {
     // Different processors combine in different orders (especially under
     // recursive doubling), so totals agree only up to floating-point
     // association — the standard all-reduce caveat.
     let tol = 1e-12 * expect.abs().max(1.0);
-    for (q, v, _) in &oc.finals {
+    for (q, v, _) in finals {
         assert!(
             (*v - expect).abs() <= tol,
             "processor {q} holds a wrong total: {v} vs {expect}"
         );
     }
-    let done = oc
-        .finals
-        .iter()
-        .map(|f| f.2)
-        .max()
-        .unwrap_or(result.stats.completion);
     AllReduceRun {
         value: expect,
-        completion: done,
+        completion: finals.iter().map(|f| f.2).max().unwrap_or(0),
         messages: result.stats.total_msgs,
         result,
     }

@@ -1,58 +1,27 @@
 //! Executable broadcast algorithms (§3.3, Figure 3).
 //!
-//! The analytic trees come from `logp-core::broadcast`; this module turns
-//! any child-list tree into a simulator program and runs it, so the
-//! simulated completion can be checked against (and visualized beside)
-//! the closed-form prediction.
+//! The analytic trees come from `logp-core::broadcast`; this module runs
+//! any child-list tree as the down phase of the one tree program
+//! (`crate::tree`), so the simulated completion can be checked against
+//! (and visualized beside) the closed-form prediction.
 
 use crate::resilient::{survivor_tree_children, ResilientError, SurvivorMap};
+use crate::tree::{run_tree, Phases, Run, Wire};
 use logp_core::broadcast::{optimal_broadcast_tree, shape_children, TreeShape};
 use logp_core::{Cycles, LogP, ProcId};
-use logp_sim::reliable::{Endpoint, RetryConfig};
-use logp_sim::{Ctx, Data, FaultPlan, Message, Process, SharedCell, Sim, SimConfig, SimResult};
+use logp_sim::reliable::RetryConfig;
+use logp_sim::{FaultPlan, Sim, SimConfig, SimResult};
 
 /// Tag used by broadcast messages.
 pub const TAG_BCAST: u32 = 0x42;
 
-/// The per-processor broadcast program: on receiving the datum (or at
-/// start, for the root), forward it to the precomputed children.
-pub struct BroadcastProc {
-    children: Vec<ProcId>,
-    is_root: bool,
-    datum: Option<u64>,
-    received_at: SharedCell<Vec<(ProcId, Cycles)>>,
-}
-
-impl BroadcastProc {
-    fn fan_out(&self, ctx: &mut Ctx<'_>) {
-        let v = self.datum.expect("fan-out requires the datum");
-        for &c in &self.children {
-            ctx.send(c, TAG_BCAST, Data::U64(v));
-        }
-    }
-}
-
-impl Process for BroadcastProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.is_root {
-            let me = ctx.me();
-            self.received_at.with(|v| v.push((me, 0)));
-            self.fan_out(ctx);
-        }
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        assert_eq!(msg.tag, TAG_BCAST);
-        assert!(
-            self.datum.is_none(),
-            "no processor receives the datum twice"
-        );
-        self.datum = Some(msg.data.as_u64());
-        let (me, now) = (ctx.me(), ctx.now());
-        self.received_at.with(|v| v.push((me, now)));
-        self.fan_out(ctx);
-    }
-}
+const WIRE: Wire = Wire {
+    up: 0,
+    down: TAG_BCAST,
+    combine: 0,
+};
+/// The datum on the wire (no runner reports it).
+const DATUM: f64 = 0xBEEF as f64;
 
 /// Outcome of a simulated broadcast.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,30 +40,31 @@ pub struct BroadcastRun {
 
 /// Run a broadcast along explicit child lists.
 pub fn run_tree_broadcast(m: &LogP, children: &[Vec<ProcId>], config: SimConfig) -> BroadcastRun {
-    let cell: SharedCell<Vec<(ProcId, Cycles)>> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    sim.set_all(|p| {
-        Box::new(BroadcastProc {
-            children: children[p as usize].clone(),
-            is_root: p == 0,
-            datum: if p == 0 { Some(0xBEEF) } else { None },
-            received_at: cell.clone(),
-        })
-    });
-    let result: SimResult = sim.run().expect("broadcast program terminates");
-    let arrivals = cell.get();
-    assert_eq!(
-        arrivals.len(),
-        m.p as usize,
-        "every processor must receive the datum exactly once"
-    );
-    let completion = arrivals.iter().map(|a| a.1).max().unwrap_or(0);
+    let sim = Sim::new(*m, config);
+    let run = run_tree(
+        sim,
+        &WIRE,
+        0,
+        0..m.p,
+        Phases::Down(children),
+        |_| DATUM,
+        None,
+    )
+    .expect("every processor receives the datum exactly once");
+    let (arrivals, completion) = arrivals(&run);
     BroadcastRun {
         completion,
         arrivals,
-        messages: result.stats.total_msgs,
-        result,
+        messages: run.result.stats.total_msgs,
+        result: run.result,
     }
+}
+
+/// Per-rank (id, time-held) pairs in arrival order, and the last of them.
+fn arrivals(run: &Run<f64>) -> (Vec<(ProcId, Cycles)>, Cycles) {
+    let arrivals: Vec<_> = run.finals.iter().map(|&(q, _, t)| (q, t)).collect();
+    let completion = arrivals.iter().map(|a| a.1).max().unwrap_or(0);
+    (arrivals, completion)
 }
 
 /// Run the optimal broadcast of §3.3.
@@ -142,136 +112,45 @@ pub fn run_survivor_broadcast(
     plan: &FaultPlan,
     config: SimConfig,
 ) -> Result<ResilientBcastRun, ResilientError> {
-    let map = SurvivorMap::new(m.p, plan)?;
-    let children = survivor_tree_children(m, &map);
-    let root = map.root();
-    let cell: SharedCell<Vec<(ProcId, Cycles)>> = SharedCell::new();
-    let mut sim = Sim::new(*m, config.with_faults(plan.clone()));
-    for &q in map.survivors() {
-        sim.set_process(
-            q,
-            Box::new(BroadcastProc {
-                children: children[q as usize].clone(),
-                is_root: q == root,
-                datum: if q == root { Some(0xBEEF) } else { None },
-                received_at: cell.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("survivor broadcast terminates");
-    Ok(finish_resilient(&map, cell, 0, result))
-}
-
-/// The per-survivor reliable broadcast program: deliveries come through
-/// an [`Endpoint`], which acks them and retransmits unacked forwards.
-struct ReliableBcastProc {
-    ep: Endpoint,
-    children: Vec<ProcId>,
-    is_root: bool,
-    datum: Option<u64>,
-    received_at: SharedCell<Vec<(ProcId, Cycles)>>,
-    retries: SharedCell<u64>,
-}
-
-impl ReliableBcastProc {
-    fn fan_out(&mut self, ctx: &mut Ctx<'_>) {
-        let v = self.datum.expect("fan-out requires the datum");
-        for &c in &self.children {
-            self.ep.send(ctx, c, TAG_BCAST, Data::U64(v));
-        }
-    }
-}
-
-impl Process for ReliableBcastProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.is_root {
-            let me = ctx.me();
-            self.received_at.with(|v| v.push((me, 0)));
-            self.fan_out(ctx);
-        }
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let Some(inner) = self.ep.on_message(msg, ctx) else {
-            return; // ack or duplicate
-        };
-        assert_eq!(msg.tag, TAG_BCAST);
-        assert!(self.datum.is_none(), "duplicates are suppressed upstream");
-        self.datum = Some(inner.as_u64());
-        let (me, now) = (ctx.me(), ctx.now());
-        self.received_at.with(|v| v.push((me, now)));
-        self.fan_out(ctx);
-    }
-
-    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        let before = self.ep.stats.retries;
-        self.ep.on_timer(tag, ctx);
-        let delta = self.ep.stats.retries - before;
-        if delta > 0 {
-            self.retries.with(|r| *r += delta);
-        }
-    }
+    run_resilient(m, plan, None, config)
 }
 
 /// Broadcast that completes correctly under message loss: the survivor
 /// tree of [`run_survivor_broadcast`] with every edge carried by a
-/// reliable [`Endpoint`] (ack / timeout / retransmit, at-most-once
-/// delivery). Crashed processors — including a crashed physical root —
-/// are excluded up front.
+/// reliable endpoint (ack / timeout / retransmit, at-most-once delivery).
+/// Crashed processors — including a crashed physical root — are excluded
+/// up front.
 pub fn run_reliable_broadcast(
     m: &LogP,
     plan: &FaultPlan,
     retry: RetryConfig,
     config: SimConfig,
 ) -> Result<ResilientBcastRun, ResilientError> {
-    let map = SurvivorMap::new(m.p, plan)?;
-    let children = survivor_tree_children(m, &map);
-    let root = map.root();
-    let cell: SharedCell<Vec<(ProcId, Cycles)>> = SharedCell::new();
-    let retries: SharedCell<u64> = SharedCell::new();
-    let mut sim = Sim::new(*m, config.with_faults(plan.clone()));
-    for &q in map.survivors() {
-        sim.set_process(
-            q,
-            Box::new(ReliableBcastProc {
-                ep: Endpoint::new(retry.clone()),
-                children: children[q as usize].clone(),
-                is_root: q == root,
-                datum: if q == root { Some(0xBEEF) } else { None },
-                received_at: cell.clone(),
-                retries: retries.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("reliable broadcast terminates");
-    Ok(finish_resilient(&map, cell, retries.get(), result))
+    run_resilient(m, plan, Some(retry), config)
 }
 
-fn finish_resilient(
-    map: &SurvivorMap,
-    cell: SharedCell<Vec<(ProcId, Cycles)>>,
-    retries: u64,
-    result: SimResult,
-) -> ResilientBcastRun {
-    let arrivals = cell.get();
-    assert_eq!(
-        arrivals.len(),
-        map.k() as usize,
-        "every survivor must receive the datum exactly once"
-    );
-    for (q, _) in &arrivals {
-        assert!(map.is_survivor(*q));
-    }
+fn run_resilient(
+    m: &LogP,
+    plan: &FaultPlan,
+    retry: Option<RetryConfig>,
+    config: SimConfig,
+) -> Result<ResilientBcastRun, ResilientError> {
+    let map = SurvivorMap::new(m.p, plan)?;
+    let children = survivor_tree_children(m, &map);
+    let sim = Sim::new(*m, config.with_faults(plan.clone()));
+    let ranks = map.survivors().iter().copied();
+    let phases = Phases::Down(&children);
+    let run = run_tree(sim, &WIRE, map.root(), ranks, phases, |_| DATUM, retry)?;
     // Logical completion: the last survivor's delivery. `stats.completion`
     // would also count trailing stale retransmission timers.
-    let completion = arrivals.iter().map(|a| a.1).max().unwrap_or(0);
-    ResilientBcastRun {
+    let (arrivals, completion) = arrivals(&run);
+    Ok(ResilientBcastRun {
         completion,
         arrivals,
-        retries,
-        messages: result.stats.total_msgs,
-        result,
-    }
+        retries: run.retries,
+        messages: run.result.stats.total_msgs,
+        result: run.result,
+    })
 }
 
 #[cfg(test)]

@@ -19,19 +19,19 @@
 //! The normative handbook is `docs/HIERARCHY.md`; the crossover sweep
 //! lives in the `hier_sweep` bench binary.
 
+use crate::tree::{run_tree, Phases, Wire};
 use logp_core::broadcast::optimal_broadcast_tree;
 use logp_core::hier::{hier_broadcast_children, Hierarchy};
 use logp_core::{Cycles, ProcId};
-use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig, SimResult};
+use logp_sim::{Sim, SimConfig, SimResult};
 
-const TAG_UP: u32 = 0xB1;
-const TAG_DOWN: u32 = 0xB2;
-
-/// Per-processor completion records of one collective run.
-#[derive(Debug, Clone, Default)]
-struct Outcome {
-    finals: Vec<(ProcId, f64, Cycles)>,
-}
+/// One combine cycle per received partial, as every plain reduction in
+/// this workspace (and `logp_core::hier::eval_reduce`) pays.
+const WIRE: Wire = Wire {
+    up: 0xB1,
+    down: 0xB2,
+    combine: 1,
+};
 
 /// Result of one hierarchical (or flat-on-hierarchical) collective run.
 #[derive(Debug, Clone)]
@@ -51,116 +51,6 @@ pub struct HierRun {
 }
 
 // ---------------------------------------------------------------------
-// Tree programs
-// ---------------------------------------------------------------------
-
-/// Forward one datum down a fixed tree: on receipt, retransmit to the
-/// child list in order (outermost level first for hierarchical trees).
-struct BcastTree {
-    value: f64,
-    children: Vec<ProcId>,
-    is_root: bool,
-    out: SharedCell<Outcome>,
-}
-
-impl BcastTree {
-    fn distribute(&mut self, ctx: &mut Ctx<'_>) {
-        for &c in &self.children {
-            ctx.send(c, TAG_DOWN, Data::F64(self.value));
-        }
-        let rec = (ctx.me(), self.value, ctx.now());
-        self.out.with(|o| o.finals.push(rec));
-    }
-}
-
-impl Process for BcastTree {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.is_root {
-            self.distribute(ctx);
-        }
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        debug_assert_eq!(msg.tag, TAG_DOWN);
-        self.value = msg.data.as_f64();
-        self.distribute(ctx);
-    }
-}
-
-/// Combine partials up the reverse of a fixed tree (one combine cycle
-/// per received partial, as every reduction in this workspace pays),
-/// and — for all-reduce — fan the total back down a second tree.
-struct UpDownTree {
-    value: f64,
-    expect_up: u32,
-    got_up: u32,
-    up_parent: Option<ProcId>,
-    down_children: Vec<ProcId>,
-    /// All-reduce when true; plain reduction when false.
-    do_down: bool,
-    reduced: bool,
-    out: SharedCell<Outcome>,
-}
-
-impl UpDownTree {
-    fn try_send_up(&mut self, ctx: &mut Ctx<'_>) {
-        if self.got_up != self.expect_up || self.reduced {
-            return;
-        }
-        self.reduced = true;
-        match self.up_parent {
-            Some(p) => {
-                ctx.send(p, TAG_UP, Data::F64(self.value));
-                if !self.do_down {
-                    // Reduction only: this rank's role ends here.
-                    let rec = (ctx.me(), self.value, ctx.now());
-                    self.out.with(|o| o.finals.push(rec));
-                }
-            }
-            None if self.do_down => self.distribute(ctx),
-            None => {
-                let rec = (ctx.me(), self.value, ctx.now());
-                self.out.with(|o| o.finals.push(rec));
-            }
-        }
-    }
-
-    fn distribute(&mut self, ctx: &mut Ctx<'_>) {
-        for &c in &self.down_children {
-            ctx.send(c, TAG_DOWN, Data::F64(self.value));
-        }
-        let rec = (ctx.me(), self.value, ctx.now());
-        self.out.with(|o| o.finals.push(rec));
-    }
-}
-
-impl Process for UpDownTree {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.try_send_up(ctx);
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        match msg.tag {
-            TAG_UP => {
-                self.value += msg.data.as_f64();
-                self.got_up += 1;
-                // One combine addition per received partial sum.
-                ctx.compute(1, 0);
-            }
-            TAG_DOWN => {
-                self.value = msg.data.as_f64();
-                self.distribute(ctx);
-            }
-            other => unreachable!("unknown tag {other}"),
-        }
-    }
-
-    fn on_compute_done(&mut self, _tag: u64, ctx: &mut Ctx<'_>) {
-        self.try_send_up(ctx);
-    }
-}
-
-// ---------------------------------------------------------------------
 // Tree builders and runners
 // ---------------------------------------------------------------------
 
@@ -177,37 +67,29 @@ pub fn flat_tree(h: &Hierarchy) -> Vec<Vec<ProcId>> {
     optimal_broadcast_tree(&h.flat_projection()).children()
 }
 
-fn parent_map(children: &[Vec<ProcId>]) -> Vec<Option<ProcId>> {
-    let mut parent = vec![None; children.len()];
-    for (i, kids) in children.iter().enumerate() {
-        for &c in kids {
-            debug_assert!(parent[c as usize].is_none(), "rank {c} has two parents");
-            parent[c as usize] = Some(i as ProcId);
-        }
-    }
-    parent
-}
-
-fn collect(out: SharedCell<Outcome>, result: SimResult, p: u32) -> HierRun {
-    let oc = out.get();
-    assert_eq!(oc.finals.len(), p as usize, "every rank must finish");
+/// Run the tree program on the hierarchical machine and index its finals
+/// by rank.
+fn run_on(
+    h: &Hierarchy,
+    phases: Phases<'_>,
+    value: impl Fn(ProcId) -> f64,
+    config: SimConfig,
+) -> HierRun {
+    let p = h.p();
+    let sim = Sim::new_hier(h, config);
+    let run = run_tree(sim, &WIRE, 0, 0..p, phases, value, None)
+        .expect("every rank finishes exactly once");
     let mut per_proc = vec![0; p as usize];
-    for &(q, _, t) in &oc.finals {
+    for &(q, _, t) in &run.finals {
         per_proc[q as usize] = t;
     }
-    let completion = per_proc.iter().copied().max().unwrap_or(0);
-    let value = oc
-        .finals
-        .iter()
-        .find(|f| f.0 == 0)
-        .expect("rank 0 always finishes")
-        .1;
+    let root = run.finals.iter().find(|f| f.0 == 0);
     HierRun {
-        value,
-        completion,
+        value: root.expect("rank 0 finished").1,
+        completion: per_proc.iter().copied().max().unwrap_or(0),
         per_proc,
-        messages: result.stats.total_msgs,
-        result,
+        messages: run.result.stats.total_msgs,
+        result: run.result,
     }
 }
 
@@ -221,27 +103,7 @@ pub fn run_tree_broadcast_on(
     value: f64,
     config: SimConfig,
 ) -> HierRun {
-    let p = h.p();
-    assert_eq!(children.len(), p as usize);
-    let parent = parent_map(children);
-    let out: SharedCell<Outcome> = SharedCell::new();
-    let mut sim = Sim::new_hier(h, config);
-    for q in 0..p {
-        sim.set_process(
-            q,
-            Box::new(BcastTree {
-                value: if q == 0 { value } else { f64::NAN },
-                children: children[q as usize].clone(),
-                is_root: q == 0,
-                out: out.clone(),
-            }),
-        );
-    }
-    assert!(parent[0].is_none(), "the tree must be rooted at rank 0");
-    let result = sim.run().expect("broadcast terminates");
-    let run = collect(out, result, p);
-    assert!(run.per_proc.iter().all(|&t| t < Cycles::MAX));
-    run
+    run_on(h, Phases::Down(children), |_| value, config)
 }
 
 /// Reduce (sum) `values` to rank 0 up the reverse of an explicit tree.
@@ -254,7 +116,7 @@ pub fn run_tree_reduce_on(
     values: &[f64],
     config: SimConfig,
 ) -> HierRun {
-    run_updown(h, children, children, values, false, config)
+    run_sum(h, Phases::Up(children), values, config)
 }
 
 /// All-reduce: sum `values` up the reverse of `up`, broadcast the total
@@ -267,42 +129,13 @@ pub fn run_tree_allreduce_on(
     values: &[f64],
     config: SimConfig,
 ) -> HierRun {
-    run_updown(h, up, down, values, true, config)
+    run_sum(h, Phases::UpDown(up, down), values, config)
 }
 
-fn run_updown(
-    h: &Hierarchy,
-    up: &[Vec<ProcId>],
-    down: &[Vec<ProcId>],
-    values: &[f64],
-    do_down: bool,
-    config: SimConfig,
-) -> HierRun {
-    let p = h.p();
-    assert_eq!(up.len(), p as usize);
-    assert_eq!(down.len(), p as usize);
-    assert_eq!(values.len(), p as usize);
-    let up_parent = parent_map(up);
-    assert!(up_parent[0].is_none(), "the up tree must be rooted at 0");
-    let out: SharedCell<Outcome> = SharedCell::new();
-    let mut sim = Sim::new_hier(h, config);
-    for q in 0..p {
-        sim.set_process(
-            q,
-            Box::new(UpDownTree {
-                value: values[q as usize],
-                expect_up: up[q as usize].len() as u32,
-                got_up: 0,
-                up_parent: up_parent[q as usize],
-                down_children: down[q as usize].clone(),
-                do_down,
-                reduced: false,
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("collective terminates");
-    let run = collect(out, result, p);
+/// A collective with an up phase: the root must end up with the sum.
+fn run_sum(h: &Hierarchy, phases: Phases<'_>, values: &[f64], config: SimConfig) -> HierRun {
+    assert_eq!(values.len(), h.p() as usize);
+    let run = run_on(h, phases, |q| values[q as usize], config);
     let expect: f64 = values.iter().sum();
     let tol = 1e-12 * expect.abs().max(1.0);
     assert!(

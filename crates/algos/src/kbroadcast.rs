@@ -16,9 +16,10 @@
 //!   ~`2k` items instead of `k·fanout`).
 
 use crate::resilient::{survivor_tree_children, ResilientError, SurvivorMap};
+use crate::tree::{execute, Finals};
 use logp_core::broadcast::{optimal_broadcast_tree, shape_children, TreeShape};
 use logp_core::{Cycles, LogP, ProcId};
-use logp_sim::reliable::{Endpoint, RetryConfig};
+use logp_sim::reliable::RetryConfig;
 use logp_sim::{Ctx, Data, FaultPlan, Message, Process, SharedCell, Sim, SimConfig, SimResult};
 use std::collections::HashMap;
 
@@ -50,7 +51,7 @@ struct PipeProc {
     items: Vec<Option<u64>>,
     received: usize,
     is_root: bool,
-    out: SharedCell<KBcastOutcome>,
+    out: SharedCell<Finals<Vec<u64>>>,
     done: bool,
 }
 
@@ -71,7 +72,7 @@ impl PipeProc {
                 .iter()
                 .map(|i| i.expect("all received"))
                 .collect();
-            self.out.with(|o| o.finals.push((me, items, now)));
+            self.out.with(|o| o.push((me, items, now)));
         }
     }
 }
@@ -105,126 +106,52 @@ impl Process for PipeProc {
     }
 }
 
+/// Stream `items` from `root` down `children` to every rank of `ranks`,
+/// over plain sends or (given `retry`) reliable ones.
 fn run_tree_pipeline(
-    m: &LogP,
-    children: Vec<Vec<ProcId>>,
+    sim: Sim,
+    root: ProcId,
+    ranks: impl Iterator<Item = ProcId>,
+    children: &[Vec<ProcId>],
     items: &[u64],
-    config: SimConfig,
-) -> KBcastRun {
-    let out: SharedCell<KBcastOutcome> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    for q in 0..m.p {
-        let holdings: Vec<Option<u64>> = if q == 0 {
+    retry: Option<RetryConfig>,
+) -> Result<KBcastRun, ResilientError> {
+    let run = execute(sim, ranks, retry, |q, out| PipeProc {
+        children: children[q as usize].clone(),
+        items: if q == root {
             items.iter().map(|&v| Some(v)).collect()
         } else {
             vec![None; items.len()]
-        };
-        sim.set_process(
-            q,
-            Box::new(PipeProc {
-                children: children[q as usize].clone(),
-                items: holdings,
-                received: 0,
-                is_root: q == 0,
-                out: out.clone(),
-                done: false,
-            }),
-        );
+        },
+        received: 0,
+        is_root: q == root,
+        out,
+        done: false,
+    })?;
+    for (q, got, _) in &run.finals {
+        assert_eq!(got, items, "processor {q} received a wrong vector");
     }
-    let r = sim.run().expect("pipelined broadcast terminates");
-    let oc = out.get();
-    assert_eq!(oc.finals.len(), m.p as usize, "every processor must finish");
-    for (q, got, _) in &oc.finals {
-        assert_eq!(
-            got,
-            &items.to_vec(),
-            "processor {q} received a wrong vector"
-        );
-    }
-    KBcastRun {
-        completion: oc.finals.iter().map(|f| f.2).max().unwrap_or(0),
-        messages: r.stats.total_msgs,
-        result: r,
-    }
+    Ok(KBcastRun {
+        // Logical completion: the last full vector, not the tail of stale
+        // retransmission timers in `stats.completion`.
+        completion: run.finals.iter().map(|f| f.2).max().unwrap_or(0),
+        messages: run.result.stats.total_msgs,
+        result: run.result,
+    })
 }
 
 /// Stream `items` down the single-item optimal tree.
 pub fn run_kbcast_optimal_tree(m: &LogP, items: &[u64], config: SimConfig) -> KBcastRun {
-    run_tree_pipeline(m, optimal_broadcast_tree(m).children(), items, config)
+    let children = optimal_broadcast_tree(m).children();
+    run_tree_pipeline(Sim::new(*m, config), 0, 0..m.p, &children, items, None)
+        .expect("every processor finishes exactly once")
 }
 
 /// Stream `items` down the binomial tree.
 pub fn run_kbcast_binomial(m: &LogP, items: &[u64], config: SimConfig) -> KBcastRun {
-    run_tree_pipeline(m, shape_children(TreeShape::Binomial, m.p), items, config)
-}
-
-// ---------------------------------------------------------------------
-// Fault-tolerant pipelined tree: survivors only, reliable edges.
-// ---------------------------------------------------------------------
-
-struct ReliablePipeProc {
-    ep: Endpoint,
-    children: Vec<ProcId>,
-    items: Vec<Option<u64>>,
-    received: usize,
-    is_root: bool,
-    out: SharedCell<KBcastOutcome>,
-    done: bool,
-}
-
-impl ReliablePipeProc {
-    fn forward(&mut self, idx: u64, v: u64, ctx: &mut Ctx<'_>) {
-        for &c in &self.children {
-            self.ep.send(ctx, c, TAG_ITEM, Data::Pair(idx, v));
-        }
-    }
-
-    fn maybe_finish(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.done && self.received == self.items.len() {
-            self.done = true;
-            let me = ctx.me();
-            let now = ctx.now();
-            let items = self
-                .items
-                .iter()
-                .map(|i| i.expect("all received"))
-                .collect();
-            self.out.with(|o| o.finals.push((me, items, now)));
-        }
-    }
-}
-
-impl Process for ReliablePipeProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.is_root {
-            let items: Vec<u64> = self
-                .items
-                .iter()
-                .map(|i| i.expect("root holds all"))
-                .collect();
-            self.received = items.len();
-            for (idx, v) in items.into_iter().enumerate() {
-                self.forward(idx as u64, v, ctx);
-            }
-            self.maybe_finish(ctx);
-        }
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let Some(inner) = self.ep.on_message(msg, ctx) else {
-            return; // ack or suppressed duplicate
-        };
-        let (idx, v) = inner.as_pair();
-        debug_assert!(self.items[idx as usize].is_none());
-        self.items[idx as usize] = Some(v);
-        self.received += 1;
-        self.forward(idx, v, ctx);
-        self.maybe_finish(ctx);
-    }
-
-    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        self.ep.on_timer(tag, ctx);
-    }
+    let children = shape_children(TreeShape::Binomial, m.p);
+    run_tree_pipeline(Sim::new(*m, config), 0, 0..m.p, &children, items, None)
+        .expect("every processor finishes exactly once")
 }
 
 /// Pipelined k-item broadcast that tolerates the fault plan: `items`
@@ -240,45 +167,9 @@ pub fn run_reliable_kbroadcast(
 ) -> Result<KBcastRun, ResilientError> {
     let map = SurvivorMap::new(m.p, plan)?;
     let children = survivor_tree_children(m, &map);
-    let root = map.root();
-    let out: SharedCell<KBcastOutcome> = SharedCell::new();
-    let mut sim = Sim::new(*m, config.with_faults(plan.clone()));
-    for &q in map.survivors() {
-        let holdings: Vec<Option<u64>> = if q == root {
-            items.iter().map(|&v| Some(v)).collect()
-        } else {
-            vec![None; items.len()]
-        };
-        sim.set_process(
-            q,
-            Box::new(ReliablePipeProc {
-                ep: Endpoint::new(retry.clone()),
-                children: children[q as usize].clone(),
-                items: holdings,
-                received: 0,
-                is_root: q == root,
-                out: out.clone(),
-                done: false,
-            }),
-        );
-    }
-    let r = sim.run().expect("reliable pipelined broadcast terminates");
-    let oc = out.get();
-    assert_eq!(
-        oc.finals.len(),
-        map.k() as usize,
-        "every survivor must finish"
-    );
-    for (q, got, _) in &oc.finals {
-        assert_eq!(got, &items.to_vec(), "survivor {q} received a wrong vector");
-    }
-    Ok(KBcastRun {
-        // Logical completion: the last survivor's full vector, not the
-        // tail of stale retransmission timers in `stats.completion`.
-        completion: oc.finals.iter().map(|f| f.2).max().unwrap_or(0),
-        messages: r.stats.total_msgs,
-        result: r,
-    })
+    let sim = Sim::new(*m, config.with_faults(plan.clone()));
+    let ranks = map.survivors().iter().copied();
+    run_tree_pipeline(sim, map.root(), ranks, &children, items, Some(retry))
 }
 
 // ---------------------------------------------------------------------

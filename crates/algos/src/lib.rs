@@ -52,3 +52,4 @@ pub mod scan;
 pub mod sort;
 pub mod stencil;
 pub mod stencil2d;
+mod tree;

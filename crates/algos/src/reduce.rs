@@ -14,14 +14,23 @@
 //! A binomial-tree reduction with evenly distributed inputs serves as the
 //! baseline the optimal schedule is compared against.
 
-use crate::resilient::{survivor_binomial_role, ResilientError, SurvivorMap};
+use crate::resilient::{survivor_binomial_children, ResilientError, SurvivorMap};
+use crate::tree::{run_tree, Phases, Wire};
 use logp_core::summation::{optimal_sum_schedule, SumSchedule};
 use logp_core::{Cycles, LogP, ProcId};
-use logp_sim::reliable::{Endpoint, RetryConfig};
+use logp_sim::reliable::RetryConfig;
 use logp_sim::{Ctx, Data, FaultPlan, Message, Process, SharedCell, Sim, SimConfig, SimResult};
 
 /// Tag for partial-sum messages.
 pub const TAG_PARTIAL: u32 = 0x50;
+
+/// The reliable summation has always combined on receipt; its results
+/// are pinned to that.
+const RELIABLE: Wire = Wire {
+    up: TAG_PARTIAL,
+    down: 0,
+    combine: 0,
+};
 
 const TAG_CHUNK: u64 = 1;
 const TAG_FINAL: u64 = 2;
@@ -252,56 +261,6 @@ pub fn run_binomial_sum(m: &LogP, n: u64, config: SimConfig) -> SumRun {
     }
 }
 
-/// The per-survivor reliable summation node: partial sums travel through
-/// an [`Endpoint`], so the total is correct even when the fault plan
-/// drops or duplicates messages.
-struct ReliableSumProc {
-    ep: Endpoint,
-    partial: f64,
-    expect: u32,
-    got: u32,
-    parent: Option<ProcId>,
-    out: SharedCell<SumOutcome>,
-}
-
-impl ReliableSumProc {
-    fn maybe_finish(&mut self, ctx: &mut Ctx<'_>) {
-        if self.got != self.expect {
-            return;
-        }
-        if let Some(parent) = self.parent {
-            self.ep
-                .send(ctx, parent, TAG_PARTIAL, Data::F64(self.partial));
-        } else {
-            let outcome = SumOutcome {
-                total: self.partial,
-                root_done_at: ctx.now(),
-            };
-            self.out.with(|o| *o = outcome.clone());
-        }
-    }
-}
-
-impl Process for ReliableSumProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.maybe_finish(ctx); // leaves ship immediately
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let Some(inner) = self.ep.on_message(msg, ctx) else {
-            return; // ack or suppressed duplicate
-        };
-        assert_eq!(msg.tag, TAG_PARTIAL);
-        self.partial += inner.as_f64();
-        self.got += 1;
-        self.maybe_finish(ctx);
-    }
-
-    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        self.ep.on_timer(tag, ctx);
-    }
-}
-
 /// Summation of `n` synthetic inputs `0, 1, 2, …` that tolerates the
 /// fault plan: inputs are distributed round-robin over the *survivors*,
 /// combined up a binomial tree rebuilt on survivor ranks (re-rooted if
@@ -317,34 +276,33 @@ pub fn run_reliable_sum(
 ) -> Result<SumRun, ResilientError> {
     let map = SurvivorMap::new(m.p, plan)?;
     let k = map.k();
-    let out: SharedCell<SumOutcome> = SharedCell::new();
-    let mut sim = Sim::new(*m, config.with_faults(plan.clone()));
-    for r in 0..k {
-        // Survivor rank r owns inputs {r, r + k, r + 2k, …} ∩ [0, n).
-        let local: f64 = (r as u64..n).step_by(k as usize).map(|v| v as f64).sum();
-        let (expect, parent) = survivor_binomial_role(&map, r);
-        sim.set_process(
-            map.id_of(r),
-            Box::new(ReliableSumProc {
-                ep: Endpoint::new(retry.clone()),
-                partial: local,
-                expect,
-                got: 0,
-                parent,
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("reliable summation terminates");
-    let outcome = out.get();
+    let up = survivor_binomial_children(m.p, &map);
+    // Survivor rank r owns inputs {r, r + k, r + 2k, …} ∩ [0, n).
+    let local = |q| {
+        let r = map.rank_of(q).expect("only survivors take part");
+        (r as u64..n).step_by(k as usize).map(|v| v as f64).sum()
+    };
+    let sim = Sim::new(*m, config.with_faults(plan.clone()));
+    let ranks = map.survivors().iter().copied();
+    let root = map.root();
+    let run = run_tree(
+        sim,
+        &RELIABLE,
+        root,
+        ranks,
+        Phases::Up(&up),
+        local,
+        Some(retry),
+    )?;
+    let (_, total, done) = run.finals.iter().find(|f| f.0 == root).expect("finished");
     Ok(SumRun {
-        total: outcome.total,
+        total: *total,
         // Logical completion: the root's last combine. `stats.completion`
         // would also count trailing stale retransmission timers.
-        completion: outcome.root_done_at,
+        completion: *done,
         procs: k,
         inputs: n,
-        result,
+        result: run.result,
     })
 }
 

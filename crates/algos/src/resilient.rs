@@ -11,22 +11,35 @@
 //! `logp-core` tree constructions understand) on one side, the surviving
 //! physical processor ids on the other.
 
-use logp_core::broadcast::optimal_broadcast_tree;
+use logp_core::broadcast::{binomial_children, optimal_broadcast_tree};
 use logp_core::{LogP, ProcId};
 use logp_sim::FaultPlan;
 
-/// Why a resilient collective could not run at all.
+/// Why a resilient collective could not run, or could not finish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResilientError {
     /// Every processor is scheduled to crash — there is no survivor to
     /// re-root on.
     AllCrashed,
+    /// The network beat the delivery guarantee: not every survivor
+    /// finished exactly once. `finished` counts completions — below
+    /// `survivors` when a message was lost for good (plain sends, or a
+    /// retry budget spent), above it when an unreliable collective took a
+    /// duplicate for news.
+    Incomplete { finished: usize, survivors: usize },
 }
 
 impl std::fmt::Display for ResilientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ResilientError::AllCrashed => write!(f, "all processors crash in the fault plan"),
+            ResilientError::Incomplete {
+                finished,
+                survivors,
+            } => write!(
+                f,
+                "the collective finished {finished} times on {survivors} survivors"
+            ),
         }
     }
 }
@@ -97,31 +110,33 @@ impl SurvivorMap {
     }
 }
 
-/// Child lists (indexed by *physical* id, full length `m.p`) of the
-/// optimal single-item broadcast tree over the survivors. Crashed
-/// processors get empty lists and receive nothing.
-pub fn survivor_tree_children(m: &LogP, map: &SurvivorMap) -> Vec<Vec<ProcId>> {
-    let tree = optimal_broadcast_tree(&map.sub_model(m));
-    let by_rank = tree.children();
-    let mut out = vec![Vec::new(); m.p as usize];
-    for (r, kids) in by_rank.iter().enumerate() {
+/// Rank-indexed child lists of a tree over the survivors, re-indexed by
+/// *physical* id over the whole `p`-processor machine. Crashed processors
+/// get empty lists and appear in none.
+fn by_id(
+    map: &SurvivorMap,
+    p: u32,
+    by_rank: impl Iterator<Item = Vec<ProcId>>,
+) -> Vec<Vec<ProcId>> {
+    let mut out = vec![Vec::new(); p as usize];
+    for (r, kids) in by_rank.enumerate() {
         out[map.id_of(r as u32) as usize] = kids.iter().map(|&c| map.id_of(c)).collect();
     }
     out
 }
 
-/// Binomial-tree role of the survivor with rank `r`: how many children
-/// send to it, and the physical id of its parent (`None` at the root).
-/// Used by the resilient reductions.
-pub fn survivor_binomial_role(map: &SurvivorMap, r: u32) -> (u32, Option<ProcId>) {
-    use logp_core::broadcast::{binomial_children, binomial_parent};
-    let expect = binomial_children(r, map.k()).len() as u32;
-    let parent = if r == 0 {
-        None
-    } else {
-        Some(map.id_of(binomial_parent(r)))
-    };
-    (expect, parent)
+/// Child lists (indexed by *physical* id, full length `m.p`) of the
+/// optimal single-item broadcast tree over the survivors. Crashed
+/// processors get empty lists and receive nothing.
+pub fn survivor_tree_children(m: &LogP, map: &SurvivorMap) -> Vec<Vec<ProcId>> {
+    let tree = optimal_broadcast_tree(&map.sub_model(m));
+    by_id(map, m.p, tree.children().into_iter())
+}
+
+/// The same for the canonical binomial tree over survivor ranks, which
+/// the resilient reductions combine up the reverse of.
+pub(crate) fn survivor_binomial_children(p: u32, map: &SurvivorMap) -> Vec<Vec<ProcId>> {
+    by_id(map, p, (0..map.k()).map(|r| binomial_children(r, map.k())))
 }
 
 #[cfg(test)]
@@ -178,18 +193,19 @@ mod tests {
     }
 
     #[test]
-    fn binomial_roles_form_a_tree_over_ranks() {
+    fn binomial_children_form_a_tree_over_survivors() {
         let plan = FaultPlan::new(3).with_crash(2, 0);
         let map = SurvivorMap::new(8, &plan).unwrap();
-        let mut recv = vec![0u32; map.k() as usize];
-        for r in 1..map.k() {
-            let (_, parent) = survivor_binomial_role(&map, r);
-            let pid = parent.expect("non-root has a parent");
-            recv[map.rank_of(pid).unwrap() as usize] += 1;
+        let children = survivor_binomial_children(8, &map);
+        assert!(children[2].is_empty());
+        let mut parents = vec![0u32; 8];
+        for &c in children.iter().flatten() {
+            parents[c as usize] += 1;
         }
-        for r in 0..map.k() {
-            let (expect, _) = survivor_binomial_role(&map, r);
-            assert_eq!(expect, recv[r as usize], "rank {r}");
-        }
+        // Everyone but the root and the crashed has exactly one parent.
+        assert_eq!(parents, [0, 1, 0, 1, 1, 1, 1, 1]);
+        // Rank 1 (id 1) is a leaf; rank 2 (id 3) has rank 3 (id 4) below.
+        assert!(children[1].is_empty());
+        assert_eq!(children[3], [4]);
     }
 }

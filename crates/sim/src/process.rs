@@ -64,7 +64,7 @@ pub struct Ctx<'a> {
     now: Cycles,
     me: ProcId,
     p: u32,
-    commands: &'a mut Vec<Command>,
+    pub(crate) commands: &'a mut Vec<Command>,
 }
 
 impl<'a> Ctx<'a> {
@@ -92,25 +92,25 @@ impl<'a> Ctx<'a> {
         self.p
     }
 
-    /// Queue a small-message send to `dst`.
-    pub fn send(&mut self, dst: ProcId, tag: u32, data: Data) {
+    /// A message may go to any *other* processor of the machine.
+    pub(crate) fn check_dst(&self, dst: ProcId) {
         assert!(
             dst < self.p,
             "destination {dst} out of range (P = {})",
             self.p
         );
         assert_ne!(dst, self.me, "a processor does not message itself");
+    }
+
+    /// Queue a small-message send to `dst`.
+    pub fn send(&mut self, dst: ProcId, tag: u32, data: Data) {
+        self.check_dst(dst);
         self.commands.push(Command::Send { dst, tag, data });
     }
 
     /// Queue a LogGP long-message send (see [`Command::SendBulk`]).
     pub fn send_bulk(&mut self, dst: ProcId, tag: u32, data: Data, words: u64) {
-        assert!(
-            dst < self.p,
-            "destination {dst} out of range (P = {})",
-            self.p
-        );
-        assert_ne!(dst, self.me, "a processor does not message itself");
+        self.check_dst(dst);
         assert!(words >= 1, "a bulk message carries at least one word");
         self.commands.push(Command::SendBulk {
             dst,

@@ -3,12 +3,15 @@
 //!
 //! The LogP paper assumes the communication layer masks network failures
 //! (the CM-5's active-message layer does this in software). This module is
-//! that layer for the simulator: an [`Endpoint`] embedded in a
-//! [`crate::process::Process`] wraps outgoing payloads in sequence numbers
-//! ([`crate::Data::Seq`]), acknowledges every received copy, retransmits
-//! unacknowledged messages on a backoff schedule driven by
-//! [`crate::process::Ctx::timer`], and delivers each logical message to the
-//! application at most once.
+//! that layer for the simulator. An [`Endpoint`] wraps outgoing payloads in
+//! sequence numbers ([`crate::Data::Seq`]), acknowledges every received
+//! copy, retransmits unacknowledged messages on a backoff schedule driven
+//! by [`crate::process::Ctx::timer`], and delivers each logical message to
+//! the application at most once. [`Reliable`] puts an endpoint around any
+//! [`Process`], so a program is written once, against plain sends, and
+//! made reliable by wrapping it; a program that wants to see the protocol
+//! (count failures, mix reliable and raw traffic) embeds an [`Endpoint`]
+//! and forwards `on_message` / `on_timer` to it itself.
 //!
 //! Cost model: each reliable message adds one ack (`o` at both ends plus
 //! `L` of flight, contending for the same gap `g` slots as data), and each
@@ -23,43 +26,32 @@
 //! ```
 //! use logp_core::LogP;
 //! use logp_sim::process::{Ctx, Process};
-//! use logp_sim::reliable::{Endpoint, RetryConfig};
+//! use logp_sim::reliable::{Reliable, RetryConfig};
 //! use logp_sim::{Data, Message, SharedCell, Sim, SimConfig};
 //!
-//! struct Node {
-//!     ep: Endpoint,
-//!     got: SharedCell<Vec<u64>>,
-//! }
+//! /// Written against plain sends; knows nothing of acks or timers.
+//! struct Node(SharedCell<Vec<u64>>);
 //!
 //! impl Process for Node {
 //!     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
 //!         if ctx.me() == 0 {
-//!             self.ep.send(ctx, 1, 7, Data::U64(42));
+//!             ctx.send(1, 7, Data::U64(42));
 //!         }
 //!     }
-//!     fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-//!         if let Some(inner) = self.ep.on_message(msg, ctx) {
-//!             self.got.with(|v| v.push(inner.as_u64()));
-//!         }
-//!     }
-//!     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-//!         self.ep.on_timer(tag, ctx);
+//!     fn on_message(&mut self, msg: &Message, _: &mut Ctx<'_>) {
+//!         self.0.with(|v| v.push(msg.data.as_u64()));
 //!     }
 //! }
 //!
 //! let m = LogP::new(6, 2, 4, 2).unwrap();
 //! let retry = RetryConfig::for_model(&m);
-//! let got = SharedCell::new();
+//! let (got, retries) = (SharedCell::new(), SharedCell::new());
 //! let mut sim = Sim::new(m, SimConfig::default());
-//! sim.set_all(|_| {
-//!     Box::new(Node {
-//!         ep: Endpoint::new(retry.clone()),
-//!         got: got.clone(),
-//!     })
-//! });
+//! sim.set_all(|_| Box::new(Reliable::new(Node(got.clone()), retry.clone(), retries.clone())));
 //! sim.run().unwrap();
 //! // Delivered exactly once, with zero retransmissions needed.
 //! assert_eq!(got.get(), vec![42]);
+//! assert_eq!(retries.get(), 0);
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -67,7 +59,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use logp_core::{Cycles, LogP, ProcId};
 
 use crate::message::{Data, Message};
-use crate::process::Ctx;
+use crate::process::{Command, Ctx, Process};
+use crate::SharedCell;
 use logp_core::rng::splitmix64;
 
 /// Wire tag reserved for acknowledgements. Application protocols must not
@@ -192,27 +185,38 @@ impl Endpoint {
     /// Send `data` reliably to `dst` under the application tag `tag`.
     /// Returns the sequence number assigned to the message.
     pub fn send(&mut self, ctx: &mut Ctx<'_>, dst: ProcId, tag: u32, data: Data) -> u64 {
+        ctx.check_dst(dst);
         let seq = self.next_seq;
         self.next_seq += 1;
-        ctx.send(
+        ctx.commands.extend(self.enroll(seq, dst, tag, data));
+        seq
+    }
+
+    /// Hold `data` under `seq` until it is acknowledged; returns the wire
+    /// send and the retransmission timer that carry its first attempt.
+    fn enroll(&mut self, seq: u64, dst: ProcId, tag: u32, data: Data) -> [Command; 2] {
+        let wire = Data::Seq {
+            seq,
+            inner: Box::new(data.clone()),
+        };
+        let pend = Pending {
             dst,
             tag,
-            Data::Seq {
-                seq,
-                inner: Box::new(data.clone()),
-            },
-        );
-        ctx.timer(self.backoff(seq, 0), TIMER_NAMESPACE | seq);
-        self.pending.insert(
-            seq,
-            Pending {
+            data,
+            attempt: 0,
+        };
+        self.pending.insert(seq, pend);
+        [
+            Command::Send {
                 dst,
                 tag,
-                data,
-                attempt: 0,
+                data: wire,
             },
-        );
-        seq
+            Command::Timer {
+                cycles: self.backoff(seq, 0),
+                tag: TIMER_NAMESPACE | seq,
+            },
+        ]
     }
 
     /// Process an incoming wire message. Returns the inner payload the
@@ -305,10 +309,110 @@ impl Endpoint {
     }
 }
 
+/// Reliable delivery as a wrapper: `P`, written against plain sends, run
+/// over an [`Endpoint`].
+///
+/// Every [`Command::Send`] a handler of `P` queues goes out sequenced and
+/// timed for retransmission; inbound copies are acknowledged and
+/// de-duplicated, and `P` is handed the unwrapped message, once. All else
+/// passes through untouched: other commands (a [`Command::SendBulk`]
+/// stays a raw, unreliable message, and a raw message that arrives is
+/// delivered as it is), computes, barriers, and every timer whose token
+/// keeps [`TIMER_NAMESPACE`] clear — `P` must leave that bit to the
+/// endpoint.
+pub struct Reliable<P> {
+    inner: P,
+    ep: Endpoint,
+    retries: SharedCell<u64>,
+}
+
+impl<P: Process> Reliable<P> {
+    /// Wrap `inner`. Every retransmission adds one to `retries`, which the
+    /// processors of a run share (programs are owned by the engine, so a
+    /// count must leave through a cell).
+    pub fn new(inner: P, cfg: RetryConfig, retries: SharedCell<u64>) -> Self {
+        Reliable {
+            inner,
+            ep: Endpoint::new(cfg),
+            retries,
+        }
+    }
+
+    /// Run one handler of `inner`, then hand the sends it queued to the
+    /// endpoint. Each becomes two commands (wire send, timer), so the tail
+    /// of the handler's own command list is expanded in place, back to
+    /// front: no command moves twice and nothing is buffered per processor.
+    fn run(&mut self, ctx: &mut Ctx<'_>, handler: impl FnOnce(&mut P, &mut Ctx<'_>)) {
+        let start = ctx.commands.len();
+        handler(&mut self.inner, ctx);
+        let cmds = &mut *ctx.commands;
+        let is_send = |c: &Command| matches!(c, Command::Send { .. });
+        let sends = cmds[start..].iter().filter(|c| is_send(c)).count();
+        let mut read = cmds.len();
+        cmds.resize(read + sends, Command::Halt);
+        let mut write = cmds.len();
+        // Sequence numbers count up in queue order, so down from the end.
+        self.ep.next_seq += sends as u64;
+        let mut seq = self.ep.next_seq;
+        while write > read {
+            read -= 1;
+            match std::mem::replace(&mut cmds[read], Command::Halt) {
+                Command::Send { dst, tag, data } => {
+                    seq -= 1;
+                    write -= 2;
+                    let [wire, timer] = self.ep.enroll(seq, dst, tag, data);
+                    cmds[write] = wire;
+                    cmds[write + 1] = timer;
+                }
+                other => {
+                    write -= 1;
+                    cmds[write] = other;
+                }
+            }
+        }
+    }
+}
+
+impl<P: Process> Process for Reliable<P> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.run(ctx, |p, ctx| p.on_start(ctx));
+    }
+
+    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
+        if msg.data.seq().is_none() {
+            return self.run(ctx, |p, ctx| p.on_message(msg, ctx));
+        }
+        // The ack is queued first, ahead of whatever `inner` sends.
+        if let Some(data) = self.ep.on_message(msg, ctx) {
+            let msg = Message { data, ..*msg };
+            self.run(ctx, |p, ctx| p.on_message(&msg, ctx));
+        }
+    }
+
+    fn on_compute_done(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
+        self.run(ctx, |p, ctx| p.on_compute_done(tag, ctx));
+    }
+
+    fn on_barrier_release(&mut self, ctx: &mut Ctx<'_>) {
+        self.run(ctx, |p, ctx| p.on_barrier_release(ctx));
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+        if token & TIMER_NAMESPACE == 0 {
+            return self.run(ctx, |p, ctx| p.on_timer(token, ctx));
+        }
+        let before = self.ep.stats.retries;
+        self.ep.on_timer(token, ctx);
+        if self.ep.stats.retries > before {
+            self.retries.with(|r| *r += 1);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::Command;
+    use crate::{FaultPlan, Sim, SimConfig};
 
     fn ctx_cmds() -> Vec<Command> {
         Vec::new()
@@ -425,5 +529,194 @@ mod tests {
         let ep = Endpoint::new(cfg.clone());
         assert_eq!(ep.backoff(0, 0), cfg.timeout);
         assert_eq!(ep.backoff(0, 3), cfg.timeout << 3);
+    }
+
+    /// What the wrapped test program saw: `(src, tag, payload)` per
+    /// message, and every timer token.
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct Seen {
+        msgs: Vec<(ProcId, u32, Data)>,
+        timers: Vec<u64>,
+    }
+
+    /// Plain-send program: a scripted `on_start`, and on every message a
+    /// reply to its sender.
+    struct Script(SharedCell<Seen>);
+
+    impl Process for Script {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.compute(3, 1);
+            ctx.send(1, 9, Data::U64(5));
+            ctx.barrier();
+            ctx.send(2, 8, Data::U64(6));
+            ctx.timer(4, 7);
+            ctx.send_bulk(1, 9, Data::Empty, 3);
+            ctx.halt();
+        }
+        fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
+            self.0
+                .with(|s| s.msgs.push((msg.src, msg.tag, msg.data.clone())));
+            ctx.send(msg.src, msg.tag + 1, Data::Empty);
+        }
+        fn on_timer(&mut self, token: u64, _: &mut Ctx<'_>) {
+            self.0.with(|s| s.timers.push(token));
+        }
+    }
+
+    fn scripted() -> (Reliable<Script>, SharedCell<Seen>, SharedCell<u64>) {
+        let (seen, retries) = (SharedCell::new(), SharedCell::new());
+        let cfg = RetryConfig::for_model(&LogP::new(6, 2, 4, 4).unwrap());
+        let wrapped = Reliable::new(Script(seen.clone()), cfg, retries.clone());
+        (wrapped, seen, retries)
+    }
+
+    fn sequenced(src: ProcId, tag: u32, seq: u64, inner: Data) -> Message {
+        let inner = Box::new(inner);
+        Message {
+            src,
+            dst: 0,
+            tag,
+            data: Data::Seq { seq, inner },
+        }
+    }
+
+    #[test]
+    fn wrapper_rewrites_sends_and_keeps_everything_else_in_place() {
+        let (mut wrapped, _, _) = scripted();
+        // A command already queued (as an ack would be) is not the
+        // handler's, and stays as it is.
+        let mut cmds = vec![Command::Send {
+            dst: 3,
+            tag: 1,
+            data: Data::Empty,
+        }];
+        wrapped.on_start(&mut Ctx::new(0, 0, 4, &mut cmds));
+        let shape: Vec<String> = cmds
+            .iter()
+            .map(|c| match c {
+                Command::Send { dst, tag, data } => match data.seq() {
+                    Some(seq) => format!("send {dst} {tag} #{seq} {:?}", data.as_seq().1),
+                    None => format!("send {dst} {tag} raw"),
+                },
+                Command::Timer { tag, .. } if tag & TIMER_NAMESPACE != 0 => {
+                    format!("retry-timer #{}", tag & !TIMER_NAMESPACE)
+                }
+                Command::Timer { tag, .. } => format!("timer {tag}"),
+                other => other.name().to_string(),
+            })
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                "send 3 1 raw",
+                "compute",
+                "send 1 9 #0 U64(5)",
+                "retry-timer #0",
+                "barrier",
+                "send 2 8 #1 U64(6)",
+                "retry-timer #1",
+                "timer 7",
+                "send_bulk",
+                "halt",
+            ]
+        );
+        assert_eq!(wrapped.ep.pending_count(), 2);
+    }
+
+    #[test]
+    fn wrapper_routes_timers_by_namespace() {
+        let (mut wrapped, seen, retries) = scripted();
+        let mut cmds = Vec::new();
+        let mut ctx = Ctx::new(0, 0, 4, &mut cmds);
+        wrapped.on_start(&mut ctx);
+        // The program's own token reaches it ...
+        wrapped.on_timer(7, &mut ctx);
+        assert_eq!(seen.get().timers, [7]);
+        // ... an endpoint token does not: it retransmits message #1.
+        let before = ctx.commands.len();
+        wrapped.on_timer(TIMER_NAMESPACE | 1, &mut ctx);
+        assert_eq!(seen.get().timers, [7]);
+        assert_eq!(retries.get(), 1);
+        assert!(matches!(
+            &cmds[before..],
+            [Command::Send { dst: 2, tag: 8, .. }, Command::Timer { .. }]
+        ));
+    }
+
+    #[test]
+    fn wrapper_acks_a_duplicate_but_delivers_once() {
+        let (mut wrapped, seen, _) = scripted();
+        let mut cmds = Vec::new();
+        let mut ctx = Ctx::new(0, 0, 4, &mut cmds);
+        let msg = sequenced(2, 30, 5, Data::U64(77));
+        wrapped.on_message(&msg, &mut ctx);
+        wrapped.on_message(&msg, &mut ctx);
+        // The program saw the unwrapped message, once, and replied once.
+        assert_eq!(seen.get().msgs, [(2, 30, Data::U64(77))]);
+        let tags: Vec<u32> = ctx
+            .commands
+            .iter()
+            .filter_map(|c| match c {
+                Command::Send { tag, .. } => Some(*tag),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tags, [TAG_ACK, 31, TAG_ACK]);
+        assert_eq!(wrapped.ep.stats.dups_suppressed, 1);
+        // An ack for the reply settles it; the program never sees acks.
+        wrapped.on_message(&sequenced(2, TAG_ACK, 0, Data::Empty), &mut ctx);
+        assert!(wrapped.ep.idle());
+        assert_eq!(seen.get().msgs.len(), 1);
+    }
+
+    /// A token walks the ring for three laps, growing by one per hop and
+    /// alternating tags; every processor logs what it receives.
+    struct Ring(SharedCell<Vec<Seen>>);
+
+    impl Process for Ring {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            if ctx.me() == 0 {
+                ctx.send(1, 0, Data::U64(1));
+            }
+        }
+        fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
+            let me = ctx.me() as usize;
+            self.0
+                .with(|s| s[me].msgs.push((msg.src, msg.tag, msg.data.clone())));
+            let v = msg.data.as_u64();
+            if v < 3 * u64::from(ctx.procs()) {
+                let next = (ctx.me() + 1) % ctx.procs();
+                ctx.send(next, (v % 2) as u32, Data::U64(v + 1));
+            }
+        }
+    }
+
+    #[test]
+    fn wrapped_program_sees_the_bare_message_sequence_on_a_clean_network() {
+        let m = LogP::new(6, 2, 4, 5).unwrap();
+        let retries: SharedCell<u64> = SharedCell::new();
+        let run = |wrap: bool| {
+            let seen = SharedCell::of(vec![Seen::default(); m.p as usize]);
+            // A zero-rate plan: the fault path is live and does nothing.
+            let mut sim = Sim::new(m, SimConfig::default().with_faults(FaultPlan::new(9)));
+            sim.set_all(|_| {
+                let ring = Ring(seen.clone());
+                if wrap {
+                    let cfg = RetryConfig::for_model(&m);
+                    Box::new(Reliable::new(ring, cfg, retries.clone()))
+                } else {
+                    Box::new(ring)
+                }
+            });
+            let result = sim.run().unwrap();
+            (seen.get(), result.stats.total_msgs)
+        };
+        let (bare, bare_msgs) = run(false);
+        let (wrapped, wrapped_msgs) = run(true);
+        assert_eq!(bare_msgs, 15);
+        assert_eq!(wrapped, bare);
+        // One ack per message, and nothing was ever retransmitted.
+        assert_eq!(wrapped_msgs, 2 * bare_msgs);
+        assert_eq!(retries.get(), 0);
     }
 }

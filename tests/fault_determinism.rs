@@ -337,3 +337,60 @@ fn crashed_root_re_roots_or_errors_cleanly() {
         ResilientError::AllCrashed
     );
 }
+
+/// A network that beats the delivery guarantee is a typed error on every
+/// resilient runner: three of these calls used to panic in three
+/// different asserts, the reliable sum returned `Ok` with `total = 0.0`,
+/// and the survivor broadcast panicked on its first duplicate.
+#[test]
+fn a_network_that_beats_the_guarantee_is_a_typed_error() {
+    use logp::algos::kbroadcast::run_reliable_kbroadcast;
+    let m = LogP::new(6, 2, 4, 8).unwrap();
+    let cfg = SimConfig::default;
+    let retry = || RetryConfig::for_model(&m).with_max_retries(2);
+    // 95 % loss against two retries; plain sends against 50 % loss or
+    // 50 % duplication.
+    let lossy = FaultPlan::new(3).with_drop_ppm(950_000);
+    let half_lost = FaultPlan::new(3).with_drop_ppm(500_000);
+    let half_dup = FaultPlan::new(3).with_dup_ppm(500_000);
+    let values = vec![1.0; 8];
+    let table: [(&str, Result<(), ResilientError>); 6] = [
+        (
+            "reliable broadcast",
+            run_reliable_broadcast(&m, &lossy, retry(), cfg()).map(drop),
+        ),
+        (
+            "reliable all-reduce",
+            run_reliable_allreduce(&m, &values, &lossy, retry(), cfg()).map(drop),
+        ),
+        (
+            "reliable k-item broadcast",
+            run_reliable_kbroadcast(&m, &[1, 2, 3], &lossy, retry(), cfg()).map(drop),
+        ),
+        (
+            "reliable sum",
+            run_reliable_sum(&m, 64, &lossy, retry(), cfg()).map(drop),
+        ),
+        (
+            "survivor broadcast, drops",
+            run_survivor_broadcast(&m, &half_lost, cfg()).map(drop),
+        ),
+        (
+            "survivor broadcast, duplicates",
+            run_survivor_broadcast(&m, &half_dup, cfg()).map(drop),
+        ),
+    ];
+    for (what, outcome) in table {
+        match outcome {
+            Err(ResilientError::Incomplete {
+                finished,
+                survivors: 8,
+            }) => {
+                let more = what.ends_with("duplicates");
+                assert_eq!(finished > 8, more, "{what}: finished {finished} times");
+                assert_eq!(finished < 8, !more, "{what}: finished {finished} times");
+            }
+            other => panic!("{what}: expected Incomplete, got {other:?}"),
+        }
+    }
+}
