@@ -3,66 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use logp_algos::remap::{run_remap, RemapSchedule, RemapSpec};
+use logp_bench::{AllToAll, PingPong};
 use logp_core::LogP;
-use logp_sim::process::Process;
-use logp_sim::{Ctx, Data, Message, Sim, SimConfig};
-
-/// P0 and P1 bounce a decrementing counter: pure per-event overhead,
-/// the same workload as `engine_hotloop`'s and the ledger's `p2p_chain`
-/// (`bash benchmark/run.sh`).
-struct PingPong {
-    rounds: u64,
-}
-
-impl Process for PingPong {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if ctx.me() == 0 {
-            ctx.send(1, 0, Data::U64(self.rounds));
-        }
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let r = msg.data.as_u64();
-        if r > 0 {
-            ctx.send(1 - ctx.me(), 0, Data::U64(r - 1));
-        }
-    }
-}
-
-/// Rounds of P-1 sends per processor under the capacity constraint:
-/// saturates the stall/release bookkeeping.
-struct AllToAll {
-    rounds: u64,
-    done: u64,
-    got: u32,
-}
-
-impl AllToAll {
-    fn blast(ctx: &mut Ctx<'_>) {
-        for dst in 0..ctx.procs() {
-            if dst != ctx.me() {
-                ctx.send(dst, 0, Data::Empty);
-            }
-        }
-    }
-}
-
-impl Process for AllToAll {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        Self::blast(ctx);
-    }
-
-    fn on_message(&mut self, _msg: &Message, ctx: &mut Ctx<'_>) {
-        self.got += 1;
-        if self.got == ctx.procs() - 1 {
-            self.got = 0;
-            self.done += 1;
-            if self.done < self.rounds {
-                Self::blast(ctx);
-            }
-        }
-    }
-}
+use logp_sim::{Ctx, Data, Sim, SimConfig};
 
 fn bench_hot_loop(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine/hot_loop");
@@ -85,13 +28,7 @@ fn bench_hot_loop(c: &mut Criterion) {
     g.bench_function("all_to_all", |b| {
         b.iter(|| {
             let mut sim = Sim::new(m, SimConfig::default());
-            sim.set_all(|_| {
-                Box::new(AllToAll {
-                    rounds: a2a_rounds,
-                    done: 0,
-                    got: 0,
-                })
-            });
+            sim.set_all(|_| Box::new(AllToAll::new(a2a_rounds, false)));
             sim.run().expect("terminates")
         })
     });

@@ -21,9 +21,9 @@
 //! the column a pure wall-clock ratio on identical workloads.
 //!
 //! `--check` runs the correctness pins instead of timing sweeps:
-//! `shards == 1` is bit-identical to the legacy engine on the
-//! `engine_hotloop` workloads, lane counts {2, 4, 8} are bit-identical
-//! to each other (capacity on and off, observed and bare), the classic
+//! `shards == 1` is bit-identical to the legacy engine on the ping-pong
+//! and hot-spot all-to-all workloads, lane counts {2, 4, 8} are
+//! bit-identical to each other (capacity on and off, observed and bare), the classic
 //! and lane engines agree on the workload projection when both are
 //! uncapped, and the P = 1M broadcast/all-reduce agree between the
 //! classic engine and 2/8 lanes.
@@ -36,92 +36,9 @@ use std::time::Instant;
 
 use logp_algos::allreduce::run_allreduce_reduce_bcast;
 use logp_algos::broadcast::run_optimal_broadcast;
-use logp_bench::ObsArgs;
+use logp_bench::{AllToAll, ObsArgs, PingPong};
 use logp_core::LogP;
-use logp_sim::process::{Ctx, Process};
-use logp_sim::{Data, Message, Sim, SimConfig, SimResult};
-
-/// P0 and P1 exchange a decrementing counter (the `engine_hotloop`
-/// ping-pong, reproduced here for the 1-shard parity pin).
-struct PingPong {
-    rounds: u64,
-}
-
-impl Process for PingPong {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if ctx.me() == 0 {
-            ctx.send(1, 0, Data::U64(self.rounds));
-        }
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let r = msg.data.as_u64();
-        if r > 0 {
-            let peer = 1 - ctx.me();
-            ctx.send(peer, 0, Data::U64(r - 1));
-        }
-    }
-}
-
-/// Every processor sends one word to every other processor, `rounds`
-/// times; a new round starts once the previous round's P−1 messages
-/// have been counted in. With `stagger` each processor walks
-/// destinations in rotated order `(me + k) % P` — the standard
-/// hot-spot-free all-to-all schedule. Without it, everyone blasts
-/// destination 0 first (the `engine_hotloop` shape, kept for the
-/// 1-shard parity pin): under capacity enforcement that convoys the
-/// run on P0's admission queue, which serializes the classic engine's
-/// working set and is not representative of all-to-all traffic.
-struct AllToAll {
-    rounds: u64,
-    stagger: bool,
-    done: u64,
-    got: u32,
-}
-
-impl AllToAll {
-    fn new(rounds: u64, stagger: bool) -> Self {
-        AllToAll {
-            rounds,
-            stagger,
-            done: 0,
-            got: 0,
-        }
-    }
-
-    fn blast(&self, ctx: &mut Ctx<'_>) {
-        let me = ctx.me();
-        let p = ctx.procs();
-        if self.stagger {
-            for k in 1..p {
-                ctx.send((me + k) % p, 0, Data::Empty);
-            }
-        } else {
-            for dst in 0..p {
-                if dst != me {
-                    ctx.send(dst, 0, Data::Empty);
-                }
-            }
-        }
-    }
-}
-
-impl Process for AllToAll {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.blast(ctx);
-    }
-
-    fn on_message(&mut self, _msg: &Message, ctx: &mut Ctx<'_>) {
-        self.got += 1;
-        if self.got == ctx.procs() - 1 {
-            self.got = 0;
-            self.done += 1;
-            if self.done < self.rounds {
-                self.blast(ctx);
-            }
-        }
-    }
-}
+use logp_sim::{Sim, SimConfig, SimResult};
 
 fn all_to_all_sim(m: LogP, config: SimConfig, rounds: u64, stagger: bool) -> Sim {
     let mut sim = Sim::new(m, config);
@@ -288,7 +205,7 @@ fn projection(r: &SimResult) -> (u64, u64, u64, Vec<(u64, u64)>) {
 fn check() {
     let m16 = LogP::new(6, 2, 4, 16).expect("valid model");
 
-    // 1-shard ≡ legacy engine, bit for bit, on the engine_hotloop
+    // 1-shard ≡ legacy engine, bit for bit, on the ping-pong and hot-spot
     // workloads (`shards: 1` must dispatch to the classic engine).
     for config in [SimConfig::default(), SimConfig::observed()] {
         let legacy = ping_pong_sim(config.clone(), 100_000).run().unwrap();
@@ -494,7 +411,7 @@ fn main() {
     });
     ared.print();
 
-    // 1-shard parity on the engine_hotloop workloads: `shards: 1` must
+    // 1-shard parity on the ping-pong and all-to-all workloads: `shards: 1` must
     // dispatch to the classic engine and pay nothing for the sharding
     // feature. Classic and 1-shard repetitions are interleaved in this
     // same process so both sides see identical machine conditions

@@ -1,7 +1,7 @@
 //! Observability overhead microbenchmark: the engine's events/second on
-//! the `engine_hotloop` workloads under each observability mode, so the
-//! "off by default is actually free" claim is a measured number, not a
-//! promise.
+//! `PingPong` and hot-spot `AllToAll` under each observability mode, so
+//! the "off by default is actually free" claim is a measured number, not
+//! a promise.
 //!
 //! Modes:
 //!
@@ -36,65 +36,9 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use logp_bench::{AllToAll, PingPong};
 use logp_core::LogP;
-use logp_sim::process::{Ctx, Process};
-use logp_sim::{replay_jsonl, Data, Message, ObsSampling, Sim, SimConfig, SinkSpec};
-
-/// P0 and P1 exchange a decrementing counter until it hits zero.
-struct PingPong {
-    rounds: u64,
-}
-
-impl Process for PingPong {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if ctx.me() == 0 {
-            ctx.send(1, 0, Data::U64(self.rounds));
-        }
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let r = msg.data.as_u64();
-        if r > 0 {
-            let peer = 1 - ctx.me();
-            ctx.send(peer, 0, Data::U64(r - 1));
-        }
-    }
-}
-
-/// Every processor sends one word to every other processor, `rounds`
-/// times (capacity stalls included) — see `engine_hotloop`.
-struct AllToAll {
-    rounds: u64,
-    done: u64,
-    got: u32,
-}
-
-impl AllToAll {
-    fn blast(ctx: &mut Ctx<'_>) {
-        for dst in 0..ctx.procs() {
-            if dst != ctx.me() {
-                ctx.send(dst, 0, Data::Empty);
-            }
-        }
-    }
-}
-
-impl Process for AllToAll {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        Self::blast(ctx);
-    }
-
-    fn on_message(&mut self, _msg: &Message, ctx: &mut Ctx<'_>) {
-        self.got += 1;
-        if self.got == ctx.procs() - 1 {
-            self.got = 0;
-            self.done += 1;
-            if self.done < self.rounds {
-                Self::blast(ctx);
-            }
-        }
-    }
-}
+use logp_sim::{replay_jsonl, ObsSampling, Sim, SimConfig, SinkSpec};
 
 const MODES: [&str; 7] = [
     "disabled",
@@ -154,13 +98,7 @@ fn build(workload: &str, mode: &str, engine: &str, rounds: u64) -> Sim {
         }
         "all_to_all" => {
             let mut sim = Sim::new(LogP::new(6, 2, 4, 16).unwrap(), cfg);
-            sim.set_all(move |_| {
-                Box::new(AllToAll {
-                    rounds,
-                    done: 0,
-                    got: 0,
-                })
-            });
+            sim.set_all(move |_| Box::new(AllToAll::new(rounds, false)));
             sim
         }
         other => panic!("unknown workload {other:?}"),

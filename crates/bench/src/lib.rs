@@ -8,9 +8,90 @@
 //! `LOGP_THREADS`) for the sweep-shaped binaries.
 
 use logp_sim::perfetto::write_artifacts;
+use logp_sim::process::{Ctx, Process};
 use logp_sim::runner::Threads;
-use logp_sim::{SimConfig, SimResult};
+use logp_sim::{Data, Message, SimConfig, SimResult};
 use std::path::PathBuf;
+
+/// P0 and P1 bounce a decrementing counter until it hits zero: pure
+/// per-event overhead, queue depth 1 (the ledger's `p2p_chain`).
+pub struct PingPong {
+    pub rounds: u64,
+}
+
+impl Process for PingPong {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        if ctx.me() == 0 {
+            ctx.send(1, 0, Data::U64(self.rounds));
+        }
+    }
+
+    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
+        let r = msg.data.as_u64();
+        if r > 0 {
+            ctx.send(1 - ctx.me(), 0, Data::U64(r - 1));
+        }
+    }
+}
+
+/// Every processor sends one word to every other processor, `rounds`
+/// times; a new round starts once the previous round's P−1 messages
+/// have been counted in. With `stagger` each processor walks
+/// destinations in rotated order `(me + k) % P` — the standard
+/// hot-spot-free all-to-all schedule. Without it, everyone blasts
+/// destination 0 first: under capacity enforcement that convoys the run
+/// on P0's admission queue (§4.1.4's hot spot; the two halves of the
+/// ledger's `p2p_dense`).
+pub struct AllToAll {
+    rounds: u64,
+    stagger: bool,
+    done: u64,
+    got: u32,
+}
+
+impl AllToAll {
+    pub fn new(rounds: u64, stagger: bool) -> Self {
+        AllToAll {
+            rounds,
+            stagger,
+            done: 0,
+            got: 0,
+        }
+    }
+
+    fn blast(&self, ctx: &mut Ctx<'_>) {
+        let me = ctx.me();
+        let p = ctx.procs();
+        if self.stagger {
+            for k in 1..p {
+                ctx.send((me + k) % p, 0, Data::Empty);
+            }
+        } else {
+            for dst in 0..p {
+                if dst != me {
+                    ctx.send(dst, 0, Data::Empty);
+                }
+            }
+        }
+    }
+}
+
+impl Process for AllToAll {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.blast(ctx);
+    }
+
+    fn on_message(&mut self, _msg: &Message, ctx: &mut Ctx<'_>) {
+        self.got += 1;
+        if self.got == ctx.procs() - 1 {
+            self.got = 0;
+            self.done += 1;
+            if self.done < self.rounds {
+                self.blast(ctx);
+            }
+        }
+    }
+}
 
 /// A simple fixed-width table printer for experiment output.
 #[derive(Debug, Default)]

@@ -15,10 +15,8 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
 # Binaries that are deliberately NOT experiments (each must still exist;
 # --check fails on stale entries):
-#   engine_hotloop  - engine micro-benchmark harness (own --reps flags,
-#                     exercised by the CI bench-smoke job)
 #   trace_overhead  - observability overhead gate (CI runs it --check)
-SKIP="engine_hotloop trace_overhead"
+SKIP="trace_overhead"
 
 is_skipped() {
   case " $SKIP " in *" $1 "*) return 0 ;; *) return 1 ;; esac
