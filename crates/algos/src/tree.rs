@@ -60,9 +60,10 @@ pub(crate) fn execute<T, P: Process + 'static>(
         };
         sim.set_process(q, prog);
     }
-    let mut once = vec![false; sim.model().p as usize];
+    let p = sim.model().p as usize;
     let result = sim.run().expect("a collective stays within the engine");
     let finals = out.replace(Vec::new());
+    let mut once = vec![false; p];
     let exact = finals.len() == survivors
         && finals
             .iter()

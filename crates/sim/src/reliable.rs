@@ -47,7 +47,10 @@
 //! let retry = RetryConfig::for_model(&m);
 //! let (got, retries) = (SharedCell::new(), SharedCell::new());
 //! let mut sim = Sim::new(m, SimConfig::default());
-//! sim.set_all(|_| Box::new(Reliable::new(Node(got.clone()), retry.clone(), retries.clone())));
+//! sim.set_all(|_| {
+//!     let node = Node(got.clone());
+//!     Box::new(Reliable::new(node, retry.clone(), retries.clone()))
+//! });
 //! sim.run().unwrap();
 //! // Delivered exactly once, with zero retransmissions needed.
 //! assert_eq!(got.get(), vec![42]);
@@ -346,8 +349,8 @@ impl<P: Process> Reliable<P> {
         let start = ctx.commands.len();
         handler(&mut self.inner, ctx);
         let cmds = &mut *ctx.commands;
-        let is_send = |c: &Command| matches!(c, Command::Send { .. });
-        let sends = cmds[start..].iter().filter(|c| is_send(c)).count();
+        let queued = cmds[start..].iter();
+        let sends = queued.filter(|c| matches!(c, Command::Send { .. })).count();
         let mut read = cmds.len();
         cmds.resize(read + sends, Command::Halt);
         let mut write = cmds.len();
