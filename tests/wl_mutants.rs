@@ -6,10 +6,12 @@
 //! * **Outcome parity.** `tests/data/wl_mutants.txt` holds, for a fixed
 //!   corpus of 2,400 mutants, what `load_workload` returned at the commit
 //!   before the loader and validator were rebuilt (PR 13): the error's
-//!   `Display`, or a hash of the loaded `Workload` (spans included). The
-//!   loader must reproduce every line. 2,325 lines are the old loader's
-//!   verbatim; the other 75 are the two places where it had no single
-//!   answer to record:
+//!   `Display`, or a hash of the loaded `Workload` (spans included; since
+//!   the arena PR a hash of `tests/common`'s rendering rather than of
+//!   `Debug`, re-recorded at that PR's parent with every `err` line
+//!   byte-identical). The loader must reproduce every line. 2,325 lines are
+//!   the old loader's verbatim; the other 75 are the two places where it
+//!   had no single answer to record:
 //!   - 60 `unknown dependency` errors whose "did you mean" came out of a
 //!     `HashMap` iteration, so between equally close labels it changed
 //!     from run to run. They are pinned to the earliest-declared of the
@@ -22,6 +24,9 @@
 //!   text and hostile numbers: never a panic, every `Err` points into the
 //!   file, every `Ok` survives `validate` and a text round-trip.
 
+mod common;
+
+use common::{fnv1a, render};
 use logp::core::rng::CounterRng;
 use logp::wl::{gen_workload, load_workload, parse_workload, to_text, FuzzConfig};
 
@@ -255,19 +260,13 @@ fn mutant(bases: &[Vec<u8>], stream: u64, i: u64, hostile: bool) -> String {
     String::from_utf8_lossy(&t).into_owned()
 }
 
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
 /// One line of the parity file.
 fn outcome(i: u64, text: &str) -> String {
     match std::panic::catch_unwind(|| load_workload(text)) {
         Ok(Ok(wl)) => format!(
             "{i:04} ok nodes={} {:016x}",
             wl.nodes.len(),
-            fnv1a(&format!("{wl:?}"))
+            fnv1a(&render(&wl))
         ),
         Ok(Err(e)) => format!("{i:04} err {}", e.to_string().escape_debug()),
         Err(_) => format!("{i:04} PANIC"),
