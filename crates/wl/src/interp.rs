@@ -21,7 +21,7 @@
 //! the same bar as every built-in `Process`.
 
 use crate::ir::{Op, Span, WlError, Workload};
-use crate::lower::{lower, Plan};
+use crate::lower::Plan;
 use logp_core::hier::Hierarchy;
 use logp_core::{Cycles, LogP, ProcId};
 use logp_sim::{Ctx, Message, ProcStats, Process, SharedCell, Sim, SimConfig, SimError, SimResult};
@@ -269,11 +269,12 @@ pub struct WlRun {
 
 /// Interpret a workload on machine `m` (re-dimensioned to the
 /// workload's processor count) under `config` — classic engine by
-/// default, sharded with [`SimConfig::with_shards`]. Checks the program
-/// first (the same function as [`Workload::validate`]); never panics on
-/// bad input.
+/// default, sharded with [`SimConfig::with_shards`]. Runs the checked plan
+/// [`Workload::validate`] keeps — the one a loaded workload already
+/// carries, else made here and kept for the next run — so there is no way
+/// in for an unchecked program; never panics on bad input.
 pub fn run_workload(wl: &Workload, m: &LogP, config: SimConfig) -> Result<WlRun, WlRunError> {
-    let plan = lower(wl).map_err(WlRunError::Invalid)?;
+    let plan = wl.plan().map_err(WlRunError::Invalid)?;
     run_on(wl, plan, Sim::new(m.with_p(wl.procs), config))
 }
 
@@ -282,13 +283,15 @@ pub fn run_workload(wl: &Workload, m: &LogP, config: SimConfig) -> Result<WlRun,
 /// capacity windows apply, and sharded lanes align to topology
 /// boundaries. Unlike [`run_workload`], the machine is not
 /// re-dimensioned — a hierarchy's shape is its processor count, so
-/// `wl.procs` must equal `h.p()`.
+/// `wl.procs` must equal `h.p()`. The program is checked before the shape
+/// is: an invalid program on the wrong shape reports its validation
+/// error, and a valid one leaves its plan with the workload either way.
 pub fn run_workload_hier(
     wl: &Workload,
     h: &Hierarchy,
     config: SimConfig,
 ) -> Result<WlRun, WlRunError> {
-    let plan = lower(wl).map_err(WlRunError::Invalid)?;
+    let plan = wl.plan().map_err(WlRunError::Invalid)?;
     if wl.procs != h.p() {
         let msg = format!(
             "workload uses {} processors but the hierarchy has {}",
@@ -302,8 +305,7 @@ pub fn run_workload_hier(
     run_on(wl, plan, Sim::new_hier(h, config))
 }
 
-fn run_on(wl: &Workload, plan: Plan, mut sim: Sim) -> Result<WlRun, WlRunError> {
-    let plan = Arc::new(plan);
+fn run_on(wl: &Workload, plan: Arc<Plan>, mut sim: Sim) -> Result<WlRun, WlRunError> {
     let times = SharedCell::of(vec![UNSET; wl.nodes.len()]);
     let unmatched = SharedCell::of(0u64);
     sim.set_all(|p| {
@@ -318,9 +320,10 @@ fn run_on(wl: &Workload, plan: Plan, mut sim: Sim) -> Result<WlRun, WlRunError> 
     let node_times = times.get();
     if let Some(i) = node_times.iter().position(|&t| t == UNSET) {
         let completed = node_times.iter().filter(|&&t| t != UNSET).count();
+        let stuck = wl.nodes.at(i);
         return Err(WlRunError::Incomplete {
-            node: wl.nodes[i].label.clone(),
-            proc: wl.nodes[i].proc,
+            node: stuck.label.to_string(),
+            proc: stuck.proc,
             completed,
             total: node_times.len(),
         });

@@ -44,6 +44,6 @@ pub use corpus::{
 };
 pub use fuzz::{gen_workload, FuzzConfig};
 pub use interp::{projection, run_workload, run_workload_hier, WlRun, WlRunError, UNSET};
-pub use ir::{Node, NodeId, Op, Payload, Span, WlError, Workload};
+pub use ir::{Node, NodeId, Nodes, Op, Payload, Span, WlError, Workload};
 pub use parse::{load_workload, parse_workload, to_text};
 pub use replay::workload_from_obslog;

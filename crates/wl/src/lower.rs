@@ -2,8 +2,10 @@
 //! interpreter. [`lower`] either rejects the program with the first
 //! error — per-node checks in declaration order, then channel pairing,
 //! then barrier participation, then cycles — or returns the [`Plan`] the
-//! interpreter runs. [`Workload::validate`] is `lower` with the plan
-//! dropped, so there is no way to hold a plan for an unchecked program.
+//! interpreter runs. Its one caller is `Workload::plan`, which keeps the
+//! plan as the seal of the node arena it was made of (`ir.rs`), so a plan
+//! only ever describes a program that was checked, and the arena it rides
+//! in cannot change without dropping it.
 //!
 //! Everything is linear in the program and lives in flat arrays: nodes
 //! are grouped by processor with a counting sort, channels are paired by
@@ -88,6 +90,8 @@ impl Hasher for FoldHasher {
 /// processor into "slots", in declaration order within each processor.
 #[derive(Debug)]
 pub(crate) struct Plan {
+    /// The `Workload::procs` this plan was lowered for.
+    pub(crate) procs: u32,
     /// Processor `p` owns slots `proc_start[p]..proc_start[p + 1]`.
     pub(crate) proc_start: Vec<u32>,
     /// Node id of each slot.
@@ -144,8 +148,8 @@ fn edges(
     let (n, procs) = (wl.nodes.len() as u32, wl.procs as usize);
     // A processor's latest barrier so far.
     let mut last_barrier = vec![NodeId::MAX; procs];
-    for (i, node) in (0..).zip(&wl.nodes) {
-        for &d in &node.deps {
+    for (i, node) in (0..).zip(wl.nodes.iter()) {
+        for &d in node.deps {
             // Depending on a barrier means "after that round releases".
             match round[d as usize] {
                 NO_ROUND => f(d, Some(d), i),
@@ -170,7 +174,7 @@ fn edges(
     last_barrier.fill(NodeId::MAX);
     // Per processor: the next slot to visit, the open segment's first.
     let mut cursor: Vec<(u32, u32)> = proc_start[..procs].iter().map(|&s| (s, s)).collect();
-    for (i, node) in (0..).zip(&wl.nodes) {
+    for (i, node) in (0..).zip(wl.nodes.iter()) {
         let q = node.proc as usize;
         let (slot, segment) = &mut cursor[q];
         if round[i as usize] != NO_ROUND {
@@ -204,7 +208,10 @@ pub(crate) fn lower(wl: &Workload) -> Result<Plan, WlError> {
     }
 
     // Per-node checks, collecting the shape of the program on the way.
-    let mut labels = Labels::with_capacity_and_hasher(n, Keyed::default());
+    // A program straight from the loader comes with its labels already
+    // shown distinct, and needs no second table of them.
+    let mut labels = (!wl.nodes.labels_distinct())
+        .then(|| Labels::with_capacity_and_hasher(n, Keyed::default()));
     let mut listed_by = vec![NodeId::MAX; n];
     let mut round = vec![NO_ROUND; n];
     let mut proc_start = vec![0u32; procs + 1];
@@ -213,17 +220,19 @@ pub(crate) fn lower(wl: &Workload) -> Result<Plan, WlError> {
     let (mut sends, mut recvs) = (Vec::new(), Vec::new());
     // At most `deps + 3` ordering edges leave a node.
     let mut edge_bound = 1usize;
-    for (id, node) in (0..).zip(&wl.nodes) {
+    for (id, node) in (0..).zip(wl.nodes.iter()) {
         // Spans are looked up only on the way out with an error.
-        let (at, name) = (|| wl.span_of(id), &node.label);
-        match labels.entry(name.as_str()) {
-            Entry::Vacant(free) => free.insert(id),
-            Entry::Occupied(first) => bail!(
-                at(),
-                "duplicate label `{name}` (first defined at line {})",
-                wl.span_of(*first.get()).line
-            ),
-        };
+        let (at, name) = (|| wl.nodes.span(id), node.label);
+        if let Some(labels) = &mut labels {
+            match labels.entry(name) {
+                Entry::Vacant(free) => free.insert(id),
+                Entry::Occupied(first) => bail!(
+                    at(),
+                    "duplicate label `{name}` (first defined at line {})",
+                    wl.nodes.span(*first.get()).line
+                ),
+            };
+        }
         let declares = format_args!(
             "the workload declares procs {procs} (valid: 0..={})",
             procs - 1
@@ -276,7 +285,7 @@ pub(crate) fn lower(wl: &Workload) -> Result<Plan, WlError> {
             Op::Compute { .. } | Op::Timer { .. } => {}
         }
         for (k, &d) in node.deps.iter().enumerate() {
-            let at = || wl.dep_span(id, k);
+            let at = || wl.nodes.dep_span(id, k);
             let Some(dep) = wl.nodes.get(d as usize) else {
                 bail!(
                     at(),
@@ -391,8 +400,9 @@ pub(crate) fn lower(wl: &Workload) -> Result<Plan, WlError> {
         recv_start[dst as usize] += 1;
     }
     prefix_sums(&mut recv_start);
-    let op_of = |&i: &NodeId| wl.nodes[i as usize].op.clone();
+    let op_of = |&i: &NodeId| wl.nodes.at(i as usize).op;
     Ok(Plan {
+        procs: wl.procs,
         ops: global.iter().map(op_of).collect(),
         proc_start,
         global,
@@ -434,7 +444,7 @@ fn check_channels(wl: &Workload, sends: &[[u32; 4]], recvs: &[[u32; 4]]) -> Resu
                 let msg = format!(
                     "{kind} `{}` has no matching {other}: channel {src} -> {dst} tag={tag} has \
                      {ns} send(s) but {nr} recv(s)",
-                    wl.nodes[id as usize].label
+                    wl.nodes.at(id as usize).label
                 );
                 worst = Some((id, msg));
             }
@@ -442,7 +452,7 @@ fn check_channels(wl: &Workload, sends: &[[u32; 4]], recvs: &[[u32; 4]]) -> Resu
         (s, r) = (s + ns, r + nr);
     }
     match worst {
-        Some((id, msg)) => Err(WlError::at(wl.span_of(id), msg).with_help(
+        Some((id, msg)) => Err(WlError::at(wl.nodes.span(id), msg).with_help(
             "every send needs exactly one recv on the same (src, dst, tag) channel; \
              the i-th send pairs with the i-th recv in declaration order",
         )),
@@ -458,7 +468,7 @@ fn check_barriers(wl: &Workload, count: &[u32]) -> Result<(), WlError> {
         return Ok(());
     };
     // Point at the first barrier of a processor with the most rounds.
-    let most = |nd: &Node| matches!(nd.op, Op::Barrier) && count[nd.proc as usize] == max;
+    let most = |nd: Node<'_>| matches!(nd.op, Op::Barrier) && count[nd.proc as usize] == max;
     let id = wl
         .nodes
         .iter()
@@ -467,9 +477,10 @@ fn check_barriers(wl: &Workload, count: &[u32]) -> Result<(), WlError> {
     let msg = format!(
         "uneven barrier participation: processor {} enters {max} barrier(s) but \
          processor {short} enters {}; the global barrier would never release",
-        wl.nodes[id].proc, count[short]
+        wl.nodes.at(id).proc,
+        count[short]
     );
-    Err(WlError::at(wl.span_of(id as NodeId), msg)
+    Err(WlError::at(wl.nodes.span(id as NodeId), msg)
         .with_help("give every processor the same number of barrier statements"))
 }
 
@@ -535,7 +546,7 @@ fn check_acyclic(
     let mut labels: Vec<String> = cycle.iter().map(name).collect();
     labels.push(name(&cycle[0]));
     let anchor = cycle.iter().map(|&(v, _)| v).find(|&v| v < n);
-    let span = anchor.map_or(Span::NONE, |v| wl.span_of(v as NodeId));
+    let span = anchor.map_or(Span::NONE, |v| wl.nodes.span(v as NodeId));
     Err(
         WlError::at(span, format!("dependency cycle: {}", labels.join(" -> "))).with_help(
             "a node cannot (transitively) wait on itself; check `after:` lists, \

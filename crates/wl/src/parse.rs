@@ -21,7 +21,7 @@
 //! checks syntax only; [`load_workload`] also runs
 //! [`Workload::validate`] so the result is ready to interpret.
 
-use crate::ir::{bail, Node, NodeId, NodeSpans, Op, Payload, Span, WlError, Workload};
+use crate::ir::{bail, NodeId, Nodes, Op, Payload, Span, WlError, Workload};
 use crate::lower::{Keyed, Labels, MAX_BLOCK_WORDS, MAX_PROCS};
 use logp_core::ProcId;
 use std::collections::hash_map::Entry;
@@ -32,14 +32,22 @@ const DIRECTIVES: [&str; 3] = ["workload", "procs", "preset"];
 /// Parse the text form, resolving labels. Syntax errors only — run
 /// [`load_workload`] to also validate the DAG.
 pub fn parse_workload(text: &str) -> Result<Workload, WlError> {
+    // Every label byte and every dependency takes a byte of text, so this
+    // one bound also keeps the arena's 32-bit offsets from overflowing.
+    if u32::try_from(text.len()).is_err() {
+        bail!(
+            Span::new(1, 1),
+            "program text is {} bytes; positions in it are 32 bits (under 4 GiB)",
+            text.len()
+        );
+    }
     // Sized for ~32-byte statements, so a typical file never regrows its
-    // tables; all three grow on demand past that.
+    // tables; both grow on demand past that.
     let guess = (text.len() / 32).min(1 << 20);
     let mut p = Parser {
         text,
         lineno: 1,
-        nodes: Vec::with_capacity(guess),
-        spans: Vec::with_capacity(guess),
+        nodes: Nodes::with_capacity(guess),
         labels: Labels::with_capacity_and_hasher(guess, Keyed::default()),
         ..Parser::default()
     };
@@ -69,9 +77,9 @@ struct Tok<'a> {
 }
 
 /// The loader: one pass over the text, a token at a time, a line at a
-/// time. Nodes are built in place; labels are interned as they are
-/// defined, so an `after:` entry naming an earlier node resolves on the
-/// spot.
+/// time. Tokens go straight into the node arena; labels are interned as
+/// they are defined, so an `after:` entry naming an earlier node resolves
+/// on the spot.
 #[derive(Default)]
 struct Parser<'a> {
     text: &'a str,
@@ -85,8 +93,7 @@ struct Parser<'a> {
     name: Option<&'a str>,
     procs: Option<u32>,
     preset: Option<&'a str>,
-    nodes: Vec<Node>,
-    spans: Vec<NodeSpans>,
+    nodes: Nodes,
     labels: Labels<'a>,
     /// The first redefined label: `(redefinition, first definition)`.
     /// Reported after the pass, since any syntax error outranks it.
@@ -94,9 +101,6 @@ struct Parser<'a> {
     /// `after:` entries naming a label not defined yet, patched (or
     /// rejected) at the end: `(node, position in its deps, label)`.
     forward: Vec<(NodeId, u32, &'a str)>,
-    /// The `after:` list of the statement being parsed.
-    deps: Vec<NodeId>,
-    dep_spans: Vec<Span>,
 }
 
 /// Levenshtein distance, for "did you mean" suggestions.
@@ -278,17 +282,7 @@ impl<'a> Parser<'a> {
             Entry::Vacant(free) => drop(free.insert(id)),
             Entry::Occupied(first) => drop(self.duplicate.get_or_insert((id, *first.get()))),
         }
-        self.nodes.push(Node {
-            id,
-            label: label.to_string(),
-            proc,
-            op,
-            deps: self.deps.clone(),
-        });
-        self.spans.push(NodeSpans {
-            node: head.span,
-            deps: self.dep_spans.clone(),
-        });
+        self.nodes.push(label, proc, op, head.span);
         Ok(())
     }
 
@@ -464,11 +458,10 @@ impl<'a> Parser<'a> {
     }
 
     /// Parse the trailing `after: a, b, c` clause (labels, comma or
-    /// whitespace separated) of node `id` into `self.deps`; `head` is the
-    /// first token after the operation, if any.
+    /// whitespace separated) of node `id` into the arena, for the `push`
+    /// that closes the node; `head` is the first token after the
+    /// operation, if any.
     fn after(&mut self, id: NodeId, head: Option<Tok<'a>>, kw: Tok<'a>) -> Result<(), WlError> {
-        self.deps.clear();
-        self.dep_spans.clear();
         let Some(head) = head else {
             return Ok(());
         };
@@ -485,6 +478,7 @@ impl<'a> Parser<'a> {
         // The dangling comma, if the last token was one.
         let mut comma = None;
         let mut want_label = true;
+        let mut listed = 0u32;
         while let Some(t) = self.next() {
             if t.s == "," {
                 if want_label {
@@ -494,16 +488,16 @@ impl<'a> Parser<'a> {
             } else if is_ident(t.s) {
                 let known = self.labels.get(t.s).copied();
                 if known.is_none() {
-                    self.forward.push((id, self.deps.len() as u32, t.s));
+                    self.forward.push((id, listed, t.s));
                 }
-                self.deps.push(known.unwrap_or(NodeId::MAX));
-                self.dep_spans.push(t.span);
+                self.nodes.push_dep(known.unwrap_or(NodeId::MAX), t.span);
+                listed += 1;
                 (comma, want_label) = (None, false);
             } else {
                 bail!(t.span, "expected a dependency label, got `{}`", t.s);
             }
         }
-        if self.deps.is_empty() {
+        if listed == 0 {
             bail!(head.span, "`after:` needs at least one dependency label");
         }
         if let Some(span) = comma {
@@ -535,29 +529,30 @@ impl<'a> Parser<'a> {
             procs,
             preset: self.preset.map(str::to_string),
             nodes: self.nodes,
-            spans: self.spans,
         };
         if let Some((again, first)) = self.duplicate {
             bail!(
-                wl.span_of(again),
+                wl.nodes.span(again),
                 "duplicate label `{}` (first defined at line {})",
-                wl.nodes[again as usize].label,
-                wl.span_of(first).line
+                wl.nodes.at(again as usize).label,
+                wl.nodes.span(first).line
             );
         }
         for (node, k, label) in self.forward {
             let Some(&dep) = self.labels.get(label) else {
                 let e = WlError::at(
-                    wl.dep_span(node, k as usize),
+                    wl.nodes.dep_span(node, k as usize),
                     format!("unknown dependency `{label}`"),
                 );
-                let defined = wl.nodes.iter().map(|n| n.label.as_str());
+                let defined = wl.nodes.iter().map(|n| n.label);
                 return Err(suggest(e, label, defined, |m| {
                     format!("did you mean `{m}`?")
                 }));
             };
-            wl.nodes[node as usize].deps[k as usize] = dep;
+            wl.nodes.set_dep(node, k as usize, dep);
         }
+        // The label table above just showed it; `lower` need not again.
+        wl.nodes.mark_labels_distinct();
         Ok(wl)
     }
 }
@@ -573,7 +568,7 @@ pub fn to_text(wl: &Workload) -> String {
         let _ = writeln!(out, "preset {p}");
     }
     let _ = writeln!(out);
-    for node in &wl.nodes {
+    for node in wl.nodes.iter() {
         let _ = write!(out, "{}: ", node.label);
         match &node.op {
             Op::Send { dst, tag, payload } => {
@@ -609,7 +604,7 @@ pub fn to_text(wl: &Workload) -> String {
         }
         for (k, &d) in node.deps.iter().enumerate() {
             out.push_str(if k == 0 { " after: " } else { ", " });
-            out.push_str(&wl.nodes[d as usize].label);
+            out.push_str(wl.nodes.at(d as usize).label);
         }
         let _ = writeln!(out);
     }

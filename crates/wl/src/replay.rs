@@ -20,7 +20,8 @@
 //! * every processor is assumed to participate in every barrier episode
 //!   (the log records only the last entrant).
 
-use crate::ir::{Op, Payload, WlError, Workload};
+use crate::ir::{bail, NodeId, Op, Payload, Span, WlError, Workload};
+use crate::lower::{MAX_BLOCK_WORDS, MAX_PROCS};
 use logp_core::{Cycles, ProcId};
 use logp_sim::obs::UNSET;
 use logp_sim::ObsLog;
@@ -45,37 +46,99 @@ const RANK_TIMER: u8 = 2;
 const RANK_SEND: u8 = 3;
 const RANK_COMPUTE: u8 = 4;
 
+/// How long a compute or a timer record ran: its `to` field less its
+/// `from` field, each given as `(name, value)`.
+fn duration(
+    kind: &str,
+    id: u64,
+    from: (&str, Cycles),
+    to: (&str, Cycles),
+) -> Result<Cycles, WlError> {
+    match to.1.checked_sub(from.1) {
+        Some(cycles) => Ok(cycles),
+        None => bail!(
+            Span::NONE,
+            "{kind} {id} has `{}` {} before its `{}` {}",
+            to.0,
+            to.1,
+            from.0,
+            from.1
+        ),
+    }
+}
+
 /// Convert a recorded log over `procs` processors into a workload DAG.
 ///
-/// Errors (with an explanatory message, no span — logs have no source
-/// text) if a message was never delivered or names a processor outside
-/// `0..procs`.
+/// The log is untrusted (it may come from `replay_jsonl`): errors, with an
+/// explanatory message naming the record and no span — logs have no source
+/// text — if `procs` is outside what the engines address, the log replays
+/// to more nodes than ids are wide (both checked before anything is
+/// allocated for them), a record names a processor outside `0..procs`, a
+/// compute or timer ends before it starts, a message carries more words
+/// than a block may, or a message was never delivered.
 pub fn workload_from_obslog(log: &ObsLog, procs: u32, name: &str) -> Result<Workload, WlError> {
+    if !(1..=MAX_PROCS).contains(&procs) {
+        bail!(
+            Span::NONE,
+            "the replay declares procs {procs}; need 1..={MAX_PROCS} (what the engines address)"
+        );
+    }
+    // Every processor gets a node per barrier episode.
+    let nodes = log.barriers.len() as u128 * u128::from(procs)
+        + 2 * log.msgs.len() as u128
+        + log.computes.len() as u128
+        + log.timers.len() as u128;
+    if nodes >= u128::from(NodeId::MAX) {
+        bail!(
+            Span::NONE,
+            "the log replays to {nodes} nodes ({} barriers on each of {procs} processors, {} \
+             messages, {} computes, {} timers); node ids are 32 bits",
+            log.barriers.len(),
+            log.msgs.len(),
+            log.computes.len(),
+            log.timers.len()
+        );
+    }
+    let on_machine = |kind: &str, id: u64, proc: ProcId| {
+        if proc >= procs {
+            bail!(
+                Span::NONE,
+                "{kind} {id} has `proc` {proc} but the replay declares procs {procs}"
+            );
+        }
+        Ok(())
+    };
     let mut items: Vec<Item> = Vec::new();
     for r in &log.msgs {
         if r.src >= procs || r.dst >= procs {
-            return Err(WlError::at(
-                crate::ir::Span::NONE,
-                format!(
-                    "message {} runs {} -> {} but the replay declares procs {procs}",
-                    r.id, r.src, r.dst
-                ),
-            ));
+            bail!(
+                Span::NONE,
+                "message {} runs {} -> {} but the replay declares procs {procs}",
+                r.id,
+                r.src,
+                r.dst
+            );
         }
         if r.deliver == UNSET {
-            return Err(WlError::at(
-                crate::ir::Span::NONE,
-                format!(
-                    "message {} ({} -> {} tag={}) was never delivered; a DAG recv must \
-                     complete — replay needs a fault-free (or fully delivered) log",
-                    r.id, r.src, r.dst, r.tag
-                ),
-            ));
+            bail!(
+                Span::NONE,
+                "message {} ({} -> {} tag={}) was never delivered; a DAG recv must \
+                 complete — replay needs a fault-free (or fully delivered) log",
+                r.id,
+                r.src,
+                r.dst,
+                r.tag
+            );
         }
         let payload = match r.words {
             0 => Payload::Empty,
             1 => Payload::Word(r.id),
-            w => Payload::Block(w as u32),
+            w if w <= u64::from(MAX_BLOCK_WORDS) => Payload::Block(w as u32),
+            w => bail!(
+                Span::NONE,
+                "message {} has `words` {w}; a block holds at most {MAX_BLOCK_WORDS}",
+                r.id
+            ),
         };
         items.push(Item {
             proc: r.src,
@@ -98,22 +161,24 @@ pub fn workload_from_obslog(log: &ObsLog, procs: u32, name: &str) -> Result<Work
         });
     }
     for c in &log.computes {
+        on_machine("compute", c.id, c.proc)?;
         items.push(Item {
             proc: c.proc,
             key: (c.start, RANK_COMPUTE, c.id),
             label: format!("c{}", c.id),
             op: Op::Compute {
-                cycles: c.end - c.start,
+                cycles: duration("compute", c.id, ("start", c.start), ("end", c.end))?,
             },
         });
     }
     for t in &log.timers {
+        on_machine("timer", t.id, t.proc)?;
         items.push(Item {
             proc: t.proc,
             key: (t.armed, RANK_TIMER, t.id),
             label: format!("t{}", t.id),
             op: Op::Timer {
-                cycles: t.fire - t.armed,
+                cycles: duration("timer", t.id, ("armed", t.armed), ("fire", t.fire))?,
             },
         });
     }
@@ -129,11 +194,11 @@ pub fn workload_from_obslog(log: &ObsLog, procs: u32, name: &str) -> Result<Work
     }
     items.sort_by_key(|a| (a.proc, a.key));
     let mut wl = Workload::new(name, procs);
-    let mut prev: Vec<Option<u32>> = vec![None; procs as usize];
+    let mut prev: Vec<Option<NodeId>> = vec![None; procs as usize];
     for item in items {
-        let deps: Vec<u32> = prev[item.proc as usize].into_iter().collect();
-        let id = wl.node(item.label, item.proc, item.op, &deps);
-        prev[item.proc as usize] = Some(id);
+        let after = &mut prev[item.proc as usize];
+        let id = wl.node(item.label, item.proc, item.op, after.as_slice());
+        *after = Some(id);
     }
     Ok(wl)
 }

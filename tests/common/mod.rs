@@ -19,7 +19,6 @@ pub fn render(wl: &Workload) -> String {
     let mut out = format!("{} procs={} preset={:?}\n", wl.name, wl.procs, wl.preset);
     let at = |s: Span| format!("{}:{}", s.line, s.col);
     for (i, node) in wl.nodes.iter().enumerate() {
-        let spans = wl.spans.get(i);
         let _ = write!(
             out,
             "{i} {} @{} {:?} after {:?} at {}",
@@ -27,11 +26,10 @@ pub fn render(wl: &Workload) -> String {
             node.proc,
             node.op,
             node.deps,
-            at(spans.map_or(Span::NONE, |s| s.node))
+            at(wl.nodes.span(i as u32))
         );
         for k in 0..node.deps.len() {
-            let dep = spans.and_then(|s| s.deps.get(k).copied());
-            let _ = write!(out, " {}", at(dep.unwrap_or(Span::NONE)));
+            let _ = write!(out, " {}", at(wl.nodes.dep_span(i as u32, k)));
         }
         out.push('\n');
     }

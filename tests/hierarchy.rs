@@ -235,7 +235,16 @@ fn workloads_pay_level_aware_prices() {
     // reported, not panicked.
     let wrong =
         logp::wl::load_workload("workload w\nprocs 3\nx: send 0 -> 1\ny: recv 0 -> 1\n").unwrap();
-    assert!(run_workload_hier(&wrong, &h, SimConfig::default()).is_err());
+    let invalid = |wl: &logp::wl::Workload| match run_workload_hier(wl, &h, SimConfig::default()) {
+        Err(logp::wl::WlRunError::Invalid(e)) => e.msg,
+        other => panic!("expected an invalid-workload error, got {other:?}"),
+    };
+    assert!(invalid(&wrong).starts_with("workload uses 3 processors but the hierarchy has"));
+    // The program is checked before the shape: wrong on both counts, it
+    // reports what is wrong with the program.
+    let mut both = wrong.clone();
+    both.node("y", 2, logp::wl::Op::Compute { cycles: 1 }, &[]);
+    assert!(invalid(&both).starts_with("duplicate label `y`"));
 }
 
 /// Determinism under jitter: a seeded noisy hierarchical run is

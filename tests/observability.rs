@@ -725,7 +725,11 @@ fn replay_rejects_incomplete_and_out_of_range_records() {
 
 /// Seeded byte-mutation and truncation fuzz over real sink output:
 /// `replay_jsonl` answers `Ok` or `Err` on every mutant, never a panic
-/// (an overflowing index or slice would abort the test).
+/// (an overflowing index or slice would abort the test), and so does the
+/// next consumer of what it accepts, `workload_from_obslog` + `validate`.
+/// Two streams take turns: the extreme-valued records above, which the
+/// converter mostly refuses, and the log of a real run (`tour.wl`: every
+/// record kind on four processors), whose mutants reach deep into it.
 #[test]
 fn replay_survives_mutated_and_truncated_streams() {
     let (mut log, spans) = artifact_records();
@@ -733,12 +737,27 @@ fn replay_survives_mutated_and_truncated_streams() {
     log.computes.truncate(6);
     log.barriers.truncate(6);
     log.timers.truncate(6);
-    let text = sink_jsonl(&log, &spans[..6], "fuzz").into_bytes();
+    let tour = std::fs::read_to_string("examples/workloads/tour.wl").expect("tour.wl");
+    let tour = logp::wl::load_workload(&tour).expect("tour.wl loads");
+    let run = logp::wl::run_workload(
+        &tour,
+        &LogP::fig3(),
+        SimConfig::default().with_msg_log(true),
+    );
+    let real = run.expect("tour.wl runs").result.obs;
+    let texts = [
+        sink_jsonl(&log, &spans[..6], "fuzz").into_bytes(),
+        sink_jsonl(&real, &[], "fuzz_real").into_bytes(),
+    ];
     let alphabet = b"{}\":,0123456789kmcbtsx \n\xff\xc3";
     let (mut ok, mut err) = (0u32, 0u32);
+    let (mut replayed, mut refused) = (0u32, 0u32);
     for i in 0..12_000u64 {
-        let mut bytes = text.clone();
+        let mut bytes = texts[(i % 2) as usize].clone();
         for j in 0..1 + mix(&[i, 1]) % 3 {
+            if bytes.is_empty() {
+                break;
+            }
             let at = (mix(&[i, 2, j]) % bytes.len() as u64) as usize;
             match mix(&[i, 3, j]) % 4 {
                 0 => bytes[at] = alphabet[(mix(&[i, 4, j]) % alphabet.len() as u64) as usize],
@@ -754,13 +773,24 @@ fn replay_survives_mutated_and_truncated_streams() {
             Err(e) => std::str::from_utf8(&bytes[..e.valid_up_to()]).unwrap(),
         };
         match replay_jsonl(valid) {
-            Ok(_) => ok += 1,
+            Ok(log) => {
+                ok += 1;
+                let dag = logp::wl::workload_from_obslog(&log, tour.procs, "mutant");
+                match dag.and_then(|wl| wl.validate()) {
+                    Ok(()) => replayed += 1,
+                    Err(_) => refused += 1,
+                }
+            }
             Err(_) => err += 1,
         }
     }
     assert!(
         ok > 100 && err > 1_000,
         "both outcomes exercised: {ok} ok, {err} err"
+    );
+    assert!(
+        replayed > 100 && refused > 100,
+        "both outcomes exercised: {replayed} replayed, {refused} refused"
     );
 }
 

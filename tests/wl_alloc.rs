@@ -1,28 +1,38 @@
-//! The `.wl` front end's cost, pinned as heap allocations per node — a
-//! count, so it cannot flake the way a timing does.
+//! The `.wl` front end's cost, pinned as heap allocations — calls and
+//! bytes, counts that cannot flake the way a timing does.
 //!
-//! Allocations per node on the 20,000-node program below:
+//! Calls per node on the 20,000-node program below (about one `after:`
+//! entry a node):
 //!
-//! | call                 | parent of PR 13 | now    | bound |
-//! |----------------------|-----------------|--------|-------|
-//! | `load_workload`      | 11.466          | 2.319  | 3.0   |
-//! | `Workload::validate` | 2.684           | 0.0027 | 0.05  |
+//! | call                            | parent of PR 13 | parent of the arena | now    | bound       |
+//! |---------------------------------|-----------------|---------------------|--------|-------------|
+//! | `load_workload`                 | 11.466          | 2.319               | 0.0031 | 0.1         |
+//! | `validate` on a loaded workload | 2.684           | 0.0027              | 0      | 0 (exactly) |
+//! | `validate` after an append      |                 |                     | 0.0028 | 0 < · ≤ 0.05 |
 //!
-//! `validate` is `run_workload`'s check-and-lower with the plan dropped
-//! (a few dozen flat arrays, whatever the size of the program). What is
-//! left in `load_workload` is the output itself: a label `String` per
-//! node, and a dependency `Vec` and a span `Vec` per node that has an
-//! `after:` list (two thirds of the nodes here).
+//! `load_workload` writes every token into the node arena's four buffers
+//! and checks-and-lowers once; the plan that makes stays with the arena
+//! (its seal), so `validate` and `run_workload` on a loaded workload lower
+//! nothing: the first run allocates exactly what the second does. An
+//! append drops the seal, and the next `validate` is `lower` again — a few
+//! dozen flat arrays, whatever the size of the program.
 
 use logp::core::rng::CounterRng;
-use logp::wl::load_workload;
+use logp::core::LogP;
+use logp::sim::SimConfig;
+use logp::wl::{load_workload, run_workload, Op};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write as _;
 
 thread_local! {
-    /// Allocations made by this thread (tests run on parallel threads).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// `(calls, bytes)` allocated by this thread (tests run on parallel
+    /// threads). A `realloc` is one call of its new size.
+    static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(bytes: usize) {
+    ALLOCS.with(|c| c.set((c.get().0 + 1, c.get().1 + bytes as u64)));
 }
 
 struct Counting;
@@ -31,7 +41,7 @@ struct Counting;
 // thread-local `Cell` with no destructor, touched without allocating.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         // SAFETY: the caller's contract for `alloc` is `System`'s.
         unsafe { System.alloc(layout) }
     }
@@ -40,7 +50,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(new_size);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -49,11 +59,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations `f` makes on this thread.
-fn allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
+/// `(calls, bytes)` that `f` allocates on this thread.
+fn allocs<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
+    let after = ALLOCS.with(Cell::get);
+    (out, (after.0 - before.0, after.1 - before.1))
 }
 
 const PROCS: u32 = 64;
@@ -65,6 +76,8 @@ struct Gen {
     out: String,
     recent: Vec<Vec<u32>>,
     emitted: u32,
+    /// `after:` entries written so far.
+    deps: u64,
 }
 
 impl Gen {
@@ -77,6 +90,7 @@ impl Gen {
             let d = seen[seen.len() - 1 - k];
             let _ = write!(self.out, "{}n{d}", if k == 0 { " after: " } else { ", " });
         }
+        self.deps += want as u64;
         self.out.push('\n');
         if seen.len() == 8 {
             seen.remove(0);
@@ -88,13 +102,15 @@ impl Gen {
 
 /// A valid program of exactly `nodes` nodes on 64 processors: send/recv
 /// pairs, computes and timers with `after:` lists into the processor's
-/// recent nodes, and a barrier round every 2,000 steps.
-fn program(nodes: u32) -> String {
+/// recent nodes, and a barrier round every 2,000 steps. Returns the text
+/// and the number of `after:` entries in it.
+fn program(nodes: u32) -> (String, u64) {
     let mut g = Gen {
         rng: CounterRng::new(0x0041_4c4c_4f43),
         out: format!("workload alloc\nprocs {PROCS}\n"),
         recent: vec![Vec::new(); PROCS as usize],
         emitted: 0,
+        deps: 0,
     };
     let p = u64::from(PROCS);
     let mut step = 0u32;
@@ -122,38 +138,68 @@ fn program(nodes: u32) -> String {
             g.node(q, format_args!("{kw} {cycles} @{q}"));
         }
     }
-    g.out
+    (g.out, g.deps)
 }
 
 #[test]
 fn front_end_allocations_per_node_stay_bounded() {
     const N: u32 = 20_000;
-    let text = program(N);
+    let (text, deps) = program(N);
     let (wl, load) = allocs(|| load_workload(&text));
-    let wl = wl.expect("generated program loads");
+    let mut wl = wl.expect("generated program loads");
     assert_eq!(wl.nodes.len() as u32, N);
-    let (ok, lower) = allocs(|| wl.validate());
+    let (ok, sealed) = allocs(|| wl.validate());
     ok.expect("validates");
-    let per_node = |a: u64| a as f64 / f64::from(N);
+    let per_node = |calls: u64| calls as f64 / f64::from(N);
     println!(
-        "load_workload {:.3} allocs/node, validate {:.4} allocs/node",
-        per_node(load),
-        per_node(lower)
+        "load_workload {:.4} allocs/node, {} bytes/node",
+        per_node(load.0),
+        load.1 / u64::from(N)
     );
-    assert!(per_node(load) <= 3.0, "load_workload: {load} allocations");
-    assert!(per_node(lower) <= 0.05, "validate: {lower} allocations");
+    assert!(per_node(load.0) <= 0.1, "load_workload: {load:?}");
+    assert_eq!(sealed, (0, 0), "validate on a loaded workload");
+
+    // The interpreter starts from the loader's plan: its first run
+    // allocates what its second does, to the byte.
+    let m = LogP::fig3();
+    let run = |wl: &logp::wl::Workload| {
+        let (run, cost) = allocs(|| run_workload(wl, &m, SimConfig::default()));
+        (run.expect("runs").node_times, cost)
+    };
+    let ((times, first), (_, second)) = (run(&wl), run(&wl));
+    assert_eq!(
+        first, second,
+        "run_workload after load_workload lowered something"
+    );
+
+    // An append drops the plan: the next check is a whole `lower` again,
+    // still a few dozen arrays, and the next run pays for its edge lists.
+    wl.node("tail", 0, Op::Compute { cycles: 1 }, &[]);
+    let (ok, relower) = allocs(|| wl.validate());
+    ok.expect("still valid");
+    println!("validate after an append: {relower:?}");
+    assert!(relower.0 > 0, "the append was not checked");
+    assert!(per_node(relower.0) <= 0.05, "validate: {relower:?}");
+    wl.node("tail2", 0, Op::Compute { cycles: 1 }, &[N]);
+    let (grown, unsealed) = run(&wl);
+    assert_eq!(grown[..N as usize], times[..]);
+    assert!(
+        unsealed.1 >= second.1 + 4 * deps,
+        "an unsealed run ({unsealed:?}) allocates an array per edge kind on top of {second:?}"
+    );
 }
 
 #[test]
 fn loader_allocations_grow_linearly() {
     const N: u32 = 5_000;
-    let (small, big) = (program(N), program(8 * N));
+    let ((small, _), (big, _)) = (program(N), program(8 * N));
     let (a, small_allocs) = allocs(|| load_workload(&small));
     let (b, big_allocs) = allocs(|| load_workload(&big));
     assert_eq!(a.expect("loads").nodes.len() as u32, N);
     assert_eq!(b.expect("loads").nodes.len() as u32, 8 * N);
     assert!(
-        big_allocs as f64 <= 8.5 * small_allocs as f64,
-        "load_workload(8N) made {big_allocs} allocations, load_workload(N) {small_allocs}"
+        big_allocs.0 as f64 <= 8.5 * small_allocs.0 as f64
+            && big_allocs.1 as f64 <= 8.5 * small_allocs.1 as f64,
+        "load_workload(8N) made {big_allocs:?} (calls, bytes), load_workload(N) {small_allocs:?}"
     );
 }

@@ -79,7 +79,7 @@ fn corpus() -> Vec<(String, Workload, LogP)> {
 fn three_levels(procs: u32) -> Hierarchy {
     let mut left = procs;
     let mut factor = || {
-        let f = (2..=left).find(|f| left % f == 0).unwrap_or(1);
+        let f = (2..=left).find(|&f| left.is_multiple_of(f)).unwrap_or(1);
         left /= f;
         f
     };

@@ -372,6 +372,97 @@ fn jsonl_to_dag_round_trip() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A replayed log is outside input: every record a workload cannot hold
+/// is a typed error naming the record, in debug and in release builds
+/// alike (these used to index out of bounds, underflow, truncate `words`
+/// to 32 bits, or allocate by an unchecked `procs`).
+#[test]
+fn unreplayable_logs_are_typed_errors() {
+    let compute = |proc: u32, start: u64, end: u64| {
+        format!(
+            r#"{{"k":"c","id":3,"proc":{proc},"tag":0,"cs":0,"ci":0,"submit":0,"start":{start},"end":{end}}}"#
+        )
+    };
+    let timer = |proc: u32, armed: u64, fire: u64| {
+        format!(
+            r#"{{"k":"t","id":4,"proc":{proc},"tag":0,"cs":0,"ci":0,"submit":0,"armed":{armed},"fire":{fire}}}"#
+        )
+    };
+    let msg = |words: u64| {
+        format!(
+            r#"{{"k":"m","id":5,"src":0,"dst":1,"tag":0,"words":{words},"cs":0,"ci":0,"submit":0,"gate":0,"inject":0,"sent":2,"arrive":8,"rgate":8,"rstart":8,"deliver":10}}"#
+        )
+    };
+    let barrier = r#"{"k":"b","id":0,"proc":1,"cs":0,"ci":0,"submit":0,"enter":0,"release":1}"#;
+    let many_barriers = format!("{barrier}\n").repeat(4_096);
+    let cases: [(&str, u32, &str); 10] = [
+        (
+            &compute(7, 0, 1),
+            2,
+            "compute 3 has `proc` 7 but the replay declares procs 2",
+        ),
+        (
+            &timer(7, 0, 1),
+            2,
+            "timer 4 has `proc` 7 but the replay declares procs 2",
+        ),
+        (
+            &compute(0, 9, 5),
+            2,
+            "compute 3 has `end` 5 before its `start` 9",
+        ),
+        (
+            &timer(0, 5, 3),
+            2,
+            "timer 4 has `fire` 3 before its `armed` 5",
+        ),
+        (
+            &msg(4_294_967_301),
+            2,
+            "message 5 has `words` 4294967301; a block holds at most 1048576",
+        ),
+        (
+            &msg(1_048_577),
+            2,
+            "message 5 has `words` 1048577; a block holds at most 1048576",
+        ),
+        (
+            &compute(0, 0, 1),
+            u32::MAX,
+            "the replay declares procs 4294967295; need 1..=1048576",
+        ),
+        (
+            &compute(0, 0, 1),
+            1 << 21,
+            "the replay declares procs 2097152; need 1..=1048576",
+        ),
+        ("", 0, "the replay declares procs 0; need 1..=1048576"),
+        // 4,096 × 2²⁰ = 2³² nodes out of 300 KB of text.
+        (
+            &many_barriers,
+            1 << 20,
+            "the log replays to 4294967296 nodes (4096 barriers on each of 1048576",
+        ),
+    ];
+    for (text, procs, want) in cases {
+        let log =
+            replay_jsonl(text).unwrap_or_else(|e| panic!("{want}: the log itself reads: {e}"));
+        let e = workload_from_obslog(&log, procs, "x").expect_err(want);
+        assert!(e.msg.contains(want), "wanted `{want}`, got `{e}`");
+        assert_eq!((e.line, e.col), (0, 0), "{want}");
+    }
+    // The limits themselves replay.
+    let log = replay_jsonl(&format!(
+        "{}\n{}\n{}",
+        compute(1, 5, 5),
+        timer(1, 3, 3),
+        msg(1 << 20)
+    ));
+    let wl = workload_from_obslog(&log.expect("reads"), 2, "x").expect("replays");
+    wl.validate().expect("and validates");
+    assert_eq!(wl.nodes.len(), 4);
+}
+
 /// The small fix pinned while wiring the converter: a *replayed* JSONL
 /// log re-canonicalizes to exactly the ids of the retained log, under
 /// shards (structured per-processor ids) at every lane count.
@@ -855,7 +946,17 @@ fn snapshot_non_ascii_and_crlf() {
         load_workload(&dos).expect("loads"),
     );
     assert_eq!(a, b);
-    assert_eq!(format!("{:?}", a.spans), format!("{:?}", b.spans));
+    let spans = |wl: &logp::wl::Workload| -> Vec<logp::wl::Span> {
+        let of = |n: logp::wl::Node<'_>| {
+            let deps = (0..n.deps.len()).map(move |k| wl.nodes.dep_span(n.id, k));
+            std::iter::once(wl.nodes.span(n.id))
+                .chain(deps)
+                .collect::<Vec<_>>()
+        };
+        wl.nodes.iter().flat_map(of).collect()
+    };
+    assert_eq!(spans(&a), spans(&b));
+    assert_eq!(spans(&a).len(), 4, "three labels and one `after:` entry");
     snap(
         "workload t\r\nprocs 2\r\na: compute 1 @0 $\r\n",
         3,
@@ -894,11 +995,14 @@ fn snapshot_cycle_with_a_downstream_node() {
 // Interpreter diagnostics are errors, not panics.
 // ---------------------------------------------------------------------
 
-/// There is no way to the interpreter around the checks: a workload
-/// built by hand, or edited after it loaded, is checked by the run itself.
+/// There is no way to the interpreter around the checks. A workload built
+/// by hand is checked by the run itself; a loaded one carries the plan its
+/// load made (the arena's seal), and nothing a caller can do to it — an
+/// append, a new `procs`, another workload's nodes — runs on a plan that
+/// was made of something else.
 #[test]
 fn run_workload_checks_hand_built_and_edited_workloads() {
-    use logp::wl::{Op, Payload, WlRunError, Workload};
+    use logp::wl::{NodeId, Op, Payload, WlRunError, Workload};
     let m = LogP::fig3();
     let invalid = |wl: &Workload| match run_workload(wl, &m, SimConfig::default()) {
         Err(WlRunError::Invalid(e)) => e.to_string(),
@@ -928,30 +1032,115 @@ fn run_workload_checks_hand_built_and_edited_workloads() {
         invalid(&block),
         "0:0: send `tx` declares a payload over 1048576 words"
     );
-    // Edits after a successful load.
-    let good = load_workload(&format!(
-        "{HDR}a: compute 1 @0\nb: compute 1 @1\nc: send 0 -> 1\nd: recv 0 -> 1\n"
-    ))
-    .expect("loads");
-    run_workload(&good, &m, SimConfig::default()).expect("runs");
+
+    // One good program, and six hand-built ones a rule away from it.
+    struct Stmt {
+        label: &'static str,
+        proc: u32,
+        op: Op,
+        deps: Vec<NodeId>,
+    }
+    type Breaks = fn(&mut [Stmt]);
+    let one = Op::Compute { cycles: 1 };
+    let stmts = || {
+        let (tag, payload) = (0, Payload::Empty);
+        let send = Op::Send {
+            dst: 1,
+            tag,
+            payload,
+        };
+        [
+            ("a", 0, one),
+            ("b", 1, one),
+            ("c", 0, send),
+            ("d", 1, Op::Recv { src: 0, tag }),
+        ]
+        .map(|(label, proc, op)| Stmt {
+            label,
+            proc,
+            op,
+            deps: vec![],
+        })
+    };
+    let build = |procs: u32, stmts: &[Stmt]| {
+        let mut wl = Workload::new("t", procs);
+        for s in stmts {
+            wl.node(s.label, s.proc, s.op, &s.deps);
+        }
+        wl
+    };
+    run_workload(&build(4, &stmts()), &m, SimConfig::default()).expect("the good one runs");
+    let broken: [(Breaks, &str); 5] = [
+        (
+            |s| s[1].deps.push(0),
+            "`after:` edges must stay on one processor",
+        ),
+        (|s| s[0].deps.push(9), "depends on unknown node id 9"),
+        (|s| s[1].label = "a", "duplicate label `a`"),
+        (
+            |s| s[3].op = Op::Compute { cycles: 1 },
+            "send `c` has no matching recv",
+        ),
+        (|s| s[0].deps.push(0), "node `a` depends on itself"),
+    ];
+    for (breaks, msg) in broken {
+        let mut s = stmts();
+        breaks(&mut s);
+        assert!(invalid(&build(4, &s)).contains(msg), "{msg}");
+    }
+    assert!(invalid(&build(1, &stmts())).contains("node `b` runs on processor 1"));
+
+    // The same program loaded (which seals it) and run (from the seal).
+    let text = format!("{HDR}a: compute 1 @0\nb: compute 1 @1\nc: send 0 -> 1\nd: recv 0 -> 1\n");
+    let good = load_workload(&text).expect("loads");
+    let outcome = |wl: &Workload| {
+        let run = run_workload(wl, &m, SimConfig::observed()).expect("runs");
+        (run.completion, run.node_times, run.unmatched, run.result)
+    };
+    let first = outcome(&good);
+    assert_eq!(first.1.len(), 4);
+    assert_eq!(outcome(&good.clone()), first, "an untouched clone");
+    // An append that keeps the rules is run; the plan covers the new node.
     let mut edited = good.clone();
-    edited.nodes[1].deps.push(0);
-    assert!(invalid(&edited).contains("`after:` edges must stay on one processor"));
+    edited.node("e", 1, one, &[1, 3]);
+    let grown = outcome(&edited);
+    assert_eq!(grown.1.len(), 5);
+    assert_eq!(grown.1[..4], first.1[..]);
+    assert!(grown.1[4] > first.1[3], "`e` runs after `d`");
+    // One that breaks a rule is caught, also after an earlier good run.
+    edited.node("f", 0, one, &[4]);
+    assert!(invalid(&edited).contains("node `f` (processor 0) depends on `e` (processor 1)"));
     let mut edited = good.clone();
-    edited.nodes[0].deps.push(9);
-    assert!(invalid(&edited).contains("depends on unknown node id 9"));
-    let mut edited = good.clone();
-    edited.nodes[1].label = "a".into();
+    edited.node("a", 2, one, &[]);
     assert!(invalid(&edited).contains("duplicate label `a`"));
     let mut edited = good.clone();
-    edited.nodes[3].op = Op::Compute { cycles: 1 };
-    assert!(invalid(&edited).contains("send `c` has no matching recv"));
-    let mut edited = good.clone();
-    edited.nodes[0].deps.push(0);
-    assert!(invalid(&edited).contains("node `a` depends on itself"));
-    let mut edited = good;
     edited.procs = 1;
     assert!(invalid(&edited).contains("node `b` runs on processor 1"));
+    edited.procs = 4;
+    assert_eq!(outcome(&edited), first, "and back");
+    // Another workload's nodes bring their own plan along, and it is only
+    // used where `procs` is what it was made for.
+    let other = load_workload("workload o\nprocs 2\nx: send 1 -> 0 data=3\ny: recv 1 -> 0\n");
+    let other = other.expect("loads");
+    let mut edited = good.clone();
+    edited.nodes = other.nodes.clone();
+    assert_eq!(edited.nodes.len(), 2);
+    assert_eq!(outcome(&edited).1, outcome(&other).1);
+    edited.procs = 1;
+    assert!(invalid(&edited).contains("node `x` runs on processor 1"));
+    // Four-processor nodes that also fit two: lowered again for two.
+    let mut edited = other.clone();
+    edited.nodes = good.nodes.clone();
+    assert_eq!(outcome(&edited).1, first.1);
+
+    // Two threads on one `&Workload`, neither sealed beforehand.
+    let shared = parse_workload(&text).expect("parses");
+    let (x, y) = std::thread::scope(|s| {
+        let (x, y) = (s.spawn(|| outcome(&shared)), s.spawn(|| outcome(&shared)));
+        (x.join().expect("runs"), y.join().expect("runs"))
+    });
+    assert_eq!(x, y);
+    assert_eq!(x, first);
 }
 
 #[test]
