@@ -1,6 +1,9 @@
 //! The DAG interpreter: a [`Process`] that executes any validated
 //! [`Workload`] on the simulator — classic or sharded engine, any lane
-//! and worker count, with identical results.
+//! and worker count, with identical results. What it runs is the checked
+//! plan the workload's node arena carries ([`Workload::validate`] makes and
+//! keeps it; a loaded workload has it already), so a run lowers only a
+//! program nobody checked since its last append.
 //!
 //! Execution model (the task-graph idiom): a node *fires* once every
 //! dependency has completed — explicit `after:` edges, the implicit

@@ -237,9 +237,8 @@ impl Nodes {
         if id as usize >= self.len() {
             return Span::NONE;
         }
-        let (_, deps) = self.stretches(id as usize);
-        let at = deps.start + k;
-        let span = self.dep_spans.get(at).filter(|_| at < deps.end);
+        let at = self.stretches(id as usize).1.nth(k);
+        let span = at.and_then(|at| self.dep_spans.get(at));
         span.copied().unwrap_or(Span::NONE)
     }
 
@@ -379,9 +378,9 @@ impl Workload {
 
     /// Append a node and return its id. Dependencies must name already
     /// appended nodes (forward references exist only in the text form,
-    /// where the parser resolves them). This is the one way to change a
-    /// workload's nodes; the next [`Workload::validate`] or run checks the
-    /// whole program again.
+    /// where the parser resolves them). This is the one way to write a
+    /// node; the next [`Workload::validate`] or run checks the whole
+    /// program again.
     pub fn node(
         &mut self,
         label: impl AsRef<str>,

@@ -46,27 +46,6 @@ const RANK_TIMER: u8 = 2;
 const RANK_SEND: u8 = 3;
 const RANK_COMPUTE: u8 = 4;
 
-/// How long a compute or a timer record ran: its `to` field less its
-/// `from` field, each given as `(name, value)`.
-fn duration(
-    kind: &str,
-    id: u64,
-    from: (&str, Cycles),
-    to: (&str, Cycles),
-) -> Result<Cycles, WlError> {
-    match to.1.checked_sub(from.1) {
-        Some(cycles) => Ok(cycles),
-        None => bail!(
-            Span::NONE,
-            "{kind} {id} has `{}` {} before its `{}` {}",
-            to.0,
-            to.1,
-            from.0,
-            from.1
-        ),
-    }
-}
-
 /// Convert a recorded log over `procs` processors into a workload DAG.
 ///
 /// The log is untrusted (it may come from `replay_jsonl`): errors, with an
@@ -162,24 +141,38 @@ pub fn workload_from_obslog(log: &ObsLog, procs: u32, name: &str) -> Result<Work
     }
     for c in &log.computes {
         on_machine("compute", c.id, c.proc)?;
+        let Some(cycles) = c.end.checked_sub(c.start) else {
+            bail!(
+                Span::NONE,
+                "compute {} has `end` {} before its `start` {}",
+                c.id,
+                c.end,
+                c.start
+            );
+        };
         items.push(Item {
             proc: c.proc,
             key: (c.start, RANK_COMPUTE, c.id),
             label: format!("c{}", c.id),
-            op: Op::Compute {
-                cycles: duration("compute", c.id, ("start", c.start), ("end", c.end))?,
-            },
+            op: Op::Compute { cycles },
         });
     }
     for t in &log.timers {
         on_machine("timer", t.id, t.proc)?;
+        let Some(cycles) = t.fire.checked_sub(t.armed) else {
+            bail!(
+                Span::NONE,
+                "timer {} has `fire` {} before its `armed` {}",
+                t.id,
+                t.fire,
+                t.armed
+            );
+        };
         items.push(Item {
             proc: t.proc,
             key: (t.armed, RANK_TIMER, t.id),
             label: format!("t{}", t.id),
-            op: Op::Timer {
-                cycles: duration("timer", t.id, ("armed", t.armed), ("fire", t.fire))?,
-            },
+            op: Op::Timer { cycles },
         });
     }
     for (k, b) in log.barriers.iter().enumerate() {

@@ -946,14 +946,13 @@ fn snapshot_non_ascii_and_crlf() {
         load_workload(&dos).expect("loads"),
     );
     assert_eq!(a, b);
-    let spans = |wl: &logp::wl::Workload| -> Vec<logp::wl::Span> {
-        let of = |n: logp::wl::Node<'_>| {
-            let deps = (0..n.deps.len()).map(move |k| wl.nodes.dep_span(n.id, k));
-            std::iter::once(wl.nodes.span(n.id))
-                .chain(deps)
-                .collect::<Vec<_>>()
-        };
-        wl.nodes.iter().flat_map(of).collect()
+    let spans = |wl: &logp::wl::Workload| {
+        let mut v = Vec::new();
+        for n in wl.nodes.iter() {
+            v.push(wl.nodes.span(n.id));
+            v.extend((0..n.deps.len()).map(|k| wl.nodes.dep_span(n.id, k)));
+        }
+        v
     };
     assert_eq!(spans(&a), spans(&b));
     assert_eq!(spans(&a).len(), 4, "three labels and one `after:` entry");
