@@ -13,10 +13,10 @@
 
 use logp_core::broadcast::{binomial_children, optimal_broadcast_tree};
 use logp_core::{LogP, ProcId};
-use logp_sim::FaultPlan;
+use logp_sim::{FaultPlan, SimError};
 
 /// Why a resilient collective could not run, or could not finish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResilientError {
     /// Every processor is scheduled to crash — there is no survivor to
     /// re-root on.
@@ -27,6 +27,9 @@ pub enum ResilientError {
     /// retry budget spent), above it when an unreliable collective took a
     /// duplicate for news.
     Incomplete { finished: usize, survivors: usize },
+    /// The engine refused the run or gave it up: the fault plan crashes a
+    /// processor the machine lacks, the event budget ran out, ...
+    Engine(SimError),
 }
 
 impl std::fmt::Display for ResilientError {
@@ -40,11 +43,19 @@ impl std::fmt::Display for ResilientError {
                 f,
                 "the collective finished {finished} times on {survivors} survivors"
             ),
+            ResilientError::Engine(e) => write!(f, "the engine stopped the collective: {e}"),
         }
     }
 }
 
-impl std::error::Error for ResilientError {}
+impl std::error::Error for ResilientError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ResilientError::Engine(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// Bijection between survivor *ranks* `0..k` and physical processor ids.
 ///

@@ -60,8 +60,11 @@ pub(crate) fn execute<T, P: Process + 'static>(
         };
         sim.set_process(q, prog);
     }
+    // Every installed rank reports once: one allocation, not doubling
+    // growth copied inside the run's memory peak.
+    out.with(|o| o.reserve_exact(survivors));
     let p = sim.model().p as usize;
-    let result = sim.run().expect("a collective stays within the engine");
+    let result = sim.run().map_err(ResilientError::Engine)?;
     let finals = out.replace(Vec::new());
     let mut once = vec![false; p];
     let exact = finals.len() == survivors

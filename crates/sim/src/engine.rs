@@ -34,8 +34,7 @@ use logp_core::hier::Hierarchy;
 use logp_core::{Cycles, LogP, ProcId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 pub mod calendar;
 pub mod shard;
@@ -162,10 +161,10 @@ enum EventKind {
     /// injection, so per-endpoint occupancy of a stall-free `g`-spaced
     /// stream is exactly `⌈L/g⌉` — the model's capacity.
     Release { src: ProcId, dst: ProcId },
-    /// A message reaches its destination's network interface. The payload
-    /// lives in the engine's message slab (`Sim::msg_slab`) so queue
-    /// entries stay small — sorting a cycle's batch moves every byte of an
-    /// event, and an inline `Message` would triple the element size.
+    /// A message reaches its destination's network interface. The event
+    /// names the slab slot the message has held since injection and keeps
+    /// until delivery ([`Parked`]); the payload itself never rides in the
+    /// queue, whose per-cycle sort moves every byte of an event.
     Arrive(MsgSlot),
     /// Send overhead complete; the sender may proceed.
     SendDone(ProcId),
@@ -183,8 +182,47 @@ enum EventKind {
     Wake(ProcId),
 }
 
-/// Index into [`Sim::msg_slab`] for a message in flight.
+/// Names a message from injection to delivery: its index in the classic
+/// engine's [`Sim::msg_slab`], or `index * lanes + lane` into the
+/// destination lane's slab (interleaved, so observability side-arrays
+/// stay dense across lanes).
 type MsgSlot = u32;
+
+/// No slot: the end of an inbox chain, an empty inbox, no reception.
+const NO_SLOT: MsgSlot = MsgSlot::MAX;
+
+/// A message's one home from injection to delivery.
+struct Parked {
+    /// Moved out once, to the handler (or dropped with a dead interface).
+    msg: Option<Message>,
+    /// When the message reaches its destination's interface.
+    arrival: Cycles,
+    /// The arrival behind this one in the destination's inbox.
+    next: MsgSlot,
+}
+
+/// Every message between injection and delivery, pre-sized by the engine
+/// that owns it. Slots recycle through `free`, so steady-state traffic
+/// allocates nothing.
+#[derive(Default)]
+struct MsgSlab {
+    slots: Vec<Parked>,
+    free: Vec<MsgSlot>,
+}
+
+impl MsgSlab {
+    /// Sized from the processors it serves so million-processor runs do
+    /// one allocation per arena instead of doubling growth: a slot is held
+    /// from injection to delivery, in-flight messages are bounded by the
+    /// per-source window when capacity is enforced, and the collectives
+    /// top out near one message per processor plus slack when it is not.
+    fn for_procs(procs: usize) -> Self {
+        MsgSlab {
+            slots: Vec::with_capacity(2 * procs + 16),
+            free: Vec::with_capacity(2 * procs + 16),
+        }
+    }
+}
 
 impl EventKind {
     /// Same-timestamp ordering class: arrivals first (so capacity slots
@@ -220,50 +258,23 @@ fn ord_seq(ord: u64) -> u64 {
     ord & ((1 << 56) - 1)
 }
 
-#[derive(Debug)]
-struct InboxItem {
-    /// Packed ordering key: arrival time in the high 64 bits, sequence
-    /// number in the low 64. The low half
-    /// also names the message's observability payload in the
-    /// destination's `inbox_obs` queue when observability is active.
-    key: u128,
-    msg: Message,
-}
-
-impl InboxItem {
-    fn key(arrival: Cycles, seq: u64) -> u128 {
-        ((arrival as u128) << 64) | seq as u128
-    }
-
-    fn arrival(&self) -> Cycles {
-        (self.key >> 64) as Cycles
-    }
-}
-
-impl PartialEq for InboxItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for InboxItem {}
-impl PartialOrd for InboxItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for InboxItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
+/// What an event reads of a processor, and nothing else: accounting
+/// accumulates in [`SimStats::procs`], and an inbox is a chain through the
+/// message slab, not a buffer of its own.
 struct ProcState {
     /// The loaded program. `None` only transiently, while a handler is
     /// executing (the program is detached so the handler can borrow
     /// engine state without aliasing).
     program: Option<Box<dyn Process>>,
     cmds: VecDeque<Command>,
-    inbox: BinaryHeap<Reverse<InboxItem>>,
+    /// The inbox: arrived messages, oldest first, chained through
+    /// [`Parked::next`] from `head` ([`NO_SLOT`] when empty) to `tail`
+    /// (meaningless when empty). A plain FIFO, because arrivals reach it
+    /// in the order receptions take them — see [`Sim::link_arrival`].
+    head: MsgSlot,
+    tail: MsgSlot,
+    /// Message currently paying reception overhead.
+    receiving: MsgSlot,
     /// Time the processor becomes free.
     busy_until: Cycles,
     /// Earliest start of the next send (gap constraint).
@@ -281,20 +292,18 @@ struct ProcState {
     waiting_on_src: bool,
     /// When the current capacity stall began.
     stall_since: Option<Cycles>,
-    /// Message currently paying reception overhead.
-    receiving: Option<Message>,
-    stats: ProcStats,
 }
 
 impl ProcState {
-    /// Queues allocate on first use: at large P most processors see one
-    /// message and a handful of commands, and two up-front allocations
-    /// apiece were most of construction time and memory.
+    /// The command queue allocates on first use, sized by `run_handler`:
+    /// at large P most processors queue one send, ever.
     fn new(program: Box<dyn Process>) -> Self {
         ProcState {
             program: Some(program),
             cmds: VecDeque::new(),
-            inbox: BinaryHeap::new(),
+            head: NO_SLOT,
+            tail: NO_SLOT,
+            receiving: NO_SLOT,
             busy_until: 0,
             next_send_slot: 0,
             next_recv_slot: 0,
@@ -305,8 +314,6 @@ impl ProcState {
             waiting_on_dst: false,
             waiting_on_src: false,
             stall_since: None,
-            receiving: None,
-            stats: ProcStats::default(),
         }
     }
 }
@@ -316,10 +323,10 @@ impl ProcState {
 /// classic path never constructs these.
 struct Lane {
     cal: Calendar<EventKind>,
-    /// Messages in flight toward this lane's processors (allocated in the
-    /// *destination's* lane so arrivals stay lane-local).
-    slab: Vec<Option<Message>>,
-    free: Vec<MsgSlot>,
+    /// Messages injected toward this lane's processors and not yet
+    /// delivered (kept in the *destination's* lane, so arrivals, inbox
+    /// chains and receptions stay lane-local).
+    slab: MsgSlab,
 }
 
 impl Lane {
@@ -328,8 +335,7 @@ impl Lane {
     fn new(span: Cycles, procs: usize) -> Self {
         Lane {
             cal: Calendar::new(span, procs + 16),
-            slab: Vec::with_capacity(2 * procs + 16),
-            free: Vec::with_capacity(2 * procs + 16),
+            slab: MsgSlab::for_procs(procs),
         }
     }
 }
@@ -408,8 +414,8 @@ impl<T> Slab<T> {
     }
 }
 
-/// Take the payload noted under `key` out of one processor's side queue
-/// (`inbox_obs`, `timer_obs`): the front entry, bar rare reorderings.
+/// Take the payload noted under `key` out of one processor's `timer_obs`
+/// side queue: the front entry, bar rare reorderings.
 fn take_noted(queue: &mut VecDeque<(u64, u64)>, key: u64) -> Option<u64> {
     let at = queue.iter().position(|e| e.0 == key)?;
     queue.remove(at).map(|e| e.1)
@@ -436,8 +442,8 @@ struct StreamState {
     /// `ObsLog::canonicalize` renumbers either form identically.
     sctr: Vec<u64>,
     /// Messages injected but not yet delivered: the record so far plus
-    /// its critical-path cumulative at injection. The slot rides with the
-    /// message (`msg_slab_obs` → `inbox_obs` → `recv_obs`).
+    /// its critical-path cumulative at injection, found through the
+    /// message's own slot (`msg_slab_obs`).
     inflight: Slab<(MsgRecord, crate::critpath::Components)>,
     /// Armed timers that have not fired yet (slots held in `timer_obs`).
     timers_live: Slab<(TimerRecord, crate::critpath::Components)>,
@@ -509,19 +515,14 @@ struct ObsState {
     /// with that processor's `cmds` (lifecycle log only). Lives here (not
     /// in `ProcState`) so the disabled engine keeps its lean layout.
     cmd_meta: Vec<VecDeque<(Cause, Cycles)>>,
-    /// Per-processor payload of the message paying reception overhead.
-    recv_obs: Vec<u64>,
     /// Per-processor [`ComputeRecord`] id of the compute in flight.
     cur_compute: Vec<u64>,
-    /// Ride-along observability payload per message slab slot: the
-    /// `inflight` slot when streaming, the record id when retaining,
-    /// the injection time when only metrics are on.
+    /// Observability payload per message slab slot — the `inflight` slot
+    /// when streaming, the record id when retaining, the injection time
+    /// when only metrics are on — so [`Parked`] itself stays lean. A
+    /// message keeps its slot from injection to delivery, so arrival,
+    /// reception and delivery all find the payload by indexing here.
     msg_slab_obs: Vec<u64>,
-    /// Per destination, `(inbox key's low half, payload)` of the messages
-    /// sitting in its inbox, so `InboxItem` itself stays lean. Arrivals
-    /// are processed in key order, which is the order the inbox hands
-    /// them back, so [`take_noted`] finds a reception's entry in front.
-    inbox_obs: Vec<VecDeque<(u64, u64)>>,
     /// Per processor, `(TimerFire event sequence, payload)` of its armed
     /// timers (lifecycle log only): the `timers_live` slot when
     /// streaming, the record id when retaining. Equal timeouts fire in
@@ -572,10 +573,8 @@ impl ObsState {
             h_stall,
             gauges,
             cmd_meta: vec![VecDeque::new(); p],
-            recv_obs: vec![0; p],
             cur_compute: vec![0; p],
             msg_slab_obs: Vec::new(),
-            inbox_obs: vec![VecDeque::new(); p],
             timer_obs: vec![VecDeque::new(); p],
             barrier_last: (0, 0, 0, Cause::Start),
             stream,
@@ -626,7 +625,8 @@ pub struct Sim {
     dst_waiters: Vec<VecDeque<ProcId>>,
     rng: SmallRng,
     /// Per-processor systematic compute scale in parts-per-1024 (1024 =
-    /// nominal speed); drawn once at construction from `proc_skew_ppk`.
+    /// nominal speed), drawn once at construction from `proc_skew_ppk`;
+    /// empty — every processor nominal — when that is 0.
     proc_scale: Vec<i64>,
     trace: Trace,
     stats: SimStats,
@@ -645,11 +645,8 @@ pub struct Sim {
     waiter_scratch: Vec<ProcId>,
     /// Reusable buffer for the set of processors leaving a barrier.
     released_scratch: Vec<ProcId>,
-    /// Payloads of messages whose `Arrive` event is pending, indexed by
-    /// [`MsgSlot`]. Slots recycle through `msg_free`, so steady-state
-    /// message traffic allocates nothing.
-    msg_slab: Vec<Option<Message>>,
-    msg_free: Vec<MsgSlot>,
+    /// The classic engine's messages, injected and not yet delivered.
+    msg_slab: MsgSlab,
     /// Max admissible outstanding messages per destination:
     /// capacity (network window) + NI buffer.
     max_outstanding: u64,
@@ -717,14 +714,9 @@ impl Sim {
         let p = model.p as usize;
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let skew = config.proc_skew_ppk as i64;
-        let proc_scale: Vec<i64> = (0..p)
-            .map(|_| {
-                1024 + if skew == 0 {
-                    0
-                } else {
-                    rng.gen_range(-skew..=skew)
-                }
-            })
+        let skewed = if skew == 0 { 0 } else { p };
+        let proc_scale: Vec<i64> = (0..skewed)
+            .map(|_| 1024 + rng.gen_range(-skew..=skew))
             .collect();
         let procs: Vec<ProcState> = (0..p)
             .map(|_| ProcState::new(Box::new(crate::process::Passive)))
@@ -763,15 +755,17 @@ impl Sim {
             rng,
             proc_scale,
             trace: Trace::default(),
-            stats: SimStats::default(),
+            stats: SimStats {
+                procs: vec![ProcStats::default(); p],
+                ..SimStats::default()
+            },
             barrier_count: 0,
             release_pending: false,
             capacity: u64::MAX,
             cmd_scratch: Vec::with_capacity(8),
             waiter_scratch: Vec::new(),
             released_scratch: Vec::new(),
-            msg_slab: Vec::new(),
-            msg_free: Vec::new(),
+            msg_slab: MsgSlab::default(),
             max_outstanding: u64::MAX,
             faults,
             hier: None,
@@ -960,29 +954,102 @@ impl Sim {
         })
     }
 
-    /// Park a message in the slab until its `Arrive` event fires.
+    /// Give a message injected now its slot: in the classic slab, or in
+    /// the slab of the lane that owns `msg.dst`.
     #[inline]
-    fn stash_msg(&mut self, msg: Message) -> MsgSlot {
-        if let Some(slot) = self.msg_free.pop() {
-            self.msg_slab[slot as usize] = Some(msg);
-            slot
+    fn park<const SHARDED: bool>(&mut self, msg: Message, arrival: Cycles) -> MsgSlot {
+        let (lanes, lane) = if SHARDED {
+            (self.lanes.len() as u32, self.lane_of[msg.dst as usize])
+        } else {
+            (1, 0)
+        };
+        let slab = if SHARDED {
+            &mut self.lanes[lane as usize].slab
+        } else {
+            &mut self.msg_slab
+        };
+        let parked = Parked {
+            msg: Some(msg),
+            arrival,
+            next: NO_SLOT,
+        };
+        let idx = if let Some(idx) = slab.free.pop() {
+            slab.slots[idx as usize] = parked;
+            idx
         } else {
             #[cfg(debug_assertions)]
-            if self.msg_slab.len() == self.msg_slab.capacity() {
+            if slab.slots.len() == slab.slots.capacity() {
                 self.vitals.arena_reallocs += 1;
             }
-            self.msg_slab.push(Some(msg));
-            (self.msg_slab.len() - 1) as MsgSlot
+            slab.slots.push(parked);
+            (slab.slots.len() - 1) as MsgSlot
+        };
+        idx * lanes + lane
+    }
+
+    /// The slab that holds `slot`, and the slot's index in it.
+    #[inline]
+    fn slab_of<const SHARDED: bool>(&mut self, slot: MsgSlot) -> (&mut MsgSlab, MsgSlot) {
+        if SHARDED {
+            let lanes = self.lanes.len() as u32;
+            (&mut self.lanes[(slot % lanes) as usize].slab, slot / lanes)
+        } else {
+            (&mut self.msg_slab, slot)
         }
     }
 
-    /// Reclaim a slab slot at arrival.
+    /// The message in `slot`, with its arrival time and inbox link.
     #[inline]
-    fn unstash_msg(&mut self, slot: MsgSlot) -> Message {
-        self.msg_free.push(slot);
-        self.msg_slab[slot as usize]
+    fn parked<const SHARDED: bool>(&mut self, slot: MsgSlot) -> &mut Parked {
+        let (slab, idx) = self.slab_of::<SHARDED>(slot);
+        &mut slab.slots[idx as usize]
+    }
+
+    /// Free `slot`, moving its message out: to the handler at delivery,
+    /// or to be dropped with a dead interface. The only way a slot frees.
+    #[inline]
+    fn free_slot<const SHARDED: bool>(&mut self, slot: MsgSlot) -> Message {
+        let (slab, idx) = self.slab_of::<SHARDED>(slot);
+        slab.free.push(idx);
+        slab.slots[idx as usize]
+            .msg
             .take()
             .expect("message slot occupied")
+    }
+
+    /// Chain the message arriving now in `slot` at the tail of `dst`'s
+    /// inbox. Receptions take the head, so the inbox is a FIFO — and needs
+    /// no ordering of its own, because arrivals already come in the order
+    /// receptions must take them, `(arrival time, event tiebreak)`: every
+    /// arrival for `dst` waits in the one calendar that owns `dst`, a
+    /// calendar pops in ascending `(time, ord)`, and no arrival joins a
+    /// window that is already draining (a message sent inside a window
+    /// lands at or after its end: `W <= o + L - jitter`, and fault delays
+    /// and duplicate offsets only add).
+    #[inline]
+    fn link_arrival<const SHARDED: bool>(&mut self, dst: ProcId, slot: MsgSlot) {
+        let now = self.now;
+        debug_assert_eq!(self.parked::<SHARDED>(slot).arrival, now);
+        let st = &mut self.procs[dst as usize];
+        let tail = std::mem::replace(&mut st.tail, slot);
+        if st.head == NO_SLOT {
+            st.head = slot;
+            return;
+        }
+        let prev = self.parked::<SHARDED>(tail);
+        debug_assert!(prev.arrival <= now, "an inbox takes arrivals in time order");
+        prev.next = slot;
+    }
+
+    /// Messages waiting in `p`'s inbox (a walk: gauges and checks only).
+    fn inbox_len<const SHARDED: bool>(&mut self, p: usize) -> u64 {
+        let mut n = 0;
+        let mut slot = self.procs[p].head;
+        while slot != NO_SLOT {
+            n += 1;
+            slot = self.parked::<SHARDED>(slot).next;
+        }
+        n
     }
 
     // ---- sharded lane engine primitives ----
@@ -1044,8 +1111,8 @@ impl Sim {
     }
 
     /// Schedule a message arrival: source-canonical key (`src << 36 |
-    /// ctr`, also the inbox tiebreak at the destination), routed to the
-    /// destination's lane.
+    /// ctr`, so same-cycle arrivals chain into the destination's inbox in
+    /// an order no lane count changes), routed to the destination's lane.
     #[inline]
     fn sched_arrive<const SHARDED: bool>(
         &mut self,
@@ -1060,40 +1127,6 @@ impl Sim {
         }
         let seq = ((src as u64 + 1) << 36) | self.bump_pctr(src);
         self.push_lane(dst, time, event_ord(0, seq), EventKind::Arrive(slot));
-    }
-
-    /// Park a message in its destination lane's slab (sharded path). The
-    /// returned slot is interleaved-encoded (`idx * lanes + lane`) so
-    /// observability side-arrays stay dense across lanes.
-    #[inline]
-    fn stash_msg_sharded(&mut self, dst: ProcId, msg: Message) -> MsgSlot {
-        let n = self.lanes.len() as u32;
-        let li = self.lane_of[dst as usize];
-        let lane = &mut self.lanes[li as usize];
-        let idx = if let Some(slot) = lane.free.pop() {
-            lane.slab[slot as usize] = Some(msg);
-            slot
-        } else {
-            #[cfg(debug_assertions)]
-            if lane.slab.len() == lane.slab.capacity() {
-                self.vitals.arena_reallocs += 1;
-            }
-            lane.slab.push(Some(msg));
-            (lane.slab.len() - 1) as MsgSlot
-        };
-        idx * n + li
-    }
-
-    /// Reclaim an interleaved-encoded slot at arrival (sharded path).
-    #[inline]
-    fn unstash_msg_sharded(&mut self, slot: MsgSlot) -> Message {
-        let n = self.lanes.len() as u32;
-        let (li, idx) = (slot % n, slot / n);
-        let lane = &mut self.lanes[li as usize];
-        lane.free.push(idx);
-        lane.slab[idx as usize]
-            .take()
-            .expect("message slot occupied")
     }
 
     /// Record an in-flight message's network-release instant in its
@@ -1170,7 +1203,7 @@ impl Sim {
         } else {
             self.noise::<SHARDED>(proc, 0x0044_5246, 2 * ppk as u64) as i64 - ppk
         };
-        let scale = self.proc_scale[proc as usize] + noise;
+        let scale = self.proc_scale.get(proc as usize).unwrap_or(&1024) + noise;
         let scaled = cycles as i128 * scale.max(0) as i128 / 1024;
         Cycles::try_from(scaled).unwrap_or(Cycles::MAX)
     }
@@ -1254,15 +1287,13 @@ impl Sim {
         }
     }
 
-    /// Park an arriving message's observability payload under its inbox
-    /// key (out of line: only runs when observability is active).
+    /// Tell the online aggregate a message reached `dst`'s inbox (out of
+    /// line: only runs when observability is active).
     #[cold]
     #[inline(never)]
-    fn note_arrival(&mut self, dst: ProcId, slot: MsgSlot, key: u128) {
+    fn note_arrival(&mut self, dst: ProcId) {
         let now = self.now;
         let obs = self.obs.as_deref_mut().expect("only called when observed");
-        let val = obs.msg_slab_obs[slot as usize];
-        obs.inbox_obs[dst as usize].push_back((key as u64, val));
         if let Some(st) = obs.stream.as_deref_mut() {
             if let Some(agg) = st.agg.as_mut() {
                 agg.on_arrival(dst, now);
@@ -1270,15 +1301,14 @@ impl Sim {
         }
     }
 
-    /// Claim a dequeued inbox message's observability payload and record
-    /// the reception start in its lifecycle record.
+    /// Record the reception of the message in `slot` starting now, in its
+    /// lifecycle record.
     #[cold]
     #[inline(never)]
-    fn note_reception(&mut self, p: ProcId, key: u128, recv_gate: Cycles) {
+    fn note_reception(&mut self, slot: MsgSlot, recv_gate: Cycles) {
         let now = self.now;
         if let Some(obs) = self.obs.as_deref_mut() {
-            let val = take_noted(&mut obs.inbox_obs[p as usize], key as u64).unwrap_or(0);
-            obs.recv_obs[p as usize] = val;
+            let val = obs.msg_slab_obs[slot as usize];
             if let Some(st) = obs.stream.as_deref_mut() {
                 if let Some((rec, cum)) = st.inflight.get_mut(val) {
                     rec.recv_gate = recv_gate;
@@ -1485,17 +1515,17 @@ impl Sim {
         }
     }
 
-    /// Record the delivery completing now on `p` (whose reception parked
-    /// the message's ride-along payload in `recv_obs`) and return the
-    /// [`Cause`] its handler cites.
+    /// Record the delivery, completing now, of the message in `slot` and
+    /// return the [`Cause`] its handler cites. Runs before that handler,
+    /// whose own sends may take the slot — and its payload entry — over.
     #[cold]
     #[inline(never)]
-    fn record_delivery(&mut self, p: ProcId) -> Cause {
+    fn record_delivery(&mut self, slot: MsgSlot) -> Cause {
         let now = self.now;
         let Some(obs) = self.obs.as_deref_mut() else {
             return Cause::Start;
         };
-        let val = obs.recv_obs[p as usize];
+        let val = obs.msg_slab_obs[slot as usize];
         let (since, cause) = if !obs.msg_log {
             (val, Cause::Start)
         } else if let Some(st) = obs.stream.as_deref_mut() {
@@ -1618,7 +1648,9 @@ impl Sim {
             // entry, so the stride-flattened sum is still the total.
             let inflight_total: u64 = self.in_flight_to.iter().sum();
             let ready_cmds: u64 = self.procs.iter().map(|p| p.cmds.len() as u64).sum();
-            let inbox_depth: u64 = self.procs.iter().map(|p| p.inbox.len() as u64).sum();
+            let inbox_depth: u64 = (0..self.procs.len())
+                .map(|p| self.inbox_len::<false>(p))
+                .sum();
             let busy = self
                 .procs
                 .iter()
@@ -1655,11 +1687,11 @@ impl Sim {
 
     /// Put a committed send on the wire: the tail every message goes
     /// through, exactly once. The message enters the capacity windows
-    /// (classic) or its source's release ring (lanes), is parked in the
-    /// slab and recorded, and leaves the window after `flight` cycles of
-    /// network occupancy — streaming plus latency, not the sender's
-    /// overhead `o`, which only delays the arrival. `dup` marks the fault
-    /// layer's trailing copy of a message.
+    /// (classic) or its source's release ring (lanes), takes the slab slot
+    /// it keeps until delivery, is recorded, and leaves the window after
+    /// `flight` cycles of network occupancy — streaming plus latency, not
+    /// the sender's overhead `o`, which only delays the arrival. `dup`
+    /// marks the fault layer's trailing copy of a message.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn inject<const OBS: bool, const SHARDED: bool>(
@@ -1685,13 +1717,9 @@ impl Sim {
             tag,
             data,
         };
-        let slot = if SHARDED {
-            self.stash_msg_sharded(dst, msg)
-        } else {
-            self.stash_msg(msg)
-        };
+        let (sent, arrive) = (now + o, now + o + flight);
+        let slot = self.park::<SHARDED>(msg, arrive);
         if OBS {
-            let (sent, arrive) = (now + o, now + o + flight);
             self.record_send(
                 slot, src, dst, tag, words, meta, send_gate, now, sent, arrive, dup,
             );
@@ -1701,7 +1729,7 @@ impl Sim {
         } else {
             self.schedule(now + flight, EventKind::Release { src, dst });
         }
-        self.sched_arrive::<SHARDED>(now + o + flight, slot, src, dst);
+        self.sched_arrive::<SHARDED>(arrive, slot, src, dst);
     }
 
     /// Inject a committed send through the fault layer: consult the plan,
@@ -1785,7 +1813,7 @@ impl Sim {
         let now = self.now;
         self.stats.procs_crashed += 1;
         if let Some(since) = self.procs[idx].stall_since.take() {
-            self.procs[idx].stats.stall += now - since;
+            self.stats.procs[idx].stall += now - since;
             self.span(p, since, now, Activity::Stall);
             if OBS {
                 self.record_stall(now - since);
@@ -1798,26 +1826,27 @@ impl Sim {
                 obs.cmd_meta[idx].clear();
             }
         }
-        // An in-progress reception dies with the interface; its NI slot
-        // frees (the pending RecvDone is ignored via the crash guard).
-        if self.procs[idx].receiving.take().is_some() {
-            if !SHARDED {
-                self.outstanding_to[idx] -= 1;
-            }
-            self.stats.msgs_dropped += 1;
+        // Everything the dead interface holds is lost, and its NI slots
+        // free: the reception in progress (whose pending RecvDone the
+        // crash guard ignores), then the inbox.
+        let st = &mut self.procs[idx];
+        let receiving = std::mem::replace(&mut st.receiving, NO_SLOT);
+        let mut slot = std::mem::replace(&mut st.head, NO_SLOT);
+        let mut lost = 0;
+        if receiving != NO_SLOT {
+            self.free_slot::<SHARDED>(receiving);
+            lost += 1;
         }
-        // Everything buffered in the dead interface is lost.
-        while self.procs[idx].inbox.pop().is_some() {
-            if !SHARDED {
-                self.outstanding_to[idx] -= 1;
-            }
-            self.stats.msgs_dropped += 1;
+        while slot != NO_SLOT {
+            let next = self.parked::<SHARDED>(slot).next;
+            self.free_slot::<SHARDED>(slot);
+            slot = next;
+            lost += 1;
         }
-        if OBS {
-            if let Some(obs) = self.obs.as_deref_mut() {
-                obs.inbox_obs[idx].clear();
-            }
+        if !SHARDED {
+            self.outstanding_to[idx] -= lost;
         }
+        self.stats.msgs_dropped += lost;
         // A crashed processor no longer counts toward the barrier quorum.
         let was_in_barrier = self.procs[idx].in_barrier;
         if was_in_barrier {
@@ -1863,7 +1892,13 @@ impl Sim {
         }
         self.procs[p as usize].program = Some(program);
         let issued = cmds.len();
-        self.procs[p as usize].cmds.extend(cmds.drain(..));
+        let queue = &mut self.procs[p as usize].cmds;
+        if queue.capacity() == 0 {
+            // A first buffer of exactly what was issued — one send, for
+            // most ranks of a tree — not the growth policy's minimum.
+            queue.reserve_exact(issued);
+        }
+        queue.extend(cmds.drain(..));
         if OBS && issued > 0 {
             self.push_meta(p, cause, issued);
         }
@@ -1923,12 +1958,12 @@ impl Sim {
                 && !st.waiting_on_dst
                 && st.busy_until <= now
                 && st.next_recv_slot <= now
+                && st.head != NO_SLOT
             {
-                if let Some(Reverse(item)) = st.inbox.peek() {
-                    if item.arrival() <= now {
-                        self.start_reception::<OBS, SHARDED>(p);
-                        return;
-                    }
+                let head = st.head;
+                if self.parked::<SHARDED>(head).arrival <= now {
+                    self.start_reception::<OBS, SHARDED>(p);
+                    return;
                 }
             }
         }
@@ -2016,7 +2051,7 @@ impl Sim {
                     st.waiting_on_src = false;
                     let send_gate = st.next_send_slot;
                     if let Some(since) = st.stall_since.take() {
-                        st.stats.stall += now - since;
+                        self.stats.procs[idx].stall += now - since;
                         self.span(p, since, now, Activity::Stall);
                         if OBS {
                             self.record_stall(now - since);
@@ -2034,8 +2069,9 @@ impl Sim {
                         Some(_) => (now + g).max(now + o + stream),
                         None => now + g,
                     };
-                    st.stats.send_overhead += o;
-                    st.stats.msgs_sent += 1;
+                    let stats = &mut self.stats.procs[idx];
+                    stats.send_overhead += o;
+                    stats.msgs_sent += 1;
                     self.span(p, now, now + o, Activity::SendOverhead);
                     // Inject.
                     let words = bulk.unwrap_or(1);
@@ -2069,8 +2105,8 @@ impl Sim {
                     };
                     let st = &mut self.procs[idx];
                     st.busy_until = done;
-                    st.stats.compute += dur;
                     st.engaged = true;
+                    self.stats.procs[idx].compute += dur;
                     self.span(p, now, done, Activity::Compute);
                     if OBS {
                         self.record_compute(p, tag, meta, dur);
@@ -2164,9 +2200,11 @@ impl Sim {
         }
         // No pending commands: service the network (waiting for the
         // earliest reception opportunity if it is in the future).
-        let st = &self.procs[idx];
-        if let Some(Reverse(item)) = st.inbox.peek() {
-            let r = st.busy_until.max(st.next_recv_slot).max(item.arrival());
+        let head = self.procs[idx].head;
+        if head != NO_SLOT {
+            let arrival = self.parked::<SHARDED>(head).arrival;
+            let st = &self.procs[idx];
+            let r = st.busy_until.max(st.next_recv_slot).max(arrival);
             if now < r {
                 self.sched::<SHARDED>(r, EventKind::Wake(p));
                 return;
@@ -2176,20 +2214,24 @@ impl Sim {
         // Otherwise: idle until something arrives.
     }
 
-    /// Begin receiving the earliest-arrived inbox message at the current
-    /// time. Caller guarantees the processor is free and the gap allows.
+    /// Begin receiving the earliest-arrived inbox message — the head of
+    /// the chain — at the current time. Caller guarantees the processor is
+    /// free and the gap allows.
     fn start_reception<const OBS: bool, const SHARDED: bool>(&mut self, p: ProcId) {
         let now = self.now;
         let idx = p as usize;
-        let Reverse(item) = self.procs[idx].inbox.pop().expect("inbox non-empty");
-        debug_assert!(item.arrival() <= now);
-        let (_, o, g) = self.pair_log(item.msg.src, p);
+        let slot = self.procs[idx].head;
+        let entry = self.parked::<SHARDED>(slot);
+        debug_assert!(entry.arrival <= now);
+        let (next, msg) = (entry.next, entry.msg.as_ref());
+        let src = msg.expect("a chained slot holds its message").src;
+        let (_, o, g) = self.pair_log(src, p);
         // A capacity-stalled send may have been woken and then preempted
         // by this reception; close its stall span so stall and reception
         // time stay disjoint in the accounting (the send re-opens it if
         // still blocked).
         if let Some(since) = self.procs[idx].stall_since.take() {
-            self.procs[idx].stats.stall += now - since;
+            self.stats.procs[idx].stall += now - since;
             self.span(p, since, now, Activity::Stall);
             if OBS {
                 self.record_stall(now - since);
@@ -2199,11 +2241,12 @@ impl Sim {
         let recv_gate = st.next_recv_slot;
         st.next_recv_slot = now + g;
         st.busy_until = now + o;
-        st.stats.recv_overhead += o;
-        st.receiving = Some(item.msg);
+        st.head = next;
+        st.receiving = slot;
         st.engaged = true;
+        self.stats.procs[idx].recv_overhead += o;
         if OBS {
-            self.note_reception(p, item.key, recv_gate);
+            self.note_reception(slot, recv_gate);
         }
         self.span(p, now, now + o, Activity::RecvOverhead);
         self.sched::<SHARDED>(now + o, EventKind::RecvDone(p));
@@ -2221,7 +2264,7 @@ impl Sim {
     #[inline]
     fn finish_send<const SHARDED: bool>(&mut self, p: ProcId) {
         let st = &self.procs[p as usize];
-        if st.cmds.is_empty() && st.inbox.is_empty() {
+        if st.cmds.is_empty() && st.head == NO_SLOT {
             return;
         }
         let done = st.busy_until;
@@ -2354,11 +2397,6 @@ impl Sim {
         if let Some(e) = self.overflow.take() {
             return Err(e);
         }
-        let cal = std::mem::take(&mut self.cal);
-        self.fold_queue_vitals(&cal);
-        for lane in std::mem::take(&mut self.lanes) {
-            self.fold_queue_vitals(&lane.cal);
-        }
         // Queue pops are time-ordered, so the clock is monotone and the
         // final `now` is the completion time — no per-event max needed.
         self.stats.completion = self.now;
@@ -2375,7 +2413,17 @@ impl Sim {
         if !stuck.is_empty() {
             return Err(SimError::Deadlock { stuck });
         }
-        self.stats.procs = self.procs.iter().map(|st| st.stats).collect();
+        #[cfg(debug_assertions)]
+        if sharded {
+            self.assert_slots_accounted::<true>();
+        } else {
+            self.assert_slots_accounted::<false>();
+        }
+        let cal = std::mem::take(&mut self.cal);
+        self.fold_queue_vitals(&cal);
+        for lane in std::mem::take(&mut self.lanes) {
+            self.fold_queue_vitals(&lane.cal);
+        }
         // Close the gauge series with the end-of-run state (one sample at
         // the completion instant).
         if self.obs.is_some() {
@@ -2413,6 +2461,24 @@ impl Sim {
             },
             reallocs,
         ))
+    }
+
+    /// A slot frees exactly once: at quiescence every slot still in use is
+    /// chained in an inbox, and only a halted (or crashed) processor
+    /// leaves messages behind.
+    #[cfg(debug_assertions)]
+    fn assert_slots_accounted<const SHARDED: bool>(&mut self) {
+        let slabs = self.lanes.iter().map(|l| &l.slab).chain([&self.msg_slab]);
+        let in_use: usize = slabs.map(|s| s.slots.len() - s.free.len()).sum();
+        let mut chained = 0;
+        for p in 0..self.procs.len() {
+            let left = self.inbox_len::<SHARDED>(p);
+            let st = &self.procs[p];
+            assert!(st.receiving == NO_SLOT, "P{p} is still receiving");
+            assert!(left == 0 || st.halted, "live P{p} left {left} unread");
+            chained += left as usize;
+        }
+        assert_eq!(in_use, chained, "message slots leaked or freed twice");
     }
 
     /// Close out a streaming run: emit the records the run left
@@ -2491,13 +2557,7 @@ impl Sim {
         self.in_flight_to = vec![0; windows];
         self.outstanding_to = vec![0; p];
         self.dst_waiters = vec![VecDeque::new(); p];
-        // Sized from P so million-processor runs do one allocation per
-        // arena instead of doubling growth: in-flight messages are bounded
-        // by the per-source window when capacity is enforced, and the
-        // collectives top out near one message per processor plus slack
-        // when it is not.
-        self.msg_slab = Vec::with_capacity(2 * p + 16);
-        self.msg_free = Vec::with_capacity(2 * p + 16);
+        self.msg_slab = MsgSlab::for_procs(p);
         if FAULTS {
             let plan = &self
                 .faults
@@ -2524,8 +2584,8 @@ impl Sim {
     /// Run one event's handler: the only dispatch over [`EventKind`], for
     /// the classic loop and the lanes alike. What only the classic engine
     /// has — `Release` and `BarrierRelease` events, destination-side
-    /// admission (`outstanding_to`, the waiter lists), a global sequence
-    /// as inbox tiebreak — sits behind `!SHARDED`.
+    /// admission (`outstanding_to`, the waiter lists) — sits behind
+    /// `!SHARDED`.
     #[inline]
     fn process_event<const OBS: bool, const FAULTS: bool, const SHARDED: bool>(
         &mut self,
@@ -2553,16 +2613,13 @@ impl Sim {
                 }
             }
             EventKind::Arrive(slot) => {
-                let msg = if SHARDED {
-                    self.unstash_msg_sharded(slot)
-                } else {
-                    self.unstash_msg(slot)
-                };
-                let dst = msg.dst;
+                let msg = self.parked::<SHARDED>(slot).msg.as_ref();
+                let dst = msg.expect("a slot in flight holds its message").dst;
                 if FAULTS && self.is_crashed(dst) {
                     // Dead interface: the message is lost, but its
                     // NI-buffer slot frees for blocked senders.
                     self.stats.msgs_dropped += 1;
+                    self.free_slot::<SHARDED>(slot);
                     if !SHARDED {
                         self.outstanding_to[dst as usize] -= 1;
                         self.wake_dst_waiters::<OBS, FAULTS>(dst as usize);
@@ -2570,22 +2627,10 @@ impl Sim {
                     return;
                 }
                 self.stats.total_msgs += 1;
-                // On the lanes the source-canonical event tiebreak doubles
-                // as the inbox tiebreak, so same-cycle arrival order at a
-                // destination is lane-count-invariant.
-                let seq = if SHARDED {
-                    ord_seq(ord)
-                } else {
-                    self.seq += 1;
-                    self.seq
-                };
-                let key = InboxItem::key(self.now, seq);
+                self.link_arrival::<SHARDED>(dst, slot);
                 if OBS {
-                    self.note_arrival(dst, slot, key);
+                    self.note_arrival(dst);
                 }
-                self.procs[dst as usize]
-                    .inbox
-                    .push(Reverse(InboxItem { key, msg }));
                 self.advance::<OBS, FAULTS, SHARDED>(dst);
             }
             EventKind::SendDone(p) => {
@@ -2612,16 +2657,17 @@ impl Sim {
                 }
                 let st = &mut self.procs[p as usize];
                 st.engaged = false;
-                st.stats.msgs_recvd += 1;
-                let msg = st.receiving.take().expect("a reception was in progress");
+                let slot = std::mem::replace(&mut st.receiving, NO_SLOT);
+                self.stats.procs[p as usize].msgs_recvd += 1;
                 if !SHARDED {
                     self.outstanding_to[p as usize] -= 1;
                 }
                 let cause = if OBS {
-                    self.record_delivery(p)
+                    self.record_delivery(slot)
                 } else {
                     Cause::Start
                 };
+                let msg = self.free_slot::<SHARDED>(slot);
                 if !SHARDED {
                     // The NI buffer slot is free: senders blocked on the
                     // outstanding bound may proceed.
@@ -2665,5 +2711,18 @@ impl Sim {
                 self.advance::<OBS, FAULTS, SHARDED>(p);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Bytes a processor: what every processor costs before it does
+    /// anything, and what every message costs while it exists.
+    #[test]
+    fn per_processor_state_stays_small() {
+        assert!(std::mem::size_of::<ProcState>() <= 128);
+        assert!(std::mem::size_of::<Parked>() <= 64);
     }
 }

@@ -34,8 +34,8 @@
 //!   `(proc + 1) << 36 | ctr` with `ctr` a per-processor issuance
 //!   counter, so same-cycle ordering inside any one queue is a pure
 //!   function of processor-local execution order — identical however the
-//!   processors are grouped. Arrivals carry their *source's* counter and
-//!   reuse it as the destination inbox tiebreak.
+//!   processors are grouped. Arrivals carry their *source's* counter, so
+//!   same-cycle arrivals chain into a destination's inbox in that order.
 //! * **Counter-mode randomness.** Latency jitter and compute drift are
 //!   drawn as `mix(seed, tag, proc, ctr)` ([`logp_core::rng`]) — a pure
 //!   function of the drawing processor's identity and progress, not of
@@ -106,9 +106,11 @@ struct Windows {
 
 impl Sim {
     /// Build the lane engine's state: contiguous lanes `per` processors
-    /// wide, each with its queue and message slab, plus the canonical
-    /// counters and source rings. Arenas are pre-sized so steady-state
-    /// collectives never reallocate (pinned by the debug realloc counter).
+    /// wide, each with its queue and the slab of the messages bound for
+    /// its processors, plus the canonical counters and source rings.
+    /// Arenas are pre-sized so the standard collectives never reallocate
+    /// with every slot held from injection to delivery (pinned by the
+    /// debug realloc counter).
     fn setup_lanes(&mut self, per: usize) {
         let p = self.model.p as usize;
         let span = self.ring_span();
@@ -269,7 +271,7 @@ impl Sim {
             st.engaged = false;
             st.busy_until = t_rel;
             let entered = st.barrier_entered_at;
-            st.stats.barrier_wait += t_rel - entered;
+            self.stats.procs[p as usize].barrier_wait += t_rel - entered;
             self.span(p, entered, t_rel, Activity::Barrier);
         }
         for &p in &released {

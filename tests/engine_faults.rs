@@ -2,10 +2,17 @@
 //! crash-stops, and the retransmission timers that ride on them (see
 //! `docs/FAILURE_MODEL.md`).
 
+use logp_algos::allreduce::run_reliable_allreduce;
+use logp_algos::broadcast::{run_reliable_broadcast, run_survivor_broadcast};
+use logp_algos::kbroadcast::run_reliable_kbroadcast;
+use logp_algos::reduce::run_reliable_sum;
+use logp_algos::resilient::ResilientError;
 use logp_core::LogP;
 use logp_sim::critpath::critical_path;
+use logp_sim::obs::UNSET;
 use logp_sim::process::{Ctx, Process, StartFn};
-use logp_sim::{Cause, Data, FaultPlan, Message, SharedCell, Sim, SimConfig};
+use logp_sim::reliable::RetryConfig;
+use logp_sim::{Cause, Data, FaultPlan, Message, MsgRecord, SharedCell, Sim, SimConfig, SimError};
 
 fn model() -> LogP {
     LogP::new(6, 2, 4, 2).unwrap()
@@ -309,5 +316,149 @@ fn crash_inside_a_complete_barrier_releases_it_once() {
         let releases: Vec<u64> = res.obs.barriers.iter().map(|b| b.release).collect();
         assert_eq!(releases, [10, 21, 32], "shards = {shards}");
         assert_eq!(res.stats.completion, 32, "shards = {shards}");
+    }
+}
+
+const BURST: u64 = 12;
+
+/// Every rank but 0 streams `BURST` words at rank 0, which counts what it
+/// is handed.
+struct HotSpot {
+    got: SharedCell<u64>,
+}
+
+impl Process for HotSpot {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        if ctx.me() != 0 {
+            for i in 0..BURST {
+                ctx.send(0, 0, Data::U64(i));
+            }
+        }
+    }
+    fn on_message(&mut self, _msg: &Message, _ctx: &mut Ctx<'_>) {
+        self.got.with(|n| *n += 1);
+    }
+}
+
+/// A message keeps one slab slot from injection to delivery, and the slot
+/// frees exactly once — hardest where the destination dies holding a deep
+/// inbox and a reception in progress, while drops, duplicates, delays and
+/// jitter reorder what is still on its way. Debug builds check at the end
+/// of `Sim::run` that the slots still in use are exactly the messages
+/// chained in inboxes; every build checks that each copy put on the wire
+/// was delivered or dropped, once.
+#[test]
+fn a_crashing_hot_spot_frees_every_slot_exactly_once() {
+    const CRASH_AT: u64 = 41;
+    for o in [5, 0] {
+        let m = LogP::new(6, o, 4, 16).unwrap();
+        let plan = FaultPlan::new(7)
+            .with_drop_ppm(100_000)
+            .with_dup_ppm(200_000)
+            .with_delay(200_000, 5)
+            .with_crash(0, CRASH_AT);
+        let run = |shards: u32, log: bool| {
+            let got: SharedCell<u64> = SharedCell::new();
+            let config = SimConfig::default()
+                .with_shards(shards)
+                .with_jitter(3)
+                .with_msg_log(log)
+                .with_faults(plan.clone());
+            let mut sim = Sim::new(m, config);
+            sim.set_all(|_| Box::new(HotSpot { got: got.clone() }));
+            (sim.run().expect("the hot spot drains"), got.get())
+        };
+        let mut on_lanes = Vec::new();
+        for shards in [0, 2, 8] {
+            let what = format!("o = {o}, shards = {shards}");
+            let (res, got) = run(shards, false);
+            let (logged, _) = run(shards, true);
+            assert_eq!(logged.stats, res.stats, "{what}: the log is an observer");
+            let st = &res.stats;
+            let sent: u64 = st.procs.iter().map(|p| p.msgs_sent).sum();
+            let recvd: u64 = st.procs.iter().map(|p| p.msgs_recvd).sum();
+            assert_eq!(sent, 15 * BURST, "{what}");
+            assert_eq!(recvd, got, "{what}");
+            assert_eq!(st.procs_crashed, 1, "{what}");
+            assert_eq!(
+                sent + st.msgs_duplicated,
+                recvd + st.msgs_dropped,
+                "{what}: a copy was lost twice, or never"
+            );
+            // The crash found what the test is for: a reception in
+            // progress (none lasts on the `o = 0` machine), an inbox as
+            // deep as it gets — capacity keeps it short on the classic
+            // engine, the lanes relax the destination side — and copies
+            // still on their way to the dead interface.
+            let msgs = &logged.obs.msgs;
+            let count = |f: fn(&&MsgRecord) -> bool| msgs.iter().filter(f).count();
+            let queued = count(|r| r.arrive < CRASH_AT && r.recv_start == UNSET);
+            let receiving = count(|r| r.recv_start != UNSET && r.deliver == UNSET);
+            let late = count(|r| r.arrive > CRASH_AT && r.arrive != UNSET);
+            assert!(queued >= if shards == 0 { 2 } else { 50 }, "{what}");
+            assert_eq!(receiving, (o > 0) as usize, "{what}");
+            assert!(late > 0, "{what}");
+            if shards >= 2 {
+                on_lanes.push(res.stats);
+            }
+        }
+        assert_eq!(on_lanes[0], on_lanes[1], "o = {o}: 2 lanes vs 8");
+    }
+}
+
+/// A fault plan and an event budget are inputs: when the engine refuses
+/// one or runs out of the other, a fallible collective says so in its
+/// error — it does not panic.
+#[test]
+fn fallible_collectives_return_engine_errors() {
+    let missing = FaultPlan::new(1).with_crash(99, 5);
+    let lossy = FaultPlan::new(1).with_drop_ppm(20_000);
+    let tight = SimConfig {
+        max_events: 50,
+        ..SimConfig::default()
+    };
+    // 32 processors, so that the plain broadcast outruns 50 events too.
+    let cases = [
+        (
+            8,
+            &missing,
+            SimConfig::default(),
+            SimError::CrashOutOfRange { proc: 99, p: 8 },
+        ),
+        (32, &lossy, tight, SimError::MaxEventsExceeded { limit: 50 }),
+    ];
+    for (p, plan, config, expect) in cases {
+        let m = LogP::new(6, 2, 4, p).unwrap();
+        let (retry, cfg) = (|| RetryConfig::for_model(&m), || config.clone());
+        let values = vec![1.0; p as usize];
+        let table: [(&str, Result<(), ResilientError>); 5] = [
+            (
+                "survivor broadcast",
+                run_survivor_broadcast(&m, plan, cfg()).map(drop),
+            ),
+            (
+                "reliable broadcast",
+                run_reliable_broadcast(&m, plan, retry(), cfg()).map(drop),
+            ),
+            (
+                "reliable sum",
+                run_reliable_sum(&m, 64, plan, retry(), cfg()).map(drop),
+            ),
+            (
+                "reliable all-reduce",
+                run_reliable_allreduce(&m, &values, plan, retry(), cfg()).map(drop),
+            ),
+            (
+                "reliable k-item broadcast",
+                run_reliable_kbroadcast(&m, &[1, 2, 3], plan, retry(), cfg()).map(drop),
+            ),
+        ];
+        for (what, outcome) in table {
+            assert_eq!(
+                outcome,
+                Err(ResilientError::Engine(expect.clone())),
+                "{what} under {expect}"
+            );
+        }
     }
 }

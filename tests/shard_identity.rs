@@ -286,8 +286,10 @@ fn collectives_never_regrow_arenas() {
     let m = LogP::new(6, 2, 4, 256).unwrap();
     let tree = logp::core::broadcast::optimal_broadcast_tree(&m);
     let children = tree.children();
+    let values = vec![1.0; m.p as usize];
     for shards in [0u32, 2, 8] {
-        let mut sim = Sim::new(m, SimConfig::default().with_shards(shards));
+        let config = SimConfig::default().with_shards(shards);
+        let mut sim = Sim::new(m, config.clone());
         sim.set_all(|p| {
             Box::new(TreeFanOut {
                 children: children[p as usize].clone(),
@@ -297,6 +299,13 @@ fn collectives_never_regrow_arenas() {
         let (result, reallocs) = sim.run_counting_reallocs().expect("broadcast terminates");
         assert_eq!(result.stats.total_msgs, u64::from(m.p) - 1);
         assert_eq!(reallocs, 0, "arena regrew at shards={shards}");
+        // The deepest occupancy the slab pre-size has to cover: every
+        // rank queues a send at cycle 0, and a message holds its slot
+        // from injection until its delivery.
+        let allreduce = run_allreduce_reduce_bcast(&m, &values, config);
+        assert_eq!(allreduce.messages, 2 * (u64::from(m.p) - 1));
+        let reallocs = allreduce.result.vitals.arena_reallocs;
+        assert_eq!(reallocs, 0, "all-reduce: arena regrew at shards={shards}");
     }
 }
 
