@@ -130,8 +130,11 @@ fn by_id(
     by_rank: impl Iterator<Item = Vec<ProcId>>,
 ) -> Vec<Vec<ProcId>> {
     let mut out = vec![Vec::new(); p as usize];
-    for (r, kids) in by_rank.enumerate() {
-        out[map.id_of(r as u32) as usize] = kids.iter().map(|&c| map.id_of(c)).collect();
+    for (r, mut kids) in by_rank.enumerate() {
+        for c in &mut kids {
+            *c = map.id_of(*c);
+        }
+        out[map.id_of(r as u32) as usize] = kids;
     }
     out
 }

@@ -53,6 +53,7 @@
 use logp_core::rng::splitmix64;
 use logp_core::{Cycles, ProcId};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use crate::message::Data;
 
@@ -220,6 +221,45 @@ impl FaultPlan {
     }
 }
 
+/// The fixed hash of the tables keyed by processor ids and sequence
+/// numbers: [`splitmix64`] folded over the key's words. Unkeyed on purpose
+/// — a deterministic engine takes no seed from the OS, and the keys are the
+/// simulator's own counters, not outside input. The tables that use it are
+/// never iterated, so their order cannot reach behaviour.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SplitMix;
+
+impl BuildHasher for SplitMix {
+    type Hasher = SplitMixHasher;
+    fn build_hasher(&self) -> SplitMixHasher {
+        SplitMixHasher(0)
+    }
+}
+
+pub(crate) struct SplitMixHasher(u64);
+
+impl Hasher for SplitMixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = splitmix64(self.0 ^ word);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Mutable engine-side fault state: the plan plus the identity counters
 /// that track message attempts, and the set of processors that have
 /// actually crashed so far in this run.
@@ -228,10 +268,10 @@ pub(crate) struct FaultState {
     /// Per-`(src, dst)` injection counters for unsequenced messages.
     /// Keyed sparsely: a dense `p * p` table would be 8 TB at P = 10^6,
     /// while real traffic touches only the channels programs actually use.
-    chan_seq: HashMap<(ProcId, ProcId), u64>,
+    chan_seq: HashMap<(ProcId, ProcId), u64, SplitMix>,
     /// Injection (attempt) counters per sequenced logical message,
     /// keyed by `(src, dst, seq)`.
-    attempts: HashMap<(ProcId, ProcId, u64), u64>,
+    attempts: HashMap<(ProcId, ProcId, u64), u64, SplitMix>,
     /// Which processors have crashed so far (dead NI, no handlers).
     pub(crate) crashed: Vec<bool>,
 }
@@ -240,8 +280,8 @@ impl FaultState {
     pub(crate) fn new(plan: FaultPlan, p: usize) -> Self {
         FaultState {
             plan,
-            chan_seq: HashMap::new(),
-            attempts: HashMap::new(),
+            chan_seq: HashMap::default(),
+            attempts: HashMap::default(),
             crashed: vec![false; p],
         }
     }

@@ -57,10 +57,11 @@
 //! assert_eq!(retries.get(), 0);
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{HashSet, VecDeque};
 
 use logp_core::{Cycles, LogP, ProcId};
 
+use crate::faults::SplitMix;
 use crate::message::{Data, Message};
 use crate::process::{Command, Ctx, Process};
 use crate::SharedCell;
@@ -127,6 +128,22 @@ impl RetryConfig {
         self.max_retries = n;
         self
     }
+
+    /// The timeout before attempt `attempt + 1` of message `seq`:
+    /// exponential backoff on the base timeout plus deterministic
+    /// per-(seq, attempt) jitter. Saturates, so a policy too long for the
+    /// clock reaches the engine as one huge timer (a typed
+    /// `SimError::TimeOverflow`) and never wraps round to a short one.
+    fn backoff(&self, seq: u64, attempt: u32) -> Cycles {
+        let base = self.timeout.saturating_mul(1 << attempt.min(12));
+        let jitter = if self.jitter == 0 {
+            0
+        } else {
+            splitmix64(self.seed ^ seq.rotate_left(17) ^ attempt as u64)
+                % self.jitter.saturating_add(1)
+        };
+        base.saturating_add(jitter)
+    }
 }
 
 /// Delivery counters of one endpoint.
@@ -156,16 +173,23 @@ struct Pending {
 /// Owns no engine state — it is plain data a [`crate::process::Process`]
 /// embeds, translating between the application's sends and the faulty
 /// wire. The owning process must forward `on_message` and `on_timer` to
-/// it (see the module example). All internal maps are ordered, so endpoint
-/// behavior is deterministic.
+/// it (see the module example). The unacknowledged sends are a ring
+/// indexed by sequence number and the delivered set is looked up by a fixed
+/// hash and never iterated, so endpoint behavior is deterministic.
 #[derive(Debug, Clone)]
 pub struct Endpoint {
     cfg: RetryConfig,
     next_seq: u64,
-    /// Unacknowledged outbound messages by sequence number.
-    pending: BTreeMap<u64, Pending>,
-    /// Sequence numbers already delivered upward, per source.
-    seen: BTreeMap<ProcId, BTreeSet<u64>>,
+    /// Unacknowledged outbound messages: a ring over the newest issued
+    /// numbers, slot `i` for number `next_seq - pending.len() + i`, emptied
+    /// when that message is acked or abandoned. A settled front is popped,
+    /// so the ring spans oldest-unacked to newest, is empty exactly when
+    /// nothing waits, and never shifts.
+    pending: VecDeque<Option<Pending>>,
+    /// Occupied slots of `pending`.
+    unacked: usize,
+    /// `(src, seq)` of every message already delivered upward.
+    seen: HashSet<(ProcId, u64), SplitMix>,
     /// `(dst, seq)` of messages abandoned after `max_retries`.
     pub failed: Vec<(ProcId, u64)>,
     /// Delivery counters.
@@ -178,8 +202,9 @@ impl Endpoint {
         Endpoint {
             cfg,
             next_seq: 0,
-            pending: BTreeMap::new(),
-            seen: BTreeMap::new(),
+            pending: VecDeque::new(),
+            unacked: 0,
+            seen: HashSet::default(),
             failed: Vec::new(),
             stats: EndpointStats::default(),
         }
@@ -189,14 +214,48 @@ impl Endpoint {
     /// Returns the sequence number assigned to the message.
     pub fn send(&mut self, ctx: &mut Ctx<'_>, dst: ProcId, tag: u32, data: Data) -> u64 {
         ctx.check_dst(dst);
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.issue(1);
         ctx.commands.extend(self.enroll(seq, dst, tag, data));
         seq
     }
 
-    /// Hold `data` under `seq` until it is acknowledged; returns the wire
-    /// send and the retransmission timer that carry its first attempt.
+    /// Issue the next `n` sequence numbers and return the first; the ring
+    /// grows by an empty slot for each, which [`Endpoint::enroll`] fills.
+    fn issue(&mut self, n: usize) -> u64 {
+        if self.pending.capacity() == 0 {
+            // A tree's leaf sends once in its life: its buffer is the one
+            // slot, not the four a deque starts with.
+            self.pending.reserve_exact(n);
+        }
+        self.pending.resize_with(self.pending.len() + n, || None);
+        let first = self.next_seq;
+        self.next_seq += n as u64;
+        first
+    }
+
+    /// The ring slot of `seq`; `None` for a number below the ring (settled
+    /// and popped) or never issued.
+    fn slot(&mut self, seq: u64) -> Option<&mut Option<Pending>> {
+        let floor = self.next_seq - self.pending.len() as u64;
+        let at = usize::try_from(seq.checked_sub(floor)?).ok()?;
+        self.pending.get_mut(at)
+    }
+
+    /// Stop waiting on `seq` — acked or abandoned — and pop the settled
+    /// front of the ring. Does nothing if nothing waited under that number.
+    fn settle(&mut self, seq: u64) {
+        if self.slot(seq).and_then(Option::take).is_none() {
+            return;
+        }
+        self.unacked -= 1;
+        while let Some(None) = self.pending.front() {
+            self.pending.pop_front();
+        }
+    }
+
+    /// Hold `data` under the issued number `seq` until it is acknowledged;
+    /// returns the wire send and the retransmission timer that carry its
+    /// first attempt.
     fn enroll(&mut self, seq: u64, dst: ProcId, tag: u32, data: Data) -> [Command; 2] {
         let wire = Data::Seq {
             seq,
@@ -208,7 +267,10 @@ impl Endpoint {
             data,
             attempt: 0,
         };
-        self.pending.insert(seq, pend);
+        let slot = self.slot(seq).expect("enrolled under an issued number");
+        debug_assert!(slot.is_none(), "#{seq} enrolled twice");
+        *slot = Some(pend);
+        self.unacked += 1;
         [
             Command::Send {
                 dst,
@@ -216,7 +278,7 @@ impl Endpoint {
                 data: wire,
             },
             Command::Timer {
-                cycles: self.backoff(seq, 0),
+                cycles: self.cfg.backoff(seq, 0),
                 tag: TIMER_NAMESPACE | seq,
             },
         ]
@@ -235,7 +297,7 @@ impl Endpoint {
             return None;
         };
         if msg.tag == TAG_ACK {
-            self.pending.remove(seq);
+            self.settle(*seq);
             return None;
         }
         ctx.send(
@@ -247,7 +309,7 @@ impl Endpoint {
             },
         );
         self.stats.acks_sent += 1;
-        if self.seen.entry(msg.src).or_default().insert(*seq) {
+        if self.seen.insert((msg.src, *seq)) {
             Some((**inner).clone())
         } else {
             self.stats.dups_suppressed += 1;
@@ -264,12 +326,13 @@ impl Endpoint {
             return false;
         }
         let seq = token & !TIMER_NAMESPACE;
-        let Some(pend) = self.pending.get_mut(&seq) else {
+        let max_retries = self.cfg.max_retries;
+        let Some(pend) = self.slot(seq).and_then(Option::as_mut) else {
             return true; // acked since: a stale fire.
         };
-        if pend.attempt >= self.cfg.max_retries {
+        if pend.attempt >= max_retries {
             let dst = pend.dst;
-            self.pending.remove(&seq);
+            self.settle(seq);
             self.failed.push((dst, seq));
             self.stats.failed += 1;
             return true;
@@ -284,31 +347,19 @@ impl Endpoint {
                 inner: Box::new(data),
             },
         );
-        ctx.timer(self.backoff(seq, attempt), token);
+        ctx.timer(self.cfg.backoff(seq, attempt), token);
         self.stats.retries += 1;
         true
     }
 
     /// True when nothing is awaiting an ack.
     pub fn idle(&self) -> bool {
-        self.pending.is_empty()
+        self.unacked == 0
     }
 
     /// Number of messages still awaiting acknowledgement.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The timeout before attempt `attempt + 1`: exponential backoff on
-    /// the base timeout plus deterministic per-(seq, attempt) jitter.
-    fn backoff(&self, seq: u64, attempt: u32) -> Cycles {
-        let base = self.cfg.timeout << attempt.min(12);
-        let jitter = if self.cfg.jitter == 0 {
-            0
-        } else {
-            splitmix64(self.cfg.seed ^ seq.rotate_left(17) ^ attempt as u64) % (self.cfg.jitter + 1)
-        };
-        base + jitter
+        self.unacked
     }
 }
 
@@ -355,8 +406,7 @@ impl<P: Process> Reliable<P> {
         cmds.resize(read + sends, Command::Halt);
         let mut write = cmds.len();
         // Sequence numbers count up in queue order, so down from the end.
-        self.ep.next_seq += sends as u64;
-        let mut seq = self.ep.next_seq;
+        let mut seq = self.ep.issue(sends) + sends as u64;
         while write > read {
             read -= 1;
             match std::mem::replace(&mut cmds[read], Command::Halt) {
@@ -416,6 +466,8 @@ impl<P: Process> Process for Reliable<P> {
 mod tests {
     use super::*;
     use crate::{FaultPlan, Sim, SimConfig};
+    use logp_core::rng::CounterRng;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn ctx_cmds() -> Vec<Command> {
         Vec::new()
@@ -529,9 +581,47 @@ mod tests {
         let m = LogP::new(6, 2, 4, 2).unwrap();
         let mut cfg = RetryConfig::for_model(&m);
         cfg.jitter = 0;
-        let ep = Endpoint::new(cfg.clone());
-        assert_eq!(ep.backoff(0, 0), cfg.timeout);
-        assert_eq!(ep.backoff(0, 3), cfg.timeout << 3);
+        assert_eq!(cfg.backoff(0, 0), cfg.timeout);
+        assert_eq!(cfg.backoff(0, 3), cfg.timeout << 3);
+    }
+
+    /// The shift saturates: a base timeout with high bits set backs off to
+    /// the longest wait there is, not round to a short one (`1 << 60` used
+    /// to reach 0 at attempt 4), and no policy overflows the addition.
+    #[test]
+    fn backoff_never_decreases_with_the_attempt() {
+        let mut cfg = RetryConfig::for_model(&LogP::new(6, 2, 4, 2).unwrap());
+        cfg.jitter = 0;
+        for timeout in [0, 1, 20, 1 << 51, (1 << 52) + 1, 1 << 60, u64::MAX] {
+            let cfg = cfg.clone().with_timeout(timeout);
+            let waits: Vec<Cycles> = (0..40).map(|a| cfg.backoff(7, a)).collect();
+            assert!(waits.is_sorted(), "timeout {timeout}: {waits:?}");
+            assert_eq!(waits[0], timeout);
+        }
+        // Jitter rides on top of the base and saturates with it.
+        for jitter in [1, 4, u64::MAX - 1, u64::MAX] {
+            cfg.jitter = jitter;
+            for timeout in [20, 1 << 60, u64::MAX] {
+                let cfg = cfg.clone().with_timeout(timeout);
+                for attempt in 0..20 {
+                    let base = timeout.saturating_mul(1 << attempt.min(12));
+                    let wait = cfg.backoff(3, attempt);
+                    assert!(base <= wait && wait - base <= jitter);
+                }
+            }
+        }
+    }
+
+    /// Inline, an endpoint is the policy, a ring, a table and the counters;
+    /// what it holds per message is in its two buffers.
+    #[test]
+    fn an_endpoint_stays_small_and_a_single_send_holds_one_slot() {
+        assert!(std::mem::size_of::<Endpoint>() <= 176);
+        assert_eq!(std::mem::size_of::<Option<Pending>>(), 48);
+        let mut ep = Endpoint::new(RetryConfig::for_model(&LogP::new(6, 2, 4, 2).unwrap()));
+        let mut cmds = ctx_cmds();
+        ep.send(&mut Ctx::new(0, 0, 2, &mut cmds), 1, 9, Data::U64(5));
+        assert_eq!(ep.pending.capacity(), 1);
     }
 
     /// What the wrapped test program saw: `(src, tag, payload)` per
@@ -721,5 +811,294 @@ mod tests {
         // One ack per message, and nothing was ever retransmitted.
         assert_eq!(wrapped_msgs, 2 * bare_msgs);
         assert_eq!(retries.get(), 0);
+    }
+
+    /// The endpoint this one replaced, kept as the model: an ordered map of
+    /// unacked sends `(dst, tag, data, attempt)` and an ordered set of
+    /// delivered `(src, seq)`.
+    struct Model {
+        cfg: RetryConfig,
+        next_seq: u64,
+        pending: BTreeMap<u64, (ProcId, u32, Data, u32)>,
+        seen: BTreeSet<(ProcId, u64)>,
+        failed: Vec<(ProcId, u64)>,
+        stats: EndpointStats,
+    }
+
+    fn wire(dst: ProcId, tag: u32, seq: u64, inner: Data) -> Command {
+        let inner = Box::new(inner);
+        let data = Data::Seq { seq, inner };
+        Command::Send { dst, tag, data }
+    }
+
+    impl Model {
+        /// A handler's commands, its sends made reliable in queue order.
+        fn run(&mut self, batch: &[Command], out: &mut Vec<Command>) {
+            for command in batch {
+                let Command::Send { dst, tag, data } = command.clone() else {
+                    out.push(command.clone());
+                    continue;
+                };
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                out.push(wire(dst, tag, seq, data.clone()));
+                self.pending.insert(seq, (dst, tag, data, 0));
+                let (cycles, tag) = (self.cfg.backoff(seq, 0), TIMER_NAMESPACE | seq);
+                out.push(Command::Timer { cycles, tag });
+            }
+        }
+
+        fn on_message(&mut self, msg: &Message, out: &mut Vec<Command>) -> Option<Data> {
+            let Data::Seq { seq, inner } = &msg.data else {
+                return None;
+            };
+            if msg.tag == TAG_ACK {
+                self.pending.remove(seq);
+                return None;
+            }
+            out.push(wire(msg.src, TAG_ACK, *seq, Data::Empty));
+            self.stats.acks_sent += 1;
+            if self.seen.insert((msg.src, *seq)) {
+                return Some((**inner).clone());
+            }
+            self.stats.dups_suppressed += 1;
+            None
+        }
+
+        fn on_timer(&mut self, token: u64, out: &mut Vec<Command>) -> bool {
+            if token & TIMER_NAMESPACE == 0 {
+                return false;
+            }
+            let seq = token & !TIMER_NAMESPACE;
+            let Some((dst, tag, data, attempt)) = self.pending.get_mut(&seq) else {
+                return true;
+            };
+            if *attempt >= self.cfg.max_retries {
+                self.failed.push((*dst, seq));
+                self.stats.failed += 1;
+                self.pending.remove(&seq);
+                return true;
+            }
+            *attempt += 1;
+            out.push(wire(*dst, *tag, seq, data.clone()));
+            let cycles = self.cfg.backoff(seq, *attempt);
+            out.push(Command::Timer { cycles, tag: token });
+            self.stats.retries += 1;
+            true
+        }
+    }
+
+    /// Queues whatever commands it was handed, as one handler's output.
+    struct Batch(Vec<Command>);
+
+    impl Process for Batch {
+        fn on_compute_done(&mut self, _: u64, ctx: &mut Ctx<'_>) {
+            ctx.commands.append(&mut self.0);
+        }
+    }
+
+    enum Step {
+        Send(ProcId, u32, Data),
+        Batch(Vec<Command>),
+        Msg(Message),
+        Timer(u64),
+    }
+
+    fn ack(seq: u64) -> Step {
+        Step::Msg(sequenced(1, TAG_ACK, seq, Data::Empty))
+    }
+
+    fn copy(src: ProcId, seq: u64) -> Step {
+        Step::Msg(sequenced(src, 5, seq, Data::U64(seq ^ u64::from(src))))
+    }
+
+    /// The endpoint — inside a [`Reliable`], so that a batch goes through
+    /// `run` — and the model, taken through the same steps.
+    struct Pair {
+        new: Reliable<Batch>,
+        old: Model,
+        /// Steps that left the ring longer than what waits in it.
+        with_holes: u64,
+    }
+
+    impl Pair {
+        const PROCS: u32 = 1 << 16;
+
+        fn new(cfg: RetryConfig) -> Self {
+            let old = Model {
+                cfg: cfg.clone(),
+                next_seq: 0,
+                pending: BTreeMap::new(),
+                seen: BTreeSet::new(),
+                failed: Vec::new(),
+                stats: EndpointStats::default(),
+            };
+            Pair {
+                new: Reliable::new(Batch(Vec::new()), cfg, SharedCell::new()),
+                old,
+                with_holes: 0,
+            }
+        }
+
+        /// One step through both, then everything observable compared.
+        fn step(&mut self, step: Step) {
+            let (mut new_cmds, mut old_cmds) = (Vec::new(), Vec::new());
+            let ctx = &mut Ctx::new(0, 0, Self::PROCS, &mut new_cmds);
+            let (new, old) = (&mut self.new, &mut self.old);
+            match step {
+                Step::Send(dst, tag, data) => {
+                    let seq = new.ep.send(ctx, dst, tag, data.clone());
+                    assert_eq!(seq, old.next_seq);
+                    old.run(&[Command::Send { dst, tag, data }], &mut old_cmds);
+                }
+                Step::Batch(batch) => {
+                    old.run(&batch, &mut old_cmds);
+                    new.inner.0 = batch;
+                    new.on_compute_done(0, ctx);
+                }
+                Step::Msg(msg) => assert_eq!(
+                    new.ep.on_message(&msg, ctx),
+                    old.on_message(&msg, &mut old_cmds)
+                ),
+                Step::Timer(token) => assert_eq!(
+                    new.ep.on_timer(token, ctx),
+                    old.on_timer(token, &mut old_cmds)
+                ),
+            }
+            let ep = &new.ep;
+            assert_eq!(new_cmds, old_cmds);
+            assert_eq!(
+                (&ep.failed, ep.stats, ep.next_seq),
+                (&old.failed, old.stats, old.next_seq)
+            );
+            assert_eq!(
+                (ep.idle(), ep.pending_count()),
+                (old.pending.is_empty(), old.pending.len())
+            );
+            // The ring starts at the oldest number still waiting — so when
+            // none waits it is empty, not merely unoccupied.
+            let floor = ep.next_seq - ep.pending.len() as u64;
+            let oldest = old.pending.keys().next();
+            assert_eq!(floor, oldest.copied().unwrap_or(old.next_seq));
+            self.with_holes += u64::from(ep.pending.len() > ep.pending_count());
+        }
+    }
+
+    /// 1–40 sends with other commands among them.
+    fn batch(rng: &mut CounterRng) -> Vec<Command> {
+        let mut out = Vec::new();
+        for _ in 0..=rng.next_in(39) {
+            match rng.next_in(5) {
+                0 => out.push(Command::Compute { cycles: 3, tag: 1 }),
+                1 => out.push(Command::Timer { cycles: 4, tag: 7 }),
+                2 => out.push(Command::SendBulk {
+                    dst: 2,
+                    tag: 9,
+                    data: Data::Empty,
+                    words: 3,
+                }),
+                _ => {}
+            }
+            let (dst, tag) = (1 + rng.next_in(7) as ProcId, rng.next_in(3) as u32);
+            let data = Data::U64(rng.next_u64());
+            out.push(Command::Send { dst, tag, data });
+        }
+        if rng.next_in(1) == 0 {
+            out.push(Command::Barrier);
+        }
+        out
+    }
+
+    #[test]
+    fn endpoint_matches_the_model_on_seeded_scripts() {
+        let m = LogP::new(6, 2, 4, 2).unwrap();
+        let (mut total, mut with_holes) = (EndpointStats::default(), 0);
+        for seed in 0..120 {
+            let mut rng = CounterRng::new(seed);
+            let budget = rng.next_in(3) as u32;
+            let mut pair = Pair::new(RetryConfig::for_model(&m).with_max_retries(budget));
+            for _ in 0..200 {
+                let live: Vec<u64> = pair.old.pending.keys().copied().collect();
+                let issued = pair.old.next_seq;
+                let any = |of: &[u64], rng: &mut CounterRng| match of.len() as u64 {
+                    0 => issued,
+                    n => of[rng.next_in(n - 1) as usize],
+                };
+                match rng.next_in(11) {
+                    0 | 1 => {
+                        let (dst, tag) = (1 + rng.next_in(7) as ProcId, rng.next_in(3) as u32);
+                        pair.step(Step::Send(dst, tag, Data::U64(rng.next_u64())));
+                    }
+                    2 => pair.step(Step::Batch(batch(&mut rng))),
+                    // Acks: of one waiting number; of every waiting number —
+                    // in order, reversed or shuffled, some twice; of any
+                    // number up to the next one (waiting, settled inside the
+                    // ring, below it, not yet issued); of one far ahead.
+                    3 | 4 => pair.step(ack(any(&live, &mut rng))),
+                    5 => {
+                        let mut order = live;
+                        match rng.next_in(2) {
+                            0 => {}
+                            1 => order.reverse(),
+                            _ => (1..order.len()).rev().for_each(|i| {
+                                order.swap(i, rng.next_in(i as u64) as usize);
+                            }),
+                        }
+                        for seq in order {
+                            for _ in 0..=rng.next_in(3) / 3 {
+                                pair.step(ack(seq));
+                            }
+                        }
+                    }
+                    6 => pair.step(ack(rng.next_in(issued))),
+                    7 => pair.step(ack([issued + 40, u64::MAX][rng.next_in(1) as usize])),
+                    // Data copies from 1–8 peers over few numbers: repeats.
+                    8 => pair.step(copy(1 + rng.next_in(7) as ProcId, rng.next_in(5))),
+                    // Timers: a waiting number's, again and again until its
+                    // budget is spent; any number's; another program's.
+                    9 => {
+                        let seq = any(&live, &mut rng);
+                        for _ in 0..=rng.next_in(u64::from(budget) + 1) {
+                            pair.step(Step::Timer(TIMER_NAMESPACE | seq));
+                        }
+                    }
+                    10 => pair.step(Step::Timer(TIMER_NAMESPACE | rng.next_in(issued + 3))),
+                    _ => pair.step(Step::Timer(rng.next_in(issued + 3))),
+                }
+            }
+            let s = pair.new.ep.stats;
+            total.retries += s.retries;
+            total.dups_suppressed += s.dups_suppressed;
+            total.failed += s.failed;
+            with_holes += pair.with_holes;
+        }
+        // The scripts reached what they are for.
+        assert!(total.retries > 100 && total.dups_suppressed > 100 && total.failed > 100);
+        assert!(
+            with_holes > 1_000,
+            "{with_holes} steps with a gap in the ring"
+        );
+    }
+
+    /// The fan-in no runner produces and a sorted container pays for: one
+    /// copy from each of 2^15 peers, highest id first, then some of them
+    /// again.
+    #[test]
+    fn endpoint_matches_the_model_on_a_descending_fan_in() {
+        let cfg = RetryConfig::for_model(&LogP::new(6, 2, 4, 2).unwrap());
+        let mut pair = Pair::new(cfg);
+        for src in (1..=1 << 15).rev() {
+            pair.step(copy(src, u64::from(src % 3)));
+            if src % 1_000 == 0 {
+                pair.step(Step::Send(src, 0, Data::Empty));
+            }
+        }
+        for src in (1..=1 << 15).rev().step_by(7) {
+            pair.step(copy(src, u64::from(src % 3)));
+        }
+        let stats = pair.new.ep.stats;
+        assert_eq!(stats.acks_sent, (1 << 15) + stats.dups_suppressed);
+        assert_eq!(stats.dups_suppressed, (1u64 << 15).div_ceil(7));
+        assert_eq!(pair.new.ep.pending_count(), 32);
     }
 }

@@ -7,6 +7,7 @@ use logp_algos::broadcast::{run_reliable_broadcast, run_survivor_broadcast};
 use logp_algos::kbroadcast::run_reliable_kbroadcast;
 use logp_algos::reduce::run_reliable_sum;
 use logp_algos::resilient::ResilientError;
+use logp_core::broadcast::optimal_broadcast_tree;
 use logp_core::LogP;
 use logp_sim::critpath::critical_path;
 use logp_sim::obs::UNSET;
@@ -461,4 +462,27 @@ fn fallible_collectives_return_engine_errors() {
             );
         }
     }
+}
+
+/// With `L` far above `g` the optimal tree is flat: the root enrolls
+/// 32,767 sends in one handler and then takes 32,767 acks, most of them in
+/// order. No tree the other runners build fans out like this, and it is
+/// where an endpoint that shifts or scans a container per ack goes
+/// quadratic (a sorted vector of unacked sends ran this 11 times slower
+/// than the map it replaced; the ring runs it as fast).
+#[test]
+fn a_flat_tree_settles_32k_sends_at_one_root() {
+    let m = LogP::new(200_000, 1, 1, 1 << 15).unwrap();
+    assert_eq!(optimal_broadcast_tree(&m).root_fanout() as u32, m.p - 1);
+    let plan = FaultPlan::new(1).with_drop_ppm(20_000);
+    let retry = || RetryConfig::for_tree(&m, m.p);
+    let run =
+        run_reliable_broadcast(&m, &plan, retry(), SimConfig::default()).expect("nobody crashes");
+    assert_eq!(run.arrivals.len(), m.p as usize);
+    assert!(run.retries > 0);
+    let values: Vec<f64> = (0..m.p).map(f64::from).collect();
+    let run = run_reliable_allreduce(&m, &values, &plan, retry(), SimConfig::default())
+        .expect("nobody crashes");
+    assert_eq!(run.value, values.iter().sum::<f64>());
+    assert!(run.result.stats.msgs_dropped > 0);
 }

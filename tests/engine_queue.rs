@@ -26,13 +26,16 @@
 //!   popped side by side with a `BinaryHeap`.
 //! * **Zero-duration and overflow corners**, as explicit cases.
 
+use logp::algos::broadcast::run_reliable_broadcast;
+use logp::algos::resilient::ResilientError;
 use logp::core::hier::{Hierarchy, Level};
 use logp::core::rng::{mix, CounterRng};
 use logp::core::{LogP, ProcId};
 use logp::sim::engine::calendar::Calendar;
 use logp::sim::engine::TIME_LIMIT;
 use logp::sim::{
-    Ctx, Data, FaultPlan, Message, Process, SharedCell, Sim, SimConfig, SimError, SimResult,
+    Ctx, Data, FaultPlan, Message, Process, RetryConfig, SharedCell, Sim, SimConfig, SimError,
+    SimResult,
 };
 use logp::wl::{
     gen_workload, load_workload, run_workload, run_workload_hier, FuzzConfig, WlRunError,
@@ -636,6 +639,48 @@ fn crash_of_a_missing_processor_is_a_typed_error_on_every_engine() {
         text.contains("processor 99") && text.contains("P = 8"),
         "{text}"
     );
+}
+
+/// A retry policy is input too. One whose timeouts outgrow the clock used
+/// to overflow inside the endpoint — an addition (debug) or a remainder by
+/// zero (release) for `jitter = u64::MAX`, an addition in debug only for
+/// `timeout = u64::MAX` — and now saturates into one huge timer, which is
+/// the engine's `TimeOverflow` in both builds. A long policy the clock can
+/// hold (`1 << 60`, doubling) completes unless a third retry passes the
+/// limit.
+#[test]
+fn a_retry_policy_past_the_clock_is_a_typed_error_on_every_engine() {
+    let m = LogP::new(6, 2, 4, 8).unwrap();
+    let plan = FaultPlan::new(1).with_drop_ppm(200_000);
+    let sane = RetryConfig::for_model(&m);
+    let all_jitter = RetryConfig {
+        jitter: u64::MAX,
+        ..sane.clone()
+    };
+    let policies = [
+        ("jitter = u64::MAX", all_jitter, true),
+        (
+            "timeout = u64::MAX",
+            sane.clone().with_timeout(u64::MAX),
+            true,
+        ),
+        ("timeout = 1 << 60", sane.with_timeout(1 << 60), false),
+    ];
+    for (what, retry, must_overflow) in policies {
+        for shards in [0, 2] {
+            let cfg = SimConfig::default().with_shards(shards);
+            match run_reliable_broadcast(&m, &plan, retry.clone(), cfg) {
+                Err(ResilientError::Engine(SimError::TimeOverflow {
+                    command, cycles, ..
+                })) => {
+                    assert_eq!(command, "timer", "{what}, shards={shards}");
+                    assert!(cycles > TIME_LIMIT / 2, "{what}, shards={shards}: {cycles}");
+                }
+                Ok(run) if !must_overflow => assert_eq!(run.arrivals.len(), 8, "{what}"),
+                other => panic!("{what}, shards={shards}: {other:?}"),
+            }
+        }
+    }
 }
 
 /// Issues one command with a hostile duration.
