@@ -145,7 +145,7 @@ impl Process for FftProc {
                     dst,
                     TAG_FFT_ELEM,
                     Data::Cplx {
-                        idx: k1,
+                        idx: u32::try_from(k1).expect("run_parallel_fft checked n <= 2^32"),
                         re: v.re,
                         im: v.im,
                     },
@@ -227,6 +227,10 @@ pub fn run_parallel_fft(m: &LogP, input: &[Cplx], spec: &FftRunSpec, config: Sim
     let n = spec.n;
     assert_eq!(input.len() as u64, n);
     assert!(n.is_power_of_two() && (p as u64).is_power_of_two());
+    assert!(
+        n <= 1 << 32,
+        "a remap element carries a 32-bit index: n = {n} exceeds 2^32"
+    );
     assert!(
         n >= (p as u64) * (p as u64),
         "hybrid layout requires n >= P² (n={n}, P={p})"

@@ -37,9 +37,11 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 pub mod calendar;
+pub mod inline;
 pub mod shard;
 
 use calendar::Calendar;
+use inline::{CmdQueue, SrcRing};
 
 /// Latest instant a run may reach. Half the `u64` range, so no sum of a
 /// few in-range terms — and none of the calendar's slot arithmetic — can
@@ -191,12 +193,18 @@ type MsgSlot = u32;
 /// No slot: the end of an inbox chain, an empty inbox, no reception.
 const NO_SLOT: MsgSlot = MsgSlot::MAX;
 
-/// A message's one home from injection to delivery.
+/// A message's one home from injection to delivery: its fields flat
+/// beside the inbox link, 48 bytes, assembled into a [`Message`] once, for
+/// the handler.
 struct Parked {
-    /// Moved out once, to the handler (or dropped with a dead interface).
-    msg: Option<Message>,
+    /// Moved out once, at delivery (or dropped with a dead interface); a
+    /// free slot keeps [`Data::Empty`].
+    data: Data,
     /// When the message reaches its destination's interface.
     arrival: Cycles,
+    src: ProcId,
+    dst: ProcId,
+    tag: u32,
     /// The arrival behind this one in the destination's inbox.
     next: MsgSlot,
 }
@@ -266,7 +274,8 @@ struct ProcState {
     /// executing (the program is detached so the handler can borrow
     /// engine state without aliasing).
     program: Option<Box<dyn Process>>,
-    cmds: VecDeque<Command>,
+    /// One command in place, a buffer only for a second behind it.
+    cmds: CmdQueue,
     /// The inbox: arrived messages, oldest first, chained through
     /// [`Parked::next`] from `head` ([`NO_SLOT`] when empty) to `tail`
     /// (meaningless when empty). A plain FIFO, because arrivals reach it
@@ -290,17 +299,15 @@ struct ProcState {
     waiting_on_dst: bool,
     /// Blocked on own source-side capacity.
     waiting_on_src: bool,
-    /// When the current capacity stall began.
-    stall_since: Option<Cycles>,
+    /// When the current capacity stall began; [`UNSET`] outside one.
+    stall_since: Cycles,
 }
 
 impl ProcState {
-    /// The command queue allocates on first use, sized by `run_handler`:
-    /// at large P most processors queue one send, ever.
     fn new(program: Box<dyn Process>) -> Self {
         ProcState {
             program: Some(program),
-            cmds: VecDeque::new(),
+            cmds: CmdQueue::default(),
             head: NO_SLOT,
             tail: NO_SLOT,
             receiving: NO_SLOT,
@@ -313,7 +320,14 @@ impl ProcState {
             barrier_entered_at: 0,
             waiting_on_dst: false,
             waiting_on_src: false,
-            stall_since: None,
+            stall_since: UNSET,
+        }
+    }
+
+    /// A capacity stall begins now, unless one is already running.
+    fn stall(&mut self, now: Cycles) {
+        if self.stall_since == UNSET {
+            self.stall_since = now;
         }
     }
 }
@@ -680,7 +694,7 @@ pub struct Sim {
     /// Per-source release-time rings: the network-release instants of the
     /// source's in-flight messages, kept sorted. Replaces the classic
     /// engine's `Release` events for source-capacity admission.
-    rings: Vec<VecDeque<Cycles>>,
+    rings: Vec<SrcRing>,
     /// Barrier deltas logged during the current window pass.
     bdeltas: Vec<BarrierDelta>,
     /// Host-side self-telemetry, filled in place as the run goes and
@@ -955,11 +969,11 @@ impl Sim {
     }
 
     /// Give a message injected now its slot: in the classic slab, or in
-    /// the slab of the lane that owns `msg.dst`.
+    /// the slab of the lane that owns its destination.
     #[inline]
-    fn park<const SHARDED: bool>(&mut self, msg: Message, arrival: Cycles) -> MsgSlot {
+    fn park<const SHARDED: bool>(&mut self, parked: Parked) -> MsgSlot {
         let (lanes, lane) = if SHARDED {
-            (self.lanes.len() as u32, self.lane_of[msg.dst as usize])
+            (self.lanes.len() as u32, self.lane_of[parked.dst as usize])
         } else {
             (1, 0)
         };
@@ -967,11 +981,6 @@ impl Sim {
             &mut self.lanes[lane as usize].slab
         } else {
             &mut self.msg_slab
-        };
-        let parked = Parked {
-            msg: Some(msg),
-            arrival,
-            next: NO_SLOT,
         };
         let idx = if let Some(idx) = slab.free.pop() {
             slab.slots[idx as usize] = parked;
@@ -1011,10 +1020,13 @@ impl Sim {
     fn free_slot<const SHARDED: bool>(&mut self, slot: MsgSlot) -> Message {
         let (slab, idx) = self.slab_of::<SHARDED>(slot);
         slab.free.push(idx);
-        slab.slots[idx as usize]
-            .msg
-            .take()
-            .expect("message slot occupied")
+        let parked = &mut slab.slots[idx as usize];
+        Message {
+            src: parked.src,
+            dst: parked.dst,
+            tag: parked.tag,
+            data: std::mem::replace(&mut parked.data, Data::Empty),
+        }
     }
 
     /// Chain the message arriving now in `slot` at the tail of `dst`'s
@@ -1130,35 +1142,25 @@ impl Sim {
     }
 
     /// Record an in-flight message's network-release instant in its
-    /// source's ring (sharded replacement for `Release` events). Keeps
-    /// the ring sorted; jitter-free runs append in O(1).
+    /// source's ring (sharded replacement for `Release` events).
     #[inline]
     fn ring_push(&mut self, src: usize, release: Cycles) {
-        let now = self.now;
         let ring = &mut self.rings[src];
-        while ring.front().is_some_and(|&t| t <= now) {
-            ring.pop_front();
-        }
-        if ring.back().is_some_and(|&b| b > release) {
-            let pos = ring.partition_point(|&t| t <= release);
-            ring.insert(pos, release);
-        } else {
-            ring.push_back(release);
-        }
+        ring.expire(self.now);
+        ring.push(release);
         self.stats.max_inflight_per_src = self.stats.max_inflight_per_src.max(ring.len() as u64);
     }
 
-    /// Evict released entries and report whether `src` may inject another
-    /// message at `now` under the ⌈L/g⌉ source window. Mirrors the
-    /// classic engine exactly: a message released at `t` frees its slot
-    /// for sends attempted at `t` (`Release` carries event class 0).
+    /// Evict released entries and report when `src` may inject another
+    /// message under the ⌈L/g⌉ source window: `None` for now, else the
+    /// release that frees the next slot. Mirrors the classic engine
+    /// exactly: a message released at `t` frees its slot for sends
+    /// attempted at `t` (`Release` carries event class 0).
     #[inline]
-    fn ring_admit(&mut self, src: usize, now: Cycles) -> bool {
+    fn ring_blocked_until(&mut self, src: usize, now: Cycles) -> Option<Cycles> {
         let ring = &mut self.rings[src];
-        while ring.front().is_some_and(|&t| t <= now) {
-            ring.pop_front();
-        }
-        (ring.len() as u64) < self.capacity
+        ring.expire(now);
+        ring.front().filter(|_| ring.len() as u64 >= self.capacity)
     }
 
     /// A uniform draw from `0..=max` for processor `p`: the one place
@@ -1502,6 +1504,20 @@ impl Sim {
         Cause::Retry(rec.id)
     }
 
+    /// Close `p`'s capacity stall, if one is running, into its accounts.
+    #[inline]
+    fn end_stall<const OBS: bool>(&mut self, p: ProcId) {
+        let now = self.now;
+        let since = std::mem::replace(&mut self.procs[p as usize].stall_since, UNSET);
+        if since != UNSET {
+            self.stats.procs[p as usize].stall += now - since;
+            self.span(p, since, now, Activity::Stall);
+            if OBS {
+                self.record_stall(now - since);
+            }
+        }
+    }
+
     /// Record the end of a capacity-stall episode.
     #[cold]
     #[inline(never)]
@@ -1654,7 +1670,7 @@ impl Sim {
             let busy = self
                 .procs
                 .iter()
-                .filter(|p| p.busy_until > s || p.stall_since.is_some())
+                .filter(|p| p.busy_until > s || p.stall_since != UNSET)
                 .count() as u64;
             let util_ppk = busy * PPK_SCALE / self.model.p as u64;
             let obs = self.obs.as_deref_mut().expect("checked above");
@@ -1711,14 +1727,15 @@ impl Sim {
         if !SHARDED {
             self.note_injection(src, dst, true);
         }
-        let msg = Message {
+        let (sent, arrive) = (now + o, now + o + flight);
+        let slot = self.park::<SHARDED>(Parked {
+            data,
+            arrival: arrive,
             src,
             dst,
             tag,
-            data,
-        };
-        let (sent, arrive) = (now + o, now + o + flight);
-        let slot = self.park::<SHARDED>(msg, arrive);
+            next: NO_SLOT,
+        });
         if OBS {
             self.record_send(
                 slot, src, dst, tag, words, meta, send_gate, now, sent, arrive, dup,
@@ -1812,13 +1829,7 @@ impl Sim {
         faults.crashed[idx] = true;
         let now = self.now;
         self.stats.procs_crashed += 1;
-        if let Some(since) = self.procs[idx].stall_since.take() {
-            self.stats.procs[idx].stall += now - since;
-            self.span(p, since, now, Activity::Stall);
-            if OBS {
-                self.record_stall(now - since);
-            }
-        }
+        self.end_stall::<OBS>(p);
         // Abandon queued commands (causal metadata stays in lockstep).
         self.procs[idx].cmds.clear();
         if OBS {
@@ -1892,13 +1903,7 @@ impl Sim {
         }
         self.procs[p as usize].program = Some(program);
         let issued = cmds.len();
-        let queue = &mut self.procs[p as usize].cmds;
-        if queue.capacity() == 0 {
-            // A first buffer of exactly what was issued — one send, for
-            // most ranks of a tree — not the growth policy's minimum.
-            queue.reserve_exact(issued);
-        }
-        queue.extend(cmds.drain(..));
+        self.procs[p as usize].cmds.append(&mut cmds);
         if OBS && issued > 0 {
             self.push_meta(p, cause, issued);
         }
@@ -1969,123 +1974,9 @@ impl Sim {
         }
         if let Some(cmd) = self.procs[idx].cmds.front() {
             match *cmd {
-                // One arm for both sends — LogGP's identity: a one-word
-                // bulk message *is* a small message. The processor pays
-                // only `o`; the interface streams the remaining words at
-                // `G` each, blocking the *next* injection until done.
-                Command::Send { dst, tag, .. } | Command::SendBulk { dst, tag, .. } => {
-                    // A bulk message's word count, and how long it streams.
-                    let (bulk, stream) = match *cmd {
-                        Command::SendBulk { words, .. } => {
-                            let Some(big_g) = self.config.loggp_big_g else {
-                                self.fail(SimError::MissingBigG {
-                                    proc: p,
-                                    now,
-                                    command: "send_bulk",
-                                });
-                                return;
-                            };
-                            let stream = (words - 1).saturating_mul(big_g);
-                            if self.end_of(p, "send_bulk", stream).is_none() {
-                                return;
-                            }
-                            (Some(words), stream)
-                        }
-                        _ => (None, 0),
-                    };
-                    // Gate on the processor and the gap ...
-                    let st = &self.procs[idx];
-                    let s = st.busy_until.max(st.next_send_slot);
-                    if now < s {
-                        self.sched::<SHARDED>(s, EventKind::Wake(p));
-                        return;
-                    }
-                    // ... and on capacity.
-                    if SHARDED {
-                        // Source window via the release ring; destination
-                        // admission is relaxed on the sharded path (its
-                        // zero-lookahead coupling is what lanes remove —
-                        // see `crate::shard`).
-                        if self.config.enforce_capacity && !self.ring_admit(idx, now) {
-                            let wake = self.rings[idx][0];
-                            let st = &mut self.procs[idx];
-                            st.stall_since.get_or_insert(now);
-                            st.waiting_on_src = true;
-                            self.sched::<SHARDED>(wake, EventKind::Wake(p));
-                            return;
-                        }
-                    } else {
-                        let (lvl, cap) = self.pair_level(p, dst);
-                        let b = lvl * self.model.p as usize;
-                        if self.in_flight_from[b + idx] >= cap {
-                            // Stall until one of our own messages arrives.
-                            let st = &mut self.procs[idx];
-                            st.stall_since.get_or_insert(now);
-                            st.waiting_on_src = true;
-                            return;
-                        }
-                        if self.in_flight_to[b + dst as usize] >= cap
-                            || self.outstanding_to[dst as usize] >= self.max_outstanding
-                        {
-                            let st = &mut self.procs[idx];
-                            st.stall_since.get_or_insert(now);
-                            if !st.waiting_on_dst {
-                                st.waiting_on_dst = true;
-                                self.dst_waiters[dst as usize].push_back(p);
-                            }
-                            return;
-                        }
-                    }
-                    // Committed: dequeue by value so the payload moves
-                    // instead of cloning.
-                    let data = match self.procs[idx].cmds.pop_front() {
-                        Some(Command::Send { data, .. } | Command::SendBulk { data, .. }) => data,
-                        _ => unreachable!("front of queue checked above"),
-                    };
-                    let meta = if OBS {
-                        self.pop_meta(idx)
-                    } else {
-                        (Cause::Start, now)
-                    };
-                    let st = &mut self.procs[idx];
-                    st.waiting_on_src = false;
-                    let send_gate = st.next_send_slot;
-                    if let Some(since) = st.stall_since.take() {
-                        self.stats.procs[idx].stall += now - since;
-                        self.span(p, since, now, Activity::Stall);
-                        if OBS {
-                            self.record_stall(now - since);
-                        }
-                    }
-                    // Pay `o`. The next send waits out the gap — and,
-                    // behind a bulk message, the stream, which starts
-                    // when `o` ends: with `o > g` even a one-word bulk
-                    // message holds the next send until `now + o`
-                    // (visible only as the next `MsgRecord::send_gate`).
-                    let (pl, o, g) = self.pair_log(p, dst);
-                    let st = &mut self.procs[idx];
-                    st.busy_until = now + o;
-                    st.next_send_slot = match bulk {
-                        Some(_) => (now + g).max(now + o + stream),
-                        None => now + g,
-                    };
-                    let stats = &mut self.stats.procs[idx];
-                    stats.send_overhead += o;
-                    stats.msgs_sent += 1;
-                    self.span(p, now, now + o, Activity::SendOverhead);
-                    // Inject.
-                    let words = bulk.unwrap_or(1);
-                    let flight = stream + self.draw_latency::<SHARDED>(p, pl);
-                    if FAULTS {
-                        self.inject_faulty::<OBS, SHARDED>(
-                            p, dst, tag, data, words, meta, send_gate, o, flight,
-                        );
-                    } else {
-                        self.inject::<OBS, SHARDED>(
-                            p, dst, tag, data, words, meta, send_gate, o, flight, false,
-                        );
-                    }
-                    self.finish_send::<SHARDED>(p);
+                Command::Send { dst, .. } => self.send::<OBS, FAULTS, SHARDED>(p, dst, None),
+                Command::SendBulk(ref b) => {
+                    self.send::<OBS, FAULTS, SHARDED>(p, b.dst, Some(b.words))
                 }
                 Command::Compute { cycles, tag } => {
                     if now < self.procs[idx].busy_until {
@@ -2214,6 +2105,126 @@ impl Sim {
         // Otherwise: idle until something arrives.
     }
 
+    /// Execute the send — to `dst`, of `bulk` words if a long message — at
+    /// the front of `p`'s queue, or arrange to retry it. One path for both
+    /// sends — LogGP's identity: a one-word bulk message *is* a small
+    /// message. The processor pays only `o`; the interface streams the
+    /// remaining words at `G` each, blocking the *next* injection until
+    /// done.
+    #[inline]
+    fn send<const OBS: bool, const FAULTS: bool, const SHARDED: bool>(
+        &mut self,
+        p: ProcId,
+        dst: ProcId,
+        bulk: Option<u64>,
+    ) {
+        let now = self.now;
+        let idx = p as usize;
+        // How long a bulk message streams.
+        let mut stream = 0;
+        if let Some(words) = bulk {
+            let Some(big_g) = self.config.loggp_big_g else {
+                self.fail(SimError::MissingBigG {
+                    proc: p,
+                    now,
+                    command: "send_bulk",
+                });
+                return;
+            };
+            stream = (words - 1).saturating_mul(big_g);
+            if self.end_of(p, "send_bulk", stream).is_none() {
+                return;
+            }
+        }
+        // Gate on the processor and the gap ...
+        let st = &self.procs[idx];
+        let s = st.busy_until.max(st.next_send_slot);
+        if now < s {
+            self.sched::<SHARDED>(s, EventKind::Wake(p));
+            return;
+        }
+        // ... and on capacity.
+        if SHARDED {
+            // Source window via the release ring (never full when capacity
+            // is not enforced); destination admission is relaxed on the
+            // sharded path (its zero-lookahead coupling is what lanes
+            // remove — see `crate::shard`).
+            if let Some(wake) = self.ring_blocked_until(idx, now) {
+                let st = &mut self.procs[idx];
+                st.stall(now);
+                st.waiting_on_src = true;
+                self.sched::<SHARDED>(wake, EventKind::Wake(p));
+                return;
+            }
+        } else {
+            let (lvl, cap) = self.pair_level(p, dst);
+            let b = lvl * self.model.p as usize;
+            if self.in_flight_from[b + idx] >= cap {
+                // Stall until one of our own messages arrives.
+                let st = &mut self.procs[idx];
+                st.stall(now);
+                st.waiting_on_src = true;
+                return;
+            }
+            if self.in_flight_to[b + dst as usize] >= cap
+                || self.outstanding_to[dst as usize] >= self.max_outstanding
+            {
+                let st = &mut self.procs[idx];
+                st.stall(now);
+                if !st.waiting_on_dst {
+                    st.waiting_on_dst = true;
+                    self.dst_waiters[dst as usize].push_back(p);
+                }
+                return;
+            }
+        }
+        // Committed: dequeue by value so the payload moves instead of
+        // cloning.
+        let (tag, data) = match self.procs[idx].cmds.pop_front() {
+            Some(Command::Send { tag, data, .. }) => (tag, data),
+            Some(Command::SendBulk(b)) => (b.tag, b.data),
+            // `advance` saw a send at the front.
+            _ => return,
+        };
+        let meta = if OBS {
+            self.pop_meta(idx)
+        } else {
+            (Cause::Start, now)
+        };
+        let st = &mut self.procs[idx];
+        st.waiting_on_src = false;
+        let send_gate = st.next_send_slot;
+        self.end_stall::<OBS>(p);
+        // Pay `o`. The next send waits out the gap — and, behind a bulk
+        // message, the stream, which starts when `o` ends: with `o > g`
+        // even a one-word bulk message holds the next send until
+        // `now + o` (visible only as the next `MsgRecord::send_gate`).
+        let (pl, o, g) = self.pair_log(p, dst);
+        let st = &mut self.procs[idx];
+        st.busy_until = now + o;
+        st.next_send_slot = match bulk {
+            Some(_) => (now + g).max(now + o + stream),
+            None => now + g,
+        };
+        let stats = &mut self.stats.procs[idx];
+        stats.send_overhead += o;
+        stats.msgs_sent += 1;
+        self.span(p, now, now + o, Activity::SendOverhead);
+        // Inject.
+        let words = bulk.unwrap_or(1);
+        let flight = stream + self.draw_latency::<SHARDED>(p, pl);
+        if FAULTS {
+            self.inject_faulty::<OBS, SHARDED>(
+                p, dst, tag, data, words, meta, send_gate, o, flight,
+            );
+        } else {
+            self.inject::<OBS, SHARDED>(
+                p, dst, tag, data, words, meta, send_gate, o, flight, false,
+            );
+        }
+        self.finish_send::<SHARDED>(p);
+    }
+
     /// Begin receiving the earliest-arrived inbox message — the head of
     /// the chain — at the current time. Caller guarantees the processor is
     /// free and the gap allows.
@@ -2223,20 +2234,13 @@ impl Sim {
         let slot = self.procs[idx].head;
         let entry = self.parked::<SHARDED>(slot);
         debug_assert!(entry.arrival <= now);
-        let (next, msg) = (entry.next, entry.msg.as_ref());
-        let src = msg.expect("a chained slot holds its message").src;
+        let (next, src) = (entry.next, entry.src);
         let (_, o, g) = self.pair_log(src, p);
         // A capacity-stalled send may have been woken and then preempted
         // by this reception; close its stall span so stall and reception
         // time stay disjoint in the accounting (the send re-opens it if
         // still blocked).
-        if let Some(since) = self.procs[idx].stall_since.take() {
-            self.stats.procs[idx].stall += now - since;
-            self.span(p, since, now, Activity::Stall);
-            if OBS {
-                self.record_stall(now - since);
-            }
-        }
+        self.end_stall::<OBS>(p);
         let st = &mut self.procs[idx];
         let recv_gate = st.next_recv_slot;
         st.next_recv_slot = now + g;
@@ -2613,8 +2617,7 @@ impl Sim {
                 }
             }
             EventKind::Arrive(slot) => {
-                let msg = self.parked::<SHARDED>(slot).msg.as_ref();
-                let dst = msg.expect("a slot in flight holds its message").dst;
+                let dst = self.parked::<SHARDED>(slot).dst;
                 if FAULTS && self.is_crashed(dst) {
                     // Dead interface: the message is lost, but its
                     // NI-buffer slot frees for blocked senders.
@@ -2718,11 +2721,19 @@ impl Sim {
 mod tests {
     use super::*;
 
-    /// Bytes a processor: what every processor costs before it does
-    /// anything, and what every message costs while it exists.
+    /// Bytes a processor and bytes a message: what every processor costs
+    /// before it does anything, and what a message occupies at each stop
+    /// between `ctx.send` and `on_message` — a queued command, a release
+    /// instant in its source's ring, a slab slot.
     #[test]
     fn per_processor_state_stays_small() {
-        assert!(std::mem::size_of::<ProcState>() <= 128);
-        assert!(std::mem::size_of::<Parked>() <= 64);
+        use std::mem::size_of;
+        assert!(size_of::<Data>() <= 24);
+        assert!(size_of::<Message>() <= 40);
+        assert!(size_of::<Command>() <= 32);
+        assert!(size_of::<Option<Command>>() <= 32);
+        assert!(size_of::<Parked>() <= 48);
+        assert!(size_of::<SrcRing>() <= 32);
+        assert!(size_of::<ProcState>() <= 120);
     }
 }

@@ -80,11 +80,10 @@
 //! bit-identical to each other in all configurations, including under
 //! observability and fault plans.
 
-use super::{Lane, Sim, SimError};
+use super::{Lane, Sim, SimError, SrcRing};
 use crate::obs::Cause;
 use crate::trace::Activity;
 use logp_core::{Cycles, ProcId};
-use std::collections::VecDeque;
 
 /// The window bookkeeping of one lane-engine run: which window is open,
 /// whether a completed barrier quorum awaits its release, and how far the
@@ -120,7 +119,7 @@ impl Sim {
             .collect();
         self.lane_of = (0..p).map(|i| (i / per) as u32).collect();
         self.pctr = vec![0; p];
-        self.rings = vec![VecDeque::new(); p];
+        self.rings = vec![SrcRing::default(); p];
         self.vitals.lane_events = vec![0; self.lanes.len()];
     }
 
@@ -374,8 +373,8 @@ impl Sim {
     /// evict an entry only while processing an event at or after it, so
     /// this maximum matches the classic engine's final `Release` exactly.
     fn last_ring_release(&self) -> Cycles {
-        let backs = self.rings.iter().filter_map(|ring| ring.back());
-        backs.copied().max().unwrap_or(0)
+        let backs = self.rings.iter().filter_map(SrcRing::back);
+        backs.max().unwrap_or(0)
     }
 
     /// The windowed lane driver. Mirrors [`Sim::drive`]'s prologue and

@@ -22,8 +22,12 @@ pub enum Data {
     Pair(u64, u64),
     /// An index plus a float (e.g. element id + partial sum).
     IdxF64(u64, f64),
-    /// An indexed complex value (e.g. one FFT element in a remap).
-    Cplx { idx: u64, re: f64, im: f64 },
+    /// An indexed complex value (e.g. one FFT element in a remap). The
+    /// index is 32 bits so that this, the only three-word variant, fits
+    /// the 24 bytes every other payload does: a queued send is 32 bytes
+    /// and a parked message 48 (pinned in `engine::tests`). A producer
+    /// converts with `u32::try_from`; [`Data::as_cplx`] widens it back.
+    Cplx { idx: u32, re: f64, im: f64 },
     /// A shared block of words. The *model* still treats the message as
     /// small; this exists so tests can ship structured payloads without
     /// serializing. Use message trains for anything the model should
@@ -105,10 +109,10 @@ impl Data {
         }
     }
 
-    /// Extract an indexed complex value.
+    /// Extract an indexed complex value (the index widened to a word).
     pub fn as_cplx(&self) -> (u64, f64, f64) {
         match self {
-            Data::Cplx { idx, re, im } => (*idx, *re, *im),
+            Data::Cplx { idx, re, im } => (u64::from(*idx), *re, *im),
             other => panic!("expected Data::Cplx, got {other:?}"),
         }
     }
@@ -145,6 +149,26 @@ mod tests {
         assert_eq!(Data::F64(1.5).as_f64(), 1.5);
         assert_eq!(Data::Pair(1, 2).as_pair(), (1, 2));
         assert_eq!(Data::IdxF64(4, 0.5).as_idx_f64(), (4, 0.5));
+    }
+
+    /// The widest index a remap element can carry survives the round trip
+    /// (and the clone every fault-layer duplicate takes).
+    #[test]
+    fn a_cplx_index_round_trips_at_u32_max() {
+        let sent = Data::Cplx {
+            idx: u32::MAX,
+            re: -0.5,
+            im: 2.25,
+        };
+        assert_eq!(sent.words(), 3);
+        let (idx, re, im) = sent.clone().as_cplx();
+        assert_eq!((idx, re, im), (u64::from(u32::MAX), -0.5, 2.25));
+        let back = Data::Cplx {
+            idx: u32::try_from(idx).expect("as_cplx widened a u32"),
+            re,
+            im,
+        };
+        assert_eq!(back, sent);
     }
 
     #[test]

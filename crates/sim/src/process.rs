@@ -18,16 +18,14 @@ use logp_core::{Cycles, ProcId};
 pub enum Command {
     /// Transmit a small message.
     Send { dst: ProcId, tag: u32, data: Data },
-    /// Transmit a LogGP long message of `words` words: the sender pays
-    /// `o` of overhead, its interface then streams `(words-1)·G`, and the
-    /// whole payload is delivered as one message `L` later. Requires
-    /// `SimConfig::loggp_big_g`.
-    SendBulk {
-        dst: ProcId,
-        tag: u32,
-        data: Data,
-        words: u64,
-    },
+    /// Transmit a LogGP long message of [`Bulk::words`] words: the sender
+    /// pays `o` of overhead, its interface then streams `(words-1)·G`,
+    /// and the whole payload is delivered as one message `L` later.
+    /// Requires `SimConfig::loggp_big_g`. The fields sit behind one
+    /// [`Box`] — an allocation a long message amortises by definition —
+    /// so that [`Command::Send`] is the largest variant and a queued
+    /// command is 32 bytes; [`Ctx::send_bulk`] builds it.
+    SendBulk(Box<Bulk>),
     /// Perform `cycles` of local computation, then receive
     /// `on_compute_done(tag)`.
     Compute { cycles: Cycles, tag: u64 },
@@ -45,12 +43,23 @@ pub enum Command {
     Halt,
 }
 
+/// What a [`Command::SendBulk`] transmits: a [`Command::Send`]'s fields
+/// and the word count the interface streams.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Bulk {
+    pub dst: ProcId,
+    pub tag: u32,
+    pub data: Data,
+    /// Words streamed, at least one.
+    pub words: u64,
+}
+
 impl Command {
     /// The command's name as programs spell it (for error messages).
     pub fn name(&self) -> &'static str {
         match self {
             Command::Send { .. } => "send",
-            Command::SendBulk { .. } => "send_bulk",
+            Command::SendBulk(_) => "send_bulk",
             Command::Compute { .. } => "compute",
             Command::Barrier => "barrier",
             Command::Timer { .. } => "timer",
@@ -112,12 +121,12 @@ impl<'a> Ctx<'a> {
     pub fn send_bulk(&mut self, dst: ProcId, tag: u32, data: Data, words: u64) {
         self.check_dst(dst);
         assert!(words >= 1, "a bulk message carries at least one word");
-        self.commands.push(Command::SendBulk {
+        self.commands.push(Command::SendBulk(Box::new(Bulk {
             dst,
             tag,
             data,
             words,
-        });
+        })));
     }
 
     /// Queue `cycles` of local computation; `on_compute_done(tag)` fires

@@ -465,6 +465,7 @@ impl<P: Process> Process for Reliable<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::Bulk;
     use crate::{FaultPlan, Sim, SimConfig};
     use logp_core::rng::CounterRng;
     use std::collections::{BTreeMap, BTreeSet};
@@ -617,7 +618,7 @@ mod tests {
     #[test]
     fn an_endpoint_stays_small_and_a_single_send_holds_one_slot() {
         assert!(std::mem::size_of::<Endpoint>() <= 176);
-        assert_eq!(std::mem::size_of::<Option<Pending>>(), 48);
+        assert_eq!(std::mem::size_of::<Option<Pending>>(), 40);
         let mut ep = Endpoint::new(RetryConfig::for_model(&LogP::new(6, 2, 4, 2).unwrap()));
         let mut cmds = ctx_cmds();
         ep.send(&mut Ctx::new(0, 0, 2, &mut cmds), 1, 9, Data::U64(5));
@@ -991,12 +992,12 @@ mod tests {
             match rng.next_in(5) {
                 0 => out.push(Command::Compute { cycles: 3, tag: 1 }),
                 1 => out.push(Command::Timer { cycles: 4, tag: 7 }),
-                2 => out.push(Command::SendBulk {
+                2 => out.push(Command::SendBulk(Box::new(Bulk {
                     dst: 2,
                     tag: 9,
                     data: Data::Empty,
                     words: 3,
-                }),
+                }))),
                 _ => {}
             }
             let (dst, tag) = (1 + rng.next_in(7) as ProcId, rng.next_in(3) as u32);

@@ -1,0 +1,81 @@
+//! The counting allocator of the allocation-budget tests: heap calls and
+//! bytes by thread, counts that cannot flake the way a resident-set size
+//! or a timing does. A test crate includes this file with
+//! `#[path = "common/counting.rs"] mod counting;` and installs it itself:
+//!
+//! ```ignore
+//! #[global_allocator]
+//! static GLOBAL: counting::Counting = counting::Counting;
+//! ```
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Calls, bytes, and calls of exactly each size handed to [`mark`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Allocs {
+    pub calls: u64,
+    pub bytes: u64,
+    pub of: [u64; 3],
+}
+
+thread_local! {
+    /// Allocated by this thread (tests run on parallel threads). A
+    /// `realloc` is one call of its new size.
+    static ALLOCS: Cell<Allocs> = const { Cell::new(Allocs { calls: 0, bytes: 0, of: [0; 3] }) };
+    /// The block sizes this thread counts in [`Allocs::of`]; nothing is
+    /// ever allocated with size 0.
+    static MARKED: Cell<[usize; 3]> = const { Cell::new([0; 3]) };
+}
+
+/// Count, from now on, this thread's allocations of exactly these sizes.
+#[allow(dead_code)]
+pub fn mark(sizes: [usize; 3]) {
+    MARKED.with(|m| m.set(sizes));
+}
+
+fn count(bytes: usize) {
+    let marked = MARKED.with(Cell::get);
+    ALLOCS.with(|c| {
+        let a = c.get();
+        c.set(Allocs {
+            calls: a.calls + 1,
+            bytes: a.bytes + bytes as u64,
+            of: std::array::from_fn(|i| a.of[i] + u64::from(bytes == marked[i])),
+        });
+    });
+}
+
+pub struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// thread-local `Cell`s with no destructor, touched without allocating.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract for `alloc` is `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// `f`'s result, and what `f` allocated on this thread.
+pub fn allocs<T>(f: impl FnOnce() -> T) -> (T, Allocs) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    let after = ALLOCS.with(Cell::get);
+    let spent = Allocs {
+        calls: after.calls - before.calls,
+        bytes: after.bytes - before.bytes,
+        of: std::array::from_fn(|i| after.of[i] - before.of[i]),
+    };
+    (out, spent)
+}

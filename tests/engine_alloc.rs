@@ -3,120 +3,74 @@
 //! flake the way a resident-set size does.
 //!
 //! Allocated per processor by one collective call, `Sim::new` to the
-//! returned run, at P = 2^14 on `LogP(L=60, o=4, g=8)`:
+//! returned run, at P = 2^14 on `LogP(L=60, o=4, g=8)`; "parent" is the
+//! engine whose queued command was 48 bytes and parked message 64, with a
+//! `VecDeque` a sender for its release ring and one a processor for its
+//! first command:
 //!
 //! | call, engine                         | parent: calls, bytes | now: calls, bytes | bound: calls, bytes |
 //! |--------------------------------------|----------------------|-------------------|---------------------|
-//! | optimal broadcast, classic           | 2.35, 1,086          | 1.35, 712         | 1.6, 800            |
-//! | optimal broadcast, 8 lanes           | 2.62, 1,096          | 1.62, 721         | 1.9, 810            |
-//! | reduce-broadcast all-reduce, classic | 4.10, 1,400          | 3.16, 896         | 3.4, 1,020          |
-//! | reduce-broadcast all-reduce, 8 lanes | 5.20, 1,443          | 4.26, 939         | 4.5, 1,060          |
-//!
-//! Allocations of exactly 256 bytes: 16,383 / 16,391 (broadcast /
-//! all-reduce; one a receiving processor) → 0 / 7; bound P / 100.
+//! | optimal broadcast, classic           | 1.35, 712            | 1.33, 663         | 1.4, 700            |
+//! | optimal broadcast, 8 lanes           | 1.62, 721            | 1.44, 668         | 1.52, 705           |
+//! | reduce-broadcast all-reduce, classic | 3.16, 896            | 2.16, 797         | 2.27, 840           |
+//! | reduce-broadcast all-reduce, 8 lanes | 4.26, 939            | 2.28, 810         | 2.4, 850            |
 //!
 //! (The all-reduce call builds its two child-list trees itself, inside
-//! the count.) What went: the 256-byte `BinaryHeap` buffer every receiving
-//! processor allocated for its first message — an inbox is now a chain
-//! through the message slab — the 192-byte first command buffer where one
-//! send is all a rank ever queues, and the second copy of the
-//! per-processor statistics made while every queue was still alive.
+//! the count.) What went: the 48-byte first command buffer of every rank
+//! that queues one send at a time — the first command sits in the
+//! processor now, a buffer comes with the second — and the 32-byte buffer
+//! of every sender's release ring on the lanes, which holds three
+//! instants in place.
 //!
 //! The same collectives made reliable (`Reliable<TreeProc>` on every
 //! rank) over the `hier_faulted` workload's network — 2 % dropped, 1 %
-//! duplicated, 2 % delayed — with its retry policy; "parent" is the
-//! endpoint that kept two B-trees a processor:
+//! duplicated, 2 % delayed — with its retry policy:
 //!
 //! | call, engine                  | parent: calls, bytes | now: calls, bytes | bound: calls, bytes |
 //! |-------------------------------|----------------------|-------------------|---------------------|
-//! | reliable broadcast, classic   | 7.04, 2,294          | 5.82, 1,882       | 6.2, 2,000          |
-//! | reliable broadcast, 8 lanes   | 8.21, 2,331          | 6.99, 1,920       | 7.4, 2,040          |
-//! | reliable all-reduce, classic  | 12.42, 3,683         | 9.99, 2,710       | 10.6, 2,880         |
-//! | reliable all-reduce, 8 lanes  | 13.65, 3,473         | 11.21, 2,500      | 11.9, 2,660         |
+//! | reliable broadcast, classic   | 5.82, 1,882          | 4.99, 1,751       | 5.25, 1,840         |
+//! | reliable broadcast, 8 lanes   | 6.99, 1,920          | 5.19, 1,733       | 5.45, 1,820         |
+//! | reliable all-reduce, classic  | 9.99, 2,710          | 9.74, 2,528       | 10.25, 2,655        |
+//! | reliable all-reduce, 8 lanes  | 11.21, 2,500         | 9.98, 2,280       | 10.5, 2,395         |
 //!
-//! Allocations of exactly 104 bytes (a `BTreeSet<u64>` leaf, one per peer
-//! heard from): 16,391 / 32,774 (broadcast / all-reduce) → 4; of exactly
-//! 320 bytes (the leaf of the per-source map): 16,383 / 16,392 → 0; bound
-//! P / 100 each. What went: those two, and the 632-byte leaf of the
-//! unacked-sends map that every rank kept after its only send was acked.
-//! An endpoint now holds a ring of 48-byte slots (one, for a rank that
-//! sends once) and one flat table of `(src, seq)` (84 bytes up to three
-//! peers). On the lanes the reliable broadcast doubles by 2.09 from 2^13
-//! to 2^14, where the message slab takes one more doubling step (64 bytes
-//! a processor, as it did at the parent).
+//! An endpoint holds a ring of 40-byte slots (one, for a rank that sends
+//! once) and one flat table of `(src, seq)` (84 bytes up to three peers).
+//! On the lanes the reliable broadcast doubles by 2.08 from 2^13 to 2^14,
+//! where the message slab takes one more doubling step.
+//!
+//! Marked sizes — blocks only a per-processor container used to allocate,
+//! once a processor: 104 bytes (a `BTreeSet<u64>` leaf) reads 4; 256 (the
+//! inbox heap's first buffer) and 320 (the leaf of the per-source map)
+//! are now also what a rank with exactly 8 or 10 children allocates for
+//! its commands, 8 × 32 and 10 × 32: 134–141 and 90–133 blocks at
+//! P = 2^14, 0.9 % of the ranks at most, which the bound of P / 100
+//! leaves room for. A container back in every processor would read P.
+//!
+//! A queued send, by itself: the last test.
 
 use logp::algos::allreduce::{run_allreduce_reduce_bcast, run_reliable_allreduce};
 use logp::algos::broadcast::{run_reliable_broadcast, run_tree_broadcast};
 use logp::core::broadcast::optimal_broadcast_tree;
 use logp::core::LogP;
-use logp::sim::{FaultPlan, RetryConfig, SimConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use logp::sim::process::StartFn;
+use logp::sim::{Data, FaultPlan, RetryConfig, Sim, SimConfig, SimError};
 
-/// Block sizes that only a per-processor container allocates: a
+#[path = "common/counting.rs"]
+mod counting;
+use counting::Allocs;
+
+#[global_allocator]
+static GLOBAL: counting::Counting = counting::Counting;
+
+/// Block sizes that only a per-processor container allocated: a
 /// `BTreeSet<u64>` leaf, the inbox `BinaryHeap`'s first buffer, a
 /// `BTreeMap<ProcId, BTreeSet<u64>>` leaf.
 const MARKED: [usize; 3] = [104, 256, 320];
 
-/// Calls, bytes, and calls of exactly each [`MARKED`] size.
-#[derive(Clone, Copy, Debug)]
-struct Allocs {
-    calls: u64,
-    bytes: u64,
-    of: [u64; 3],
-}
-
-thread_local! {
-    /// Allocated by this thread (tests run on parallel threads). A
-    /// `realloc` is one call of its new size.
-    static ALLOCS: Cell<Allocs> = const { Cell::new(Allocs { calls: 0, bytes: 0, of: [0; 3] }) };
-}
-
-fn count(bytes: usize) {
-    ALLOCS.with(|c| {
-        let a = c.get();
-        c.set(Allocs {
-            calls: a.calls + 1,
-            bytes: a.bytes + bytes as u64,
-            of: std::array::from_fn(|i| a.of[i] + u64::from(bytes == MARKED[i])),
-        });
-    });
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// thread-local `Cell` with no destructor, touched without allocating.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's contract for `alloc` is `System`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// What `f` allocates on this thread.
+/// What `f` allocates on this thread, [`MARKED`] sizes counted apart.
 fn allocs(f: impl FnOnce()) -> Allocs {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    let after = ALLOCS.with(Cell::get);
-    Allocs {
-        calls: after.calls - before.calls,
-        bytes: after.bytes - before.bytes,
-        of: std::array::from_fn(|i| after.of[i] - before.of[i]),
-    }
+    counting::mark(MARKED);
+    counting::allocs(f).1
 }
 
 fn machine(p: u32) -> LogP {
@@ -193,14 +147,14 @@ fn a_processor_costs_a_bounded_number_of_bytes_and_calls() {
     // The header table's rows, with its bound column.
     let [bcast, allred, rel_bcast, rel_allred] = CALLS;
     let rows = [
-        (bcast, &classic, 1.6, 800.0),
-        (bcast, &lanes, 1.9, 810.0),
-        (allred, &classic, 3.4, 1_020.0),
-        (allred, &lanes, 4.5, 1_060.0),
-        (rel_bcast, &classic, 6.2, 2_000.0),
-        (rel_bcast, &lanes, 7.4, 2_040.0),
-        (rel_allred, &classic, 10.6, 2_880.0),
-        (rel_allred, &lanes, 11.9, 2_660.0),
+        (bcast, &classic, 1.4, 700.0),
+        (bcast, &lanes, 1.52, 705.0),
+        (allred, &classic, 2.27, 840.0),
+        (allred, &lanes, 2.4, 850.0),
+        (rel_bcast, &classic, 5.25, 1_840.0),
+        (rel_bcast, &lanes, 5.45, 1_820.0),
+        (rel_allred, &classic, 10.25, 2_655.0),
+        (rel_allred, &lanes, 10.5, 2_395.0),
     ];
     for ((call, run), (engine, config), max_calls, max_bytes) in rows {
         let a = run(&m, config.clone());
@@ -212,7 +166,7 @@ fn a_processor_costs_a_bounded_number_of_bytes_and_calls() {
         assert!(calls <= max_calls, "{call}, {engine}: {calls} calls");
         assert!(bytes <= max_bytes, "{call}, {engine}: {bytes} bytes");
         // No inbox buffer and no tree node: nothing of a marked size once
-        // per processor.
+        // per processor (the header says what still has one).
         for (of, size) in a.of.into_iter().zip(MARKED) {
             assert!(
                 of * 100 <= u64::from(m.p),
@@ -239,4 +193,38 @@ fn the_2p_th_processor_costs_what_the_p_th_did() {
             );
         }
     }
+}
+
+/// What a message costs while it waits in its sender's queue: a remap
+/// whose `on_start` queues a send to every other processor (the paper's
+/// §4.1 all-to-all, `p2p_dense`'s shape) allocates the 32 bytes a queued
+/// command is, and next to nothing else, per send: 34.37 measured, the
+/// other 2.37 being the whole machine (`Sim::new`, the classic engine's
+/// arrays, each processor's first injection) spread over 255 sends a
+/// processor. The run is cut at its first event, so the traffic that
+/// follows is not in the count.
+#[test]
+fn a_queued_send_costs_its_32_bytes() {
+    const P: u32 = 256;
+    let sends = u64::from(P) * u64::from(P - 1);
+    let a = allocs(|| {
+        let cut = SimConfig {
+            max_events: 0,
+            ..SimConfig::default()
+        };
+        let mut sim = Sim::new(machine(P), cut);
+        sim.set_all(|_| {
+            Box::new(StartFn(|ctx| {
+                for k in 1..ctx.procs() {
+                    let dst = (ctx.me() + k) % ctx.procs();
+                    ctx.send(dst, 0, Data::U64(u64::from(k)));
+                }
+            }))
+        });
+        let end = sim.run().expect_err("no event fits the budget");
+        assert_eq!(end, SimError::MaxEventsExceeded { limit: 0 });
+    });
+    let per_send = a.bytes as f64 / sends as f64;
+    println!("all-to-all on_start, P = {P}: {per_send:.2} bytes a send issued");
+    assert!(per_send <= 35.0, "{per_send} bytes a send issued");
 }

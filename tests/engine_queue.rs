@@ -24,6 +24,11 @@
 //! * **The queue against a model.** 10,400 seeded push/pop streams through
 //!   `Calendar`, driven both the classic way and the lane-engine way,
 //!   popped side by side with a `BinaryHeap`.
+//! * **The two in-place containers against the `VecDeque`s they replaced**
+//!   (`engine::inline`): a source's release ring over 2,000 seeded scripts
+//!   of jittered pushes and expiries, a command queue over 2,000 scripts of
+//!   handler batches, pops and crashes — and a processor that issues one
+//!   command at a time never allocates.
 //! * **Zero-duration and overflow corners**, as explicit cases.
 
 use logp::algos::broadcast::run_reliable_broadcast;
@@ -32,7 +37,9 @@ use logp::core::hier::{Hierarchy, Level};
 use logp::core::rng::{mix, CounterRng};
 use logp::core::{LogP, ProcId};
 use logp::sim::engine::calendar::Calendar;
+use logp::sim::engine::inline::{CmdQueue, SrcRing};
 use logp::sim::engine::TIME_LIMIT;
+use logp::sim::process::{Bulk, Command};
 use logp::sim::{
     Ctx, Data, FaultPlan, Message, Process, RetryConfig, SharedCell, Sim, SimConfig, SimError,
     SimResult,
@@ -40,6 +47,12 @@ use logp::sim::{
 use logp::wl::{
     gen_workload, load_workload, run_workload, run_workload_hier, FuzzConfig, WlRunError,
 };
+
+#[path = "common/counting.rs"]
+mod counting;
+
+#[global_allocator]
+static GLOBAL: counting::Counting = counting::Counting;
 
 const IDENTITY_FILE: &str = "tests/data/engine_identity.txt";
 const LANE_FILE: &str = "tests/data/lane_identity.txt";
@@ -452,6 +465,192 @@ fn calendar_pops_in_heap_order() {
         }
         assert!(spilled > 5_000, "span {span}: only {spilled} far pushes");
     }
+}
+
+// ---------------------------------------------------------------------------
+// The in-place ring and command queue, against the `VecDeque`s they replaced.
+// ---------------------------------------------------------------------------
+
+/// One sender's window under a seeded script, beside the sorted
+/// `VecDeque<Cycles>` the lanes kept before (the model is that code):
+/// pushes whose release instants jitter out of order or coincide, a clock
+/// that often lands exactly on a release, a window of 1–12 messages.
+/// Returns how often the ring moved `(in place → spilled, back)`.
+fn run_ring_script(s: u64) -> (u32, u32) {
+    use std::collections::VecDeque;
+    let mut rng = CounterRng::new(mix(&[0x5143_5249, s]));
+    let capacity = 1 + rng.next_in(11) as usize;
+    let (flight, jitter) = (1 + rng.next_in(40), rng.next_in(12));
+    let mut ring = SrcRing::default();
+    let mut model: VecDeque<u64> = VecDeque::new();
+    let (mut now, mut out, mut back) = (0u64, 0, 0);
+    // Where the entries should be: out of place from the fourth on, back
+    // in place once the window has drained.
+    let mut spilled = false;
+    for _ in 0..200 {
+        // Land on the model's next release half the time — expiry at
+        // `t == now` frees the slot for a send attempted at `t` — and now
+        // and then on its last, which drains the window.
+        now = match (rng.next_in(15), model.front(), model.back()) {
+            (0, _, Some(&t)) | (1..=7, Some(&t), _) => now.max(t),
+            (8..=11, ..) => now + rng.next_in(3),
+            _ => now,
+        };
+        let was_spilled = spilled;
+        // Admission, as `ring_admit` did it.
+        while model.front().is_some_and(|&t| t <= now) {
+            model.pop_front();
+        }
+        ring.expire(now);
+        spilled &= !model.is_empty();
+        let admit = model.len() < capacity;
+        assert_eq!(ring.len() < capacity, admit, "script {s} at {now}");
+        // An admitted send goes in, as `ring_push` did it; now and then
+        // one goes in regardless (a fault-layer duplicate does).
+        if admit || rng.next_in(7) == 0 {
+            let release = now + flight + rng.next_in(jitter);
+            if model.back().is_some_and(|&b| b > release) {
+                let pos = model.partition_point(|&t| t <= release);
+                model.insert(pos, release);
+            } else {
+                model.push_back(release);
+            }
+            ring.push(release);
+            spilled |= model.len() > 3;
+        }
+        assert_eq!(ring.len(), model.len(), "script {s} at {now}");
+        assert_eq!(ring.is_empty(), model.is_empty());
+        assert_eq!(ring.front(), model.front().copied());
+        assert_eq!(ring.back(), model.back().copied());
+        assert_eq!(matches!(ring, SrcRing::Spilled(_)), spilled);
+        out += u32::from(!was_spilled && spilled);
+        back += u32::from(was_spilled && !spilled);
+    }
+    (out, back)
+}
+
+#[test]
+fn source_ring_matches_the_sorted_deque_it_replaced() {
+    let (mut out, mut back) = (0, 0);
+    for s in 0..2_000 {
+        let (o, b) = run_ring_script(s);
+        (out, back) = (out + o, back + b);
+    }
+    assert!(
+        out > 10_000 && back > 10_000,
+        "{out} spills, {back} returns"
+    );
+}
+
+/// Any command a handler can issue.
+fn any_command(rng: &mut CounterRng) -> Command {
+    let (dst, tag) = (rng.next_in(7) as ProcId, rng.next_in(3) as u32);
+    let data = match rng.next_in(3) {
+        0 => Data::Empty,
+        1 => Data::U64(rng.next_u64()),
+        2 => Data::Pair(rng.next_u64(), 3),
+        _ => Data::Seq {
+            seq: rng.next_in(99),
+            inner: Box::new(Data::F64(0.5)),
+        },
+    };
+    match rng.next_in(6) {
+        0 => Command::Compute {
+            cycles: rng.next_in(50),
+            tag: rng.next_u64(),
+        },
+        1 => Command::Timer {
+            cycles: rng.next_in(50),
+            tag: rng.next_u64(),
+        },
+        2 => Command::Barrier,
+        3 => Command::Halt,
+        4 => Command::SendBulk(Box::new(Bulk {
+            dst,
+            tag,
+            data,
+            words: 1 + rng.next_in(9),
+        })),
+        _ => Command::Send { dst, tag, data },
+    }
+}
+
+/// One processor's queue under a seeded script, beside a
+/// `VecDeque<Command>`: handlers issuing 0–5 commands, the engine popping
+/// between them, a crash abandoning everything, the program re-issuing.
+fn run_queue_script(s: u64) {
+    let mut rng = CounterRng::new(mix(&[0x434D_4451, s]));
+    let mut queue = CmdQueue::default();
+    let mut model = std::collections::VecDeque::new();
+    let mut issued = Vec::new();
+    for _ in 0..120 {
+        match rng.next_in(9) {
+            0..=3 => {
+                issued.extend((0..rng.next_in(5)).map(|_| any_command(&mut rng)));
+                model.extend(issued.iter().cloned());
+                queue.append(&mut issued);
+                assert!(issued.is_empty());
+            }
+            4..=7 => {
+                for _ in 0..=rng.next_in(3) {
+                    assert_eq!(queue.front(), model.front());
+                    assert_eq!(queue.pop_front(), model.pop_front());
+                }
+            }
+            _ => {
+                queue.clear();
+                model.clear();
+            }
+        }
+        assert_eq!(queue.len(), model.len(), "script {s}");
+        assert_eq!(queue.is_empty(), model.is_empty());
+        assert_eq!(queue.front(), model.front());
+    }
+    while let Some(want) = model.pop_front() {
+        assert_eq!(queue.pop_front(), Some(want), "script {s}");
+    }
+    assert_eq!(queue.pop_front(), None);
+}
+
+#[test]
+fn command_queue_is_the_fifo_it_replaced() {
+    (0..2_000).for_each(run_queue_script);
+}
+
+/// The queue-depth-1 floor: a ping-pong, a leaf of a tree. One command
+/// queued, executed, and the next queued never touches the heap — through
+/// a crash as well.
+#[test]
+fn one_command_at_a_time_never_allocates() {
+    let mut queue = CmdQueue::default();
+    let mut issued = Vec::with_capacity(4);
+    let ((), spent) = counting::allocs(|| {
+        for i in 0..1_000u64 {
+            issued.push(match i % 3 {
+                0 => Command::Send {
+                    dst: 1,
+                    tag: 0,
+                    data: Data::U64(i),
+                },
+                1 => Command::Compute { cycles: i, tag: i },
+                _ => Command::Barrier,
+            });
+            queue.append(&mut issued);
+            assert_eq!(queue.len(), 1);
+            if i % 7 == 0 {
+                queue.clear();
+            } else {
+                assert!(queue.pop_front().is_some());
+            }
+            assert!(queue.is_empty());
+        }
+    });
+    assert_eq!(spent.calls, 0, "{spent:?}");
+    // A second command behind the first is what takes a buffer: one, of
+    // exactly the two.
+    issued.extend([Command::Barrier, Command::Halt]);
+    let ((), spent) = counting::allocs(|| queue.append(&mut issued));
+    assert_eq!((spent.calls, spent.bytes), (1, 64), "{spent:?}");
 }
 
 // ---------------------------------------------------------------------------

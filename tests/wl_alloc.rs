@@ -21,51 +21,14 @@ use logp::core::rng::CounterRng;
 use logp::core::LogP;
 use logp::sim::SimConfig;
 use logp::wl::{load_workload, run_workload, Op};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Write as _;
 
-thread_local! {
-    /// `(calls, bytes)` allocated by this thread (tests run on parallel
-    /// threads). A `realloc` is one call of its new size.
-    static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-}
-
-fn count(bytes: usize) {
-    ALLOCS.with(|c| c.set((c.get().0 + 1, c.get().1 + bytes as u64)));
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// thread-local `Cell` with no destructor, touched without allocating.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's contract for `alloc` is `System`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "common/counting.rs"]
+mod counting;
+use counting::allocs;
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// `(calls, bytes)` that `f` allocates on this thread.
-fn allocs<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    let after = ALLOCS.with(Cell::get);
-    (out, (after.0 - before.0, after.1 - before.1))
-}
+static GLOBAL: counting::Counting = counting::Counting;
 
 const PROCS: u32 = 64;
 
@@ -153,11 +116,11 @@ fn front_end_allocations_per_node_stay_bounded() {
     let per_node = |calls: u64| calls as f64 / f64::from(N);
     println!(
         "load_workload {:.4} allocs/node, {} bytes/node",
-        per_node(load.0),
-        load.1 / u64::from(N)
+        per_node(load.calls),
+        load.bytes / u64::from(N)
     );
-    assert!(per_node(load.0) <= 0.1, "load_workload: {load:?}");
-    assert_eq!(sealed, (0, 0), "validate on a loaded workload");
+    assert!(per_node(load.calls) <= 0.1, "load_workload: {load:?}");
+    assert_eq!(sealed.calls, 0, "validate on a loaded workload");
 
     // The interpreter starts from the loader's plan: its first run
     // allocates what its second does, to the byte.
@@ -178,13 +141,13 @@ fn front_end_allocations_per_node_stay_bounded() {
     let (ok, relower) = allocs(|| wl.validate());
     ok.expect("still valid");
     println!("validate after an append: {relower:?}");
-    assert!(relower.0 > 0, "the append was not checked");
-    assert!(per_node(relower.0) <= 0.05, "validate: {relower:?}");
+    assert!(relower.calls > 0, "the append was not checked");
+    assert!(per_node(relower.calls) <= 0.05, "validate: {relower:?}");
     wl.node("tail2", 0, Op::Compute { cycles: 1 }, &[N]);
     let (grown, unsealed) = run(&wl);
     assert_eq!(grown[..N as usize], times[..]);
     assert!(
-        unsealed.1 >= second.1 + 4 * deps,
+        unsealed.bytes >= second.bytes + 4 * deps,
         "an unsealed run ({unsealed:?}) allocates an array per edge kind on top of {second:?}"
     );
 }
@@ -198,8 +161,8 @@ fn loader_allocations_grow_linearly() {
     assert_eq!(a.expect("loads").nodes.len() as u32, N);
     assert_eq!(b.expect("loads").nodes.len() as u32, 8 * N);
     assert!(
-        big_allocs.0 as f64 <= 8.5 * small_allocs.0 as f64
-            && big_allocs.1 as f64 <= 8.5 * small_allocs.1 as f64,
-        "load_workload(8N) made {big_allocs:?} (calls, bytes), load_workload(N) {small_allocs:?}"
+        big_allocs.calls as f64 <= 8.5 * small_allocs.calls as f64
+            && big_allocs.bytes as f64 <= 8.5 * small_allocs.bytes as f64,
+        "load_workload(8N) made {big_allocs:?}, load_workload(N) {small_allocs:?}"
     );
 }
