@@ -26,7 +26,6 @@
 //! | [`cc`] | §4.2.3 | connected components, hot-spot contention + combining |
 //! | [`multithread`] | §3.2 | latency masking bounded by the capacity window |
 //! | [`bulk`] | §5.4 | long messages as trains + reorder-tolerant reassembly |
-//! | [`measure`] | §7 | black-box extraction of L, o, g from a machine |
 //! | [`stencil`] | §6.4 | 1D Jacobi halo exchange; surface-to-volume economics |
 //! | [`stencil2d`] | §6.4 | 5-point Jacobi on a √P×√P grid; 4b surface vs b² volume |
 //! | [`matmul`] | §6.6 | SUMMA on a √P×√P grid; 1D-vs-2D layout costs |
@@ -43,7 +42,6 @@ pub mod hier;
 pub mod kbroadcast;
 pub mod lu;
 pub mod matmul;
-pub mod measure;
 pub mod multithread;
 pub mod radix;
 pub mod reduce;

@@ -3,12 +3,12 @@
 //! large number of machines"; this experiment runs the classic
 //! micro-benchmarks (ping-pong, spaced sends, flooding) against simulated
 //! machines treated as black boxes and recovers their (L, o, g), reported
-//! in the shared estimate vocabulary (`logp_core::estimate`). The full
-//! series-based pipeline with uncertainty bands lives in the `calibrate`
-//! experiment.
+//! in the shared estimate vocabulary (`logp_core::estimate`) by the one
+//! calibrator, `logp-calib`; the `calibrate` experiment reports its
+//! uncertainty bands and regime flags.
 
-use logp_algos::measure::extract_params_sweep;
 use logp_bench::{threads_from_args, Table};
+use logp_calib::{calibrate_sim_sweep, CalibConfig};
 use logp_core::{LogP, MachinePreset};
 use logp_sim::SimConfig;
 
@@ -31,16 +31,20 @@ fn main() {
     // One extraction per machine, fanned across the worker pool — the
     // "large number of machines" evaluation §7 calls for.
     let models: Vec<LogP> = machines.iter().map(|(_, m)| *m).collect();
-    let extracted = extract_params_sweep(&models, 400, &SimConfig::default(), threads_from_args());
-    for ((name, m), p) in machines.into_iter().zip(extracted) {
-        let est = p.estimates(m.p);
+    let extracted = calibrate_sim_sweep(
+        &models,
+        &SimConfig::default(),
+        &CalibConfig::default(),
+        threads_from_args(),
+    );
+    for ((name, m), cal) in machines.into_iter().zip(extracted) {
         t.row(&[
             name,
             format!("({}, {}, {})", m.l, m.o, m.send_interval()),
-            est.l.to_string(),
-            est.o.to_string(),
-            est.g.to_string(),
-            format!("{:.2}", p.worst_relative_error(&m) * 100.0),
+            cal.logp.l.to_string(),
+            cal.logp.o.to_string(),
+            cal.interval.to_string(),
+            format!("{:.2}", cal.worst_relative_error(&m) * 100.0),
         ]);
     }
     t.print();

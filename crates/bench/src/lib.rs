@@ -298,32 +298,19 @@ impl ObsArgs {
         Self::path(&self.vitals_prefix, label, ".vitals.json")
     }
 
-    /// Write the requested artifacts for one labeled run. In streaming
-    /// mode the trace file was already written by the run's sink, so
-    /// only metrics (aggregate summary) and vitals are assembled here.
+    /// Write the requested artifacts for one labeled run, as the result
+    /// has them: a run that kept the online aggregate streamed — its sink
+    /// already wrote the trace file, the registry was never populated,
+    /// and the aggregate is its metrics artifact; any other run retained
+    /// what the trace and metrics artifacts are rendered from.
     pub fn write(&self, label: &str, res: &SimResult) {
-        let trace = if self.stream {
-            None
-        } else {
-            self.trace_path(label)
+        let (trace, metrics) = (self.trace_path(label), self.metrics_path(label));
+        let written = match &res.aggregate {
+            Some(agg) => metrics.map_or(Ok(()), |path| std::fs::write(path, agg.to_json())),
+            None => write_artifacts(res, trace.as_deref(), metrics.as_deref()),
         };
-        let metrics = self.metrics_path(label);
-        match (&res.aggregate, metrics) {
-            // A streamed run's metrics artifact is the online aggregate
-            // (the registry was never populated).
-            (Some(agg), Some(path)) if self.stream => {
-                if let Err(e) = std::fs::write(&path, agg.to_json()) {
-                    eprintln!("warning: failed to write aggregate for {label}: {e}");
-                }
-                if let Err(e) = write_artifacts(res, trace.as_deref(), None) {
-                    eprintln!("warning: failed to write artifacts for {label}: {e}");
-                }
-            }
-            (_, metrics) => {
-                if let Err(e) = write_artifacts(res, trace.as_deref(), metrics.as_deref()) {
-                    eprintln!("warning: failed to write artifacts for {label}: {e}");
-                }
-            }
+        if let Err(e) = written {
+            eprintln!("warning: failed to write artifacts for {label}: {e}");
         }
         if let Some(path) = self.vitals_path(label) {
             if let Err(e) = std::fs::write(&path, res.vitals.to_json()) {

@@ -85,6 +85,19 @@ pub struct Calibration {
 }
 
 impl Calibration {
+    /// Worst relative error of what was measured — (RTT, o, interval, L)
+    /// — against a machine whose parameters are known.
+    pub fn worst_relative_error(&self, m: &LogP) -> f64 {
+        [
+            self.rtt.relative_error(2.0 * m.point_to_point() as f64),
+            self.logp.o.relative_error(m.o as f64),
+            self.interval.relative_error(m.send_interval() as f64),
+            self.logp.l.relative_error(m.l as f64),
+        ]
+        .into_iter()
+        .fold(0.0, f64::max)
+    }
+
     /// The rounded integer-cycle machine the estimates describe.
     pub fn model(&self) -> LogP {
         self.logp

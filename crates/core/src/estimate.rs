@@ -7,8 +7,8 @@
 //! calls for "refining the process of parameter determination"). Every
 //! estimation path in this workspace — the datasheet arithmetic in
 //! `logp-net::timing`, the bisection calibration of
-//! `logp-net::bisection`, the micro-benchmarks in `logp-algos::measure`,
-//! and the full black-box calibrator in `logp-calib` — reports its
+//! `logp-net::bisection` and the black-box calibrator in `logp-calib` —
+//! reports its
 //! results as [`ParamEstimate`]s, so downstream code consumes one
 //! vocabulary regardless of where a number came from.
 

@@ -184,15 +184,6 @@ impl CritPath {
     }
 }
 
-/// Nodes of the causal DAG the walk can stand on.
-#[derive(Clone, Copy)]
-enum Node {
-    Msg(usize),
-    Comp(usize),
-    Bar(usize),
-    Timer(usize),
-}
-
 /// Classify the wait window `[from, to)` on `proc`: busy spans keep their
 /// activity class; idle cycles before `gate` are `g`, after it `wait`.
 pub(crate) fn attribute_window(
@@ -256,51 +247,51 @@ pub(crate) fn attribute_window(
 
 /// Walk the causal DAG backward from the run's last event and classify
 /// every cycle on the chain. Returns `None` when the lifecycle log is
-/// empty (observability was off, or nothing happened).
+/// empty (observability was off, or nothing happened) — and, the log
+/// being possibly a sampled or replayed one, when the chain cannot be
+/// followed to a root: it cites a record the log does not hold or a
+/// processor the machine does not have, runs longer than the log (a
+/// record that cites itself, a cycle), or its segments do not tile
+/// `[0, total)`.
 pub fn critical_path(res: &SimResult) -> Option<CritPath> {
     let log = &res.obs;
     // Terminal node: the latest-completing delivery / compute / barrier,
     // with a deterministic (kind, id) tie-break.
-    let mut terminal: Option<(Cycles, u8, u64, Node)> = None;
-    let mut consider = |cand: (Cycles, u8, u64, Node)| {
-        let better = match &terminal {
-            None => true,
-            Some((t, k, i, _)) => (cand.0, cand.1, cand.2) > (*t, *k, *i),
-        };
-        if better {
-            terminal = Some(cand);
-        }
-    };
-    for m in log.delivered() {
-        consider((m.deliver, 0, m.id, Node::Msg(m.id as usize)));
-    }
-    for c in &log.computes {
-        consider((c.end, 1, c.id, Node::Comp(c.id as usize)));
-    }
-    for b in &log.barriers {
-        consider((b.release, 2, b.id, Node::Bar(b.id as usize)));
-    }
-    let (total, _, _, mut node) = terminal?;
+    let msgs = log
+        .delivered()
+        .map(|m| (m.deliver, 0, m.id, Cause::Msg(m.id)));
+    let computes = log
+        .computes
+        .iter()
+        .map(|c| (c.end, 1, c.id, Cause::Compute(c.id)));
+    let barriers = log
+        .barriers
+        .iter()
+        .map(|b| (b.release, 2, b.id, Cause::Barrier(b.id)));
+    let ends = msgs.chain(computes).chain(barriers);
+    let (total, _, _, mut node) = ends.max_by_key(|&(t, kind, id, _)| (t, kind, id))?;
 
     // Per-processor spans in start order, for wait-window attribution.
     let nprocs = res.stats.procs.len();
     let mut spans: Vec<Vec<Span>> = vec![Vec::new(); nprocs];
     for s in &res.trace.spans {
-        spans[s.proc as usize].push(*s);
+        spans.get_mut(s.proc as usize)?.push(*s);
     }
     for v in &mut spans {
         v.sort_by_key(|s| s.start);
     }
 
-    // Walk backward, collecting each node's (time-ordered) steps.
+    // Walk backward, collecting each node's (time-ordered) steps; a
+    // chain through distinct records is no longer than the log.
     let mut rev_nodes: Vec<Vec<PathStep>> = Vec::new();
-    loop {
+    for _ in 0..log.records() {
         let mut seg = Vec::new();
         let cause = match node {
-            Node::Msg(i) => {
-                let m = &log.msgs[i];
+            Cause::Start => break,
+            Cause::Msg(id) => {
+                let m = log.msg(id)?;
                 attribute_window(
-                    &spans[m.src as usize],
+                    spans.get(m.src as usize)?,
                     m.src,
                     m.submit,
                     m.inject,
@@ -324,7 +315,7 @@ pub fn critical_path(res: &SimResult) -> Option<CritPath> {
                     });
                 }
                 attribute_window(
-                    &spans[m.dst as usize],
+                    spans.get(m.dst as usize)?,
                     m.dst,
                     m.arrive,
                     m.recv_start,
@@ -341,10 +332,10 @@ pub fn critical_path(res: &SimResult) -> Option<CritPath> {
                 }
                 m.cause
             }
-            Node::Comp(i) => {
-                let c = &log.computes[i];
+            Cause::Compute(id) => {
+                let c = log.compute(id)?;
                 attribute_window(
-                    &spans[c.proc as usize],
+                    spans.get(c.proc as usize)?,
                     c.proc,
                     c.submit,
                     c.start,
@@ -361,10 +352,10 @@ pub fn critical_path(res: &SimResult) -> Option<CritPath> {
                 }
                 c.cause
             }
-            Node::Bar(i) => {
-                let b = &log.barriers[i];
+            Cause::Barrier(id) => {
+                let b = log.barrier(id)?;
                 attribute_window(
-                    &spans[b.last_proc as usize],
+                    spans.get(b.last_proc as usize)?,
                     b.last_proc,
                     b.submit,
                     b.enter,
@@ -381,10 +372,10 @@ pub fn critical_path(res: &SimResult) -> Option<CritPath> {
                 }
                 b.cause
             }
-            Node::Timer(i) => {
-                let t = &log.timers[i];
+            Cause::Retry(id) => {
+                let t = log.timer(id)?;
                 attribute_window(
-                    &spans[t.proc as usize],
+                    spans.get(t.proc as usize)?,
                     t.proc,
                     t.submit,
                     t.fire,
@@ -403,19 +394,18 @@ pub fn critical_path(res: &SimResult) -> Option<CritPath> {
             }
         };
         rev_nodes.push(seg);
-        node = match cause {
-            Cause::Start => break,
-            Cause::Msg(id) => Node::Msg(id as usize),
-            Cause::Compute(id) => Node::Comp(id as usize),
-            Cause::Barrier(id) => Node::Bar(id as usize),
-            Cause::Retry(id) => Node::Timer(id as usize),
-        };
+        node = cause;
+    }
+    if node != Cause::Start {
+        return None;
     }
 
     // Time order, merging contiguous same-class segments on one proc.
     let mut steps: Vec<PathStep> = Vec::new();
     let mut components = Components::default();
+    let mut covered: Cycles = 0;
     for step in rev_nodes.into_iter().rev().flatten() {
+        covered = covered.checked_add(step.cycles()).filter(|&c| c <= total)?;
         components.add(step.kind, step.cycles());
         match steps.last_mut() {
             Some(last)
@@ -426,11 +416,11 @@ pub fn critical_path(res: &SimResult) -> Option<CritPath> {
             _ => steps.push(step),
         }
     }
-    debug_assert_eq!(
-        components.sum(),
-        total,
-        "path segments must tile [0, total)"
-    );
+    // The engine's own logs always tile (pinned in
+    // `tests/observability.rs`); a damaged one that does not has no path.
+    if covered != total {
+        return None;
+    }
     Some(CritPath {
         total,
         components,

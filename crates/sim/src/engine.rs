@@ -24,10 +24,14 @@
 //! (class, sequence number) — see [`calendar`] for the queue's contract.
 
 use crate::config::SimConfig;
+use crate::critpath::{Components, OnlineAgg};
 use crate::faults::FaultState;
 use crate::message::{Data, Message};
 use crate::metrics::{CounterId, GaugeId, HistId, MetricsRegistry, PPK_SCALE};
-use crate::obs::{BarrierRecord, Cause, ComputeRecord, MsgRecord, ObsLog, TimerRecord, UNSET};
+use crate::obs::{
+    BarrierRecord, Cause, ComputeRecord, MsgRecord, NullSink, ObsLog, ObsSampling, ObsSink,
+    RetainSink, Sampler, TimerRecord, UNSET,
+};
 use crate::process::{Command, Ctx, Process};
 use crate::trace::{Activity, ProcStats, SimStats, Span, Trace};
 use logp_core::hier::Hierarchy;
@@ -380,74 +384,18 @@ struct GaugeSet {
     per_dst: Vec<GaugeId>,
 }
 
-/// Records in progress, addressed by the slot [`Slab::insert`] returned.
-/// Freed slots are reused, so the vector is as long as the most records
-/// ever in progress at once.
-struct Slab<T> {
-    slots: Vec<Option<T>>,
-    free: Vec<u32>,
-}
-
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-}
-
-impl<T> Slab<T> {
-    fn insert(&mut self, v: T) -> u64 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(v);
-                slot as u64
-            }
-            None => {
-                self.slots.push(Some(v));
-                self.slots.len() as u64 - 1
-            }
-        }
-    }
-
-    fn get_mut(&mut self, slot: u64) -> Option<&mut T> {
-        self.slots.get_mut(slot as usize)?.as_mut()
-    }
-
-    fn take(&mut self, slot: u64) -> Option<T> {
-        let v = self.slots.get_mut(slot as usize)?.take()?;
-        self.free.push(slot as u32);
-        Some(v)
-    }
-
-    /// Empty the slab, yielding what was still in progress.
-    fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
-        self.free.clear();
-        self.slots.drain(..).flatten()
-    }
-}
-
-/// Take the payload noted under `key` out of one processor's `timer_obs`
-/// side queue: the front entry, bar rare reorderings.
-fn take_noted(queue: &mut VecDeque<(u64, u64)>, key: u64) -> Option<u64> {
-    let at = queue.iter().position(|e| e.0 == key)?;
-    queue.remove(at).map(|e| e.1)
-}
-
-/// Streaming-observability state: present when a sink or the online
-/// aggregate is configured. Lifecycle records divert here the moment
-/// they complete — `ObsLog` stays empty and memory stays bounded by the
-/// *in-flight* population (messages in the network, armed timers), not
-/// the total traffic.
-struct StreamState {
-    sink: Box<dyn crate::obs::ObsSink>,
-    sampler: crate::obs::Sampler,
-    agg: Option<crate::critpath::OnlineAgg>,
-    /// Dense next-id counters, one per [`RecKind`] — identical to the ids
-    /// the retained log would assign, so the streamed records equal the
-    /// retained ones verbatim. The classic engine numbers every kind this
-    /// way; the lanes only barriers (releases are globally ordered).
+/// The record pipeline of a lifecycle-logged run: every message, compute,
+/// timer and barrier record is numbered here, held while in progress, and
+/// handed to the one sink when complete — as is every activity span. What
+/// the sink does with them (retain them for `SimResult`, write a file,
+/// nothing) is its business; the engine has one body per hook.
+struct Records {
+    sink: Box<dyn ObsSink>,
+    sampler: Sampler,
+    agg: Option<OnlineAgg>,
+    /// Dense next-id counters, one per [`RecKind`]. The classic engine
+    /// numbers every kind this way; the lanes only barriers (releases are
+    /// globally ordered).
     next_dense: [u64; 4],
     /// Per-processor sequence counters, non-empty on a lane-engine run:
     /// record ids are then structured `((proc + 1) << 40) | per_proc_seq`
@@ -455,17 +403,33 @@ struct StreamState {
     /// execution order — never on the lane count.
     /// `ObsLog::canonicalize` renumbers either form identically.
     sctr: Vec<u64>,
-    /// Messages injected but not yet delivered: the record so far plus
-    /// its critical-path cumulative at injection, found through the
-    /// message's own slot (`msg_slab_obs`).
-    inflight: Slab<(MsgRecord, crate::critpath::Components)>,
-    /// Armed timers that have not fired yet (slots held in `timer_obs`).
-    timers_live: Slab<(TimerRecord, crate::critpath::Components)>,
+    /// Messages injected but not yet delivered, at their message slab
+    /// slot: the record so far plus its critical-path cumulative at
+    /// injection. A message keeps its slot from injection to delivery, so
+    /// arrival, reception and delivery all find the record by indexing.
+    inflight: Vec<Option<(MsgRecord, Components)>>,
+    /// Records of messages that died with their destination's interface:
+    /// their slots recycle, so they wait here for the end of the run.
+    undelivered: Vec<MsgRecord>,
+    /// Per processor, its armed timers that have not fired, under the
+    /// `TimerFire` event's sequence number. Equal timeouts fire in arming
+    /// order, so a fire's entry is in front; otherwise it is among the
+    /// few timers this one processor has armed.
+    timer_obs: Vec<VecDeque<(u64, TimerRecord, Components)>>,
+    /// Per-processor per-command metadata `(cause, submit)`, in lockstep
+    /// with that processor's `cmds`. Lives here (not in `ProcState`) so
+    /// the disabled engine keeps its lean layout.
+    cmd_meta: Vec<VecDeque<(Cause, Cycles)>>,
+    /// Per-processor [`ComputeRecord`] id of the compute in flight.
+    cur_compute: Vec<u64>,
+    /// `(proc, submit, enter, cause)` of the last barrier entrant, for
+    /// the [`BarrierRecord`] written at release.
+    barrier_last: (ProcId, Cycles, Cycles, Cause),
     /// Records offered to the sink (post-sampling).
     emitted: u64,
 }
 
-/// The lifecycle record kinds a stream numbers.
+/// The lifecycle record kinds the pipeline numbers.
 #[derive(Clone, Copy)]
 enum RecKind {
     Msg,
@@ -474,20 +438,28 @@ enum RecKind {
     Barrier,
 }
 
-impl StreamState {
+impl Records {
+    /// The pipeline of a `p`-processor run into `sink`, numbering records
+    /// the lane engine's way if it runs `on_lanes`.
     fn new(
-        sink: Box<dyn crate::obs::ObsSink>,
-        sampler: crate::obs::Sampler,
-        agg: Option<crate::critpath::OnlineAgg>,
+        sink: Box<dyn ObsSink>,
+        sampler: Sampler,
+        agg: Option<OnlineAgg>,
+        p: usize,
+        on_lanes: bool,
     ) -> Self {
-        StreamState {
+        Records {
             sink,
             sampler,
             agg,
             next_dense: [0; 4],
-            sctr: Vec::new(),
-            inflight: Slab::default(),
-            timers_live: Slab::default(),
+            sctr: vec![0; if on_lanes { p } else { 0 }],
+            inflight: Vec::new(),
+            undelivered: Vec::new(),
+            timer_obs: vec![VecDeque::new(); p],
+            cmd_meta: vec![VecDeque::new(); p],
+            cur_compute: vec![0; p],
+            barrier_last: (0, 0, 0, Cause::Start),
             emitted: 0,
         }
     }
@@ -503,15 +475,76 @@ impl StreamState {
         *c += 1;
         owner | (*c - 1)
     }
+
+    /// One activity span: the online aggregate sees every non-empty one;
+    /// the sink sees the sampled ones.
+    #[cold]
+    #[inline(never)]
+    fn span(&mut self, sp: &Span) {
+        if sp.start >= sp.end {
+            return;
+        }
+        if let Some(agg) = self.agg.as_mut() {
+            agg.on_span(sp);
+        }
+        if self.sampler.spans_enabled() && self.sampler.pass_proc(sp.proc) {
+            self.sink.on_span(sp);
+        }
+    }
+
+    /// Offer a complete message record to the sink.
+    fn emit_msg(&mut self, rec: MsgRecord) {
+        if let Some(out) = self.sampler.offer_msg(rec) {
+            self.emitted += 1;
+            self.sink.on_msg(&out);
+        }
+    }
+
+    /// Offer a complete timer record to the sink.
+    fn emit_timer(&mut self, rec: &TimerRecord) {
+        if self.sampler.pass_proc(rec.proc) {
+            self.emitted += 1;
+            self.sink.on_timer(rec);
+        }
+    }
+
+    /// Close out the run into `res`: emit the records it left incomplete
+    /// (undelivered messages after crashes or drops, timers cancelled by
+    /// halt) sorted by id, release deferred sampling selections, finish
+    /// the aggregate, flush the sink and take what it retained.
+    fn finish(mut self, res: &mut SimResult) -> Result<(), String> {
+        let mut msgs = std::mem::take(&mut self.undelivered);
+        let left = std::mem::take(&mut self.inflight);
+        msgs.extend(left.into_iter().flatten().map(|(m, _)| m));
+        msgs.sort_unstable_by_key(|m| m.id);
+        for m in msgs {
+            self.emit_msg(m);
+        }
+        let armed = std::mem::take(&mut self.timer_obs);
+        let mut timers: Vec<TimerRecord> = armed.into_iter().flatten().map(|t| t.1).collect();
+        timers.sort_unstable_by_key(|t| t.id);
+        for t in &timers {
+            self.emit_timer(t);
+        }
+        for m in self.sampler.drain() {
+            self.emitted += 1;
+            self.sink.on_msg(&m);
+        }
+        if let Some(agg) = self.agg.take() {
+            let (agg, probes) = agg.finish(self.emitted);
+            res.aggregate = Some(agg);
+            res.vitals.agg_window_probes_max = probes;
+        }
+        self.sink.finish()?;
+        (res.obs, res.trace) = self.sink.retained();
+        Ok(())
+    }
 }
 
 /// Engine-side observability state; boxed behind an `Option` so the
 /// disabled path costs one null check per hook.
 struct ObsState {
-    log: ObsLog,
     metrics: MetricsRegistry,
-    /// Lifecycle log (and causal metadata) enabled.
-    msg_log: bool,
     /// Counters/histograms enabled.
     metrics_on: bool,
     /// Gauge sampling period (`0` = off).
@@ -525,35 +558,17 @@ struct ObsState {
     h_latency: HistId,
     h_stall: HistId,
     gauges: Option<GaugeSet>,
-    /// Per-processor per-command metadata `(cause, submit)`, in lockstep
-    /// with that processor's `cmds` (lifecycle log only). Lives here (not
-    /// in `ProcState`) so the disabled engine keeps its lean layout.
-    cmd_meta: Vec<VecDeque<(Cause, Cycles)>>,
-    /// Per-processor [`ComputeRecord`] id of the compute in flight.
-    cur_compute: Vec<u64>,
-    /// Observability payload per message slab slot — the `inflight` slot
-    /// when streaming, the record id when retaining, the injection time
-    /// when only metrics are on — so [`Parked`] itself stays lean. A
-    /// message keeps its slot from injection to delivery, so arrival,
-    /// reception and delivery all find the payload by indexing here.
-    msg_slab_obs: Vec<u64>,
-    /// Per processor, `(TimerFire event sequence, payload)` of its armed
-    /// timers (lifecycle log only): the `timers_live` slot when
-    /// streaming, the record id when retaining. Equal timeouts fire in
-    /// arming order, so a fire's entry is in front too; otherwise it is
-    /// among the few timers this one processor has armed.
-    timer_obs: Vec<VecDeque<(u64, u64)>>,
-    /// `(proc, submit, enter, cause)` of the last barrier entrant, for
-    /// the [`BarrierRecord`] written at release.
-    barrier_last: (ProcId, Cycles, Cycles, Cause),
-    /// Streaming mode (sink and/or online aggregate); `None` retains
-    /// records in `log` as always.
-    stream: Option<Box<StreamState>>,
+    /// Injection time per message slab slot, for the latency histogram
+    /// of a run that keeps metrics without a lifecycle log (a logged
+    /// run's record rides in [`Records::inflight`] at the same index).
+    msg_slab_obs: Vec<Cycles>,
+    /// The record pipeline; present iff the lifecycle log is on.
+    records: Option<Box<Records>>,
 }
 
 impl ObsState {
     /// Observability state for a machine of `p` processors.
-    fn new(p: usize, config: &SimConfig, stream: Option<Box<StreamState>>) -> Self {
+    fn new(p: usize, config: &SimConfig, records: Option<Box<Records>>) -> Self {
         let mut metrics = MetricsRegistry::default();
         let c_injected = metrics.counter("messages_injected");
         let c_delivered = metrics.counter("messages_delivered");
@@ -572,9 +587,7 @@ impl ObsState {
                 .collect(),
         });
         ObsState {
-            log: ObsLog::default(),
             metrics,
-            msg_log: config.record_msg_log,
             metrics_on: config.record_metrics,
             grid: config.metrics_grid,
             next_sample: 0,
@@ -586,12 +599,8 @@ impl ObsState {
             h_latency,
             h_stall,
             gauges,
-            cmd_meta: vec![VecDeque::new(); p],
-            cur_compute: vec![0; p],
             msg_slab_obs: Vec::new(),
-            timer_obs: vec![VecDeque::new(); p],
-            barrier_last: (0, 0, 0, Cause::Start),
-            stream,
+            records,
         }
     }
 }
@@ -607,6 +616,18 @@ struct HierState {
     /// Per-level source/destination windows `⌈L_k/g_k⌉`
     /// (`u64::MAX` when capacity is unenforced).
     caps: Vec<u64>,
+}
+
+/// Whether a run of `model` under `config` goes to the windowed lane
+/// engine (`crate::shard`): `shards >= 2` asks for it; `0` and `1` run the
+/// classic single-queue engine. Gauge sampling (`metrics_grid > 0`) needs
+/// globally time-ordered event processing, which windowed lanes
+/// deliberately give up, so those runs stay on the classic engine.
+/// Canonical keys budget 20 bits for `proc + 1`, which covers the
+/// million-processor target with room to spare; anything larger falls
+/// back to the classic engine rather than overflowing.
+fn runs_on_lanes(model: &LogP, config: &SimConfig) -> bool {
+    config.shards >= 2 && config.metrics_grid == 0 && model.p >= 2 && (model.p as u64) < (1 << 20)
 }
 
 /// A configured LogP machine with programs loaded on its processors.
@@ -711,8 +732,7 @@ impl Sim {
     /// [`crate::process::Passive`].
     pub fn new(model: LogP, config: SimConfig) -> Self {
         let mut config = config;
-        // A streaming sink or the online aggregate needs the lifecycle
-        // hooks live (records divert to the stream instead of the log).
+        // A sink or the online aggregate needs the lifecycle hooks live.
         if config.sink.is_some() || config.aggregate {
             config.record_msg_log = true;
         }
@@ -740,15 +760,19 @@ impl Sim {
             .clone()
             .map(|plan| Box::new(FaultState::new(plan, p)));
         let obs = (config.record_msg_log || config.record_metrics).then(|| {
-            let stream = (config.sink.is_some() || config.aggregate).then(|| {
-                let spec = config.sink.clone().unwrap_or(crate::obs::SinkSpec::Null);
-                let agg = config
-                    .aggregate
-                    .then(|| crate::critpath::OnlineAgg::new(p, config.agg_grid));
-                let sampler = crate::obs::Sampler::new(config.sampling.clone());
-                Box::new(StreamState::new(spec.build(), sampler, agg))
+            let records = config.record_msg_log.then(|| {
+                let on_lanes = runs_on_lanes(&model, &config);
+                let (sink, policy): (Box<dyn ObsSink>, _) = match &config.sink {
+                    Some(spec) => (spec.build(), config.sampling.clone()),
+                    None if config.aggregate => (Box::new(NullSink), config.sampling.clone()),
+                    // A retained log keeps every record, whatever
+                    // `sampling` says.
+                    None => (Box::new(RetainSink::new(on_lanes)), ObsSampling::All),
+                };
+                let agg = config.aggregate.then(|| OnlineAgg::new(p, config.agg_grid));
+                Box::new(Records::new(sink, Sampler::new(policy), agg, p, on_lanes))
             });
-            Box::new(ObsState::new(p, &config, stream))
+            Box::new(ObsState::new(p, &config, records))
         });
         // Everything an engine builds for itself when the run starts —
         // the classic queue, windows and slab, the lanes' calendars,
@@ -1235,6 +1259,14 @@ impl Sim {
             .max(self.in_flight_to[b + dst]);
     }
 
+    /// The record pipeline, on a lifecycle-logged run.
+    #[inline]
+    fn records(&mut self) -> Option<&mut Records> {
+        self.obs.as_deref_mut()?.records.as_deref_mut()
+    }
+
+    /// Record one activity span: in the pipeline of a lifecycle-logged
+    /// run, else straight into the trace.
     fn span(&mut self, proc: ProcId, start: Cycles, end: Cycles, activity: Activity) {
         if self.config.record_trace {
             let sp = Span {
@@ -1243,29 +1275,10 @@ impl Sim {
                 end,
                 activity,
             };
-            if let Some(obs) = self.obs.as_deref_mut() {
-                if let Some(st) = obs.stream.as_deref_mut() {
-                    Self::stream_span(st, &sp);
-                    return;
-                }
+            match self.records() {
+                Some(st) => st.span(&sp),
+                None => self.trace.push(sp),
             }
-            self.trace.push(sp);
-        }
-    }
-
-    /// Route one activity span into the streaming layer: the online
-    /// aggregate sees every span; the sink sees sampled non-empty ones.
-    #[cold]
-    #[inline(never)]
-    fn stream_span(st: &mut StreamState, sp: &Span) {
-        if sp.start >= sp.end {
-            return;
-        }
-        if let Some(agg) = st.agg.as_mut() {
-            agg.on_span(sp);
-        }
-        if st.sampler.spans_enabled() && st.sampler.pass_proc(sp.proc) {
-            st.sink.on_span(sp);
         }
     }
 
@@ -1273,20 +1286,15 @@ impl Sim {
     /// `cmds` (a no-op unless the lifecycle log is on).
     #[inline]
     fn pop_meta(&mut self, idx: usize) -> (Cause, Cycles) {
-        match self.obs.as_deref_mut() {
-            Some(o) if o.msg_log => {
-                let meta = o.cmd_meta[idx]
-                    .pop_front()
-                    .expect("cmd_meta tracks cmds in lockstep");
-                if let Some(st) = o.stream.as_deref_mut() {
-                    if let Some(agg) = st.agg.as_mut() {
-                        agg.on_pop(idx as ProcId);
-                    }
-                }
-                meta
-            }
-            _ => (Cause::Start, self.now),
+        let now = self.now;
+        let Some(st) = self.records() else {
+            return (Cause::Start, now);
+        };
+        if let Some(agg) = st.agg.as_mut() {
+            agg.on_pop(idx as ProcId);
         }
+        // `cmd_meta` tracks `cmds` in lockstep.
+        st.cmd_meta[idx].pop_front().unwrap_or((Cause::Start, now))
     }
 
     /// Tell the online aggregate a message reached `dst`'s inbox (out of
@@ -1295,11 +1303,8 @@ impl Sim {
     #[inline(never)]
     fn note_arrival(&mut self, dst: ProcId) {
         let now = self.now;
-        let obs = self.obs.as_deref_mut().expect("only called when observed");
-        if let Some(st) = obs.stream.as_deref_mut() {
-            if let Some(agg) = st.agg.as_mut() {
-                agg.on_arrival(dst, now);
-            }
+        if let Some(agg) = self.records().and_then(|st| st.agg.as_mut()) {
+            agg.on_arrival(dst, now);
         }
     }
 
@@ -1309,33 +1314,43 @@ impl Sim {
     #[inline(never)]
     fn note_reception(&mut self, slot: MsgSlot, recv_gate: Cycles) {
         let now = self.now;
-        if let Some(obs) = self.obs.as_deref_mut() {
-            let val = obs.msg_slab_obs[slot as usize];
-            if let Some(st) = obs.stream.as_deref_mut() {
-                if let Some((rec, cum)) = st.inflight.get_mut(val) {
-                    rec.recv_gate = recv_gate;
-                    rec.recv_start = now;
-                    if let Some(agg) = st.agg.as_mut() {
-                        agg.on_reception(rec, cum);
-                    }
-                }
-            } else if obs.msg_log {
-                let rec = &mut obs.log.msgs[val as usize];
-                rec.recv_gate = recv_gate;
-                rec.recv_start = now;
+        let Some(st) = self.records() else {
+            return;
+        };
+        if let Some(Some((rec, cum))) = st.inflight.get_mut(slot as usize) {
+            rec.recv_gate = recv_gate;
+            rec.recv_start = now;
+            if let Some(agg) = st.agg.as_mut() {
+                agg.on_reception(rec, cum);
             }
         }
     }
 
-    /// Record an injected message's lifecycle head and return the value
-    /// to ride along with it (record id, or injection time for
-    /// metrics-only runs).
+    /// Free `slot` without a delivery: the message dies with its
+    /// destination's interface, and its lifecycle record stays as it is.
+    fn lose_slot<const OBS: bool, const SHARDED: bool>(&mut self, slot: MsgSlot) {
+        self.free_slot::<SHARDED>(slot);
+        if !OBS {
+            return;
+        }
+        let Some(st) = self.records() else {
+            return;
+        };
+        if let Some((rec, _)) = st.inflight.get_mut(slot as usize).and_then(Option::take) {
+            st.undelivered.push(rec);
+        }
+    }
+
+    /// Record a message injected now: its lifecycle head goes to ride at
+    /// `slot` until delivery. A message the fault layer dropped in flight
+    /// has no slot: it gets a lifecycle record like any other, complete
+    /// at once, its arrival-side timestamps [`UNSET`] forever.
     #[cold]
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn record_send(
         &mut self,
-        slot: MsgSlot,
+        slot: Option<MsgSlot>,
         src: ProcId,
         dst: ProcId,
         tag: u32,
@@ -1350,103 +1365,51 @@ impl Sim {
         let Some(obs) = self.obs.as_deref_mut() else {
             return;
         };
-        let val = if obs.msg_log {
-            let mut rec = MsgRecord {
-                id: obs.log.msgs.len() as u64,
-                src,
-                dst,
-                tag,
-                words,
-                cause: meta.0,
-                submit: meta.1,
-                send_gate,
-                inject,
-                sent,
-                arrive,
-                recv_gate: UNSET,
-                recv_start: UNSET,
-                deliver: UNSET,
-            };
-            if let Some(st) = obs.stream.as_deref_mut() {
-                rec.id = st.next_id(RecKind::Msg, src);
-                let cum = match st.agg.as_mut() {
-                    Some(agg) => agg.on_send(&rec, dup),
-                    None => Default::default(),
-                };
-                st.inflight.insert((rec, cum))
-            } else {
-                obs.log.msgs.push(rec);
-                rec.id
-            }
-        } else {
-            inject
-        };
         if obs.metrics_on {
             let c = obs.c_injected;
             obs.metrics.inc(c, 1);
         }
-        let s = slot as usize;
-        if obs.msg_slab_obs.len() <= s {
-            obs.msg_slab_obs.resize(s + 1, 0);
-        }
-        obs.msg_slab_obs[s] = val;
-    }
-
-    /// Record a message the fault layer dropped in flight: it gets a
-    /// lifecycle record like any injected message, but its arrival-side
-    /// timestamps stay [`UNSET`] forever.
-    #[cold]
-    #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
-    fn record_lost(
-        &mut self,
-        src: ProcId,
-        dst: ProcId,
-        tag: u32,
-        words: u64,
-        meta: (Cause, Cycles),
-        send_gate: Cycles,
-        inject: Cycles,
-        sent: Cycles,
-        dup: bool,
-    ) {
-        let Some(obs) = self.obs.as_deref_mut() else {
+        let Some(st) = obs.records.as_deref_mut() else {
+            if let Some(slot) = slot {
+                let s = slot as usize;
+                if obs.msg_slab_obs.len() <= s {
+                    obs.msg_slab_obs.resize(s + 1, 0);
+                }
+                obs.msg_slab_obs[s] = inject;
+            }
             return;
         };
-        if obs.msg_log {
-            let mut rec = MsgRecord {
-                id: obs.log.msgs.len() as u64,
-                src,
-                dst,
-                tag,
-                words,
-                cause: meta.0,
-                submit: meta.1,
-                send_gate,
-                inject,
-                sent,
-                arrive: UNSET,
-                recv_gate: UNSET,
-                recv_start: UNSET,
-                deliver: UNSET,
-            };
-            if let Some(st) = obs.stream.as_deref_mut() {
-                rec.id = st.next_id(RecKind::Msg, src);
-                if let Some(agg) = st.agg.as_mut() {
-                    agg.on_lost(src, meta.1, dup);
-                }
-                if let Some(out) = st.sampler.offer_msg(rec) {
-                    st.emitted += 1;
-                    st.sink.on_msg(&out);
-                }
-            } else {
-                obs.log.msgs.push(rec);
+        let rec = MsgRecord {
+            id: st.next_id(RecKind::Msg, src),
+            src,
+            dst,
+            tag,
+            words,
+            cause: meta.0,
+            submit: meta.1,
+            send_gate,
+            inject,
+            sent,
+            arrive,
+            recv_gate: UNSET,
+            recv_start: UNSET,
+            deliver: UNSET,
+        };
+        let Some(slot) = slot else {
+            if let Some(agg) = st.agg.as_mut() {
+                agg.on_lost(src, meta.1, dup);
             }
+            return st.emit_msg(rec);
+        };
+        let cum = match st.agg.as_mut() {
+            Some(agg) => agg.on_send(&rec, dup),
+            None => Components::default(),
+        };
+        let s = slot as usize;
+        if st.inflight.len() <= s {
+            st.inflight.resize(s + 1, None);
         }
-        if obs.metrics_on {
-            let c = obs.c_injected;
-            obs.metrics.inc(c, 1);
-        }
+        st.inflight[s] = Some((rec, cum));
     }
 
     /// Record an armed timer's lifecycle, noted under the `TimerFire`
@@ -1455,11 +1418,11 @@ impl Sim {
     #[inline(never)]
     fn record_timer(&mut self, p: ProcId, tag: u64, meta: (Cause, Cycles), fire: Cycles, seq: u64) {
         let now = self.now;
-        let Some(obs) = self.obs.as_deref_mut().filter(|o| o.msg_log) else {
+        let Some(st) = self.records() else {
             return;
         };
-        let mut rec = TimerRecord {
-            id: obs.log.timers.len() as u64,
+        let rec = TimerRecord {
+            id: st.next_id(RecKind::Timer, p),
             proc: p,
             tag,
             cause: meta.0,
@@ -1467,40 +1430,27 @@ impl Sim {
             armed: now,
             fire,
         };
-        let val = if let Some(st) = obs.stream.as_deref_mut() {
-            rec.id = st.next_id(RecKind::Timer, p);
-            let base = st.agg.as_mut().map(|agg| agg.on_timer_armed());
-            st.timers_live.insert((rec, base.unwrap_or_default()))
-        } else {
-            obs.log.timers.push(rec);
-            rec.id
-        };
-        obs.timer_obs[p as usize].push_back((seq, val));
+        let base = st.agg.as_mut().map(|agg| agg.on_timer_armed());
+        st.timer_obs[p as usize].push_back((seq, rec, base.unwrap_or_default()));
     }
 
-    /// Resolve a firing timer's causal identity from its event sequence.
+    /// Complete a firing timer's record, found by its event sequence,
+    /// and return the [`Cause`] its handler cites.
     #[cold]
     #[inline(never)]
     fn timer_cause(&mut self, p: ProcId, seq: u64) -> Cause {
-        let Some(o) = self.obs.as_deref_mut().filter(|o| o.msg_log) else {
+        let Some(st) = self.records() else {
             return Cause::Start;
         };
-        let Some(val) = take_noted(&mut o.timer_obs[p as usize], seq) else {
-            return Cause::Start;
-        };
-        let Some(st) = o.stream.as_deref_mut() else {
-            return Cause::Retry(val);
-        };
-        let Some((rec, base)) = st.timers_live.take(val) else {
+        let armed = &mut st.timer_obs[p as usize];
+        let at = armed.iter().position(|e| e.0 == seq);
+        let Some((_, rec, base)) = at.and_then(|at| armed.remove(at)) else {
             return Cause::Start;
         };
         if let Some(agg) = st.agg.as_mut() {
             agg.on_timer_fire(&rec, base);
         }
-        if st.sampler.pass_proc(rec.proc) {
-            st.emitted += 1;
-            st.sink.on_timer(&rec);
-        }
+        st.emit_timer(&rec);
         Cause::Retry(rec.id)
     }
 
@@ -1533,7 +1483,7 @@ impl Sim {
 
     /// Record the delivery, completing now, of the message in `slot` and
     /// return the [`Cause`] its handler cites. Runs before that handler,
-    /// whose own sends may take the slot — and its payload entry — over.
+    /// whose own sends may take the slot — and what rides at it — over.
     #[cold]
     #[inline(never)]
     fn record_delivery(&mut self, slot: MsgSlot) -> Cause {
@@ -1541,29 +1491,23 @@ impl Sim {
         let Some(obs) = self.obs.as_deref_mut() else {
             return Cause::Start;
         };
-        let val = obs.msg_slab_obs[slot as usize];
-        let (since, cause) = if !obs.msg_log {
-            (val, Cause::Start)
-        } else if let Some(st) = obs.stream.as_deref_mut() {
-            match st.inflight.take(val) {
+        let s = slot as usize;
+        let (since, cause) = match obs.records.as_deref_mut() {
+            None => (
+                obs.msg_slab_obs.get(s).copied().unwrap_or(now),
+                Cause::Start,
+            ),
+            Some(st) => match st.inflight.get_mut(s).and_then(Option::take) {
                 Some((mut rec, cum)) => {
                     rec.deliver = now;
                     if let Some(agg) = st.agg.as_mut() {
                         agg.on_delivery(&rec, cum);
                     }
-                    let (submit, id) = (rec.submit, rec.id);
-                    if let Some(out) = st.sampler.offer_msg(rec) {
-                        st.emitted += 1;
-                        st.sink.on_msg(&out);
-                    }
-                    (submit, Cause::Msg(id))
+                    st.emit_msg(rec);
+                    (rec.submit, Cause::Msg(rec.id))
                 }
                 None => (now, Cause::Start),
-            }
-        } else {
-            let rec = &mut obs.log.msgs[val as usize];
-            rec.deliver = now;
-            (rec.submit, Cause::Msg(val))
+            },
         };
         if obs.metrics_on {
             let (c, h) = (obs.c_delivered, obs.h_latency);
@@ -1582,34 +1526,30 @@ impl Sim {
         let Some(obs) = self.obs.as_deref_mut() else {
             return;
         };
-        if obs.msg_log {
-            let mut rec = ComputeRecord {
-                id: obs.log.computes.len() as u64,
-                proc: p,
-                tag,
-                cause: meta.0,
-                submit: meta.1,
-                start: now,
-                end: now + dur,
-            };
-            if let Some(st) = obs.stream.as_deref_mut() {
-                rec.id = st.next_id(RecKind::Compute, p);
-                if let Some(agg) = st.agg.as_mut() {
-                    agg.on_compute(&rec);
-                }
-                if st.sampler.pass_proc(p) {
-                    st.emitted += 1;
-                    st.sink.on_compute(&rec);
-                }
-            } else {
-                obs.log.computes.push(rec);
-            }
-            obs.cur_compute[p as usize] = rec.id;
-        }
         if obs.metrics_on {
             let c = obs.c_computes;
             obs.metrics.inc(c, 1);
         }
+        let Some(st) = obs.records.as_deref_mut() else {
+            return;
+        };
+        let rec = ComputeRecord {
+            id: st.next_id(RecKind::Compute, p),
+            proc: p,
+            tag,
+            cause: meta.0,
+            submit: meta.1,
+            start: now,
+            end: now + dur,
+        };
+        if let Some(agg) = st.agg.as_mut() {
+            agg.on_compute(&rec);
+        }
+        if st.sampler.pass_proc(p) {
+            st.emitted += 1;
+            st.sink.on_compute(&rec);
+        }
+        st.cur_compute[p as usize] = rec.id;
     }
 
     /// Record the barrier releasing now and return the [`Cause`] the
@@ -1619,32 +1559,24 @@ impl Sim {
     #[inline(never)]
     fn record_barrier_release(&mut self) -> Cause {
         let now = self.now;
-        let Some(obs) = self.obs.as_deref_mut() else {
+        let Some(st) = self.records() else {
             return Cause::Start;
         };
-        if !obs.msg_log {
-            return Cause::Start;
-        }
-        let (last_proc, submit, enter, cause) = obs.barrier_last;
-        let mut rec = BarrierRecord {
-            id: obs.log.barriers.len() as u64,
+        let (last_proc, submit, enter, cause) = st.barrier_last;
+        let rec = BarrierRecord {
+            id: st.next_id(RecKind::Barrier, last_proc),
             last_proc,
             submit,
             enter,
             release: now,
             cause,
         };
-        if let Some(st) = obs.stream.as_deref_mut() {
-            rec.id = st.next_id(RecKind::Barrier, last_proc);
-            if let Some(agg) = st.agg.as_mut() {
-                agg.on_barrier_release(&rec);
-            }
-            if st.sampler.pass_proc(last_proc) {
-                st.emitted += 1;
-                st.sink.on_barrier(&rec);
-            }
-        } else {
-            obs.log.barriers.push(rec);
+        if let Some(agg) = st.agg.as_mut() {
+            agg.on_barrier_release(&rec);
+        }
+        if st.sampler.pass_proc(last_proc) {
+            st.emitted += 1;
+            st.sink.on_barrier(&rec);
         }
         Cause::Barrier(rec.id)
     }
@@ -1655,11 +1587,8 @@ impl Sim {
     #[cold]
     #[inline(never)]
     fn sample_gauges_to(&mut self, t: Cycles) {
-        loop {
-            let s = match self.obs.as_deref() {
-                Some(o) if o.gauges.is_some() && o.next_sample < t => o.next_sample,
-                _ => return,
-            };
+        let due = |o: &ObsState| (o.gauges.is_some() && o.next_sample < t).then_some(o.next_sample);
+        while let Some(s) = self.obs.as_deref().and_then(due) {
             // Each in-flight message occupies exactly one (level, dst)
             // entry, so the stride-flattened sum is still the total.
             let inflight_total: u64 = self.in_flight_to.iter().sum();
@@ -1673,18 +1602,20 @@ impl Sim {
                 .filter(|p| p.busy_until > s || p.stall_since != UNSET)
                 .count() as u64;
             let util_ppk = busy * PPK_SCALE / self.model.p as u64;
-            let obs = self.obs.as_deref_mut().expect("checked above");
-            let g = obs.gauges.as_ref().expect("checked above");
-            let (gi, gr, gb, gu) = (g.inflight_total, g.ready_cmds, g.inbox_depth, g.util_ppk);
-            obs.metrics.sample(gi, s, inflight_total);
-            obs.metrics.sample(gr, s, ready_cmds);
-            obs.metrics.sample(gb, s, inbox_depth);
-            obs.metrics.sample(gu, s, util_ppk);
+            let Some(obs) = self.obs.as_deref_mut() else {
+                return;
+            };
+            let Some(g) = obs.gauges.as_ref() else {
+                return;
+            };
+            obs.metrics.sample(g.inflight_total, s, inflight_total);
+            obs.metrics.sample(g.ready_cmds, s, ready_cmds);
+            obs.metrics.sample(g.inbox_depth, s, inbox_depth);
+            obs.metrics.sample(g.util_ppk, s, util_ppk);
             // Per-destination gauges sum a destination's windows across
             // levels (one entry per destination regardless of depth).
             let np = self.model.p as usize;
-            for d in 0..np {
-                let gd = obs.gauges.as_ref().expect("checked above").per_dst[d];
+            for (d, &gd) in g.per_dst.iter().enumerate() {
                 let v: u64 = self.in_flight_to[d..].iter().step_by(np).sum();
                 obs.metrics.sample(gd, s, v);
             }
@@ -1737,6 +1668,7 @@ impl Sim {
             next: NO_SLOT,
         });
         if OBS {
+            let slot = Some(slot);
             self.record_send(
                 slot, src, dst, tag, words, meta, send_gate, now, sent, arrive, dup,
             );
@@ -1780,7 +1712,10 @@ impl Sim {
             // slot, no Arrive, no NI-buffer occupancy.
             self.stats.msgs_dropped += 1;
             if OBS {
-                self.record_lost(src, dst, tag, words, meta, send_gate, now, now + o, false);
+                let sent = now + o;
+                self.record_send(
+                    None, src, dst, tag, words, meta, send_gate, now, sent, UNSET, false,
+                );
             }
             if SHARDED {
                 self.ring_push(src as usize, now + flight);
@@ -1833,8 +1768,8 @@ impl Sim {
         // Abandon queued commands (causal metadata stays in lockstep).
         self.procs[idx].cmds.clear();
         if OBS {
-            if let Some(obs) = self.obs.as_deref_mut() {
-                obs.cmd_meta[idx].clear();
+            if let Some(st) = self.records() {
+                st.cmd_meta[idx].clear();
             }
         }
         // Everything the dead interface holds is lost, and its NI slots
@@ -1845,12 +1780,12 @@ impl Sim {
         let mut slot = std::mem::replace(&mut st.head, NO_SLOT);
         let mut lost = 0;
         if receiving != NO_SLOT {
-            self.free_slot::<SHARDED>(receiving);
+            self.lose_slot::<OBS, SHARDED>(receiving);
             lost += 1;
         }
         while slot != NO_SLOT {
             let next = self.parked::<SHARDED>(slot).next;
-            self.free_slot::<SHARDED>(slot);
+            self.lose_slot::<OBS, SHARDED>(slot);
             slot = next;
             lost += 1;
         }
@@ -1915,18 +1850,13 @@ impl Sim {
     #[inline(never)]
     fn push_meta(&mut self, p: ProcId, cause: Cause, issued: usize) {
         let now = self.now;
-        if let Some(obs) = self.obs.as_deref_mut() {
-            if obs.msg_log {
-                let meta = &mut obs.cmd_meta[p as usize];
-                for _ in 0..issued {
-                    meta.push_back((cause, now));
-                }
-                if let Some(st) = obs.stream.as_deref_mut() {
-                    if let Some(agg) = st.agg.as_mut() {
-                        agg.on_push(p, cause, now, issued);
-                    }
-                }
-            }
+        let Some(st) = self.records() else {
+            return;
+        };
+        let meta = &mut st.cmd_meta[p as usize];
+        meta.extend(std::iter::repeat_n((cause, now), issued));
+        if let Some(agg) = st.agg.as_mut() {
+            agg.on_push(p, cause, now, issued);
         }
     }
 
@@ -2022,12 +1952,10 @@ impl Sim {
                     st.engaged = true;
                     self.barrier_count += 1;
                     if let Some(obs) = self.obs.as_deref_mut().filter(|_| OBS) {
-                        if obs.msg_log {
-                            obs.barrier_last = (p, meta.1, now, meta.0);
-                            if let Some(st) = obs.stream.as_deref_mut() {
-                                if let Some(agg) = st.agg.as_mut() {
-                                    agg.on_barrier_enter(p, meta.1);
-                                }
+                        if let Some(st) = obs.records.as_deref_mut() {
+                            st.barrier_last = (p, meta.1, now, meta.0);
+                            if let Some(agg) = st.agg.as_mut() {
+                                agg.on_barrier_enter(p, meta.1);
                             }
                         }
                         if obs.metrics_on {
@@ -2330,32 +2258,7 @@ impl Sim {
         // Pick the monomorphization once: `self.obs` and `self.faults`
         // are installed before the run and never change during it, so
         // their presence is invariant across the whole event loop.
-        //
-        // `shards >= 2` selects the windowed lane engine (`crate::shard`);
-        // `0` and `1` run the classic single-queue engine unchanged. Gauge
-        // sampling (`metrics_grid > 0`) needs globally time-ordered event
-        // processing, which windowed lanes deliberately give up, so those
-        // runs stay on the classic engine.
-        // Canonical keys budget 20 bits for `proc + 1`, which covers the
-        // million-processor target with room to spare; anything larger
-        // falls back to the classic engine rather than overflowing.
-        let sharded = self.config.shards >= 2
-            && self.config.metrics_grid == 0
-            && self.model.p >= 2
-            && (self.model.p as u64) < (1 << 20);
-        // Tell the streaming layer which record-id scheme to use before
-        // the first record is allocated: dense (classic — identical to
-        // retained-log ids) or structured per-processor (sharded —
-        // lane-count-invariant).
-        if let Some(st) = self
-            .obs
-            .as_deref_mut()
-            .and_then(|o| o.stream.as_deref_mut())
-        {
-            if sharded {
-                st.sctr = vec![0; self.model.p as usize];
-            }
-        }
+        let sharded = runs_on_lanes(&self.model, &self.config);
         // The sharded engine's capacity model admits every arrival
         // immediately (stalling a remote sender within a lookahead window
         // would need cross-lane backpressure), so a capacity-enforcing
@@ -2433,19 +2336,6 @@ impl Sim {
         if self.obs.is_some() {
             self.sample_gauges_to(self.now + 1);
         }
-        let mut aggregate = None;
-        let (obs_log, metrics) = match self.obs.take() {
-            Some(mut o) => {
-                if let Some(st) = o.stream.take() {
-                    if let Some((agg, probes)) = Self::finish_stream(*st).map_err(SimError::Sink)? {
-                        aggregate = Some(agg);
-                        self.vitals.agg_window_probes_max = probes;
-                    }
-                }
-                (o.log, o.metrics)
-            }
-            None => (ObsLog::default(), MetricsRegistry::default()),
-        };
         let mut vitals = self.vitals;
         vitals.wall_ns = wall_ns;
         vitals.events = self.stats.events;
@@ -2453,18 +2343,25 @@ impl Sim {
             vitals.engine = "sharded";
             vitals.lanes = vitals.lane_events.len() as u32;
         }
-        let reallocs = vitals.arena_reallocs;
-        Ok((
-            SimResult {
-                stats: self.stats,
-                trace: self.trace,
-                obs: obs_log,
-                metrics,
-                aggregate,
-                vitals,
-            },
-            reallocs,
-        ))
+        let mut res = SimResult {
+            stats: self.stats,
+            trace: self.trace,
+            vitals,
+            ..SimResult::default()
+        };
+        if let Some(obs) = self.obs.take() {
+            res.metrics = obs.metrics;
+            if let Some(records) = obs.records {
+                records.finish(&mut res).map_err(SimError::Sink)?;
+            }
+        }
+        if sharded {
+            // Lane passes append spans in pass order; by processor (a
+            // stable sort) is the order no lane count changes.
+            res.trace.spans.sort_by_key(|s| s.proc);
+        }
+        let reallocs = res.vitals.arena_reallocs;
+        Ok((res, reallocs))
     }
 
     /// A slot frees exactly once: at quiescence every slot still in use is
@@ -2483,39 +2380,6 @@ impl Sim {
             chained += left as usize;
         }
         assert_eq!(in_use, chained, "message slots leaked or freed twice");
-    }
-
-    /// Close out a streaming run: emit the records the run left
-    /// incomplete (undelivered messages after crashes or drops, timers
-    /// cancelled by halt) sorted by id, release deferred sampling
-    /// selections, finalize the aggregate (returned with its debug probe
-    /// count), and flush the sink.
-    fn finish_stream(
-        mut st: StreamState,
-    ) -> Result<Option<(crate::critpath::ObsAggregate, u64)>, String> {
-        let mut msgs: Vec<MsgRecord> = st.inflight.drain().map(|(m, _)| m).collect();
-        msgs.sort_unstable_by_key(|m| m.id);
-        for m in msgs {
-            if let Some(out) = st.sampler.offer_msg(m) {
-                st.emitted += 1;
-                st.sink.on_msg(&out);
-            }
-        }
-        let mut timers: Vec<TimerRecord> = st.timers_live.drain().map(|(t, _)| t).collect();
-        timers.sort_unstable_by_key(|t| t.id);
-        for t in timers {
-            if st.sampler.pass_proc(t.proc) {
-                st.emitted += 1;
-                st.sink.on_timer(&t);
-            }
-        }
-        for m in st.sampler.drain() {
-            st.emitted += 1;
-            st.sink.on_msg(&m);
-        }
-        let agg = st.agg.take().map(|a| a.finish(st.emitted));
-        st.sink.finish()?;
-        Ok(agg)
     }
 
     /// Plant one crash-stop of the fault plan: a cycle-0 crash applies
@@ -2622,7 +2486,7 @@ impl Sim {
                     // Dead interface: the message is lost, but its
                     // NI-buffer slot frees for blocked senders.
                     self.stats.msgs_dropped += 1;
-                    self.free_slot::<SHARDED>(slot);
+                    self.lose_slot::<OBS, SHARDED>(slot);
                     if !SHARDED {
                         self.outstanding_to[dst as usize] -= 1;
                         self.wake_dst_waiters::<OBS, FAULTS>(dst as usize);
@@ -2645,8 +2509,8 @@ impl Sim {
                     return;
                 }
                 self.procs[p as usize].engaged = false;
-                let cause = match self.obs.as_deref() {
-                    Some(o) if OBS && o.msg_log => Cause::Compute(o.cur_compute[p as usize]),
+                let cause = match self.records() {
+                    Some(st) if OBS => Cause::Compute(st.cur_compute[p as usize]),
                     _ => Cause::Start,
                 };
                 self.run_handler::<OBS, _>(p, cause, |prog, ctx| prog.on_compute_done(tag, ctx));

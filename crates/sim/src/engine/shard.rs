@@ -54,13 +54,14 @@
 //!   processor is in the barrier, later deltas can only remove matched
 //!   pairs), so the end-of-cycle completion predicate is replay-order
 //!   invariant and the release instant is exact.
-//! * **Canonical finalize.** Lifecycle records are appended in lane-pass
-//!   order, so at the end of the run they are stably re-sorted by
-//!   canonical keys — messages by `(inject, src)`, computes by
-//!   `(start, proc)`, timers by `(armed, proc)` — ids renumbered, and
-//!   causal references remapped. Activity spans re-sort by processor.
-//!   Metrics counters and histograms are commutative sums and need no
-//!   treatment.
+//! * **Canonical finalize.** Lifecycle records complete in lane-pass
+//!   order under ids that depend only on their processor's own progress
+//!   (`(proc + 1) << 40 | seq`); the sink that retains a log re-sorts it
+//!   by canonical keys — messages by `(inject, src)`, computes by
+//!   `(start, proc)`, timers by `(armed, proc)` — renumbers the ids and
+//!   remaps the causal references ([`crate::obs::ObsLog::canonicalize`]).
+//!   Activity spans re-sort by processor. Metrics counters and histograms
+//!   are commutative sums and need no treatment.
 //!
 //! # What the sharded engine relaxes
 //!
@@ -217,27 +218,21 @@ impl Sim {
         let mut count = 0i64;
         let mut alive = alive_base;
         let mut t_done = None;
-        let mut last_enter: Option<usize> = None;
-        for (i, d) in self.bdeltas.iter().enumerate() {
+        let mut last_enter = None;
+        for d in &self.bdeltas {
             count += d.dcount as i64;
             alive += d.dalive as i64;
-            if d.dcount > 0 {
-                last_enter = Some(i);
+            // Entries, and only entries, carry their metadata.
+            if let Some((cause, submit)) = d.meta {
+                last_enter = Some((d.proc, submit, d.t, cause));
             }
             if t_done.is_none() && alive > 0 && count == alive {
                 t_done = Some(d.t);
             }
         }
         let t_done = t_done.expect("live quorum implies the replay completes");
-        if let Some(i) = last_enter {
-            let d = &self.bdeltas[i];
-            let (proc, t) = (d.proc, d.t);
-            let (cause, submit) = d.meta.expect("barrier entries carry their metadata");
-            if let Some(obs) = self.obs.as_deref_mut() {
-                if obs.msg_log {
-                    obs.barrier_last = (proc, submit, t, cause);
-                }
-            }
+        if let (Some(last), Some(st)) = (last_enter, self.records()) {
+            st.barrier_last = last;
         }
         t_done + self.config.barrier_cost
     }
@@ -281,25 +276,6 @@ impl Sim {
         }
         released.clear();
         self.released_scratch = released;
-    }
-
-    /// Re-sort the observability log and activity trace into canonical
-    /// order and rewrite causal references ([`crate::obs::ObsLog::canonicalize`]
-    /// — the same renumbering a replayed streaming trace gets). Lane
-    /// passes append records in pass order; the canonical order is the
-    /// per-record primary timestamp with the owning processor as
-    /// tiebreak (both lane-count-invariant).
-    fn canonicalize_results(&mut self) {
-        if self.config.record_trace {
-            self.trace.spans.sort_by_key(|s| s.proc);
-        }
-        let Some(obs) = self.obs.as_deref_mut() else {
-            return;
-        };
-        if !obs.msg_log {
-            return;
-        }
-        obs.log.canonicalize();
     }
 
     /// The fault plan's crash-stops as the lane engine takes them: one
@@ -434,7 +410,6 @@ impl Sim {
             }
         }
         self.now = win.completion.max(self.last_ring_release());
-        self.canonicalize_results();
         Ok(())
     }
 }

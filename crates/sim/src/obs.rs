@@ -13,20 +13,27 @@
 //! [`crate::critpath::critical_path`] can walk it backward from the last
 //! event of a run.
 //!
+//! There is one record pipeline: the engine hands each record, once, when
+//! it completes, to the run's [`ObsSink`] — the [`RetainSink`] that keeps
+//! the log for `SimResult`, a [`JsonlSink`] or
+//! [`crate::perfetto::PerfettoSink`] that writes a file, or the
+//! [`NullSink`] behind an aggregate-only run.
+//!
 //! Everything here is *off by default*: with observability disabled the
 //! engine never touches these structures and the hot path stays
 //! allocation-free (see the `trace_overhead` bench).
 
-use crate::trace::Span;
+use crate::trace::{Span, Trace};
 use logp_core::{Cycles, ProcId};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Identifier of a [`MsgRecord`] within an [`ObsLog`] (index into `msgs`).
-/// In streaming mode on the sharded engine, ids are *structured*
-/// (`(proc + 1) << 40 | seq`) rather than dense; [`ObsLog::canonicalize`]
-/// renumbers either form into the canonical dense order.
+/// Identifier of a [`MsgRecord`] within an [`ObsLog`] (index into `msgs`
+/// of a retained log). The records a sink sees on the sharded engine
+/// carry *structured* ids (`(proc + 1) << 40 | seq`) rather than dense
+/// ones; [`ObsLog::canonicalize`] renumbers either form into the
+/// canonical dense order.
 pub type MsgId = u64;
 
 /// Sentinel for a lifecycle timestamp that never happened (e.g. a message
@@ -187,25 +194,56 @@ impl ObsLog {
         self.msgs.iter().filter(|m| m.deliver != UNSET)
     }
 
-    /// Causal ancestry of a message: the chain of [`Cause`]s from `id`
-    /// back to a [`Cause::Start`] root, nearest first.
-    pub fn ancestry(&self, id: MsgId) -> Vec<Cause> {
-        let mut chain = Vec::new();
-        let mut cause = match self.msgs.get(id as usize) {
-            Some(m) => m.cause,
-            None => return chain,
-        };
-        loop {
-            chain.push(cause);
-            cause = match cause {
-                Cause::Start => break,
-                Cause::Msg(m) => self.msgs[m as usize].cause,
-                Cause::Compute(c) => self.computes[c as usize].cause,
-                Cause::Barrier(b) => self.barriers[b as usize].cause,
-                Cause::Retry(t) => self.timers[t as usize].cause,
-            };
+    /// The message record with this id, if the log holds it. Lookups
+    /// are by id, not position: a log the engine retained is dense
+    /// (`id == index`), a sampled or replayed one is sorted by id but may
+    /// have gaps, and an unsorted one simply misses.
+    pub(crate) fn msg(&self, id: MsgId) -> Option<&MsgRecord> {
+        by_id(&self.msgs, id)
+    }
+
+    /// The compute record with this id, if the log holds it.
+    pub(crate) fn compute(&self, id: u64) -> Option<&ComputeRecord> {
+        by_id(&self.computes, id)
+    }
+
+    /// The barrier record with this id, if the log holds it.
+    pub(crate) fn barrier(&self, id: u64) -> Option<&BarrierRecord> {
+        by_id(&self.barriers, id)
+    }
+
+    /// The timer record with this id, if the log holds it.
+    pub(crate) fn timer(&self, id: u64) -> Option<&TimerRecord> {
+        by_id(&self.timers, id)
+    }
+
+    /// How many records, of every kind: the longest a causal chain can be.
+    pub(crate) fn records(&self) -> usize {
+        self.msgs.len() + self.computes.len() + self.barriers.len() + self.timers.len()
+    }
+
+    /// The [`Cause`] the record `cause` names was issued under; `None`
+    /// for a root, or a record the log does not hold.
+    pub(crate) fn cause_of(&self, cause: Cause) -> Option<Cause> {
+        match cause {
+            Cause::Start => None,
+            Cause::Msg(m) => self.msg(m).map(|r| r.cause),
+            Cause::Compute(c) => self.compute(c).map(|r| r.cause),
+            Cause::Barrier(b) => self.barrier(b).map(|r| r.cause),
+            Cause::Retry(t) => self.timer(t).map(|r| r.cause),
         }
-        chain
+    }
+
+    /// Causal ancestry of a message: the chain of [`Cause`]s from `id`
+    /// back to a [`Cause::Start`] root, nearest first. On a sampled or
+    /// damaged log the chain ends where it names a record the log does
+    /// not hold, and never runs longer than the log (a record that cites
+    /// itself, or a cycle, is cut there).
+    pub fn ancestry(&self, id: MsgId) -> Vec<Cause> {
+        let first = self.msg(id).map(|m| m.cause);
+        std::iter::successors(first, |&c| self.cause_of(c))
+            .take(self.records())
+            .collect()
     }
 
     /// Renumber the log into canonical order: messages by
@@ -213,9 +251,9 @@ impl ObsLog {
     /// `(armed, proc)` (all stable on the previous id, which preserves
     /// per-processor issue order), ids re-assigned densely and every
     /// [`Cause`] remapped. Barriers are already globally ordered by
-    /// release and stay put. The sharded engine applies this to every
-    /// retained log, and replayed streaming logs apply it so both
-    /// presentations of the same run compare equal.
+    /// release and stay put. The [`RetainSink`] of a sharded run applies
+    /// this, and replayed logs of one apply it so both presentations of
+    /// the same run compare equal.
     pub fn canonicalize(&mut self) {
         fn sort_remap<T, K: Ord>(v: &mut [T], key: impl Fn(&T) -> K) -> HashMap<u64, u64>
         where
@@ -253,7 +291,18 @@ impl ObsLog {
     }
 }
 
-/// Record types that carry a rewritable id (canonicalization plumbing).
+/// The record of `v` — sorted by id — that carries `id`: at index `id`
+/// in a dense log, by bisection otherwise.
+fn by_id<T: HasId>(v: &[T], id: u64) -> Option<&T> {
+    let dense = usize::try_from(id).ok().and_then(|i| v.get(i));
+    match dense {
+        Some(r) if r.id() == id => Some(r),
+        _ => v.binary_search_by_key(&id, HasId::id).ok().map(|i| &v[i]),
+    }
+}
+
+/// Record types that carry a rewritable id (lookup and canonicalization
+/// plumbing).
 trait HasId {
     fn id(&self) -> u64;
     fn set_id(&mut self, id: u64);
@@ -271,15 +320,15 @@ macro_rules! has_id {
         }
     )*};
 }
-has_id!(MsgRecord, ComputeRecord, TimerRecord);
+has_id!(MsgRecord, ComputeRecord, BarrierRecord, TimerRecord);
 
 // ---------------------------------------------------------------------------
-// Streaming sinks
+// Sinks
 // ---------------------------------------------------------------------------
 
-/// Where streaming lifecycle records go. Carried by `SimConfig`, so it
-/// must be cheap to clone and comparable (the sink itself is built by the
-/// engine at run start).
+/// Where a run's lifecycle records go instead of into `SimResult`.
+/// Carried by `SimConfig`, so it must be cheap to clone and comparable
+/// (the sink itself is built by the engine at run start).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SinkSpec {
     /// Discard records (useful with `SimConfig::aggregate`: the online
@@ -306,10 +355,12 @@ impl SinkSpec {
     }
 }
 
-/// A streaming consumer of lifecycle records. When a sink is configured,
-/// records flow here the moment they complete instead of accumulating in
-/// [`ObsLog`] — `SimResult::obs` stays empty and memory stays bounded by
-/// the number of *in-flight* messages, not the total sent.
+/// The consumer of a run's lifecycle records: each record arrives here
+/// once, the moment it completes. A run with the lifecycle log on and no
+/// [`SinkSpec`] gets the [`RetainSink`], whose log and trace become
+/// `SimResult::obs` / `SimResult::trace`; with any other sink those stay
+/// empty and memory stays bounded by the number of *in-flight* messages,
+/// not the total sent.
 ///
 /// Calls arrive in engine order (deterministic for a fixed config, but on
 /// the sharded engine dependent on the lane count; canonicalize replayed
@@ -329,6 +380,11 @@ pub trait ObsSink: Send {
     fn finish(&mut self) -> Result<(), String> {
         Ok(())
     }
+    /// What the sink kept for the run's `SimResult`, taken after
+    /// [`ObsSink::finish`]: nothing, unless it is the [`RetainSink`].
+    fn retained(&mut self) -> (ObsLog, Trace) {
+        Default::default()
+    }
 }
 
 /// A sink that drops everything (the aggregation-only configuration).
@@ -336,6 +392,62 @@ pub trait ObsSink: Send {
 pub struct NullSink;
 
 impl ObsSink for NullSink {}
+
+/// The sink that keeps everything in memory: the retained [`ObsLog`] and
+/// activity [`Trace`] of a run, and what [`replay_jsonl`] fills. Records
+/// arrive in completion order; `finish` puts each kind in id order — the
+/// order the engine issued them in — and, for a lane-engine run, whose
+/// ids are structured, renumbers them canonically.
+#[derive(Debug, Default)]
+pub struct RetainSink {
+    log: ObsLog,
+    trace: Trace,
+    canonicalize: bool,
+}
+
+impl RetainSink {
+    /// A sink that finishes with [`ObsLog::canonicalize`] if asked to.
+    pub fn new(canonicalize: bool) -> Self {
+        RetainSink {
+            canonicalize,
+            ..Default::default()
+        }
+    }
+}
+
+impl ObsSink for RetainSink {
+    fn on_msg(&mut self, m: &MsgRecord) {
+        self.log.msgs.push(*m);
+    }
+    fn on_compute(&mut self, c: &ComputeRecord) {
+        self.log.computes.push(*c);
+    }
+    fn on_barrier(&mut self, b: &BarrierRecord) {
+        self.log.barriers.push(*b);
+    }
+    fn on_timer(&mut self, t: &TimerRecord) {
+        self.log.timers.push(*t);
+    }
+    fn on_span(&mut self, s: &Span) {
+        self.trace.push(*s);
+    }
+    fn finish(&mut self) -> Result<(), String> {
+        self.log.msgs.sort_by_key(|m| m.id);
+        self.log.computes.sort_by_key(|c| c.id);
+        self.log.barriers.sort_by_key(|b| b.id);
+        self.log.timers.sort_by_key(|t| t.id);
+        if self.canonicalize {
+            self.log.canonicalize();
+        }
+        Ok(())
+    }
+    fn retained(&mut self) -> (ObsLog, Trace) {
+        (
+            std::mem::take(&mut self.log),
+            std::mem::take(&mut self.trace),
+        )
+    }
+}
 
 /// Field names per record kind, in the order the sink writes them. One
 /// schema serves both directions: [`JsonlSink`] writes `{"k":"<kind>"`
@@ -602,11 +714,12 @@ fn narrow(v: u64, key: &str, line: &str) -> Result<u32, String> {
     u32::try_from(v).map_err(|_| format!("bad {key:?} in {line:?}: exceeds u32"))
 }
 
-/// Parse a [`JsonlSink`] stream back into an [`ObsLog`]. Records sort by
-/// id per kind; span lines (`"k":"s"`) are activity-trace material, not
-/// log records, and are skipped unread. On the classic engine the result
-/// is the retained log verbatim; on the sharded engine apply
-/// [`ObsLog::canonicalize`] before comparing.
+/// Parse a [`JsonlSink`] stream back into an [`ObsLog`], through the
+/// [`RetainSink`] a retained run fills: records sort by id per kind. Span
+/// lines (`"k":"s"`) are activity-trace material, not log records, and
+/// are skipped unread. On the classic engine the result is the retained
+/// log verbatim; on the sharded engine apply [`ObsLog::canonicalize`]
+/// before comparing.
 ///
 /// The text is untrusted: a line that is not a complete record — no
 /// `{"k":"<kind>"` head, an unknown kind, a missing, repeated or
@@ -614,7 +727,7 @@ fn narrow(v: u64, key: &str, line: &str) -> Result<u32, String> {
 /// `u64` (or `u32` for processor ids and message tags) — is an `Err`
 /// naming the field and quoting the line, never a panic.
 pub fn replay_jsonl(text: &str) -> Result<ObsLog, String> {
-    let mut log = ObsLog::default();
+    let mut sink = RetainSink::default();
     for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
         let kind = match line.strip_prefix(LINE_HEAD).map(str::as_bytes) {
             Some([kind, b'"', ..]) => *kind,
@@ -625,7 +738,7 @@ pub fn replay_jsonl(text: &str) -> Result<ObsLog, String> {
             b'm' => {
                 let [id, src, dst, tag, words, cs, ci, submit, send_gate, inject, sent, arrive, recv_gate, recv_start, deliver] =
                     parse_fields(line, &MSG_KEYS)?;
-                log.msgs.push(MsgRecord {
+                sink.on_msg(&MsgRecord {
                     id,
                     src: narrow(src, "src", line)?,
                     dst: narrow(dst, "dst", line)?,
@@ -645,7 +758,7 @@ pub fn replay_jsonl(text: &str) -> Result<ObsLog, String> {
             b'c' => {
                 let [id, proc, tag, cs, ci, submit, start, end] =
                     parse_fields(line, &COMPUTE_KEYS)?;
-                log.computes.push(ComputeRecord {
+                sink.on_compute(&ComputeRecord {
                     id,
                     proc: narrow(proc, "proc", line)?,
                     tag,
@@ -657,7 +770,7 @@ pub fn replay_jsonl(text: &str) -> Result<ObsLog, String> {
             }
             b'b' => {
                 let [id, proc, cs, ci, submit, enter, release] = parse_fields(line, &BARRIER_KEYS)?;
-                log.barriers.push(BarrierRecord {
+                sink.on_barrier(&BarrierRecord {
                     id,
                     last_proc: narrow(proc, "proc", line)?,
                     submit,
@@ -668,7 +781,7 @@ pub fn replay_jsonl(text: &str) -> Result<ObsLog, String> {
             }
             b't' => {
                 let [id, proc, tag, cs, ci, submit, armed, fire] = parse_fields(line, &TIMER_KEYS)?;
-                log.timers.push(TimerRecord {
+                sink.on_timer(&TimerRecord {
                     id,
                     proc: narrow(proc, "proc", line)?,
                     tag,
@@ -684,18 +797,16 @@ pub fn replay_jsonl(text: &str) -> Result<ObsLog, String> {
             }
         }
     }
-    log.msgs.sort_by_key(|m| m.id);
-    log.computes.sort_by_key(|c| c.id);
-    log.barriers.sort_by_key(|b| b.id);
-    log.timers.sort_by_key(|t| t.id);
-    Ok(log)
+    sink.finish()?;
+    Ok(sink.retained().0)
 }
 
 // ---------------------------------------------------------------------------
 // Sampling
 // ---------------------------------------------------------------------------
 
-/// Which lifecycle records a streaming sink sees. Every policy is a pure
+/// Which lifecycle records a configured sink sees (a retained log keeps
+/// every record). Every policy is a pure
 /// function of record identity (never of engine internals), so the
 /// sampled *set* is identical across lane and thread counts.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

@@ -16,6 +16,7 @@
 use crate::engine::SimResult;
 use crate::obs::{MsgRecord, ObsSink, UNSET};
 use crate::trace::{Activity, Span};
+use logp_core::ProcId;
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -39,90 +40,33 @@ fn flow_ok(m: &MsgRecord) -> bool {
     m.deliver != UNSET && m.sent > m.inject && m.deliver > m.recv_start
 }
 
-/// Render `res` as Chrome `trace_event` JSON (see module docs).
+/// Render `res` as Chrome `trace_event` JSON (see module docs): the
+/// [`PerfettoSink`] driven over a retained result — every thread named
+/// first, then the spans, the flows, and the gauge counters only a
+/// retained result has.
 pub fn perfetto_trace_json(res: &SimResult) -> String {
-    let mut s = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push = |s: &mut String, ev: String| {
-        if !std::mem::take(&mut first) {
-            s.push_str(",\n");
-        }
-        s.push_str(&ev);
-    };
-
-    // Track naming metadata: one process for the machine, one thread per
-    // simulated processor.
-    push(
-        &mut s,
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"LogP machine\"}}"
-            .to_string(),
-    );
+    let mut json = Vec::new();
+    let mut sink = PerfettoSink::new(&mut json);
     for p in 0..res.stats.procs.len() {
-        push(
-            &mut s,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{p},\"args\":{{\"name\":\"P{p}\"}}}}"
-            ),
-        );
-        push(
-            &mut s,
-            format!(
-                "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":0,\"tid\":{p},\"args\":{{\"sort_index\":{p}}}}}"
-            ),
-        );
+        sink.ensure_thread(p as ProcId);
     }
-
-    // Activity spans as complete slices.
     for sp in &res.trace.spans {
-        push(
-            &mut s,
-            format!(
-                "{{\"name\":\"{}\",\"cat\":\"activity\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{}}}",
-                activity_name(sp.activity),
-                sp.proc,
-                sp.start,
-                sp.end - sp.start
-            ),
-        );
+        sink.on_span(sp);
     }
-
-    // Message flights as flow arrows: start inside the send-overhead
-    // slice, end (binding to the enclosing slice's start) inside the
-    // receive-overhead slice. Messages whose endpoints cannot bind
-    // (crashed receivers, zero-overhead machines) are skipped — see
-    // [`flow_ok`].
-    for m in res.obs.delivered().filter(|m| flow_ok(m)) {
-        push(
-            &mut s,
-            format!(
-                "{{\"name\":\"msg\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{},\"pid\":0,\"tid\":{},\"ts\":{}}}",
-                m.id, m.src, m.inject
-            ),
-        );
-        push(
-            &mut s,
-            format!(
-                "{{\"name\":\"msg\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{},\"pid\":0,\"tid\":{},\"ts\":{}}}",
-                m.id, m.dst, m.recv_start
-            ),
-        );
+    for m in &res.obs.msgs {
+        sink.on_msg(m);
     }
-
-    // Gauge time series as counter tracks.
     for g in res.metrics.gauges() {
         for (t, v) in &g.samples {
-            push(
-                &mut s,
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":0,\"ts\":{t},\"args\":{{\"value\":{v}}}}}",
-                    g.name
-                ),
-            );
+            sink.event(&format!(
+                "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":0,\"ts\":{t},\"args\":{{\"value\":{v}}}}}",
+                g.name
+            ));
         }
     }
-
-    s.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    s
+    sink.finish().expect("writes to memory do not fail");
+    drop(sink);
+    String::from_utf8(json).expect("the sink writes whole `str`s")
 }
 
 /// Write the per-run artifacts a `--trace-out` / `--metrics-out` request
@@ -142,15 +86,15 @@ pub fn write_artifacts(
     Ok(())
 }
 
-/// Streaming Perfetto writer: the same `trace_event` JSON as
-/// [`perfetto_trace_json`], written incrementally as records complete.
-/// Memory is bounded by the per-processor metadata bitmap — slices and
-/// flows go straight to the `BufWriter`. Thread-naming metadata is
-/// emitted lazily the first time a processor appears, so the sink never
-/// needs to know `P` up front. I/O errors are latched and surface from
-/// [`ObsSink::finish`] as the run's `SimError::Sink`.
-pub struct PerfettoSink {
-    out: Option<io::BufWriter<std::fs::File>>,
+/// Incremental Perfetto writer: `trace_event` JSON written to any
+/// [`io::Write`] as records complete. Memory is bounded by the
+/// per-processor metadata bitmap — slices and flows go straight to the
+/// writer. Thread-naming metadata is emitted lazily the first time a
+/// processor appears, so the sink never needs to know `P` up front. I/O
+/// errors are latched and surface from [`ObsSink::finish`] as the run's
+/// `SimError::Sink`.
+pub struct PerfettoSink<W: Write = io::BufWriter<std::fs::File>> {
+    out: Option<W>,
     err: Option<String>,
     buf: String,
     first: bool,
@@ -159,11 +103,23 @@ pub struct PerfettoSink {
 }
 
 impl PerfettoSink {
+    /// A sink writing the file at `path` (a failure to create it is
+    /// latched like any other I/O error).
     pub fn create(path: &Path) -> Self {
-        let (out, err) = match std::fs::File::create(path) {
-            Ok(f) => (Some(io::BufWriter::new(f)), None),
-            Err(e) => (None, Some(format!("create {}: {e}", path.display()))),
-        };
+        match std::fs::File::create(path) {
+            Ok(f) => Self::new(io::BufWriter::new(f)),
+            Err(e) => Self::open(None, Some(format!("create {}: {e}", path.display()))),
+        }
+    }
+}
+
+impl<W: Write> PerfettoSink<W> {
+    /// A sink writing to `out`.
+    pub fn new(out: W) -> Self {
+        Self::open(Some(out), None)
+    }
+
+    fn open(out: Option<W>, err: Option<String>) -> Self {
         let mut sink = PerfettoSink {
             out,
             err,
@@ -178,7 +134,7 @@ impl PerfettoSink {
         sink
     }
 
-    /// Append one event (comma-separated) and flush the buffer to disk.
+    /// Append one event (comma-separated) and hand the buffer to the writer.
     fn event(&mut self, ev: &str) {
         if !std::mem::take(&mut self.first) {
             self.buf.push_str(",\n");
@@ -194,7 +150,7 @@ impl PerfettoSink {
     }
 
     /// Emit thread metadata for `p` the first time it appears.
-    fn ensure_thread(&mut self, p: logp_core::ProcId) {
+    fn ensure_thread(&mut self, p: ProcId) {
         let i = p as usize;
         if i >= self.named.len() {
             self.named.resize(i + 1, false);
@@ -212,7 +168,7 @@ impl PerfettoSink {
     }
 }
 
-impl ObsSink for PerfettoSink {
+impl<W: Write + Send> ObsSink for PerfettoSink<W> {
     fn on_msg(&mut self, m: &MsgRecord) {
         if !flow_ok(m) {
             return;

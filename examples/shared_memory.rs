@@ -7,7 +7,7 @@
 //! ```
 
 use logp::algos::am::{run_two_node, AmClient, AmCtx};
-use logp::algos::measure::extract_params;
+use logp::calib::{calibrate, CalibConfig, SimMachine};
 use logp::prelude::*;
 
 /// Sum a remote array two ways: blocking reads (one at a time) vs
@@ -86,13 +86,13 @@ fn main() {
     );
 
     // Trust, but verify: extract the machine's parameters by micro-benchmark.
-    let p = extract_params(&m, 300, SimConfig::default());
+    let cal = calibrate(&mut SimMachine::new(m), &CalibConfig::default());
     println!(
         "\nblack-box extraction (§7): L = {:.1}, o = {:.1}, send interval = {:.1} \
          (true: {}, {}, {})",
-        p.l,
-        p.o,
-        p.send_interval,
+        cal.logp.l.value,
+        cal.logp.o.value,
+        cal.interval.value,
         m.l,
         m.o,
         m.send_interval()

@@ -220,13 +220,13 @@ fn bisection_calibration_is_consistent_with_preset() {
 /// vision of §7).
 #[test]
 fn extraction_works_on_every_preset() {
-    use logp::algos::measure::extract_params;
+    use logp::calib::{calibrate, CalibConfig, SimMachine};
     for preset in MachinePreset::all() {
         let m = preset.logp.with_p(2);
-        let params = extract_params(&m, 300, SimConfig::default());
+        let cal = calibrate(&mut SimMachine::new(m), &CalibConfig::default());
         assert!(
-            params.worst_relative_error(&m) < 0.02,
-            "{}: {params:?}",
+            !cal.gap_limited && cal.worst_relative_error(&m) < 0.02,
+            "{}: {cal:?}",
             preset.name
         );
     }

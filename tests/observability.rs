@@ -13,7 +13,8 @@ use logp::sim::critpath::StepKind;
 use logp::sim::reliable::{Endpoint, RetryConfig};
 use logp::sim::{
     critical_path, perfetto_trace_json, replay_jsonl, Activity, BarrierRecord, Cause,
-    ComputeRecord, FaultPlan, JsonlSink, MsgRecord, ObsLog, ObsSink, SinkSpec, Span, TimerRecord,
+    ComputeRecord, FaultPlan, JsonlSink, MsgRecord, ObsLog, ObsSampling, ObsSink, SimStats,
+    SinkSpec, Span, TimerRecord,
 };
 use std::fmt::Write as _;
 
@@ -721,6 +722,98 @@ fn replay_rejects_incomplete_and_out_of_range_records() {
             "{err}"
         );
     }
+}
+
+/// A replayed log as `critical_path` and `ancestry` must take it: as
+/// input we do not control. Each row is a stream for a machine of four
+/// processors, the message whose ancestry to ask for (one link in every
+/// row), and the path total expected (`None`: the chain from the last
+/// event cannot be followed).
+#[test]
+fn critical_path_and_ancestry_survive_sampled_and_damaged_logs() {
+    let msg = |id: u64, src: u32, dst: u32, (cs, ci): (u8, u64)| {
+        format!(
+            "{{\"k\":\"m\",\"id\":{id},\"src\":{src},\"dst\":{dst},\"tag\":0,\"words\":1,\
+             \"cs\":{cs},\"ci\":{ci},\"submit\":0,\"gate\":0,\"inject\":0,\"sent\":2,\
+             \"arrive\":8,\"rgate\":0,\"rstart\":8,\"deliver\":10}}"
+        )
+    };
+    let compute = "{\"k\":\"c\",\"id\":0,\"proc\":9,\"tag\":0,\"cs\":0,\"ci\":0,\"submit\":0,\"start\":0,\"end\":99}";
+    let table = [
+        // What a reservoir of one writes: a record whose id is not its index.
+        ("sparse id", vec![msg(7, 0, 1, (0, 0))], 7, Some(10)),
+        ("cause not in the log", vec![msg(7, 0, 1, (1, 3))], 7, None),
+        ("src past P", vec![msg(0, 5, 1, (0, 0))], 0, None),
+        ("dst past P", vec![msg(0, 0, 4, (0, 0))], 0, None),
+        (
+            "proc past P",
+            vec![msg(0, 0, 1, (0, 0)), compute.to_string()],
+            0,
+            None,
+        ),
+        ("cites itself", vec![msg(0, 0, 1, (1, 0))], 0, None),
+    ];
+    for (what, lines, id, total) in table {
+        let log = replay_jsonl(&lines.join("\n")).expect(what);
+        assert_eq!(log.ancestry(id).len(), 1, "{what}");
+        let replayed = logp::sim::SimResult {
+            stats: SimStats {
+                procs: vec![Default::default(); 4],
+                ..Default::default()
+            },
+            obs: log,
+            ..Default::default()
+        };
+        let path = critical_path(&replayed);
+        assert_eq!(path.as_ref().map(|p| p.total), total, "{what}");
+        assert!(path.is_none_or(|p| p.components.sum() == p.total), "{what}");
+    }
+    // A cycle of two is cut at the log's own length.
+    let pair = [msg(0, 0, 1, (1, 1)), msg(1, 1, 0, (1, 0))].join("\n");
+    let log = replay_jsonl(&pair).unwrap();
+    assert_eq!(log.ancestry(0), vec![Cause::Msg(1), Cause::Msg(0)]);
+
+    // Well-formed sampled streams of a real run: whatever subset the
+    // policy kept, the walk answers — the run's own path when the chain
+    // is whole, `None` when the sample cut it.
+    let m = LogP::fig3();
+    let dir = std::env::temp_dir().join(format!("logp_obs_sampled_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, policy) in [
+        ObsSampling::All,
+        ObsSampling::Stride(3),
+        ObsSampling::HeadTail(1),
+        ObsSampling::Reservoir { k: 1, seed: 7 },
+        ObsSampling::Reservoir { k: 4, seed: 7 },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("{i}.jsonl"));
+        let config = SimConfig::default()
+            .with_sink(SinkSpec::Jsonl(path.clone()))
+            .with_sampling(policy.clone());
+        let run = run_optimal_broadcast(&m, config);
+        let log = replay_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert!(!log.msgs.is_empty(), "{policy:?} samples something");
+        for rec in &log.msgs {
+            assert!(log.ancestry(rec.id).len() <= log.msgs.len(), "{policy:?}");
+        }
+        let replayed = logp::sim::SimResult {
+            stats: run.result.stats.clone(),
+            obs: log,
+            ..Default::default()
+        };
+        let whole = policy == ObsSampling::All;
+        match critical_path(&replayed) {
+            Some(cp) => {
+                assert_eq!(cp.components.sum(), cp.total, "{policy:?}");
+                assert!(!whole || cp.total == run.completion);
+            }
+            None => assert!(!whole, "the full stream has its path"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Seeded byte-mutation and truncation fuzz over real sink output:
