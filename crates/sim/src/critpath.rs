@@ -257,19 +257,15 @@ pub fn critical_path(res: &SimResult) -> Option<CritPath> {
     let log = &res.obs;
     // Terminal node: the latest-completing delivery / compute / barrier,
     // with a deterministic (kind, id) tie-break.
-    let msgs = log
-        .delivered()
-        .map(|m| (m.deliver, 0, m.id, Cause::Msg(m.id)));
-    let computes = log
-        .computes
-        .iter()
-        .map(|c| (c.end, 1, c.id, Cause::Compute(c.id)));
-    let barriers = log
-        .barriers
-        .iter()
-        .map(|b| (b.release, 2, b.id, Cause::Barrier(b.id)));
-    let ends = msgs.chain(computes).chain(barriers);
-    let (total, _, _, mut node) = ends.max_by_key(|&(t, kind, id, _)| (t, kind, id))?;
+    let msgs = log.delivered().map(|m| (m.deliver, 0, m.id));
+    let computes = log.computes.iter().map(|c| (c.end, 1, c.id));
+    let barriers = log.barriers.iter().map(|b| (b.release, 2, b.id));
+    let (total, kind, id) = msgs.chain(computes).chain(barriers).max()?;
+    let mut node = match kind {
+        0 => Cause::Msg(id),
+        1 => Cause::Compute(id),
+        _ => Cause::Barrier(id),
+    };
 
     // Per-processor spans in start order, for wait-window attribution.
     let nprocs = res.stats.procs.len();

@@ -478,7 +478,6 @@ impl Records {
 
     /// One activity span: the online aggregate sees every non-empty one;
     /// the sink sees the sampled ones.
-    #[cold]
     #[inline(never)]
     fn span(&mut self, sp: &Span) {
         if sp.start >= sp.end {
@@ -493,10 +492,10 @@ impl Records {
     }
 
     /// Offer a complete message record to the sink.
-    fn emit_msg(&mut self, rec: MsgRecord) {
-        if let Some(out) = self.sampler.offer_msg(rec) {
+    fn emit_msg(&mut self, rec: &MsgRecord) {
+        if self.sampler.offer_msg(rec) {
             self.emitted += 1;
-            self.sink.on_msg(&out);
+            self.sink.on_msg(rec);
         }
     }
 
@@ -517,7 +516,7 @@ impl Records {
         let left = std::mem::take(&mut self.inflight);
         msgs.extend(left.into_iter().flatten().map(|(m, _)| m));
         msgs.sort_unstable_by_key(|m| m.id);
-        for m in msgs {
+        for m in &msgs {
             self.emit_msg(m);
         }
         let armed = std::mem::take(&mut self.timer_obs);
@@ -1399,7 +1398,7 @@ impl Sim {
             if let Some(agg) = st.agg.as_mut() {
                 agg.on_lost(src, meta.1, dup);
             }
-            return st.emit_msg(rec);
+            return st.emit_msg(&rec);
         };
         let cum = match st.agg.as_mut() {
             Some(agg) => agg.on_send(&rec, dup),
@@ -1503,7 +1502,7 @@ impl Sim {
                     if let Some(agg) = st.agg.as_mut() {
                         agg.on_delivery(&rec, cum);
                     }
-                    st.emit_msg(rec);
+                    st.emit_msg(&rec);
                     (rec.submit, Cause::Msg(rec.id))
                 }
                 None => (now, Cause::Start),

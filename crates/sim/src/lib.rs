@@ -70,7 +70,7 @@ pub use message::{Data, Message};
 pub use metrics::{EngineVitals, MetricsRegistry};
 pub use obs::{
     replay_jsonl, BarrierRecord, Cause, ComputeRecord, JsonlSink, MsgId, MsgRecord, NullSink,
-    ObsLog, ObsSampling, ObsSink, SinkSpec, TimerRecord,
+    ObsLog, ObsSampling, ObsSink, RetainSink, SinkSpec, TimerRecord,
 };
 pub use perfetto::{perfetto_trace_json, PerfettoSink};
 pub use process::{Ctx, Process};

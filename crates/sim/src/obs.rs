@@ -432,10 +432,12 @@ impl ObsSink for RetainSink {
         self.trace.push(*s);
     }
     fn finish(&mut self) -> Result<(), String> {
-        self.log.msgs.sort_by_key(|m| m.id);
-        self.log.computes.sort_by_key(|c| c.id);
-        self.log.barriers.sort_by_key(|b| b.id);
-        self.log.timers.sort_by_key(|t| t.id);
+        // Stable, and each record moves once: they are large, and arrive
+        // in completion order, far from issue order.
+        self.log.msgs.sort_by_cached_key(|m| m.id);
+        self.log.computes.sort_by_cached_key(|c| c.id);
+        self.log.barriers.sort_by_cached_key(|b| b.id);
+        self.log.timers.sort_by_cached_key(|t| t.id);
         if self.canonicalize {
             self.log.canonicalize();
         }
@@ -898,14 +900,12 @@ impl Sampler {
         )
     }
 
-    /// Offer a completed message record. `Some` means emit immediately;
-    /// `None` means it was dropped or deferred until [`Sampler::drain`].
-    pub(crate) fn offer_msg(&mut self, rec: MsgRecord) -> Option<MsgRecord> {
+    /// Offer a completed message record. `true` means emit it now;
+    /// `false` means it was dropped or deferred until [`Sampler::drain`].
+    pub(crate) fn offer_msg(&mut self, rec: &MsgRecord) -> bool {
         let (k, seed) = match &self.policy {
-            ObsSampling::All => return Some(rec),
-            ObsSampling::Stride(_) | ObsSampling::ProcSet(_) => {
-                return self.pass_proc(rec.src).then_some(rec)
-            }
+            ObsSampling::All => return true,
+            ObsSampling::Stride(_) | ObsSampling::ProcSet(_) => return self.pass_proc(rec.src),
             ObsSampling::HeadTail(k) => (*k as usize, None),
             ObsSampling::Reservoir { k, seed } => (*k as usize, Some(*seed)),
         };
@@ -916,14 +916,14 @@ impl Sampler {
         let ordinal = self.seq[src];
         self.seq[src] += 1;
         match seed {
-            None if ordinal < k as u64 => self.head.entry(rec.src).or_default().push(rec),
+            None if ordinal < k as u64 => self.head.entry(rec.src).or_default().push(*rec),
             None => {
                 let ring = self.tail.entry(rec.src).or_default();
                 if ring.len() == k {
                     ring.pop_front();
                 }
                 if k > 0 {
-                    ring.push_back(rec);
+                    ring.push_back(*rec);
                 }
             }
             Some(seed) => {
@@ -931,13 +931,13 @@ impl Sampler {
                     logp_core::rng::mix(&[seed, 0x5245_5356, rec.src as u64, ordinal]),
                     ((rec.src as u64) << 40) | ordinal,
                 );
-                self.res.push(ResEntry { rank, rec });
+                self.res.push(ResEntry { rank, rec: *rec });
                 if self.res.len() > k {
                     self.res.pop();
                 }
             }
         }
-        None
+        false
     }
 
     /// Deferred records (head/tail, reservoir), sorted by id so the
