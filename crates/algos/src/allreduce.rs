@@ -16,8 +16,8 @@ use crate::resilient::{
     survivor_binomial_children, survivor_tree_children, ResilientError, SurvivorMap,
 };
 use crate::tree::{run_tree, Phases, Wire};
-use logp_core::broadcast::{binomial_children, optimal_broadcast_tree};
-use logp_core::{Cycles, LogP, ProcId};
+use logp_core::broadcast::optimal_broadcast_tree;
+use logp_core::{Cycles, LogP, ProcId, Tree};
 use logp_sim::reliable::RetryConfig;
 use logp_sim::{Ctx, Data, FaultPlan, Message, Process, SharedCell, Sim, SimConfig, SimResult};
 use std::collections::HashMap;
@@ -65,9 +65,9 @@ pub fn run_allreduce_reduce_bcast(m: &LogP, values: &[f64], config: SimConfig) -
     // Up tree: binomial (trailing-zeros convention); down tree: the
     // optimal broadcast tree — arrival-ordered ids happen to be 0..P, and
     // tree node ids coincide with processor ids here.
-    let up: Vec<_> = (0..p).map(|q| binomial_children(q, p)).collect();
+    let up = Tree::binomial(p);
     let down = optimal_broadcast_tree(m).children();
-    let (sim, phases) = (Sim::new(*m, config), Phases::UpDown(&up, &down));
+    let (sim, phases) = (Sim::new(*m, config), Phases::UpDown(&up, down));
     let run = run_tree(sim, &PLAIN, 0, 0..p, phases, |q| values[q as usize], None)
         .expect("every processor finishes exactly once");
     finish(&run.finals, run.result, values.iter().sum())
@@ -179,7 +179,7 @@ pub fn run_reliable_allreduce(
     let down = survivor_tree_children(m, &map);
     let sim = Sim::new(*m, config.with_faults(plan.clone()));
     let ranks = map.survivors().iter().copied();
-    let (phases, value) = (Phases::UpDown(&up, &down), |q| values[q as usize]);
+    let (phases, value) = (Phases::UpDown(&up, down), |q| values[q as usize]);
     let run = run_tree(
         sim,
         &RELIABLE,

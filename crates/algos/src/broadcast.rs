@@ -1,14 +1,14 @@
 //! Executable broadcast algorithms (§3.3, Figure 3).
 //!
 //! The analytic trees come from `logp-core::broadcast`; this module runs
-//! any child-list tree as the down phase of the one tree program
+//! any [`Tree`] as the down phase of the one tree program
 //! (`crate::tree`), so the simulated completion can be checked against
 //! (and visualized beside) the closed-form prediction.
 
 use crate::resilient::{survivor_tree_children, ResilientError, SurvivorMap};
-use crate::tree::{run_tree, Phases, Run, Wire};
+use crate::tree::{owned, run_tree, Phases, Run, Wire};
 use logp_core::broadcast::{optimal_broadcast_tree, shape_children, TreeShape};
-use logp_core::{Cycles, LogP, ProcId};
+use logp_core::{Children, Cycles, LogP, ProcId, Tree};
 use logp_sim::reliable::RetryConfig;
 use logp_sim::{FaultPlan, Sim, SimConfig, SimResult};
 
@@ -38,19 +38,25 @@ pub struct BroadcastRun {
     pub result: SimResult,
 }
 
-/// Run a broadcast along explicit child lists.
-pub fn run_tree_broadcast(m: &LogP, children: &[Vec<ProcId>], config: SimConfig) -> BroadcastRun {
+/// Run a broadcast from processor 0 along an explicit tree: a [`Tree`],
+/// or child lists.
+///
+/// # Panics
+///
+/// With the [`logp_core::TreeError`]'s message, before any simulation
+/// starts, when `children` does not span the machine from processor 0.
+pub fn run_tree_broadcast<C: Children + ?Sized>(
+    m: &LogP,
+    children: &C,
+    config: SimConfig,
+) -> BroadcastRun {
+    broadcast_down(m, owned(children), config)
+}
+
+fn broadcast_down(m: &LogP, tree: Tree, config: SimConfig) -> BroadcastRun {
     let sim = Sim::new(*m, config);
-    let run = run_tree(
-        sim,
-        &WIRE,
-        0,
-        0..m.p,
-        Phases::Down(children),
-        |_| DATUM,
-        None,
-    )
-    .expect("every processor receives the datum exactly once");
+    let run = run_tree(sim, &WIRE, 0, 0..m.p, Phases::Down(tree), |_| DATUM, None)
+        .expect("every processor receives the datum exactly once");
     let (arrivals, completion) = arrivals(&run);
     BroadcastRun {
         completion,
@@ -69,13 +75,12 @@ fn arrivals(run: &Run<f64>) -> (Vec<(ProcId, Cycles)>, Cycles) {
 
 /// Run the optimal broadcast of §3.3.
 pub fn run_optimal_broadcast(m: &LogP, config: SimConfig) -> BroadcastRun {
-    let tree = optimal_broadcast_tree(m);
-    run_tree_broadcast(m, &tree.children(), config)
+    broadcast_down(m, optimal_broadcast_tree(m).children(), config)
 }
 
 /// Run a baseline tree shape.
 pub fn run_shape_broadcast(m: &LogP, shape: TreeShape, config: SimConfig) -> BroadcastRun {
-    run_tree_broadcast(m, &shape_children(shape, m.p), config)
+    broadcast_down(m, shape_children(shape, m.p), config)
 }
 
 // ---------------------------------------------------------------------
@@ -139,7 +144,7 @@ fn run_resilient(
     let children = survivor_tree_children(m, &map);
     let sim = Sim::new(*m, config.with_faults(plan.clone()));
     let ranks = map.survivors().iter().copied();
-    let phases = Phases::Down(&children);
+    let phases = Phases::Down(children);
     let run = run_tree(sim, &WIRE, map.root(), ranks, phases, |_| DATUM, retry)?;
     // Logical completion: the last survivor's delivery. `stats.completion`
     // would also count trailing stale retransmission timers.

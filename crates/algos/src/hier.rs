@@ -19,10 +19,10 @@
 //! The normative handbook is `docs/HIERARCHY.md`; the crossover sweep
 //! lives in the `hier_sweep` bench binary.
 
-use crate::tree::{run_tree, Phases, Wire};
+use crate::tree::{owned, run_tree, Phases, Wire};
 use logp_core::broadcast::optimal_broadcast_tree;
 use logp_core::hier::{hier_broadcast_children, Hierarchy};
-use logp_core::{Cycles, ProcId};
+use logp_core::{Children, Cycles, ProcId, Tree};
 use logp_sim::{Sim, SimConfig, SimResult};
 
 /// One combine cycle per received partial, as every plain reduction in
@@ -57,13 +57,13 @@ pub struct HierRun {
 /// The hierarchical tree: per-level leader election + per-level optimal
 /// trees (re-exported from `logp_core` for callers composing their own
 /// runs).
-pub fn hier_tree(h: &Hierarchy) -> Vec<Vec<ProcId>> {
+pub fn hier_tree(h: &Hierarchy) -> Tree {
     hier_broadcast_children(h)
 }
 
 /// The topology-oblivious comparator tree: the flat-optimal broadcast
 /// tree of the hierarchy's projection ([`Hierarchy::flat_projection`]).
-pub fn flat_tree(h: &Hierarchy) -> Vec<Vec<ProcId>> {
+pub fn flat_tree(h: &Hierarchy) -> Tree {
     optimal_broadcast_tree(&h.flat_projection()).children()
 }
 
@@ -93,43 +93,53 @@ fn run_on(
     }
 }
 
-/// Broadcast `value` from rank 0 along an explicit tree on the
-/// hierarchical machine. [`HierRun::per_proc`] matches
-/// [`logp_core::hier::eval_broadcast`] cycle-exactly on jitter-free
-/// configurations.
-pub fn run_tree_broadcast_on(
+/// Broadcast `value` from rank 0 along an explicit tree (a [`Tree`], or
+/// child lists) on the hierarchical machine. [`HierRun::per_proc`]
+/// matches [`logp_core::hier::eval_broadcast`] cycle-exactly on
+/// jitter-free configurations.
+///
+/// # Panics
+///
+/// This and the two runners below panic with the
+/// [`logp_core::TreeError`]'s message, before any simulation starts, when
+/// a tree they are given does not span the machine from rank 0.
+pub fn run_tree_broadcast_on<C: Children + ?Sized>(
     h: &Hierarchy,
-    children: &[Vec<ProcId>],
+    children: &C,
     value: f64,
     config: SimConfig,
 ) -> HierRun {
-    run_on(h, Phases::Down(children), |_| value, config)
+    run_on(h, Phases::Down(owned(children)), |_| value, config)
 }
 
 /// Reduce (sum) `values` to rank 0 up the reverse of an explicit tree.
 /// The root's [`HierRun::per_proc`] entry is the reduction's completion
 /// and matches [`logp_core::hier::eval_reduce`] cycle-exactly on
 /// jitter-free configurations.
-pub fn run_tree_reduce_on(
+pub fn run_tree_reduce_on<C: Children + ?Sized>(
     h: &Hierarchy,
-    children: &[Vec<ProcId>],
+    children: &C,
     values: &[f64],
     config: SimConfig,
 ) -> HierRun {
-    run_sum(h, Phases::Up(children), values, config)
+    run_sum(h, Phases::Up(&owned(children)), values, config)
 }
 
 /// All-reduce: sum `values` up the reverse of `up`, broadcast the total
 /// down `down`. Matches [`logp_core::hier::eval_allreduce`]
 /// cycle-exactly on jitter-free configurations.
-pub fn run_tree_allreduce_on(
+pub fn run_tree_allreduce_on<U, D>(
     h: &Hierarchy,
-    up: &[Vec<ProcId>],
-    down: &[Vec<ProcId>],
+    up: &U,
+    down: &D,
     values: &[f64],
     config: SimConfig,
-) -> HierRun {
-    run_sum(h, Phases::UpDown(up, down), values, config)
+) -> HierRun
+where
+    U: Children + ?Sized,
+    D: Children + ?Sized,
+{
+    run_sum(h, Phases::UpDown(&owned(up), owned(down)), values, config)
 }
 
 /// A collective with an up phase: the root must end up with the sum.
@@ -149,36 +159,36 @@ fn run_sum(h: &Hierarchy, phases: Phases<'_>, values: &[f64], config: SimConfig)
 /// Hierarchical broadcast from rank 0 (per-level leaders + per-level
 /// optimal trees).
 pub fn run_hier_broadcast(h: &Hierarchy, value: f64, config: SimConfig) -> HierRun {
-    run_tree_broadcast_on(h, &hier_tree(h), value, config)
+    run_on(h, Phases::Down(hier_tree(h)), |_| value, config)
 }
 
 /// Topology-oblivious broadcast comparator: the flat-optimal tree on
 /// the same hierarchical machine.
 pub fn run_flat_broadcast_on(h: &Hierarchy, value: f64, config: SimConfig) -> HierRun {
-    run_tree_broadcast_on(h, &flat_tree(h), value, config)
+    run_on(h, Phases::Down(flat_tree(h)), |_| value, config)
 }
 
 /// Hierarchical summation to rank 0.
 pub fn run_hier_sum(h: &Hierarchy, values: &[f64], config: SimConfig) -> HierRun {
-    run_tree_reduce_on(h, &hier_tree(h), values, config)
+    run_sum(h, Phases::Up(&hier_tree(h)), values, config)
 }
 
 /// Topology-oblivious summation comparator.
 pub fn run_flat_sum_on(h: &Hierarchy, values: &[f64], config: SimConfig) -> HierRun {
-    run_tree_reduce_on(h, &flat_tree(h), values, config)
+    run_sum(h, Phases::Up(&flat_tree(h)), values, config)
 }
 
 /// Hierarchical all-reduce (reduce and broadcast along the same
 /// hierarchical tree).
 pub fn run_hier_allreduce(h: &Hierarchy, values: &[f64], config: SimConfig) -> HierRun {
     let t = hier_tree(h);
-    run_tree_allreduce_on(h, &t, &t, values, config)
+    run_sum(h, Phases::UpDown(&t, t.clone()), values, config)
 }
 
 /// Topology-oblivious all-reduce comparator.
 pub fn run_flat_allreduce_on(h: &Hierarchy, values: &[f64], config: SimConfig) -> HierRun {
     let t = flat_tree(h);
-    run_tree_allreduce_on(h, &t, &t, values, config)
+    run_sum(h, Phases::UpDown(&t, t.clone()), values, config)
 }
 
 #[cfg(test)]

@@ -18,10 +18,11 @@
 use crate::resilient::{survivor_tree_children, ResilientError, SurvivorMap};
 use crate::tree::{execute, Finals};
 use logp_core::broadcast::{optimal_broadcast_tree, shape_children, TreeShape};
-use logp_core::{Cycles, LogP, ProcId};
+use logp_core::{Cycles, LogP, ProcId, Tree};
 use logp_sim::reliable::RetryConfig;
 use logp_sim::{Ctx, Data, FaultPlan, Message, Process, SharedCell, Sim, SimConfig, SimResult};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const TAG_ITEM: u32 = 0x100; // Pair(index, value)
 const TAG_BLOCK: u32 = 0x101; // Pair(round<<32|origin, value) for the ring phase
@@ -43,11 +44,12 @@ pub struct KBcastRun {
 }
 
 // ---------------------------------------------------------------------
-// Tree pipelining (works for any child-list tree).
+// Tree pipelining (works for any tree).
 // ---------------------------------------------------------------------
 
 struct PipeProc {
-    children: Vec<ProcId>,
+    /// The run's one tree; this rank forwards to `tree[me]`.
+    tree: Arc<Tree>,
     items: Vec<Option<u64>>,
     received: usize,
     is_root: bool,
@@ -57,7 +59,7 @@ struct PipeProc {
 
 impl PipeProc {
     fn forward(&mut self, idx: u64, v: u64, ctx: &mut Ctx<'_>) {
-        for &c in &self.children {
+        for &c in &self.tree[ctx.me() as usize] {
             ctx.send(c, TAG_ITEM, Data::Pair(idx, v));
         }
     }
@@ -112,12 +114,13 @@ fn run_tree_pipeline(
     sim: Sim,
     root: ProcId,
     ranks: impl Iterator<Item = ProcId>,
-    children: &[Vec<ProcId>],
+    children: Tree,
     items: &[u64],
     retry: Option<RetryConfig>,
 ) -> Result<KBcastRun, ResilientError> {
+    let tree = Arc::new(children);
     let run = execute(sim, ranks, retry, |q, out| PipeProc {
-        children: children[q as usize].clone(),
+        tree: tree.clone(),
         items: if q == root {
             items.iter().map(|&v| Some(v)).collect()
         } else {
@@ -143,14 +146,14 @@ fn run_tree_pipeline(
 /// Stream `items` down the single-item optimal tree.
 pub fn run_kbcast_optimal_tree(m: &LogP, items: &[u64], config: SimConfig) -> KBcastRun {
     let children = optimal_broadcast_tree(m).children();
-    run_tree_pipeline(Sim::new(*m, config), 0, 0..m.p, &children, items, None)
+    run_tree_pipeline(Sim::new(*m, config), 0, 0..m.p, children, items, None)
         .expect("every processor finishes exactly once")
 }
 
 /// Stream `items` down the binomial tree.
 pub fn run_kbcast_binomial(m: &LogP, items: &[u64], config: SimConfig) -> KBcastRun {
     let children = shape_children(TreeShape::Binomial, m.p);
-    run_tree_pipeline(Sim::new(*m, config), 0, 0..m.p, &children, items, None)
+    run_tree_pipeline(Sim::new(*m, config), 0, 0..m.p, children, items, None)
         .expect("every processor finishes exactly once")
 }
 
@@ -169,7 +172,7 @@ pub fn run_reliable_kbroadcast(
     let children = survivor_tree_children(m, &map);
     let sim = Sim::new(*m, config.with_faults(plan.clone()));
     let ranks = map.survivors().iter().copied();
-    run_tree_pipeline(sim, map.root(), ranks, &children, items, Some(retry))
+    run_tree_pipeline(sim, map.root(), ranks, children, items, Some(retry))
 }
 
 // ---------------------------------------------------------------------

@@ -11,8 +11,8 @@
 //! `logp-core` tree constructions understand) on one side, the surviving
 //! physical processor ids on the other.
 
-use logp_core::broadcast::{binomial_children, optimal_broadcast_tree};
-use logp_core::{LogP, ProcId};
+use logp_core::broadcast::optimal_broadcast_tree;
+use logp_core::{LogP, ProcId, Tree};
 use logp_sim::{FaultPlan, SimError};
 
 /// Why a resilient collective could not run, or could not finish.
@@ -121,36 +121,19 @@ impl SurvivorMap {
     }
 }
 
-/// Rank-indexed child lists of a tree over the survivors, re-indexed by
-/// *physical* id over the whole `p`-processor machine. Crashed processors
-/// get empty lists and appear in none.
-fn by_id(
-    map: &SurvivorMap,
-    p: u32,
-    by_rank: impl Iterator<Item = Vec<ProcId>>,
-) -> Vec<Vec<ProcId>> {
-    let mut out = vec![Vec::new(); p as usize];
-    for (r, mut kids) in by_rank.enumerate() {
-        for c in &mut kids {
-            *c = map.id_of(*c);
-        }
-        out[map.id_of(r as u32) as usize] = kids;
-    }
-    out
-}
-
-/// Child lists (indexed by *physical* id, full length `m.p`) of the
-/// optimal single-item broadcast tree over the survivors. Crashed
-/// processors get empty lists and receive nothing.
-pub fn survivor_tree_children(m: &LogP, map: &SurvivorMap) -> Vec<Vec<ProcId>> {
-    let tree = optimal_broadcast_tree(&map.sub_model(m));
-    by_id(map, m.p, tree.children().into_iter())
+/// The optimal single-item broadcast tree over the survivors, indexed by
+/// *physical* id over the whole machine (`m.p` ranks) and hanging from
+/// [`SurvivorMap::root`]. Crashed processors have no children and
+/// receive nothing.
+pub fn survivor_tree_children(m: &LogP, map: &SurvivorMap) -> Tree {
+    let by_rank = optimal_broadcast_tree(&map.sub_model(m)).children();
+    by_rank.relabel(m.p, map.survivors())
 }
 
 /// The same for the canonical binomial tree over survivor ranks, which
 /// the resilient reductions combine up the reverse of.
-pub(crate) fn survivor_binomial_children(p: u32, map: &SurvivorMap) -> Vec<Vec<ProcId>> {
-    by_id(map, p, (0..map.k()).map(|r| binomial_children(r, map.k())))
+pub(crate) fn survivor_binomial_children(p: u32, map: &SurvivorMap) -> Tree {
+    Tree::binomial(map.k()).relabel(p, map.survivors())
 }
 
 #[cfg(test)]

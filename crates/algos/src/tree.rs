@@ -3,22 +3,25 @@
 //! Broadcast, reduction and all-reduce are the same program: partial
 //! values combine up the reverse of one tree, then the result fans down
 //! another, and a rank takes part in whichever of the two phases the
-//! collective has. The trees are the child lists
+//! collective has. The trees are the [`Tree`]s
 //! `logp_core::hier::eval_{broadcast,reduce,allreduce}` price; the machine
 //! is whatever [`Sim`] the caller built (`Sim::new`, `Sim::new_hier`); the
 //! ranks are all of them or a fault plan's survivors; delivery is plain
 //! sends or, given a [`RetryConfig`], the same program inside
 //! [`Reliable`]. What the modules' collectives do *not* share is a
-//! [`Wire`].
+//! [`Wire`]. The ranks of one run share the down tree: each reads its own
+//! children out of it when it fans out, none keeps a copy.
 
 use crate::resilient::ResilientError;
-use logp_core::{Cycles, ProcId};
+use logp_core::{Children, Cycles, ProcId, Tree};
 use logp_sim::reliable::{Reliable, RetryConfig};
 use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimResult};
+use std::sync::Arc;
 
 /// The two things that differ between one module's tree collectives and
 /// another's: the tags on the wire, and what a combine costs. A module
 /// whose collectives lack a phase leaves that phase's tag `0`.
+#[derive(Clone, Copy)]
 pub(crate) struct Wire {
     /// Tag of a partial travelling up.
     pub up: u32,
@@ -84,20 +87,25 @@ pub(crate) fn execute<T, P: Process + 'static>(
     })
 }
 
+/// What the ranks of one run have in common.
+struct Shared {
+    wire: Wire,
+    /// The collective has an up phase.
+    up: bool,
+    /// Whom each rank hands the result down to, in send order; `None`
+    /// when the collective has no down phase.
+    down: Option<Tree>,
+}
+
 /// One rank of the tree collective.
 struct TreeProc {
-    wire: &'static Wire,
+    run: Arc<Shared>,
     value: f64,
     root: bool,
-    /// The collective has an up phase / a down phase.
-    up: bool,
-    down: bool,
     /// Where this rank's partial goes (non-root ranks of an up phase).
     parent: ProcId,
     /// Children's partials not yet combined into `value`.
     awaiting: u32,
-    /// Whom this rank hands the result down to, in send order.
-    kids: Box<[ProcId]>,
     out: SharedCell<Finals<f64>>,
 }
 
@@ -109,8 +117,9 @@ impl TreeProc {
     }
 
     fn fan_out(&self, ctx: &mut Ctx<'_>) {
-        for &c in self.kids.iter() {
-            ctx.send(c, self.wire.down, Data::F64(self.value));
+        let down = self.run.down.as_ref().expect("only a down phase fans out");
+        for &c in &down[ctx.me() as usize] {
+            ctx.send(c, self.run.wire.down, Data::F64(self.value));
         }
         self.finish(ctx);
     }
@@ -122,9 +131,9 @@ impl TreeProc {
             return;
         }
         if !self.root {
-            ctx.send(self.parent, self.wire.up, Data::F64(self.value));
+            ctx.send(self.parent, self.run.wire.up, Data::F64(self.value));
         }
-        if !self.down {
+        if self.run.down.is_none() {
             self.finish(ctx);
         } else if self.root {
             self.fan_out(ctx);
@@ -134,7 +143,7 @@ impl TreeProc {
 
 impl Process for TreeProc {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.up {
+        if self.run.up {
             self.try_up(ctx);
         } else if self.root {
             self.fan_out(ctx);
@@ -143,15 +152,16 @@ impl Process for TreeProc {
 
     fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
         let v = msg.data.as_f64();
-        if msg.tag == self.wire.down {
+        let wire = self.run.wire;
+        if msg.tag == wire.down {
             self.value = v;
             self.fan_out(ctx);
         } else {
-            debug_assert_eq!(msg.tag, self.wire.up);
+            debug_assert_eq!(msg.tag, wire.up);
             self.value += v;
             self.awaiting -= 1;
-            if self.wire.combine > 0 {
-                ctx.compute(self.wire.combine, 0);
+            if wire.combine > 0 {
+                ctx.compute(wire.combine, 0);
             } else {
                 self.try_up(ctx);
             }
@@ -163,69 +173,82 @@ impl Process for TreeProc {
     }
 }
 
-/// Child lists indexed by processor id, over the whole machine.
-pub(crate) type Tree = [Vec<ProcId>];
-
-/// Which phases a collective has, and the tree each runs on.
-#[derive(Clone, Copy)]
+/// Which phases a collective has, and the tree each runs on. The down
+/// tree is handed over: the ranks keep it for the length of the run.
 pub(crate) enum Phases<'a> {
     /// Broadcast: the root's value fans down the tree.
-    Down(&'a Tree),
+    Down(Tree),
     /// Reduction: values combine up the reverse of the tree.
     Up(&'a Tree),
     /// All-reduce: up the reverse of the first, down the second.
-    UpDown(&'a Tree, &'a Tree),
+    UpDown(&'a Tree, Tree),
 }
 
-impl<'a> Phases<'a> {
-    fn up(self) -> Option<&'a Tree> {
-        match self {
-            Phases::Up(t) | Phases::UpDown(t, _) => Some(t),
-            Phases::Down(_) => None,
-        }
-    }
-
-    fn down(self) -> Option<&'a Tree> {
-        match self {
-            Phases::Down(t) | Phases::UpDown(_, t) => Some(t),
-            Phases::Up(_) => None,
-        }
-    }
+/// A caller's tree, checked and stored as the runners take it: a copy of
+/// a [`Tree`], the [`Tree`] of child lists that span the machine from
+/// rank 0.
+///
+/// # Panics
+///
+/// With the [`logp_core::TreeError`]'s message when the lists are not
+/// such a tree — before any simulation starts.
+pub(crate) fn owned<C: Children + ?Sized>(children: &C) -> Tree {
+    Tree::try_from_lists(children).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Run the tree collective rooted at `root` over `ranks`, each starting
 /// from `value(rank)`. A rank's final is what it holds when its part
 /// ends: the datum (broadcast), its finished partial (reduction; the
-/// root's is the total), or the total (all-reduce).
+/// root's is the total), or the total (all-reduce). The trees hang from
+/// `root` and span `ranks`.
 pub(crate) fn run_tree(
     sim: Sim,
-    wire: &'static Wire,
+    wire: &Wire,
     root: ProcId,
     ranks: impl Iterator<Item = ProcId>,
     phases: Phases<'_>,
     value: impl Fn(ProcId) -> f64,
     retry: Option<RetryConfig>,
 ) -> Result<Run<f64>, ResilientError> {
-    let (up, down) = (phases.up(), phases.down());
-    for tree in [up, down].into_iter().flatten() {
+    let (up, down) = match phases {
+        Phases::Down(down) => (None, Some(down)),
+        Phases::Up(up) => (Some(up), None),
+        Phases::UpDown(up, down) => (Some(up), Some(down)),
+    };
+    for tree in [up, down.as_ref()].into_iter().flatten() {
         let p = sim.model().p as usize;
         assert_eq!(tree.len(), p, "a tree lists every processor's children");
     }
-    let mut parent = vec![root; up.map_or(0, <[_]>::len)];
-    for (q, kids) in up.into_iter().flatten().enumerate() {
+    let mut parent = vec![root; up.map_or(0, Tree::len)];
+    for (q, kids) in up.into_iter().flat_map(Tree::iter).enumerate() {
         for &c in kids {
             parent[c as usize] = q as ProcId;
         }
     }
+    let run = Arc::new(Shared {
+        wire: *wire,
+        up: up.is_some(),
+        down,
+    });
     execute(sim, ranks, retry, |q, out| TreeProc {
-        wire,
+        run: run.clone(),
         value: value(q),
         root: q == root,
-        up: up.is_some(),
-        down: down.is_some(),
         parent: up.map_or(root, |_| parent[q as usize]),
         awaiting: up.map_or(0, |t| t[q as usize].len() as u32),
-        kids: down.map_or_else(Box::default, |t| t[q as usize].as_slice().into()),
         out,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Beside the message-path pins of `logp-sim`: a rank's program is
+    /// boxed once a processor, and 40 bytes keep the box out of the
+    /// allocator's 64-byte class.
+    #[test]
+    fn a_rank_of_the_tree_collective_stays_small() {
+        assert!(std::mem::size_of::<TreeProc>() <= 40);
+    }
 }

@@ -13,10 +13,33 @@
 //! (provably optimal: the multiset of arrival times it generates is the
 //! `P-1` smallest achievable arrival times) and also evaluates arbitrary
 //! fixed tree shapes (linear, flat, binary, binomial) as baselines.
+//!
+//! # The greedy rule without a queue
+//!
+//! The greedy rule is "the holder that can inject earliest sends next,
+//! lowest id on a tie", and the obvious way to run it is a priority queue
+//! holding one `(next injection start, holder)` entry per holder. The
+//! queue is not needed, because its entries come in two kinds and each
+//! kind is born already sorted. Injection starts never decrease from one
+//! send to the next (a send at `s` only adds entries at `s + g'` and
+//! `s + 2o + L`), and new holders are numbered in creation order, so
+//!
+//! * the holders that have *not yet sent*, `(ready[f], f)`, ascend in
+//!   `(time, id)` as `f` does, and
+//! * the holders due to send *again*, `(send_start[c] + g', parent[c])`
+//!   — one per send already made, `c` being the child that send created —
+//!   ascend in `(time, id)` as `c` does.
+//!
+//! Both sequences can be read off the arrays the builder is filling, with
+//! one cursor each; the next sender is the smaller of the two fronts,
+//! which is exactly the entry a min-heap ordered by `(time, id)` would
+//! pop. [`optimal_broadcast_tree`] is that two-cursor merge: the heap's
+//! tree node for node, in `O(P)` and three allocations (the reference
+//! heap builder lives on in `crates/core/tests/`, where a differential
+//! test holds the two equal).
 
 use crate::params::{Cycles, LogP, ProcId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::tree::{parent_edges, Children, Tree};
 
 /// A broadcast tree annotated with the time each processor first holds the
 /// datum. Processor ids are assigned in arrival order: processor 0 is the
@@ -42,16 +65,16 @@ impl BroadcastTree {
     }
 
     /// Children of each node, in the order the parent sends to them.
-    pub fn children(&self) -> Vec<Vec<ProcId>> {
-        let mut ch = vec![Vec::new(); self.parent.len()];
-        // Processors are numbered in arrival order; a parent sends to its
-        // children in that same order, so pushing in id order is correct.
-        for (i, p) in self.parent.iter().enumerate() {
-            if let Some(p) = p {
-                ch[*p as usize].push(i as ProcId);
-            }
-        }
-        ch
+    pub fn children(&self) -> Tree {
+        // Processors are numbered in arrival order: a parent precedes its
+        // children (so the parents are a tree rooted at 0) and sends to
+        // them in id order.
+        let arrival_order = |(a, i): (&Option<ProcId>, ProcId)| a.map_or(i == 0, |a| a < i);
+        assert!(
+            self.parent.iter().zip(0..).all(arrival_order),
+            "a processor's parent holds the datum before it does"
+        );
+        Tree::group(self.parent.len(), 0, parent_edges(&self.parent))
     }
 
     /// Fan-out of the root.
@@ -133,11 +156,12 @@ pub fn optimal_broadcast_time(m: &LogP) -> Cycles {
 
 /// Build the optimal broadcast tree greedily.
 ///
-/// Maintain a priority queue of `(next_possible_injection_start, proc)`;
-/// repeatedly pop the earliest, create the next recipient with
-/// `ready = start + 2o + L`, and re-insert both the sender (at `start +
-/// max(g,o)`) and the recipient (at its `ready`). This realizes the
-/// smallest `P-1` arrival times, hence the optimal completion.
+/// Whoever can start an injection earliest (lowest id on a tie) sends
+/// next; the recipient holds the datum `2o + L` later and the sender may
+/// inject again `max(g, o)` later. This realizes the smallest `P-1`
+/// arrival times, hence the optimal completion. The next sender is the
+/// smaller front of two sequences that are sorted as they are made — see
+/// the module documentation.
 pub fn optimal_broadcast_tree(m: &LogP) -> BroadcastTree {
     let p = m.p as usize;
     let mut parent = vec![None; p];
@@ -146,19 +170,28 @@ pub fn optimal_broadcast_tree(m: &LogP) -> BroadcastTree {
     let gp = m.g.max(m.o);
     let p2p = m.point_to_point();
 
-    // Min-heap ordered by (time, proc-id) for determinism.
-    let mut heap: BinaryHeap<Reverse<(Cycles, ProcId)>> = BinaryHeap::new();
-    heap.push(Reverse((0, 0)));
-    let mut next_id: ProcId = 1;
-    while (next_id as usize) < p {
-        let Reverse((s, sender)) = heap.pop().expect("heap never empties while work remains");
-        let child = next_id;
-        next_id += 1;
-        parent[child as usize] = Some(sender);
-        send_start[child as usize] = s;
-        ready[child as usize] = s + p2p;
-        heap.push(Reverse((s + gp, sender)));
-        heap.push(Reverse((ready[child as usize], child)));
+    // `fresh`: the lowest-numbered holder that has not sent yet. `again`:
+    // the child made by the oldest send whose sender has not been taken
+    // for its next one. Every holder is in exactly one of the two
+    // sequences, so they are never both empty.
+    let (mut fresh, mut again) = (0, 1);
+    for child in 1..p {
+        let resend = |c: usize| {
+            let sender: ProcId = parent[c].expect("every processor but the source has a parent");
+            (send_start[c] + gp, sender)
+        };
+        let first_send =
+            again == child || (fresh < child && (ready[fresh], fresh as ProcId) < resend(again));
+        let (s, sender) = if first_send {
+            fresh += 1;
+            (ready[fresh - 1], (fresh - 1) as ProcId)
+        } else {
+            again += 1;
+            resend(again - 1)
+        };
+        parent[child] = Some(sender);
+        send_start[child] = s;
+        ready[child] = s + p2p;
     }
     BroadcastTree {
         parent,
@@ -171,27 +204,25 @@ pub fn optimal_broadcast_tree(m: &LogP) -> BroadcastTree {
 /// Evaluate the completion time of broadcasting along a *fixed* tree:
 /// `children[i]` lists the recipients processor `i` sends to, in order.
 /// Returns per-processor ready times (root = processor 0, ready at 0).
-pub fn tree_broadcast_times(m: &LogP, children: &[Vec<ProcId>]) -> Vec<Cycles> {
-    let p = children.len();
+///
+/// # Panics
+///
+/// With the [`crate::TreeError`]'s message, before anything is walked,
+/// when `children` is not a tree that spans its ranks from processor 0.
+pub fn tree_broadcast_times<C: Children + ?Sized>(m: &LogP, children: &C) -> Vec<Cycles> {
+    children.check(0).unwrap_or_else(|e| panic!("{e}"));
     let gp = m.g.max(m.o);
     let p2p = m.point_to_point();
-    let mut ready: Vec<Option<Cycles>> = vec![None; p];
-    ready[0] = Some(0);
-    // Process in BFS order from the root so parents are resolved first.
-    let mut queue = std::collections::VecDeque::from([0usize]);
-    while let Some(node) = queue.pop_front() {
-        let base = ready[node].expect("BFS order guarantees parent is ready");
-        for (slot, &c) in children[node].iter().enumerate() {
-            let s = base + slot as Cycles * gp;
-            assert!(ready[c as usize].is_none(), "processor {c} received twice");
-            ready[c as usize] = Some(s + p2p);
-            queue.push_back(c as usize);
+    let mut ready = vec![0; children.ranks()];
+    // A parent is resolved before its children are visited.
+    let mut stack = vec![0usize];
+    while let Some(node) = stack.pop() {
+        for (slot, &c) in children.of(node).iter().enumerate() {
+            ready[c as usize] = ready[node] + slot as Cycles * gp + p2p;
+            stack.push(c as usize);
         }
     }
     ready
-        .into_iter()
-        .map(|r| r.expect("every processor must be covered by the tree"))
-        .collect()
 }
 
 /// Children of `i` in the canonical binomial tree rooted at 0
@@ -233,47 +264,18 @@ pub enum TreeShape {
     Binomial,
 }
 
-/// Build the child lists for a baseline tree over `p` processors.
-pub fn shape_children(shape: TreeShape, p: u32) -> Vec<Vec<ProcId>> {
-    let n = p as usize;
-    let mut ch = vec![Vec::new(); n];
+/// Build a baseline tree over `p` processors. In all four shapes a
+/// processor sends to its children in id order, so a shape is its parent
+/// function.
+pub fn shape_children(shape: TreeShape, p: u32) -> Tree {
     match shape {
-        TreeShape::Flat => {
-            for i in 1..n {
-                ch[0].push(i as ProcId);
-            }
-        }
-        TreeShape::Linear => {
-            for i in 1..n {
-                ch[i - 1].push(i as ProcId);
-            }
-        }
-        TreeShape::Binary => {
-            for (i, children) in ch.iter_mut().enumerate() {
-                for c in [2 * i + 1, 2 * i + 2] {
-                    if c < n {
-                        children.push(c as ProcId);
-                    }
-                }
-            }
-        }
-        TreeShape::Binomial => {
-            // Node i's children are i + 2^j for 2^j > low_bit_span(i);
-            // equivalently the standard recursive-doubling pattern where in
-            // round j every informed node i sends to i + 2^j.
-            let mut step = 1usize;
-            while step < n {
-                for (i, children) in ch.iter_mut().enumerate().take(step.min(n)) {
-                    let c = i + step;
-                    if c < n {
-                        children.push(c as ProcId);
-                    }
-                }
-                step <<= 1;
-            }
-        }
+        TreeShape::Flat => Tree::rooted_at_zero(p, |_| 0),
+        TreeShape::Linear => Tree::rooted_at_zero(p, |c| c - 1),
+        TreeShape::Binary => Tree::rooted_at_zero(p, |c| (c - 1) / 2),
+        // The recursive-doubling pattern: in round j every informed node
+        // i < 2^j sends to i + 2^j, so c's parent is c without its top bit.
+        TreeShape::Binomial => Tree::rooted_at_zero(p, |c| c - (1 << c.ilog2())),
     }
-    ch
 }
 
 /// Completion time of a baseline shape.

@@ -34,6 +34,7 @@
 use crate::broadcast::optimal_broadcast_tree;
 use crate::estimate::LogPEstimate;
 use crate::params::{Cycles, LogP, ParamError, ProcId};
+use crate::tree::{parent_edges, Children, Tree};
 use serde::{Deserialize, Serialize};
 
 /// One topology level: its own (L, o, g) plus the `arity` — how many
@@ -389,8 +390,10 @@ struct PState {
 /// is ordered outermost level first, so the long-latency messages leave
 /// before the cheap local ones.
 ///
-/// Returns `children[i]` — the ranks `i` sends to, in send order — in
-/// the same shape [`crate::broadcast::tree_broadcast_times`] consumes.
+/// Returns the [`Tree`] of who sends to whom, in send order — what
+/// [`eval_broadcast`] prices and `logp_algos::hier` runs. Every group of
+/// a level has the same `(L, o, g, arity)`, so one optimal tree is built
+/// per *level* and laid over each of the level's groups.
 ///
 /// ```
 /// use logp_core::hier::{hier_broadcast_children, Hierarchy, Level};
@@ -412,42 +415,38 @@ struct PState {
 ///     }
 /// }
 /// ```
-pub fn hier_broadcast_children(h: &Hierarchy) -> Vec<Vec<ProcId>> {
-    let p = h.p() as usize;
-    let mut children = vec![Vec::new(); p];
-    // Stack of (level, group base rank); groups split outermost-in so a
-    // leader's outer-level sends are appended before its inner ones.
-    let top = h.depth() - 1;
-    let mut stack = vec![(top, 0u64)];
-    while let Some((k, base)) = stack.pop() {
-        let lv = h.level(k);
-        let sub = if k == 0 { 1 } else { h.group_size(k - 1) };
-        if lv.arity > 1 {
+pub fn hier_broadcast_children(h: &Hierarchy) -> Tree {
+    let p = h.p() as u64;
+    // Level k's optimal tree, over the node numbers 0..arity: node j
+    // stands for a group's j-th sub-leader (node 0 for its leader), and
+    // the tree numbers nodes in arrival order.
+    let level_parents: Vec<Vec<Option<ProcId>>> = h
+        .levels()
+        .iter()
+        .map(|lv| {
             let m = LogP {
                 l: lv.l,
                 o: lv.o,
                 g: lv.g,
                 p: lv.arity,
             };
-            // The optimal tree numbers nodes in arrival order; map node
-            // j to the j-th sub-leader (root 0 -> the group's leader).
-            let tree = optimal_broadcast_tree(&m);
-            for (j, parent) in tree.parent.iter().enumerate() {
-                if let Some(pi) = parent {
-                    let from = (base + *pi as u64 * sub) as ProcId;
-                    let to = (base + j as u64 * sub) as ProcId;
-                    children[from as usize].push(to);
-                }
-            }
-        }
-        if k > 0 {
-            // Push in reverse so sub-groups recurse in rank order.
-            for j in (0..lv.arity as u64).rev() {
-                stack.push((k - 1, base + j * sub));
-            }
-        }
-    }
-    children
+            optimal_broadcast_tree(&m).parent
+        })
+        .collect();
+    // Outermost level first: grouping keeps each sender's edges in the
+    // order they are listed, so its long-haul sends come before its local
+    // ones, and within a level in the optimal tree's order.
+    let edges = (0..h.depth()).rev().flat_map(|k| {
+        let sub = if k == 0 { 1 } else { h.group_size(k - 1) };
+        let tree = &level_parents[k];
+        (0..p)
+            .step_by(h.group_size(k) as usize)
+            .flat_map(move |base| {
+                let rank = move |node: ProcId| (base + node as u64 * sub) as ProcId;
+                parent_edges(tree).map(move |(from, to)| (rank(from), rank(to)))
+            })
+    });
+    Tree::group(p as usize, 0, edges)
 }
 
 /// Evaluate a broadcast along a fixed tree on the hierarchical machine:
@@ -466,26 +465,42 @@ pub fn hier_broadcast_children(h: &Hierarchy) -> Vec<Vec<ProcId>> {
 /// let ch = optimal_broadcast_tree(&m).children();
 /// assert_eq!(eval_broadcast(&Hierarchy::flat(&m), &ch), tree_broadcast_times(&m, &ch));
 /// ```
-pub fn eval_broadcast(h: &Hierarchy, children: &[Vec<ProcId>]) -> Vec<Cycles> {
+///
+/// # Panics
+///
+/// This and the other two evaluators panic with the
+/// [`crate::TreeError`]'s message, before they walk anything, when a tree
+/// they are given does not span the machine's ranks from rank 0.
+pub fn eval_broadcast<C: Children + ?Sized>(h: &Hierarchy, children: &C) -> Vec<Cycles> {
+    must_span(h, children);
     let mut st = vec![PState::default(); h.p() as usize];
     eval_bcast_phase(h, children, &mut st, 0, 0)
 }
 
+/// The evaluators' one look at a tree before they walk it.
+fn must_span<C: Children + ?Sized>(h: &Hierarchy, tree: &C) {
+    assert_eq!(
+        tree.ranks(),
+        h.p() as usize,
+        "a tree lists every rank's children"
+    );
+    tree.check(0).unwrap_or_else(|e| panic!("{e}"));
+}
+
 /// One broadcast phase over existing per-processor clocks (the all-
 /// reduce's down phase reuses the up phase's state).
-fn eval_bcast_phase(
+fn eval_bcast_phase<C: Children + ?Sized>(
     h: &Hierarchy,
-    children: &[Vec<ProcId>],
+    children: &C,
     st: &mut [PState],
     root: ProcId,
     t0: Cycles,
 ) -> Vec<Cycles> {
-    let p = children.len();
-    let mut ready: Vec<Option<Cycles>> = vec![None; p];
-    ready[root as usize] = Some(t0);
+    let mut ready = vec![0; children.ranks()];
+    ready[root as usize] = t0;
     let mut queue = std::collections::VecDeque::from([root as usize]);
     while let Some(node) = queue.pop_front() {
-        for &c in &children[node] {
+        for &c in children.of(node) {
             let lv = h.params_between(node as ProcId, c);
             // Injection: earliest start respecting the sender's
             // occupancy and gap; occupies `o`, re-arms the gap at `g`.
@@ -500,15 +515,11 @@ fn eval_bcast_phase(
             let r = arrival.max(st[ci].busy).max(st[ci].recv_slot);
             st[ci].busy = r + lv.o;
             st[ci].recv_slot = r + lv.g;
-            assert!(ready[ci].is_none(), "rank {c} received twice");
-            ready[ci] = Some(r + lv.o);
+            ready[ci] = r + lv.o;
             queue.push_back(ci);
         }
     }
     ready
-        .into_iter()
-        .map(|r| r.expect("every rank must be covered by the tree"))
-        .collect()
 }
 
 /// Evaluate a reduction along the *reverse* of a fixed tree: leaves
@@ -518,18 +529,19 @@ fn eval_bcast_phase(
 /// parent once all children are in. Returns per-rank done times (the
 /// instant a rank's partial is complete); the root's entry is the
 /// reduction's completion.
-pub fn eval_reduce(h: &Hierarchy, children: &[Vec<ProcId>]) -> Vec<Cycles> {
+pub fn eval_reduce<C: Children + ?Sized>(h: &Hierarchy, children: &C) -> Vec<Cycles> {
+    must_span(h, children);
     let mut st = vec![PState::default(); h.p() as usize];
     eval_reduce_phase(h, children, &mut st, 0)
 }
 
-fn eval_reduce_phase(
+fn eval_reduce_phase<C: Children + ?Sized>(
     h: &Hierarchy,
-    children: &[Vec<ProcId>],
+    children: &C,
     st: &mut [PState],
     root: ProcId,
 ) -> Vec<Cycles> {
-    let p = children.len();
+    let p = children.ranks();
     // Post-order: children strictly before parents.
     let mut order = Vec::with_capacity(p);
     let mut stack = vec![(root as usize, false)];
@@ -538,19 +550,20 @@ fn eval_reduce_phase(
             order.push(node);
         } else {
             stack.push((node, true));
-            for &c in &children[node] {
+            for &c in children.of(node) {
                 stack.push((c as usize, false));
             }
         }
     }
     let mut done = vec![0; p];
     for &node in &order {
-        if children[node].is_empty() {
+        if children.of(node).is_empty() {
             continue; // leaf: partial ready at 0
         }
         // Each child sends its finished partial up; the message leaves
         // as soon as the child is free (its combine pipeline drains).
-        let mut inbound: Vec<(Cycles, Cycles, usize)> = children[node]
+        let mut inbound: Vec<(Cycles, Cycles, usize)> = children
+            .of(node)
             .iter()
             .map(|&c| {
                 let ci = c as usize;
@@ -582,7 +595,13 @@ fn eval_reduce_phase(
 /// occupancy and gap clocks carried across the two phases. Both trees
 /// must be rooted at rank 0. Returns the time each rank holds the final
 /// value; the maximum is the completion.
-pub fn eval_allreduce(h: &Hierarchy, up: &[Vec<ProcId>], down: &[Vec<ProcId>]) -> Vec<Cycles> {
+pub fn eval_allreduce<U, D>(h: &Hierarchy, up: &U, down: &D) -> Vec<Cycles>
+where
+    U: Children + ?Sized,
+    D: Children + ?Sized,
+{
+    must_span(h, up);
+    must_span(h, down);
     let mut st = vec![PState::default(); h.p() as usize];
     let done = eval_reduce_phase(h, up, &mut st, 0);
     let mut ready = eval_bcast_phase(h, down, &mut st, 0, done[0]);

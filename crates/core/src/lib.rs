@@ -20,6 +20,9 @@
 //!   micro-benchmarks, the `logp-calib` black-box calibrator);
 //! * [`broadcast`] — the optimal single-datum broadcast of §3.3 / Fig. 3,
 //!   plus baseline tree shapes;
+//! * [`tree`] — the one tree object every builder returns and every
+//!   evaluator and runner reads ([`Tree`], 8 bytes a rank), with the check
+//!   that turns somebody else's child lists into one or a [`TreeError`];
 //! * [`summation`] — the optimal summation schedules of §3.3 / Fig. 4;
 //! * [`cost`] — closed-form costs for streams, remaps, FFT layouts and LU
 //!   layouts (§4);
@@ -48,8 +51,10 @@ pub mod rng;
 pub mod summation;
 pub mod sweep;
 pub mod techtrends;
+pub mod tree;
 
 pub use estimate::{LogPEstimate, ParamEstimate};
 pub use hier::{HierError, Hierarchy, Level};
 pub use machines::MachinePreset;
 pub use params::{Cycles, LogP, ParamError, ProcId};
+pub use tree::{Children, Tree, TreeError};

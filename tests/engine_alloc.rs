@@ -4,34 +4,37 @@
 //!
 //! Allocated per processor by one collective call, `Sim::new` to the
 //! returned run, at P = 2^14 on `LogP(L=60, o=4, g=8)`; "parent" is the
-//! engine whose queued command was 48 bytes and parked message 64, with a
-//! `VecDeque` a sender for its release ring and one a processor for its
-//! first command:
+//! library whose trees were child lists (a `Vec` a rank, cloned into a
+//! `Box<[ProcId]>` in each rank's 56-byte program) built by a priority
+//! queue:
 //!
 //! | call, engine                         | parent: calls, bytes | now: calls, bytes | bound: calls, bytes |
 //! |--------------------------------------|----------------------|-------------------|---------------------|
-//! | optimal broadcast, classic           | 1.35, 712            | 1.33, 663         | 1.4, 700            |
-//! | optimal broadcast, 8 lanes           | 1.62, 721            | 1.44, 668         | 1.52, 705           |
-//! | reduce-broadcast all-reduce, classic | 3.16, 896            | 2.16, 797         | 2.27, 840           |
-//! | reduce-broadcast all-reduce, 8 lanes | 4.26, 939            | 2.28, 810         | 2.4, 850            |
+//! | optimal broadcast, classic           | 1.33, 663            | 1.16, 651         | 1.22, 685           |
+//! | optimal broadcast, 8 lanes           | 1.44, 668            | 1.28, 656         | 1.35, 690           |
+//! | reduce-broadcast all-reduce, classic | 2.16, 797            | 1.16, 695         | 1.22, 730           |
+//! | reduce-broadcast all-reduce, 8 lanes | 2.28, 810            | 1.28, 708         | 1.35, 745           |
 //!
-//! (The all-reduce call builds its two child-list trees itself, inside
-//! the count.) What went: the 48-byte first command buffer of every rank
-//! that queues one send at a time — the first command sits in the
-//! processor now, a buffer comes with the second — and the 32-byte buffer
-//! of every sender's release ring on the lanes, which holds three
-//! instants in place.
+//! (The all-reduce call builds its two trees itself, inside the count;
+//! the broadcast call copies the caller's.) What went: one list buffer
+//! and one boxed copy of it for every rank with children, in each of the
+//! two trees. A tree is two arrays now — 8 bytes a rank, a constant number
+//! of allocations whatever P is (the third test) — the ranks of a run
+//! share the down tree, and a rank's program is 40 bytes. What a rank
+//! still allocates for is its boxed program, and a command buffer if it
+//! queues a second send.
 //!
 //! The same collectives made reliable (`Reliable<TreeProc>` on every
 //! rank) over the `hier_faulted` workload's network — 2 % dropped, 1 %
-//! duplicated, 2 % delayed — with its retry policy:
+//! duplicated, 2 % delayed — with its retry policy, on survivor trees
+//! that are the same two arrays:
 //!
 //! | call, engine                  | parent: calls, bytes | now: calls, bytes | bound: calls, bytes |
 //! |-------------------------------|----------------------|-------------------|---------------------|
-//! | reliable broadcast, classic   | 5.82, 1,882          | 4.99, 1,751       | 5.25, 1,840         |
-//! | reliable broadcast, 8 lanes   | 6.99, 1,920          | 5.19, 1,733       | 5.45, 1,820         |
-//! | reliable all-reduce, classic  | 9.99, 2,710          | 9.74, 2,528       | 10.25, 2,655        |
-//! | reliable all-reduce, 8 lanes  | 11.21, 2,500         | 9.98, 2,280       | 10.5, 2,395         |
+//! | reliable broadcast, classic   | 4.99, 1,751          | 4.52, 1,658       | 4.75, 1,740         |
+//! | reliable broadcast, 8 lanes   | 5.19, 1,733          | 4.72, 1,640       | 4.95, 1,720         |
+//! | reliable all-reduce, classic  | 9.74, 2,528          | 8.73, 2,418       | 9.15, 2,540         |
+//! | reliable all-reduce, 8 lanes  | 9.98, 2,280          | 8.98, 2,170       | 9.4, 2,280          |
 //!
 //! An endpoint holds a ring of 40-byte slots (one, for a rank that sends
 //! once) and one flat table of `(src, seq)` (84 bytes up to three peers).
@@ -147,14 +150,14 @@ fn a_processor_costs_a_bounded_number_of_bytes_and_calls() {
     // The header table's rows, with its bound column.
     let [bcast, allred, rel_bcast, rel_allred] = CALLS;
     let rows = [
-        (bcast, &classic, 1.4, 700.0),
-        (bcast, &lanes, 1.52, 705.0),
-        (allred, &classic, 2.27, 840.0),
-        (allred, &lanes, 2.4, 850.0),
-        (rel_bcast, &classic, 5.25, 1_840.0),
-        (rel_bcast, &lanes, 5.45, 1_820.0),
-        (rel_allred, &classic, 10.25, 2_655.0),
-        (rel_allred, &lanes, 10.5, 2_395.0),
+        (bcast, &classic, 1.22, 685.0),
+        (bcast, &lanes, 1.35, 690.0),
+        (allred, &classic, 1.22, 730.0),
+        (allred, &lanes, 1.35, 745.0),
+        (rel_bcast, &classic, 4.75, 1_740.0),
+        (rel_bcast, &lanes, 4.95, 1_720.0),
+        (rel_allred, &classic, 9.15, 2_540.0),
+        (rel_allred, &lanes, 9.4, 2_280.0),
     ];
     for ((call, run), (engine, config), max_calls, max_bytes) in rows {
         let a = run(&m, config.clone());
@@ -193,6 +196,25 @@ fn the_2p_th_processor_costs_what_the_p_th_did() {
             );
         }
     }
+}
+
+/// A tree is a constant number of blocks: the builder's three arrays and
+/// the tree's two, 32 bytes a processor in all, at any P.
+#[test]
+fn a_tree_is_five_allocations_at_any_size() {
+    let build = |p| {
+        let m = machine(p);
+        let a = allocs(|| {
+            let built = optimal_broadcast_tree(&m);
+            assert_eq!(built.children().len(), p as usize);
+        });
+        println!("optimal tree and its children, P = {p}: {a:?}");
+        (a.calls, a.bytes as f64 / f64::from(p))
+    };
+    let (small, big) = (build(1 << 13), build(1 << 14));
+    assert_eq!(small.0, 5);
+    assert_eq!(big.0, 5);
+    assert!(small.1 <= 32.01 && big.1 <= 32.01, "{small:?}, {big:?}");
 }
 
 /// What a message costs while it waits in its sender's queue: a remap

@@ -255,7 +255,7 @@ fn figure3_broadcast_runs_in_24_cycles() {
     let mut sim = Sim::new(m, SimConfig::default());
     sim.set_all(|p| {
         Box::new(Bcast {
-            children: children[p as usize].clone(),
+            children: children[p as usize].to_vec(),
             root: p == 0,
         })
     });

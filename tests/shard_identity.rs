@@ -292,7 +292,7 @@ fn collectives_never_regrow_arenas() {
         let mut sim = Sim::new(m, config.clone());
         sim.set_all(|p| {
             Box::new(TreeFanOut {
-                children: children[p as usize].clone(),
+                children: children[p as usize].to_vec(),
                 root: p == 0,
             })
         });
