@@ -18,9 +18,17 @@
 //!   additions (otherwise the sender should have shipped raw values).
 //!
 //! The inputs are deliberately *not* equally distributed over processors.
+//!
+//! Every answer is read from one table filled bottom-up in `T` (a child's
+//! deadline is below its parent's). Row `T` holds the unbounded capacity,
+//! [`procs_needed`], and the capacity `f(T, q)` on at most `q` processors
+//! for `q` in `2..min(P + 1, procs_needed(T))`; from `procs_needed(T)` on,
+//! `f(T, q)` is the unbounded capacity. A row's bounded columns are one
+//! knapsack handing processors to the root's children: its entry for `q − 1`
+//! processors does not depend on the size it was built for, so one pass
+//! over a row gives every processor count.
 
 use crate::params::{Cycles, LogP, ProcId};
-use std::collections::HashMap;
 
 /// Spacing between consecutive combine steps at a receiving processor.
 fn spacing(m: &LogP) -> Cycles {
@@ -33,71 +41,223 @@ fn recv_threshold(m: &LogP) -> Cycles {
     3 * m.o + m.l + 1
 }
 
+/// The most children a node with budget `t` can receive from: each must
+/// allow `>= o` additions, and the node keeps non-negative local work.
+fn max_children(m: &LogP, t: Cycles) -> u64 {
+    if t < recv_threshold(m) {
+        return 0;
+    }
+    let k_deadline = (t - recv_threshold(m)) / spacing(m) + 1;
+    k_deadline.min(t / (m.o + 1))
+}
+
+/// Deadline of child `j` of a node with budget `t`.
+fn child_deadline(m: &LogP, t: Cycles, j: u64) -> Cycles {
+    t - (2 * m.o + m.l + 1) - j * spacing(m)
+}
+
+/// Row `t`: the unbounded capacity and processor count (both saturating),
+/// and where the row's bounded columns start once filled.
+#[derive(Clone, Copy)]
+struct Row {
+    unb: u64,
+    needed: u64,
+    start: usize,
+}
+
+/// The recurrences for budgets `0..rows.len()` and processor counts `<= p`.
+struct Table {
+    m: LogP,
+    p: u32,
+    rows: Vec<Row>,
+    /// Rows below `filled` have their bounded columns in `bounded`: row
+    /// `t` holds `f(t, q)` for `q` in `2..=min(p, needed - 1)`.
+    filled: usize,
+    bounded: Vec<u64>,
+    /// The knapsack of the row being filled.
+    knap: Vec<u64>,
+}
+
+impl Table {
+    fn new(m: &LogP, p: u32) -> Self {
+        Table {
+            m: *m,
+            p: p.max(1),
+            rows: Vec::new(),
+            filled: 0,
+            bounded: Vec::new(),
+            knap: Vec::new(),
+        }
+    }
+
+    /// Push the next row; the unbounded schedule takes every child, and a
+    /// row after a saturated one is saturated (see [`unbounded`]).
+    fn push(&mut self) -> Row {
+        let (m, t) = (&self.m, self.rows.len() as Cycles);
+        let (mut unb, mut needed) = (u64::MAX, u64::MAX);
+        if self.rows.last().is_none_or(|last| last.needed < u64::MAX) {
+            let k = max_children(m, t);
+            (unb, needed) = (t - k * (m.o + 1) + 1, 1);
+            for j in 0..k {
+                let child = self.rows[child_deadline(m, t, j) as usize];
+                unb = unb.saturating_add(child.unb);
+                needed = needed.saturating_add(child.needed);
+            }
+        }
+        let row = Row {
+            unb,
+            needed,
+            start: 0,
+        };
+        self.rows.push(row);
+        row
+    }
+
+    /// `f(t, q)` for `q <= p`, from a pushed row, filled if `q` is below
+    /// the row's processor count.
+    fn cap(&self, t: Cycles, q: usize) -> u64 {
+        let row = &self.rows[t as usize];
+        if q <= 1 {
+            t + 1
+        } else if q as u64 >= row.needed {
+            row.unb
+        } else {
+            self.bounded[row.start + q - 2]
+        }
+    }
+
+    /// `f(t, p)`, pushing and filling the rows it reads.
+    fn capacity(&mut self, t: Cycles) -> u64 {
+        while self.rows.len() as u64 <= t {
+            self.push();
+        }
+        if u64::from(self.p) < self.rows[t as usize].needed {
+            self.fill(t);
+        }
+        self.cap(t, self.p as usize)
+    }
+
+    /// Fill the bounded columns of rows `filled..=t`: `knap[b]` is the best
+    /// the first children reach on at most `b` processors, so `f(t, b + 1)`
+    /// is the best over `k` of the root's local inputs plus `knap[b]`.
+    fn fill(&mut self, t: Cycles) {
+        let mut knap = std::mem::take(&mut self.knap);
+        while self.filled as Cycles <= t {
+            let (r, start) = (self.filled as Cycles, self.bounded.len());
+            // The largest processor count the row stores.
+            let top = u64::from(self.p).min(self.rows[self.filled].needed - 1) as usize;
+            self.rows[self.filled].start = start;
+            if top >= 2 {
+                self.bounded.resize(start + top - 1, r + 1);
+                knap.clear();
+                knap.resize(top, 0);
+                for j in 0..max_children(&self.m, r).min(top as u64 - 1) {
+                    self.add_child(&mut knap, j as usize, child_deadline(&self.m, r, j));
+                    let local = r - (j + 1) * (self.m.o + 1) + 1;
+                    let row = &mut self.bounded[start + j as usize..];
+                    for (f, v) in row.iter_mut().zip(&knap[j as usize + 1..]) {
+                        *f = (*f).max(local + v);
+                    }
+                }
+            }
+            self.filled += 1;
+        }
+        self.knap = knap;
+    }
+
+    /// Fold child `j` (deadline `tj`) into a knapsack over children
+    /// `0..j`: `knap[b]` becomes the best total of children `0..=j` on at
+    /// most `b` processors, each child on at least one. Only `b > j` is
+    /// feasible; `knap[..=j]` is left as it was.
+    fn add_child(&self, knap: &mut [u64], j: usize, tj: Cycles) {
+        let child = self.rows[tj as usize];
+        let stored = &self.bounded[child.start..];
+        for b in (j + 1..knap.len()).rev() {
+            // Child j takes `give` of at most `b - j` processors: 1, the
+            // stored columns, or the unbounded schedule's count.
+            let most = b - j;
+            let mid = (most as u64).min(child.needed - 1) as usize;
+            let mut best = tj + 1 + knap[b - 1];
+            if mid >= 2 {
+                let rest = knap[b - mid..b - 1].iter().rev();
+                best = stored[..mid - 1]
+                    .iter()
+                    .zip(rest)
+                    .fold(best, |acc, (v, k)| acc.max(v + k));
+            }
+            if child.needed <= most as u64 {
+                best = best.max(child.unb + knap[b - child.needed as usize]);
+            }
+            knap[b] = best;
+        }
+    }
+
+    /// The optimum of `f(t, p)` taken apart as the recursion this table
+    /// replaced took it: the most children first, children `k - 1` down to
+    /// 0, each on the fewest processors that keep the optimum. Returns the
+    /// node's local inputs and each child's processors.
+    fn split(&self, t: Cycles, p: usize, layers: &mut Vec<u64>) -> (u64, Vec<usize>) {
+        let m = &self.m;
+        if p <= 1 || t < recv_threshold(m) {
+            return (t + 1, Vec::new());
+        }
+        let target = self.cap(t, p);
+        // Layer `j` is the knapsack over children `0..j` on `0..p`
+        // processors.
+        let k_max = max_children(m, t).min(p as u64 - 1) as usize;
+        layers.clear();
+        layers.resize(p, 0);
+        for j in 0..k_max {
+            let tj = child_deadline(m, t, j as u64);
+            layers.extend_from_within(j * p..(j + 1) * p);
+            self.add_child(&mut layers[(j + 1) * p..], j, tj);
+        }
+        for k in (1..=k_max).rev() {
+            let local = t - k as u64 * (m.o + 1) + 1;
+            if layers[k * p + p - 1] != target - local {
+                continue;
+            }
+            let mut gives = vec![0; k];
+            let mut q = p - 1;
+            for j in (0..k).rev() {
+                let tj = child_deadline(m, t, j as u64);
+                let want = layers[(j + 1) * p + q];
+                gives[j] = (1..=q - j)
+                    .find(|&give| self.cap(tj, give) + layers[j * p + q - give] == want)
+                    .expect("argmax path is feasible");
+                q -= gives[j];
+            }
+            return (local, gives);
+        }
+        assert_eq!(target, t + 1, "the optimum must be reproducible");
+        (t + 1, Vec::new())
+    }
+}
+
 /// Maximum number of values summable by time `T` with *unbounded*
 /// processors.
 pub fn sum_capacity(m: &LogP, t: Cycles) -> u64 {
-    let mut memo = HashMap::new();
-    capacity_rec(m, t, &mut memo)
-}
-
-fn capacity_rec(m: &LogP, t: Cycles, memo: &mut HashMap<Cycles, u64>) -> u64 {
-    if t < recv_threshold(m) {
-        return t + 1;
-    }
-    if let Some(&v) = memo.get(&t) {
-        return v;
-    }
-    let s = spacing(m);
-    let lead = 2 * m.o + m.l + 1;
-    // k children, child j completing at t - lead - j*s; all must allow >= o
-    // additions, and the root must retain non-negative local work.
-    let k_deadline = (t - recv_threshold(m)) / s + 1;
-    let k_busy = t / (m.o + 1);
-    let k = k_deadline.min(k_busy);
-    let local = t - k * (m.o + 1);
-    let mut total = local + 1;
-    for j in 0..k {
-        let tj = t - lead - j * s;
-        total = total.saturating_add(capacity_rec(m, tj, memo));
-    }
-    memo.insert(t, total);
-    total
+    unbounded(m, t).unb
 }
 
 /// Number of processors the *unbounded* optimal schedule for budget `t`
 /// uses. Beyond this, additional processors cannot help, which lets the
 /// bounded dynamic program short-circuit.
 pub fn procs_needed(m: &LogP, t: Cycles) -> u64 {
-    let mut memo = HashMap::new();
-    procs_needed_rec(m, t, &mut memo)
+    unbounded(m, t).needed
 }
 
-fn procs_needed_rec(m: &LogP, t: Cycles, memo: &mut HashMap<Cycles, u64>) -> u64 {
-    if t < recv_threshold(m) {
-        return 1;
+/// Row `t` of the unbounded recurrences. Both are non-decreasing in `t`
+/// and saturate, so the rows stop at the first saturated one, which every
+/// later row equals.
+fn unbounded(m: &LogP, t: Cycles) -> Row {
+    let mut table = Table::new(m, 1);
+    loop {
+        let row = table.push();
+        if row.needed == u64::MAX || table.rows.len() as Cycles > t {
+            return row;
+        }
     }
-    if let Some(&v) = memo.get(&t) {
-        return v;
-    }
-    let s = spacing(m);
-    let lead = 2 * m.o + m.l + 1;
-    let k_deadline = (t - recv_threshold(m)) / s + 1;
-    let k_busy = t / (m.o + 1);
-    let k = k_deadline.min(k_busy);
-    let mut total = 1u64;
-    for j in 0..k {
-        total = total.saturating_add(procs_needed_rec(m, t - lead - j * s, memo));
-    }
-    memo.insert(t, total);
-    total
-}
-
-/// Memoization shared by the bounded capacity computations.
-#[derive(Default)]
-struct BoundedMemo {
-    cap: HashMap<(Cycles, u32), u64>,
-    needed: HashMap<Cycles, u64>,
-    unbounded: HashMap<Cycles, u64>,
 }
 
 /// Maximum number of values summable by time `T` with at most `p`
@@ -111,111 +271,22 @@ struct BoundedMemo {
 /// assert_eq!(sum_capacity_bounded(&LogP::fig4(), 28, 8), 79);
 /// ```
 pub fn sum_capacity_bounded(m: &LogP, t: Cycles, p: u32) -> u64 {
-    let mut memo = BoundedMemo::default();
-    bounded_rec(m, t, p.max(1), &mut memo)
+    Table::new(m, p).capacity(t)
 }
 
-fn bounded_rec(m: &LogP, t: Cycles, p: u32, memo: &mut BoundedMemo) -> u64 {
-    if p <= 1 || t < recv_threshold(m) {
-        return t + 1;
-    }
-    // With enough processors the bound is immaterial: reuse the (much
-    // cheaper) unbounded recurrence.
-    if p as u64 >= procs_needed_rec(m, t, &mut memo.needed) {
-        return capacity_rec(m, t, &mut memo.unbounded);
-    }
-    if let Some(&v) = memo.cap.get(&(t, p)) {
-        return v;
-    }
-    let s = spacing(m);
-    let k_deadline = (t - recv_threshold(m)) / s + 1;
-    let k_busy = t / (m.o + 1);
-    let k_max = k_deadline.min(k_busy).min((p - 1) as u64);
-    let mut best = t + 1; // no children at all
-                          // The child deadlines depend only on the child's index, not on how
-                          // many children are taken, so the allocation tables for k children
-                          // are a prefix of the tables for k_max: build once, read prefixes.
-    let tables = child_alloc_tables(m, t, p, k_max, memo);
-    for k in 1..=k_max {
-        let local = t - k * (m.o + 1) + 1;
-        if let Some(v) = tables[k as usize][(p - 1) as usize] {
-            best = best.max(local + v);
-        }
-    }
-    memo.cap.insert((t, p), best);
-    best
-}
-
-/// DP tables for allocating `p - 1` processors among `k` children of a node
-/// with budget `t`. `tables[j][q]` = best total value of children `0..j`
-/// using at most `q` processors (each child gets at least one), or `None`
-/// if infeasible (`q < j`).
-fn child_alloc_tables(
-    m: &LogP,
-    t: Cycles,
-    p: u32,
-    k: u64,
-    memo: &mut BoundedMemo,
-) -> Vec<Vec<Option<u64>>> {
-    let s = spacing(m);
-    let lead = 2 * m.o + m.l + 1;
-    let budget = (p - 1) as usize;
-    let mut tables: Vec<Vec<Option<u64>>> = Vec::with_capacity(k as usize + 1);
-    tables.push(vec![Some(0); budget + 1]);
-    for j in 0..k {
-        let tj = t - lead - j * s;
-        // Giving a child more processors than its unbounded schedule
-        // needs cannot help, so the allocation loop is capped there.
-        let cap_j = procs_needed_rec(m, tj, &mut memo.needed).min(budget as u64) as usize;
-        let prev = tables.last().expect("table list starts non-empty");
-        let mut next: Vec<Option<u64>> = vec![None; budget + 1];
-        for q in 1..=budget {
-            let mut b: Option<u64> = None;
-            for give in 1..=q.min(cap_j) {
-                if let Some(base) = prev[q - give] {
-                    let v = bounded_rec(m, tj, give as u32, memo) + base;
-                    if b.is_none_or(|cur| v > cur) {
-                        b = Some(v);
-                    }
-                }
-            }
-            next[q] = b;
-        }
-        tables.push(next);
-    }
-    tables
-}
-
-/// Minimum time to sum `n` values with at most `p` processors:
-/// exponential search from below (so the bounded capacity is only ever
-/// evaluated near the answer, where its dynamic program is cheap),
-/// followed by bisection, with memoization shared across probes.
+/// Minimum time to sum `n` values with at most `p` processors: the first
+/// budget whose bounded capacity reaches `n`, found by filling rows in
+/// order. The capacity is monotone in `T` — one more cycle is one more
+/// local addition at the root — so the first such row is the answer a
+/// search over `T` finds, and the scan never reads a row past it (nor
+/// past `n - 1`, where one processor alone suffices).
 pub fn min_sum_time(m: &LogP, n: u64, p: u32) -> Cycles {
-    if n <= 1 {
-        return 0;
+    let mut table = Table::new(m, p);
+    let mut t = 0;
+    while t + 1 < n && table.capacity(t) < n {
+        t += 1;
     }
-    let p = p.max(1);
-    let mut memo = BoundedMemo::default();
-    let mut cap = |t: Cycles| bounded_rec(m, t, p, &mut memo);
-    // Exponential phase: find the first power-of-two-ish budget that
-    // suffices (capacity(n-1) >= n always, via a single processor).
-    let mut hi = 1u64;
-    loop {
-        if hi >= n - 1 || cap(hi) >= n {
-            break;
-        }
-        hi = (hi * 2).min(n - 1);
-    }
-    let mut lo = hi / 2;
-    while lo + 1 < hi {
-        let mid = lo + (hi - lo) / 2;
-        if cap(mid) >= n {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    hi
+    t
 }
 
 /// One processor's role in an optimal summation schedule.
@@ -260,11 +331,29 @@ impl SumSchedule {
 /// and is directly executable on the simulator (see
 /// `logp-algos::reduce`).
 pub fn optimal_sum_schedule(m: &LogP, t: Cycles) -> SumSchedule {
-    let mut memo = BoundedMemo::default();
-    // Warm the memo so extraction can follow the argmax cheaply.
-    let total = bounded_rec(m, t, m.p, &mut memo);
-    let mut nodes = Vec::new();
-    build_node(m, t, m.p, None, &mut nodes, &mut memo);
+    let mut table = Table::new(m, m.p);
+    let total = table.capacity(t);
+    table.fill(t);
+    let (mut nodes, mut layers) = (Vec::<SumNode>::new(), Vec::new());
+    // Depth first, child 0 first: processor ids in preorder.
+    let mut stack = vec![(t, m.p as usize, None)];
+    while let Some((t, p, parent)) = stack.pop() {
+        let id = nodes.len() as ProcId;
+        if let Some(pid) = parent {
+            nodes[pid as usize].children.push((id, t));
+        }
+        let (local_inputs, gives) = table.split(t, p, &mut layers);
+        for (j, &give) in gives.iter().enumerate().rev() {
+            stack.push((child_deadline(m, t, j as u64), give, Some(id)));
+        }
+        nodes.push(SumNode {
+            proc: id,
+            parent,
+            local_inputs,
+            complete_at: t,
+            children: Vec::with_capacity(gives.len()),
+        });
+    }
     debug_assert_eq!(nodes.iter().map(|n| n.local_inputs).sum::<u64>(), total);
     SumSchedule {
         nodes,
@@ -272,99 +361,6 @@ pub fn optimal_sum_schedule(m: &LogP, t: Cycles) -> SumSchedule {
         total_inputs: total,
         model: *m,
     }
-}
-
-fn build_node(
-    m: &LogP,
-    t: Cycles,
-    p: u32,
-    parent: Option<ProcId>,
-    nodes: &mut Vec<SumNode>,
-    memo: &mut BoundedMemo,
-) -> ProcId {
-    let id = nodes.len() as ProcId;
-    if p <= 1 || t < recv_threshold(m) {
-        nodes.push(SumNode {
-            proc: id,
-            parent,
-            local_inputs: t + 1,
-            complete_at: t,
-            children: Vec::new(),
-        });
-        return id;
-    }
-    let target = bounded_rec(m, t, p, memo);
-    let s = spacing(m);
-    let lead = 2 * m.o + m.l + 1;
-    let k_deadline = (t - recv_threshold(m)) / s + 1;
-    let k_busy = t / (m.o + 1);
-    let k_max = k_deadline.min(k_busy).min((p - 1) as u64);
-
-    // Re-find the optimal child count and allocation (same DP as
-    // bounded_rec, retaining the tables for extraction).
-    let budget = (p - 1) as usize;
-    let all_tables = child_alloc_tables(m, t, p, k_max, memo);
-    for k in (0..=k_max).rev() {
-        let local = t - k * (m.o + 1) + 1;
-        if k == 0 {
-            if local == target {
-                nodes.push(SumNode {
-                    proc: id,
-                    parent,
-                    local_inputs: local,
-                    complete_at: t,
-                    children: Vec::new(),
-                });
-                return id;
-            }
-            continue;
-        }
-        let tables = &all_tables[..=k as usize];
-        if tables[k as usize][budget] != Some(target - local) {
-            continue;
-        }
-        // Extract: walk children from j = k-1 down to 0, peeling
-        // allocations out of the DP tables. tables[j+1][q] used
-        // tables[j][q - give] for child index j (children were folded in
-        // order j = 0..k, so tables[j+1] covers children 0..=j).
-        nodes.push(SumNode {
-            proc: id,
-            parent,
-            local_inputs: local,
-            complete_at: t,
-            children: Vec::new(),
-        });
-        let mut gives = vec![0usize; k as usize];
-        let mut q = budget;
-        // `q` shrinks as allocations peel off; the `1..=q` bound below is
-        // re-evaluated per child by design.
-        #[allow(clippy::mut_range_bound)]
-        for j in (0..k as usize).rev() {
-            let tj = t - lead - j as u64 * s;
-            let want = tables[j + 1][q].expect("argmax path is feasible");
-            let mut found = false;
-            for give in 1..=q {
-                if let Some(base) = tables[j][q - give] {
-                    if bounded_rec(m, tj, give as u32, memo) + base == want {
-                        gives[j] = give;
-                        q -= give;
-                        found = true;
-                        break;
-                    }
-                }
-            }
-            assert!(found, "DP extraction must succeed");
-        }
-        let mut children = Vec::with_capacity(k as usize);
-        for (j, &give) in gives.iter().enumerate() {
-            let tj = t - lead - j as u64 * s;
-            let cid = build_node(m, tj, give as u32, Some(id), nodes, memo);
-            children.push((cid, tj));
-        }
-        nodes[id as usize].children = children;
-        return id;
-    }
-    unreachable!("bounded_rec value must be reproducible");
 }
 
 #[cfg(test)]
