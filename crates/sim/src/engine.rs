@@ -1698,11 +1698,13 @@ impl Sim {
         flight: Cycles,
     ) {
         let now = self.now;
-        let d = self
-            .faults
-            .as_deref_mut()
-            .expect("FAULTS implies a fault plan")
-            .decide(src, dst, &data);
+        let Some(faults) = self.faults.as_deref_mut() else {
+            debug_assert!(false, "FAULTS implies a fault plan");
+            return self.inject::<OBS, SHARDED>(
+                src, dst, tag, data, words, meta, send_gate, o, flight, false,
+            );
+        };
+        let d = faults.decide(src, dst, &data);
         let flight = flight + d.delay;
         if d.drop {
             // The message occupies both network windows for its would-be
@@ -1750,10 +1752,10 @@ impl Sim {
     #[inline(never)]
     fn apply_crash<const OBS: bool, const SHARDED: bool>(&mut self, p: ProcId) {
         let idx = p as usize;
-        let faults = self
-            .faults
-            .as_deref_mut()
-            .expect("crash events require a fault plan");
+        let Some(faults) = self.faults.as_deref_mut() else {
+            debug_assert!(false, "crash events require a fault plan");
+            return;
+        };
         if self.procs[idx].halted {
             // Already halted (or a duplicate crash entry): just mark the
             // interface dead so future arrivals are discarded.
@@ -2381,6 +2383,16 @@ impl Sim {
         assert_eq!(in_use, chained, "message slots leaked or freed twice");
     }
 
+    /// The fault plan's crash-stops as the plan lists them; none without
+    /// a plan, which the `FAULTS` monomorphizations never run without.
+    fn crash_schedule(&self) -> Vec<(ProcId, Cycles)> {
+        let Some(faults) = self.faults.as_deref() else {
+            debug_assert!(false, "FAULTS implies a fault plan");
+            return Vec::new();
+        };
+        faults.plan.crashes.clone()
+    }
+
     /// Plant one crash-stop of the fault plan: a cycle-0 crash applies
     /// at once (it suppresses even `on_start`), a later one becomes an
     /// event ordered before every same-cycle arrival — on the classic
@@ -2426,12 +2438,7 @@ impl Sim {
         self.dst_waiters = vec![VecDeque::new(); p];
         self.msg_slab = MsgSlab::for_procs(p);
         if FAULTS {
-            let plan = &self
-                .faults
-                .as_deref()
-                .expect("FAULTS implies a fault plan")
-                .plan;
-            for (cp, t) in plan.crashes.clone() {
+            for (cp, t) in self.crash_schedule() {
                 self.plant_crash::<OBS, false>(cp, t);
             }
         }

@@ -282,8 +282,7 @@ impl Sim {
     /// per processor (the earliest wins — a processor cannot die twice),
     /// to be planted with [`Sim::plant_crash`] in the owner's lane.
     fn lane_crashes(&self) -> Vec<(ProcId, Cycles)> {
-        let faults = self.faults.as_deref().expect("FAULTS implies a fault plan");
-        let mut crashes = faults.plan.crashes.clone();
+        let mut crashes = self.crash_schedule();
         crashes.sort_unstable_by_key(|&(p, t)| (p, t));
         crashes.dedup_by_key(|&mut (p, _)| p);
         crashes

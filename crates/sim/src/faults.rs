@@ -62,8 +62,9 @@ const PPM: u64 = 1_000_000;
 
 /// Message identity used for unsequenced (raw) messages: each `(src, dst)`
 /// channel keeps an injection counter and hashes it through the *attempt*
-/// slot instead. Sequenced messages ([`Data::Seq`]) can never collide with
-/// this sentinel because their identity is a small wrapping counter.
+/// slot instead. Sequenced messages ([`Data::Seq`]) number from 0, so in
+/// practice never reach this sentinel; one that does hashes alike but
+/// keeps its own attempt counter.
 const IDENT_CHANNEL: u64 = u64::MAX;
 
 /// What the fault layer decided for one injected message. Produced by
@@ -171,7 +172,13 @@ impl FaultPlan {
     /// True if the plan injects no faults at all — such a plan is
     /// guaranteed cycle-identical to running without one.
     pub fn is_noop(&self) -> bool {
-        self.drop_ppm == 0 && self.dup_ppm == 0 && self.delay_ppm == 0 && self.crashes.is_empty()
+        self.zero_rates() && self.crashes.is_empty()
+    }
+
+    /// True if drop, duplicate and delay rates are all zero: every
+    /// decision is then the identity, whatever the attempt.
+    fn zero_rates(&self) -> bool {
+        self.drop_ppm == 0 && self.dup_ppm == 0 && self.delay_ppm == 0
     }
 
     /// True if `proc` crashes at any point under this plan.
@@ -260,17 +267,48 @@ impl Hasher for SplitMixHasher {
     }
 }
 
+/// How many sequenced identities a source counts in its own [`Row`]. A
+/// leaf of a reliable all-reduce needs two — the partial it sends up and
+/// the ack it returns for the total coming down — so only a tree's wider
+/// ranks spill into [`FaultState::attempts`].
+const ROW_SLOTS: usize = 4;
+
+/// A [`Slot`] count that says the identity outgrew `u32` and its count
+/// lives in [`FaultState::attempts`].
+const SPILLED: u32 = u32::MAX;
+
+/// The attempts of one sequenced identity `(src, dst, seq)` of the row's
+/// source: 16 bytes. `count == 0` marks a free slot — a claimed slot has
+/// counted at least its first injection — and a row's free slots are its
+/// suffix, because a slot is never given back.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    seq: u64,
+    dst: ProcId,
+    count: u32,
+}
+
+/// One source's slots: 64 bytes, one cache line.
+#[derive(Clone, Copy, Default)]
+#[repr(align(64))]
+struct Row([Slot; ROW_SLOTS]);
+
 /// Mutable engine-side fault state: the plan plus the identity counters
 /// that track message attempts, and the set of processors that have
-/// actually crashed so far in this run.
+/// actually crashed so far in this run. A plan with zero drop, duplicate
+/// and delay rates never touches the counters, so none is allocated.
 pub(crate) struct FaultState {
     pub(crate) plan: FaultPlan,
     /// Per-`(src, dst)` injection counters for unsequenced messages.
     /// Keyed sparsely: a dense `p * p` table would be 8 TB at P = 10^6,
     /// while real traffic touches only the channels programs actually use.
     chan_seq: HashMap<(ProcId, ProcId), u64, SplitMix>,
-    /// Injection (attempt) counters per sequenced logical message,
-    /// keyed by `(src, dst, seq)`.
+    /// The attempt counters of each source's first [`ROW_SLOTS`]
+    /// sequenced identities, one [`Row`] a processor; empty until the
+    /// first sequenced decision.
+    rows: Vec<Row>,
+    /// Attempt counters of the identities past their source's row, and
+    /// of the row slots that outgrew `u32`, keyed by `(src, dst, seq)`.
     attempts: HashMap<(ProcId, ProcId, u64), u64, SplitMix>,
     /// Which processors have crashed so far (dead NI, no handlers).
     pub(crate) crashed: Vec<bool>,
@@ -281,6 +319,7 @@ impl FaultState {
         FaultState {
             plan,
             chan_seq: HashMap::default(),
+            rows: Vec::new(),
             attempts: HashMap::default(),
             crashed: vec![false; p],
         }
@@ -291,13 +330,11 @@ impl FaultState {
     /// number so every retransmission of the same logical message gets its
     /// own stable decision; raw payloads are keyed by injection order.
     pub(crate) fn decide(&mut self, src: ProcId, dst: ProcId, data: &Data) -> FaultDecision {
+        if self.plan.zero_rates() {
+            return FaultDecision::default();
+        }
         let (ident, attempt) = match data.seq() {
-            Some(seq) => {
-                let a = self.attempts.entry((src, dst, seq)).or_insert(0);
-                let attempt = *a;
-                *a += 1;
-                (seq, attempt)
-            }
+            Some(seq) => (seq, self.attempt(src, dst, seq)),
             None => {
                 let c = self.chan_seq.entry((src, dst)).or_insert(0);
                 let n = *c;
@@ -307,11 +344,43 @@ impl FaultState {
         };
         self.plan.decide(src, dst, ident, attempt)
     }
+
+    /// Count one injection of the sequenced identity `(src, dst, seq)`
+    /// and return how many came before it: from the source's row if the
+    /// identity has a slot there or a free one is left, from `attempts`
+    /// otherwise.
+    fn attempt(&mut self, src: ProcId, dst: ProcId, seq: u64) -> u64 {
+        if self.rows.is_empty() {
+            self.rows = vec![Row::default(); self.crashed.len()];
+        }
+        for slot in &mut self.rows[src as usize].0 {
+            if slot.count == 0 {
+                *slot = Slot { seq, dst, count: 1 };
+                return 0;
+            }
+            if slot.seq == seq && slot.dst == dst {
+                if slot.count == SPILLED {
+                    break;
+                }
+                let attempt = slot.count;
+                slot.count += 1;
+                if slot.count == SPILLED {
+                    self.attempts.insert((src, dst, seq), u64::from(SPILLED));
+                }
+                return u64::from(attempt);
+            }
+        }
+        let a = self.attempts.entry((src, dst, seq)).or_insert(0);
+        let attempt = *a;
+        *a += 1;
+        attempt
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use logp_core::rng::CounterRng;
 
     #[test]
     fn decisions_are_pure() {
@@ -375,15 +444,143 @@ mod tests {
     fn state_keys_sequenced_messages_by_seq() {
         let plan = FaultPlan::new(11).with_drop_ppm(300_000);
         let mut st = FaultState::new(plan.clone(), 2);
-        let payload = Data::Seq {
-            seq: 4,
-            inner: Box::new(Data::U64(1)),
-        };
+        let payload = seq(4, Data::U64(1));
         // First and second injection of the same logical message are
         // attempts 0 and 1 of identity 4 — exactly the pure decisions.
         let first = st.decide(0, 1, &payload);
         let second = st.decide(0, 1, &payload);
         assert_eq!(first, plan.decide(0, 1, 4, 0));
         assert_eq!(second, plan.decide(0, 1, 4, 1));
+        // The largest sequence number hashes like the raw channel's
+        // identity but keeps its own counter.
+        let (raw, last) = (Data::U64(1), seq(u64::MAX, Data::Empty));
+        assert_eq!(st.decide(0, 1, &raw), plan.decide(0, 1, IDENT_CHANNEL, 0));
+        assert_eq!(st.decide(0, 1, &last), plan.decide(0, 1, u64::MAX, 0));
+        assert_eq!(st.decide(0, 1, &raw), plan.decide(0, 1, IDENT_CHANNEL, 1));
+        assert_eq!(st.decide(0, 1, &last), plan.decide(0, 1, u64::MAX, 1));
+    }
+
+    fn seq(seq: u64, inner: Data) -> Data {
+        Data::Seq {
+            seq,
+            inner: Box::new(inner),
+        }
+    }
+
+    /// The two maps `FaultState` kept before sequenced identities moved
+    /// into their source's row: the reference the rows are held to.
+    #[derive(Default)]
+    struct Maps {
+        chan_seq: HashMap<(ProcId, ProcId), u64>,
+        attempts: HashMap<(ProcId, ProcId, u64), u64>,
+    }
+
+    impl Maps {
+        fn decide(
+            &mut self,
+            plan: &FaultPlan,
+            src: ProcId,
+            dst: ProcId,
+            data: &Data,
+        ) -> FaultDecision {
+            let (ident, counter) = match data.seq() {
+                Some(seq) => (seq, self.attempts.entry((src, dst, seq)).or_insert(0)),
+                None => (IDENT_CHANNEL, self.chan_seq.entry((src, dst)).or_insert(0)),
+            };
+            let attempt = *counter;
+            *counter += 1;
+            plan.decide(src, dst, ident, attempt)
+        }
+    }
+
+    /// Seeded streams of 1–64 sources with 0–12 sequenced identities each
+    /// (so rows fill and spill), retransmissions interleaved, acks and data
+    /// sharing an identity, raw traffic on the same channels and sequence
+    /// number `u64::MAX`: the rows decide exactly as the maps did, and a
+    /// zero-rate plan decides the identity and keeps no identity state.
+    #[test]
+    fn rows_decide_as_the_maps_they_replaced() {
+        let live = FaultPlan::new(5)
+            .with_drop_ppm(300_000)
+            .with_dup_ppm(200_000)
+            .with_delay(250_000, 9);
+        let zero = FaultPlan::new(5).with_crash(0, 7);
+        let (mut spilled, mut fit) = (0, 0);
+        for case in 0..300 {
+            let mut rng = CounterRng::new(case);
+            let p = 1 + rng.next_in(63) as ProcId;
+            let most = rng.next_in(12);
+            let mut idents = Vec::new();
+            for src in 0..p {
+                // Numbers repeat across destinations, as a rank's acks
+                // carry the numbers of the peers they answer.
+                let (first, n) = (idents.len(), rng.next_in(most) as usize);
+                while idents.len() - first < n {
+                    let dst = rng.next_in(u64::from(p) - 1) as ProcId;
+                    let last = rng.next_in(7) == 0;
+                    let id = (src, dst, if last { u64::MAX } else { rng.next_in(most) });
+                    if !idents[first..].contains(&id) {
+                        idents.push(id);
+                    }
+                }
+            }
+            let stream: Vec<_> = (0..4 * idents.len() + 8)
+                .map(|_| {
+                    let pick = rng.next_in(idents.len().max(1) as u64 - 1) as usize;
+                    let (src, dst, s) = idents.get(pick).copied().unwrap_or((0, 0, 0));
+                    let data = match rng.next_in(7) {
+                        0 => Data::U64(s),
+                        1..=3 => seq(s, Data::Empty),
+                        _ => seq(s, Data::U64(s)),
+                    };
+                    (src, dst, data)
+                })
+                .collect();
+            for plan in [&live, &zero] {
+                let (mut st, mut maps) =
+                    (FaultState::new(plan.clone(), p as usize), Maps::default());
+                for (src, dst, data) in &stream {
+                    let d = st.decide(*src, *dst, data);
+                    assert_eq!(d, maps.decide(plan, *src, *dst, data), "case {case}");
+                    if plan == &zero {
+                        assert_eq!(d, FaultDecision::default());
+                    }
+                }
+                if plan == &zero {
+                    let held = st.rows.capacity() + st.attempts.capacity() + st.chan_seq.capacity();
+                    assert_eq!(
+                        held, 0,
+                        "case {case}: a zero-rate plan keeps identity state"
+                    );
+                } else if st.attempts.is_empty() {
+                    fit += 1;
+                } else {
+                    spilled += 1;
+                }
+            }
+        }
+        assert!(spilled > 0 && fit > 0, "{spilled} cases spilled, {fit} fit");
+    }
+
+    /// A row slot that reaches `u32::MAX` hands its count to the map, and
+    /// counting goes on exactly there while the row keeps its other slots.
+    #[test]
+    fn a_count_past_u32_max_stays_exact() {
+        let plan = FaultPlan::new(8)
+            .with_drop_ppm(500_000)
+            .with_delay(500_000, 4);
+        let mut st = FaultState::new(plan.clone(), 1);
+        let msg = seq(3, Data::U64(0));
+        st.decide(0, 0, &msg);
+        st.rows[0].0[0].count = SPILLED - 2;
+        let start = u64::from(SPILLED) - 2;
+        for attempt in start..start + 5 {
+            assert_eq!(st.decide(0, 0, &msg), plan.decide(0, 0, 3, attempt));
+        }
+        assert_eq!(st.rows[0].0[0].count, SPILLED);
+        assert_eq!(st.attempts[&(0, 0, 3)], start + 5);
+        let next = seq(4, Data::Empty);
+        assert_eq!(st.decide(0, 0, &next), plan.decide(0, 0, 4, 0));
+        assert_eq!((st.rows[0].0[1].seq, st.attempts.len()), (4, 1));
     }
 }

@@ -253,7 +253,9 @@ impl ObsLog {
     /// [`Cause`] remapped. Barriers are already globally ordered by
     /// release and stay put. The [`RetainSink`] of a sharded run applies
     /// this, and replayed logs of one apply it so both presentations of
-    /// the same run compare equal.
+    /// the same run compare equal. A cause naming a record the log does
+    /// not hold — a sampled or damaged replay — is renumbered to
+    /// [`UNSET`], an id no record carries, so walks still stop there.
     pub fn canonicalize(&mut self) {
         fn sort_remap<T, K: Ord>(v: &mut [T], key: impl Fn(&T) -> K) -> HashMap<u64, u64>
         where
@@ -270,10 +272,11 @@ impl ObsLog {
         let mmap = sort_remap(&mut self.msgs, |m| (m.inject, m.src));
         let cmap = sort_remap(&mut self.computes, |c| (c.start, c.proc));
         let tmap = sort_remap(&mut self.timers, |t| (t.armed, t.proc));
+        let renumber = |map: &HashMap<u64, u64>, id| map.get(&id).copied().unwrap_or(UNSET);
         let fix = |c: &mut Cause| match *c {
-            Cause::Msg(id) => *c = Cause::Msg(mmap[&id]),
-            Cause::Compute(id) => *c = Cause::Compute(cmap[&id]),
-            Cause::Retry(id) => *c = Cause::Retry(tmap[&id]),
+            Cause::Msg(id) => *c = Cause::Msg(renumber(&mmap, id)),
+            Cause::Compute(id) => *c = Cause::Compute(renumber(&cmap, id)),
+            Cause::Retry(id) => *c = Cause::Retry(renumber(&tmap, id)),
             Cause::Start | Cause::Barrier(_) => {}
         };
         for m in &mut self.msgs {

@@ -27,17 +27,23 @@
 //! The same collectives made reliable (`Reliable<TreeProc>` on every
 //! rank) over the `hier_faulted` workload's network — 2 % dropped, 1 %
 //! duplicated, 2 % delayed — with its retry policy, on survivor trees
-//! that are the same two arrays:
+//! that are the same two arrays, and the all-reduce once more under a
+//! plan whose rates are all zero; "parent" is the fault layer that
+//! counted every sequenced message's attempts in one machine-wide table:
 //!
-//! | call, engine                  | parent: calls, bytes | now: calls, bytes | bound: calls, bytes |
-//! |-------------------------------|----------------------|-------------------|---------------------|
-//! | reliable broadcast, classic   | 4.99, 1,751          | 4.52, 1,658       | 4.75, 1,740         |
-//! | reliable broadcast, 8 lanes   | 5.19, 1,733          | 4.72, 1,640       | 4.95, 1,720         |
-//! | reliable all-reduce, classic  | 9.74, 2,528          | 8.73, 2,418       | 9.15, 2,540         |
-//! | reliable all-reduce, 8 lanes  | 9.98, 2,280          | 8.98, 2,170       | 9.4, 2,280          |
+//! | call, engine                              | parent: calls, bytes | now: calls, bytes | bound: calls, bytes |
+//! |-------------------------------------------|----------------------|-------------------|---------------------|
+//! | reliable broadcast, classic               | 4.52, 1,658          | 4.52, 1,572       | 4.74, 1,650         |
+//! | reliable broadcast, 8 lanes               | 4.72, 1,640          | 4.72, 1,554       | 4.95, 1,630         |
+//! | reliable all-reduce, classic              | 8.73, 2,418          | 8.73, 2,182       | 9.15, 2,290         |
+//! | reliable all-reduce, 8 lanes              | 8.98, 2,170          | 8.98, 1,934       | 9.4, 2,030          |
+//! | reliable all-reduce, zero rates, classic  | 8.45, 1,843          | 8.45, 1,443       | 8.87, 1,510         |
 //!
 //! An endpoint holds a ring of 40-byte slots (one, for a rank that sends
 //! once) and one flat table of `(src, seq)` (84 bytes up to three peers).
+//! The fault layer counts the attempts of a sender's first four sequenced
+//! messages in its own 64-byte row and only the rest in a table; under
+//! zero rates it counts nothing and allocates neither (the third test).
 //! On the lanes the reliable broadcast doubles by 2.08 from 2^13 to 2^14,
 //! where the message slab takes one more doubling step.
 //!
@@ -123,23 +129,33 @@ fn reliable_broadcast(m: &LogP, config: SimConfig) -> Allocs {
     })
 }
 
-fn reliable_allreduce(m: &LogP, config: SimConfig) -> Allocs {
-    let (plan, retry) = lossy(m);
+fn reliable_allreduce_under(plan: &FaultPlan, m: &LogP, config: SimConfig) -> Allocs {
+    let (_, retry) = lossy(m);
     let values = vec![1.0; m.p as usize];
     allocs(|| {
-        let run = run_reliable_allreduce(m, &values, &plan, retry, config).expect("nobody crashes");
+        let run = run_reliable_allreduce(m, &values, plan, retry, config).expect("nobody crashes");
         assert_eq!(run.value, f64::from(m.p));
     })
 }
 
-/// One of the four collective calls, counted.
+fn reliable_allreduce(m: &LogP, config: SimConfig) -> Allocs {
+    reliable_allreduce_under(&lossy(m).0, m, config)
+}
+
+/// The reliable all-reduce under a plan whose rates are all zero.
+fn zero_rate_allreduce(m: &LogP, config: SimConfig) -> Allocs {
+    reliable_allreduce_under(&FaultPlan::new(1), m, config)
+}
+
+/// One of the five collective calls, counted.
 type Call = fn(&LogP, SimConfig) -> Allocs;
 
-const CALLS: [(&str, Call); 4] = [
+const CALLS: [(&str, Call); 5] = [
     ("broadcast", broadcast),
     ("all-reduce", allreduce),
     ("reliable broadcast", reliable_broadcast),
     ("reliable all-reduce", reliable_allreduce),
+    ("reliable all-reduce, zero rates", zero_rate_allreduce),
 ];
 
 #[test]
@@ -148,16 +164,17 @@ fn a_processor_costs_a_bounded_number_of_bytes_and_calls() {
     let p = f64::from(m.p);
     let [classic, lanes] = engines();
     // The header table's rows, with its bound column.
-    let [bcast, allred, rel_bcast, rel_allred] = CALLS;
+    let [bcast, allred, rel_bcast, rel_allred, zero_allred] = CALLS;
     let rows = [
         (bcast, &classic, 1.22, 685.0),
         (bcast, &lanes, 1.35, 690.0),
         (allred, &classic, 1.22, 730.0),
         (allred, &lanes, 1.35, 745.0),
-        (rel_bcast, &classic, 4.75, 1_740.0),
-        (rel_bcast, &lanes, 4.95, 1_720.0),
-        (rel_allred, &classic, 9.15, 2_540.0),
-        (rel_allred, &lanes, 9.4, 2_280.0),
+        (rel_bcast, &classic, 4.74, 1_650.0),
+        (rel_bcast, &lanes, 4.95, 1_630.0),
+        (rel_allred, &classic, 9.15, 2_290.0),
+        (rel_allred, &lanes, 9.4, 2_030.0),
+        (zero_allred, &classic, 8.87, 1_510.0),
     ];
     for ((call, run), (engine, config), max_calls, max_bytes) in rows {
         let a = run(&m, config.clone());
@@ -196,6 +213,38 @@ fn the_2p_th_processor_costs_what_the_p_th_did() {
             );
         }
     }
+}
+
+/// A plan whose rates are all zero decides the identity whatever the
+/// attempt, so the fault layer counts no attempts under it. Its twin — a
+/// delay rate with no delay to draw — decides the identity too, the same
+/// run cycle for cycle, but counts attempts: one block of a 64-byte row a
+/// processor, and a table for the identities that spill from the rows of
+/// the wide ranks.
+#[test]
+fn a_zero_rate_plan_allocates_no_identity_state() {
+    let m = machine(1 << 14);
+    let rows = 64 * m.p as usize;
+    let (_, retry) = lossy(&m);
+    let values = vec![1.0; m.p as usize];
+    let run = |plan: FaultPlan| {
+        counting::mark([rows, 0, 0]);
+        counting::allocs(|| {
+            run_reliable_allreduce(&m, &values, &plan, retry.clone(), SimConfig::default())
+                .expect("nobody crashes")
+                .result
+                .stats
+        })
+    };
+    let (zero, zero_allocs) = run(FaultPlan::new(1));
+    let (twin, twin_allocs) = run(FaultPlan::new(1).with_delay(1_000_000, 0));
+    println!("zero rates: {zero_allocs:?}; the twin that counts: {twin_allocs:?}");
+    assert_eq!(zero, twin, "the twin is the same run");
+    assert_eq!(twin_allocs.of[0], zero_allocs.of[0] + 1, "one row block");
+    assert!(
+        twin_allocs.calls >= zero_allocs.calls + 2,
+        "the rows and the spill table"
+    );
 }
 
 /// A tree is a constant number of blocks: the builder's three arrays and

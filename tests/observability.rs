@@ -816,6 +816,65 @@ fn critical_path_and_ancestry_survive_sampled_and_damaged_logs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Passes a token round the ring for `hops` hops: every send is caused by
+/// the delivery before it, one causal chain as long as the run.
+struct Relay {
+    hops: u64,
+}
+
+impl Process for Relay {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        if ctx.me() == 0 {
+            ctx.send(1, 0, Data::U64(1));
+        }
+    }
+    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
+        let hop = msg.data.as_u64();
+        if hop < self.hops {
+            ctx.send((ctx.me() + 1) % ctx.procs(), 0, Data::U64(hop + 1));
+        }
+    }
+}
+
+/// A sampled lane log, replayed and canonicalized: every other record is
+/// missing, so causes name records the log does not hold. They renumber
+/// to an id nothing carries, and the walks stop there.
+#[test]
+fn a_sampled_replay_canonicalizes() {
+    let m = LogP::fig3();
+    let path = std::env::temp_dir().join(format!("logp_obs_relay_{}.jsonl", std::process::id()));
+    let config = SimConfig::default()
+        .with_shards(2)
+        .with_sink(SinkSpec::Jsonl(path.clone()))
+        .with_sampling(ObsSampling::Stride(2));
+    let mut sim = Sim::new(m, config);
+    sim.set_all(|_| Box::new(Relay { hops: 20 }));
+    sim.run().expect("the relay completes");
+    let mut log = replay_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let kept = log.msgs.len();
+    assert!((1..20).contains(&kept), "{kept} of 20 messages sampled");
+    log.canonicalize();
+    for (i, rec) in log.msgs.iter().enumerate() {
+        assert_eq!(rec.id, i as u64);
+        match rec.cause {
+            Cause::Start => assert_eq!(i, 0),
+            Cause::Msg(id) => assert!(id == UNSET || id < i as u64, "{:?}", rec.cause),
+            other => panic!("a relay hop caused by {other:?}"),
+        }
+        assert!(log.ancestry(rec.id).len() <= 1);
+    }
+    let replayed = logp::sim::SimResult {
+        stats: SimStats {
+            procs: vec![Default::default(); m.p as usize],
+            ..Default::default()
+        },
+        obs: log,
+        ..Default::default()
+    };
+    assert!(critical_path(&replayed).is_none_or(|cp| cp.components.sum() == cp.total));
+}
+
 /// Seeded byte-mutation and truncation fuzz over real sink output:
 /// `replay_jsonl` answers `Ok` or `Err` on every mutant, never a panic
 /// (an overflowing index or slice would abort the test), and so does the
