@@ -1,22 +1,25 @@
 //! # logp-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md's experiment
-//! index); this library holds the shared plumbing: a plain-text table
-//! printer matching the layout the binaries report, scale-factor
+//! One `logp-bench` command runs every table/figure of the paper as a
+//! named scenario (see EXPERIMENTS.md); this library holds the shared
+//! plumbing: the one command-line parser ([`Args`]), a plain-text table
+//! printer matching the layout the scenarios report, scale-factor
 //! handling so every experiment can run in a quick mode (default) or at
-//! paper scale (`--full`), and thread-count selection (`--threads N` /
-//! `LOGP_THREADS`) for the sweep-shaped binaries.
+//! paper scale (`--full`), thread-count selection (`--threads N` /
+//! `LOGP_THREADS`) for the sweep-shaped scenarios, and the observability
+//! artifact flags.
 
+use logp_core::LogP;
 use logp_sim::perfetto::write_artifacts;
 use logp_sim::process::{Ctx, Process};
 use logp_sim::runner::Threads;
-use logp_sim::{Data, Message, SimConfig, SimResult};
+use logp_sim::{Data, Message, Sim, SimConfig, SimResult};
 use std::path::PathBuf;
 
 /// P0 and P1 bounce a decrementing counter until it hits zero: pure
 /// per-event overhead, queue depth 1 (the ledger's `p2p_chain`).
-pub struct PingPong {
-    pub rounds: u64,
+struct PingPong {
+    rounds: u64,
 }
 
 impl Process for PingPong {
@@ -42,7 +45,7 @@ impl Process for PingPong {
 /// destination 0 first: under capacity enforcement that convoys the run
 /// on P0's admission queue (§4.1.4's hot spot; the two halves of the
 /// ledger's `p2p_dense`).
-pub struct AllToAll {
+struct AllToAll {
     rounds: u64,
     stagger: bool,
     done: u64,
@@ -50,15 +53,6 @@ pub struct AllToAll {
 }
 
 impl AllToAll {
-    pub fn new(rounds: u64, stagger: bool) -> Self {
-        AllToAll {
-            rounds,
-            stagger,
-            done: 0,
-            got: 0,
-        }
-    }
-
     fn blast(&self, ctx: &mut Ctx<'_>) {
         let me = ctx.me();
         let p = ctx.procs();
@@ -93,6 +87,28 @@ impl Process for AllToAll {
     }
 }
 
+/// `PingPong` for `rounds` on two processors of `LogP(6, 2, 4, 2)`.
+pub fn ping_pong_sim(config: SimConfig, rounds: u64) -> Sim {
+    let pair = LogP::new(6, 2, 4, 2).expect("valid model");
+    let mut sim = Sim::new(pair, config);
+    sim.set_all(move |_| Box::new(PingPong { rounds }));
+    sim
+}
+
+/// `AllToAll` for `rounds` on `m`.
+pub fn all_to_all_sim(m: LogP, config: SimConfig, rounds: u64, stagger: bool) -> Sim {
+    let mut sim = Sim::new(m, config);
+    sim.set_all(move |_| {
+        Box::new(AllToAll {
+            rounds,
+            stagger,
+            done: 0,
+            got: 0,
+        })
+    });
+    sim
+}
+
 /// A simple fixed-width table printer for experiment output.
 #[derive(Debug, Default)]
 pub struct Table {
@@ -116,11 +132,7 @@ impl Table {
 
     /// Render with columns padded to content width.
     pub fn render(&self) -> String {
-        let cols = self.header.len();
-        let mut width = vec![0usize; cols];
-        for (i, h) in self.header.iter().enumerate() {
-            width[i] = h.len();
-        }
+        let mut width: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
                 width[i] = width[i].max(c.len());
@@ -150,7 +162,7 @@ impl Table {
     }
 }
 
-/// Format helpers used across the binaries.
+/// Format helpers used across the scenarios.
 pub fn f1(v: f64) -> String {
     format!("{v:.1}")
 }
@@ -161,40 +173,23 @@ pub fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Experiment scale selected on the command line: `--full` runs paper
-/// scale; default is a fast shape-preserving reduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    Quick,
-    Full,
+/// The largest `|a[i] - b[i]|`: how far a distributed result strays from
+/// its sequential reference.
+pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0, f64::max)
 }
 
-impl Scale {
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
-
-    /// Choose between the quick and full value.
-    pub fn pick<T>(&self, quick: T, full: T) -> T {
-        match self {
-            Scale::Quick => quick,
-            Scale::Full => full,
-        }
-    }
-}
-
-/// Observability artifact flags shared by the experiment binaries:
+/// Observability artifact flags shared by the scenarios:
 /// `--trace-out PREFIX` writes a Perfetto `trace_event` JSON per run,
 /// `--metrics-out PREFIX` a metrics JSON per run, `--vitals-out PREFIX`
 /// an engine-vitals JSON per run (events/sec, lane balance, lookahead
 /// windows — see `logp_sim::metrics::EngineVitals`). `--stream` switches
 /// the trace artifact to the bounded-memory streaming `PerfettoSink`
 /// (with online aggregation instead of a retained log), which is the
-/// only way to export traces at `P = 10^5..10^6`. A binary labels each
+/// only way to export traces at `P = 10^5..10^6`. A scenario labels each
 /// run it exports (e.g. the sweep point), and artifacts land in
 /// `PREFIX_<label>.trace.json` / `.metrics.json` / `.vitals.json`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -207,59 +202,19 @@ pub struct ObsArgs {
 }
 
 impl ObsArgs {
-    /// Parse `--trace-out` / `--metrics-out` / `--vitals-out` /
-    /// `--stream` from the process arguments.
-    pub fn from_args() -> Self {
-        let mut out = ObsArgs::default();
-        let mut args = std::env::args();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--trace-out" => {
-                    out.trace_prefix = Some(args.next().expect("--trace-out takes a path prefix"));
-                }
-                "--metrics-out" => {
-                    out.metrics_prefix =
-                        Some(args.next().expect("--metrics-out takes a path prefix"));
-                }
-                "--vitals-out" => {
-                    out.vitals_prefix =
-                        Some(args.next().expect("--vitals-out takes a path prefix"));
-                }
-                "--stream" => out.stream = true,
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// Any artifact was requested.
-    pub fn active(&self) -> bool {
-        self.trace_prefix.is_some() || self.metrics_prefix.is_some() || self.vitals_prefix.is_some()
-    }
-
     /// Turn on the observability the requested artifacts need. In
     /// streaming mode the trace goes through a `PerfettoSink` (one per
     /// labeled run — see [`ObsArgs::apply_for`]) and the aggregate is
     /// maintained online; nothing is retained. Vitals are free: the
     /// engine always fills them in.
     pub fn apply(&self, config: SimConfig) -> SimConfig {
-        if self.stream {
-            let config = if self.trace_prefix.is_some() || self.metrics_prefix.is_some() {
-                config.with_aggregate(true)
-            } else {
-                config
-            };
-            return config;
-        }
-        let config = if self.trace_prefix.is_some() {
-            config.with_msg_log(true)
-        } else {
-            config
-        };
-        if self.metrics_prefix.is_some() {
-            config.with_metrics(true)
-        } else {
-            config
+        let (trace, metrics) = (self.trace_prefix.is_some(), self.metrics_prefix.is_some());
+        match (self.stream, trace, metrics) {
+            (_, false, false) => config,
+            (true, ..) => config.with_aggregate(true),
+            (false, true, false) => config.with_msg_log(true),
+            (false, false, true) => config.with_metrics(true),
+            (false, true, true) => config.with_msg_log(true).with_metrics(true),
         }
     }
 
@@ -268,12 +223,16 @@ impl ObsArgs {
     /// known at config time).
     pub fn apply_for(&self, label: &str, config: SimConfig) -> SimConfig {
         let config = self.apply(config);
-        match (self.stream, self.trace_path(label)) {
+        match (
+            self.stream,
+            Self::path(&self.trace_prefix, label, ".trace.json"),
+        ) {
             (true, Some(path)) => config.with_sink(logp_sim::SinkSpec::Perfetto(path)),
             _ => config,
         }
     }
 
+    /// Per-run artifact path `PREFIX_<label><suffix>`, if requested.
     fn path(prefix: &Option<String>, label: &str, suffix: &str) -> Option<PathBuf> {
         let prefix = prefix.as_ref()?;
         let label: String = label
@@ -283,28 +242,14 @@ impl ObsArgs {
         Some(PathBuf::from(format!("{prefix}_{label}{suffix}")))
     }
 
-    /// Per-run trace artifact path, if requested.
-    pub fn trace_path(&self, label: &str) -> Option<PathBuf> {
-        Self::path(&self.trace_prefix, label, ".trace.json")
-    }
-
-    /// Per-run metrics artifact path, if requested.
-    pub fn metrics_path(&self, label: &str) -> Option<PathBuf> {
-        Self::path(&self.metrics_prefix, label, ".metrics.json")
-    }
-
-    /// Per-run vitals artifact path, if requested.
-    pub fn vitals_path(&self, label: &str) -> Option<PathBuf> {
-        Self::path(&self.vitals_prefix, label, ".vitals.json")
-    }
-
     /// Write the requested artifacts for one labeled run, as the result
     /// has them: a run that kept the online aggregate streamed — its sink
     /// already wrote the trace file, the registry was never populated,
     /// and the aggregate is its metrics artifact; any other run retained
     /// what the trace and metrics artifacts are rendered from.
     pub fn write(&self, label: &str, res: &SimResult) {
-        let (trace, metrics) = (self.trace_path(label), self.metrics_path(label));
+        let trace = Self::path(&self.trace_prefix, label, ".trace.json");
+        let metrics = Self::path(&self.metrics_prefix, label, ".metrics.json");
         let written = match &res.aggregate {
             Some(agg) => metrics.map_or(Ok(()), |path| std::fs::write(path, agg.to_json())),
             None => write_artifacts(res, trace.as_deref(), metrics.as_deref()),
@@ -312,7 +257,7 @@ impl ObsArgs {
         if let Err(e) = written {
             eprintln!("warning: failed to write artifacts for {label}: {e}");
         }
-        if let Some(path) = self.vitals_path(label) {
+        if let Some(path) = Self::path(&self.vitals_prefix, label, ".vitals.json") {
             if let Err(e) = std::fs::write(&path, res.vitals.to_json()) {
                 eprintln!("warning: failed to write vitals for {label}: {e}");
             }
@@ -320,26 +265,136 @@ impl ObsArgs {
     }
 }
 
-/// Worker-count policy from the command line: `--threads N` pins the
-/// sweep pool to `N` workers; otherwise the `LOGP_THREADS` environment
-/// variable applies; otherwise all available parallelism is used. Every
-/// sweep is bit-identical across thread counts (the runner derives each
-/// run's RNG stream from its index, not its worker), so this knob trades
-/// wall clock only.
-pub fn threads_from_args() -> Threads {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            let n = args
-                .next()
-                .and_then(|v| v.parse::<usize>().ok())
-                .expect("--threads takes a positive integer");
-            if n > 0 {
-                return Threads::Fixed(n);
-            }
+/// A flag one scenario declares beside the shared ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `NAME`, given or not.
+    Switch(&'static str),
+    /// `NAME VALUE`; the second field names the value in usage.
+    Text(&'static str, &'static str),
+    /// `NAME N`, an integer that fits a `u32`.
+    Int(&'static str),
+}
+
+impl Flag {
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Switch(name) | Flag::Text(name, _) | Flag::Int(name) => name,
         }
     }
-    Threads::from_env()
+
+    /// The flag as usage shows it, e.g. ` [--file PATH]`.
+    pub fn usage(self) -> String {
+        match self {
+            Flag::Switch(name) => format!(" [{name}]"),
+            Flag::Text(name, value) => format!(" [{name} {value}]"),
+            Flag::Int(name) => format!(" [{name} N]"),
+        }
+    }
+}
+
+/// The flags every scenario accepts, as usage shows them.
+pub const SHARED_USAGE: &str = "[--full] [--threads N] [--trace-out PREFIX] \
+                                [--metrics-out PREFIX] [--vitals-out PREFIX] [--stream]";
+
+/// One command line, parsed once: the shared flags plus the ones the
+/// chosen scenario declares. A flag that is unknown, undeclared, missing
+/// its value or given a malformed one is an error that names it.
+#[derive(Debug, Clone)]
+pub struct Args {
+    /// `--full` runs paper scale; the default is a fast shape-preserving
+    /// reduction (see [`Args::pick`]).
+    pub full: bool,
+    /// `--threads N` pins the sweep pool to `N > 0` workers; otherwise
+    /// `LOGP_THREADS` applies; otherwise every core. Every sweep is
+    /// bit-identical across thread counts (the runner derives each run's
+    /// RNG stream from its index, not its worker), so this trades wall
+    /// clock only.
+    pub threads: Threads,
+    /// `--trace-out` / `--metrics-out` / `--vitals-out` / `--stream`.
+    pub obs: ObsArgs,
+    /// The declared flags given, in order, with their values.
+    given: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    /// Parse `words` (everything after the command) against the shared
+    /// flags and `declared`.
+    pub fn parse(words: &[String], declared: &[Flag]) -> Result<Args, String> {
+        let mut args = Args {
+            full: false,
+            threads: Threads::from_env(),
+            obs: ObsArgs::default(),
+            given: Vec::new(),
+        };
+        let mut words = words.iter();
+        while let Some(word) = words.next() {
+            let mut value = |what: &str| {
+                words
+                    .next()
+                    .cloned()
+                    .ok_or_else(|| format!("{word} takes {what}"))
+            };
+            match word.as_str() {
+                "--full" => args.full = true,
+                "--stream" => args.obs.stream = true,
+                "--threads" => {
+                    let n = value("a positive integer")?;
+                    match n.parse::<usize>() {
+                        Ok(n) if n > 0 => args.threads = Threads::Fixed(n),
+                        _ => return Err(format!("--threads takes a positive integer, not {n:?}")),
+                    }
+                }
+                "--trace-out" => args.obs.trace_prefix = Some(value("a path prefix")?),
+                "--metrics-out" => args.obs.metrics_prefix = Some(value("a path prefix")?),
+                "--vitals-out" => args.obs.vitals_prefix = Some(value("a path prefix")?),
+                _ => {
+                    let flag = declared
+                        .iter()
+                        .find(|f| f.name() == word)
+                        .ok_or_else(|| format!("unknown flag {word:?}"))?;
+                    let given = match flag {
+                        Flag::Switch(_) => String::new(),
+                        Flag::Text(_, what) => value(what)?,
+                        Flag::Int(_) => {
+                            let n = value("an integer")?;
+                            n.parse::<u32>()
+                                .map_err(|_| format!("{word} takes an integer, not {n:?}"))?;
+                            n
+                        }
+                    };
+                    args.given.push((flag.name(), given));
+                }
+            }
+        }
+        Ok(args)
+    }
+
+    /// `quick` by default, `full` under `--full`.
+    pub fn pick<T>(&self, quick: T, full: T) -> T {
+        if self.full {
+            full
+        } else {
+            quick
+        }
+    }
+
+    /// The value of a declared [`Flag::Text`], if given (the last one wins).
+    pub fn text(&self, name: &str) -> Option<&str> {
+        let (_, value) = self.given.iter().rev().find(|(n, _)| *n == name)?;
+        Some(value)
+    }
+
+    /// Whether a declared [`Flag::Switch`] was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.text(name).is_some()
+    }
+
+    /// The value of a declared [`Flag::Int`], if given.
+    pub fn int(&self, name: &str) -> Option<u32> {
+        self.text(name)
+            .map(|n| n.parse().expect("an Int flag is checked when parsed"))
+    }
 }
 
 #[cfg(test)]
@@ -367,17 +422,49 @@ mod tests {
         Table::new(&["a"]).row(&["1".into(), "2".into()]);
     }
 
-    #[test]
-    fn scale_pick() {
-        assert_eq!(Scale::Quick.pick(1, 100), 1);
-        assert_eq!(Scale::Full.pick(1, 100), 100);
+    const FLAGS: &[Flag] = &[
+        Flag::Switch("--emit"),
+        Flag::Text("--file", "PATH"),
+        Flag::Int("--p"),
+    ];
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let words: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Args::parse(&words, FLAGS)
     }
 
     #[test]
-    fn threads_default_resolves_positive() {
-        // The test harness argv carries no --threads, so this exercises
-        // the env-then-auto fallback; either way the count is usable.
-        assert!(threads_from_args().count() >= 1);
+    fn shared_and_declared_flags_parse() {
+        let args = parse("--full --threads 3 --file a.wl --p 7 --emit --stream --trace-out t")
+            .expect("a valid line");
+        assert_eq!(args.pick(1, 100), 100);
+        assert_eq!(args.threads, Threads::Fixed(3));
+        assert_eq!(args.obs.trace_prefix.as_deref(), Some("t"));
+        assert!(args.obs.stream && args.switch("--emit"));
+        assert_eq!(
+            (args.text("--file"), args.int("--p")),
+            (Some("a.wl"), Some(7))
+        );
+        let bare = parse("").expect("no flags");
+        assert_eq!(bare.pick(1, 100), 1);
+        assert!(!bare.switch("--emit") && bare.int("--p").is_none());
+    }
+
+    #[test]
+    fn bad_flags_are_errors_that_name_the_flag() {
+        for (line, flag) in [
+            ("--trace-ot /tmp/x", "--trace-ot"),
+            ("--threads 0", "--threads"),
+            ("--threads x", "--threads"),
+            ("--trace-out", "--trace-out"),
+            ("--p 1 --seed 3", "--seed"),
+            ("--p x", "--p"),
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains(flag), "{line:?}: {err:?} does not name {flag}");
+        }
+        let undeclared = vec!["--file".to_string(), "a.wl".to_string()];
+        assert!(Args::parse(&undeclared, &[]).is_err(), "undeclared flag");
     }
 
     #[test]

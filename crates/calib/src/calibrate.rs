@@ -22,10 +22,9 @@ use crate::experiments::{flood_series, ping_pong_series, spaced_series};
 use crate::fit::theil_sen;
 use crate::machine::Machine;
 use logp_core::{LogP, LogPEstimate, ParamEstimate};
-use serde::{Deserialize, Serialize};
 
 /// Experiment plan: which sizes to run and between which processors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CalibConfig {
     /// Exchange/message counts for the series fits (at least two).
     pub ks: Vec<u64>,
@@ -65,7 +64,7 @@ impl CalibConfig {
 
 /// The calibrator's full report: raw measured slopes, the derived
 /// parameter estimates, and the regime flags that qualify them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Measured round trip per exchange (`2(2o+L)`, or `g` if
     /// gap-limited).

@@ -8,10 +8,8 @@
 //! this vocabulary, which is exactly why the backend trait can stay
 //! small: a machine only has to run scripts and report clocks.
 
-use serde::{Deserialize, Serialize};
-
 /// One scripted action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Transmit a `words`-word message to processor `dst` (1 word = the
     /// machine's native small-message payload; larger values probe the
@@ -26,7 +24,7 @@ pub enum Op {
 
 /// A straight-line program for one processor. The machine reports the
 /// clock at which the script's last action completed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Script {
     pub ops: Vec<Op>,
 }

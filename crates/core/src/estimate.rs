@@ -13,7 +13,6 @@
 //! vocabulary regardless of where a number came from.
 
 use crate::params::{Cycles, LogP, ParamError};
-use serde::{Deserialize, Serialize};
 
 /// One estimated model parameter: a point value with a confidence
 /// half-width and a fit residual.
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 ///   value (median absolute residual for regression-based estimates,
 ///   `0` for closed-form ones). A small `ci` with a large `residual`
 ///   means the experiment was precise but the model did not fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParamEstimate {
     pub value: f64,
     pub ci: f64,
@@ -103,7 +102,7 @@ impl std::fmt::Display for ParamEstimate {
 
 /// A full estimated LogP quadruple: `L`, `o`, `g` as [`ParamEstimate`]s
 /// plus the (exactly known) processor count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogPEstimate {
     pub l: ParamEstimate,
     pub o: ParamEstimate,

@@ -12,13 +12,12 @@
 //!   to the particular communication pattern is used in the analysis."
 
 use crate::params::{Cycles, LogP};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// LogP plus a per-word bulk gap `G` (cycles per additional word once a
 /// long message is streaming). With `G = g` a `k`-word message degenerates
 /// to `k` small messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogGP {
     pub base: LogP,
     /// Gap per word of a long message.
@@ -60,7 +59,7 @@ impl LogGP {
 /// to providing two processors on each node, one to handle messages and
 /// one to do the computation... can at best double the performance of each
 /// node."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmaNode {
     pub base: LogP,
     /// One-time processor cost to program the DMA device.
@@ -85,7 +84,7 @@ impl DmaNode {
 }
 
 /// Named communication patterns for the multi-`g` extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Pattern {
     /// A permutation known to be contention-free on the target network.
     ContentionFree,
@@ -99,7 +98,7 @@ pub enum Pattern {
 
 /// LogP with a per-pattern gap (§5.6). Unlisted patterns fall back to the
 /// base `g`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiGap {
     pub base: LogP,
     gaps: BTreeMap<Pattern, Cycles>,

@@ -35,12 +35,11 @@ use crate::broadcast::optimal_broadcast_tree;
 use crate::estimate::LogPEstimate;
 use crate::params::{Cycles, LogP, ParamError, ProcId};
 use crate::tree::{parent_edges, Children, Tree};
-use serde::{Deserialize, Serialize};
 
 /// One topology level: its own (L, o, g) plus the `arity` — how many
 /// units of the level below (ranks, for the innermost level) one group
 /// at this level contains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Level {
     /// Latency upper bound for messages whose lowest common level is
     /// this one, in cycles.
@@ -127,7 +126,7 @@ impl std::error::Error for HierError {}
 /// // The flat projection is the outermost level over all ranks.
 /// assert_eq!(h.flat_projection(), logp_core::LogP::new(60, 10, 12, 32).unwrap());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hierarchy {
     levels: Vec<Level>,
     /// `gsize[k]`: ranks per level-`k` group (cumulative arity product).

@@ -11,10 +11,9 @@
 //! [`MachinePreset::cycles_per_us`].
 
 use crate::params::{Cycles, LogP};
-use serde::{Deserialize, Serialize};
 
 /// A named, calibrated machine description at LogP level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachinePreset {
     /// Human-readable machine name.
     pub name: &'static str,

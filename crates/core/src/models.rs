@@ -1,16 +1,15 @@
 //! Cost models the paper compares against (§6): PRAM variants and
 //! Valiant's BSP. These produce *predicted* times for the same problems so
-//! that `logp-bench::model_compare` can reproduce the paper's motivating
+//! that `logp-bench model_compare` can reproduce the paper's motivating
 //! observation — PRAM predictions wildly underestimate machines with real
 //! communication costs, BSP rounds every pattern up to a full h-relation
 //! superstep, and LogP sits between.
 
 use crate::cost::log2_ceil;
 use crate::params::{Cycles, LogP};
-use serde::{Deserialize, Serialize};
 
 /// PRAM memory-access discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PramVariant {
     /// Exclusive read, exclusive write.
     Erew,
@@ -24,7 +23,7 @@ pub enum PramVariant {
 /// shared cell. "In effect, the PRAM assumes that interprocessor
 /// communication has infinite bandwidth, zero latency, and zero overhead
 /// (g = 0, L = 0, o = 0)" (§6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pram {
     pub p: u32,
     pub variant: PramVariant,
@@ -66,7 +65,7 @@ impl Pram {
 /// computation plus an `h`-relation, charged `w + g·h + l` where `w` is the
 /// max local work, `g` the per-message bandwidth coefficient and `l` the
 /// barrier/synchronization cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bsp {
     pub p: u32,
     /// Per-message cost coefficient (cycles per message of the h-relation).
@@ -124,7 +123,7 @@ impl Bsp {
 
 /// A side-by-side prediction for one problem instance under the three
 /// models, as printed by the `model_compare` experiment (E16).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelComparison {
     pub problem: String,
     pub pram: Cycles,

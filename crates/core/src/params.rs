@@ -16,8 +16,6 @@
 //! messages may be in transit from any processor, or to any processor, at
 //! any time; a sender that would exceed this stalls.
 
-use serde::{Deserialize, Serialize};
-
 /// Simulated/analyzed time, in processor cycles.
 pub type Cycles = u64;
 
@@ -31,7 +29,7 @@ pub type ProcId = u32;
 /// `o == 0` is allowed — the paper explicitly hopes "architectures improve
 /// to a point where `o` can be eliminated" (§3.1) — and footnote 3 analyzes
 /// the `o = 0, g = 1` special case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LogP {
     /// Latency upper bound `L`, in cycles.
     pub l: Cycles,

@@ -13,10 +13,9 @@
 //! this vendor's line scale on this computation?*
 
 use crate::params::{Cycles, LogP};
-use serde::{Deserialize, Serialize};
 
 /// How each parameter scales with P along a vendor's line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scaling {
     /// Independent of P.
     Flat,
@@ -46,7 +45,7 @@ impl Scaling {
 }
 
 /// A vendor's product line: an anchor machine plus scaling laws.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProductLine {
     pub name: &'static str,
     /// The calibrated machine at the anchor processor count.

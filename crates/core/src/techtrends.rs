@@ -6,10 +6,8 @@
 //! benchmarks improved at about 54% per year". We embed the figure's data
 //! points and reproduce the growth-rate fit.
 
-use serde::{Deserialize, Serialize};
-
 /// One machine from Figure 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MicroprocessorSample {
     pub name: &'static str,
     pub year: u32,
@@ -64,7 +62,7 @@ pub fn figure2_data() -> Vec<MicroprocessorSample> {
 
 /// Result of fitting `perf = a · (1 + rate)^(year - year0)` by least
 /// squares on log-performance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrowthFit {
     /// Annual improvement rate (0.97 ≙ 97%/year).
     pub annual_rate: f64,

@@ -10,10 +10,9 @@
 
 use logp_core::hier::{HierError, Hierarchy};
 use logp_core::{LogPEstimate, ParamEstimate};
-use serde::{Deserialize, Serialize};
 
 /// One machine's network timing constants (one Table 1 row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineTiming {
     pub machine: &'static str,
     pub network: &'static str,

@@ -5,8 +5,8 @@
 //! results that embed it stay hashable/comparable); fractional quantities
 //! such as utilization are stored in fixed point (parts-per-1024, see
 //! [`PPK_SCALE`]). Export is hand-rolled JSON ([`MetricsRegistry::to_json`])
-//! and CSV ([`MetricsRegistry::to_csv`]) — the vendored `serde` is a no-op,
-//! so there is no derive-based serialization in this workspace.
+//! and CSV ([`MetricsRegistry::to_csv`]); the workspace has no
+//! serialization dependency.
 
 use logp_core::Cycles;
 use std::fmt::Write as _;

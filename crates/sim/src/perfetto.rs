@@ -9,9 +9,9 @@
 //! sampled gauges. Timestamps are simulated cycles, written in the
 //! format's microsecond field — one cycle displays as one microsecond.
 //!
-//! The exporter is pure string building: the vendored `serde` is a no-op,
-//! and the format is simple enough that hand-rolled JSON is the honest
-//! implementation.
+//! The exporter is pure string building: the workspace has no
+//! serialization dependency, and the format is simple enough that
+//! hand-rolled JSON is the honest implementation.
 
 use crate::engine::SimResult;
 use crate::obs::{MsgRecord, ObsSink, UNSET};

@@ -4,7 +4,7 @@
 //! hundreds of machine configurations; each run is an independent
 //! single-threaded discrete-event simulation, so the sweep itself is
 //! embarrassingly parallel. This module provides the batch/sweep entry
-//! points the `logp-bench` binaries and `logp-calib` use:
+//! points the `logp-bench` scenarios and `logp-calib` use:
 //!
 //! * [`RunSpec`] — one simulation: machine, config, and a program
 //!   factory (`Fn(ProcId) -> Box<dyn Process>`, shared across threads).

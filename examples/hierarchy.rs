@@ -7,7 +7,7 @@
 //! ```
 //!
 //! The full handbook is `docs/HIERARCHY.md`; the crossover sweep this
-//! example samples one point of is the `hier_sweep` bench binary.
+//! example samples one point of is `logp-bench hier_sweep`.
 
 use logp::algos::hier::{run_flat_broadcast_on, run_hier_allreduce, run_hier_broadcast};
 use logp::calib::hier::{calibrate_hier, HierSimMachine};

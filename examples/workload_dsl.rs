@@ -9,7 +9,7 @@
 //!
 //! The golden corpus under `examples/workloads/` holds larger programs
 //! (the paper's optimal broadcast, summation, and all-reduce) runnable
-//! with the `wl_run` bench bin; `docs/WORKLOADS.md` has the grammar.
+//! with `logp-bench wl_run`; `docs/WORKLOADS.md` has the grammar.
 
 use logp::prelude::*;
 use logp::wl::{load_workload, run_workload, to_text};

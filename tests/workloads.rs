@@ -216,12 +216,13 @@ fn corpus_files_match_their_emitters() {
         }),
     ];
     for (path, wl) in cases {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("{path}: {e} (regenerate with `wl_run --emit-corpus`)"));
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            panic!("{path}: {e} (regenerate with `logp-bench wl_run --emit-corpus`)")
+        });
         assert_eq!(
             text,
             to_text(&wl),
-            "{path} drifted from its emitter; regenerate with `wl_run --emit-corpus`"
+            "{path} drifted from its emitter; regenerate with `logp-bench wl_run --emit-corpus`"
         );
         let loaded = load_workload(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
         assert_eq!(loaded, wl, "{path}: loaded form differs from emitter");
