@@ -27,7 +27,7 @@
 //!   `wait`.
 
 use crate::engine::SimResult;
-use crate::obs::Cause;
+use crate::obs::{BarrierRecord, Cause, ComputeRecord, MsgRecord, TimerRecord};
 use crate::trace::{Activity, Span};
 use logp_core::{Cycles, ProcId};
 use std::collections::VecDeque;
@@ -184,18 +184,19 @@ impl CritPath {
     }
 }
 
-/// Classify the wait window `[from, to)` on `proc`: busy spans keep their
-/// activity class; idle cycles before `gate` are `g`, after it `wait`.
-pub(crate) fn attribute_window(
-    spans: &[Span],
+/// Classify the wait window `[from, to)` on `proc`, whose start-ordered
+/// spans are `spans[proc]`: busy spans keep their activity class; idle
+/// cycles before `gate` are `g`, after it `wait`. `None` if `spans` has no
+/// such processor.
+fn attribute_window(
+    spans: &[Vec<Span>],
     proc: ProcId,
-    from: Cycles,
-    to: Cycles,
-    gate: Cycles,
+    [from, to, gate]: [Cycles; 3],
     out: &mut Vec<PathStep>,
-) {
+) -> Option<()> {
+    let spans = spans.get(proc as usize)?;
     if to <= from {
-        return;
+        return Some(());
     }
     let idle = |a: Cycles, b: Cycles, out: &mut Vec<PathStep>| {
         let mid = gate.clamp(a, b);
@@ -243,6 +244,7 @@ pub(crate) fn attribute_window(
     if t < to {
         idle(t, to, out);
     }
+    Some(())
 }
 
 /// Walk the causal DAG backward from the run's last event and classify
@@ -286,14 +288,7 @@ pub fn critical_path(res: &SimResult) -> Option<CritPath> {
             Cause::Start => break,
             Cause::Msg(id) => {
                 let m = log.msg(id)?;
-                attribute_window(
-                    spans.get(m.src as usize)?,
-                    m.src,
-                    m.submit,
-                    m.inject,
-                    m.send_gate,
-                    &mut seg,
-                );
+                attribute_window(&spans, m.src, [m.submit, m.inject, m.send_gate], &mut seg)?;
                 if m.sent > m.inject {
                     seg.push(PathStep {
                         kind: StepKind::O,
@@ -311,13 +306,11 @@ pub fn critical_path(res: &SimResult) -> Option<CritPath> {
                     });
                 }
                 attribute_window(
-                    spans.get(m.dst as usize)?,
+                    &spans,
                     m.dst,
-                    m.arrive,
-                    m.recv_start,
-                    m.recv_gate,
+                    [m.arrive, m.recv_start, m.recv_gate],
                     &mut seg,
-                );
+                )?;
                 if m.deliver > m.recv_start {
                     seg.push(PathStep {
                         kind: StepKind::O,
@@ -330,14 +323,7 @@ pub fn critical_path(res: &SimResult) -> Option<CritPath> {
             }
             Cause::Compute(id) => {
                 let c = log.compute(id)?;
-                attribute_window(
-                    spans.get(c.proc as usize)?,
-                    c.proc,
-                    c.submit,
-                    c.start,
-                    c.submit,
-                    &mut seg,
-                );
+                attribute_window(&spans, c.proc, [c.submit, c.start, c.submit], &mut seg)?;
                 if c.end > c.start {
                     seg.push(PathStep {
                         kind: StepKind::Compute,
@@ -350,14 +336,7 @@ pub fn critical_path(res: &SimResult) -> Option<CritPath> {
             }
             Cause::Barrier(id) => {
                 let b = log.barrier(id)?;
-                attribute_window(
-                    spans.get(b.last_proc as usize)?,
-                    b.last_proc,
-                    b.submit,
-                    b.enter,
-                    b.submit,
-                    &mut seg,
-                );
+                attribute_window(&spans, b.last_proc, [b.submit, b.enter, b.submit], &mut seg)?;
                 if b.release > b.enter {
                     seg.push(PathStep {
                         kind: StepKind::Barrier,
@@ -370,14 +349,7 @@ pub fn critical_path(res: &SimResult) -> Option<CritPath> {
             }
             Cause::Retry(id) => {
                 let t = log.timer(id)?;
-                attribute_window(
-                    spans.get(t.proc as usize)?,
-                    t.proc,
-                    t.submit,
-                    t.fire,
-                    t.submit,
-                    &mut seg,
-                );
+                attribute_window(&spans, t.proc, [t.submit, t.fire, t.submit], &mut seg)?;
                 // Idle cycles inside the timer window are protocol cost
                 // (waiting out a retransmission timeout), not g or
                 // unexplained wait.
@@ -444,10 +416,9 @@ pub fn critical_path(res: &SimResult) -> Option<CritPath> {
 ///   [`critical_path`]'s decomposition of the terminal event's causal
 ///   chain, computed forward (each record's cumulative components are its
 ///   cause's plus its own wait-window attribution) instead of backward.
-///   On the classic engine this matches [`critical_path`] cycle-exactly;
-///   the one divergence is a timer firing inside a still-open barrier or
-///   stall span, whose busy cycles the online pass cannot yet see
-///   (documented in docs/OBSERVABILITY.md).
+///   It matches [`critical_path`] cycle-exactly; docs/OBSERVABILITY.md
+///   says where that is pinned, and names the one lanes-only window the
+///   forward pass cannot attribute exactly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsAggregate {
     /// Activity totals by class across the whole machine (plus `l` =
@@ -476,82 +447,97 @@ pub struct ObsAggregate {
     pub critical: Components,
 }
 
-/// One buffered activity span, reduced to what wait-window attribution
-/// reads: a window's busy cycles per class are the difference of two
-/// [`busy_before`] lookups instead of a scan over the spans between.
-#[derive(Debug, Clone, Copy)]
-struct SpanSum {
-    start: Cycles,
-    /// Busy cycles by class ([`busy_total`] order) over every earlier
-    /// span of this processor (spans pruned from the buffer included). The span's own class and
-    /// length are the one difference to the next entry's `before` (or,
-    /// for the newest span, to the processor's running total).
-    before: [Cycles; 4],
-}
+/// Busy cycles of one processor by the classes an activity span can
+/// carry: `o`, compute, stall, barrier.
+pub(crate) type Busy = [Cycles; 4];
 
-/// Busy cycles by class on one processor strictly before `t`, from its
-/// start-ordered, pairwise-disjoint span buffer and running `total`. `t`
-/// must not precede the buffer's prune bound. Adds the buffer entries
-/// read to `probes`.
-fn busy_before(spans: &[SpanSum], total: [Cycles; 4], t: Cycles, probes: &mut u64) -> [Cycles; 4] {
-    // Windows end at the current instant, so the first span at or after
-    // `t` is usually the newest one (just opened) or none; else bisect.
-    let next = match spans {
-        [.., last] if last.start < t => spans.len(),
-        [.., prev, _] if prev.start < t => spans.len() - 1,
-        [] => 0,
-        _ => {
-            *probes += spans.len().ilog2() as u64;
-            spans.partition_point(|s| s.start < t)
-        }
-    };
-    *probes += 2;
-    // Everything through the span before `next`, less that span's part
-    // at or after `t` (only its own class differs between the two).
-    let through = spans.get(next).map_or(total, |s| s.before);
-    let Some(s) = next.checked_sub(1).map(|i| &spans[i]) else {
-        return through;
-    };
-    std::array::from_fn(|c| through[c].min(s.before[c] + (t - s.start)))
-}
+/// The capacity stall or barrier wait a processor is in, as `(start,
+/// activity)`: its span is recorded only when it ends.
+pub(crate) type OpenSpan = Option<(Cycles, Activity)>;
 
-/// A processor's activity totals by busy class: `o`, compute, stall,
-/// barrier — the classes an activity span can carry.
-fn busy_total(c: &Components) -> [Cycles; 4] {
+/// The classes of [`Busy`], in order.
+const BUSY: [StepKind; 4] = [
+    StepKind::O,
+    StepKind::Compute,
+    StepKind::Stall,
+    StepKind::Barrier,
+];
+
+/// A processor's activity totals in [`Busy`] order.
+fn busy_total(c: &Components) -> Busy {
     [c.o, c.compute, c.stall, c.barrier]
 }
 
+/// Where a wait window starts: the cumulative path components it
+/// continues, and its processor's busy totals when it opened — so its
+/// busy cycles per class are one subtraction when it closes.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WindowStart {
+    cum: Components,
+    busy: Busy,
+}
+
+/// One buffered activity span, reduced to what a gap-gate lookup reads.
+#[derive(Debug, Clone, Copy)]
+struct SpanSum {
+    start: Cycles,
+    /// Busy cycles by class over every earlier span of this processor
+    /// (pruned ones included). The span's own class and length are the
+    /// one difference to the next entry's `before` (or, for the newest
+    /// span, to the processor's running total).
+    before: Busy,
+}
+
+/// What a processor's gap-gate lookups need of its span buffer. A send
+/// gate is never before the processor's last injection, nor a reception
+/// gate before its last reception start, so the buffer reaches back that
+/// far while a window of that kind is open, and otherwise to its newest
+/// span.
+#[derive(Debug, Clone, Copy, Default)]
+struct Gates {
+    inject: Cycles,
+    recv: Cycles,
+    /// Arrivals waiting for their reception to start.
+    arrived: u32,
+    /// Windows open with a [`LAZY`] start, and the earliest of those
+    /// starts since `held` was last 0.
+    held: u32,
+    hold: Cycles,
+}
+
+/// The start of a window that opened inside a barrier wait. On the lanes
+/// a release can be applied after later events of its processors: the
+/// barrier then ended before the window opened, and the spans after it
+/// are recorded after the window opened. Such a start is read from the
+/// span buffer when the window closes.
+const LAZY: Busy = [Cycles::MAX; 4];
+
 /// The engine-side state behind [`ObsAggregate`]. Every per-record step
-/// is an array index, a deque end, or a bisection — no hashing, no
-/// ordered maps, no scans:
+/// is an array index, a deque end, or a short scan back from a span
+/// buffer's newest entry — no hashing, no ordered maps, no search:
 ///
-/// * per-processor span buffers with running busy totals ([`SpanSum`]),
-///   pruned to the earliest outstanding wait window (`floors`);
-/// * the cumulative path components a queued command starts from travel
-///   with the command (`bases`, in lockstep with the engine's command
-///   queue), copied from the record whose handler issued it;
-/// * in-flight messages and armed timers carry their own components in
-///   the engine's side arrays, so no record is ever looked up by id.
+/// * a wait window's start is a [`WindowStart`] snapshot that travels
+///   with what already travels with the window: the per-invocation
+///   `bases` entry of a queued command (in lockstep with the engine's
+///   command queue), the in-flight record at a message's slab slot, an
+///   armed timer's entry, a barrier entrant;
+/// * per-processor span buffers with running busy totals ([`SpanSum`])
+///   answer only gap-gate lookups, so they hold a handful of spans
+///   (see [`Gates`]).
 ///
-/// Memory is the in-flight population plus the pruned buffers: queued
-/// commands, outstanding window starts, and the spans since the oldest
-/// of them.
+/// A window that opens or closes inside a stall or barrier span not yet
+/// recorded counts that span from its start up to the window's edge.
+/// Memory is the in-flight population plus a few spans a processor.
 pub(crate) struct OnlineAgg {
     pub(crate) agg: ObsAggregate,
     /// Per-processor activity spans, start-ordered and disjoint, pruned
-    /// below the processor's earliest outstanding window start. Their
-    /// running totals are `agg.per_proc`.
-    spans: Vec<Vec<SpanSum>>,
-    /// Outstanding window starts per processor (command submits awaiting
-    /// execution, arrivals awaiting reception) as `(time, count)`, sorted
-    /// by time. Starts arrive in non-decreasing time, so entries append
-    /// at the back; a count that drops to zero mid-deque stays until it
-    /// reaches an end.
-    floors: Vec<VecDeque<(Cycles, u32)>>,
-    /// Per processor, `(base, commands left)` for every handler
-    /// invocation with commands still queued, oldest first: the
-    /// cumulative components of the record that triggered the handler.
-    bases: Vec<VecDeque<(Components, u32)>>,
+    /// as [`Gates`] allows. Their running totals are `agg.per_proc`.
+    spans: Vec<VecDeque<SpanSum>>,
+    gates: Vec<Gates>,
+    /// Per processor, `(start, commands left)` for every handler
+    /// invocation with commands still queued, oldest first: they share
+    /// the triggering record's components and the submit instant.
+    bases: Vec<VecDeque<(WindowStart, u32)>>,
     /// Cumulative components of the record whose handler runs next: a
     /// delivery, a timer fire or a barrier release, each followed by its
     /// handler(s) before any other such record completes.
@@ -559,10 +545,11 @@ pub(crate) struct OnlineAgg {
     /// Cumulative components of each processor's compute in flight (its
     /// handler runs at the compute's end, with other records between).
     compute_cum: Vec<Components>,
-    /// The base components of the most recently dequeued command.
-    pending_base: Components,
-    /// `(proc, submit, base)` per processor waiting in the barrier.
-    entrants: Vec<(ProcId, Cycles, Components)>,
+    /// The start of the most recently dequeued command, and its processor
+    /// (whose send gate stays live until that command's window closes).
+    pending: (WindowStart, usize),
+    /// `(proc, cumulative components at entry)` of every barrier entrant.
+    entrants: Vec<(ProcId, Components)>,
     /// Best terminal candidate: `(completion, kind-rank, id)` max, with
     /// its cumulative components captured at completion time.
     best: Option<(Cycles, u8, u64, Components)>,
@@ -578,75 +565,91 @@ impl OnlineAgg {
                 grid,
                 ..Default::default()
             },
-            spans: vec![Vec::new(); p],
-            floors: vec![VecDeque::new(); p],
+            spans: vec![VecDeque::new(); p],
+            gates: vec![Gates::default(); p],
             bases: vec![VecDeque::new(); p],
             handler_cum: Components::default(),
             compute_cum: vec![Components::default(); p],
-            pending_base: Components::default(),
+            pending: (WindowStart::default(), usize::MAX),
             entrants: Vec::new(),
             best: None,
             probes_max: 0,
         }
     }
 
-    /// Open `n` wait windows on processor index `i` at `t`.
-    fn add_floor(&mut self, i: usize, t: Cycles, n: u32) {
-        let f = &mut self.floors[i];
-        // At the back, except that a lane engine can run a barrier
-        // release a little behind arrivals it has already queued.
-        let at = match f.back() {
-            Some(back) if back.0 >= t => f.partition_point(|e| e.0 < t),
-            _ => f.len(),
-        };
-        match f.get_mut(at) {
-            Some(e) if e.0 == t => e.1 += n,
-            _ => f.insert(at, (t, n)),
+    /// Busy cycles by class on processor index `p` strictly before `t`,
+    /// from its span buffer and running totals, plus the part before `t`
+    /// of the span it is `open` in. The buffer must still hold the last
+    /// span starting before `t`, or that span must end by `t`. Adds the
+    /// entries read to `probes`.
+    fn busy(&self, p: usize, t: Cycles, open: OpenSpan, probes: &mut u64) -> Busy {
+        // Scan back from the newest span: `t` is the current instant or a
+        // gap gate shortly before it.
+        let mut busy = busy_total(&self.agg.per_proc[p]);
+        for s in self.spans[p].iter().rev() {
+            *probes += 1;
+            if s.start < t {
+                // Less the part of this span at or after `t` (only its own
+                // class differs from `before`).
+                busy = std::array::from_fn(|c| busy[c].min(s.before[c] + (t - s.start)));
+                break;
+            }
+            busy = s.before;
         }
+        if let Some((since, a)) = open {
+            let class = BUSY.iter().position(|&k| k == StepKind::from_activity(a));
+            busy[class.unwrap_or(0)] += t.saturating_sub(since);
+        }
+        busy
     }
 
-    /// Close one wait window opened at `t` on `p` (tolerates a missing
-    /// entry: crash cleanup abandons windows wholesale).
-    fn remove_floor(&mut self, p: ProcId, t: Cycles) {
+    /// `n` windows open on `p` at `now`, inside the span `open` if any:
+    /// snapshot their busy totals, or hold the buffer back to `now` if
+    /// the span is a barrier wait ([`LAZY`]).
+    fn open(&mut self, p: ProcId, now: Cycles, open: OpenSpan, n: u32) -> Busy {
         let i = p as usize;
-        let f = &mut self.floors[i];
-        let at = f.partition_point(|e| e.0 < t);
-        match f.get_mut(at) {
-            Some(e) if e.0 == t && e.1 > 0 => e.1 -= 1,
-            _ => return,
+        if !matches!(open, Some((_, Activity::Barrier))) {
+            return self.busy(i, now, open, &mut 0);
         }
-        while f.front().is_some_and(|e| e.1 == 0) {
-            f.pop_front();
-        }
-        while f.back().is_some_and(|e| e.1 == 0) {
-            f.pop_back();
-        }
+        let g = &mut self.gates[i];
+        g.hold = if g.held == 0 { now } else { g.hold.min(now) };
+        g.held += n;
+        LAZY
     }
 
-    /// A handler triggered by `cause` queued `issued` commands on `p` at
-    /// time `now`: they start from the triggering record's components.
-    pub(crate) fn on_push(&mut self, p: ProcId, cause: Cause, now: Cycles, issued: usize) {
+    /// A handler triggered by `cause` queued `n` commands on `p` at
+    /// time `now`, inside the span `open` if any: they start from the
+    /// triggering record's components and `p`'s busy totals now.
+    pub(crate) fn on_push(&mut self, p: ProcId, cause: Cause, now: Cycles, n: u32, open: OpenSpan) {
         let i = p as usize;
-        let base = match cause {
+        let cum = match cause {
             Cause::Start => Components::default(),
             Cause::Compute(_) => self.compute_cum[i],
             Cause::Msg(_) | Cause::Barrier(_) | Cause::Retry(_) => self.handler_cum,
         };
-        self.bases[i].push_back((base, issued as u32));
-        self.add_floor(i, now, issued as u32);
+        let busy = self.open(p, now, open, n);
+        self.bases[i].push_back((WindowStart { cum, busy }, n));
     }
 
-    /// The oldest queued command of `p` was dequeued: capture its base
-    /// components.
+    /// The oldest queued command of `p` was dequeued: capture its start.
     pub(crate) fn on_pop(&mut self, p: ProcId) {
         let i = p as usize;
         let q = &mut self.bases[i];
-        let (base, left) = q.front_mut().expect("bases track cmds in lockstep");
-        self.pending_base = *base;
+        let Some((start, left)) = q.front_mut() else {
+            debug_assert!(false, "bases track cmds in lockstep");
+            return;
+        };
+        self.pending = (*start, i);
         *left -= 1;
         if *left == 0 {
             q.pop_front();
         }
+    }
+
+    /// `p` crashed: its queued commands and inbox are abandoned.
+    pub(crate) fn on_crash(&mut self, p: ProcId) {
+        self.bases[p as usize].clear();
+        self.gates[p as usize] = Gates::default();
     }
 
     /// Record one activity span into the totals and the window buffer.
@@ -658,7 +661,7 @@ impl OnlineAgg {
         // `per_proc` is the running per-class busy total.
         let before = busy_total(&self.agg.per_proc[p]);
         debug_assert!(
-            self.spans[p].last().is_none_or(|s| {
+            self.spans[p].back().is_none_or(|s| {
                 let len: Cycles = before.iter().zip(s.before).map(|(b, a)| b - a).sum();
                 s.start + len <= sp.start
             }),
@@ -680,61 +683,61 @@ impl OnlineAgg {
                 cur = seg;
             }
         }
+        // Keep the last span starting before the earliest gate a lookup
+        // may still ask for, and everything after it.
+        let g = self.gates[p];
+        let sending = !self.bases[p].is_empty() || self.pending.1 == p;
+        let live = |on: bool, t: Cycles| if on { t } else { Cycles::MAX };
+        let floor = live(sending, g.inject).min(live(g.arrived > 0, g.recv));
+        let floor = floor.min(live(g.held > 0, g.hold));
         let spans = &mut self.spans[p];
-        spans.push(SpanSum {
+        spans.push_back(SpanSum {
             start: sp.start,
             before,
         });
-        if spans.len() > 64 {
-            // Spans wholly before both the earliest outstanding window
-            // and this span's start can never be attributed again: all
-            // that start by then, bar the last (which may run past it).
-            let bound = self.floors[p]
-                .front()
-                .map_or(Cycles::MAX, |e| e.0)
-                .min(sp.start);
-            let keep = spans.partition_point(|s| s.start <= bound);
-            if keep > 1 {
-                spans.drain(..keep - 1);
-            }
+        while spans.get(1).is_some_and(|s| s.start < floor) {
+            spans.pop_front();
         }
     }
 
-    /// Classify the wait window `[from, to)` on `proc` into `cum`
-    /// ([`attribute_window`] semantics: busy spans keep their class, idle
-    /// cycles before `gate` are `g`, after it `wait`; `retry` remaps idle
-    /// to [`StepKind::Retry`] as the backward walk does for timer
-    /// windows).
+    /// Classify the wait window `[from, to)` on `proc` into a copy of
+    /// `start`'s components ([`attribute_window`] semantics: busy spans
+    /// keep their class, idle cycles before `gate` are `g`, after it
+    /// `wait`; `retry` remaps idle to [`StepKind::Retry`] as the backward
+    /// walk does for timer windows). `open` is the span `proc` is in at
+    /// `to`, if any.
     fn window(
         &mut self,
         proc: ProcId,
-        from: Cycles,
-        to: Cycles,
-        gate: Cycles,
+        start: WindowStart,
+        [from, to, gate]: [Cycles; 3],
+        open: OpenSpan,
         retry: bool,
-        cum: &mut Components,
-    ) {
-        if to <= from {
-            return;
-        }
+    ) -> Components {
         let p = proc as usize;
-        let (spans, total) = (&self.spans[p][..], busy_total(&self.agg.per_proc[p]));
-        let mid = gate.clamp(from, to);
         let mut probes = 0;
-        let at_from = busy_before(spans, total, from, &mut probes);
-        let at_to = busy_before(spans, total, to, &mut probes);
-        let at_mid = if mid == from {
-            at_from
-        } else if mid == to {
-            at_to
+        let at_from = if start.busy == LAZY {
+            let g = &mut self.gates[p];
+            g.held = g.held.saturating_sub(1);
+            self.busy(p, from, open, &mut probes)
         } else {
-            busy_before(spans, total, mid, &mut probes)
+            start.busy
         };
-        cum.o += at_to[0] - at_from[0];
-        cum.compute += at_to[1] - at_from[1];
-        cum.stall += at_to[2] - at_from[2];
-        cum.barrier += at_to[3] - at_from[3];
-        let busy = |a: [Cycles; 4], b: [Cycles; 4]| -> Cycles { (0..4).map(|c| b[c] - a[c]).sum() };
+        let mut cum = start.cum;
+        if to <= from {
+            return cum;
+        }
+        let at_to = self.busy(p, to, open, &mut probes);
+        let mid = gate.clamp(from, to);
+        let at_mid = match mid {
+            _ if mid == from => at_from,
+            _ if mid == to => at_to,
+            _ => self.busy(p, mid, open, &mut probes),
+        };
+        for (c, kind) in BUSY.into_iter().enumerate() {
+            cum.add(kind, at_to[c] - at_from[c]);
+        }
+        let busy = |a: Busy, b: Busy| -> Cycles { (0..4).map(|c| b[c] - a[c]).sum() };
         let idle_head = (mid - from) - busy(at_from, at_mid);
         let idle_tail = (to - mid) - busy(at_mid, at_to);
         if retry {
@@ -746,61 +749,66 @@ impl OnlineAgg {
         if cfg!(debug_assertions) {
             self.probes_max = self.probes_max.max(probes);
         }
+        cum
     }
 
     fn consider(&mut self, t: Cycles, kind: u8, id: u64, cum: &Components) {
-        let better = match &self.best {
-            None => true,
-            Some((bt, bk, bi, _)) => (t, kind, id) > (*bt, *bk, *bi),
-        };
-        if better {
+        let key = (t, kind, id);
+        if self.best.is_none_or(|(bt, bk, bi, _)| key > (bt, bk, bi)) {
             self.best = Some((t, kind, id, *cum));
         }
     }
 
     /// A message committed its injection: attribute the source-side wait
-    /// window plus the send overhead and flight, and return the partial
-    /// cumulative components to ride with the in-flight record.
+    /// window plus the send overhead and flight, and return the start of
+    /// its reception window-to-be, to ride with the in-flight record.
     /// `dup` marks the fault layer's trailing duplicate, which shares its
-    /// original's submit (whose floor entry was already consumed).
-    pub(crate) fn on_send(&mut self, m: &crate::obs::MsgRecord, dup: bool) -> Components {
-        let mut cum = self.pending_base;
-        self.window(m.src, m.submit, m.inject, m.send_gate, false, &mut cum);
+    /// original's submit window.
+    pub(crate) fn on_send(&mut self, m: &MsgRecord, dup: bool) -> WindowStart {
+        if !dup {
+            // The duplicate, injected next, reads the attribution from here.
+            let window = [m.submit, m.inject, m.send_gate];
+            self.pending.0.cum = self.window(m.src, self.pending.0, window, None, false);
+            self.gates[m.src as usize].inject = m.inject;
+        }
+        let mut cum = self.pending.0.cum;
         cum.add(StepKind::O, m.sent - m.inject);
         cum.add(StepKind::L, m.arrive - m.sent);
-        if !dup {
-            self.remove_floor(m.src, m.submit);
-        }
         self.agg.msgs += 1;
-        cum
+        WindowStart { cum, busy: [0; 4] }
     }
 
-    /// The fault layer dropped a send in flight: account the record,
-    /// release its window.
-    pub(crate) fn on_lost(&mut self, src: ProcId, submit: Cycles, dup: bool) {
-        if !dup {
-            self.remove_floor(src, submit);
-        }
+    /// The fault layer dropped a send in flight: account the record.
+    pub(crate) fn on_lost(&mut self) {
         self.agg.msgs += 1;
     }
 
-    /// A message reached its destination's interface: its reception wait
-    /// window opens at `t`.
-    pub(crate) fn on_arrival(&mut self, dst: ProcId, t: Cycles) {
-        let i = dst as usize;
-        self.add_floor(i, t, 1);
+    /// A message reached its destination's interface at `now`, inside the
+    /// span `open` if any: its reception wait window opens.
+    pub(crate) fn on_arrival(
+        &mut self,
+        p: ProcId,
+        now: Cycles,
+        open: OpenSpan,
+        start: &mut WindowStart,
+    ) {
+        start.busy = self.open(p, now, open, 1);
+        self.gates[p as usize].arrived += 1;
     }
 
     /// Reception began: attribute the destination-side wait window.
-    pub(crate) fn on_reception(&mut self, m: &crate::obs::MsgRecord, cum: &mut Components) {
-        let (arrive, recv_start) = (m.arrive, m.recv_start);
-        self.window(m.dst, arrive, recv_start, m.recv_gate, false, cum);
-        self.remove_floor(m.dst, arrive);
+    pub(crate) fn on_reception(&mut self, m: &MsgRecord, start: &mut WindowStart) {
+        let window = [m.arrive, m.recv_start, m.recv_gate];
+        start.cum = self.window(m.dst, *start, window, None, false);
+        let gates = &mut self.gates[m.dst as usize];
+        gates.recv = m.recv_start;
+        gates.arrived = gates.arrived.saturating_sub(1);
     }
 
     /// Delivery completed: close the record's components, publish them
     /// for the handler's commands, and consider it as the terminal.
-    pub(crate) fn on_delivery(&mut self, m: &crate::obs::MsgRecord, mut cum: Components) {
+    pub(crate) fn on_delivery(&mut self, m: &MsgRecord, start: WindowStart) {
+        let mut cum = start.cum;
         cum.add(StepKind::O, m.deliver - m.recv_start);
         self.agg.global.add(StepKind::L, m.arrive - m.sent);
         self.consider(m.deliver, 0, m.id, &cum);
@@ -810,55 +818,47 @@ impl OnlineAgg {
 
     /// A compute committed: its record is complete at creation (the end
     /// is scheduled), so everything happens here.
-    pub(crate) fn on_compute(&mut self, c: &crate::obs::ComputeRecord) {
-        let mut cum = self.pending_base;
-        self.window(c.proc, c.submit, c.start, c.submit, false, &mut cum);
+    pub(crate) fn on_compute(&mut self, c: &ComputeRecord) {
+        let window = [c.submit, c.start, c.submit];
+        let mut cum = self.window(c.proc, self.pending.0, window, None, false);
         cum.add(StepKind::Compute, c.end - c.start);
-        self.remove_floor(c.proc, c.submit);
         self.consider(c.end, 1, c.id, &cum);
-        let i = c.proc as usize;
-        self.compute_cum[i] = cum;
+        self.compute_cum[c.proc as usize] = cum;
         self.agg.computes += 1;
     }
 
-    /// A processor entered the barrier: park its submit and base until
-    /// release decides the binding entrant.
-    pub(crate) fn on_barrier_enter(&mut self, p: ProcId, submit: Cycles) {
-        self.entrants.push((p, submit, self.pending_base));
+    /// `p` entered the barrier at `now`: attribute its wait window and
+    /// park the result until release decides the binding entrant.
+    pub(crate) fn on_barrier_enter(&mut self, p: ProcId, submit: Cycles, now: Cycles) {
+        let cum = self.window(p, self.pending.0, [submit, now, submit], None, false);
+        self.entrants.push((p, cum));
     }
 
-    /// The barrier released: attribute the binding entrant's window and
-    /// the barrier cost, release every entrant's window.
-    pub(crate) fn on_barrier_release(&mut self, b: &crate::obs::BarrierRecord) {
-        let mut cum = self
-            .entrants
-            .iter()
-            .find(|e| e.0 == b.last_proc)
-            .map_or_else(Components::default, |e| e.2);
-        self.window(b.last_proc, b.submit, b.enter, b.submit, false, &mut cum);
+    /// The barrier released: add the barrier cost to the binding
+    /// entrant's components.
+    pub(crate) fn on_barrier_release(&mut self, b: &BarrierRecord) {
+        let entrant = self.entrants.iter().find(|e| e.0 == b.last_proc);
+        let mut cum = entrant.map_or_else(Components::default, |e| e.1);
         cum.add(StepKind::Barrier, b.release - b.enter);
         self.consider(b.release, 2, b.id, &cum);
         self.handler_cum = cum;
-        for (p, submit, _) in std::mem::take(&mut self.entrants) {
-            self.remove_floor(p, submit);
-        }
+        self.entrants.clear();
         self.agg.barriers += 1;
     }
 
-    /// A timer was armed: account it and return the base components to
-    /// keep with it (its window stays open until the fire).
-    pub(crate) fn on_timer_armed(&mut self) -> Components {
+    /// A timer was armed: account it and return its window's start, to
+    /// keep with it until the fire.
+    pub(crate) fn on_timer_armed(&mut self) -> WindowStart {
         self.agg.timers += 1;
-        self.pending_base
+        self.pending.0
     }
 
-    /// A timer fired: attribute its arming window with idle remapped to
-    /// `retry`, and publish the cumulative components for its handler.
-    pub(crate) fn on_timer_fire(&mut self, t: &crate::obs::TimerRecord, base: Components) {
-        let mut cum = base;
-        self.window(t.proc, t.submit, t.fire, t.submit, true, &mut cum);
-        self.remove_floor(t.proc, t.submit);
-        self.handler_cum = cum;
+    /// A timer fired, inside the span `open` if any: attribute its arming
+    /// window with idle remapped to `retry`, and publish the cumulative
+    /// components for its handler.
+    pub(crate) fn on_timer_fire(&mut self, t: &TimerRecord, start: WindowStart, open: OpenSpan) {
+        let window = [t.submit, t.fire, t.submit];
+        self.handler_cum = self.window(t.proc, start, window, open, true);
     }
 
     /// Close the aggregate: capture the terminal candidate's path. Also

@@ -24,7 +24,7 @@
 //! (class, sequence number) — see [`calendar`] for the queue's contract.
 
 use crate::config::SimConfig;
-use crate::critpath::{Components, OnlineAgg};
+use crate::critpath::{OnlineAgg, OpenSpan, WindowStart};
 use crate::faults::FaultState;
 use crate::message::{Data, Message};
 use crate::metrics::{CounterId, GaugeId, HistId, MetricsRegistry, PPK_SCALE};
@@ -404,10 +404,11 @@ struct Records {
     /// `ObsLog::canonicalize` renumbers either form identically.
     sctr: Vec<u64>,
     /// Messages injected but not yet delivered, at their message slab
-    /// slot: the record so far plus its critical-path cumulative at
-    /// injection. A message keeps its slot from injection to delivery, so
-    /// arrival, reception and delivery all find the record by indexing.
-    inflight: Vec<Option<(MsgRecord, Components)>>,
+    /// slot: the record so far plus the online aggregate's start of its
+    /// reception window. A message keeps its slot from injection to
+    /// delivery, so arrival, reception and delivery all find the record
+    /// by indexing.
+    inflight: Vec<Option<(MsgRecord, WindowStart)>>,
     /// Records of messages that died with their destination's interface:
     /// their slots recycle, so they wait here for the end of the run.
     undelivered: Vec<MsgRecord>,
@@ -415,7 +416,7 @@ struct Records {
     /// `TimerFire` event's sequence number. Equal timeouts fire in arming
     /// order, so a fire's entry is in front; otherwise it is among the
     /// few timers this one processor has armed.
-    timer_obs: Vec<VecDeque<(u64, TimerRecord, Components)>>,
+    timer_obs: Vec<VecDeque<(u64, TimerRecord, WindowStart)>>,
     /// Per-processor per-command metadata `(cause, submit)`, in lockstep
     /// with that processor's `cmds`. Lives here (not in `ProcState`) so
     /// the disabled engine keeps its lean layout.
@@ -1296,14 +1297,32 @@ impl Sim {
         st.cmd_meta[idx].pop_front().unwrap_or((Cause::Start, now))
     }
 
-    /// Tell the online aggregate a message reached `dst`'s inbox (out of
-    /// line: only runs when observability is active).
+    /// The capacity stall or barrier wait `p` is in, whose span is
+    /// recorded only when it ends.
+    fn open_span(&self, p: ProcId) -> OpenSpan {
+        let st = &self.procs[p as usize];
+        if st.stall_since != UNSET {
+            Some((st.stall_since, Activity::Stall))
+        } else if st.in_barrier {
+            Some((st.barrier_entered_at, Activity::Barrier))
+        } else {
+            None
+        }
+    }
+
+    /// Tell the online aggregate the message in `slot` reached `dst`'s
+    /// inbox (out of line: only runs when observability is active).
     #[cold]
     #[inline(never)]
-    fn note_arrival(&mut self, dst: ProcId) {
-        let now = self.now;
-        if let Some(agg) = self.records().and_then(|st| st.agg.as_mut()) {
-            agg.on_arrival(dst, now);
+    fn note_arrival(&mut self, dst: ProcId, slot: MsgSlot) {
+        let (now, open) = (self.now, self.open_span(dst));
+        let Some(st) = self.records() else {
+            return;
+        };
+        if let (Some(agg), Some(Some((_, start)))) =
+            (st.agg.as_mut(), st.inflight.get_mut(slot as usize))
+        {
+            agg.on_arrival(dst, now, open, start);
         }
     }
 
@@ -1316,11 +1335,11 @@ impl Sim {
         let Some(st) = self.records() else {
             return;
         };
-        if let Some(Some((rec, cum))) = st.inflight.get_mut(slot as usize) {
+        if let Some(Some((rec, start))) = st.inflight.get_mut(slot as usize) {
             rec.recv_gate = recv_gate;
             rec.recv_start = now;
             if let Some(agg) = st.agg.as_mut() {
-                agg.on_reception(rec, cum);
+                agg.on_reception(rec, start);
             }
         }
     }
@@ -1396,19 +1415,19 @@ impl Sim {
         };
         let Some(slot) = slot else {
             if let Some(agg) = st.agg.as_mut() {
-                agg.on_lost(src, meta.1, dup);
+                agg.on_lost();
             }
             return st.emit_msg(&rec);
         };
-        let cum = match st.agg.as_mut() {
+        let start = match st.agg.as_mut() {
             Some(agg) => agg.on_send(&rec, dup),
-            None => Components::default(),
+            None => WindowStart::default(),
         };
         let s = slot as usize;
         if st.inflight.len() <= s {
             st.inflight.resize(s + 1, None);
         }
-        st.inflight[s] = Some((rec, cum));
+        st.inflight[s] = Some((rec, start));
     }
 
     /// Record an armed timer's lifecycle, noted under the `TimerFire`
@@ -1429,8 +1448,8 @@ impl Sim {
             armed: now,
             fire,
         };
-        let base = st.agg.as_mut().map(|agg| agg.on_timer_armed());
-        st.timer_obs[p as usize].push_back((seq, rec, base.unwrap_or_default()));
+        let start = st.agg.as_mut().map(|agg| agg.on_timer_armed());
+        st.timer_obs[p as usize].push_back((seq, rec, start.unwrap_or_default()));
     }
 
     /// Complete a firing timer's record, found by its event sequence,
@@ -1438,16 +1457,17 @@ impl Sim {
     #[cold]
     #[inline(never)]
     fn timer_cause(&mut self, p: ProcId, seq: u64) -> Cause {
+        let open = self.open_span(p);
         let Some(st) = self.records() else {
             return Cause::Start;
         };
         let armed = &mut st.timer_obs[p as usize];
         let at = armed.iter().position(|e| e.0 == seq);
-        let Some((_, rec, base)) = at.and_then(|at| armed.remove(at)) else {
+        let Some((_, rec, start)) = at.and_then(|at| armed.remove(at)) else {
             return Cause::Start;
         };
         if let Some(agg) = st.agg.as_mut() {
-            agg.on_timer_fire(&rec, base);
+            agg.on_timer_fire(&rec, start, open);
         }
         st.emit_timer(&rec);
         Cause::Retry(rec.id)
@@ -1497,10 +1517,10 @@ impl Sim {
                 Cause::Start,
             ),
             Some(st) => match st.inflight.get_mut(s).and_then(Option::take) {
-                Some((mut rec, cum)) => {
+                Some((mut rec, start)) => {
                     rec.deliver = now;
                     if let Some(agg) = st.agg.as_mut() {
-                        agg.on_delivery(&rec, cum);
+                        agg.on_delivery(&rec, start);
                     }
                     st.emit_msg(&rec);
                     (rec.submit, Cause::Msg(rec.id))
@@ -1771,6 +1791,9 @@ impl Sim {
         if OBS {
             if let Some(st) = self.records() {
                 st.cmd_meta[idx].clear();
+                if let Some(agg) = st.agg.as_mut() {
+                    agg.on_crash(p);
+                }
             }
         }
         // Everything the dead interface holds is lost, and its NI slots
@@ -1850,14 +1873,14 @@ impl Sim {
     #[cold]
     #[inline(never)]
     fn push_meta(&mut self, p: ProcId, cause: Cause, issued: usize) {
-        let now = self.now;
+        let (now, open) = (self.now, self.open_span(p));
         let Some(st) = self.records() else {
             return;
         };
         let meta = &mut st.cmd_meta[p as usize];
         meta.extend(std::iter::repeat_n((cause, now), issued));
         if let Some(agg) = st.agg.as_mut() {
-            agg.on_push(p, cause, now, issued);
+            agg.on_push(p, cause, now, issued as u32, open);
         }
     }
 
@@ -1956,7 +1979,7 @@ impl Sim {
                         if let Some(st) = obs.records.as_deref_mut() {
                             st.barrier_last = (p, meta.1, now, meta.0);
                             if let Some(agg) = st.agg.as_mut() {
-                                agg.on_barrier_enter(p, meta.1);
+                                agg.on_barrier_enter(p, meta.1, now);
                             }
                         }
                         if obs.metrics_on {
@@ -2502,7 +2525,7 @@ impl Sim {
                 self.stats.total_msgs += 1;
                 self.link_arrival::<SHARDED>(dst, slot);
                 if OBS {
-                    self.note_arrival(dst);
+                    self.note_arrival(dst, slot);
                 }
                 self.advance::<OBS, FAULTS, SHARDED>(dst);
             }

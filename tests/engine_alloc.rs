@@ -55,6 +55,15 @@
 //! P = 2^14, 0.9 % of the ranks at most, which the bound of P / 100
 //! leaves room for. A container back in every processor would read P.
 //!
+//! What the online aggregate adds, over a null sink, on one staggered
+//! all-to-all round of `LogP(6,2,4,P)`; "before" is the aggregate that
+//! kept each processor's spans back to its oldest open wait window:
+//!
+//! | round, P  | before: bytes | now: bytes | bound: bytes                  |
+//! |-----------|---------------|------------|-------------------------------|
+//! | P = 128   | 20,888        | 1,120      | 2,048                         |
+//! | P = 512   | 82,328        | 1,120      | 2,048, within 10 % of P = 128 |
+//!
 //! A queued send, by itself: the last test.
 
 use logp::algos::allreduce::{run_allreduce_reduce_bcast, run_reliable_allreduce};
@@ -62,7 +71,7 @@ use logp::algos::broadcast::{run_reliable_broadcast, run_tree_broadcast};
 use logp::core::broadcast::optimal_broadcast_tree;
 use logp::core::LogP;
 use logp::sim::process::StartFn;
-use logp::sim::{Data, FaultPlan, RetryConfig, Sim, SimConfig, SimError};
+use logp::sim::{Data, FaultPlan, RetryConfig, Sim, SimConfig, SimError, SinkSpec};
 
 #[path = "common/counting.rs"]
 mod counting;
@@ -264,6 +273,39 @@ fn a_tree_is_five_allocations_at_any_size() {
     assert_eq!(small.0, 5);
     assert_eq!(big.0, 5);
     assert!(small.1 <= 32.01 && big.1 <= 32.01, "{small:?}, {big:?}");
+}
+
+/// What the online aggregate costs a processor: bytes allocated by one
+/// staggered all-to-all round on `LogP(6,2,4,P)` with `with_aggregate`,
+/// less the same run with a null sink (the same record pipeline, no
+/// aggregate). Window starts travel with the windows, so a processor's
+/// span buffer holds a handful of spans however many sends it queued.
+#[test]
+fn the_online_aggregate_costs_a_processor_what_it_costs_at_any_p() {
+    let per_proc = |p: u32| {
+        let run = |config: SimConfig| {
+            allocs(|| {
+                let mut sim = Sim::new(LogP::new(6, 2, 4, p).expect("valid model"), config);
+                sim.set_all(|_| {
+                    Box::new(StartFn(|ctx| {
+                        for k in 1..ctx.procs() {
+                            ctx.send((ctx.me() + k) % ctx.procs(), 0, Data::Empty);
+                        }
+                    }))
+                });
+                let res = sim.run().expect("the round completes");
+                assert_eq!(res.stats.total_msgs, u64::from(p) * u64::from(p - 1));
+            })
+            .bytes
+        };
+        let null = run(SimConfig::default().with_sink(SinkSpec::Null));
+        let agg = run(SimConfig::default().with_aggregate(true));
+        agg.saturating_sub(null) as f64 / f64::from(p)
+    };
+    let (small, big) = (per_proc(128), per_proc(512));
+    println!("online aggregate: {small:.0} bytes a processor at P = 128, {big:.0} at P = 512");
+    assert!(small <= 2_048.0 && big <= 2_048.0, "{small}, {big}");
+    assert!(big <= 1.1 * small, "{small} at P = 128, {big} at P = 512");
 }
 
 /// What a message costs while it waits in its sender's queue: a remap

@@ -11,7 +11,9 @@
 //! per `ObsSampling` policy and engine with the sampled JSONL file. The
 //! file was recorded at the parent of the PR that made the retained log a
 //! sink behind the one record pipeline; the library must reproduce every
-//! line.
+//! line. Five rows' `aggregate` fields were re-recorded since, when a
+//! timer window that closes inside a barrier wait or stall came to count
+//! it as `critical_path` does (the test after the corpus check).
 
 use logp::core::rng::{mix, CounterRng};
 use logp::core::{LogP, ProcId};
@@ -280,6 +282,37 @@ fn artifacts_reproduce_the_recorded_corpus() {
         "{IDENTITY_FILE}: {} of {} lines changed:\n{}",
         bad.len(),
         now.len(),
+        bad.join("\n")
+    );
+}
+
+/// The online aggregate's critical path equals `critical_path` of the same
+/// run's retained log — total and every component — on every tour run:
+/// timers that fire inside a barrier or a capacity stall still open, and
+/// on the lanes barrier releases applied after later arrivals.
+#[test]
+fn online_aggregate_equals_the_walk_on_every_tour_run() {
+    let mut bad = Vec::new();
+    for m in presets() {
+        for lanes in ENGINES {
+            for plan in PLANS {
+                let retained = tour(&m, lanes, plan, SimConfig::default().with_msg_log(true));
+                let cp = logp::sim::critical_path(&retained).expect("a tour has a path");
+                let streamed = tour(&m, lanes, plan, SimConfig::default().with_aggregate(true));
+                let agg = streamed.aggregate.expect("aggregate maintained");
+                if (agg.critical_total, agg.critical) != (cp.total, cp.components) {
+                    bad.push(format!(
+                        "{m} s{lanes} {plan}: aggregate {} {:?}, walk {} {:?}",
+                        agg.critical_total, agg.critical, cp.total, cp.components
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        bad.is_empty(),
+        "{} of 36 runs differ:\n{}",
+        bad.len(),
         bad.join("\n")
     );
 }

@@ -993,14 +993,17 @@ impl Process for Backlog {
     }
 }
 
+/// Most span-buffer entries one wait window may read, whatever the
+/// backlog: window starts are snapshots, so only a gap gate inside the
+/// window is looked up, a few spans back from the newest.
+const WINDOW_PROBES_MAX: u64 = 8;
+
 /// The online aggregate equals `critical_path` on the retained log —
-/// total and every component — when one handler's backlog is 1, 65
-/// (past the 64-span prune threshold) or 300 commands deep, with
-/// computes, a barrier, retransmission timers and a drop/dup/delay plan
-/// in play (every class but `stall` lands on some path), on the classic
-/// engine and on 2 and 8 lanes. The spans read per wait window stay a handful
-/// however deep the backlog (the linear scan this replaces read about
-/// one per queued command).
+/// total and every component — when one handler's backlog is 1, 65 or
+/// 300 commands deep, with computes, a barrier, retransmission timers and
+/// a drop/dup/delay plan in play (every class but `stall` lands on some
+/// path), on the classic engine and on 2 and 8 lanes. The spans read per
+/// wait window stay under one constant however deep the backlog.
 #[test]
 fn online_aggregate_matches_critical_path_under_deep_backlog() {
     let m = LogP::new(12, 2, 3, 12).unwrap();
@@ -1042,10 +1045,72 @@ fn online_aggregate_matches_critical_path_under_deep_backlog() {
                 "{what}"
             );
             if cfg!(debug_assertions) {
-                // Three bisections of a buffer of a few hundred spans.
                 let probes = streamed.vitals.agg_window_probes_max;
-                assert!((1..=40).contains(&probes), "{probes} spans read, {what}");
+                assert!(
+                    (1..=WINDOW_PROBES_MAX).contains(&probes),
+                    "{probes} spans read, {what}"
+                );
             }
         }
+    }
+}
+
+/// All-to-all in the §4.1.4 convoy order: every sender walks the
+/// destinations in the same order, so each round converges on one
+/// destination at a time and senders stall on its capacity while their
+/// own arrivals queue up.
+struct HotSpot {
+    rounds: u32,
+    got: u32,
+}
+
+impl HotSpot {
+    fn blast(ctx: &mut Ctx<'_>) {
+        let me = ctx.me();
+        for dst in (0..ctx.procs()).filter(|&d| d != me) {
+            ctx.send(dst, 0, Data::Empty);
+        }
+    }
+}
+
+impl Process for HotSpot {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        HotSpot::blast(ctx);
+    }
+    fn on_message(&mut self, _msg: &Message, ctx: &mut Ctx<'_>) {
+        self.got += 1;
+        if self.got == ctx.procs() - 1 {
+            self.got = 0;
+            self.rounds -= 1;
+            if self.rounds > 0 {
+                HotSpot::blast(ctx);
+            }
+        }
+    }
+}
+
+/// Reception windows that open inside capacity stalls: the online
+/// aggregate equals `critical_path` on the retained log of a hot-spot
+/// all-to-all, total and every component, on the classic engine (where
+/// 144 cycles of the path are stalls) and on 2 and 8 lanes (which relax
+/// destination capacity, so nothing stalls).
+#[test]
+fn online_aggregate_matches_critical_path_through_capacity_stalls() {
+    let m = LogP::new(6, 2, 4, 64).unwrap();
+    let run = |config: SimConfig| {
+        let mut sim = Sim::new(m, config);
+        sim.set_all(|_| Box::new(HotSpot { rounds: 2, got: 0 }));
+        sim.run().expect("the convoy drains")
+    };
+    for lanes in [0u32, 2, 8] {
+        let base = SimConfig::default().with_shards(lanes);
+        let retained = run(base.clone().with_msg_log(true));
+        let cp = critical_path(&retained).expect("msg log recorded");
+        let streamed = run(base.with_aggregate(true));
+        let agg = streamed.aggregate.as_ref().expect("aggregate maintained");
+        assert_eq!(streamed.stats, retained.stats, "{lanes} lanes");
+        assert_eq!(agg.critical_total, cp.total, "{lanes} lanes");
+        assert_eq!(agg.critical, cp.components, "{lanes} lanes");
+        assert_eq!(cp.components.stall > 0, lanes == 0, "{lanes} lanes");
     }
 }
