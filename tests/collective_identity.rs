@@ -16,6 +16,16 @@
 //! runs that file's `three_levels` hierarchies and `Hierarchy::flat` of
 //! each preset. `run_survivor_broadcast` is left out of the lossy plan:
 //! it sends unreliably, so it cannot complete there.
+//!
+//! The lines after the collectives' pin the round-structured applications
+//! — `run_scan`, `run_allgather_ring`, `run_bitonic_sort`, `run_jacobi`,
+//! `run_jacobi2d`, `run_summa` — on each preset cut down to a power of two
+//! or a square where the runner needs one, once as configured and once
+//! with latency jitter and compute drift, so that messages run ahead of
+//! the step their receiver is in. Their results hold no `SimResult`; the
+//! hash covers outputs, completion and message counts. They were recorded
+//! at the parent of the PR that made these programs descriptions run by
+//! one step driver.
 
 use logp::algos::allreduce::{
     run_allreduce_doubling, run_allreduce_reduce_bcast, run_reliable_allreduce,
@@ -24,6 +34,7 @@ use logp::algos::broadcast::{
     run_optimal_broadcast, run_reliable_broadcast, run_shape_broadcast, run_survivor_broadcast,
     run_tree_broadcast,
 };
+use logp::algos::gather::run_allgather_ring;
 use logp::algos::hier::{
     flat_tree, hier_tree, run_flat_allreduce_on, run_flat_broadcast_on, run_flat_sum_on,
     run_hier_allreduce, run_hier_broadcast, run_hier_sum, run_tree_allreduce_on,
@@ -33,11 +44,17 @@ use logp::algos::kbroadcast::{
     run_kbcast_binomial, run_kbcast_optimal_tree, run_kbcast_scatter_gather,
     run_reliable_kbroadcast,
 };
+use logp::algos::lu::Matrix;
+use logp::algos::matmul::run_summa;
 use logp::algos::reduce::{run_binomial_sum, run_optimal_sum, run_reliable_sum, run_sum_schedule};
+use logp::algos::scan::run_scan;
+use logp::algos::sort::run_bitonic_sort;
+use logp::algos::stencil::run_jacobi;
+use logp::algos::stencil2d::run_jacobi2d;
 use logp::core::broadcast::{shape_children, TreeShape};
 use logp::core::hier::{Hierarchy, Level};
 use logp::core::summation::{min_sum_time, optimal_sum_schedule};
-use logp::core::LogP;
+use logp::core::{Cycles, LogP};
 use logp::sim::reliable::RetryConfig;
 use logp::sim::{FaultPlan, SimConfig};
 
@@ -108,19 +125,23 @@ impl Corpus {
     }
 }
 
-/// One corpus line: the label, then a hash over the run's `Debug` with
-/// the vitals (which measure the host and the build profile) reset.
+/// One corpus line: the label, then a hash over the run's `Debug`.
+fn push(c: &mut Corpus, label: impl std::fmt::Display, done: Cycles, run: &impl std::fmt::Debug) {
+    let hash = fnv1a(&format!("{run:?}"));
+    let line = format!(
+        "{label} {} s{} completion={done} {hash:016x}",
+        c.machine, c.lanes
+    );
+    c.lines.push(line);
+}
+
+/// [`push`] for a run that holds a `SimResult`, with its vitals (which
+/// measure the host and the build profile) reset.
 macro_rules! pin {
     ($c:expr, $label:expr, $run:expr) => {{
         let mut run = $run;
         run.result.vitals = Default::default();
-        let hash = fnv1a(&format!("{run:?}"));
-        let (label, done) = ($label, run.completion);
-        let line = format!(
-            "{label} {} s{} completion={done} {hash:016x}",
-            $c.machine, $c.lanes
-        );
-        $c.lines.push(line);
+        push($c, $label, run.completion, &run);
     }};
 }
 
@@ -208,6 +229,40 @@ fn hier_lines(c: &mut Corpus, h: &Hierarchy) {
     pin!(c, "hier.flat_allreduce_on", run);
 }
 
+/// The round-structured applications on `m`, run with `cfg`.
+fn app_lines(c: &mut Corpus, m: &LogP, how: &str, cfg: &SimConfig) {
+    let p = m.p as usize;
+    let pow2 = m.with_p(1 << m.p.ilog2());
+    let side = m.p.isqrt();
+    let square = m.with_p(side * side);
+    let side = side as usize;
+
+    let words: Vec<u64> = (0..3 * p as u64).map(|i| (i * 37 + 11) % 101).collect();
+    let run = run_scan(m, &words, cfg.clone());
+    push(c, format!("app.scan.{how}"), run.completion, &run);
+    let run = run_allgather_ring(m, &words[..p], cfg.clone());
+    push(c, format!("app.allgather_ring.{how}"), run.completion, &run);
+    let keys: Vec<u64> = (0..4 * pow2.p as u64).map(|i| (i * 7919) % 1009).collect();
+    let run = run_bitonic_sort(&pow2, &keys, cfg.clone());
+    push(c, format!("app.bitonic_sort.{how}"), run.completion, &run);
+
+    let field: Vec<f64> = (0..4 * p).map(|i| (i as f64 * 0.37).sin()).collect();
+    let run = run_jacobi(m, &field, 3, cfg.clone());
+    push(c, format!("app.jacobi.{how}"), run.completion, &run);
+    let n = 3 * side;
+    let grid: Vec<Vec<f64>> = (0..n)
+        .map(|r| (0..n).map(|k| ((r * n + k) as f64 * 0.13).cos()).collect())
+        .collect();
+    let run = run_jacobi2d(&square, &grid, 2, cfg.clone());
+    push(c, format!("app.jacobi2d.{how}"), run.completion, &run);
+    let (a, b) = (
+        Matrix::test_matrix(2 * side, 3),
+        Matrix::test_matrix(2 * side, 4),
+    );
+    let run = run_summa(&square, &a, &b, cfg.clone());
+    push(c, format!("app.summa.{how}"), run.completion, &run);
+}
+
 fn identity_lines() -> Vec<String> {
     let mut c = Corpus {
         lines: Vec::new(),
@@ -224,6 +279,16 @@ fn identity_lines() -> Vec<String> {
         for node_o in [4, 9] {
             c.machine = format!("three_levels.o{node_o}");
             hier_lines(&mut c, &three_levels(node_o));
+        }
+    }
+    for lanes in ENGINES {
+        c.lanes = lanes;
+        for (i, m) in presets().iter().enumerate() {
+            c.machine = format!("m{i}");
+            let cfg = c.cfg();
+            app_lines(&mut c, m, "plain", &cfg);
+            let skewed = cfg.with_jitter(m.l).with_drift(40);
+            app_lines(&mut c, m, "jittered", &skewed);
         }
     }
     c.lines
