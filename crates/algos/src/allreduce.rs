@@ -15,12 +15,12 @@
 use crate::resilient::{
     survivor_binomial_children, survivor_tree_children, ResilientError, SurvivorMap,
 };
+use crate::step::{run_steps, Arrival, Out, Steps};
 use crate::tree::{run_tree, Phases, Wire};
 use logp_core::broadcast::optimal_broadcast_tree;
 use logp_core::{Cycles, LogP, ProcId, Tree};
 use logp_sim::reliable::RetryConfig;
-use logp_sim::{Ctx, Data, FaultPlan, Message, Process, SharedCell, Sim, SimConfig, SimResult};
-use std::collections::HashMap;
+use logp_sim::{FaultPlan, Sim, SimConfig, SimResult};
 
 const TAG_XCHG: u32 = 0x93;
 
@@ -36,12 +36,6 @@ const RELIABLE: Wire = Wire {
     combine: 0,
     ..PLAIN
 };
-
-/// Outcome: every processor's final value and completion time.
-#[derive(Debug, Clone, Default)]
-pub struct AllReduceOutcome {
-    pub finals: Vec<(ProcId, f64, Cycles)>,
-}
 
 /// Result of an all-reduce run.
 #[derive(Debug, Clone)]
@@ -77,51 +71,31 @@ pub fn run_allreduce_reduce_bcast(m: &LogP, values: &[f64], config: SimConfig) -
 // Strategy 2: recursive doubling (butterfly exchange).
 // ---------------------------------------------------------------------
 
+/// One rank of the butterfly: at step `s` it swaps partials with the rank
+/// whose id differs in bit `s`, and adds the one it gets.
 struct Doubling {
+    me: ProcId,
     value: f64,
-    round: u32,
-    rounds: u32,
-    sent_round: u32,
-    pending: HashMap<u32, f64>,
-    out: SharedCell<AllReduceOutcome>,
 }
 
-impl Doubling {
-    fn advance(&mut self, ctx: &mut Ctx<'_>) {
-        let me = ctx.me();
-        while self.round < self.rounds {
-            let r = self.round;
-            let peer = me ^ (1 << r);
-            if peer >= ctx.procs() {
-                // Non-power-of-two P is not supported by the butterfly.
-                unreachable!("doubling requires power-of-two P");
-            }
-            if self.sent_round == r {
-                self.sent_round = r + 1;
-                ctx.send(peer, TAG_XCHG, Data::Pair(r as u64, self.value.to_bits()));
-            }
-            if let Some(v) = self.pending.remove(&r) {
-                self.value += v;
-                ctx.compute(1, 0); // the combine addition
-                self.round += 1;
-                continue;
-            }
-            return;
-        }
-        let rec = (me, self.value, ctx.now());
-        self.out.with(|o| o.finals.push(rec));
-    }
-}
+impl Steps for Doubling {
+    type Final = f64;
 
-impl Process for Doubling {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.advance(ctx);
+    fn send(&mut self, s: u32, out: &mut Out<'_, '_>) {
+        out.send_f64(self.me ^ (1 << s), TAG_XCHG, 0, self.value);
     }
 
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let (r, bits) = msg.data.as_pair();
-        self.pending.insert(r as u32, f64::from_bits(bits));
-        self.advance(ctx);
+    fn expect(&self, _: u32) -> usize {
+        1
+    }
+
+    fn fold(&mut self, _: u32, msgs: &[Arrival]) -> Cycles {
+        self.value += msgs[0].value();
+        1 // the combine addition
+    }
+
+    fn finish(&mut self) -> f64 {
+        self.value
     }
 }
 
@@ -134,25 +108,11 @@ pub fn run_allreduce_doubling(m: &LogP, values: &[f64], config: SimConfig) -> Al
     );
     assert_eq!(values.len(), p as usize);
     let rounds = logp_core::cost::log2_exact(p as u64);
-    let out: SharedCell<AllReduceOutcome> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    for q in 0..p {
-        sim.set_process(
-            q,
-            Box::new(Doubling {
-                value: values[q as usize],
-                round: 0,
-                rounds,
-                sent_round: 0,
-                pending: HashMap::new(),
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("all-reduce terminates");
-    let oc = out.get();
-    assert_eq!(oc.finals.len(), p as usize, "every processor must finish");
-    finish(&oc.finals, result, values.iter().sum())
+    let run = run_steps(Sim::new(*m, config), rounds, |q| Doubling {
+        me: q,
+        value: values[q as usize],
+    });
+    finish(&run.finals, run.result, values.iter().sum())
 }
 
 // ---------------------------------------------------------------------

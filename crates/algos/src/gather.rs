@@ -15,14 +15,14 @@
 //!   larger of the injection interval and the data dependency (see
 //!   [`allgather_ring_time`]).
 
+use crate::step::{run_steps, Arrival, Out, Steps};
 use logp_core::cost::stream_time;
 use logp_core::{Cycles, LogP, ProcId};
 use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
-use std::collections::HashMap;
 
 const TAG_SCATTER: u32 = 0xD0;
 const TAG_GATHER: u32 = 0xD1;
-const TAG_RING: u32 = 0xD2; // Pair(round<<32|origin, bits)
+const TAG_RING: u32 = 0xD2; // a block, indexed by its origin
 
 /// Analytic scatter/gather time: a stream of `P-1` messages through the
 /// root's interface.
@@ -163,61 +163,36 @@ pub fn run_gather(m: &LogP, values: &[u64], config: SimConfig) -> CollectiveRun 
 // Ring all-gather.
 // ---------------------------------------------------------------------
 
-struct RingProc {
-    /// blocks[origin] = Some(value) once known.
-    blocks: Vec<Option<u64>>,
-    round: u32,
-    rounds: u32,
-    sent_round: u32,
-    pending: HashMap<u32, (u64, u64)>, // round -> (origin, value)
-    out: SharedCell<Vec<(ProcId, Vec<u64>, Cycles)>>,
+/// One rank of the ring: at step `r` it passes right the block that
+/// started `r` hops upstream (step 0: its own), and keeps the one that
+/// arrives from the left.
+struct Ring {
+    me: ProcId,
+    p: u32,
+    /// `blocks[origin]`, once it has come by.
+    blocks: Vec<u64>,
 }
 
-impl RingProc {
-    /// In round r, send the block that originated `r` hops upstream
-    /// (round 0: own block) to the right neighbor.
-    fn advance(&mut self, ctx: &mut Ctx<'_>) {
-        let me = ctx.me();
-        let p = ctx.procs();
-        while self.round < self.rounds {
-            let r = self.round;
-            if self.sent_round == r {
-                self.sent_round = r + 1;
-                let origin = (me + p - r) % p;
-                let v = self.blocks[origin as usize].expect("block known by round r");
-                ctx.send(
-                    (me + 1) % p,
-                    TAG_RING,
-                    Data::Pair((r as u64) << 32 | origin as u64, v),
-                );
-            }
-            if let Some((origin, v)) = self.pending.remove(&r) {
-                self.blocks[origin as usize] = Some(v);
-                self.round += 1;
-                continue;
-            }
-            return;
-        }
-        let blocks: Vec<u64> = self
-            .blocks
-            .iter()
-            .map(|b| b.expect("all blocks known"))
-            .collect();
-        let now = ctx.now();
-        self.out.with(|o| o.push((me, blocks, now)));
-        ctx.halt();
-    }
-}
+impl Steps for Ring {
+    type Final = Vec<u64>;
 
-impl Process for RingProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.advance(ctx);
+    fn send(&mut self, r: u32, out: &mut Out<'_, '_>) {
+        let (me, p) = (self.me, self.p);
+        let origin = ((me + p - r) % p) as usize;
+        out.send((me + 1) % p, TAG_RING, origin, self.blocks[origin]);
     }
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let (packed, v) = msg.data.as_pair();
-        self.pending
-            .insert((packed >> 32) as u32, (packed & 0xFFFF_FFFF, v));
-        self.advance(ctx);
+
+    fn expect(&self, _: u32) -> usize {
+        1
+    }
+
+    fn fold(&mut self, _: u32, msgs: &[Arrival]) -> Cycles {
+        self.blocks[msgs[0].idx()] = msgs[0].word;
+        0
+    }
+
+    fn finish(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.blocks)
     }
 }
 
@@ -235,38 +210,22 @@ pub fn run_allgather_ring(m: &LogP, values: &[u64], config: SimConfig) -> AllGat
     let p = m.p;
     assert_eq!(values.len(), p as usize);
     assert!(p >= 2);
-    let out: SharedCell<Vec<(ProcId, Vec<u64>, Cycles)>> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    for q in 0..p {
-        let mut blocks = vec![None; p as usize];
-        blocks[q as usize] = Some(values[q as usize]);
-        sim.set_process(
-            q,
-            Box::new(RingProc {
-                blocks,
-                round: 0,
-                rounds: p - 1,
-                sent_round: 0,
-                pending: HashMap::new(),
-                out: out.clone(),
-            }),
-        );
-    }
-    let r = sim.run().expect("all-gather terminates");
-    let results = out.get();
-    assert_eq!(results.len(), p as usize, "every processor must finish");
-    let reference = &results[0].1;
-    for (q, blocks, _) in &results {
+    let run = run_steps(Sim::new(*m, config), p - 1, |q| {
+        let mut blocks = vec![0; p as usize];
+        blocks[q as usize] = values[q as usize];
+        Ring { me: q, p, blocks }
+    });
+    let reference = &run.finals[0].1;
+    for (q, blocks, _) in &run.finals {
         assert_eq!(
             blocks, reference,
             "processor {q} assembled a different vector"
         );
     }
-    let completion = results.iter().map(|r| r.2).max().unwrap_or(0);
     AllGatherRun {
         blocks: reference.clone(),
-        completion,
-        messages: r.stats.total_msgs,
+        completion: run.finals.iter().map(|f| f.2).max().unwrap_or(0),
+        messages: run.result.stats.total_msgs,
     }
 }
 

@@ -16,22 +16,17 @@
 //!   ~`2k` items instead of `k·fanout`).
 
 use crate::resilient::{survivor_tree_children, ResilientError, SurvivorMap};
-use crate::tree::{execute, Finals};
+use crate::step::{run_steps, Arrival, Out, Steps};
+use crate::tree::{execute, Finals, Run};
 use logp_core::broadcast::{optimal_broadcast_tree, shape_children, TreeShape};
 use logp_core::{Cycles, LogP, ProcId, Tree};
 use logp_sim::reliable::RetryConfig;
 use logp_sim::{Ctx, Data, FaultPlan, Message, Process, SharedCell, Sim, SimConfig, SimResult};
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 const TAG_ITEM: u32 = 0x100; // Pair(index, value)
-const TAG_BLOCK: u32 = 0x101; // Pair(round<<32|origin, value) for the ring phase
-
-/// Outcome of a k-item broadcast: every processor's received vector.
-#[derive(Debug, Clone, Default)]
-pub struct KBcastOutcome {
-    pub finals: Vec<(ProcId, Vec<u64>, Cycles)>,
-}
+const TAG_BLOCK: u32 = 0x101; // the same, in the ring phase
 
 /// Result of a run.
 #[derive(Debug, Clone)]
@@ -131,16 +126,20 @@ fn run_tree_pipeline(
         out,
         done: false,
     })?;
+    Ok(delivered(run, items))
+}
+
+/// Every rank must hold `items`; completion is the last full vector, not
+/// the tail of stale retransmission timers in `stats.completion`.
+fn delivered(run: Run<Vec<u64>>, items: &[u64]) -> KBcastRun {
     for (q, got, _) in &run.finals {
         assert_eq!(got, items, "processor {q} received a wrong vector");
     }
-    Ok(KBcastRun {
-        // Logical completion: the last full vector, not the tail of stale
-        // retransmission timers in `stats.completion`.
+    KBcastRun {
         completion: run.finals.iter().map(|f| f.2).max().unwrap_or(0),
         messages: run.result.stats.total_msgs,
         result: run.result,
-    })
+    }
 }
 
 /// Stream `items` down the single-item optimal tree.
@@ -179,136 +178,71 @@ pub fn run_reliable_kbroadcast(
 // Scatter + ring all-gather.
 // ---------------------------------------------------------------------
 
-struct ScatterGatherProc {
-    k: usize,
-    items: Vec<Option<u64>>,
-    /// Ring state: rounds of block forwarding.
-    round: u32,
-    sent_round: u32,
-    pending: HashMap<u32, Vec<(u64, u64)>>,
-    block_ranges: Vec<(usize, usize)>,
-    have_block: Vec<bool>,
-    out: SharedCell<KBcastOutcome>,
-    done: bool,
+/// One rank of the scatter + ring all-gather over `p` blocks of `k`
+/// items. Step 0 is the scatter: rank 0 sends every other rank its block,
+/// and each of them waits for its own. Step `r + 1` is ring round `r`: a
+/// rank passes right the block that started `r` hops upstream, and keeps
+/// the one that arrives from the left.
+struct ScatterGather {
+    me: ProcId,
+    p: u32,
+    /// Every item; a rank's own block and those that have come by are
+    /// filled in.
+    items: Vec<u64>,
 }
 
-impl ScatterGatherProc {
-    fn block_of(&self, origin: ProcId) -> (usize, usize) {
-        self.block_ranges[origin as usize]
-    }
-
-    /// Ring round r: forward the block that originated r hops upstream.
-    fn advance_ring(&mut self, ctx: &mut Ctx<'_>) {
-        let me = ctx.me();
-        let p = ctx.procs();
-        let rounds = p - 1;
-        while self.round < rounds {
-            let r = self.round;
-            let origin = (me + p - r) % p;
-            if !self.have_block[origin as usize] {
-                return; // scatter for our own block not yet complete
-            }
-            if self.sent_round == r {
-                self.sent_round = r + 1;
-                let (lo, hi) = self.block_of(origin);
-                for i in lo..hi {
-                    let v = self.items[i].expect("block held");
-                    ctx.send(
-                        (me + 1) % p,
-                        TAG_BLOCK,
-                        Data::Pair((r as u64) << 32 | i as u64, v),
-                    );
-                }
-            }
-            // Fold the incoming round-r block (from origin (me - 1 - r)).
-            let incoming_origin = (me + p - r - 1) % p;
-            let (lo, hi) = self.block_of(incoming_origin);
-            let expect = hi - lo;
-            if expect == 0 {
-                self.have_block[incoming_origin as usize] = true;
-                self.round += 1;
-                continue;
-            }
-            let buffered = self.pending.get(&r).map_or(0, |v| v.len());
-            if buffered < expect {
-                return;
-            }
-            for (i, v) in self.pending.remove(&r).expect("checked") {
-                debug_assert!(self.items[i as usize].is_none());
-                self.items[i as usize] = Some(v);
-            }
-            self.have_block[incoming_origin as usize] = true;
-            self.round += 1;
-        }
-        if !self.done {
-            self.done = true;
-            let me = ctx.me();
-            let now = ctx.now();
-            let items: Vec<u64> = self.items.iter().map(|i| i.expect("complete")).collect();
-            assert_eq!(items.len(), self.k);
-            self.out.with(|o| o.finals.push((me, items, now)));
-        }
+impl ScatterGather {
+    /// The items of block `d`: the `d`-th contiguous chunk, sizes
+    /// differing by at most 1.
+    fn block(&self, d: ProcId) -> Range<usize> {
+        let (k, p, d) = (self.items.len(), self.p as usize, d as usize);
+        let (base, extra) = (k / p, k % p);
+        let lo = d * base + d.min(extra);
+        lo..lo + base + usize::from(d < extra)
     }
 }
 
-impl Process for ScatterGatherProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let me = ctx.me();
-        if me == 0 {
-            // Scatter: send block d to processor d (own block stays).
-            let p = ctx.procs();
-            for d in 1..p {
-                let (lo, hi) = self.block_of(d);
-                for i in lo..hi {
-                    let v = self.items[i].expect("root holds all");
-                    ctx.send(d, TAG_ITEM, Data::Pair(i as u64, v));
+impl Steps for ScatterGather {
+    type Final = Vec<u64>;
+
+    fn send(&mut self, s: u32, out: &mut Out<'_, '_>) {
+        let (me, p) = (self.me, self.p);
+        match s {
+            // The root ships each item once, not P-1 times: this is what
+            // makes the strategy bandwidth-bound rather than root-bound.
+            0 if me == 0 => {
+                for d in 1..p {
+                    for i in self.block(d) {
+                        out.send(d, TAG_ITEM, i, self.items[i]);
+                    }
                 }
             }
-            // Root keeps only its own block for the ring phase; the rest
-            // it will receive back (this is what makes the strategy
-            // bandwidth-bound rather than root-bound: the root ships each
-            // item once, not P-1 times).
-            let keep = self.block_of(0);
-            for (i, slot) in self.items.iter_mut().enumerate() {
-                if i < keep.0 || i >= keep.1 {
-                    *slot = None;
+            0 => {}
+            s => {
+                for i in self.block((me + p + 1 - s) % p) {
+                    out.send((me + 1) % p, TAG_BLOCK, i, self.items[i]);
                 }
-            }
-            self.have_block[0] = true;
-            self.advance_ring(ctx);
-        } else {
-            // An empty own block needs no scatter delivery; enter the
-            // ring immediately (k < P leaves some processors blockless).
-            let (lo, hi) = self.block_of(me);
-            if lo == hi {
-                self.have_block[me as usize] = true;
-                self.advance_ring(ctx);
             }
         }
     }
 
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        match msg.tag {
-            TAG_ITEM => {
-                // Scatter delivery of my own block.
-                let (i, v) = msg.data.as_pair();
-                self.items[i as usize] = Some(v);
-                let me = ctx.me();
-                let (lo, hi) = self.block_of(me);
-                let complete = (lo..hi).all(|j| self.items[j].is_some());
-                if complete {
-                    self.have_block[me as usize] = true;
-                    self.advance_ring(ctx);
-                }
-            }
-            TAG_BLOCK => {
-                let (packed, v) = msg.data.as_pair();
-                let (r, i) = ((packed >> 32) as u32, packed & 0xFFFF_FFFF);
-                self.pending.entry(r).or_default().push((i, v));
-                self.advance_ring(ctx);
-            }
-            other => unreachable!("unknown tag {other}"),
+    fn expect(&self, s: u32) -> usize {
+        match s {
+            0 if self.me == 0 => 0,
+            0 => self.block(self.me).len(),
+            s => self.block((self.me + self.p - s) % self.p).len(),
         }
+    }
+
+    fn fold(&mut self, _: u32, msgs: &[Arrival]) -> Cycles {
+        for a in msgs {
+            self.items[a.idx()] = a.word;
+        }
+        0
+    }
+
+    fn finish(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.items)
     }
 }
 
@@ -316,55 +250,16 @@ impl Process for ScatterGatherProc {
 pub fn run_kbcast_scatter_gather(m: &LogP, items: &[u64], config: SimConfig) -> KBcastRun {
     let p = m.p;
     assert!(p >= 2);
-    let k = items.len();
-    // Block d = the d-th contiguous chunk (sizes differ by at most 1).
-    let base = k / p as usize;
-    let extra = k % p as usize;
-    let mut block_ranges = Vec::with_capacity(p as usize);
-    let mut at = 0usize;
-    for d in 0..p as usize {
-        let len = base + usize::from(d < extra);
-        block_ranges.push((at, at + len));
-        at += len;
-    }
-    let out: SharedCell<KBcastOutcome> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    for q in 0..p {
-        let holdings: Vec<Option<u64>> = if q == 0 {
-            items.iter().map(|&v| Some(v)).collect()
+    let run = run_steps(Sim::new(*m, config), p, |q| ScatterGather {
+        me: q,
+        p,
+        items: if q == 0 {
+            items.to_vec()
         } else {
-            vec![None; k]
-        };
-        sim.set_process(
-            q,
-            Box::new(ScatterGatherProc {
-                k,
-                items: holdings,
-                round: 0,
-                sent_round: 0,
-                pending: HashMap::new(),
-                block_ranges: block_ranges.clone(),
-                have_block: vec![false; p as usize],
-                out: out.clone(),
-                done: false,
-            }),
-        );
-    }
-    let r = sim.run().expect("scatter-gather broadcast terminates");
-    let oc = out.get();
-    assert_eq!(oc.finals.len(), p as usize, "every processor must finish");
-    for (q, got, _) in &oc.finals {
-        assert_eq!(
-            got,
-            &items.to_vec(),
-            "processor {q} received a wrong vector"
-        );
-    }
-    KBcastRun {
-        completion: oc.finals.iter().map(|f| f.2).max().unwrap_or(0),
-        messages: r.stats.total_msgs,
-        result: r,
-    }
+            vec![0; items.len()]
+        },
+    });
+    delivered(run, items)
 }
 
 #[cfg(test)]

@@ -11,24 +11,25 @@
 //! |---|---|---|
 //! | [`am`] | §3.2 | shared-memory veneer: remote read 2L+4o, prefetch, fetch-add |
 //! | `tree` (private) | §3.3 | the one tree program (up the reverse of one tree, down another) and the one runner behind the five modules marked † — flat or hierarchical machine, all ranks or survivors, plain sends or `logp_sim::reliable::Reliable` |
+//! | `step` (private) | §4.2.2 | the one step program (send, wait for the step's messages, fold them and charge the work) and its runner behind the eight runners in the modules marked ‡ |
 //! | [`broadcast`] † | §3.3, Fig. 3 | optimal tree + fixed-shape baselines; survivor and reliable variants |
 //! | [`reduce`] † | §3.3, Fig. 4 | optimal summation schedules, binomial baseline; reliable sum |
-//! | [`allreduce`] † | — | reduce+broadcast (plain, reliable) vs recursive doubling |
-//! | [`scan`] | §6.2 | block parallel prefix by recursive doubling |
-//! | [`gather`] | §6.6 | scatter / gather / ring all-gather primitives |
+//! | [`allreduce`] †‡ | — | reduce+broadcast (plain, reliable) vs recursive doubling |
+//! | [`scan`] ‡ | §6.2 | block parallel prefix by recursive doubling |
+//! | [`gather`] ‡ | §6.6 | scatter / gather / ring all-gather primitives |
 //! | [`hier`] † | ext. | level-aware broadcast/sum/all-reduce on hierarchical machines |
-//! | [`kbroadcast`] † | §3.3 ext. | k-item broadcast: pipelined trees (plain, reliable) vs scatter+all-gather |
+//! | [`kbroadcast`] †‡ | §3.3 ext. | k-item broadcast: pipelined trees (plain, reliable) vs scatter+all-gather |
 //! | [`remap`] | §4.1.2–4 | all-to-all schedules: naive/staggered/barrier |
 //! | [`fft`] | §4.1 | hybrid-layout FFT with real data + Fig. 6/7/8 driver |
 //! | [`lu`] | §4.2.1 | pivoted LU, column-cyclic executable + layout costs |
-//! | [`sort`] | §4.2.2 | splitter (sample) sort vs bitonic |
+//! | [`sort`] ‡ | §4.2.2 | splitter (sample) sort vs bitonic |
 //! | [`radix`] | §4.2.2 \[7\] | distributed LSD radix sort, per-digit remaps |
 //! | [`cc`] | §4.2.3 | connected components, hot-spot contention + combining |
 //! | [`multithread`] | §3.2 | latency masking bounded by the capacity window |
 //! | [`bulk`] | §5.4 | long messages as trains + reorder-tolerant reassembly |
-//! | [`stencil`] | §6.4 | 1D Jacobi halo exchange; surface-to-volume economics |
-//! | [`stencil2d`] | §6.4 | 5-point Jacobi on a √P×√P grid; 4b surface vs b² volume |
-//! | [`matmul`] | §6.6 | SUMMA on a √P×√P grid; 1D-vs-2D layout costs |
+//! | [`stencil`] ‡ | §6.4 | 1D Jacobi halo exchange; surface-to-volume economics |
+//! | [`stencil2d`] ‡ | §6.4 | 5-point Jacobi on a √P×√P grid; 4b surface vs b² volume |
+//! | [`matmul`] ‡ | §6.6 | SUMMA on a √P×√P grid; 1D-vs-2D layout costs |
 //! | [`resilient`] | — | survivor remapping for fault-tolerant collectives; `ResilientError` |
 
 pub mod allreduce;
@@ -51,4 +52,5 @@ pub mod scan;
 pub mod sort;
 pub mod stencil;
 pub mod stencil2d;
+mod step;
 mod tree;

@@ -18,14 +18,12 @@
 //! have closed-form cost models for the comparison experiment.
 
 use crate::lu::Matrix;
-use logp_core::{Cycles, LogP, ProcId};
-use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
-use std::collections::HashMap;
+use crate::step::{run_steps, Arrival, Out, Steps};
+use logp_core::{Cycles, LogP};
+use logp_sim::{Sim, SimConfig};
 
-const TAG_A: u32 = 0xC0; // IdxF64(step<<40 | local index, value)
+const TAG_A: u32 = 0xC0; // a panel value, indexed as in `Summa::panels`
 const TAG_B: u32 = 0xC1;
-
-const STEP_MUL: u64 = 1;
 
 /// Flop cost of one multiply-add at unit cost.
 pub const MADD_COST: Cycles = 2;
@@ -50,147 +48,70 @@ pub fn matmul_2d_time(m: &LogP, n: u64) -> Cycles {
     comm + compute
 }
 
-#[derive(Debug, Default)]
-struct StepBuf {
-    a: HashMap<u64, f64>,
-    b: HashMap<u64, f64>,
-}
-
-/// One processor of the √P×√P SUMMA grid, owning a `t×t` tile
-/// (`t = n/√P`). At step `k`, the grid column `k` owners broadcast their
-/// A tile along their row; the grid row `k` owners broadcast their B tile
-/// along their column; everyone multiplies the received panels into its C
-/// tile.
-struct SummaProc {
-    n: usize,
+/// One processor of the √P×√P SUMMA grid, owning `t×t` tiles
+/// (`t = n/√P`, row-major). At step `k`, the grid column `k` owners
+/// broadcast their A tile along their row; the grid row `k` owners
+/// broadcast their B tile along their column; everyone multiplies the
+/// two panels into its C tile.
+struct Summa {
+    row: u32,
+    col: u32,
     sqrt_p: u32,
-    /// Own tiles (row-major `t×t`).
+    t: usize,
     a: Vec<f64>,
     b: Vec<f64>,
     c: Vec<f64>,
-    step: u64,
-    bufs: HashMap<u64, StepBuf>,
-    panel_a: Vec<f64>,
-    panel_b: Vec<f64>,
-    out: SharedCell<Vec<(ProcId, Vec<f64>)>>,
+    /// The panels received this step: A at index `i`, B at `t² + i`.
+    panels: Vec<f64>,
 }
 
-impl SummaProc {
-    fn t(&self) -> usize {
-        self.n / self.sqrt_p as usize
-    }
-    fn row(&self, me: ProcId) -> u32 {
-        me / self.sqrt_p
-    }
-    fn col(&self, me: ProcId) -> u32 {
-        me % self.sqrt_p
-    }
+impl Steps for Summa {
+    type Final = Vec<f64>;
 
-    fn begin_step(&mut self, ctx: &mut Ctx<'_>) {
-        let me = ctx.me();
-        let sp = self.sqrt_p;
-        if self.step >= sp as u64 {
-            let c = std::mem::take(&mut self.c);
-            self.out.with(|o| o.push((me, c)));
-            ctx.halt();
-            return;
-        }
-        let k = self.step as u32;
-        let t2 = self.t() * self.t();
-        // Broadcast my A tile along my row if I am in grid column k.
-        if self.col(me) == k {
-            for gc in 0..sp {
-                if gc == k {
-                    continue;
-                }
-                let dst = self.row(me) * sp + gc;
+    fn send(&mut self, k: u32, out: &mut Out<'_, '_>) {
+        let (sp, t2) = (self.sqrt_p, self.t * self.t);
+        if self.col == k {
+            for dst in (0..sp).filter(|&gc| gc != k).map(|gc| self.row * sp + gc) {
                 for (i, &v) in self.a.iter().enumerate() {
-                    ctx.send(dst, TAG_A, Data::IdxF64(self.step << 40 | i as u64, v));
+                    out.send_f64(dst, TAG_A, i, v);
                 }
             }
-            self.panel_a = self.a.clone();
         }
-        // Broadcast my B tile along my column if I am in grid row k.
-        if self.row(me) == k {
-            for gr in 0..sp {
-                if gr == k {
-                    continue;
-                }
-                let dst = gr * sp + self.col(me);
+        if self.row == k {
+            for dst in (0..sp).filter(|&gr| gr != k).map(|gr| gr * sp + self.col) {
                 for (i, &v) in self.b.iter().enumerate() {
-                    ctx.send(dst, TAG_B, Data::IdxF64(self.step << 40 | i as u64, v));
+                    out.send_f64(dst, TAG_B, t2 + i, v);
                 }
             }
-            self.panel_b = self.b.clone();
         }
-        let _ = t2;
-        self.try_multiply(ctx);
     }
 
-    fn try_multiply(&mut self, ctx: &mut Ctx<'_>) {
-        let me = ctx.me();
-        let k = self.step as u32;
-        let t = self.t();
-        let t2 = t * t;
-        let need_a = self.col(me) != k;
-        let need_b = self.row(me) != k;
-        {
-            let buf = self.bufs.entry(self.step).or_default();
-            if need_a {
-                if buf.a.len() < t2 {
-                    return;
-                }
-                self.panel_a = (0..t2).map(|i| buf.a[&(i as u64)]).collect();
-            }
-            if need_b {
-                if buf.b.len() < t2 {
-                    return;
-                }
-                self.panel_b = (0..t2).map(|i| buf.b[&(i as u64)]).collect();
-            }
+    fn expect(&self, k: u32) -> usize {
+        self.t * self.t * (usize::from(self.col != k) + usize::from(self.row != k))
+    }
+
+    fn fold(&mut self, k: u32, msgs: &[Arrival]) -> Cycles {
+        let (t, t2) = (self.t, self.t * self.t);
+        for m in msgs {
+            self.panels[m.idx()] = m.value();
         }
-        self.bufs.remove(&self.step);
-        // C += panel_a * panel_b.
+        let (pa, pb) = self.panels.split_at(t2);
+        let pa = if self.col == k { &self.a } else { pa };
+        let pb = if self.row == k { &self.b } else { pb };
+        // C += A · B.
         for i in 0..t {
             for kk in 0..t {
-                let a = self.panel_a[i * t + kk];
+                let a = pa[i * t + kk];
                 for j in 0..t {
-                    self.c[i * t + j] += a * self.panel_b[kk * t + j];
+                    self.c[i * t + j] += a * pb[kk * t + j];
                 }
             }
         }
-        ctx.compute((t2 * t) as u64 * MADD_COST, STEP_MUL);
-    }
-}
-
-impl Process for SummaProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.begin_step(ctx);
+        (t2 * t) as u64 * MADD_COST
     }
 
-    fn on_compute_done(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        debug_assert_eq!(tag, STEP_MUL);
-        self.step += 1;
-        self.begin_step(ctx);
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let (packed, v) = msg.data.as_idx_f64();
-        let step = packed >> 40;
-        let idx = packed & 0xFF_FFFF_FFFF;
-        let buf = self.bufs.entry(step).or_default();
-        match msg.tag {
-            TAG_A => {
-                buf.a.insert(idx, v);
-            }
-            TAG_B => {
-                buf.b.insert(idx, v);
-            }
-            other => unreachable!("unknown tag {other}"),
-        }
-        if step == self.step {
-            self.try_multiply(ctx);
-        }
+    fn finish(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.c)
     }
 }
 
@@ -211,8 +132,6 @@ pub fn run_summa(m: &LogP, a: &Matrix, b: &Matrix, config: SimConfig) -> MatmulR
     assert_eq!(sqrt_p * sqrt_p, m.p, "SUMMA needs a square processor grid");
     assert_eq!(n % sqrt_p as usize, 0, "n must divide by √P");
     let t = n / sqrt_p as usize;
-    let out: SharedCell<Vec<(ProcId, Vec<f64>)>> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
     let tile = |src: &Matrix, gr: u32, gc: u32| -> Vec<f64> {
         let (r0, c0) = (gr as usize * t, gc as usize * t);
         let mut v = Vec::with_capacity(t * t);
@@ -223,29 +142,21 @@ pub fn run_summa(m: &LogP, a: &Matrix, b: &Matrix, config: SimConfig) -> MatmulR
         }
         v
     };
-    for q in 0..m.p {
-        let (gr, gc) = (q / sqrt_p, q % sqrt_p);
-        sim.set_process(
-            q,
-            Box::new(SummaProc {
-                n,
-                sqrt_p,
-                a: tile(a, gr, gc),
-                b: tile(b, gr, gc),
-                c: vec![0.0; t * t],
-                step: 0,
-                bufs: HashMap::new(),
-                panel_a: Vec::new(),
-                panel_b: Vec::new(),
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("SUMMA terminates");
-    let tiles = out.get();
-    assert_eq!(tiles.len(), m.p as usize, "every processor must finish");
+    let run = run_steps(Sim::new(*m, config), sqrt_p, |q| {
+        let (row, col) = (q / sqrt_p, q % sqrt_p);
+        Summa {
+            row,
+            col,
+            sqrt_p,
+            t,
+            a: tile(a, row, col),
+            b: tile(b, row, col),
+            c: vec![0.0; t * t],
+            panels: vec![0.0; 2 * t * t],
+        }
+    });
     let mut c = Matrix::zero(n);
-    for (q, tile) in tiles {
+    for (q, tile, _) in run.finals {
         let (gr, gc) = (q / sqrt_p, q % sqrt_p);
         let (r0, c0) = (gr as usize * t, gc as usize * t);
         for i in 0..t {
@@ -256,8 +167,8 @@ pub fn run_summa(m: &LogP, a: &Matrix, b: &Matrix, config: SimConfig) -> MatmulR
     }
     MatmulRun {
         c,
-        completion: result.stats.completion,
-        messages: result.stats.total_msgs,
+        completion: run.result.stats.completion,
+        messages: run.result.stats.total_msgs,
     }
 }
 

@@ -17,7 +17,7 @@
 use crate::resilient::{survivor_binomial_children, ResilientError, SurvivorMap};
 use crate::tree::{run_tree, Phases, Wire};
 use logp_core::summation::{optimal_sum_schedule, SumSchedule};
-use logp_core::{Cycles, LogP, ProcId};
+use logp_core::{Cycles, LogP, ProcId, Tree};
 use logp_sim::reliable::RetryConfig;
 use logp_sim::{Ctx, Data, FaultPlan, Message, Process, SharedCell, Sim, SimConfig, SimResult};
 
@@ -221,30 +221,29 @@ pub fn run_binomial_sum(m: &LogP, n: u64, config: SimConfig) -> SumRun {
 
     let p = m.p;
     let out: SharedCell<SumOutcome> = SharedCell::new();
-    // Distribute n values round-robin; processor i expects messages from
-    // peers i + 2^j for each round j where i + 2^j < P and i < 2^j... the
-    // standard binomial combine: in round j, processors with bit j set
-    // send to (i - 2^j).
+    // Each processor combines its children's partials, then sends to its
+    // parent in the canonical binomial tree.
+    let tree = Tree::binomial(p);
+    let mut parent = vec![None; p as usize];
+    for (q, kids) in tree.iter().enumerate() {
+        for &c in kids {
+            parent[c as usize] = Some(q as ProcId);
+        }
+    }
     let mut sim = Sim::new(*m, config);
     let mut start = 0u64;
     for i in 0..p {
+        // `n` values dealt out in contiguous runs.
         let count = n / p as u64 + if (i as u64) < n % p as u64 { 1 } else { 0 };
         let local: f64 = (start..start + count).map(|v| v as f64).sum();
         start += count;
-        // Peer to send to: clear the lowest set bit boundary — processor i
-        // sends to i - 2^floor(log2(i)) ... i.e. i with its highest set bit
-        // cleared? Standard binomial: i sends to i - lowbit(i)? Use:
-        // i sends to i & (i-1)? No: binomial combine pairs i with
-        // i - 2^j where 2^j is the lowest set bit of i, after receiving
-        // from all peers i + 2^jj (jj < j) that exist.
-        let (expect, parent) = binomial_role(i, p);
         sim.set_process(
             i,
             Box::new(Node {
                 partial: local,
-                steps_needed: expect + 1,
+                steps_needed: tree[i as usize].len() as u32 + 1,
                 steps_done: 0,
-                peer_when_done: parent,
+                peer_when_done: parent[i as usize],
                 local_adds: count.saturating_sub(1),
                 out: out.clone(),
             }),
@@ -304,21 +303,6 @@ pub fn run_reliable_sum(
         inputs: n,
         result: run.result,
     })
-}
-
-/// In the canonical binomial combining tree (see
-/// `logp_core::broadcast::binomial_children`), processor `i` receives
-/// from its children and then sends to its parent (the root 0 sends
-/// nowhere).
-fn binomial_role(i: ProcId, p: u32) -> (u32, Option<ProcId>) {
-    use logp_core::broadcast::{binomial_children, binomial_parent};
-    let expect = binomial_children(i, p).len() as u32;
-    let parent = if i == 0 {
-        None
-    } else {
-        Some(binomial_parent(i))
-    };
-    (expect, parent)
 }
 
 #[cfg(test)]
@@ -420,21 +404,6 @@ mod tests {
             let expected: f64 = (0..run.inputs).map(|v| v as f64).sum();
             assert_eq!(run.total, expected);
             assert!(run.completion <= 40, "jitter can only speed things up");
-        }
-    }
-
-    #[test]
-    fn binomial_roles_form_a_tree() {
-        for p in [1u32, 2, 5, 8, 16, 31] {
-            let mut recv_counts = vec![0u32; p as usize];
-            for i in 1..p {
-                let (_, parent) = binomial_role(i, p);
-                recv_counts[parent.expect("non-root has a parent") as usize] += 1;
-            }
-            for i in 0..p {
-                let (expect, _) = binomial_role(i, p);
-                assert_eq!(expect, recv_counts[i as usize], "P={p} proc={i}");
-            }
         }
     }
 }

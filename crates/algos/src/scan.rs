@@ -8,106 +8,73 @@
 //! implements it for per-processor blocks of values (local prefix +
 //! cross-processor exclusive scan + local fix-up).
 
+use crate::step::{run_steps, Arrival, Out, Steps};
 use logp_core::{Cycles, LogP, ProcId};
-use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
-use std::collections::HashMap;
+use logp_sim::{Sim, SimConfig};
 
-const TAG_SCAN: u32 = 0x70; // Pair(round, partial)
+const TAG_SCAN: u32 = 0x70;
 
-const STEP_LOCAL: u64 = 1;
-const STEP_ROUND: u64 = 2;
-const STEP_FIXUP: u64 = 3;
-
-struct ScanProc {
-    values: Vec<u64>,
-    /// Running prefix of everything strictly to this processor's left
-    /// that has been folded in so far.
-    carry: u64,
-    /// Sum of this processor's block plus folded-in left partials —
-    /// what gets forwarded in recursive doubling.
-    partial: u64,
-    round: u32,
+/// One rank of the block scan over `rounds` rounds of recursive doubling.
+/// Step 0 is the local inclusive prefix; step `r + 1` is round `r`, in
+/// which rank `i` sends its partial to `i + 2^r` and adds the one from
+/// `i - 2^r` (where they exist); the step after the rounds adds the carry
+/// to the local prefix.
+struct Scan {
+    me: ProcId,
+    p: u32,
     rounds: u32,
-    /// First round whose outgoing message has not been sent yet (guards
-    /// against re-sending when re-entering a round that was waiting).
-    next_send_round: u32,
-    /// Out-of-order round payloads (jitter safety).
-    pending: HashMap<u32, u64>,
-    /// Whether the expected message for the current round has been folded.
-    out: SharedCell<Vec<(ProcId, Vec<u64>)>>,
+    values: Vec<u64>,
+    /// Everything strictly to this rank's left folded in so far.
+    carry: u64,
+    /// This rank's block plus the carry: what recursive doubling forwards.
+    partial: u64,
 }
 
-impl ScanProc {
-    /// In recursive doubling round r, processor i sends its partial to
-    /// `i + 2^r` (if it exists) and receives from `i - 2^r` (if it
-    /// exists).
-    fn advance_rounds(&mut self, ctx: &mut Ctx<'_>) {
-        let me = ctx.me() as u64;
-        while self.round < self.rounds {
-            let r = self.round;
-            let stride = 1u64 << r;
-            // Send once per round: the partial including all previous
-            // rounds (the standard recursive-doubling invariant).
-            if self.next_send_round == r {
-                self.next_send_round = r + 1;
-                let dst = me + stride;
-                if dst < ctx.procs() as u64 {
-                    ctx.send(dst as ProcId, TAG_SCAN, Data::Pair(r as u64, self.partial));
-                }
-            }
-            if me >= stride {
-                // Must fold an incoming partial before the next round.
-                if let Some(v) = self.pending.remove(&r) {
-                    self.carry += v;
-                    self.partial += v;
-                    ctx.compute(1, STEP_ROUND); // one addition
-                    self.round += 1;
-                    continue;
-                }
-                return; // wait for the message
-            }
-            self.round += 1;
-        }
-        // All rounds done: final fix-up adds the carry to the local
-        // prefix values.
-        ctx.compute(self.values.len() as u64, STEP_FIXUP);
+impl Scan {
+    /// The stride of step `s` if it is a round.
+    fn stride(&self, s: u32) -> Option<u32> {
+        (1..=self.rounds).contains(&s).then(|| 1 << (s - 1))
     }
 }
 
-impl Process for ScanProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // Local inclusive prefix.
-        ctx.compute(self.values.len() as u64, STEP_LOCAL);
-    }
+impl Steps for Scan {
+    type Final = Vec<u64>;
 
-    fn on_compute_done(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        match tag {
-            STEP_LOCAL => {
-                for i in 1..self.values.len() {
-                    self.values[i] += self.values[i - 1];
-                }
-                self.partial = self.values.last().copied().unwrap_or(0);
-                self.advance_rounds(ctx);
+    fn send(&mut self, s: u32, out: &mut Out<'_, '_>) {
+        if let Some(dst) = self.stride(s).map(|k| self.me + k) {
+            if dst < self.p {
+                out.send(dst, TAG_SCAN, 0, self.partial);
             }
-            STEP_ROUND => { /* accounted; advance_rounds drives the loop */ }
-            STEP_FIXUP => {
-                for v in &mut self.values {
-                    *v += self.carry;
-                }
-                let me = ctx.me();
-                let vals = std::mem::take(&mut self.values);
-                self.out.with(|o| o.push((me, vals)));
-                ctx.halt();
-            }
-            other => unreachable!("unknown step {other}"),
         }
     }
 
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        debug_assert_eq!(msg.tag, TAG_SCAN);
-        let (round, partial) = msg.data.as_pair();
-        self.pending.insert(round as u32, partial);
-        self.advance_rounds(ctx);
+    fn expect(&self, s: u32) -> usize {
+        usize::from(self.stride(s).is_some_and(|k| self.me >= k))
+    }
+
+    fn fold(&mut self, s: u32, msgs: &[Arrival]) -> Cycles {
+        let n = self.values.len() as u64;
+        if s == 0 {
+            for i in 1..self.values.len() {
+                self.values[i] += self.values[i - 1];
+            }
+            self.partial = self.values.last().copied().unwrap_or(0);
+            n
+        } else if s <= self.rounds {
+            let Some(a) = msgs.first() else { return 0 };
+            self.carry += a.word;
+            self.partial += a.word;
+            1 // one addition
+        } else {
+            for v in &mut self.values {
+                *v += self.carry;
+            }
+            n
+        }
+    }
+
+    fn finish(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.values)
     }
 }
 
@@ -130,32 +97,22 @@ pub fn run_scan(m: &LogP, values: &[u64], config: SimConfig) -> ScanRun {
     );
     let block = values.len() / p as usize;
     let rounds = logp_core::cost::log2_ceil(p as u64) as u32;
-    let out: SharedCell<Vec<(ProcId, Vec<u64>)>> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    for q in 0..p {
-        let vals = values[q as usize * block..(q as usize + 1) * block].to_vec();
-        sim.set_process(
-            q,
-            Box::new(ScanProc {
-                values: vals,
-                carry: 0,
-                partial: 0,
-                round: 0,
-                rounds,
-                next_send_round: 0,
-                pending: HashMap::new(),
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("scan terminates");
-    let mut runs = out.get();
-    assert_eq!(runs.len(), p as usize);
-    runs.sort_by_key(|r| r.0);
+    let mut run = run_steps(Sim::new(*m, config), rounds + 2, |q| {
+        let at = q as usize * block;
+        Scan {
+            me: q,
+            p,
+            rounds,
+            values: values[at..at + block].to_vec(),
+            carry: 0,
+            partial: 0,
+        }
+    });
+    run.finals.sort_by_key(|f| f.0);
     ScanRun {
-        prefix: runs.into_iter().flat_map(|r| r.1).collect(),
-        completion: result.stats.completion,
-        messages: result.stats.total_msgs,
+        prefix: run.finals.into_iter().flat_map(|f| f.1).collect(),
+        completion: run.result.stats.completion,
+        messages: run.result.stats.total_msgs,
     }
 }
 

@@ -17,6 +17,8 @@
 //! Both run with real keys on the simulator; outputs are verified to be
 //! the sorted permutation of the input, including under latency jitter.
 
+use crate::step::{run_steps, Arrival, Out, Steps};
+use crate::tree::{execute, Finals, Run};
 use logp_core::{Cycles, LogP, ProcId};
 use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
 use std::collections::HashMap;
@@ -42,16 +44,6 @@ fn sort_cost(n: u64) -> Cycles {
     n * logp_core::cost::log2_ceil(n) * CMP_COST
 }
 
-/// Outcome shared by all sorting runs.
-#[derive(Debug, Clone, Default)]
-pub struct SortOutcome {
-    /// (processor, its final sorted run) — concatenated in processor
-    /// order this is the global result.
-    pub runs: Vec<(ProcId, Vec<u64>)>,
-    /// Per-processor completion times.
-    pub finish: Vec<(ProcId, Cycles)>,
-}
-
 /// Result of a sort run.
 #[derive(Debug, Clone)]
 pub struct SortRun {
@@ -61,26 +53,13 @@ pub struct SortRun {
     pub messages: u64,
 }
 
-fn collect(out: &SharedCell<SortOutcome>, stats_completion: Cycles, msgs: u64, p: u32) -> SortRun {
-    let oc = out.get();
-    assert_eq!(
-        oc.runs.len(),
-        p as usize,
-        "every processor must report a run"
-    );
-    let mut runs = oc.runs.clone();
-    runs.sort_by_key(|r| r.0);
-    let output: Vec<u64> = runs.into_iter().flat_map(|r| r.1).collect();
-    let completion = oc
-        .finish
-        .iter()
-        .map(|f| f.1)
-        .max()
-        .unwrap_or(stats_completion);
+/// Every rank's sorted run, concatenated in rank order.
+fn sorted(mut run: Run<Vec<u64>>, completion: Cycles) -> SortRun {
+    run.finals.sort_by_key(|f| f.0);
     SortRun {
-        output,
+        output: run.finals.into_iter().flat_map(|f| f.1).collect(),
         completion,
-        messages: msgs,
+        messages: run.result.stats.total_msgs,
     }
 }
 
@@ -119,7 +98,7 @@ struct SplitterProc {
     counts: HashMap<ProcId, u64>,
     received_keys: u64,
     sent_done: bool,
-    out: SharedCell<SortOutcome>,
+    out: SharedCell<Finals<Vec<u64>>>,
 }
 
 impl SplitterProc {
@@ -246,10 +225,7 @@ impl Process for SplitterProc {
                 let me = ctx.me();
                 let now = ctx.now();
                 let run = std::mem::take(&mut self.bucket);
-                self.out.with(|o| {
-                    o.runs.push((me, run));
-                    o.finish.push((me, now));
-                });
+                self.out.with(|o| o.push((me, run, now)));
             }
             other => unreachable!("unknown step {other}"),
         }
@@ -309,146 +285,112 @@ impl SplitterProc {
 pub fn run_splitter_sort(m: &LogP, keys: &[u64], config: SimConfig) -> SortRun {
     let p = m.p;
     assert!(p >= 2 && (p as u64).is_power_of_two());
-    let out: SharedCell<SortOutcome> = SharedCell::new();
     let samples_per_proc = (2 * (p as usize)).min(keys.len() / p as usize).max(1);
-    let mut sim = Sim::new(*m, config);
-    for q in 0..p {
-        let local: Vec<u64> = keys
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % p as usize == q as usize)
-            .map(|(_, &k)| k)
-            .collect();
+    let run = execute(Sim::new(*m, config), 0..p, None, |q, out| {
+        let local = dealt(keys, p, q);
         assert!(!local.is_empty(), "every processor needs at least one key");
-        sim.set_process(
-            q,
-            Box::new(SplitterProc {
-                keys: local,
-                samples_per_proc,
-                phase: SsPhase::LocalSort,
-                samples: Vec::new(),
-                samples_expected: 0,
-                splitters: Vec::new(),
-                splitter_count: 0,
-                outgoing: Vec::new(),
-                next_send: 0,
-                bucket: Vec::new(),
-                counts: HashMap::new(),
-                received_keys: 0,
-                sent_done: false,
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("splitter sort terminates");
-    collect(&out, result.stats.completion, result.stats.total_msgs, p)
+        SplitterProc {
+            keys: local,
+            samples_per_proc,
+            phase: SsPhase::LocalSort,
+            samples: Vec::new(),
+            samples_expected: 0,
+            splitters: Vec::new(),
+            splitter_count: 0,
+            outgoing: Vec::new(),
+            next_send: 0,
+            bucket: Vec::new(),
+            counts: HashMap::new(),
+            received_keys: 0,
+            sent_done: false,
+            out,
+        }
+    })
+    .expect("splitter sort terminates");
+    // A rank finishes at the end of its merge.
+    let completion = run.finals.iter().map(|f| f.2).max().unwrap_or(0);
+    sorted(run, completion)
+}
+
+/// The keys rank `q` of `p` is dealt round-robin.
+fn dealt(keys: &[u64], p: u32, q: ProcId) -> Vec<u64> {
+    keys.iter()
+        .skip(q as usize)
+        .step_by(p as usize)
+        .copied()
+        .collect()
 }
 
 // ---------------------------------------------------------------------
 // Bitonic sort (block compare-split on a hypercube).
 // ---------------------------------------------------------------------
 
-struct BitonicProc {
+/// One rank of the block bitonic sort. Step 0 sorts the local run; step
+/// `r + 1` is compare-split round `r`: ship the whole run to the partner
+/// across one hypercube dimension, then keep the lower or upper half of
+/// the union.
+struct Bitonic {
+    me: ProcId,
     run: Vec<u64>,
-    /// Rounds as (stage, substage-bit) pairs, in execution order.
-    rounds: Vec<(u32, u32)>,
-    round: usize,
-    /// Buffered partner keys per round index.
-    inbox: HashMap<u64, Vec<u64>>,
-    sends_done: bool,
-    out: SharedCell<SortOutcome>,
 }
 
-impl BitonicProc {
-    fn schedule(p: u32) -> Vec<(u32, u32)> {
-        let d = logp_core::cost::log2_exact(p as u64);
-        let mut rounds = Vec::new();
-        for i in 0..d {
-            for j in (0..=i).rev() {
-                rounds.push((i, j));
-            }
-        }
-        rounds
+/// Stage `i` and dimension `j` of round `r`: stage `i` runs its rounds
+/// for `j = i, i - 1, …, 0`.
+fn stage(r: u32) -> (u32, u32) {
+    let mut i = 0;
+    while (i + 1) * (i + 2) / 2 <= r {
+        i += 1;
     }
+    (i, i - (r - i * (i + 1) / 2))
+}
 
-    fn begin_round(&mut self, ctx: &mut Ctx<'_>) {
-        if self.round >= self.rounds.len() {
-            self.run.shrink_to_fit();
-            let me = ctx.me();
-            let now = ctx.now();
-            let run = std::mem::take(&mut self.run);
-            self.out.with(|o| {
-                o.runs.push((me, run));
-                o.finish.push((me, now));
-            });
+impl Steps for Bitonic {
+    type Final = Vec<u64>;
+
+    fn send(&mut self, s: u32, out: &mut Out<'_, '_>) {
+        if s == 0 {
             return;
         }
-        let (_, j) = self.rounds[self.round];
-        let partner = ctx.me() ^ (1 << j);
-        // Ship the whole run to the partner, round-tagged.
+        let partner = self.me ^ (1 << stage(s - 1).1);
         for &k in &self.run {
-            ctx.send(partner, TAG_XCHG, Data::Pair(self.round as u64, k));
+            out.send(partner, TAG_XCHG, 0, k);
         }
         // One cycle per key shipped.
-        ctx.compute(self.run.len() as u64 * CMP_COST, STEP_SEND);
-        self.sends_done = false;
+        out.compute(self.run.len() as u64 * CMP_COST);
     }
 
-    fn maybe_merge(&mut self, ctx: &mut Ctx<'_>) {
-        let need = self.run.len();
-        let have = self.inbox.get(&(self.round as u64)).map_or(0, |v| v.len());
-        if !self.sends_done || have < need {
-            return;
+    fn expect(&self, s: u32) -> usize {
+        if s == 0 {
+            0
+        } else {
+            self.run.len()
         }
-        let (i, j) = self.rounds[self.round];
-        let me = ctx.me();
-        let ascending = (me >> (i + 1)) & 1 == 0;
-        let keep_low = ((me >> j) & 1 == 0) == ascending;
-        let theirs = self.inbox.remove(&(self.round as u64)).expect("checked");
+    }
+
+    fn fold(&mut self, s: u32, theirs: &[Arrival]) -> Cycles {
+        let need = self.run.len();
+        if s == 0 {
+            self.run.sort_unstable();
+            return sort_cost(need as u64);
+        }
+        let (i, j) = stage(s - 1);
+        let ascending = (self.me >> (i + 1)) & 1 == 0;
+        let keep_low = ((self.me >> j) & 1 == 0) == ascending;
         let mut all = Vec::with_capacity(2 * need);
         all.extend_from_slice(&self.run);
-        all.extend_from_slice(&theirs);
+        all.extend(theirs.iter().map(|a| a.word));
         all.sort_unstable();
         self.run = if keep_low {
             all[..need].to_vec()
         } else {
             all[need..].to_vec()
         };
-        // Charge the merge: 2·n/P key operations.
-        ctx.compute(2 * need as u64 * CMP_COST, STEP_MERGE);
-    }
-}
-
-impl Process for BitonicProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.compute(sort_cost(self.run.len() as u64), STEP_LOCAL_SORT);
+        // The merge: 2·n/P key operations.
+        2 * need as u64 * CMP_COST
     }
 
-    fn on_compute_done(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        match tag {
-            STEP_LOCAL_SORT => {
-                self.run.sort_unstable();
-                self.begin_round(ctx);
-            }
-            STEP_SEND => {
-                self.sends_done = true;
-                self.maybe_merge(ctx);
-            }
-            STEP_MERGE => {
-                self.round += 1;
-                self.begin_round(ctx);
-            }
-            other => unreachable!("unknown step {other}"),
-        }
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        debug_assert_eq!(msg.tag, TAG_XCHG);
-        let (round, key) = msg.data.as_pair();
-        self.inbox.entry(round).or_default().push(key);
-        if round == self.round as u64 {
-            self.maybe_merge(ctx);
-        }
+    fn finish(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.run)
     }
 }
 
@@ -462,29 +404,16 @@ pub fn run_bitonic_sort(m: &LogP, keys: &[u64], config: SimConfig) -> SortRun {
         0,
         "bitonic block sort needs n divisible by P"
     );
-    let out: SharedCell<SortOutcome> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    for q in 0..p {
-        let local: Vec<u64> = keys
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % p as usize == q as usize)
-            .map(|(_, &k)| k)
-            .collect();
-        sim.set_process(
-            q,
-            Box::new(BitonicProc {
-                run: local,
-                rounds: BitonicProc::schedule(p),
-                round: 0,
-                inbox: HashMap::new(),
-                sends_done: false,
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("bitonic sort terminates");
-    collect(&out, result.stats.completion, result.stats.total_msgs, p)
+    let d = logp_core::cost::log2_exact(p as u64);
+    let steps = 1 + d * (d + 1) / 2;
+    let run = run_steps(Sim::new(*m, config), steps, |q| Bitonic {
+        me: q,
+        run: dealt(keys, p, q),
+    });
+    // A rank is done when its last merge ends, after the fold that
+    // stamped its final; the run ends with the last of those merges.
+    let completion = run.result.stats.completion;
+    sorted(run, completion)
 }
 
 #[cfg(test)]

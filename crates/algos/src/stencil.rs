@@ -12,13 +12,11 @@
 //! sequential sweep), plus the analytic surface-to-volume cost model the
 //! section argues from.
 
+use crate::step::{run_steps, Arrival, Out, Steps};
 use logp_core::{Cycles, LogP, ProcId};
-use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
-use std::collections::HashMap;
+use logp_sim::{Sim, SimConfig};
 
-const TAG_HALO: u32 = 0xB0; // Pair(iter << 1 | side, bits(value))
-
-const STEP_SWEEP: u64 = 1;
+const TAG_HALO: u32 = 0xB0; // an edge value, indexed by the ghost it fills
 
 /// Cost of updating one interior point (3-point stencil: 2 adds + 1 mul
 /// at unit flop cost).
@@ -37,90 +35,45 @@ pub fn comm_fraction(m: &LogP, block: u64) -> f64 {
     (total - (block * POINT_COST) as f64) / total
 }
 
-struct JacobiProc {
-    /// Local block including two ghost cells: `u[0]` and `u[b+1]`.
+/// One rank of the ring: at each step it sends its edge values to its
+/// neighbours, takes theirs into its ghost cells and sweeps its block.
+struct Jacobi {
+    left: ProcId,
+    right: ProcId,
+    /// The block between two ghost cells: `u[0]` and `u[b + 1]`.
     u: Vec<f64>,
     scratch: Vec<f64>,
-    iter: u64,
-    iters: u64,
-    /// Halo values buffered by (iteration, side).
-    pending: HashMap<(u64, u8), f64>,
-    halo_sent: u64,
-    out: SharedCell<Vec<(ProcId, Vec<f64>)>>,
 }
 
-impl JacobiProc {
-    fn left(me: ProcId, p: u32) -> ProcId {
-        (me + p - 1) % p
-    }
-    fn right(me: ProcId, p: u32) -> ProcId {
-        (me + 1) % p
+impl Steps for Jacobi {
+    type Final = Vec<f64>;
+
+    fn send(&mut self, _: u32, out: &mut Out<'_, '_>) {
+        // My left edge goes to my left neighbour's right ghost (index 1),
+        // my right edge to my right neighbour's left ghost (index 0).
+        let b = self.u.len() - 2;
+        out.send_f64(self.left, TAG_HALO, 1, self.u[1]);
+        out.send_f64(self.right, TAG_HALO, 0, self.u[b]);
     }
 
-    /// Send this iteration's boundary values (once), then sweep when both
-    /// halos are in.
-    fn advance(&mut self, ctx: &mut Ctx<'_>) {
-        let me = ctx.me();
-        let p = ctx.procs();
-        if self.iter >= self.iters {
-            let u = self.u[1..self.u.len() - 1].to_vec();
-            self.out.with(|o| o.push((me, u)));
-            ctx.halt();
-            return;
-        }
-        if self.halo_sent == self.iter {
-            self.halo_sent += 1;
-            let b = self.u.len() - 2;
-            // side 0: my left edge goes to my left neighbor's right ghost;
-            // side 1: my right edge to my right neighbor's left ghost.
-            ctx.send(
-                Self::left(me, p),
-                TAG_HALO,
-                Data::IdxF64(self.iter << 1 | 1, self.u[1]),
-            );
-            ctx.send(
-                Self::right(me, p),
-                TAG_HALO,
-                Data::IdxF64(self.iter << 1, self.u[b]),
-            );
-        }
-        let have_left = self.pending.contains_key(&(self.iter, 0));
-        let have_right = self.pending.contains_key(&(self.iter, 1));
-        if have_left && have_right {
-            let l = self.pending.remove(&(self.iter, 0)).expect("checked");
-            let r = self.pending.remove(&(self.iter, 1)).expect("checked");
-            let b = self.u.len() - 2;
-            self.u[0] = l;
-            self.u[b + 1] = r;
-            // The sweep itself.
-            for i in 1..=b {
-                self.scratch[i] = 0.5 * self.u[i] + 0.25 * (self.u[i - 1] + self.u[i + 1]);
-            }
-            std::mem::swap(&mut self.u, &mut self.scratch);
-            ctx.compute(b as u64 * POINT_COST, STEP_SWEEP);
-        }
-    }
-}
-
-impl Process for JacobiProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.advance(ctx);
+    fn expect(&self, _: u32) -> usize {
+        2
     }
 
-    fn on_compute_done(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        debug_assert_eq!(tag, STEP_SWEEP);
-        self.iter += 1;
-        self.advance(ctx);
+    fn fold(&mut self, _: u32, halos: &[Arrival]) -> Cycles {
+        let b = self.u.len() - 2;
+        for h in halos {
+            self.u[if h.idx() == 0 { 0 } else { b + 1 }] = h.value();
+        }
+        for i in 1..=b {
+            self.scratch[i] = 0.5 * self.u[i] + 0.25 * (self.u[i - 1] + self.u[i + 1]);
+        }
+        std::mem::swap(&mut self.u, &mut self.scratch);
+        b as u64 * POINT_COST
     }
 
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        debug_assert_eq!(msg.tag, TAG_HALO);
-        let (packed, v) = msg.data.as_idx_f64();
-        let (iter, side) = (packed >> 1, (packed & 1) as u8);
-        self.pending.insert((iter, side), v);
-        if iter == self.iter {
-            self.advance(ctx);
-        }
+    fn finish(&mut self) -> Vec<f64> {
+        self.u[1..self.u.len() - 1].to_vec()
     }
 }
 
@@ -144,32 +97,23 @@ pub fn run_jacobi(m: &LogP, field: &[f64], iters: u64, config: SimConfig) -> Jac
     assert_eq!(field.len() % p as usize, 0, "field must split evenly");
     let block = field.len() / p as usize;
     assert!(block >= 1);
-    let out: SharedCell<Vec<(ProcId, Vec<f64>)>> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    for q in 0..p {
+    let steps = u32::try_from(iters).expect("one step an iteration");
+    let mut run = run_steps(Sim::new(*m, config), steps, |q| {
         let mut u = vec![0.0; block + 2];
         u[1..=block].copy_from_slice(&field[q as usize * block..(q as usize + 1) * block]);
-        sim.set_process(
-            q,
-            Box::new(JacobiProc {
-                scratch: u.clone(),
-                u,
-                iter: 0,
-                iters,
-                pending: HashMap::new(),
-                halo_sent: 0,
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("jacobi terminates");
-    let mut runs = out.get();
-    assert_eq!(runs.len(), p as usize, "every processor must finish");
-    runs.sort_by_key(|r| r.0);
+        Jacobi {
+            left: (q + p - 1) % p,
+            right: (q + 1) % p,
+            scratch: u.clone(),
+            u,
+        }
+    });
+    run.finals.sort_by_key(|f| f.0);
+    let result = run.result;
     let st = &result.stats.procs[0];
     let busy = st.busy() as f64;
     JacobiRun {
-        field: runs.into_iter().flat_map(|r| r.1).collect(),
+        field: run.finals.into_iter().flat_map(|f| f.1).collect(),
         completion: result.stats.completion,
         messages: result.stats.total_msgs,
         comm_fraction: if busy == 0.0 {

@@ -13,22 +13,20 @@
 //! updates b² points (the *volume*) with a 5-point stencil. Verified
 //! against a sequential sweep, including under latency jitter.
 
+use crate::step::{run_steps, Arrival, Out, Steps};
 use logp_core::{Cycles, LogP, ProcId};
-use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
-use std::collections::HashMap;
+use logp_sim::{Sim, SimConfig};
 
-const TAG_HALO: u32 = 0xB2; // Pair(iter<<16 | side<<8 | index, bits)
-
-const STEP_SWEEP: u64 = 1;
+const TAG_HALO: u32 = 0xB2; // an edge value, indexed by side and position
 
 /// Flops per 5-point update (4 adds + 1 multiply at unit cost).
 pub const POINT_COST_2D: Cycles = 5;
 
-/// Sides of a tile, also the halo tags.
-const NORTH: u64 = 0;
-const SOUTH: u64 = 1;
-const WEST: u64 = 2;
-const EAST: u64 = 3;
+/// Sides of a tile, in the halo index.
+const NORTH: usize = 0;
+const SOUTH: usize = 1;
+const WEST: usize = 2;
+const EAST: usize = 3;
 
 /// Per-iteration analytic time for a b×b tile: `b²` updates plus four
 /// halo exchanges of `b` values each — surface 4b against volume b².
@@ -43,95 +41,55 @@ pub fn comm_fraction_2d(m: &LogP, b: u64) -> f64 {
     (total - (b * b * POINT_COST_2D) as f64) / total
 }
 
-struct Jacobi2dProc {
+/// One rank of the grid: at each step it sends its four edges to its
+/// neighbours, one message a value, takes theirs into its ghost ring and
+/// sweeps its tile.
+struct Jacobi2d {
+    /// North, south, west and east neighbours.
+    nbr: [ProcId; 4],
+    b: usize,
     /// Tile with a one-cell ghost ring: (b+2)×(b+2), row-major.
     u: Vec<f64>,
     scratch: Vec<f64>,
-    b: usize,
-    iter: u64,
-    iters: u64,
-    halo_sent: u64,
-    /// Halo values by (iteration, side, index).
-    pending: HashMap<(u64, u64), Vec<(u64, f64)>>,
-    out: SharedCell<Vec<(ProcId, Vec<f64>)>>,
 }
 
-impl Jacobi2dProc {
+impl Jacobi2d {
     fn at(&self, r: usize, c: usize) -> f64 {
         self.u[r * (self.b + 2) + c]
     }
+}
 
-    fn set_scratch(&mut self, r: usize, c: usize, v: f64) {
-        self.scratch[r * (self.b + 2) + c] = v;
-    }
+impl Steps for Jacobi2d {
+    type Final = Vec<f64>;
 
-    fn neighbors(me: ProcId, grid: u32) -> [ProcId; 4] {
-        let g = grid;
-        let (x, y) = (me % g, me / g);
-        [
-            (y + g - 1) % g * g + x, // north
-            (y + 1) % g * g + x,     // south
-            y * g + (x + g - 1) % g, // west
-            y * g + (x + 1) % g,     // east
-        ]
-    }
-
-    /// Send this iteration's four halos (once), then sweep when all four
-    /// have arrived.
-    fn advance(&mut self, ctx: &mut Ctx<'_>) {
-        if self.iter >= self.iters {
-            let b = self.b;
-            let mut interior = Vec::with_capacity(b * b);
-            for r in 1..=b {
-                for c in 1..=b {
-                    interior.push(self.at(r, c));
-                }
-            }
-            let me = ctx.me();
-            self.out.with(|o| o.push((me, interior)));
-            ctx.halt();
-            return;
-        }
-        let grid = (ctx.procs() as f64).sqrt().round() as u32;
-        let nbr = Self::neighbors(ctx.me(), grid);
+    fn send(&mut self, _: u32, out: &mut Out<'_, '_>) {
+        // My north edge row goes to my north neighbour's south ghost, and
+        // symmetrically; a value is indexed by the side it fills there.
         let b = self.b;
-        if self.halo_sent == self.iter {
-            self.halo_sent += 1;
-            // My north edge row goes to my north neighbor's south ghost,
-            // and symmetrically; each edge value is one message.
-            for i in 0..b {
-                let north_v = self.at(1, i + 1);
-                let south_v = self.at(b, i + 1);
-                let west_v = self.at(i + 1, 1);
-                let east_v = self.at(i + 1, b);
-                let pack = |side: u64, idx: usize| self.iter << 16 | side << 8 | idx as u64;
-                ctx.send(nbr[0], TAG_HALO, Data::IdxF64(pack(SOUTH, i), north_v));
-                ctx.send(nbr[1], TAG_HALO, Data::IdxF64(pack(NORTH, i), south_v));
-                ctx.send(nbr[2], TAG_HALO, Data::IdxF64(pack(EAST, i), west_v));
-                ctx.send(nbr[3], TAG_HALO, Data::IdxF64(pack(WEST, i), east_v));
-            }
+        let idx = |side: usize, i: usize| side * b + i;
+        for i in 0..b {
+            out.send_f64(self.nbr[0], TAG_HALO, idx(SOUTH, i), self.at(1, i + 1));
+            out.send_f64(self.nbr[1], TAG_HALO, idx(NORTH, i), self.at(b, i + 1));
+            out.send_f64(self.nbr[2], TAG_HALO, idx(EAST, i), self.at(i + 1, 1));
+            out.send_f64(self.nbr[3], TAG_HALO, idx(WEST, i), self.at(i + 1, b));
         }
-        // All four sides complete?
-        let ready = [NORTH, SOUTH, WEST, EAST].iter().all(|&s| {
-            self.pending
-                .get(&(self.iter, s))
-                .is_some_and(|v| v.len() == b)
-        });
-        if !ready {
-            return;
-        }
-        for side in [NORTH, SOUTH, WEST, EAST] {
-            let vals = self.pending.remove(&(self.iter, side)).expect("checked");
-            for (idx, v) in vals {
-                let i = idx as usize;
-                match side {
-                    NORTH => self.u[i + 1] = v, // row 0 ghost
-                    SOUTH => self.u[(b + 1) * (b + 2) + i + 1] = v,
-                    WEST => self.u[(i + 1) * (b + 2)] = v,
-                    EAST => self.u[(i + 1) * (b + 2) + b + 1] = v,
-                    _ => unreachable!(),
-                }
-            }
+    }
+
+    fn expect(&self, _: u32) -> usize {
+        4 * self.b
+    }
+
+    fn fold(&mut self, _: u32, halos: &[Arrival]) -> Cycles {
+        let (b, w) = (self.b, self.b + 2);
+        for h in halos {
+            let (side, i) = (h.idx() / b, h.idx() % b);
+            let ghost = match side {
+                NORTH => i + 1,
+                SOUTH => (b + 1) * w + i + 1,
+                WEST => (i + 1) * w,
+                _ => (i + 1) * w + b + 1, // EAST
+            };
+            self.u[ghost] = h.value();
         }
         // 5-point sweep into scratch.
         for r in 1..=b {
@@ -142,33 +100,19 @@ impl Jacobi2dProc {
                             + self.at(r + 1, c)
                             + self.at(r, c - 1)
                             + self.at(r, c + 1));
-                self.set_scratch(r, c, v);
+                self.scratch[r * w + c] = v;
             }
         }
         std::mem::swap(&mut self.u, &mut self.scratch);
-        ctx.compute((b * b) as u64 * POINT_COST_2D, STEP_SWEEP);
-    }
-}
-
-impl Process for Jacobi2dProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.advance(ctx);
+        (b * b) as u64 * POINT_COST_2D
     }
 
-    fn on_compute_done(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        debug_assert_eq!(tag, STEP_SWEEP);
-        self.iter += 1;
-        self.advance(ctx);
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        debug_assert_eq!(msg.tag, TAG_HALO);
-        let (packed, v) = msg.data.as_idx_f64();
-        let (iter, side, idx) = (packed >> 16, (packed >> 8) & 0xFF, packed & 0xFF);
-        self.pending.entry((iter, side)).or_default().push((idx, v));
-        if iter == self.iter {
-            self.advance(ctx);
-        }
+    fn finish(&mut self) -> Vec<f64> {
+        let b = self.b;
+        (1..=b)
+            .flat_map(|r| (1..=b).map(move |c| (r, c)))
+            .map(|(r, c)| self.at(r, c))
+            .collect()
     }
 }
 
@@ -193,38 +137,31 @@ pub fn run_jacobi2d(m: &LogP, field: &[Vec<f64>], iters: u64, config: SimConfig)
     assert!(field.iter().all(|r| r.len() == n), "field must be square");
     assert_eq!(n % grid as usize, 0, "n must divide by the grid side");
     let b = n / grid as usize;
-    // The halo message packing gives the edge index 8 bits.
-    assert!(b <= 256, "tile side {b} exceeds the 256-point halo packing");
-    let out: SharedCell<Vec<(ProcId, Vec<f64>)>> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    for q in 0..m.p {
-        let (gx, gy) = ((q % grid) as usize, (q / grid) as usize);
+    let steps = u32::try_from(iters).expect("one step an iteration");
+    let run = run_steps(Sim::new(*m, config), steps, |q| {
+        let (x, y) = (q % grid, q / grid);
         let mut u = vec![0.0; (b + 2) * (b + 2)];
         for r in 0..b {
             for c in 0..b {
-                u[(r + 1) * (b + 2) + c + 1] = field[gy * b + r][gx * b + c];
+                u[(r + 1) * (b + 2) + c + 1] = field[y as usize * b + r][x as usize * b + c];
             }
         }
-        sim.set_process(
-            q,
-            Box::new(Jacobi2dProc {
-                scratch: u.clone(),
-                u,
-                b,
-                iter: 0,
-                iters,
-                halo_sent: 0,
-                pending: HashMap::new(),
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("2D Jacobi terminates");
-    let mut tiles = out.get();
-    assert_eq!(tiles.len(), m.p as usize, "every processor must finish");
-    tiles.sort_by_key(|t| t.0);
+        let g = grid;
+        Jacobi2d {
+            nbr: [
+                (y + g - 1) % g * g + x,
+                (y + 1) % g * g + x,
+                y * g + (x + g - 1) % g,
+                y * g + (x + 1) % g,
+            ],
+            b,
+            scratch: u.clone(),
+            u,
+        }
+    });
+    let result = run.result;
     let mut out_field = vec![0.0; n * n];
-    for (q, tile) in tiles {
+    for (q, tile, _) in run.finals {
         let (gx, gy) = ((q % grid) as usize, (q / grid) as usize);
         for r in 0..b {
             for c in 0..b {
@@ -340,12 +277,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "halo packing")]
-    fn rejects_oversized_tiles() {
+    fn tiles_wider_than_256_points_match_sequential() {
+        // A halo value's index is side·b + position, with no field of
+        // its own to overflow.
         let m = LogP::new(6, 2, 4, 4).unwrap();
-        let n = 2 * 300;
-        let f: Vec<Vec<f64>> = vec![vec![0.0; n]; n];
-        run_jacobi2d(&m, &f, 1, SimConfig::default());
+        let f = field(2 * 300);
+        let run = run_jacobi2d(&m, &f, 1, SimConfig::default());
+        assert!(worst_err(&run.field, &jacobi2d_sequential(&f, 1)) < 1e-12);
+        assert_eq!(run.messages, 4 * 300 * 4);
     }
 
     #[test]

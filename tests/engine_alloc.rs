@@ -24,6 +24,20 @@
 //! still allocates for is its boxed program, and a command buffer if it
 //! queues a second send.
 //!
+//! The recursive-doubling all-reduce, the one collective `sweep_small`
+//! runs that the table above leaves out; "before" is the program that
+//! kept the messages ahead of its round in a per-rank `HashMap` and
+//! pushed its final to a list grown by doubling:
+//!
+//! | call, engine                            | before: calls, bytes | now: calls, bytes | bound: calls, bytes |
+//! |-----------------------------------------|----------------------|-------------------|---------------------|
+//! | recursive-doubling all-reduce, classic  | 3.00, 812            | 3.00, 729         | 3.15, 765           |
+//! | recursive-doubling all-reduce, 8 lanes  | 3.02, 798            | 3.02, 715         | 3.17, 750           |
+//!
+//! A rank allocates its boxed step program, a buffer for the messages
+//! that arrive ahead of their step (16 bytes each), and a command buffer:
+//! it queues the next round's send behind each combine.
+//!
 //! The same collectives made reliable (`Reliable<TreeProc>` on every
 //! rank) over the `hier_faulted` workload's network — 2 % dropped, 1 %
 //! duplicated, 2 % delayed — with its retry policy, on survivor trees
@@ -66,7 +80,9 @@
 //!
 //! A queued send, by itself: the last test.
 
-use logp::algos::allreduce::{run_allreduce_reduce_bcast, run_reliable_allreduce};
+use logp::algos::allreduce::{
+    run_allreduce_doubling, run_allreduce_reduce_bcast, run_reliable_allreduce,
+};
 use logp::algos::broadcast::{run_reliable_broadcast, run_tree_broadcast};
 use logp::core::broadcast::optimal_broadcast_tree;
 use logp::core::LogP;
@@ -119,6 +135,14 @@ fn allreduce(m: &LogP, config: SimConfig) -> Allocs {
     })
 }
 
+fn doubling(m: &LogP, config: SimConfig) -> Allocs {
+    let values = vec![1.0; m.p as usize];
+    allocs(|| {
+        let run = run_allreduce_doubling(m, &values, config);
+        assert_eq!(run.value, f64::from(m.p));
+    })
+}
+
 /// The `hier_faulted` workload's network — 2 % dropped, 1 % duplicated,
 /// 2 % delayed by up to 2L — and its retry policy.
 fn lossy(m: &LogP) -> (FaultPlan, RetryConfig) {
@@ -156,12 +180,13 @@ fn zero_rate_allreduce(m: &LogP, config: SimConfig) -> Allocs {
     reliable_allreduce_under(&FaultPlan::new(1), m, config)
 }
 
-/// One of the five collective calls, counted.
+/// One of the six collective calls, counted.
 type Call = fn(&LogP, SimConfig) -> Allocs;
 
-const CALLS: [(&str, Call); 5] = [
+const CALLS: [(&str, Call); 6] = [
     ("broadcast", broadcast),
     ("all-reduce", allreduce),
+    ("doubling all-reduce", doubling),
     ("reliable broadcast", reliable_broadcast),
     ("reliable all-reduce", reliable_allreduce),
     ("reliable all-reduce, zero rates", zero_rate_allreduce),
@@ -173,12 +198,14 @@ fn a_processor_costs_a_bounded_number_of_bytes_and_calls() {
     let p = f64::from(m.p);
     let [classic, lanes] = engines();
     // The header table's rows, with its bound column.
-    let [bcast, allred, rel_bcast, rel_allred, zero_allred] = CALLS;
+    let [bcast, allred, dbl, rel_bcast, rel_allred, zero_allred] = CALLS;
     let rows = [
         (bcast, &classic, 1.22, 685.0),
         (bcast, &lanes, 1.35, 690.0),
         (allred, &classic, 1.22, 730.0),
         (allred, &lanes, 1.35, 745.0),
+        (dbl, &classic, 3.15, 765.0),
+        (dbl, &lanes, 3.17, 750.0),
         (rel_bcast, &classic, 4.74, 1_650.0),
         (rel_bcast, &lanes, 4.95, 1_630.0),
         (rel_allred, &classic, 9.15, 2_290.0),
