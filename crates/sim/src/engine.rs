@@ -83,6 +83,14 @@ pub enum SimError {
     /// The fault plan crash-stops processor `proc`, which a machine of
     /// `p` processors does not have.
     CrashOutOfRange { proc: ProcId, p: u32 },
+    /// At cycle `now` the run scheduled more events than its same-cycle
+    /// keys can order: `limit` = 2^56 events a run on the classic engine
+    /// (`proc` is `None`), or 2^36 a processor on the lanes (`proc`).
+    KeysExhausted {
+        proc: Option<ProcId>,
+        now: Cycles,
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -117,6 +125,14 @@ impl std::fmt::Display for SimError {
             ),
             SimError::CrashOutOfRange { proc, p } => {
                 write!(f, "fault plan crashes processor {proc} but P = {p}")
+            }
+            SimError::KeysExhausted { proc, now, limit } => {
+                let whose = proc.map_or("the run".to_string(), |p| format!("processor {p}"));
+                write!(
+                    f,
+                    "{whose} scheduled more than {limit} events by cycle {now}, \
+                     past what the event keys can order"
+                )
             }
         }
     }
@@ -257,12 +273,18 @@ impl EventKind {
     }
 }
 
+/// Classic sequence numbers stay below this, the low 56 bits of an event
+/// order; a run that needs more fails with [`SimError::KeysExhausted`].
+const SEQ_LIMIT: u64 = 1 << 56;
+
+/// The lanes' per-processor counters stay below this, the low 36 bits of
+/// a canonical key; likewise a typed error past it.
+const PCTR_LIMIT: u64 = 1 << 36;
+
 /// Within-cycle event order: `class` in the top 8 bits, sequence number
-/// in the low 56 (an event's time is its calendar slot). 56 bits of
-/// sequence outlast any admissible event budget (`max_events` caps runs at
-/// well under 2^56 scheduling operations).
+/// in the low 56 (an event's time is its calendar slot).
 fn event_ord(class: u8, seq: u64) -> u64 {
-    debug_assert!(seq < 1 << 56, "event sequence overflow");
+    debug_assert!(seq < SEQ_LIMIT, "event sequence overflow");
     (class as u64) << 56 | seq
 }
 
@@ -933,7 +955,19 @@ impl Sim {
     #[inline]
     fn schedule(&mut self, time: Cycles, kind: EventKind) {
         self.seq += 1;
+        if self.seq >= SEQ_LIMIT {
+            return self.keys_exhausted(None, SEQ_LIMIT);
+        }
         self.cal.push(time, event_ord(kind.class(), self.seq), kind);
+    }
+
+    /// End the run: `proc` (with `None`, the classic run) has used up the
+    /// event keys below `limit`. No event is processed after this, so
+    /// whatever is scheduled from here on orders nothing.
+    #[cold]
+    fn keys_exhausted(&mut self, proc: Option<ProcId>, limit: u64) {
+        let now = self.now;
+        self.fail(SimError::KeysExhausted { proc, now, limit });
     }
 
     /// Fold a finished queue's counters into the run's vitals.
@@ -1105,7 +1139,10 @@ impl Sim {
     #[inline]
     fn bump_pctr(&mut self, p: ProcId) -> u64 {
         let c = self.pctr[p as usize];
-        debug_assert!(c < 1 << 36, "per-processor event counter overflow");
+        if c >= PCTR_LIMIT {
+            self.keys_exhausted(Some(p), PCTR_LIMIT);
+            return 0;
+        }
         self.pctr[p as usize] = c + 1;
         c
     }
@@ -1848,14 +1885,16 @@ impl Sim {
     where
         F: FnOnce(&mut dyn Process, &mut Ctx<'_>),
     {
+        // Temporarily detach the program so the context can borrow `self`
+        // state without aliasing. Handlers cannot re-enter the engine, so
+        // it is always there to take.
+        let program = self.procs[p as usize].program.take();
+        debug_assert!(program.is_some(), "handlers do not re-enter the engine");
+        let Some(mut program) = program else {
+            return;
+        };
         let mut cmds = std::mem::take(&mut self.cmd_scratch);
         cmds.clear();
-        // Temporarily detach the program so the context can borrow `self`
-        // state without aliasing.
-        let mut program = self.procs[p as usize]
-            .program
-            .take()
-            .expect("handlers do not re-enter the engine");
         {
             let mut ctx = Ctx::new(self.now, p, self.model.p, &mut cmds);
             f(program.as_mut(), &mut ctx);
@@ -2628,5 +2667,59 @@ mod tests {
         assert!(size_of::<Parked>() <= 48);
         assert!(size_of::<SrcRing>() <= 32);
         assert!(size_of::<ProcState>() <= 120);
+    }
+
+    /// Processor 0 sends processor 1 three messages: 13 events.
+    fn three_sends(start_seq: u64) -> Result<SimResult, SimError> {
+        let mut sim = Sim::new(LogP::new(6, 2, 4, 2).unwrap(), SimConfig::default());
+        sim.set_process(
+            0,
+            Box::new(crate::process::StartFn(|ctx| {
+                for k in 0..3 {
+                    ctx.send(1, 0, Data::U64(k));
+                }
+            })),
+        );
+        sim.seq = start_seq;
+        sim.run()
+    }
+
+    /// Only relative order matters, so a classic run that starts its
+    /// sequence numbers near their limit runs as one from 0 — until it
+    /// needs a number past the limit, which is a typed error in every
+    /// build rather than a key wrapping into the class bits.
+    #[test]
+    fn a_classic_run_past_its_event_keys_is_a_typed_error() {
+        let fresh = three_sends(0).unwrap();
+        assert_eq!(fresh.stats.events, 13);
+        assert_eq!(three_sends(SEQ_LIMIT - 100).unwrap(), fresh);
+        match three_sends(SEQ_LIMIT - 5) {
+            Err(SimError::KeysExhausted { proc, limit, .. }) => {
+                assert_eq!((proc, limit), (None, SEQ_LIMIT));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A lane processor's counter at its limit hands out its last key,
+    /// then fails the run typed — in every build, where the next key would
+    /// have carried into the processor bits — before another event runs.
+    #[test]
+    fn a_lane_processor_past_its_event_keys_is_a_typed_error() {
+        let config = SimConfig::default().with_shards(2);
+        let mut sim = Sim::new(LogP::new(6, 2, 4, 4).unwrap(), config);
+        sim.setup_lanes(2);
+        sim.pctr[3] = PCTR_LIMIT - 1;
+        sim.now = 7;
+        let last = sim.sched::<true>(9, EventKind::Wake(3));
+        assert_eq!(last, 4 << 36 | (PCTR_LIMIT - 1));
+        assert_eq!(sim.overflow, None);
+        sim.sched::<true>(9, EventKind::Wake(3));
+        let exhausted = SimError::KeysExhausted {
+            proc: Some(3),
+            now: 7,
+            limit: PCTR_LIMIT,
+        };
+        assert_eq!(sim.count_event(), Err(exhausted));
     }
 }

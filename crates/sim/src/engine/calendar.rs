@@ -23,10 +23,17 @@
 //! deep lives in that heap entirely: at depth one or two a sift is cheaper
 //! than a bucket, its occupancy bit and a pool round trip.
 //!
-//! **Memory rule.** A drained bucket's storage goes to one spare pool and
-//! the next push into an empty slot draws from it, so the queue holds as
-//! many buffers as cycles were ever occupied *at once* — not one per slot,
-//! each remembering the largest batch it ever held.
+//! **Memory rule.** A drained bucket's storage goes back to a pool and the
+//! next push into an empty slot draws from it, so the queue holds as many
+//! small buffers (room for at most `POOLED` = 1,024 entries) as cycles
+//! were ever occupied *at once* — not one per slot. A bigger buffer, grown
+//! by a same-cycle batch of a big collective, is pooled apart: at most
+//! `BIG` = 4 of them, each freed once `AGE` = 256 batches have opened
+//! since it was pooled. A slot opened just after a big batch drained takes
+//! one of them, and a batch that outgrows its small buffer moves into one
+//! rather than grow its own. So a run of big batches passes a few big
+//! buffers around, and they go once the big batches stop, where one pool
+//! for all let every buffer grow to the largest batch it ever carried.
 
 use logp_core::Cycles;
 
@@ -50,6 +57,15 @@ impl<T: Copy> FarHeap<T> {
     #[inline]
     fn min_time(&self) -> Option<Cycles> {
         self.keys.first().map(|&k| (k >> 64) as Cycles)
+    }
+
+    /// [`FarHeap::pop`], if the minimum lies at cycle `t`.
+    #[inline]
+    fn pop_at(&mut self, t: Cycles) -> Option<(Cycles, u64, T)> {
+        if self.min_time()? != t {
+            return None;
+        }
+        self.pop()
     }
 
     #[inline]
@@ -115,7 +131,14 @@ pub struct Calendar<T> {
     live: Vec<Entry<T>>,
     cur: usize,
     live_t: Cycles,
+    /// Pooled small buffers.
     spare: Vec<Vec<Entry<T>>>,
+    /// Pooled big buffers, each with `opened` as of when it was pooled.
+    big: Vec<(u64, Vec<Entry<T>>)>,
+    /// Batches opened so far.
+    opened: u64,
+    /// The last batch drained was big.
+    big_last: bool,
     far: FarHeap<T>,
     /// Deepest bucket batch drained, late pushes included (0 while the
     /// queue never outgrew its heap).
@@ -140,6 +163,9 @@ impl<T> Default for Calendar<T> {
             cur: 0,
             live_t: 0,
             spare: Vec::new(),
+            big: Vec::new(),
+            opened: 0,
+            big_last: false,
             far: FarHeap {
                 keys: Vec::new(),
                 items: Vec::new(),
@@ -155,6 +181,16 @@ impl<T> Default for Calendar<T> {
 impl<T: Copy> Calendar<T> {
     /// A queue this short stays in the heap (module docs, "Overflow").
     const SMALL: usize = 4;
+
+    /// Room for more entries than this makes a buffer big (module docs,
+    /// "Memory rule"), 24 KiB of the engines' entries.
+    const POOLED: usize = 1024;
+
+    /// The most big buffers pooled.
+    const BIG: usize = 4;
+
+    /// Batches opened after which an unused pooled big buffer is freed.
+    const AGE: u64 = 256;
 
     /// A calendar whose ring spans `span` cycles (a power of two) and
     /// whose overflow heap is pre-sized for `far_cap` events.
@@ -201,10 +237,18 @@ impl<T: Copy> Calendar<T> {
             let i = (t & (self.span() - 1)) as usize;
             let slot = &mut self.slots[i];
             if slot.capacity() == 0 {
-                *slot = self.spare.pop().unwrap_or_default();
+                // After a big batch, the next one is likely big too.
+                let big = if self.big_last { self.big.pop() } else { None };
+                *slot = big
+                    .map(|b| b.1)
+                    .or_else(|| self.spare.pop())
+                    .unwrap_or_default();
                 self.occ[i / 64] |= 1 << (i % 64);
             }
-            slot.push(e);
+            if slot.len() == slot.capacity() && slot.len() >= Self::POOLED {
+                self.outgrow(i);
+            }
+            self.slots[i].push(e);
             self.ring_len += 1;
         } else {
             #[cfg(debug_assertions)]
@@ -213,6 +257,32 @@ impl<T: Copy> Calendar<T> {
             }
             self.far.push((t as u128) << 64 | ord as u128, item);
             self.far_spills += 1;
+        }
+    }
+
+    /// Slot `i`'s batch fills a buffer of `POOLED` entries or more: move
+    /// it into a pooled big buffer with room to spare, if there is one,
+    /// rather than reallocate; the buffer it leaves goes to the pool.
+    #[cold]
+    fn outgrow(&mut self, i: usize) {
+        let slot = &mut self.slots[i];
+        let Some(k) = self.big.iter().position(|b| b.1.capacity() > slot.len()) else {
+            return;
+        };
+        let (_, mut buf) = self.big.swap_remove(k);
+        buf.append(slot);
+        std::mem::swap(slot, &mut buf);
+        self.pool(buf);
+    }
+
+    /// Keep an emptied buffer for reuse, as the memory rule allows.
+    fn pool(&mut self, buf: Vec<Entry<T>>) {
+        if buf.capacity() <= Self::POOLED {
+            if buf.capacity() > 0 {
+                self.spare.push(buf);
+            }
+        } else if self.big.len() < Self::BIG {
+            self.big.push((self.opened, buf));
         }
     }
 
@@ -279,7 +349,10 @@ impl<T: Copy> Calendar<T> {
     /// this per cycle, and it stays out of the caller's loop body.
     #[cold]
     fn open_next<const REBASE: bool>(&mut self, last: Cycles) -> Option<(Cycles, u64, T)> {
-        self.depth_max = self.depth_max.max(self.cur as u64);
+        if self.cur > 0 {
+            self.depth_max = self.depth_max.max(self.cur as u64);
+            self.big_last = self.cur > Self::POOLED;
+        }
         self.live.clear();
         self.cur = 0;
         if self.ring_len == 0 {
@@ -289,18 +362,20 @@ impl<T: Copy> Calendar<T> {
         if REBASE {
             self.base = t;
         }
+        self.opened += 1;
+        if !self.big.is_empty() {
+            let opened = self.opened;
+            self.big.retain(|b| opened - b.0 <= Self::AGE);
+        }
         let i = (t & (self.span() - 1)) as usize;
         if t - self.base < self.span() && self.occ[i / 64] & (1 << (i % 64)) != 0 {
             self.occ[i / 64] &= !(1 << (i % 64));
             // The drained batch's storage goes to the pool.
             let old = std::mem::replace(&mut self.live, std::mem::take(&mut self.slots[i]));
-            if old.capacity() > 0 {
-                self.spare.push(old);
-            }
+            self.pool(old);
             self.ring_len -= self.live.len();
         }
-        while self.far.min_time() == Some(t) {
-            let (_, ord, item) = self.far.pop().expect("peeked non-empty");
+        while let Some((_, ord, item)) = self.far.pop_at(t) {
             self.live.push(Entry { ord, item });
         }
         self.live.sort_unstable_by_key(|e| e.ord);

@@ -111,7 +111,7 @@ impl Sim {
     /// Arenas are pre-sized so the standard collectives never reallocate
     /// with every slot held from injection to delivery (pinned by the
     /// debug realloc counter).
-    fn setup_lanes(&mut self, per: usize) {
+    pub(super) fn setup_lanes(&mut self, per: usize) {
         let p = self.model.p as usize;
         let span = self.ring_span();
         self.lanes = (0..p)
@@ -230,7 +230,11 @@ impl Sim {
                 t_done = Some(d.t);
             }
         }
-        let t_done = t_done.expect("live quorum implies the replay completes");
+        // A live quorum implies the replay completes. Were it ever not to,
+        // the replay still ends in that quorum, so its last delta's instant
+        // stands in.
+        debug_assert!(t_done.is_some(), "live quorum implies the replay completes");
+        let t_done = t_done.unwrap_or_else(|| self.bdeltas.last().map_or(self.now, |d| d.t));
         if let (Some(last), Some(st)) = (last_enter, self.records()) {
             st.barrier_last = last;
         }

@@ -58,6 +58,7 @@
 //! ```
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 use logp_core::{Cycles, LogP, ProcId};
 
@@ -167,6 +168,128 @@ struct Pending {
     attempt: u32,
 }
 
+/// An endpoint's unacknowledged sends, one slot a number (see
+/// [`Endpoint`]). A rank that sends once holds its slot in place; a second
+/// number spills the ring to a `VecDeque`, whose buffer goes back when the
+/// ring drains.
+#[derive(Debug, Clone, Default)]
+enum Unacked {
+    #[default]
+    Empty,
+    One(Option<Pending>),
+    Spilled(VecDeque<Option<Pending>>),
+}
+
+impl Unacked {
+    fn len(&self) -> usize {
+        match self {
+            Unacked::Empty => 0,
+            Unacked::One(_) => 1,
+            Unacked::Spilled(q) => q.len(),
+        }
+    }
+
+    fn get_mut(&mut self, at: usize) -> Option<&mut Option<Pending>> {
+        match self {
+            Unacked::One(slot) if at == 0 => Some(slot),
+            Unacked::Spilled(q) => q.get_mut(at),
+            _ => None,
+        }
+    }
+
+    /// Append `n` empty slots. A first buffer is exactly what the ring
+    /// has to hold, not the growth policy's minimum.
+    fn grow(&mut self, n: usize) {
+        match self {
+            _ if n == 0 => {}
+            Unacked::Empty if n == 1 => *self = Unacked::One(None),
+            Unacked::Spilled(q) => q.resize_with(q.len() + n, || None),
+            Unacked::Empty | Unacked::One(_) => {
+                let mut q = VecDeque::new();
+                q.reserve_exact(self.len() + n);
+                if let Unacked::One(slot) = std::mem::take(self) {
+                    q.push_back(slot);
+                }
+                q.resize_with(q.len() + n, || None);
+                *self = Unacked::Spilled(q);
+            }
+        }
+    }
+
+    /// Pop the settled slots off the front.
+    fn trim(&mut self) {
+        match self {
+            Unacked::One(None) => *self = Unacked::Empty,
+            Unacked::Spilled(q) => {
+                while let Some(None) = q.front() {
+                    q.pop_front();
+                }
+                if q.is_empty() {
+                    *self = Unacked::Empty;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Occupied slots (a walk over a spilled ring).
+    fn waiting(&self) -> usize {
+        match self {
+            Unacked::Empty => 0,
+            Unacked::One(slot) => usize::from(slot.is_some()),
+            Unacked::Spilled(q) => q.iter().filter(|slot| slot.is_some()).count(),
+        }
+    }
+}
+
+/// The `(src, seq)` an endpoint has delivered upward. Two sit in place —
+/// a leaf of a tree hears only from its parent, a rank with one child
+/// from two peers — and a third spills the set to a table.
+#[derive(Debug, Clone)]
+enum Delivered {
+    Few(u8, [(ProcId, u64); 2]),
+    Spilled(HashSet<(ProcId, u64), SplitMix>),
+}
+
+impl Delivered {
+    /// Add `key`; `false` if it was already delivered.
+    fn insert(&mut self, key: (ProcId, u64)) -> bool {
+        match self {
+            Delivered::Spilled(set) => set.insert(key),
+            Delivered::Few(n, at) => {
+                if at[..*n as usize].contains(&key) {
+                    return false;
+                }
+                if let Some(free) = at.get_mut(*n as usize) {
+                    *free = key;
+                    *n += 1;
+                } else {
+                    let set = at.iter().copied().chain([key]).collect();
+                    *self = Delivered::Spilled(set);
+                }
+                true
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Delivered::Few(n, _) => *n as usize,
+            Delivered::Spilled(set) => set.len(),
+        }
+    }
+}
+
+/// What went wrong on an endpoint's wire, kept from the first time
+/// anything did: most endpoints never retransmit or see a duplicate.
+#[derive(Debug, Clone, Default)]
+struct Incidents {
+    retries: u64,
+    dups_suppressed: u64,
+    /// `(dst, seq)` of the messages abandoned after `max_retries`.
+    failed: Vec<(ProcId, u64)>,
+}
+
 /// A reliable-delivery endpoint: sequence numbers out, acks back,
 /// timeout-driven retransmission, at-most-once delivery in.
 ///
@@ -178,36 +301,56 @@ struct Pending {
 /// hash and never iterated, so endpoint behavior is deterministic.
 #[derive(Debug, Clone)]
 pub struct Endpoint {
-    cfg: RetryConfig,
+    /// The policy, shared by every endpoint of a run built from one.
+    cfg: Arc<RetryConfig>,
     next_seq: u64,
     /// Unacknowledged outbound messages: a ring over the newest issued
     /// numbers, slot `i` for number `next_seq - pending.len() + i`, emptied
     /// when that message is acked or abandoned. A settled front is popped,
     /// so the ring spans oldest-unacked to newest, is empty exactly when
     /// nothing waits, and never shifts.
-    pending: VecDeque<Option<Pending>>,
-    /// Occupied slots of `pending`.
-    unacked: usize,
+    pending: Unacked,
     /// `(src, seq)` of every message already delivered upward.
-    seen: HashSet<(ProcId, u64), SplitMix>,
-    /// `(dst, seq)` of messages abandoned after `max_retries`.
-    pub failed: Vec<(ProcId, u64)>,
-    /// Delivery counters.
-    pub stats: EndpointStats,
+    seen: Delivered,
+    /// Retransmissions, duplicates and abandoned messages; `None` while
+    /// there are none.
+    incidents: Option<Box<Incidents>>,
 }
 
 impl Endpoint {
-    /// A fresh endpoint with the given retransmission policy.
-    pub fn new(cfg: RetryConfig) -> Self {
+    /// A fresh endpoint with the given retransmission policy: a
+    /// [`RetryConfig`], or an `Arc` of one that endpoints share.
+    pub fn new(cfg: impl Into<Arc<RetryConfig>>) -> Self {
         Endpoint {
-            cfg,
+            cfg: cfg.into(),
             next_seq: 0,
-            pending: VecDeque::new(),
-            unacked: 0,
-            seen: HashSet::default(),
-            failed: Vec::new(),
-            stats: EndpointStats::default(),
+            pending: Unacked::Empty,
+            seen: Delivered::Few(0, [(0, 0); 2]),
+            incidents: None,
         }
+    }
+
+    /// Delivery counters. Every received copy is acked, so acks sent are
+    /// the messages delivered plus the duplicates suppressed.
+    pub fn stats(&self) -> EndpointStats {
+        let inc = self.incidents.as_deref();
+        let dups_suppressed = inc.map_or(0, |i| i.dups_suppressed);
+        EndpointStats {
+            retries: inc.map_or(0, |i| i.retries),
+            acks_sent: self.seen.len() as u64 + dups_suppressed,
+            dups_suppressed,
+            failed: inc.map_or(0, |i| i.failed.len() as u64),
+        }
+    }
+
+    /// `(dst, seq)` of the messages abandoned after `max_retries`, in the
+    /// order they were given up.
+    pub fn failed(&self) -> &[(ProcId, u64)] {
+        self.incidents.as_deref().map_or(&[], |i| &i.failed)
+    }
+
+    fn incidents(&mut self) -> &mut Incidents {
+        self.incidents.get_or_insert_default()
     }
 
     /// Send `data` reliably to `dst` under the application tag `tag`.
@@ -222,12 +365,7 @@ impl Endpoint {
     /// Issue the next `n` sequence numbers and return the first; the ring
     /// grows by an empty slot for each, which [`Endpoint::enroll`] fills.
     fn issue(&mut self, n: usize) -> u64 {
-        if self.pending.capacity() == 0 {
-            // A tree's leaf sends once in its life: its buffer is the one
-            // slot, not the four a deque starts with.
-            self.pending.reserve_exact(n);
-        }
-        self.pending.resize_with(self.pending.len() + n, || None);
+        self.pending.grow(n);
         let first = self.next_seq;
         self.next_seq += n as u64;
         first
@@ -244,12 +382,8 @@ impl Endpoint {
     /// Stop waiting on `seq` — acked or abandoned — and pop the settled
     /// front of the ring. Does nothing if nothing waited under that number.
     fn settle(&mut self, seq: u64) {
-        if self.slot(seq).and_then(Option::take).is_none() {
-            return;
-        }
-        self.unacked -= 1;
-        while let Some(None) = self.pending.front() {
-            self.pending.pop_front();
+        if self.slot(seq).and_then(Option::take).is_some() {
+            self.pending.trim();
         }
     }
 
@@ -270,7 +404,6 @@ impl Endpoint {
         let slot = self.slot(seq).expect("enrolled under an issued number");
         debug_assert!(slot.is_none(), "#{seq} enrolled twice");
         *slot = Some(pend);
-        self.unacked += 1;
         [
             Command::Send {
                 dst,
@@ -308,11 +441,10 @@ impl Endpoint {
                 inner: Box::new(Data::Empty),
             },
         );
-        self.stats.acks_sent += 1;
         if self.seen.insert((msg.src, *seq)) {
             Some((**inner).clone())
         } else {
-            self.stats.dups_suppressed += 1;
+            self.incidents().dups_suppressed += 1;
             None
         }
     }
@@ -333,8 +465,7 @@ impl Endpoint {
         if pend.attempt >= max_retries {
             let dst = pend.dst;
             self.settle(seq);
-            self.failed.push((dst, seq));
-            self.stats.failed += 1;
+            self.incidents().failed.push((dst, seq));
             return true;
         }
         pend.attempt += 1;
@@ -348,18 +479,18 @@ impl Endpoint {
             },
         );
         ctx.timer(self.cfg.backoff(seq, attempt), token);
-        self.stats.retries += 1;
+        self.incidents().retries += 1;
         true
     }
 
     /// True when nothing is awaiting an ack.
     pub fn idle(&self) -> bool {
-        self.unacked == 0
+        matches!(self.pending, Unacked::Empty)
     }
 
     /// Number of messages still awaiting acknowledgement.
     pub fn pending_count(&self) -> usize {
-        self.unacked
+        self.pending.waiting()
     }
 }
 
@@ -383,8 +514,8 @@ pub struct Reliable<P> {
 impl<P: Process> Reliable<P> {
     /// Wrap `inner`. Every retransmission adds one to `retries`, which the
     /// processors of a run share (programs are owned by the engine, so a
-    /// count must leave through a cell).
-    pub fn new(inner: P, cfg: RetryConfig, retries: SharedCell<u64>) -> Self {
+    /// count must leave through a cell); so may the policy, as an `Arc`.
+    pub fn new(inner: P, cfg: impl Into<Arc<RetryConfig>>, retries: SharedCell<u64>) -> Self {
         Reliable {
             inner,
             ep: Endpoint::new(cfg),
@@ -454,9 +585,9 @@ impl<P: Process> Process for Reliable<P> {
         if token & TIMER_NAMESPACE == 0 {
             return self.run(ctx, |p, ctx| p.on_timer(token, ctx));
         }
-        let before = self.ep.stats.retries;
+        let before = self.ep.stats().retries;
         self.ep.on_timer(token, ctx);
-        if self.ep.stats.retries > before {
+        if self.ep.stats().retries > before {
             self.retries.with(|r| *r += 1);
         }
     }
@@ -509,7 +640,7 @@ mod tests {
         let mut ctx = Ctx::new(0, 0, 2, &mut cmds);
         assert_eq!(ep.on_message(&msg, &mut ctx), Some(Data::U64(7)));
         assert_eq!(ep.on_message(&msg, &mut ctx), None); // duplicate
-        assert_eq!(ep.stats.dups_suppressed, 1);
+        assert_eq!(ep.stats().dups_suppressed, 1);
         // Both copies were acked.
         let acks = cmds
             .iter()
@@ -546,7 +677,7 @@ mod tests {
             assert!(ep.on_timer(TIMER_NAMESPACE | seq, &mut ctx));
         }
         assert_eq!(cmds.len(), before);
-        assert_eq!(ep.stats.retries, 0);
+        assert_eq!(ep.stats().retries, 0);
     }
 
     #[test]
@@ -559,13 +690,13 @@ mod tests {
         let token = TIMER_NAMESPACE | seq;
         assert!(ep.on_timer(token, &mut ctx));
         assert!(ep.on_timer(token, &mut ctx));
-        assert_eq!(ep.stats.retries, 2);
+        assert_eq!(ep.stats().retries, 2);
         assert!(!ep.idle());
         // Third fire exhausts the budget.
         assert!(ep.on_timer(token, &mut ctx));
         assert!(ep.idle());
-        assert_eq!(ep.failed, vec![(1, seq)]);
-        assert_eq!(ep.stats.failed, 1);
+        assert_eq!(ep.failed(), [(1, seq)]);
+        assert_eq!(ep.stats().failed, 1);
     }
 
     #[test]
@@ -613,16 +744,33 @@ mod tests {
         }
     }
 
-    /// Inline, an endpoint is the policy, a ring, a table and the counters;
-    /// what it holds per message is in its two buffers.
+    /// Inline, an endpoint is a shared policy, one ring slot, two delivered
+    /// identities and a pointer to its incidents; a rank that sends once
+    /// and hears from two peers allocates nothing beyond that.
     #[test]
     fn an_endpoint_stays_small_and_a_single_send_holds_one_slot() {
-        assert!(std::mem::size_of::<Endpoint>() <= 176);
-        assert_eq!(std::mem::size_of::<Option<Pending>>(), 40);
+        use std::mem::size_of;
+        assert!(size_of::<Endpoint>() <= 104);
+        assert_eq!(size_of::<Unacked>(), 40);
+        assert_eq!(size_of::<Option<Pending>>(), 40);
         let mut ep = Endpoint::new(RetryConfig::for_model(&LogP::new(6, 2, 4, 2).unwrap()));
         let mut cmds = ctx_cmds();
-        ep.send(&mut Ctx::new(0, 0, 2, &mut cmds), 1, 9, Data::U64(5));
-        assert_eq!(ep.pending.capacity(), 1);
+        let mut ctx = Ctx::new(0, 0, 3, &mut cmds);
+        ep.send(&mut ctx, 1, 9, Data::U64(5));
+        assert!(matches!(ep.pending, Unacked::One(Some(_))));
+        for src in [1, 2] {
+            ep.on_message(&sequenced(src, 9, 0, Data::Empty), &mut ctx);
+        }
+        assert!(matches!(ep.seen, Delivered::Few(2, _)));
+        assert!(ep.incidents.is_none());
+        // A second number spills the ring, and its buffer goes back once
+        // both are acked.
+        ep.send(&mut ctx, 2, 9, Data::U64(6));
+        assert!(matches!(&ep.pending, Unacked::Spilled(q) if q.len() == 2));
+        for seq in [1, 0] {
+            ep.on_message(&sequenced(1, TAG_ACK, seq, Data::Empty), &mut ctx);
+        }
+        assert!(matches!(ep.pending, Unacked::Empty) && ep.idle());
     }
 
     /// What the wrapped test program saw: `(src, tag, payload)` per
@@ -756,7 +904,7 @@ mod tests {
             })
             .collect();
         assert_eq!(tags, [TAG_ACK, 31, TAG_ACK]);
-        assert_eq!(wrapped.ep.stats.dups_suppressed, 1);
+        assert_eq!(wrapped.ep.stats().dups_suppressed, 1);
         // An ack for the reply settles it; the program never sees acks.
         wrapped.on_message(&sequenced(2, TAG_ACK, 0, Data::Empty), &mut ctx);
         assert!(wrapped.ep.idle());
@@ -969,8 +1117,8 @@ mod tests {
             let ep = &new.ep;
             assert_eq!(new_cmds, old_cmds);
             assert_eq!(
-                (&ep.failed, ep.stats, ep.next_seq),
-                (&old.failed, old.stats, old.next_seq)
+                (ep.failed(), ep.stats(), ep.next_seq),
+                (&old.failed[..], old.stats, old.next_seq)
             );
             assert_eq!(
                 (ep.idle(), ep.pending_count()),
@@ -1067,7 +1215,7 @@ mod tests {
                     _ => pair.step(Step::Timer(rng.next_in(issued + 3))),
                 }
             }
-            let s = pair.new.ep.stats;
+            let s = pair.new.ep.stats();
             total.retries += s.retries;
             total.dups_suppressed += s.dups_suppressed;
             total.failed += s.failed;
@@ -1097,7 +1245,7 @@ mod tests {
         for src in (1..=1 << 15).rev().step_by(7) {
             pair.step(copy(src, u64::from(src % 3)));
         }
-        let stats = pair.new.ep.stats;
+        let stats = pair.new.ep.stats();
         assert_eq!(stats.acks_sent, (1 << 15) + stats.dups_suppressed);
         assert_eq!(stats.dups_suppressed, (1u64 << 15).div_ceil(7));
         assert_eq!(pair.new.ep.pending_count(), 32);

@@ -11,18 +11,20 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Calls, bytes, and calls of exactly each size handed to [`mark`].
+/// Calls, bytes, and calls of exactly each size handed to [`mark`]; and
+/// `live`, the bytes allocated less the bytes freed — what is still held.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Allocs {
     pub calls: u64,
     pub bytes: u64,
     pub of: [u64; 3],
+    pub live: i64,
 }
 
 thread_local! {
     /// Allocated by this thread (tests run on parallel threads). A
-    /// `realloc` is one call of its new size.
-    static ALLOCS: Cell<Allocs> = const { Cell::new(Allocs { calls: 0, bytes: 0, of: [0; 3] }) };
+    /// `realloc` is one call of its new size, and holds the difference.
+    static ALLOCS: Cell<Allocs> = const { Cell::new(Allocs { calls: 0, bytes: 0, of: [0; 3], live: 0 }) };
     /// The block sizes this thread counts in [`Allocs::of`]; nothing is
     /// ever allocated with size 0.
     static MARKED: Cell<[usize; 3]> = const { Cell::new([0; 3]) };
@@ -34,7 +36,8 @@ pub fn mark(sizes: [usize; 3]) {
     MARKED.with(|m| m.set(sizes));
 }
 
-fn count(bytes: usize) {
+/// One call of `bytes`, which changes what is held by `held`.
+fn count(bytes: usize, held: i64) {
     let marked = MARKED.with(Cell::get);
     ALLOCS.with(|c| {
         let a = c.get();
@@ -42,6 +45,18 @@ fn count(bytes: usize) {
             calls: a.calls + 1,
             bytes: a.bytes + bytes as u64,
             of: std::array::from_fn(|i| a.of[i] + u64::from(bytes == marked[i])),
+            live: a.live + held,
+        });
+    });
+}
+
+/// A block of `bytes` freed.
+fn free(bytes: usize) {
+    ALLOCS.with(|c| {
+        let a = c.get();
+        c.set(Allocs {
+            live: a.live - bytes as i64,
+            ..a
         });
     });
 }
@@ -52,16 +67,17 @@ pub struct Counting;
 // thread-local `Cell`s with no destructor, touched without allocating.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), layout.size() as i64);
         // SAFETY: the caller's contract for `alloc` is `System`'s.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        free(layout.size());
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        count(new_size, new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -76,6 +92,7 @@ pub fn allocs<T>(f: impl FnOnce() -> T) -> (T, Allocs) {
         calls: after.calls - before.calls,
         bytes: after.bytes - before.bytes,
         of: std::array::from_fn(|i| after.of[i] - before.of[i]),
+        live: after.live - before.live,
     };
     (out, spent)
 }

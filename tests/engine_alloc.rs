@@ -10,10 +10,10 @@
 //!
 //! | call, engine                         | parent: calls, bytes | now: calls, bytes | bound: calls, bytes |
 //! |--------------------------------------|----------------------|-------------------|---------------------|
-//! | optimal broadcast, classic           | 1.33, 663            | 1.16, 651         | 1.22, 685           |
-//! | optimal broadcast, 8 lanes           | 1.44, 668            | 1.28, 656         | 1.35, 690           |
-//! | reduce-broadcast all-reduce, classic | 2.16, 797            | 1.16, 695         | 1.22, 730           |
-//! | reduce-broadcast all-reduce, 8 lanes | 2.28, 810            | 1.28, 708         | 1.35, 745           |
+//! | optimal broadcast, classic           | 1.33, 663            | 1.16, 636         | 1.22, 685           |
+//! | optimal broadcast, 8 lanes           | 1.44, 668            | 1.28, 638         | 1.35, 690           |
+//! | reduce-broadcast all-reduce, classic | 2.16, 797            | 1.16, 689         | 1.22, 730           |
+//! | reduce-broadcast all-reduce, 8 lanes | 2.28, 810            | 1.28, 690         | 1.35, 745           |
 //!
 //! (The all-reduce call builds its two trees itself, inside the count;
 //! the broadcast call copies the caller's.) What went: one list buffer
@@ -36,30 +36,37 @@
 //!
 //! A rank allocates its boxed step program, a buffer for the messages
 //! that arrive ahead of their step (16 bytes each), and a command buffer:
-//! it queues the next round's send behind each combine.
+//! it queues the next round's send behind each combine. Bytes here are
+//! bytes requested, so a calendar bucket that regrows for a big batch
+//! counts again; the calendar's few pooled big buffers (its "Memory
+//! rule") are what keep that rare.
 //!
 //! The same collectives made reliable (`Reliable<TreeProc>` on every
 //! rank) over the `hier_faulted` workload's network — 2 % dropped, 1 %
 //! duplicated, 2 % delayed — with its retry policy, on survivor trees
 //! that are the same two arrays, and the all-reduce once more under a
-//! plan whose rates are all zero; "parent" is the fault layer that
-//! counted every sequenced message's attempts in one machine-wide table:
+//! plan whose rates are all zero; "parent" is the endpoint that kept its
+//! own copy of the policy, a ring buffer, a table and its counters, over
+//! a calendar whose pooled buckets each kept the largest batch they held:
 //!
 //! | call, engine                              | parent: calls, bytes | now: calls, bytes | bound: calls, bytes |
 //! |-------------------------------------------|----------------------|-------------------|---------------------|
-//! | reliable broadcast, classic               | 4.52, 1,658          | 4.52, 1,572       | 4.74, 1,650         |
-//! | reliable broadcast, 8 lanes               | 4.72, 1,640          | 4.72, 1,554       | 4.95, 1,630         |
-//! | reliable all-reduce, classic              | 8.73, 2,418          | 8.73, 2,182       | 9.15, 2,290         |
-//! | reliable all-reduce, 8 lanes              | 8.98, 2,170          | 8.98, 1,934       | 9.4, 2,030          |
-//! | reliable all-reduce, zero rates, classic  | 8.45, 1,843          | 8.45, 1,443       | 8.87, 1,510         |
+//! | reliable broadcast, classic               | 4.52, 1,572          | 3.55, 1,221       | 3.74, 1,290         |
+//! | reliable broadcast, 8 lanes               | 4.72, 1,554          | 3.76, 1,367       | 3.95, 1,415         |
+//! | reliable all-reduce, classic              | 8.73, 2,182          | 7.11, 1,714       | 7.47, 1,790         |
+//! | reliable all-reduce, 8 lanes              | 8.98, 1,934          | 7.37, 1,741       | 7.74, 1,815         |
+//! | reliable all-reduce, zero rates, classic  | 8.45, 1,443          | 6.71, 1,327       | 7.05, 1,390         |
 //!
-//! An endpoint holds a ring of 40-byte slots (one, for a rank that sends
-//! once) and one flat table of `(src, seq)` (84 bytes up to three peers).
+//! A reliable rank is one 152-byte box (a 160-byte allocator chunk; it
+//! was 216 bytes and two more chunks): it shares its run's policy, holds
+//! its first unacked send and its first two delivered `(src, seq)` in
+//! place, and keeps counters only once something goes wrong. Only a
+//! second unacked send takes a ring of 40-byte slots, given back when
+//! they are all acked, and only a third peer a table. The calendars stop
+//! keeping a big buffer for every bucket that once held a big batch.
 //! The fault layer counts the attempts of a sender's first four sequenced
 //! messages in its own 64-byte row and only the rest in a table; under
 //! zero rates it counts nothing and allocates neither (the third test).
-//! On the lanes the reliable broadcast doubles by 2.08 from 2^13 to 2^14,
-//! where the message slab takes one more doubling step.
 //!
 //! Marked sizes — blocks only a per-processor container used to allocate,
 //! once a processor: 104 bytes (a `BTreeSet<u64>` leaf) reads 4; 256 (the
@@ -78,7 +85,8 @@
 //! | P = 128   | 20,888        | 1,120      | 2,048                         |
 //! | P = 512   | 82,328        | 1,120      | 2,048, within 10 % of P = 128 |
 //!
-//! A queued send, by itself: the last test.
+//! A queued send, by itself; and what a calendar still holds after a big
+//! batch: the last two tests.
 
 use logp::algos::allreduce::{
     run_allreduce_doubling, run_allreduce_reduce_bcast, run_reliable_allreduce,
@@ -86,6 +94,7 @@ use logp::algos::allreduce::{
 use logp::algos::broadcast::{run_reliable_broadcast, run_tree_broadcast};
 use logp::core::broadcast::optimal_broadcast_tree;
 use logp::core::LogP;
+use logp::sim::engine::calendar::Calendar;
 use logp::sim::process::StartFn;
 use logp::sim::{Data, FaultPlan, RetryConfig, Sim, SimConfig, SimError, SinkSpec};
 
@@ -206,11 +215,11 @@ fn a_processor_costs_a_bounded_number_of_bytes_and_calls() {
         (allred, &lanes, 1.35, 745.0),
         (dbl, &classic, 3.15, 765.0),
         (dbl, &lanes, 3.17, 750.0),
-        (rel_bcast, &classic, 4.74, 1_650.0),
-        (rel_bcast, &lanes, 4.95, 1_630.0),
-        (rel_allred, &classic, 9.15, 2_290.0),
-        (rel_allred, &lanes, 9.4, 2_030.0),
-        (zero_allred, &classic, 8.87, 1_510.0),
+        (rel_bcast, &classic, 3.74, 1_290.0),
+        (rel_bcast, &lanes, 3.95, 1_415.0),
+        (rel_allred, &classic, 7.47, 1_790.0),
+        (rel_allred, &lanes, 7.74, 1_815.0),
+        (zero_allred, &classic, 7.05, 1_390.0),
     ];
     for ((call, run), (engine, config), max_calls, max_bytes) in rows {
         let a = run(&m, config.clone());
@@ -367,4 +376,36 @@ fn a_queued_send_costs_its_32_bytes() {
     let per_send = a.bytes as f64 / sends as f64;
     println!("all-to-all on_start, P = {P}: {per_send:.2} bytes a send issued");
     assert!(per_send <= 35.0, "{per_send} bytes a send issued");
+}
+
+/// A calendar keeps only the bucket storage its traffic needs. One
+/// same-cycle batch of 16,384 events, then 1,000 cycles of one event each
+/// — eight queued ahead, so each opens a bucket of the ring — leave it
+/// holding its ring, its heap and a few small buffers. The batch's
+/// 16k-entry buffer (256 KiB) is freed once 256 batches have opened
+/// without it; the pool that handed every drained buffer to the next
+/// empty slot passed it from bucket to bucket for good.
+#[test]
+fn a_calendar_keeps_no_storage_its_traffic_stopped_using() {
+    const BATCH: u64 = 1 << 14;
+    let (cal, a) = counting::allocs(|| {
+        let mut cal: Calendar<u64> = Calendar::new(64, 16);
+        for k in 0..BATCH {
+            cal.push(1, k, k);
+        }
+        for t in 2..10 {
+            cal.push(t, 0, t);
+        }
+        for _ in 0..BATCH {
+            assert_eq!(cal.pop::<true>(u64::MAX).map(|e| e.0), Some(1));
+        }
+        for t in 10..1_010 {
+            assert_eq!(cal.pop::<true>(u64::MAX).map(|e| e.0), Some(t - 8));
+            cal.push(t, 0, t);
+        }
+        cal
+    });
+    println!("a calendar after a 16k batch and 1,000 one-event cycles: {a:?}");
+    assert!(a.live <= 8 << 10, "{} bytes held", a.live);
+    drop(cal);
 }
