@@ -517,10 +517,10 @@ const LAZY: Busy = [Cycles::MAX; 4];
 /// buffer's newest entry — no hashing, no ordered maps, no search:
 ///
 /// * a wait window's start is a [`WindowStart`] snapshot that travels
-///   with what already travels with the window: the per-invocation
-///   `bases` entry of a queued command (in lockstep with the engine's
-///   command queue), the in-flight record at a message's slab slot, an
-///   armed timer's entry, a barrier entrant;
+///   with what already travels with the window: the engine's run-queue
+///   entry of a handler invocation's queued commands, the in-flight
+///   record at a message's slab slot, an armed timer's entry, a barrier
+///   entrant;
 /// * per-processor span buffers with running busy totals ([`SpanSum`])
 ///   answer only gap-gate lookups, so they hold a handful of spans
 ///   (see [`Gates`]).
@@ -534,10 +534,6 @@ pub(crate) struct OnlineAgg {
     /// as [`Gates`] allows. Their running totals are `agg.per_proc`.
     spans: Vec<VecDeque<SpanSum>>,
     gates: Vec<Gates>,
-    /// Per processor, `(start, commands left)` for every handler
-    /// invocation with commands still queued, oldest first: they share
-    /// the triggering record's components and the submit instant.
-    bases: Vec<VecDeque<(WindowStart, u32)>>,
     /// Cumulative components of the record whose handler runs next: a
     /// delivery, a timer fire or a barrier release, each followed by its
     /// handler(s) before any other such record completes.
@@ -567,7 +563,6 @@ impl OnlineAgg {
             },
             spans: vec![VecDeque::new(); p],
             gates: vec![Gates::default(); p],
-            bases: vec![VecDeque::new(); p],
             handler_cum: Components::default(),
             compute_cum: vec![Components::default(); p],
             pending: (WindowStart::default(), usize::MAX),
@@ -618,42 +613,40 @@ impl OnlineAgg {
     }
 
     /// A handler triggered by `cause` queued `n` commands on `p` at
-    /// time `now`, inside the span `open` if any: they start from the
-    /// triggering record's components and `p`'s busy totals now.
-    pub(crate) fn on_push(&mut self, p: ProcId, cause: Cause, now: Cycles, n: u32, open: OpenSpan) {
-        let i = p as usize;
+    /// time `now`, inside the span `open` if any: the start of their
+    /// windows — the triggering record's components and `p`'s busy
+    /// totals now — to ride with them in the engine's run queue.
+    pub(crate) fn on_push(
+        &mut self,
+        p: ProcId,
+        cause: Cause,
+        now: Cycles,
+        n: u32,
+        open: OpenSpan,
+    ) -> WindowStart {
         let cum = match cause {
             Cause::Start => Components::default(),
-            Cause::Compute(_) => self.compute_cum[i],
+            Cause::Compute(_) => self.compute_cum[p as usize],
             Cause::Msg(_) | Cause::Barrier(_) | Cause::Retry(_) => self.handler_cum,
         };
         let busy = self.open(p, now, open, n);
-        self.bases[i].push_back((WindowStart { cum, busy }, n));
+        WindowStart { cum, busy }
     }
 
-    /// The oldest queued command of `p` was dequeued: capture its start.
-    pub(crate) fn on_pop(&mut self, p: ProcId) {
-        let i = p as usize;
-        let q = &mut self.bases[i];
-        let Some((start, left)) = q.front_mut() else {
-            debug_assert!(false, "bases track cmds in lockstep");
-            return;
-        };
-        self.pending = (*start, i);
-        *left -= 1;
-        if *left == 0 {
-            q.pop_front();
-        }
+    /// The oldest queued command of processor index `p`, whose window
+    /// opened at `start`, was dequeued.
+    pub(crate) fn on_pop(&mut self, p: usize, start: WindowStart) {
+        self.pending = (start, p);
     }
 
     /// `p` crashed: its queued commands and inbox are abandoned.
     pub(crate) fn on_crash(&mut self, p: ProcId) {
-        self.bases[p as usize].clear();
         self.gates[p as usize] = Gates::default();
     }
 
     /// Record one activity span into the totals and the window buffer.
-    pub(crate) fn on_span(&mut self, sp: &Span) {
+    /// `queued`: its processor has commands queued.
+    pub(crate) fn on_span(&mut self, sp: &Span, queued: bool) {
         let kind = StepKind::from_activity(sp.activity);
         let len = sp.end - sp.start;
         self.agg.global.add(kind, len);
@@ -686,7 +679,7 @@ impl OnlineAgg {
         // Keep the last span starting before the earliest gate a lookup
         // may still ask for, and everything after it.
         let g = self.gates[p];
-        let sending = !self.bases[p].is_empty() || self.pending.1 == p;
+        let sending = queued || self.pending.1 == p;
         let live = |on: bool, t: Cycles| if on { t } else { Cycles::MAX };
         let floor = live(sending, g.inject).min(live(g.arrived > 0, g.recv));
         let floor = floor.min(live(g.held > 0, g.hold));

@@ -439,10 +439,11 @@ struct Records {
     /// order, so a fire's entry is in front; otherwise it is among the
     /// few timers this one processor has armed.
     timer_obs: Vec<VecDeque<(u64, TimerRecord, WindowStart)>>,
-    /// Per-processor per-command metadata `(cause, submit)`, in lockstep
-    /// with that processor's `cmds`. Lives here (not in `ProcState`) so
-    /// the disabled engine keeps its lean layout.
-    cmd_meta: Vec<VecDeque<(Cause, Cycles)>>,
+    /// Per processor, one [`Run`] per handler invocation with commands
+    /// still queued, oldest first, in lockstep with that processor's
+    /// `cmds`. Lives here (not in `ProcState`) so the disabled engine
+    /// keeps its lean layout.
+    runs: Vec<VecDeque<Run>>,
     /// Per-processor [`ComputeRecord`] id of the compute in flight.
     cur_compute: Vec<u64>,
     /// `(proc, submit, enter, cause)` of the last barrier entrant, for
@@ -451,6 +452,11 @@ struct Records {
     /// Records offered to the sink (post-sampling).
     emitted: u64,
 }
+
+/// The commands one handler invocation queued, `(cause, submit, commands
+/// left, window start)`: they share its cause, its submit instant and, for
+/// the online aggregate, the start of their wait windows.
+type Run = (Cause, Cycles, u32, WindowStart);
 
 /// The lifecycle record kinds the pipeline numbers.
 #[derive(Clone, Copy)]
@@ -480,7 +486,7 @@ impl Records {
             inflight: Vec::new(),
             undelivered: Vec::new(),
             timer_obs: vec![VecDeque::new(); p],
-            cmd_meta: vec![VecDeque::new(); p],
+            runs: vec![VecDeque::new(); p],
             cur_compute: vec![0; p],
             barrier_last: (0, 0, 0, Cause::Start),
             emitted: 0,
@@ -507,7 +513,7 @@ impl Records {
             return;
         }
         if let Some(agg) = self.agg.as_mut() {
-            agg.on_span(sp);
+            agg.on_span(sp, !self.runs[sp.proc as usize].is_empty());
         }
         if self.sampler.spans_enabled() && self.sampler.pass_proc(sp.proc) {
             self.sink.on_span(sp);
@@ -1319,19 +1325,30 @@ impl Sim {
         }
     }
 
-    /// Dequeue the observability metadata of the command just popped from
-    /// `cmds` (a no-op unless the lifecycle log is on).
+    /// Dequeue the observability metadata `(cause, submit)` of the command
+    /// just popped from `cmds` (`(Start, now)` unless the lifecycle log is
+    /// on).
     #[inline]
-    fn pop_meta(&mut self, idx: usize) -> (Cause, Cycles) {
+    fn pop_meta<const OBS: bool>(&mut self, idx: usize) -> (Cause, Cycles) {
         let now = self.now;
+        if !OBS {
+            return (Cause::Start, now);
+        }
         let Some(st) = self.records() else {
             return (Cause::Start, now);
         };
+        // `runs` tracks `cmds` in lockstep.
+        let runs = &mut st.runs[idx];
+        let Some((cause, submit, left, start)) = runs.front_mut() else {
+            return (Cause::Start, now);
+        };
         if let Some(agg) = st.agg.as_mut() {
-            agg.on_pop(idx as ProcId);
+            agg.on_pop(idx, *start);
         }
-        // `cmd_meta` tracks `cmds` in lockstep.
-        st.cmd_meta[idx].pop_front().unwrap_or((Cause::Start, now))
+        *left -= 1;
+        let meta = (*cause, *submit);
+        runs.pop_front_if(|run| run.2 == 0);
+        meta
     }
 
     /// The capacity stall or barrier wait `p` is in, whose span is
@@ -1827,7 +1844,7 @@ impl Sim {
         self.procs[idx].cmds.clear();
         if OBS {
             if let Some(st) = self.records() {
-                st.cmd_meta[idx].clear();
+                st.runs[idx].clear();
                 if let Some(agg) = st.agg.as_mut() {
                     agg.on_crash(p);
                 }
@@ -1916,11 +1933,11 @@ impl Sim {
         let Some(st) = self.records() else {
             return;
         };
-        let meta = &mut st.cmd_meta[p as usize];
-        meta.extend(std::iter::repeat_n((cause, now), issued));
-        if let Some(agg) = st.agg.as_mut() {
-            agg.on_push(p, cause, now, issued as u32, open);
-        }
+        let start = match st.agg.as_mut() {
+            Some(agg) => agg.on_push(p, cause, now, issued as u32, open),
+            None => WindowStart::default(),
+        };
+        st.runs[p as usize].push_back((cause, now, issued as u32, start));
     }
 
     /// Try to make progress on processor `p` at the current time.
@@ -1982,11 +1999,7 @@ impl Sim {
                         return;
                     };
                     self.procs[idx].cmds.pop_front();
-                    let meta = if OBS {
-                        self.pop_meta(idx)
-                    } else {
-                        (Cause::Start, now)
-                    };
+                    let meta = self.pop_meta::<OBS>(idx);
                     let st = &mut self.procs[idx];
                     st.busy_until = done;
                     st.engaged = true;
@@ -2004,11 +2017,7 @@ impl Sim {
                         return;
                     }
                     self.procs[idx].cmds.pop_front();
-                    let meta = if OBS {
-                        self.pop_meta(idx)
-                    } else {
-                        (Cause::Start, now)
-                    };
+                    let meta = self.pop_meta::<OBS>(idx);
                     let st = &mut self.procs[idx];
                     st.in_barrier = true;
                     st.barrier_entered_at = now;
@@ -2046,11 +2055,7 @@ impl Sim {
                         return;
                     };
                     self.procs[idx].cmds.pop_front();
-                    let meta = if OBS {
-                        self.pop_meta(idx)
-                    } else {
-                        (Cause::Start, now)
-                    };
+                    let meta = self.pop_meta::<OBS>(idx);
                     let seq = self.sched::<SHARDED>(fire, EventKind::TimerFire(p, tag));
                     if OBS {
                         self.record_timer(p, tag, meta, fire, seq);
@@ -2060,9 +2065,7 @@ impl Sim {
                 }
                 Command::Halt => {
                     self.procs[idx].cmds.pop_front();
-                    if OBS {
-                        self.pop_meta(idx);
-                    }
+                    self.pop_meta::<OBS>(idx);
                     self.procs[idx].halted = true;
                     self.alive -= 1;
                     if SHARDED {
@@ -2177,11 +2180,7 @@ impl Sim {
             // `advance` saw a send at the front.
             _ => return,
         };
-        let meta = if OBS {
-            self.pop_meta(idx)
-        } else {
-            (Cause::Start, now)
-        };
+        let meta = self.pop_meta::<OBS>(idx);
         let st = &mut self.procs[idx];
         st.waiting_on_src = false;
         let send_gate = st.next_send_slot;

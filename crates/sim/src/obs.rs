@@ -454,27 +454,94 @@ impl ObsSink for RetainSink {
     }
 }
 
-/// Field names per record kind, in the order the sink writes them. One
-/// schema serves both directions: [`JsonlSink`] writes `{"k":"<kind>"`
-/// then `,"<key>":<value>` per entry, [`replay_jsonl`] fills the same
-/// slots back.
-const MSG_KEYS: [&str; 15] = [
+/// One field of a record kind's schema: its key, and the `,"key":` bytes
+/// that precede its value on a line — zero-padded to [`PREFIX`] bytes so
+/// the writer copies them whole — with their unpadded length. One table
+/// per kind serves both directions: [`JsonlSink`] writes `{"k":"<kind>"`
+/// then each prefix and its value, [`replay_jsonl`] expects the same
+/// prefixes in the same order and fills the same slots back.
+#[derive(Clone, Copy)]
+struct Field {
+    key: &'static str,
+    prefix: [u8; PREFIX],
+    len: usize,
+}
+
+/// Width of a padded `,"key":` prefix.
+const PREFIX: usize = 16;
+
+/// Digits of the widest value, `u64::MAX`.
+const DIGITS: usize = 20;
+
+/// The field `key`.
+const fn field(key: &'static str) -> Field {
+    let (k, len) = (key.as_bytes(), key.len() + 4);
+    // The padded prefix fits, and a copy of it never runs past the value
+    // and the line end that follow it.
+    assert!(len <= PREFIX && PREFIX <= len + DIGITS + 2);
+    let mut prefix = [0; PREFIX];
+    (prefix[0], prefix[1], prefix[len - 2], prefix[len - 1]) = (b',', b'"', b'"', b':');
+    // `prefix[2..len - 2] = k`, without the range indexing a `const fn`
+    // cannot use.
+    let (_, tail) = prefix.split_at_mut(2);
+    tail.split_at_mut(k.len()).0.copy_from_slice(k);
+    Field { key, prefix, len }
+}
+
+/// The schema of `keys`, in line order.
+const fn schema<const N: usize>(keys: [&'static str; N]) -> [Field; N] {
+    let mut out = [field(""); N];
+    let mut i = 0;
+    while i < N {
+        out[i] = field(keys[i]);
+        i += 1;
+    }
+    out
+}
+
+const MSG: [Field; 15] = schema([
     "id", "src", "dst", "tag", "words", "cs", "ci", "submit", "gate", "inject", "sent", "arrive",
     "rgate", "rstart", "deliver",
-];
-const COMPUTE_KEYS: [&str; 8] = ["id", "proc", "tag", "cs", "ci", "submit", "start", "end"];
-const BARRIER_KEYS: [&str; 7] = ["id", "proc", "cs", "ci", "submit", "enter", "release"];
-const TIMER_KEYS: [&str; 8] = ["id", "proc", "tag", "cs", "ci", "submit", "armed", "fire"];
-const SPAN_KEYS: [&str; 4] = ["proc", "start", "end", "act"];
+]);
+const COMPUTE: [Field; 8] = schema(["id", "proc", "tag", "cs", "ci", "submit", "start", "end"]);
+const BARRIER: [Field; 7] = schema(["id", "proc", "cs", "ci", "submit", "enter", "release"]);
+const TIMER: [Field; 8] = schema(["id", "proc", "tag", "cs", "ci", "submit", "armed", "fire"]);
+const SPAN: [Field; 4] = schema(["proc", "start", "end", "act"]);
 
 /// What every line starts with, up to the one-byte kind.
 const LINE_HEAD: &str = "{\"k\":\"";
 
+/// The longest line of a kind: its head, every prefix followed by a
+/// 20-digit value, and `}\n`.
+const fn longest(fields: &[Field]) -> usize {
+    match fields {
+        [f, rest @ ..] => f.len + DIGITS + longest(rest),
+        [] => LINE_HEAD.len() + 4,
+    }
+}
+
+/// [`JsonlSink`]'s line buffer: a message line is the longest, which the
+/// build checks.
+const LINE_CAP: usize = longest(&MSG);
+const _: () = assert!(fits(&COMPUTE) && fits(&BARRIER) && fits(&TIMER) && fits(&SPAN));
+
+/// Whether every line of a kind fits the line buffer.
+const fn fits(fields: &[Field]) -> bool {
+    longest(fields) <= LINE_CAP
+}
+
+/// The decimal digit pairs `00` to `99`.
+const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
 /// Streaming JSONL writer: one record per line, kinds `m` (message), `c`
 /// (compute), `b` (barrier), `t` (timer), `s` (activity span). Timestamps
-/// print as raw `u64` (so [`UNSET`] round-trips exactly). Lines are
-/// encoded straight into one reusable buffer that goes to the file in
-/// 64 KiB writes.
+/// print as raw `u64` (so [`UNSET`] round-trips exactly). Each line is
+/// built on the stack and appended to one reusable buffer that goes to
+/// the file in 64 KiB writes.
 pub struct JsonlSink {
     out: Option<std::fs::File>,
     err: Option<String>,
@@ -493,23 +560,38 @@ impl JsonlSink {
         JsonlSink {
             out,
             err,
-            buf: Vec::with_capacity(Self::FLUSH_AT + 512),
+            buf: Vec::with_capacity(Self::FLUSH_AT + LINE_CAP),
         }
     }
 
-    /// Append one line: the kind, then `vals` under `keys`.
-    fn line<const N: usize>(&mut self, kind: u8, keys: &[&str; N], vals: [u64; N]) {
-        let buf = &mut self.buf;
-        buf.extend_from_slice(LINE_HEAD.as_bytes());
-        buf.extend_from_slice(&[kind, b'"']);
-        for (key, v) in keys.iter().zip(vals) {
-            buf.extend_from_slice(b",\"");
-            buf.extend_from_slice(key.as_bytes());
-            buf.extend_from_slice(b"\":");
-            push_decimal(buf, v);
+    /// Append one line: the kind, then `vals` under `fields`. The line is
+    /// built in a fixed buffer — each padded prefix copied whole, each
+    /// value's digits written in place, two per division — and appended
+    /// in one call.
+    fn line<const N: usize>(&mut self, kind: u8, fields: &[Field; N], vals: [u64; N]) {
+        let mut line = [0u8; LINE_CAP];
+        let mut at = LINE_HEAD.len() + 2;
+        line[..at - 2].copy_from_slice(LINE_HEAD.as_bytes());
+        line[at - 2..at].copy_from_slice(&[kind, b'"']);
+        for (f, mut v) in fields.iter().zip(vals) {
+            line[at..at + PREFIX].copy_from_slice(&f.prefix);
+            let digits = at + f.len;
+            at = digits + v.checked_ilog10().map_or(1, |d| d as usize + 1);
+            let mut i = at;
+            while v >= 10 {
+                let pair = (v % 100) as usize * 2;
+                v /= 100;
+                i -= 2;
+                line[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+            }
+            // An odd count of digits leaves the leading one.
+            if i > digits {
+                line[digits] = b'0' + v as u8;
+            }
         }
-        buf.extend_from_slice(b"}\n");
-        if buf.len() >= Self::FLUSH_AT {
+        line[at..at + 2].copy_from_slice(b"}\n");
+        self.buf.extend_from_slice(&line[..at + 2]);
+        if self.buf.len() >= Self::FLUSH_AT {
             self.flush_buf();
         }
     }
@@ -540,7 +622,7 @@ impl ObsSink for JsonlSink {
         let (cs, ci) = cause_parts(m.cause);
         self.line(
             b'm',
-            &MSG_KEYS,
+            &MSG,
             [
                 m.id,
                 m.src as u64,
@@ -563,7 +645,7 @@ impl ObsSink for JsonlSink {
     fn on_compute(&mut self, c: &ComputeRecord) {
         let (cs, ci) = cause_parts(c.cause);
         let vals = [c.id, c.proc as u64, c.tag, cs, ci, c.submit, c.start, c.end];
-        self.line(b'c', &COMPUTE_KEYS, vals);
+        self.line(b'c', &COMPUTE, vals);
     }
     fn on_barrier(&mut self, b: &BarrierRecord) {
         let (cs, ci) = cause_parts(b.cause);
@@ -576,7 +658,7 @@ impl ObsSink for JsonlSink {
             b.enter,
             b.release,
         ];
-        self.line(b'b', &BARRIER_KEYS, vals);
+        self.line(b'b', &BARRIER, vals);
     }
     fn on_timer(&mut self, t: &TimerRecord) {
         let (cs, ci) = cause_parts(t.cause);
@@ -590,11 +672,11 @@ impl ObsSink for JsonlSink {
             t.armed,
             t.fire,
         ];
-        self.line(b't', &TIMER_KEYS, vals);
+        self.line(b't', &TIMER, vals);
     }
     fn on_span(&mut self, s: &Span) {
         let vals = [s.proc as u64, s.start, s.end, s.activity as u64];
-        self.line(b's', &SPAN_KEYS, vals);
+        self.line(b's', &SPAN, vals);
     }
     fn finish(&mut self) -> Result<(), String> {
         self.flush_buf();
@@ -603,32 +685,6 @@ impl ObsSink for JsonlSink {
             None => Ok(()),
         }
     }
-}
-
-/// Append `v` in decimal, two digits per division.
-fn push_decimal(buf: &mut Vec<u8>, mut v: u64) {
-    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
-        2021222324252627282930313233343536373839\
-        4041424344454647484950515253545556575859\
-        6061626364656667686970717273747576777879\
-        8081828384858687888990919293949596979899";
-    let mut tmp = [0u8; 20];
-    let mut at = tmp.len();
-    while v >= 100 {
-        let pair = (v % 100) as usize * 2;
-        v /= 100;
-        at -= 2;
-        tmp[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-    }
-    if v >= 10 {
-        let pair = v as usize * 2;
-        at -= 2;
-        tmp[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-    } else {
-        at -= 1;
-        tmp[at] = b'0' + v as u8;
-    }
-    buf.extend_from_slice(&tmp[at..]);
 }
 
 fn cause_parts(c: Cause) -> (u64, u64) {
@@ -653,11 +709,12 @@ fn cause_from_parts(cs: u64, ci: u64, line: &str) -> Result<Cause, String> {
 }
 
 /// The `,"key":digits` pairs of one record line (everything after its
-/// `{"k":"x"` head) parsed into `keys`' slots in one left-to-right pass.
-/// Fields normally come in `keys` order, which costs one comparison per
-/// field; any order is accepted and unknown keys are skipped. Every key
-/// of `keys` is required exactly once and every value must fit a `u64`.
-fn parse_fields<const N: usize>(line: &str, keys: &[&str; N]) -> Result<[u64; N], String> {
+/// `{"k":"x"` head) parsed into `fields`' slots in one left-to-right
+/// pass. Fields normally come in schema order, which costs one prefix
+/// comparison per field; any order is accepted (a key is then searched
+/// for) and unknown keys are skipped. Every key of `fields` is required
+/// exactly once and every value must fit a `u64`.
+fn parse_fields<const N: usize>(line: &str, fields: &[Field; N]) -> Result<[u64; N], String> {
     let malformed = || format!("malformed record line {line:?}");
     let b = line.as_bytes();
     let mut vals = [0u64; N];
@@ -665,24 +722,40 @@ fn parse_fields<const N: usize>(line: &str, keys: &[&str; N]) -> Result<[u64; N]
     let mut next = 0;
     let mut at = LINE_HEAD.len() + 2;
     loop {
-        match b.get(at) {
-            Some(b',') if b.get(at + 1) == Some(&b'"') => at += 2,
-            Some(b'}') if at + 1 == b.len() => break,
-            _ => return Err(malformed()),
-        }
-        let len = b[at..]
-            .iter()
-            .position(|&c| c == b'"')
-            .ok_or_else(malformed)?;
-        // Both cuts sit on ASCII quotes, so the slice is on char boundaries.
-        let key = &line[at..at + len];
-        at += len + 1;
-        if b.get(at) != Some(&b':') {
-            return Err(malformed());
-        }
-        at += 1;
+        let (key, slot) = match fields.get(next) {
+            Some(f) if b[at..].starts_with(&f.prefix[..f.len]) => {
+                at += f.len;
+                (f.key, Some(next))
+            }
+            _ => {
+                match b.get(at) {
+                    Some(b',') if b.get(at + 1) == Some(&b'"') => at += 2,
+                    Some(b'}') if at + 1 == b.len() => break,
+                    _ => return Err(malformed()),
+                }
+                let len = b[at..]
+                    .iter()
+                    .position(|&c| c == b'"')
+                    .ok_or_else(malformed)?;
+                // Both cuts sit on ASCII quotes, so the slice is on char
+                // boundaries.
+                let key = &line[at..at + len];
+                at += len + 1;
+                if b.get(at) != Some(&b':') {
+                    return Err(malformed());
+                }
+                at += 1;
+                (key, fields.iter().position(|f| f.key == key))
+            }
+        };
         let digits = at;
         let mut v = 0u64;
+        // Nineteen digits cannot overflow a `u64`; only more are checked.
+        let unchecked = b.len().min(at + 19);
+        while at < unchecked && b[at].is_ascii_digit() {
+            v = v * 10 + u64::from(b[at] - b'0');
+            at += 1;
+        }
         while let Some(d) = b.get(at).filter(|c| c.is_ascii_digit()) {
             v = v
                 .checked_mul(10)
@@ -693,13 +766,8 @@ fn parse_fields<const N: usize>(line: &str, keys: &[&str; N]) -> Result<[u64; N]
         if at == digits {
             return Err(format!("bad {key:?} in {line:?}: not a number"));
         }
-        let slot = if next < N && keys[next] == key {
-            next
-        } else {
-            match keys.iter().position(|k| *k == key) {
-                Some(slot) => slot,
-                None => continue,
-            }
+        let Some(slot) = slot else {
+            continue;
         };
         if seen & (1 << slot) != 0 {
             return Err(format!("duplicate field {key:?} in {line:?}"));
@@ -708,8 +776,9 @@ fn parse_fields<const N: usize>(line: &str, keys: &[&str; N]) -> Result<[u64; N]
         vals[slot] = v;
         next = slot + 1;
     }
-    match keys.iter().enumerate().find(|(i, _)| seen & (1 << i) == 0) {
-        Some((_, key)) => Err(format!("missing field {key:?} in {line:?}")),
+    // The lowest slot not seen, if any: every bit above `N` is clear.
+    match fields.get(seen.trailing_ones() as usize) {
+        Some(f) => Err(format!("missing field {:?} in {line:?}", f.key)),
         None => Ok(vals),
     }
 }
@@ -742,7 +811,7 @@ pub fn replay_jsonl(text: &str) -> Result<ObsLog, String> {
             b's' => {}
             b'm' => {
                 let [id, src, dst, tag, words, cs, ci, submit, send_gate, inject, sent, arrive, recv_gate, recv_start, deliver] =
-                    parse_fields(line, &MSG_KEYS)?;
+                    parse_fields(line, &MSG)?;
                 sink.on_msg(&MsgRecord {
                     id,
                     src: narrow(src, "src", line)?,
@@ -761,8 +830,7 @@ pub fn replay_jsonl(text: &str) -> Result<ObsLog, String> {
                 });
             }
             b'c' => {
-                let [id, proc, tag, cs, ci, submit, start, end] =
-                    parse_fields(line, &COMPUTE_KEYS)?;
+                let [id, proc, tag, cs, ci, submit, start, end] = parse_fields(line, &COMPUTE)?;
                 sink.on_compute(&ComputeRecord {
                     id,
                     proc: narrow(proc, "proc", line)?,
@@ -774,7 +842,7 @@ pub fn replay_jsonl(text: &str) -> Result<ObsLog, String> {
                 });
             }
             b'b' => {
-                let [id, proc, cs, ci, submit, enter, release] = parse_fields(line, &BARRIER_KEYS)?;
+                let [id, proc, cs, ci, submit, enter, release] = parse_fields(line, &BARRIER)?;
                 sink.on_barrier(&BarrierRecord {
                     id,
                     last_proc: narrow(proc, "proc", line)?,
@@ -785,7 +853,7 @@ pub fn replay_jsonl(text: &str) -> Result<ObsLog, String> {
                 });
             }
             b't' => {
-                let [id, proc, tag, cs, ci, submit, armed, fire] = parse_fields(line, &TIMER_KEYS)?;
+                let [id, proc, tag, cs, ci, submit, armed, fire] = parse_fields(line, &TIMER)?;
                 sink.on_timer(&TimerRecord {
                     id,
                     proc: narrow(proc, "proc", line)?,

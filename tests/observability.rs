@@ -542,17 +542,33 @@ fn oracle_jsonl(log: &ObsLog, spans: &[Span]) -> String {
 
 /// Records of every kind, ids ascending per kind, cycling through every
 /// `Cause` variant and the extremes of every field width (`0`, one- to
-/// twenty-digit values, `UNSET`/`u64::MAX`, `u32::MAX`) — enough lines
-/// to push the sink through several buffer flushes.
+/// twenty-digit values, each side of a digit-count boundary — `10^19` is
+/// the first value the reader checks for overflow — `UNSET`/`u64::MAX`,
+/// `u32::MAX`) — enough lines to push the sink through several buffer
+/// flushes — and last, one record of each kind with every field at its
+/// widest: the longest line of each kind.
 fn artifact_records() -> (ObsLog, Vec<Span>) {
-    let edge = |i: u64| match i % 7 {
-        0 => 0,
-        1 => 9,
-        2 => 10,
-        3 => 99_999,
-        4 => mix(&[0xA27, i]),
-        5 => u64::MAX - 1,
-        _ => UNSET,
+    const EDGES: [u64; 16] = [
+        0,
+        9,
+        10,
+        99,
+        100,
+        9_999,
+        10_000,
+        99_999,
+        999_999_999,
+        1_000_000_000,
+        10u64.pow(18) - 1,
+        10u64.pow(18),
+        10u64.pow(19) - 1,
+        10u64.pow(19),
+        u64::MAX - 1,
+        UNSET,
+    ];
+    let edge = |i: u64| match i % 17 {
+        16 => mix(&[0xA27, i]),
+        k => EDGES[k as usize],
     };
     let cause = |i: u64| match i % 5 {
         0 => Cause::Start,
@@ -626,6 +642,55 @@ fn artifact_records() -> (ObsLog, Vec<Span>) {
             ][(i % 5) as usize],
         });
     }
+    let (max, cause) = (u64::MAX, Cause::Retry(u64::MAX));
+    log.msgs.push(MsgRecord {
+        id: max,
+        src: u32::MAX,
+        dst: u32::MAX,
+        tag: u32::MAX,
+        words: max,
+        cause,
+        submit: max,
+        send_gate: max,
+        inject: max,
+        sent: max,
+        arrive: max,
+        recv_gate: max,
+        recv_start: max,
+        deliver: max,
+    });
+    log.computes.push(ComputeRecord {
+        id: max,
+        proc: u32::MAX,
+        tag: max,
+        cause,
+        submit: max,
+        start: max,
+        end: max,
+    });
+    log.barriers.push(BarrierRecord {
+        id: max,
+        last_proc: u32::MAX,
+        submit: max,
+        enter: max,
+        release: max,
+        cause,
+    });
+    log.timers.push(TimerRecord {
+        id: max,
+        proc: u32::MAX,
+        tag: max,
+        cause,
+        submit: max,
+        armed: max,
+        fire: max,
+    });
+    spans.push(Span {
+        proc: u32::MAX,
+        start: max,
+        end: max,
+        activity: Activity::Barrier,
+    });
     (log, spans)
 }
 
@@ -668,11 +733,25 @@ fn replay_rejects_incomplete_and_out_of_range_records() {
     // Field order is free and unknown keys are ignored.
     let shuffled = "{\"k\":\"c\",\"end\":5,\"x\":9,\"ci\":7,\"cs\":1,\"id\":0,\"proc\":1,\"tag\":2,\"submit\":3,\"start\":4}";
     assert_eq!(replay_jsonl(shuffled).unwrap(), log);
+    let msg = "{\"k\":\"m\",\"id\":4,\"src\":0,\"dst\":1,\"tag\":0,\"words\":1,\"cs\":2,\"ci\":3,\"submit\":0,\"gate\":0,\"inject\":0,\"sent\":2,\"arrive\":8,\"rgate\":0,\"rstart\":8,\"deliver\":10}";
+    let shuffled = "{\"k\":\"m\",\"deliver\":10,\"rstart\":8,\"arrive\":8,\"x\":1,\"id\":4,\"cs\":2,\"src\":0,\"ci\":3,\"words\":1,\"dst\":1,\"tag\":0,\"submit\":0,\"rgate\":0,\"sent\":2,\"gate\":0,\"inject\":0}";
+    let in_order = replay_jsonl(msg).unwrap();
+    assert_eq!(in_order.msgs[0].cause, Cause::Compute(3));
+    assert_eq!(replay_jsonl(shuffled).unwrap(), in_order);
+    // Leading zeros past the nineteen digits read without a check.
+    let padded = good.replace("\"submit\":3", "\"submit\":0000000000000000000003");
+    assert_eq!(replay_jsonl(&padded).unwrap(), log);
     assert!(replay_jsonl("\n{\"k\":\"s\",\"proc\":garbage\n\n")
         .unwrap()
         .is_empty());
 
     let err_of = |line: &str| replay_jsonl(line).expect_err(line);
+    // One past `u64::MAX`, twenty digits: the checked span refuses it.
+    let err = err_of(&good.replace("\"id\":0", "\"id\":18446744073709551616"));
+    assert!(
+        err.contains("bad \"id\"") && err.contains("exceeds u64"),
+        "{err}"
+    );
     for (key, cut) in [
         ("cs", "\"cs\":1,"),
         ("ci", "\"ci\":7,"),
@@ -695,8 +774,8 @@ fn replay_rejects_incomplete_and_out_of_range_records() {
     }
     let cases = [
         (
-            good.replace("\"id\":0", "\"id\":18446744073709551616"),
-            "bad \"id\"",
+            good.replace("\"end\":5", "\"end\":18446744073709551616"),
+            "exceeds u64",
         ),
         (
             good.replace("\"proc\":1", "\"proc\":4294967296"),
