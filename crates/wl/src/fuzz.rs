@@ -1,5 +1,5 @@
 //! Seeded generator of random *valid* workload DAGs, for differential
-//! testing (classic vs sharded vs worker counts, with and without fault
+//! testing (classic vs sharded vs lane counts, with and without fault
 //! plans).
 //!
 //! Programs are acyclic and validator-clean by construction: explicit

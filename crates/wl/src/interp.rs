@@ -1,6 +1,6 @@
 //! The DAG interpreter: a [`Process`] that executes any validated
 //! [`Workload`] on the simulator — classic or sharded engine, any lane
-//! and worker count, with identical results. What it runs is the checked
+//! count, with identical results. What it runs is the checked
 //! plan the workload's node arena carries ([`Workload::validate`] makes and
 //! keeps it; a loaded workload has it already), so a run lowers only a
 //! program nobody checked since its last append.
@@ -20,8 +20,8 @@
 //! Determinism: the interpreter keeps no clocks, no randomness, and no
 //! host-order-dependent state; everything it does is a pure function of
 //! the engine's deterministic callback sequence, so workload runs are
-//! bit-identical across thread counts, lane counts, and worker counts —
-//! the same bar as every built-in `Process`.
+//! bit-identical across lane counts — the same bar as every built-in
+//! `Process`.
 
 use crate::ir::{Op, Span, WlError, Workload};
 use crate::lower::Plan;

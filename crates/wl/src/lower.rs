@@ -8,15 +8,20 @@
 //! in cannot change without dropping it.
 //!
 //! Everything is linear in the program and lives in flat arrays: nodes
-//! are grouped by processor with a counting sort, channels are paired by
-//! sorting the sends and the recvs on `(dst, src, tag, id)`, and one edge
-//! enumeration fills both the global ordering graph (for the cycle
-//! check) and the per-processor successor lists (for the interpreter) in
-//! compressed-row form.
+//! are grouped by processor with a counting sort that also writes each
+//! slot's operation, channels are paired by sorting the sends and the
+//! recvs on `(dst, src, tag, id)`, and one pass over the nodes, run twice
+//! (count, then fill), puts the edges a processor's own completions carry
+//! into its successor lists, in compressed-row form.
+//!
+//! The cycle check is a dry run of that plan: Kahn's toposort over the
+//! successor lists, with each send releasing its paired recv and each
+//! barrier round releasing once every processor entered it. The global
+//! ordering graph — a vertex per node and one per barrier round — is
+//! enumerated only after the dry run stalls, to name the cycle it proved.
 
-use crate::ir::{bail, Node, NodeId, Op, Payload, Span, WlError, Workload};
+use crate::ir::{bail, Node, NodeId, Nodes, Op, Payload, Span, WlError, Workload};
 use logp_core::ProcId;
-use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, Hasher, RandomState};
 
 /// Most processors a workload may declare: the engines pack `proc + 1`
@@ -27,62 +32,88 @@ pub(crate) const MAX_PROCS: u32 = 1 << 20;
 pub(crate) const MAX_BLOCK_WORDS: u32 = 1 << 20;
 /// `round` entry of a node that is not a barrier.
 const NO_ROUND: u32 = u32::MAX;
+/// `partner` entries of the slots that are not sends: of a barrier, and
+/// of the rest.
+const BARRIER: u32 = u32::MAX - 1;
+const NO_PARTNER: u32 = u32::MAX;
+/// `left` entry of a slot the dry run completed.
+const DONE: u32 = u32::MAX;
 const NO_LOOP: &str = "the LogP network has no self-loop";
 
-/// Label → node id. A std map with a cheap hash in place of SipHash; the
-/// hash is keyed per table, so labels crafted against one run do not
-/// collide in the next.
-pub(crate) type Labels<'k> = HashMap<&'k str, NodeId, Keyed>;
+/// Label → node id, over the labels of a [`Nodes`] arena: open
+/// addressing on a byte a slot, 7 bits of the label's hash with the high
+/// bit set (0 is a free slot), beside the slot's node id. A match is
+/// confirmed against the arena's label bytes, so a search reads a byte
+/// array a 24th the size of a std map of `&str` keys, which stays in
+/// cache where wider slots missed it on every insert of a load. The hash
+/// is keyed per table, so labels crafted against one run do not collide
+/// in the next.
+pub(crate) struct Labels {
+    tags: Vec<u8>,
+    ids: Vec<NodeId>,
+    key: u64,
+}
 
-pub(crate) struct Keyed(u64);
-
-impl Default for Keyed {
+/// Room for no label: a placeholder (the loader's `Parser::default()`)
+/// until a table sized for the program replaces it.
+impl Default for Labels {
     fn default() -> Self {
-        Keyed(RandomState::new().build_hasher().finish())
+        Labels::with_capacity(0)
     }
 }
 
-impl BuildHasher for Keyed {
-    type Hasher = FoldHasher;
-    fn build_hasher(&self) -> FoldHasher {
-        FoldHasher(self.0, self.0 | 1)
+impl Labels {
+    /// Room for `n` labels, and at most `n` are ever inserted: the table
+    /// stays at most three quarters full, so every search ends on a free
+    /// slot.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let slots = (n + n / 3 + 1).next_power_of_two();
+        let key = RandomState::new().build_hasher().finish();
+        Labels {
+            tags: vec![0; slots],
+            ids: vec![0; slots],
+            key,
+        }
     }
-}
 
-/// Folded-multiply hash: `(state, key)`.
-pub(crate) struct FoldHasher(u64, u64);
-
-impl Hasher for FoldHasher {
-    /// Whole 8-byte words first; the tail is read as one overlapping word
-    /// (or two half words, or three bytes), so every byte is covered
-    /// without a byte loop.
-    fn write(&mut self, s: &[u8]) {
-        let fold = |a: u64, b: u64| {
-            let m = u128::from(a) * u128::from(b);
+    /// A folded-multiply hash of `label`, 8 bytes at a time.
+    fn hash(&self, label: &str) -> u64 {
+        let fold = |h: u64, w: u64| {
+            let m = u128::from(h ^ w) * 0x9e37_79b9_7f4a_7c15;
             (m as u64) ^ (m >> 64) as u64
         };
-        let n = s.len();
-        let word = |at: usize| u64::from_le_bytes(s[at..at + 8].try_into().expect("8 bytes"));
-        let half = |at: usize| u32::from_le_bytes(s[at..at + 4].try_into().expect("4 bytes"));
-        let mut h = self.0 ^ n as u64;
-        for at in (0..n.saturating_sub(8)).step_by(8) {
-            h = fold(h ^ word(at), 0x9e37_79b9_7f4a_7c15);
-        }
-        let tail = match n {
-            0 => 0,
-            1..=3 => u64::from(s[0]) << 16 | u64::from(s[n / 2]) << 8 | u64::from(s[n - 1]),
-            4..=7 => u64::from(half(0)) << 32 | u64::from(half(n - 4)),
-            _ => word(n - 8),
-        };
-        self.0 = fold(h ^ tail, self.1);
+        let word = |h, c: &[u8]| fold(h, c.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)));
+        let h = label
+            .as_bytes()
+            .chunks(8)
+            .fold(self.key ^ label.len() as u64, word);
+        fold(h, self.key)
     }
 
-    /// `str` ends its bytes with a marker, which one `write` of the whole
-    /// label (length mixed in) has no use for.
-    fn write_u8(&mut self, _: u8) {}
+    /// The node named `label`, or the free slot the search for it ended
+    /// on, with the tag that goes there.
+    pub(crate) fn find(&self, label: &str, nodes: &Nodes) -> Result<NodeId, (usize, u8)> {
+        let (h, mask) = (self.hash(label), self.tags.len() - 1);
+        let (tag, mut at) = ((h >> 57) as u8 | 0x80, h as usize & mask);
+        loop {
+            match self.tags[at] {
+                0 => return Err((at, tag)),
+                t if t == tag && nodes.at(self.ids[at] as usize).label == label => {
+                    return Ok(self.ids[at])
+                }
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
 
-    fn finish(&self) -> u64 {
-        self.0
+    /// Name node `id` by `label`, unless a node of `nodes` has that label
+    /// already: then that node.
+    pub(crate) fn insert(&mut self, label: &str, id: NodeId, nodes: &Nodes) -> Option<NodeId> {
+        // A free slot takes the label; a match is the first node of that name.
+        let found = self.find(label, nodes);
+        found
+            .map_err(|(at, tag)| (self.tags[at], self.ids[at]) = (tag, id))
+            .ok()
     }
 }
 
@@ -123,16 +154,17 @@ fn prefix_sums(counts: &mut [u32]) {
     }
 }
 
-/// Every ordering edge, as `f(from, stands_in, to)`. `from` is a node, or
-/// `n + r` for the release of barrier round `r`, and `to` likewise.
-/// `stands_in` is the node on `to`'s processor whose completion carries
-/// the edge there (a release is carried by the processor's own barrier of
-/// that round); it is `None` for the two kinds of edge only the cycle
-/// check sees, a barrier entering its round and a send reaching its recv.
+/// Every ordering edge but the channel pairs, in one pass over the
+/// nodes, as `f(from, stands_in, to, fence)`. `from` is a node, or `n + r`
+/// for the release of barrier round `r`, and `to` likewise. `stands_in`
+/// is the node on `to`'s processor whose completion carries the edge
+/// there (a release is carried by the processor's own barrier of that
+/// round); it is `None` for a barrier entering its round, an edge only the
+/// cycle check sees. `fence` marks the edges of a barrier's fence.
 ///
 /// The order of the edges leaving one vertex decides which cycle a
-/// rejection prints, so it is fixed: dependency and round edges in
-/// declaration order, then the fence edges, then the channel pairs.
+/// rejection prints: dependency and round edges in declaration order, then
+/// the fence edges in declaration order, then the channel pairs.
 ///
 /// `round[i]` is node `i`'s barrier round ([`NO_ROUND`] for the rest: a
 /// processor's k-th barrier takes part in global round k); `proc_start`
@@ -142,56 +174,44 @@ fn edges(
     round: &[u32],
     proc_start: &[u32],
     global: &[NodeId],
-    pairs: impl Iterator<Item = (NodeId, NodeId)>,
-    mut f: impl FnMut(u32, Option<NodeId>, u32),
+    mut f: impl FnMut(u32, Option<NodeId>, u32, bool),
 ) {
     let (n, procs) = (wl.nodes.len() as u32, wl.procs as usize);
-    // A processor's latest barrier so far.
-    let mut last_barrier = vec![NodeId::MAX; procs];
+    // Per processor: its latest barrier so far, the next slot to visit,
+    // and the first slot of the open segment (the nodes since that barrier).
+    let mut last = vec![NodeId::MAX; procs];
+    let mut cursor: Vec<(u32, u32)> = proc_start[..procs].iter().map(|&s| (s, s)).collect();
     for (i, node) in (0..).zip(wl.nodes.iter()) {
         for &d in node.deps {
             // Depending on a barrier means "after that round releases".
             match round[d as usize] {
-                NO_ROUND => f(d, Some(d), i),
-                r => f(n + r, Some(d), i),
+                NO_ROUND => f(d, Some(d), i, false),
+                r => f(n + r, Some(d), i, false),
             }
         }
+        let q = node.proc as usize;
+        let (slot, segment) = &mut cursor[q];
+        // A barrier is a full fence on its processor: every earlier node
+        // completes before it is entered (otherwise a later-ready send
+        // could queue up behind the barrier command and starve another
+        // processor into deadlock), and every later node waits for the
+        // release.
         let r = round[i as usize];
         if r != NO_ROUND {
             // Entering round r contributes to its release, and a
             // processor reaches round r only once round r-1 released.
-            f(i, None, n + r);
-            let prev = std::mem::replace(&mut last_barrier[node.proc as usize], i);
+            f(i, None, n + r, false);
             if r > 0 {
-                f(n + r - 1, Some(prev), i);
+                f(n + r - 1, Some(last[q]), i, false);
             }
-        }
-    }
-    // A barrier is a full fence on its processor: every earlier node
-    // completes before it is entered (otherwise a later-ready send could
-    // queue up behind the barrier command and starve another processor
-    // into deadlock), and every later node waits for the release.
-    last_barrier.fill(NodeId::MAX);
-    // Per processor: the next slot to visit, the open segment's first.
-    let mut cursor: Vec<(u32, u32)> = proc_start[..procs].iter().map(|&s| (s, s)).collect();
-    for (i, node) in (0..).zip(wl.nodes.iter()) {
-        let q = node.proc as usize;
-        let (slot, segment) = &mut cursor[q];
-        if round[i as usize] != NO_ROUND {
             for &s in &global[*segment as usize..*slot as usize] {
-                f(s, Some(s), i);
+                f(s, Some(s), i, true);
             }
-            *segment = *slot + 1;
-            last_barrier[q] = i;
-        } else if last_barrier[q] != NodeId::MAX {
-            let b = last_barrier[q];
-            f(n + round[b as usize], Some(b), i);
+            (*segment, last[q]) = (*slot + 1, i);
+        } else if last[q] != NodeId::MAX {
+            f(n + round[last[q] as usize], Some(last[q]), i, true);
         }
         *slot += 1;
-    }
-    // The i-th send on a channel precedes the i-th recv.
-    for (send, recv) in pairs {
-        f(send, None, recv);
     }
 }
 
@@ -210,8 +230,7 @@ pub(crate) fn lower(wl: &Workload) -> Result<Plan, WlError> {
     // Per-node checks, collecting the shape of the program on the way.
     // A program straight from the loader comes with its labels already
     // shown distinct, and needs no second table of them.
-    let mut labels = (!wl.nodes.labels_distinct())
-        .then(|| Labels::with_capacity_and_hasher(n, Keyed::default()));
+    let mut labels = (!wl.nodes.labels_distinct()).then(|| Labels::with_capacity(n));
     let mut listed_by = vec![NodeId::MAX; n];
     let mut round = vec![NO_ROUND; n];
     let mut proc_start = vec![0u32; procs + 1];
@@ -223,15 +242,12 @@ pub(crate) fn lower(wl: &Workload) -> Result<Plan, WlError> {
     for (id, node) in (0..).zip(wl.nodes.iter()) {
         // Spans are looked up only on the way out with an error.
         let (at, name) = (|| wl.nodes.span(id), node.label);
-        if let Some(labels) = &mut labels {
-            match labels.entry(name) {
-                Entry::Vacant(free) => free.insert(id),
-                Entry::Occupied(first) => bail!(
-                    at(),
-                    "duplicate label `{name}` (first defined at line {})",
-                    wl.nodes.span(*first.get()).line
-                ),
-            };
+        if let Some(first) = labels.as_mut().and_then(|l| l.insert(name, id, &wl.nodes)) {
+            bail!(
+                at(),
+                "duplicate label `{name}` (first defined at line {})",
+                wl.nodes.span(first).line
+            );
         }
         let declares = format_args!(
             "the workload declares procs {procs} (valid: 0..={})",
@@ -323,96 +339,84 @@ pub(crate) fn lower(wl: &Workload) -> Result<Plan, WlError> {
     }
 
     // Every `(src, dst, tag)` channel must pair sends and recvs 1:1; the
-    // i-th send pairs with the i-th recv, which sorting lines up.
-    sends.sort_unstable();
-    recvs.sort_unstable();
+    // i-th send pairs with the i-th recv, which sorting lines up (on the
+    // four fields as one 128-bit key).
+    let key = |end: &[u32; 4]| end.iter().fold(0u128, |k, &x| k << 32 | u128::from(x));
+    sends.sort_unstable_by_key(key);
+    recvs.sort_unstable_by_key(key);
     check_channels(wl, &sends, &recvs)?;
     check_barriers(wl, &barriers)?;
-    let rounds = barriers[0] as usize;
 
-    // Group the nodes by processor.
+    // Group the nodes by processor, each slot with its node and operation.
     prefix_sums(&mut proc_start);
     let mut next_slot = proc_start.clone();
-    let mut global = vec![0; n];
-    let mut slot_of = vec![0u32; n];
+    let (mut global, mut ops) = (vec![0; n], vec![Op::Barrier; n]);
+    let (mut slot_of, mut partner) = (vec![0u32; n], vec![NO_PARTNER; n]);
     for (i, node) in wl.nodes.iter().enumerate() {
         let slot = &mut next_slot[node.proc as usize];
-        (global[*slot as usize], slot_of[i]) = (i as NodeId, *slot);
+        (global[*slot as usize], ops[*slot as usize]) = (i as NodeId, node.op);
+        if matches!(node.op, Op::Barrier) {
+            partner[*slot as usize] = BARRIER;
+        }
+        slot_of[i] = *slot;
         *slot += 1;
     }
-    let id_of = |end: &[u32; 4]| end[3];
-    let pairs = || sends.iter().map(id_of).zip(recvs.iter().map(id_of));
 
-    // Count, then fill, both graphs from the same enumeration. The
-    // ordering graph has a vertex per node and one per barrier round.
-    let mut order_start = vec![0u32; n + rounds + 1];
-    let mut waits_on = vec![0u32; n + rounds];
-    let mut succ_start = vec![0u32; n + 1];
-    let mut indeg = vec![0u32; n];
-    edges(
-        wl,
-        &round,
-        &proc_start,
-        &global,
-        pairs(),
-        |from, stands_in, to| {
-            order_start[from as usize] += 1;
-            waits_on[to as usize] += 1;
-            if let Some(local) = stands_in {
-                succ_start[slot_of[local as usize] as usize] += 1;
-                indeg[slot_of[to as usize] as usize] += 1;
-            }
-        },
-    );
-    prefix_sums(&mut order_start);
-    prefix_sums(&mut succ_start);
-    let mut order = vec![0u32; order_start[n + rounds] as usize];
-    let mut succs = vec![0u32; succ_start[n] as usize];
-    // Filling advances each vertex's start to its end, which is the next
-    // vertex's start; shifting by one afterwards restores the offsets.
-    edges(
-        wl,
-        &round,
-        &proc_start,
-        &global,
-        pairs(),
-        |from, stands_in, to| {
-            let at = &mut order_start[from as usize];
-            order[*at as usize] = to;
-            *at += 1;
-            if let Some(local) = stands_in {
-                let at = &mut succ_start[slot_of[local as usize] as usize];
-                succs[*at as usize] = slot_of[to as usize];
-                *at += 1;
-            }
-        },
-    );
-    order_start.copy_within(..n + rounds, 1);
-    order_start[0] = 0;
-    succ_start.copy_within(..n, 1);
-    succ_start[0] = 0;
-    check_acyclic(wl, &order_start, &order, waits_on)?;
-    drop((order_start, order));
-
-    // The sorted recvs are the interpreter's channel table as they are.
+    // The i-th send on a channel pairs with the i-th recv, and the sorted
+    // recvs are the interpreter's channel table as they are.
+    for (send, recv) in sends.iter().zip(&recvs) {
+        partner[slot_of[send[3] as usize] as usize] = slot_of[recv[3] as usize];
+    }
     let mut recv_start = vec![0u32; procs + 1];
     for &[dst, ..] in &recvs {
         recv_start[dst as usize] += 1;
     }
     prefix_sums(&mut recv_start);
-    let op_of = |&i: &NodeId| wl.nodes.at(i as usize).op;
-    Ok(Plan {
+    let recv_key = recvs.iter().map(|&[_, src, tag, _]| (src, tag)).collect();
+    let recv_slot = recvs.iter().map(|end| slot_of[end[3] as usize]).collect();
+    drop((sends, recvs));
+
+    // Count, then fill, the per-processor successor lists from the edges a
+    // processor's own completions carry; the rest (a barrier entering its
+    // round, a send reaching its recv) are the dry run's to follow. Filling
+    // advances each slot's start to its end, which is the next slot's
+    // start; shifting by one afterwards restores the offsets.
+    let local = |f: &mut dyn FnMut(usize, usize)| {
+        edges(wl, &round, &proc_start, &global, |_, stands_in, to, _| {
+            if let Some(s) = stands_in {
+                f(slot_of[s as usize] as usize, slot_of[to as usize] as usize);
+            }
+        });
+    };
+    let mut succ_start = vec![0u32; n + 1];
+    let mut indeg = vec![0u32; n];
+    local(&mut |from, to| {
+        succ_start[from] += 1;
+        indeg[to] += 1;
+    });
+    prefix_sums(&mut succ_start);
+    let mut succs = vec![0u32; succ_start[n] as usize];
+    local(&mut |from, to| {
+        succs[succ_start[from] as usize] = to as u32;
+        succ_start[from] += 1;
+    });
+    succ_start.copy_within(..n, 1);
+    succ_start[0] = 0;
+    drop(slot_of);
+    let plan = Plan {
         procs: wl.procs,
-        ops: global.iter().map(op_of).collect(),
+        ops,
         proc_start,
         global,
         indeg,
         succ_start,
         succs,
         recv_start,
-        recv_key: recvs.iter().map(|&[_, src, tag, _]| (src, tag)).collect(),
-        recv_slot: recvs.iter().map(|end| slot_of[end[3] as usize]).collect(),
-    })
+        recv_key,
+        recv_slot,
+    };
+    check_acyclic(wl, &round, &plan, &partner)?;
+    Ok(plan)
 }
 
 /// Compare the sorted sends and recvs channel by channel; report the
@@ -484,62 +488,110 @@ fn check_barriers(wl: &Workload, count: &[u32]) -> Result<(), WlError> {
         .with_help("give every processor the same number of barrier statements"))
 }
 
-/// Kahn's toposort over the ordering graph; leftover vertices hold a
-/// cycle, which is walked and reported by label.
-fn check_acyclic(
-    wl: &Workload,
-    start: &[u32],
-    succs: &[u32],
-    mut waits_on: Vec<u32>,
-) -> Result<(), WlError> {
-    let (n, total) = (wl.nodes.len(), waits_on.len());
-    let mut ready: Vec<usize> = (0..total).filter(|&v| waits_on[v] == 0).collect();
-    let mut done = 0;
-    while let Some(v) = ready.pop() {
-        done += 1;
-        for &s in &succs[start[v] as usize..start[v + 1] as usize] {
-            waits_on[s as usize] -= 1;
-            if waits_on[s as usize] == 0 {
-                ready.push(s as usize);
+/// The cycle check, a dry run of `plan`: a slot completes once its
+/// in-degree drains (a recv also once the send it `pairs` with did), and a
+/// barrier round releases once every processor entered it. That is
+/// Kahn's toposort of the ordering graph ([`edges`] and the channel
+/// pairs) with each round's vertex folded into its barriers, so only a
+/// program with a cycle stalls. Only then is the graph enumerated, to
+/// walk the vertices left over and name a cycle.
+fn check_acyclic(wl: &Workload, round: &[u32], plan: &Plan, pairs: &[u32]) -> Result<(), WlError> {
+    let (n, global) = (wl.nodes.len(), &plan.global);
+    let mut left = plan.indeg.clone();
+    for &r in pairs.iter().filter(|&&r| r < BARRIER) {
+        left[r as usize] += 1;
+    }
+    let mut ready: Vec<u32> = (0..n as u32).filter(|&s| left[s as usize] == 0).collect();
+    // Barriers entered in the open round; a processor enters its round
+    // r + 1 only once round r released.
+    let (mut entered, mut released) = (Vec::new(), 0);
+    while let Some(s) = ready.pop() {
+        // A barrier's own vertex is done once entered; its successors
+        // wait for the round to release.
+        left[s as usize] = DONE;
+        let barrier = pairs[s as usize] == BARRIER;
+        if barrier {
+            entered.push(s);
+            if entered.len() < wl.procs as usize {
+                continue;
+            }
+            released += 1;
+        }
+        let one = [s];
+        for &f in if barrier { &entered[..] } else { &one } {
+            let f = f as usize;
+            let paired = Some(&pairs[f]).filter(|&&r| r < BARRIER);
+            let succs = &plan.succs[plan.succ_start[f] as usize..plan.succ_start[f + 1] as usize];
+            for &t in succs.iter().chain(paired) {
+                left[t as usize] -= 1;
+                if left[t as usize] == 0 {
+                    ready.push(t);
+                }
             }
         }
+        if barrier {
+            entered.clear();
+        }
     }
-    if done == total {
+    // Every barrier entered means every round released.
+    if left.iter().all(|&l| l == DONE) {
         return Ok(());
     }
-    // Depth-first from the first leftover vertex, always into the first
-    // leftover successor; a leftover vertex downstream of every cycle is
-    // a dead end, and the walk backs out of it.
+    // Enumerate the ordering graph: in each vertex's list the fence edges
+    // follow the others, and a send's channel pair comes last.
+    let rounds = round.iter().filter(|&&r| r != NO_ROUND).count() / wl.procs as usize;
+    let total = n + rounds;
+    let (mut succs, mut fences) = (vec![Vec::new(); total], vec![Vec::new(); total]);
+    edges(wl, round, &plan.proc_start, global, |from, _, to, fence| {
+        let order = if fence { &mut fences } else { &mut succs };
+        order[from as usize].push(to);
+    });
+    // Walk the vertices left over, nodes by id and then rounds: depth
+    // first from the first of them, always into the first leftover
+    // successor. They hold a cycle; a leftover vertex downstream of every
+    // cycle is a dead end, and the walk backs out of it.
     let (fresh, on_path, dead_end) = (0u8, 1, 2);
     let mut state = vec![fresh; total];
-    let mut path: Vec<(usize, u32)> = Vec::new();
+    state[n..n + released].fill(dead_end);
+    for (s, &id) in global.iter().enumerate() {
+        if left[s] == DONE {
+            state[id as usize] = dead_end;
+        }
+        if let Some(&r) = pairs.get(s).filter(|&&r| r < BARRIER) {
+            fences[id as usize].push(global[r as usize]);
+        }
+    }
+    for (order, fences) in succs.iter_mut().zip(fences) {
+        order.extend(fences);
+    }
+    let mut path: Vec<(usize, usize)> = Vec::new();
     let cycle = 'walk: {
-        for first in (0..total).filter(|&v| waits_on[v] > 0) {
+        for first in 0..total {
             if state[first] == fresh {
                 state[first] = on_path;
-                path.push((first, start[first]));
+                path.push((first, 0));
             }
             while let Some((v, next)) = path.last_mut() {
-                if *next == start[*v + 1] {
+                let Some(&s) = succs[*v].get(*next) else {
                     state[*v] = dead_end;
                     path.pop();
                     continue;
-                }
-                let s = succs[*next as usize] as usize;
+                };
+                let s = s as usize;
                 *next += 1;
                 if state[s] == on_path {
                     let from = path.iter().position(|&(x, _)| x == s).expect("on path");
                     break 'walk &path[from..];
                 }
-                if waits_on[s] > 0 && state[s] == fresh {
+                if state[s] == fresh {
                     state[s] = on_path;
-                    path.push((s, start[s]));
+                    path.push((s, 0));
                 }
             }
         }
-        unreachable!("leftover vertices of a toposort contain a cycle")
+        unreachable!("the vertices a dry run leaves over contain a cycle")
     };
-    let name = |&(v, _): &(usize, u32)| match wl.nodes.get(v) {
+    let name = |&(v, _): &(usize, usize)| match wl.nodes.get(v) {
         Some(node) => format!("`{}`", node.label),
         None => format!("barrier round {}", v - n),
     };

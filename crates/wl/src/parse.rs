@@ -22,9 +22,9 @@
 //! [`Workload::validate`] so the result is ready to interpret.
 
 use crate::ir::{bail, NodeId, Nodes, Op, Payload, Span, WlError, Workload};
-use crate::lower::{Keyed, Labels, MAX_BLOCK_WORDS, MAX_PROCS};
-use logp_core::ProcId;
-use std::collections::hash_map::Entry;
+use crate::lower::{Labels, MAX_BLOCK_WORDS, MAX_PROCS};
+use logp_core::{Cycles, ProcId};
+use std::fmt::Display;
 
 const OPS: [&str; 5] = ["send", "recv", "compute", "barrier", "timer"];
 const DIRECTIVES: [&str; 3] = ["workload", "procs", "preset"];
@@ -32,8 +32,9 @@ const DIRECTIVES: [&str; 3] = ["workload", "procs", "preset"];
 /// Parse the text form, resolving labels. Syntax errors only — run
 /// [`load_workload`] to also validate the DAG.
 pub fn parse_workload(text: &str) -> Result<Workload, WlError> {
-    // Every label byte and every dependency takes a byte of text, so this
-    // one bound also keeps the arena's 32-bit offsets from overflowing.
+    // Every label byte and every dependency takes a byte of text, and every
+    // node more than one, so this one bound also keeps the arena's 32-bit
+    // offsets and node ids from overflowing.
     if u32::try_from(text.len()).is_err() {
         bail!(
             Span::new(1, 1),
@@ -41,14 +42,16 @@ pub fn parse_workload(text: &str) -> Result<Workload, WlError> {
             text.len()
         );
     }
-    // Sized for ~32-byte statements, so a typical file never regrows its
-    // tables; both grow on demand past that.
+    // The arena is sized for ~32-byte statements, so a typical file never
+    // regrows it; the label table for a statement on every line (and a
+    // statement takes 11 bytes at least).
     let guess = (text.len() / 32).min(1 << 20);
+    let lines = text.bytes().filter(|&c| c == b'\n').count();
     let mut p = Parser {
         text,
         lineno: 1,
         nodes: Nodes::with_capacity(guess),
-        labels: Labels::with_capacity_and_hasher(guess, Keyed::default()),
+        labels: Labels::with_capacity(lines.min(text.len() / 11) + 1),
         ..Parser::default()
     };
     while p.at < text.len() {
@@ -69,17 +72,31 @@ pub fn load_workload(text: &str) -> Result<Workload, WlError> {
     Ok(wl)
 }
 
-/// A token with its 1-based source position.
+/// A token of the current line: `,`, `->`, or a word with its trailing
+/// `:` if it has one. Its span is worked out only for an error or a
+/// token the arena keeps.
 #[derive(Clone, Copy)]
 struct Tok<'a> {
     s: &'a str,
-    span: Span,
+    /// Byte offset of its first character in the text.
+    at: usize,
+    /// The word, less its `:`, is an identifier (as the scan saw).
+    ident: bool,
 }
 
-/// The loader: one pass over the text, a token at a time, a line at a
-/// time. Tokens go straight into the node arena; labels are interned as
-/// they are defined, so an `after:` entry naming an earlier node resolves
-/// on the spot.
+impl Tok<'_> {
+    /// The rest of the token from byte `k` on, to be read as a number.
+    fn tail(self, k: usize) -> Self {
+        let (s, at) = (&self.s[k..], self.at + k);
+        Tok { s, at, ..self }
+    }
+}
+
+/// The loader: one forward scan over the text, a line at a time. A token
+/// is classified as it is read, a number read from its bytes, and both go
+/// straight into the node arena; labels are interned as they are defined,
+/// so an `after:` entry naming an earlier node resolves on the spot. A
+/// statement that is accepted has read its line to the end.
 #[derive(Default)]
 struct Parser<'a> {
     text: &'a str,
@@ -94,7 +111,7 @@ struct Parser<'a> {
     procs: Option<u32>,
     preset: Option<&'a str>,
     nodes: Nodes,
-    labels: Labels<'a>,
+    labels: Labels,
     /// The first redefined label: `(redefinition, first definition)`.
     /// Reported after the pass, since any syntax error outranks it.
     duplicate: Option<(NodeId, NodeId)>,
@@ -103,21 +120,31 @@ struct Parser<'a> {
     forward: Vec<(NodeId, u32, &'a str)>,
 }
 
-/// Levenshtein distance, for "did you mean" suggestions.
-fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+/// The edit distance between `a` and `b` if it is at most 2. A path that
+/// short stays within two cells of the table's diagonal, so only that
+/// band of each row is filled (the cell left of it reads as "over 2"),
+/// and a row with nothing in reach ends the search: linear in the
+/// strings, however long and alike two hostile labels are.
+fn within_two(a: &str, b: &str) -> Option<usize> {
+    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+    if a.len().abs_diff(b.len()) > 2 {
+        return None;
+    }
+    let mut prev: Vec<usize> = (0..=b.len()).map(|j| j.min(3)).collect();
+    let mut cur = vec![3; b.len() + 1];
+    for (i, &ca) in (1usize..).zip(&a) {
+        let band = i.saturating_sub(2)..=(i + 2).min(b.len());
+        cur[i.saturating_sub(3)] = i.min(3);
+        for j in (*band.start()).max(1)..=*band.end() {
+            let sub = prev[j - 1] + usize::from(ca != b[j - 1]);
+            cur[j] = sub.min(prev[j] + 1).min(cur[j - 1] + 1).min(3);
+        }
+        if cur[band].iter().all(|&d| d == 3) {
+            return None;
         }
         std::mem::swap(&mut prev, &mut cur);
     }
-    prev[b.len()]
+    Some(prev[b.len()]).filter(|&d| d < 3)
 }
 
 /// `e`, with `hint(m)` as help when a candidate `m` is within edit
@@ -131,8 +158,8 @@ fn suggest<'c>(
 ) -> WlError {
     let close = candidates
         .into_iter()
-        .map(|c| (levenshtein(s, c), c))
-        .filter(|&(d, c)| d <= 2 && d < c.len())
+        .filter_map(|c| Some((within_two(s, c)?, c)))
+        .filter(|&(d, c)| d < c.len())
         .min_by_key(|&(d, _)| d);
     match close {
         Some((_, m)) => e.with_help(hint(m)),
@@ -142,42 +169,20 @@ fn suggest<'c>(
 
 const AFTER_HINT: &str = "did you mean `after:` (with the colon)?";
 
-fn is_ident(s: &str) -> bool {
-    let mut chars = s.chars();
-    chars
-        .next()
-        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
-        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
-}
-
-fn parse_num(t: Tok<'_>, what: impl std::fmt::Display) -> Result<u64, WlError> {
-    match t.s.parse::<u64>() {
-        Ok(v) => Ok(v),
-        Err(_) => bail!(t.span, "expected {what} (a number), got `{}`", t.s),
-    }
-}
-
-fn parse_proc(t: Tok<'_>, what: &str) -> Result<ProcId, WlError> {
-    let v = parse_num(t, what)?;
-    match u32::try_from(v) {
-        Ok(p) => Ok(p),
-        Err(_) => bail!(t.span, "{what} {v} does not fit a processor id"),
-    }
-}
-
 impl<'a> Parser<'a> {
     /// The next token of the current line, if it has one. Words are runs
     /// of `[A-Za-z0-9_@=]`, with a trailing `:` attached (for `label:`
     /// and `after:`); `->` and `,` are punctuation tokens; `#` starts a
     /// comment. A line ends at `\n`; a `\r` before it is whitespace like
     /// any other.
+    #[inline(always)] // the caller reads the token it returns in place
     fn next(&mut self) -> Option<Tok<'a>> {
         let bytes = self.text.as_bytes();
-        let word = |c: u8| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'@' | b'=');
+        let word = |c: &u8| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'@' | b'=');
         loop {
-            let start = self.at;
-            let rest = &bytes[start..];
-            match *rest.first()? {
+            let (at, mut ident) = (self.at, false);
+            let rest = &bytes[at..];
+            let len = match *rest.first()? {
                 b'\n' => return None,
                 b'#' => {
                     self.at += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
@@ -187,37 +192,63 @@ impl<'a> Parser<'a> {
                     self.at += 1;
                     continue;
                 }
-                b',' => self.at += 1,
-                b'-' if rest.get(1) == Some(&b'>') => self.at += 2,
-                c if word(c) => {
-                    self.at += rest.iter().position(|&c| !word(c)).unwrap_or(rest.len());
-                    self.at += usize::from(bytes.get(self.at) == Some(&b':'));
+                b',' => 1,
+                b'-' if rest.get(1) == Some(&b'>') => 2,
+                // One pass for the word's extent and whether it is an
+                // identifier.
+                c if word(&c) => {
+                    let run = rest.iter().take_while(|c| word(c));
+                    let len;
+                    (len, ident) = run.fold((0, !c.is_ascii_digit()), |(n, ident), c| {
+                        (n + 1, ident && !matches!(c, b'@' | b'='))
+                    });
+                    len + usize::from(rest.get(len) == Some(&b':'))
                 }
                 _ => {
-                    self.stray.get_or_insert(start);
+                    self.stray.get_or_insert(at);
                     return None;
                 }
-            }
-            return Some(Tok {
-                s: &self.text[start..self.at],
-                span: self.span_at(start),
-            });
+            };
+            self.at += len;
+            let s = &self.text[at..at + len];
+            return Some(Tok { s, at, ident });
         }
     }
 
-    fn span_at(&self, offset: usize) -> Span {
-        Span::new(self.lineno, (offset - self.line_start) as u32 + 1)
+    /// The source position of text offset `at` on this line.
+    fn span(&self, at: usize) -> Span {
+        Span::new(self.lineno, (at - self.line_start) as u32 + 1)
+    }
+
+    /// `t` as a number: ASCII digits only, read a byte at a time, at most
+    /// `u64::MAX`.
+    fn num(&self, t: &Tok<'_>, what: impl Display) -> Result<u64, WlError> {
+        let mut digits =
+            t.s.bytes()
+                .map(|b| b.is_ascii_digit().then(|| u64::from(b - b'0')));
+        let v = digits.try_fold(0u64, |v, d| v.checked_mul(10)?.checked_add(d?));
+        match v.filter(|_| !t.s.is_empty()) {
+            Some(v) => Ok(v),
+            None => bail!(self.span(t.at), "expected {what} (a number), got `{}`", t.s),
+        }
+    }
+
+    fn proc_id(&self, t: &Tok<'_>, what: &str) -> Result<ProcId, WlError> {
+        let v = self.num(t, what)?;
+        let too_big = |_| format!("{what} {v} does not fit a processor id");
+        u32::try_from(v).map_err(|e| WlError::at(self.span(t.at), too_big(e)))
     }
 
     /// Move to the next line, reporting this line's stray character if it
-    /// has one — whether or not the statement read that far.
+    /// has one — whether or not the statement read that far. After an
+    /// accepted statement the scan is at the line's end already.
     fn end_line(&mut self) -> Result<(), WlError> {
         while self.stray.is_none() && self.next().is_some() {}
         if let Some(at) = self.stray {
             // Everything before it on the line is ASCII, so the byte
             // offset is the character column.
             let c = self.text[at..].chars().next().expect("in bounds");
-            bail!(self.span_at(at), "unexpected character `{c}`");
+            bail!(self.span(at), "unexpected character `{c}`");
         }
         // `next` stopped at the newline or at the end of the text.
         self.at = (self.at + 1).min(self.text.len());
@@ -229,12 +260,13 @@ impl<'a> Parser<'a> {
         let Some(head) = self.next() else {
             return Ok(());
         };
-        if DIRECTIVES.contains(&head.s) {
-            return self.directive(head);
-        }
-        let Some(label) = head.s.strip_suffix(':').filter(|l| !l.is_empty()) else {
+        let span = self.span(head.at);
+        let Some(label) = head.s.strip_suffix(':') else {
+            if DIRECTIVES.contains(&head.s) {
+                return self.directive(head);
+            }
             let e = WlError::at(
-                head.span,
+                span,
                 format!("expected `label:` to open the statement, got `{}`", head.s),
             );
             if OPS.contains(&head.s) {
@@ -246,9 +278,9 @@ impl<'a> Parser<'a> {
                 format!("did you mean the directive `{m}`?")
             }));
         };
-        if !is_ident(label) {
+        if !head.ident {
             bail!(
-                head.span,
+                span,
                 "invalid label `{label}` (labels are [A-Za-z_][A-Za-z0-9_]*)"
             );
         }
@@ -258,49 +290,41 @@ impl<'a> Parser<'a> {
         ];
         if let Some((header, _)) = headers.iter().find(|h| h.1) {
             bail!(
-                head.span,
+                span,
                 "missing `{header}` header (it must come before the first node)"
             );
         }
         let Some(kw) = self.next() else {
             bail!(
-                head.span,
+                span,
                 "label `{label}` has no operation; expected one of {OPS:?}"
             );
         };
-        if !OPS.contains(&kw.s) {
-            let e = WlError::at(kw.span, format!("unknown operation `{}`", kw.s));
-            return Err(suggest(e, kw.s, OPS, |m| format!("did you mean `{m}`?")));
-        }
         let id = self.nodes.len() as NodeId;
-        if id == NodeId::MAX {
-            bail!(head.span, "too many nodes: node ids are 32 bits");
-        }
-        let (proc, op, rest) = self.operation(kw)?;
-        self.after(id, rest, kw)?;
-        match self.labels.entry(label) {
-            Entry::Vacant(free) => drop(free.insert(id)),
-            Entry::Occupied(first) => drop(self.duplicate.get_or_insert((id, *first.get()))),
-        }
-        self.nodes.push(label, proc, op, head.span);
+        let (proc, op, rest) = self.operation(&kw)?;
+        self.after(id, rest, &kw)?;
+        let first = self.labels.insert(label, id, &self.nodes);
+        self.duplicate = self.duplicate.or(first.map(|first| (id, first)));
+        self.nodes.push(label, proc, op, span);
         Ok(())
     }
 
     fn directive(&mut self, head: Tok<'a>) -> Result<(), WlError> {
+        let span = self.span(head.at);
         let seen = match head.s {
             "workload" => self.name.is_some(),
             "procs" => self.procs.is_some(),
             _ => self.preset.is_some(),
         };
         if seen {
-            bail!(head.span, "duplicate `{}` directive", head.s);
+            bail!(span, "duplicate `{}` directive", head.s);
         }
         let (arg, extra) = (self.next(), self.next());
         let one_word = |what: &str| match (arg, extra) {
             (Some(t), None) => Ok(t),
-            (None, _) => bail!(head.span, "`{}` needs {what}", head.s),
+            (None, _) => bail!(span, "`{}` needs {what}", head.s),
             (_, Some(x)) => bail!(
-                x.span,
+                self.span(x.at),
                 "unexpected token `{}` after `{} <{what}>`",
                 x.s,
                 head.s
@@ -309,9 +333,9 @@ impl<'a> Parser<'a> {
         match head.s {
             "workload" => {
                 let name = one_word("a name")?;
-                if !is_ident(name.s) {
+                if !name.ident || name.s.ends_with(':') {
                     bail!(
-                        name.span,
+                        self.span(name.at),
                         "invalid workload name `{}` (use [A-Za-z_][A-Za-z0-9_]*)",
                         name.s
                     );
@@ -320,15 +344,15 @@ impl<'a> Parser<'a> {
             }
             "procs" => {
                 let (Some(t), None) = (arg, extra) else {
-                    bail!(head.span, "`procs` needs a processor count");
+                    bail!(span, "`procs` needs a processor count");
                 };
-                let n = parse_proc(t, "the processor count")?;
+                let n = self.proc_id(&t, "the processor count")?;
                 if n == 0 {
-                    bail!(t.span, "procs must be at least 1");
+                    bail!(self.span(t.at), "procs must be at least 1");
                 }
                 if n > MAX_PROCS {
                     bail!(
-                        t.span,
+                        self.span(t.at),
                         "procs {n} is more than the engines address (at most {MAX_PROCS})"
                     );
                 }
@@ -339,71 +363,87 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    /// Parse one operation's positional arguments and `key=value`
-    /// options; returns `(proc, op, next)` where `next` is the first
-    /// token not consumed: nothing, or what should be `after:`.
-    fn operation(&mut self, kw: Tok<'a>) -> Result<(ProcId, Op, Option<Tok<'a>>), WlError> {
-        match kw.s {
-            "send" | "recv" => {
-                let (Some(src), Some(arrow), Some(dst)) = (self.next(), self.next(), self.next())
-                else {
-                    bail!(kw.span, "`{}` needs `<src> -> <dst>`", kw.s);
-                };
-                let src = parse_proc(src, "the source processor")?;
-                if arrow.s != "->" {
-                    bail!(
-                        arrow.span,
-                        "expected `->` after the source processor, got `{}`",
-                        arrow.s
-                    );
-                }
-                let dst = parse_proc(dst, "the destination processor")?;
-                let (tag, payload, rest) = self.options(kw)?;
-                Ok(if kw.s == "send" {
-                    (src, Op::Send { dst, tag, payload }, rest)
-                } else {
-                    (dst, Op::Recv { src, tag }, rest)
-                })
+    /// Parse one operation, told apart by its keyword once; returns
+    /// `(proc, op, next)` where `next` is the first token not consumed:
+    /// nothing, or what should be `after:`.
+    fn operation(&mut self, kw: &Tok<'a>) -> Result<(ProcId, Op, Option<Tok<'a>>), WlError> {
+        let (proc, op) = match kw.s {
+            "send" => return self.channel(kw, true),
+            "recv" => return self.channel(kw, false),
+            "compute" => self.timed(kw, |cycles| Op::Compute { cycles })?,
+            "timer" => self.timed(kw, |cycles| Op::Timer { cycles })?,
+            "barrier" => (self.at_proc(kw, "`barrier`")?, Op::Barrier),
+            _ => {
+                let e = WlError::at(self.span(kw.at), format!("unknown operation `{}`", kw.s));
+                return Err(suggest(e, kw.s, OPS, |m| format!("did you mean `{m}`?")));
             }
-            "compute" | "timer" => {
-                let Some(cycles) = self.next() else {
-                    bail!(kw.span, "`{}` needs `<cycles> @<proc>`", kw.s);
-                };
-                let cycles = parse_num(cycles, "a cycle count")?;
-                let proc = self.at_proc(kw, "the cycle count")?;
-                let op = if kw.s == "compute" {
-                    Op::Compute { cycles }
-                } else {
-                    Op::Timer { cycles }
-                };
-                Ok((proc, op, self.next()))
-            }
-            _ => Ok((self.at_proc(kw, "`barrier`")?, Op::Barrier, self.next())),
+        };
+        Ok((proc, op, self.next()))
+    }
+
+    /// `send` or `recv`: `<src> -> <dst>` and the options.
+    fn channel(
+        &mut self,
+        kw: &Tok<'a>,
+        send: bool,
+    ) -> Result<(ProcId, Op, Option<Tok<'a>>), WlError> {
+        let (Some(src), Some(arrow), Some(dst)) = (self.next(), self.next(), self.next()) else {
+            bail!(self.span(kw.at), "`{}` needs `<src> -> <dst>`", kw.s);
+        };
+        let src = self.proc_id(&src, "the source processor")?;
+        if arrow.s != "->" {
+            bail!(
+                self.span(arrow.at),
+                "expected `->` after the source processor, got `{}`",
+                arrow.s
+            );
         }
+        let dst = self.proc_id(&dst, "the destination processor")?;
+        let (tag, payload, rest) = self.options(kw, send)?;
+        Ok(if send {
+            (src, Op::Send { dst, tag, payload }, rest)
+        } else {
+            (dst, Op::Recv { src, tag }, rest)
+        })
+    }
+
+    /// `compute` or `timer`: `<cycles> @<proc>`.
+    fn timed(&mut self, kw: &Tok<'a>, op: fn(Cycles) -> Op) -> Result<(ProcId, Op), WlError> {
+        let Some(cycles) = self.next() else {
+            bail!(self.span(kw.at), "`{}` needs `<cycles> @<proc>`", kw.s);
+        };
+        let cycles = self.num(&cycles, "a cycle count")?;
+        Ok((self.at_proc(kw, "the cycle count")?, op(cycles)))
     }
 
     /// Expect a `@<proc>` token next.
-    fn at_proc(&mut self, kw: Tok<'a>, after_what: &str) -> Result<ProcId, WlError> {
+    fn at_proc(&mut self, kw: &Tok<'a>, after_what: &str) -> Result<ProcId, WlError> {
         let Some(t) = self.next() else {
-            bail!(kw.span, "`{}` needs a `@<proc>` processor assignment", kw.s);
-        };
-        let Some(num) = t.s.strip_prefix('@') else {
             bail!(
-                t.span,
+                self.span(kw.at),
+                "`{}` needs a `@<proc>` processor assignment",
+                kw.s
+            );
+        };
+        if !t.s.starts_with('@') {
+            bail!(
+                self.span(t.at),
                 "expected `@<proc>` after {after_what}, got `{}`",
                 t.s
             );
-        };
-        let span = Span::new(t.span.line, t.span.col + 1);
-        parse_proc(Tok { s: num, span }, "the processor id")
+        }
+        self.proc_id(&t.tail(1), "the processor id")
     }
 
     /// Read `key=value` tokens up to `after:` or the end of the line;
     /// returns `(tag, payload, the after: token)`. A malformed token
     /// anywhere in the run outranks a well-formed option that does not
     /// apply, so the first of those is held back until the run ends.
-    fn options(&mut self, kw: Tok<'a>) -> Result<(u32, Payload, Option<Tok<'a>>), WlError> {
-        let send = kw.s == "send";
+    fn options(
+        &mut self,
+        kw: &Tok<'a>,
+        send: bool,
+    ) -> Result<(u32, Payload, Option<Tok<'a>>), WlError> {
         let (mut tag, mut payload) = (0u32, Payload::Empty);
         let mut rejected: Option<WlError> = None;
         let rest = loop {
@@ -411,9 +451,10 @@ impl<'a> Parser<'a> {
                 Some(t) if t.s != "after:" => t,
                 rest => break rest,
             };
-            let Some((key, val)) = t.s.split_once('=') else {
+            let span = self.span(t.at);
+            let Some((key, _)) = t.s.split_once('=') else {
                 let e = WlError::at(
-                    t.span,
+                    span,
                     format!("unexpected token `{}` after `{} <src> -> <dst>`", t.s, kw.s),
                 );
                 return Err(match t.s {
@@ -421,9 +462,8 @@ impl<'a> Parser<'a> {
                     _ => e,
                 });
             };
-            let span = Span::new(t.span.line, t.span.col + key.len() as u32 + 1);
-            let val = parse_num(Tok { s: val, span }, format_args!("a value for `{key}=`"))?;
-            let reject = |msg: String| Some(WlError::at(t.span, msg));
+            let val = self.num(&t.tail(key.len() + 1), format_args!("a value for `{key}=`"))?;
+            let reject = |msg: String| Some(WlError::at(span, msg));
             let rejection = match (key, u32::try_from(val)) {
                 ("tag", Ok(v)) => {
                     tag = v;
@@ -445,7 +485,7 @@ impl<'a> Parser<'a> {
                     reject(format!("`{key}=` is only valid on `send`, not `recv`"))
                 }
                 _ => {
-                    let e = WlError::at(t.span, format!("unknown option `{key}=` on `{}`", kw.s));
+                    let e = WlError::at(span, format!("unknown option `{key}=` on `{}`", kw.s));
                     let known = &["tag", "data", "words"][..if send { 3 } else { 1 }];
                     Some(suggest(e, key, known.iter().copied(), |m| {
                         format!("did you mean `{m}=`?")
@@ -461,13 +501,13 @@ impl<'a> Parser<'a> {
     /// whitespace separated) of node `id` into the arena, for the `push`
     /// that closes the node; `head` is the first token after the
     /// operation, if any.
-    fn after(&mut self, id: NodeId, head: Option<Tok<'a>>, kw: Tok<'a>) -> Result<(), WlError> {
+    fn after(&mut self, id: NodeId, head: Option<Tok<'a>>, kw: &Tok<'a>) -> Result<(), WlError> {
         let Some(head) = head else {
             return Ok(());
         };
         if head.s != "after:" {
             let e = WlError::at(
-                head.span,
+                self.span(head.at),
                 format!(
                     "unexpected token `{}` at end of `{}` statement",
                     head.s, kw.s
@@ -480,25 +520,29 @@ impl<'a> Parser<'a> {
         let mut want_label = true;
         let mut listed = 0u32;
         while let Some(t) = self.next() {
+            let span = self.span(t.at);
             if t.s == "," {
                 if want_label {
-                    bail!(t.span, "expected a dependency label, got `,`");
+                    bail!(span, "expected a dependency label, got `,`");
                 }
-                (comma, want_label) = (Some(t.span), true);
-            } else if is_ident(t.s) {
-                let known = self.labels.get(t.s).copied();
+                (comma, want_label) = (Some(span), true);
+            } else if t.ident && !t.s.ends_with(':') {
+                let known = self.labels.find(t.s, &self.nodes).ok();
                 if known.is_none() {
                     self.forward.push((id, listed, t.s));
                 }
-                self.nodes.push_dep(known.unwrap_or(NodeId::MAX), t.span);
+                self.nodes.push_dep(known.unwrap_or(NodeId::MAX), span);
                 listed += 1;
                 (comma, want_label) = (None, false);
             } else {
-                bail!(t.span, "expected a dependency label, got `{}`", t.s);
+                bail!(span, "expected a dependency label, got `{}`", t.s);
             }
         }
         if listed == 0 {
-            bail!(head.span, "`after:` needs at least one dependency label");
+            bail!(
+                self.span(head.at),
+                "`after:` needs at least one dependency label"
+            );
         }
         if let Some(span) = comma {
             bail!(
@@ -539,7 +583,7 @@ impl<'a> Parser<'a> {
             );
         }
         for (node, k, label) in self.forward {
-            let Some(&dep) = self.labels.get(label) else {
+            let Ok(dep) = self.labels.find(label, &wl.nodes) else {
                 let e = WlError::at(
                     wl.nodes.dep_span(node, k as usize),
                     format!("unknown dependency `{label}`"),
@@ -560,53 +604,40 @@ impl<'a> Parser<'a> {
 /// Print a workload in the text form. `parse_workload(&to_text(&wl))`
 /// round-trips to a structurally equal workload.
 pub fn to_text(wl: &Workload) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(out, "workload {}", wl.name);
-    let _ = writeln!(out, "procs {}", wl.procs);
+    let mut out = format!("workload {}\nprocs {}\n", wl.name, wl.procs);
     if let Some(p) = &wl.preset {
-        let _ = writeln!(out, "preset {p}");
+        out += &format!("preset {p}\n");
     }
-    let _ = writeln!(out);
+    out.push('\n');
+    let tag = |t: u32| match t {
+        0 => String::new(),
+        t => format!(" tag={t}"),
+    };
     for node in wl.nodes.iter() {
-        let _ = write!(out, "{}: ", node.label);
-        match &node.op {
-            Op::Send { dst, tag, payload } => {
-                let _ = write!(out, "send {} -> {}", node.proc, dst);
-                if *tag != 0 {
-                    let _ = write!(out, " tag={tag}");
-                }
-                match payload {
-                    Payload::Empty => {}
-                    Payload::Word(v) => {
-                        let _ = write!(out, " data={v}");
-                    }
-                    Payload::Block(n) => {
-                        let _ = write!(out, " words={n}");
-                    }
-                }
+        let (label, p) = (node.label, node.proc);
+        out += &match node.op {
+            Op::Send {
+                dst,
+                tag: t,
+                payload,
+            } => {
+                let payload = match payload {
+                    Payload::Empty => String::new(),
+                    Payload::Word(v) => format!(" data={v}"),
+                    Payload::Block(n) => format!(" words={n}"),
+                };
+                format!("{label}: send {p} -> {dst}{}{payload}", tag(t))
             }
-            Op::Recv { src, tag } => {
-                let _ = write!(out, "recv {} -> {}", src, node.proc);
-                if *tag != 0 {
-                    let _ = write!(out, " tag={tag}");
-                }
-            }
-            Op::Compute { cycles } => {
-                let _ = write!(out, "compute {} @{}", cycles, node.proc);
-            }
-            Op::Barrier => {
-                let _ = write!(out, "barrier @{}", node.proc);
-            }
-            Op::Timer { cycles } => {
-                let _ = write!(out, "timer {} @{}", cycles, node.proc);
-            }
-        }
+            Op::Recv { src, tag: t } => format!("{label}: recv {src} -> {p}{}", tag(t)),
+            Op::Compute { cycles } => format!("{label}: compute {cycles} @{p}"),
+            Op::Barrier => format!("{label}: barrier @{p}"),
+            Op::Timer { cycles } => format!("{label}: timer {cycles} @{p}"),
+        };
         for (k, &d) in node.deps.iter().enumerate() {
             out.push_str(if k == 0 { " after: " } else { ", " });
             out.push_str(wl.nodes.at(d as usize).label);
         }
-        let _ = writeln!(out);
+        out.push('\n');
     }
     out
 }

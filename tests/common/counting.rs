@@ -11,20 +11,22 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Calls, bytes, and calls of exactly each size handed to [`mark`]; and
-/// `live`, the bytes allocated less the bytes freed — what is still held.
+/// Calls, bytes, and calls of exactly each size handed to [`mark`];
+/// `live`, the bytes allocated less the bytes freed — what is still held;
+/// and `peak`, the most `live` reached.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Allocs {
     pub calls: u64,
     pub bytes: u64,
     pub of: [u64; 3],
     pub live: i64,
+    pub peak: i64,
 }
 
 thread_local! {
     /// Allocated by this thread (tests run on parallel threads). A
     /// `realloc` is one call of its new size, and holds the difference.
-    static ALLOCS: Cell<Allocs> = const { Cell::new(Allocs { calls: 0, bytes: 0, of: [0; 3], live: 0 }) };
+    static ALLOCS: Cell<Allocs> = const { Cell::new(Allocs { calls: 0, bytes: 0, of: [0; 3], live: 0, peak: 0 }) };
     /// The block sizes this thread counts in [`Allocs::of`]; nothing is
     /// ever allocated with size 0.
     static MARKED: Cell<[usize; 3]> = const { Cell::new([0; 3]) };
@@ -46,6 +48,7 @@ fn count(bytes: usize, held: i64) {
             bytes: a.bytes + bytes as u64,
             of: std::array::from_fn(|i| a.of[i] + u64::from(bytes == marked[i])),
             live: a.live + held,
+            peak: a.peak.max(a.live + held),
         });
     });
 }
@@ -83,16 +86,31 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-/// `f`'s result, and what `f` allocated on this thread.
+/// `f`'s result, and what `f` allocated on this thread; `peak` is the most
+/// it held at once.
 pub fn allocs<T>(f: impl FnOnce() -> T) -> (T, Allocs) {
-    let before = ALLOCS.with(Cell::get);
+    // The high-water mark restarts at what is held now, and the caller's
+    // (an enclosing `allocs`) is put back after.
+    let before = ALLOCS.with(|c| {
+        c.replace(Allocs {
+            peak: c.get().live,
+            ..c.get()
+        })
+    });
     let out = f();
-    let after = ALLOCS.with(Cell::get);
+    let after = ALLOCS.with(|c| {
+        let a = c.get();
+        c.replace(Allocs {
+            peak: a.peak.max(before.peak),
+            ..a
+        })
+    });
     let spent = Allocs {
         calls: after.calls - before.calls,
         bytes: after.bytes - before.bytes,
         of: std::array::from_fn(|i| after.of[i] - before.of[i]),
         live: after.live - before.live,
+        peak: after.peak - before.live,
     };
     (out, spent)
 }

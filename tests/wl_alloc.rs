@@ -6,9 +6,19 @@
 //!
 //! | call                            | parent of PR 13 | parent of the arena | now    | bound       |
 //! |---------------------------------|-----------------|---------------------|--------|-------------|
-//! | `load_workload`                 | 11.466          | 2.319               | 0.0031 | 0.1         |
+//! | `load_workload`                 | 11.466          | 2.319               | 0.0034 | 0.1         |
 //! | `validate` on a loaded workload | 2.684           | 0.0027              | 0      | 0 (exactly) |
-//! | `validate` after an append      |                 |                     | 0.0028 | 0 < · ≤ 0.05 |
+//! | `validate` after an append      |                 |                     | 0.0030 | 0 < · ≤ 0.05 |
+//!
+//! Peak live bytes a node while `validate` checks and lowers the same
+//! program, parsed but not yet validated (the plan it keeps included):
+//!
+//! | call                            | with the ordering graph | now  | bound |
+//! |---------------------------------|-------------------------|------|-------|
+//! | `validate` on a parsed workload | 72.0                    | 63.1 | 66    |
+//!
+//! The cycle check is a dry run of the plan; the global ordering graph is
+//! built only to name a cycle once one is proven, so it is not among them.
 //!
 //! `load_workload` writes every token into the node arena's four buffers
 //! and checks-and-lowers once; the plan that makes stays with the arena
@@ -20,7 +30,7 @@
 use logp::core::rng::CounterRng;
 use logp::core::LogP;
 use logp::sim::SimConfig;
-use logp::wl::{load_workload, run_workload, Op};
+use logp::wl::{load_workload, parse_workload, run_workload, Op};
 use std::fmt::Write as _;
 
 #[path = "common/counting.rs"]
@@ -31,6 +41,8 @@ use counting::allocs;
 static GLOBAL: counting::Counting = counting::Counting;
 
 const PROCS: u32 = 64;
+/// Bound on `validate`'s peak live bytes a node (see the table above).
+const PEAK_PER_NODE: f64 = 66.0;
 
 /// Emits `n<i>: <body>[ after: ...]` lines, remembering each processor's
 /// eight newest nodes as `after:` candidates.
@@ -164,5 +176,24 @@ fn loader_allocations_grow_linearly() {
         big_allocs.calls as f64 <= 8.5 * small_allocs.calls as f64
             && big_allocs.bytes as f64 <= 8.5 * small_allocs.bytes as f64,
         "load_workload(8N) made {big_allocs:?}, load_workload(N) {small_allocs:?}"
+    );
+}
+
+/// Check-and-lower's high-water mark on a parsed program, in bytes a node:
+/// the plan it keeps and the flat arrays it works in. It held the global
+/// ordering graph as well (its offsets, its edges and a count of waits a
+/// vertex) while the cycle check was Kahn's toposort over it.
+#[test]
+fn check_and_lower_holds_no_ordering_graph() {
+    const N: u32 = 20_000;
+    let (text, _) = program(N);
+    let wl = parse_workload(&text).expect("generated program parses");
+    let (ok, lowered) = allocs(|| wl.validate());
+    ok.expect("validates");
+    let peak = lowered.peak as f64 / f64::from(N);
+    println!("validate: peak {peak:.1} bytes a node, {lowered:?}");
+    assert!(
+        peak <= PEAK_PER_NODE,
+        "validate held {peak:.1} bytes a node"
     );
 }

@@ -23,12 +23,20 @@
 //! * **Error contract.** 12,000 fresh mutants, now also with non-ASCII
 //!   text and hostile numbers: never a panic, every `Err` points into the
 //!   file, every `Ok` survives `validate` and a text round-trip.
+//! * **Cycle check.** Check-and-lower decides "acyclic" by a dry run of
+//!   the plan it made. The check it replaced — the global ordering graph
+//!   and Kahn's toposort, kept below as [`ordering_graph_check`] — must
+//!   give the same verdict and the same error on the generated programs,
+//!   the bases and both mutant corpora, the generated programs with a
+//!   back edge added, and hand-built cycles of every kind of edge.
 
 mod common;
 
 use common::{fnv1a, render};
 use logp::core::rng::CounterRng;
-use logp::wl::{gen_workload, load_workload, parse_workload, to_text, FuzzConfig};
+use logp::wl::{
+    gen_workload, load_workload, parse_workload, to_text, FuzzConfig, NodeId, Op, WlError, Workload,
+};
 
 const PARITY_MUTANTS: u64 = 2_400;
 const FRESH_MUTANTS: u64 = 12_000;
@@ -350,4 +358,264 @@ fn fresh_mutants_never_panic_and_errors_point_into_the_file() {
         accepted > 500 && rejected > 5_000,
         "{accepted} accepted, {rejected} rejected"
     );
+}
+
+/// The cycle check check-and-lower made before its dry run, for programs
+/// that pass every other check. The ordering graph has a vertex per node
+/// and one per barrier round (a processor's k-th barrier takes part in
+/// round k): explicit dependencies (on a barrier: on its round's release),
+/// a barrier entering its round, a barrier's round waiting for the
+/// previous round's release, the barrier fences (every earlier node on
+/// the processor before the barrier, every later one after its release)
+/// and the i-th send of a channel before its i-th recv. Kahn's toposort
+/// decides; the leftover vertices are walked depth-first from the first
+/// one, always into the first leftover successor, and the first cycle
+/// met is reported by label.
+fn ordering_graph_check(wl: &Workload) -> Result<(), WlError> {
+    let (n, procs) = (wl.nodes.len(), wl.procs as usize);
+    const NO_ROUND: u32 = u32::MAX;
+    let mut round = vec![NO_ROUND; n];
+    let mut barriers = vec![0u32; procs];
+    let (mut sends, mut recvs) = (Vec::new(), Vec::new());
+    for node in wl.nodes.iter() {
+        let p = node.proc as usize;
+        match node.op {
+            Op::Barrier => {
+                round[node.id as usize] = barriers[p];
+                barriers[p] += 1;
+            }
+            Op::Send { dst, tag, .. } => sends.push((dst, node.proc, tag, node.id)),
+            Op::Recv { src, tag } => recvs.push((node.proc, src, tag, node.id)),
+            _ => {}
+        }
+    }
+    sends.sort_unstable();
+    recvs.sort_unstable();
+    let rounds = barriers[0] as usize;
+    let release = |r: u32| n as u32 + r;
+
+    // Out-edges in the order the old enumeration emitted them, which
+    // decides the cycle a rejection names.
+    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n + rounds];
+    for node in wl.nodes.iter() {
+        let i = node.id;
+        for &d in node.deps {
+            let from = match round[d as usize] {
+                NO_ROUND => d,
+                r => release(r),
+            };
+            succs[from as usize].push(i);
+        }
+        let r = round[i as usize];
+        if r != NO_ROUND {
+            succs[i as usize].push(release(r));
+            if r > 0 {
+                succs[release(r - 1) as usize].push(i);
+            }
+        }
+    }
+    // The fences: every earlier node of the processor before a barrier,
+    // every later one after its round's release.
+    let mut last_barrier = vec![NodeId::MAX; procs];
+    let mut segment: Vec<Vec<NodeId>> = vec![Vec::new(); procs];
+    for node in wl.nodes.iter() {
+        let (i, q) = (node.id, node.proc as usize);
+        if round[i as usize] != NO_ROUND {
+            for s in segment[q].drain(..) {
+                succs[s as usize].push(i);
+            }
+            last_barrier[q] = i;
+        } else {
+            segment[q].push(i);
+            if last_barrier[q] != NodeId::MAX {
+                succs[release(round[last_barrier[q] as usize]) as usize].push(i);
+            }
+        }
+    }
+    for (send, recv) in sends.iter().zip(&recvs) {
+        succs[send.3 as usize].push(recv.3);
+    }
+
+    let total = n + rounds;
+    let mut waits_on = vec![0u32; total];
+    for &t in succs.iter().flatten() {
+        waits_on[t as usize] += 1;
+    }
+    let mut ready: Vec<usize> = (0..total).filter(|&v| waits_on[v] == 0).collect();
+    let mut done = 0;
+    while let Some(v) = ready.pop() {
+        done += 1;
+        for &s in &succs[v] {
+            waits_on[s as usize] -= 1;
+            if waits_on[s as usize] == 0 {
+                ready.push(s as usize);
+            }
+        }
+    }
+    if done == total {
+        return Ok(());
+    }
+    let (fresh, on_path, dead_end) = (0u8, 1, 2);
+    let mut state = vec![fresh; total];
+    let mut path: Vec<(usize, usize)> = Vec::new();
+    let cycle = 'walk: {
+        for first in (0..total).filter(|&v| waits_on[v] > 0) {
+            if state[first] == fresh {
+                state[first] = on_path;
+                path.push((first, 0));
+            }
+            while let Some((v, next)) = path.last_mut() {
+                let Some(&s) = succs[*v].get(*next) else {
+                    state[*v] = dead_end;
+                    path.pop();
+                    continue;
+                };
+                let s = s as usize;
+                *next += 1;
+                if state[s] == on_path {
+                    let from = path.iter().position(|&(x, _)| x == s).expect("on path");
+                    break 'walk path[from..].to_vec();
+                }
+                if waits_on[s] > 0 && state[s] == fresh {
+                    state[s] = on_path;
+                    path.push((s, 0));
+                }
+            }
+        }
+        panic!("leftover vertices of a toposort contain a cycle")
+    };
+    let name = |v: usize| match wl.nodes.get(v) {
+        Some(node) => format!("`{}`", node.label),
+        None => format!("barrier round {}", v - n),
+    };
+    let mut labels: Vec<String> = cycle.iter().map(|&(v, _)| name(v)).collect();
+    labels.push(name(cycle[0].0));
+    let anchor = cycle.iter().map(|&(v, _)| v).find(|&v| v < n);
+    let span = anchor.map_or(logp::wl::Span::NONE, |v| wl.nodes.span(v as NodeId));
+    Err(WlError {
+        line: span.line,
+        col: span.col,
+        msg: format!("dependency cycle: {}", labels.join(" -> ")),
+        help: Some(
+            "a node cannot (transitively) wait on itself; check `after:` lists, \
+             send/recv pairing order, and barrier rounds"
+                .into(),
+        ),
+    })
+}
+
+/// `validate` against [`ordering_graph_check`] on `wl`, if every check
+/// before the cycle check passes; whether `wl` has a cycle.
+fn same_cycle_verdict(wl: &Workload, what: &str) -> bool {
+    let verdict = wl.validate();
+    if matches!(&verdict, Err(e) if !e.msg.starts_with("dependency cycle")) {
+        return false;
+    }
+    assert_eq!(verdict, ordering_graph_check(wl), "{what}");
+    verdict.is_err()
+}
+
+/// `wl` with node `i` also waiting on node `j`.
+fn with_dep(wl: &Workload, i: usize, j: NodeId) -> Workload {
+    let mut out = Workload::new(&wl.name, wl.procs);
+    for node in wl.nodes.iter() {
+        let mut deps = node.deps.to_vec();
+        if node.id as usize == i {
+            deps.push(j);
+        }
+        out.node(node.label, node.proc, node.op, &deps);
+    }
+    out
+}
+
+#[test]
+fn the_dry_run_cycle_check_equals_the_ordering_graph_it_replaced() {
+    let mut cycles = 0;
+    let wide = FuzzConfig {
+        max_procs: 16,
+        max_steps: 60,
+        ..FuzzConfig::default()
+    };
+    for seed in 0..500u64 {
+        let cfg = if seed % 3 == 2 {
+            &wide
+        } else {
+            &FuzzConfig::default()
+        };
+        let wl = gen_workload(seed, cfg);
+        assert!(!same_cycle_verdict(&wl, &format!("seed {seed}")));
+        // A back edge: an earlier node also waits on a later one of its
+        // processor, through whatever edges lie between them.
+        let mut rng = CounterRng::new(seed);
+        let i = pick(&mut rng, wl.nodes.len());
+        let proc = wl.nodes.at(i).proc;
+        let later: Vec<NodeId> = (wl.nodes.iter().skip(i + 1))
+            .filter(|m| m.proc == proc && !wl.nodes.at(i).deps.contains(&m.id))
+            .map(|m| m.id)
+            .collect();
+        if !later.is_empty() {
+            let j = later[pick(&mut rng, later.len())];
+            let what = format!("seed {seed} with {i} after {j}");
+            cycles += usize::from(same_cycle_verdict(&with_dep(&wl, i, j), &what));
+        }
+    }
+    let bases = bases();
+    let texts = (bases
+        .iter()
+        .map(|b| String::from_utf8_lossy(b).into_owned()))
+    .chain((0..PARITY_MUTANTS).map(|i| mutant(&bases, 0x5741_4c4d_5554, i, false)))
+    .chain((0..FRESH_MUTANTS).map(|i| mutant(&bases, 0x0046_5245_5348, i, true)));
+    for (k, text) in texts.enumerate() {
+        if let Ok(wl) = parse_workload(&text) {
+            cycles += usize::from(same_cycle_verdict(&wl, &format!("text {k}\n{text}")));
+        }
+    }
+    assert!(cycles > 200, "only {cycles} programs had a cycle");
+}
+
+#[test]
+fn hand_built_cycles_of_every_edge_kind_are_named_as_before() {
+    let cases = [
+        // `after:` edges.
+        (
+            "procs 1\na: compute 1 @0 after: b\nb: compute 1 @0 after: a\n",
+            "`a` -> `b` -> `a`",
+        ),
+        // Channel order: each side receives before it sends.
+        (
+            "procs 2\nr0: recv 1 -> 0\ns0: send 0 -> 1 after: r0\n\
+             r1: recv 0 -> 1\ns1: send 1 -> 0 after: r1\n",
+            "`r0` -> `s0` -> `r1` -> `s1` -> `r0`",
+        ),
+        // The second send on a channel pairs with the second recv.
+        (
+            "procs 2\ns0: send 0 -> 1\nr0: recv 1 -> 0\ns1: send 0 -> 1 after: r0\n\
+             a: recv 0 -> 1\nb: recv 0 -> 1\nt: send 1 -> 0 after: b\n",
+            "`r0` -> `s1` -> `b` -> `t` -> `r0`",
+        ),
+        // A dependency on a barrier waits for its round to release.
+        (
+            "procs 2\nb0: barrier @0\ns: send 0 -> 1 after: b0\n\
+             r: recv 0 -> 1\nb1: barrier @1 after: r\n",
+            "`s` -> `r` -> `b1` -> barrier round 0 -> `s`",
+        ),
+        // Barrier fences: a recv before a barrier, its send after one.
+        (
+            "procs 2\nr: recv 1 -> 0\nb0: barrier @0\nb1: barrier @1\ns: send 1 -> 0\n",
+            "`r` -> `b0` -> barrier round 0 -> `s` -> `r`",
+        ),
+        // Round r + 1 is entered only after round r released.
+        (
+            "procs 2\nx0: barrier @0\nr: recv 1 -> 0\nx1: barrier @0\n\
+             y0: barrier @1\ny1: barrier @1\ns: send 1 -> 0\n",
+            "`r` -> `x1` -> barrier round 1 -> `s` -> `r`",
+        ),
+    ];
+    for (body, cycle) in cases {
+        let text = format!("workload cyc\n{body}");
+        let wl = parse_workload(&text).expect(&text);
+        assert!(same_cycle_verdict(&wl, &text), "no cycle in\n{text}");
+        let e = wl.validate().expect_err(&text);
+        assert_eq!(e.msg, format!("dependency cycle: {cycle}"), "{text}");
+    }
 }

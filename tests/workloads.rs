@@ -781,6 +781,91 @@ fn snapshot_statement_errors() {
     );
 }
 
+/// Edit distance by the whole table, for the suggestion tests below.
+fn levenshtein(a: &str, b: &str) -> usize {
+    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.iter().enumerate() {
+        let mut cur = vec![i + 1; b.len() + 1];
+        for (j, cb) in b.iter().enumerate() {
+            cur[j + 1] = (prev[j] + usize::from(ca != cb))
+                .min(prev[j + 1] + 1)
+                .min(cur[j] + 1);
+        }
+        prev = cur;
+    }
+    prev[b.len()]
+}
+
+/// "Did you mean" names the closest label within two edits (and closer
+/// than it is long), the earliest declared among equally close ones:
+/// checked against the whole edit-distance table on 2,000 seeded programs
+/// of short, alike labels.
+#[test]
+fn a_suggestion_is_the_closest_earliest_label_within_two_edits() {
+    let mut rng = logp::core::rng::CounterRng::new(0x5355_4747);
+    let mut word = || -> String {
+        let len = 1 + rng.next_in(4);
+        (0..len)
+            .map(|_| ['a', 'b', '_'][rng.next_in(2) as usize])
+            .collect()
+    };
+    let mut suggested = 0;
+    for case in 0..2_000 {
+        let mut labels: Vec<String> = Vec::new();
+        while labels.len() < 6 {
+            let w = word();
+            if !labels.contains(&w) {
+                labels.push(w);
+            }
+        }
+        let dep = word();
+        if labels.contains(&dep) {
+            continue;
+        }
+        let mut text = String::from("workload s\nprocs 1\n");
+        for l in &labels {
+            text += &format!("{l}: compute 1 @0\n");
+        }
+        text += &format!("t: compute 1 @0 after: {dep}\n");
+        labels.push("t".into());
+        let closest = (labels.iter())
+            .map(|l| (levenshtein(&dep, l), l))
+            .filter(|&(d, l)| d <= 2 && d < l.len())
+            .min_by_key(|&(d, _)| d);
+        let e = parse_workload(&text).expect_err(&text);
+        assert_eq!(e.msg, format!("unknown dependency `{dep}`"), "case {case}");
+        let want = closest.map(|(_, l)| format!("did you mean `{l}`?"));
+        assert_eq!(e.help, want, "case {case}:\n{text}");
+        suggested += usize::from(e.help.is_some());
+    }
+    assert!(suggested > 500, "only {suggested} suggestions");
+}
+
+/// An unknown dependency of 8,000 characters among 50 labels of that
+/// length, alike but for their last two: the whole edit-distance table is
+/// 64 M cells a label, seconds for the 50, where the band the search fills
+/// is linear in the label.
+#[test]
+fn a_long_unknown_dependency_is_rejected_in_linear_time() {
+    use std::time::{Duration, Instant};
+    let stem = "x".repeat(7_998);
+    let mut text = String::from("workload long\nprocs 1\n");
+    for k in 0..50 {
+        text += &format!("{stem}{k:02}: compute 1 @0\n");
+    }
+    // Two edits from every label, so the earliest; and three from all.
+    for (tail, help) in [("zz", Some("00")), ("zzz", None)] {
+        let src = format!("{text}t: compute 1 @0 after: {stem}{tail}\n");
+        let t0 = Instant::now();
+        let e = parse_workload(&src).expect_err("an unknown dependency");
+        let took = t0.elapsed();
+        assert_eq!(e.msg, format!("unknown dependency `{stem}{tail}`"));
+        assert_eq!(e.help, help.map(|h| format!("did you mean `{stem}{h}`?")));
+        assert!(took < Duration::from_secs(1), "rejected in {took:?}");
+    }
+}
+
 #[test]
 fn snapshot_validator_errors() {
     snap(
