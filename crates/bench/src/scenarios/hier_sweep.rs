@@ -34,20 +34,22 @@
 //! Prints the sweep as a table; its columns are model cycles, not wall
 //! clock.
 
+use logp_algos::allreduce::run_allreduce_reduce_bcast;
+use logp_algos::broadcast::run_optimal_broadcast;
 use logp_algos::hier::{
     flat_tree, hier_tree, run_tree_allreduce_on, run_tree_broadcast_on, run_tree_reduce_on,
 };
+use logp_algos::reduce::run_sum_schedule;
 use logp_bench::Args;
 use logp_core::hier::{
     flat_allreduce_time_on, flat_broadcast_time_on, flat_sum_time_on, hier_allreduce_time,
     hier_broadcast_time, hier_sum_time, Hierarchy,
 };
-use logp_core::summation::min_sum_time;
+use logp_core::summation::{min_sum_time, optimal_sum_schedule};
 use logp_core::{Cycles, LogP};
-use logp_sim::SimConfig;
+use logp_sim::{ObsLog, SimConfig};
 use logp_wl::{
-    allreduce_workload, broadcast_workload, preset, run_workload, run_workload_hier,
-    summation_workload, PRESET_NAMES,
+    preset, run_workload, run_workload_hier, workload_from_obslog, Workload, PRESET_NAMES,
 };
 
 /// Inner level of every swept machine: the Fig. 3 example, 8 ranks per
@@ -68,14 +70,24 @@ fn machine(l_out: Cycles) -> Hierarchy {
     Hierarchy::two_level(INNER, NODE_SIZE, (l_out, 2, 4), NODES).expect("valid two-level machine")
 }
 
-/// The corpus collectives for one machine, with the summation sized to
-/// the machine's minimum feasible deadline for 4P inputs.
-fn corpus_workloads(m: &LogP) -> Vec<logp_wl::Workload> {
-    let t = min_sum_time(m, 4 * m.p as u64, m.p);
+/// The corpus collectives for one machine — the optimal broadcast, the
+/// optimal summation (sized to the machine's minimum feasible deadline for
+/// 4P inputs) and the reduce-then-broadcast all-reduce — as the programs
+/// their built-in runs executed: each run's lifecycle log, replayed.
+fn corpus_workloads(m: &LogP) -> Vec<Workload> {
+    let cfg = || SimConfig::default().with_msg_log(true);
+    let replay = |log: &ObsLog, procs, name| {
+        workload_from_obslog(log, procs, name).expect("a fault-free run replays")
+    };
+    let sched = optimal_sum_schedule(m, min_sum_time(m, 4 * m.p as u64, m.p));
+    let values: Vec<f64> = (0..m.p).map(f64::from).collect();
+    let bcast = run_optimal_broadcast(m, cfg()).result;
+    let sum = run_sum_schedule(&sched, cfg()).result;
+    let ared = run_allreduce_reduce_bcast(m, &values, cfg()).result;
     vec![
-        broadcast_workload(m),
-        summation_workload(m, t),
-        allreduce_workload(m),
+        replay(&bcast.obs, m.p, "optimal_broadcast"),
+        replay(&sum.obs, sched.procs().max(1), "optimal_summation"),
+        replay(&ared.obs, m.p, "allreduce_reduce_bcast"),
     ]
 }
 

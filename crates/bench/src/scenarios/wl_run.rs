@@ -3,8 +3,10 @@
 //!
 //! Modes:
 //!
-//! * default — run the golden corpus (`examples/workloads/*.wl`) on the
-//!   preset each file declares and print one JSON object per program.
+//! * default — run the corpus files that mirror built-in runners
+//!   (`examples/workloads/{broadcast_fig3,summation_fig4,allreduce_fig3}.wl`)
+//!   on the preset each file declares and print one JSON object per
+//!   program.
 //! * `--file PATH [--preset NAME]` — run one program. The machine
 //!   defaults to the file's `preset` directive (fig3 if absent);
 //!   `--preset` overrides. `--shards N` selects the sharded engine.
@@ -12,15 +14,14 @@
 //!   `u32`) and run each differentially: classic vs lanes {2, 4},
 //!   asserting bit-identical completion, per-node finish times, and
 //!   workload projection.
-//! * the check (`logp-bench checks wl_run`) — the CI pins: every corpus
-//!   file byte-matches its emitter and its run matches the built-in
-//!   `Process` implementation cycle-exactly on its preset; a malformed
-//!   probe is rejected with the pinned span; a 64-seed fuzz smoke passes
-//!   the differential; and a JSONL → DAG → run replay round-trip
-//!   reproduces the original completion. `--full` deepens the fuzz smoke
-//!   to 256 seeds.
-//! * `--emit-corpus` — regenerate the emitter-derived corpus files in
-//!   `examples/workloads/` (the hand-written `tour.wl` is left alone).
+//! * the check (`logp-bench checks wl_run`) — the CI pins: every mirrored
+//!   corpus file runs to its built-in runner's completion and
+//!   per-processor stats on its preset (and to the same completion on
+//!   lanes 2, 4 and 8); a malformed probe is rejected with the pinned
+//!   span; a 64-seed fuzz smoke passes the differential; and a built-in
+//!   broadcast streamed to JSONL, replayed to a DAG and run reproduces
+//!   the original completion. `--full` deepens the fuzz smoke to 256
+//!   seeds.
 //!
 //! Observability passthrough: `--trace-out/--vitals-out/--metrics-out
 //! PREFIX` and `--stream` work as in the other scenarios.
@@ -30,36 +31,39 @@ use logp_algos::broadcast::run_optimal_broadcast;
 use logp_algos::reduce::run_sum_schedule;
 use logp_bench::{Args, Flag};
 use logp_core::summation::optimal_sum_schedule;
-use logp_core::{Cycles, LogP};
-use logp_sim::{replay_jsonl, SimConfig, SinkSpec};
+use logp_core::LogP;
+use logp_sim::{replay_jsonl, SimConfig, SimResult, SinkSpec};
 use logp_wl::{
-    allreduce_workload, broadcast_workload, gen_workload, load_workload, preset, projection,
-    run_workload, summation_workload, to_text, workload_from_obslog, FuzzConfig, WlRun, Workload,
-    UNSET,
+    gen_workload, load_workload, preset, projection, run_workload, workload_from_obslog,
+    FuzzConfig, WlRun, Workload, UNSET,
 };
 
 const CORPUS_DIR: &str = "examples/workloads";
 
-/// The emitter-derived corpus: `(file, workload-with-preset-hint,
-/// built-in completion oracle)`.
-fn corpus() -> Vec<(&'static str, Workload, Cycles)> {
-    let fig3 = LogP::fig3();
-    let fig4 = LogP::fig4();
-    let mut bcast = broadcast_workload(&fig3);
-    bcast.preset = Some("fig3".into());
-    let bc = run_optimal_broadcast(&fig3, SimConfig::default()).completion;
-    let mut sum = summation_workload(&fig4, 28);
-    sum.preset = Some("fig4".into());
-    let sc = run_sum_schedule(&optimal_sum_schedule(&fig4, 28), SimConfig::default()).completion;
-    let mut ared = allreduce_workload(&fig3);
-    ared.preset = Some("fig3".into());
-    let values: Vec<f64> = (0..fig3.p).map(f64::from).collect();
-    let ac = run_allreduce_reduce_bcast(&fig3, &values, SimConfig::default()).completion;
-    vec![
-        ("broadcast_fig3.wl", bcast, bc),
-        ("summation_fig4.wl", sum, sc),
-        ("allreduce_fig3.wl", ared, ac),
-    ]
+/// A corpus file that mirrors a built-in runner, and that runner's run on
+/// the file's preset.
+type Mirror = (&'static str, fn() -> SimResult);
+
+/// The corpus files that mirror a built-in runner.
+const MIRRORS: [Mirror; 3] = [
+    ("broadcast_fig3.wl", || {
+        run_optimal_broadcast(&LogP::fig3(), SimConfig::default()).result
+    }),
+    ("summation_fig4.wl", || {
+        let sched = optimal_sum_schedule(&LogP::fig4(), 28);
+        run_sum_schedule(&sched, SimConfig::default()).result
+    }),
+    ("allreduce_fig3.wl", || {
+        let values: Vec<f64> = (0..LogP::fig3().p).map(f64::from).collect();
+        run_allreduce_reduce_bcast(&LogP::fig3(), &values, SimConfig::default()).result
+    }),
+];
+
+/// A mirrored corpus file, loaded.
+fn load_mirror(file: &str) -> Workload {
+    let path = format!("{CORPUS_DIR}/{file}");
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    load_workload(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
 fn machine_for(wl: &Workload, cli_preset: Option<&str>) -> LogP {
@@ -117,27 +121,27 @@ fn fuzz_differential(count: u64, seed: u64) {
 }
 
 pub fn check(args: &Args) {
-    for (file, wl, oracle) in corpus() {
-        let path = format!("{CORPUS_DIR}/{file}");
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!("{path}: {e} (regenerate with `logp-bench wl_run --emit-corpus`)")
-        });
+    for (file, builtin) in MIRRORS {
+        let wl = load_mirror(file);
+        let m = machine_for(&wl, None);
+        let run =
+            run_workload(&wl, &m, SimConfig::default()).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let want = builtin();
+        let oracle = want.stats.completion;
         assert_eq!(
-            text,
-            to_text(&wl),
-            "{path} drifted from its emitter; regenerate with `logp-bench wl_run --emit-corpus`"
+            projection(&run.result),
+            projection(&want),
+            "{file}: built-in parity (completion and per-processor stats)"
         );
-        let loaded = load_workload(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let m = machine_for(&loaded, None);
-        let run = run_workload(&loaded, &m, SimConfig::default())
-            .unwrap_or_else(|e| panic!("{path}: {e}"));
-        assert_eq!(run.completion, oracle, "{path}: built-in parity");
         for lanes in [2u32, 4, 8] {
-            let s = run_workload(&loaded, &m, SimConfig::default().with_shards(lanes))
-                .unwrap_or_else(|e| panic!("{path}: lanes{lanes}: {e}"));
-            assert_eq!(s.completion, oracle, "{path}: lanes{lanes} parity");
+            let s = run_workload(&wl, &m, SimConfig::default().with_shards(lanes))
+                .unwrap_or_else(|e| panic!("{file}: lanes{lanes}: {e}"));
+            assert_eq!(s.completion, oracle, "{file}: lanes{lanes} parity");
         }
-        eprintln!("check: {file} ≡ built-in (completion {oracle}) on classic and lanes ... ok");
+        eprintln!(
+            "check: {file} ≡ built-in (completion {oracle}, per-processor stats) on classic \
+             and lanes ... ok"
+        );
     }
 
     // Loader rejection carries a span (one pinned probe; the full
@@ -149,34 +153,22 @@ pub fn check(args: &Args) {
 
     fuzz_differential(args.pick(64, 256), 0x5eed);
 
-    // JSONL → DAG → run replay round-trip.
+    // Built-in run → JSONL → DAG → run replay round-trip.
     let m = LogP::fig3();
-    let wl = broadcast_workload(&m);
     let path = std::env::temp_dir().join("wl_run_check.obs.jsonl");
-    let original = run_workload(
-        &wl,
+    let original = run_optimal_broadcast(
         &m,
         SimConfig::default().with_sink(SinkSpec::Jsonl(path.clone())),
-    )
-    .expect("streamed run");
+    );
     let log = replay_jsonl(&std::fs::read_to_string(&path).expect("jsonl written"))
         .expect("jsonl parses");
     let replay = workload_from_obslog(&log, m.p, "replay").expect("replayable");
     let rerun = run_workload(&replay, &m, SimConfig::default()).expect("replay runs");
     assert_eq!(rerun.completion, original.completion, "replay round-trip");
     let _ = std::fs::remove_file(&path);
-    eprintln!("check: JSONL → DAG → run replay round-trip ... ok");
+    eprintln!("check: built-in → JSONL → DAG → run replay round-trip ... ok");
 
     println!("wl_run --check: all pins hold");
-}
-
-fn emit_corpus() {
-    std::fs::create_dir_all(CORPUS_DIR).expect("create corpus dir");
-    for (file, wl, _) in corpus() {
-        let path = format!("{CORPUS_DIR}/{file}");
-        std::fs::write(&path, to_text(&wl)).unwrap_or_else(|e| panic!("{path}: {e}"));
-        eprintln!("wrote {path} ({} nodes)", wl.nodes.len());
-    }
 }
 
 /// The flags `wl_run` declares.
@@ -186,14 +178,9 @@ pub const FLAGS: &[Flag] = &[
     Flag::Int("--shards"),
     Flag::Int("--fuzz"),
     Flag::Int("--seed"),
-    Flag::Switch("--emit-corpus"),
 ];
 
 pub fn run(args: &Args) {
-    if args.switch("--emit-corpus") {
-        emit_corpus();
-        return;
-    }
     if let Some(n) = args.int("--fuzz") {
         fuzz_differential(n.into(), args.int("--seed").map_or(0x5eed, u64::from));
         println!("wl_run --fuzz {n}: ok");
@@ -228,9 +215,10 @@ pub fn run(args: &Args) {
             println!("{}", json_line(&wl.name, &m, &run));
         }
         None => {
-            // No arguments: run the golden corpus as a demo sweep.
+            // No arguments: run the mirrored corpus as a demo sweep.
             let mut lines = Vec::new();
-            for (file, wl, _) in corpus() {
+            for (file, _) in MIRRORS {
+                let wl = load_mirror(file);
                 let m = machine_for(&wl, cli_preset);
                 let cfg = obs.apply_for(&wl.name, config.clone());
                 let run = run_workload(&wl, &m, cfg).unwrap_or_else(|e| panic!("{file}: {e}"));

@@ -1,34 +1,12 @@
-//! The golden corpus: the paper's collectives re-expressed as workload
-//! DAGs.
+//! The machine presets the `.wl` corpus runs on, by name.
 //!
-//! Each emitter mirrors the control flow of the built-in `Process` in
-//! `logp-algos` *exactly* — same sends in the same handler order, same
-//! compute chains — so the DSL version completes cycle-for-cycle with
-//! the hand-written Rust version on every machine with `o >= 1` (with
-//! `o = 0` a built-in that counts arrivals can observe a late arrival
-//! before an earlier combine finishes; every preset has `o >= 1`).
-//! Parity is asserted in `tests/workloads.rs` on all five presets.
-//!
-//! The text files under `examples/workloads/` are `to_text` renderings
-//! of these emitters on the Figure 3 / Figure 4 machines, pinned by
-//! test so the checked-in corpus never drifts from the generators.
+//! The programs of `examples/workloads/` that mirror built-in runners
+//! (`broadcast_fig3`, `summation_fig4`, `allreduce_fig3`) each declare one
+//! of these with `preset`. A caller that wants such a program for another
+//! machine records the built-in's run with `SimConfig::with_msg_log` and
+//! replays it with [`crate::workload_from_obslog`].
 
-use crate::ir::{Op, Payload, Workload};
-use logp_core::broadcast::{binomial_children, binomial_parent, optimal_broadcast_tree};
-use logp_core::summation::optimal_sum_schedule;
-use logp_core::{Cycles, LogP};
-
-/// Tag used by broadcast messages (same value as `logp-algos`).
-pub const TAG_BCAST: u32 = 0x42;
-/// Tag used by summation partial sums (same value as `logp-algos`).
-pub const TAG_PARTIAL: u32 = 0x50;
-/// Tag used by all-reduce combine messages (same value as `logp-algos`).
-pub const TAG_UP: u32 = 0x91;
-/// Tag used by all-reduce distribution messages (same value as `logp-algos`).
-pub const TAG_DOWN: u32 = 0x92;
-
-/// The broadcast datum (the built-in root injects `0xBEEF`).
-pub const BCAST_DATUM: u64 = 0xBEEF;
+use logp_core::LogP;
 
 /// The five machine presets used across the repo's oracle tests, by
 /// name — `fig3`, `fig4`, `cm5`, `latency`, `gap`.
@@ -46,176 +24,3 @@ pub fn preset(name: &str) -> Option<LogP> {
 
 /// Names accepted by [`preset`], in canonical order.
 pub const PRESET_NAMES: [&str; 5] = ["fig3", "fig4", "cm5", "latency", "gap"];
-
-/// The optimal single-item broadcast (§3.2, Figure 3) as a DAG: the
-/// root's sends fire immediately; every other processor forwards to its
-/// tree children upon receipt.
-pub fn broadcast_workload(m: &LogP) -> Workload {
-    let tree = optimal_broadcast_tree(m);
-    let children = tree.children();
-    let mut wl = Workload::new("optimal_broadcast", m.p);
-    for q in 0..m.p {
-        let recv = tree.parent[q as usize].map(|parent| {
-            wl.node(
-                format!("rx{q}"),
-                q,
-                Op::Recv {
-                    src: parent,
-                    tag: TAG_BCAST,
-                },
-                &[],
-            )
-        });
-        let deps: &[u32] = match &recv {
-            Some(r) => std::slice::from_ref(r),
-            None => &[],
-        };
-        for &c in &children[q as usize] {
-            wl.node(
-                format!("tx{q}_{c}"),
-                q,
-                Op::Send {
-                    dst: c,
-                    tag: TAG_BCAST,
-                    payload: Payload::Word(BCAST_DATUM),
-                },
-                deps,
-            );
-        }
-    }
-    wl
-}
-
-/// The optimal summation schedule for deadline `t` (§3.3, Figure 4) as
-/// a DAG. Per processor: an initial local-addition chain, then per
-/// child (earliest arrival first) a recv and a combine chain of
-/// `s - o` cycles (`1` for the last), then the partial sum to the
-/// parent — the exact shape `logp_algos::run_sum_schedule` executes.
-pub fn summation_workload(m: &LogP, t: Cycles) -> Workload {
-    let sched = optimal_sum_schedule(m, t);
-    let s = m.g.max(m.o + 1);
-    let mut wl = Workload::new("optimal_summation", sched.procs().max(1));
-    for node in &sched.nodes {
-        let q = node.proc;
-        let k = node.children.len() as u64;
-        let initial_chain = if k == 0 {
-            node.complete_at
-        } else {
-            node.complete_at - (k - 1) * s - m.o - 1
-        };
-        let mut prev = wl.node(
-            format!("init{q}"),
-            q,
-            Op::Compute {
-                cycles: initial_chain,
-            },
-            &[],
-        );
-        // `SumNode::children` lists the latest-completing child first;
-        // arrivals land earliest-first, so walk it reversed.
-        for (j, (child, _)) in node.children.iter().rev().enumerate() {
-            let rx = wl.node(
-                format!("rx{q}_{child}"),
-                q,
-                Op::Recv {
-                    src: *child,
-                    tag: TAG_PARTIAL,
-                },
-                &[],
-            );
-            let cycles = if (j as u64) < k - 1 { s - m.o } else { 1 };
-            prev = wl.node(
-                format!("add{q}_{child}"),
-                q,
-                Op::Compute { cycles },
-                &[rx, prev],
-            );
-        }
-        if let Some(parent) = node.parent {
-            wl.node(
-                format!("tx{q}"),
-                q,
-                Op::Send {
-                    dst: parent,
-                    tag: TAG_PARTIAL,
-                    payload: Payload::Word(node.local_inputs),
-                },
-                &[prev],
-            );
-        }
-    }
-    wl
-}
-
-/// Reduce-then-broadcast all-reduce as a DAG: binomial combine into
-/// processor 0 (one 1-cycle combine per received partial), then the
-/// optimal broadcast tree back out — the exact shape of
-/// `logp_algos::run_allreduce_reduce_bcast`.
-pub fn allreduce_workload(m: &LogP) -> Workload {
-    let p = m.p;
-    let tree = optimal_broadcast_tree(m);
-    let down = tree.children();
-    let mut wl = Workload::new("allreduce_reduce_bcast", p);
-    for q in 0..p {
-        let mut combines = Vec::new();
-        for c in binomial_children(q, p) {
-            let rx = wl.node(
-                format!("up{q}_{c}"),
-                q,
-                Op::Recv {
-                    src: c,
-                    tag: TAG_UP,
-                },
-                &[],
-            );
-            combines.push(wl.node(format!("add{q}_{c}"), q, Op::Compute { cycles: 1 }, &[rx]));
-        }
-        if q == 0 {
-            for &c in &down[0] {
-                wl.node(
-                    format!("dn{q}_{c}"),
-                    q,
-                    Op::Send {
-                        dst: c,
-                        tag: TAG_DOWN,
-                        payload: Payload::Word(q as u64),
-                    },
-                    &combines,
-                );
-            }
-        } else {
-            wl.node(
-                format!("tx{q}"),
-                q,
-                Op::Send {
-                    dst: binomial_parent(q),
-                    tag: TAG_UP,
-                    payload: Payload::Word(q as u64),
-                },
-                &combines,
-            );
-            let rx = wl.node(
-                format!("dn_rx{q}"),
-                q,
-                Op::Recv {
-                    src: tree.parent[q as usize].expect("non-root has a down parent"),
-                    tag: TAG_DOWN,
-                },
-                &[],
-            );
-            for &c in &down[q as usize] {
-                wl.node(
-                    format!("dn{q}_{c}"),
-                    q,
-                    Op::Send {
-                        dst: c,
-                        tag: TAG_DOWN,
-                        payload: Payload::Word(q as u64),
-                    },
-                    &[rx],
-                );
-            }
-        }
-    }
-    wl
-}

@@ -7,11 +7,11 @@
 //! L/o/g — the same DAG can be interpreted on any [`logp_core::LogP`]
 //! quadruple with enough processors (see [`crate::interp::run_workload`]).
 //!
-//! Construction paths: the text loader ([`crate::parse`]), the corpus
-//! emitters ([`crate::corpus`]), trace replay ([`crate::replay`]), the
-//! fuzz generator ([`crate::fuzz`]), or the [`Workload::node`] builder
-//! directly. Every path funnels through the same check ([`Workload::validate`],
-//! or the interpreter's own call of it) before a node runs.
+//! Construction paths: the text loader ([`crate::parse`]), trace replay
+//! ([`crate::replay`]), the fuzz generator ([`crate::fuzz`]), or the
+//! [`Workload::node`] builder directly. Every path funnels through the
+//! same check ([`Workload::validate`], or the interpreter's own call of
+//! it) before a node runs.
 //!
 //! The nodes live in one arena, [`Nodes`]: a fixed 48-byte record per node
 //! over three shared buffers (label bytes, dependency ids, dependency

@@ -6,8 +6,9 @@
 //! human-writable text format with a real error-reporting loader, a
 //! deterministic interpreter that executes any loaded DAG on the
 //! classic or sharded engine — flat or hierarchical
-//! ([`run_workload_hier`]) — trace replay (ObsLog → DAG), and a
-//! seeded fuzz generator for differential testing.
+//! ([`run_workload_hier`]) — trace replay (ObsLog → DAG, which is also
+//! how a built-in runner becomes a program), and a seeded fuzz generator
+//! for differential testing.
 //!
 //! ```
 //! use logp_wl::{load_workload, run_workload};
@@ -39,9 +40,7 @@ mod lower;
 pub mod parse;
 pub mod replay;
 
-pub use corpus::{
-    allreduce_workload, broadcast_workload, preset, summation_workload, PRESET_NAMES,
-};
+pub use corpus::{preset, PRESET_NAMES};
 pub use fuzz::{gen_workload, FuzzConfig};
 pub use interp::{projection, run_workload, run_workload_hier, WlRun, WlRunError, UNSET};
 pub use ir::{Node, NodeId, Nodes, Op, Payload, Span, WlError, Workload};

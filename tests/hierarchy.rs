@@ -5,6 +5,7 @@
 //! and logp-wl (hierarchical workload runs). The normative description
 //! of what is pinned here is `docs/HIERARCHY.md`.
 
+use logp::algos::broadcast::run_optimal_broadcast;
 use logp::algos::hier::{
     flat_tree, hier_tree, run_flat_broadcast_on, run_hier_allreduce, run_hier_broadcast,
     run_hier_sum, run_tree_allreduce_on, run_tree_broadcast_on, run_tree_reduce_on,
@@ -17,7 +18,7 @@ use logp::core::hier::{
     flat_sum_time_on, hier_allreduce_time, hier_broadcast_time, hier_sum_time, Hierarchy, Level,
 };
 use logp::prelude::*;
-use logp::wl::{broadcast_workload, preset, run_workload, run_workload_hier, PRESET_NAMES};
+use logp::wl::{preset, run_workload, run_workload_hier, workload_from_obslog, PRESET_NAMES};
 
 /// The steep two-level machine used throughout: local links an order
 /// of magnitude cheaper than the fabric.
@@ -61,15 +62,17 @@ fn depth_one_hierarchy_matches_flat_closed_forms_on_all_presets() {
     }
 }
 
-/// Workload-level identity: same DAG, same config, full `SimResult`
-/// equality between the flat engine and a depth-1 hierarchy — classic
-/// and sharded. (The `hier_sweep --check` CI pin extends this to all
-/// three corpus collectives.)
+/// Workload-level identity: same DAG (the optimal broadcast's, replayed
+/// from its run), same config, full `SimResult` equality between the flat
+/// engine and a depth-1 hierarchy — classic and sharded. (The
+/// `hier_sweep --check` CI pin extends this to all three corpus
+/// collectives.)
 #[test]
 fn depth_one_hierarchy_runs_workloads_bit_identically() {
     for name in PRESET_NAMES {
         let m = preset(name).unwrap();
-        let wl = broadcast_workload(&m);
+        let recorded = run_optimal_broadcast(&m, SimConfig::default().with_msg_log(true));
+        let wl = workload_from_obslog(&recorded.result.obs, m.p, "optimal_broadcast").unwrap();
         for shards in [0u32, 4] {
             let cfg = || {
                 let c = SimConfig::default();

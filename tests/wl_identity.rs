@@ -2,9 +2,11 @@
 //! each other.
 //!
 //! `tests/data/wl_identity.txt` holds, for every program of a fixed
-//! corpus — the files under `examples/workloads/`, the three corpus
-//! emitters on the five presets, 64 `gen_workload` seeds and the
-//! `workload_from_obslog` of a recorded all-to-all — one hash per line
+//! corpus — the files under `examples/workloads/`, the replays of the
+//! three built-in runners the mirrored files reproduce (optimal
+//! broadcast, optimal summation, reduce-then-broadcast all-reduce) on the
+//! five presets, 64 `gen_workload` seeds and the `workload_from_obslog`
+//! of a recorded all-to-all — one hash per line
 //! over: `to_text`; the rendering of `tests/common` (every node, label,
 //! operation, dependency and source position), of the program itself and
 //! of its text loaded back; the whole `WlRun` (`node_times`, `unmatched`,
@@ -12,24 +14,30 @@
 //! and on four lanes; and `run_workload_hier` on a three-level hierarchy
 //! shaped to the program's `procs`. The file was recorded at the parent
 //! of the PR that moved the IR into one arena and handed the checked plan
-//! from the loader to the interpreter; every line must reproduce.
+//! from the loader to the interpreter; the `broadcast.*`, `summation.*`
+//! and `allreduce.*` lines were re-recorded, with every `completion=`
+//! unchanged, when those programs became replays of the built-in runs
+//! instead of hand-written mirrors of them. Every line must reproduce.
 
 mod common;
+#[path = "common/presets.rs"]
+mod presets;
 
 use common::{fnv1a, render};
+use logp::algos::allreduce::run_allreduce_reduce_bcast;
+use logp::algos::broadcast::run_optimal_broadcast;
+use logp::algos::reduce::run_sum_schedule;
 use logp::core::hier::{Hierarchy, Level};
+use logp::core::summation::optimal_sum_schedule;
 use logp::core::LogP;
 use logp::sim::process::StartFn;
-use logp::sim::{Data, Sim, SimConfig};
+use logp::sim::{Data, ObsLog, Sim, SimConfig};
 use logp::wl::{
-    allreduce_workload, broadcast_workload, gen_workload, load_workload, preset, run_workload,
-    run_workload_hier, summation_workload, to_text, workload_from_obslog, FuzzConfig, WlRun,
-    Workload, PRESET_NAMES,
+    gen_workload, load_workload, preset, run_workload, run_workload_hier, to_text,
+    workload_from_obslog, FuzzConfig, WlRun, Workload,
 };
 
 const IDENTITY_FILE: &str = "tests/data/wl_identity.txt";
-/// Summation deadlines of `tests/workloads.rs`, parallel to `PRESET_NAMES`.
-const DEADLINES: [u64; 5] = [40, 28, 200, 250, 40];
 
 /// `(label, program, machine it runs on)`.
 fn corpus() -> Vec<(String, Workload, LogP)> {
@@ -46,11 +54,24 @@ fn corpus() -> Vec<(String, Workload, LogP)> {
         let name = path.file_name().expect("file name").to_string_lossy();
         v.push((format!("file.{name}"), wl, m.unwrap_or(LogP::fig3())));
     }
-    for (name, t) in PRESET_NAMES.iter().zip(DEADLINES) {
-        let m = preset(name).expect("preset");
-        v.push((format!("broadcast.{name}"), broadcast_workload(&m), m));
-        v.push((format!("summation.{name}"), summation_workload(&m, t), m));
-        v.push((format!("allreduce.{name}"), allreduce_workload(&m), m));
+    // The built-in runs, each replayed from its lifecycle log.
+    let cfg = || SimConfig::default().with_msg_log(true);
+    let replay = |log: &ObsLog, procs, name| workload_from_obslog(log, procs, name).unwrap();
+    for (name, m, t) in presets::presets() {
+        let sched = optimal_sum_schedule(&m, t);
+        let values: Vec<f64> = (0..m.p).map(f64::from).collect();
+        let bcast = run_optimal_broadcast(&m, cfg()).result.obs;
+        let sum = run_sum_schedule(&sched, cfg()).result.obs;
+        let ared = run_allreduce_reduce_bcast(&m, &values, cfg()).result.obs;
+        let sum = replay(&sum, sched.procs().max(1), "optimal_summation");
+        v.push((
+            format!("broadcast.{name}"),
+            replay(&bcast, m.p, "optimal_broadcast"),
+            m,
+        ));
+        v.push((format!("summation.{name}"), sum, m));
+        let ared = replay(&ared, m.p, "allreduce_reduce_bcast");
+        v.push((format!("allreduce.{name}"), ared, m));
     }
     for seed in 0..64 {
         let wl = gen_workload(seed, &FuzzConfig::default());
