@@ -29,12 +29,11 @@ use crate::experiments::flood_series;
 use crate::fit::theil_sen;
 use crate::machine::Machine;
 use crate::script::{Op, Script};
+use logp_core::rng::CounterRng;
 use logp_core::ParamEstimate;
 use logp_net::shortest_path_routes;
 use logp_net::timing::MachineTiming;
 use logp_net::topology::{Network, Topology};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 /// A packet in flight (destination *node* index).
@@ -160,7 +159,7 @@ impl Machine for PacketMachine {
             .copied()
             .filter(|e| script_at[*e as usize].is_none())
             .collect();
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = CounterRng::new(self.seed);
         let mut queues: Vec<VecDeque<Pkt>> = vec![VecDeque::new(); n];
         let serialize = self.serialize.max(1);
         let overhead = self.overhead.max(1);
@@ -210,8 +209,8 @@ impl Machine for PacketMachine {
             // 3. Background injection at idle endpoints.
             if self.background > 0.0 && idle.len() >= 2 {
                 for &e in &idle {
-                    if rng.gen_bool(self.background) {
-                        let dst = idle[rng.gen_range(0..idle.len())];
+                    if rng.next_bool(self.background) {
+                        let dst = idle[rng.next_in(idle.len() as u64 - 1) as usize];
                         if dst != e {
                             queues[e as usize].push_back(Pkt { dst });
                         }

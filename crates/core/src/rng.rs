@@ -1,12 +1,12 @@
 //! Deterministic mixing primitives shared across the workspace.
 //!
-//! Three subsystems need order-independent pseudo-randomness — the sweep
-//! runner's per-spec seed derivation, the fault layer's per-message
-//! decisions, and the reliable endpoint's retransmission jitter — and all
-//! three previously carried private copies of the same SplitMix64
-//! finalizer. This module is the single definition; everything that wants
-//! "a well-mixed u64 from a handful of integers, independent of execution
-//! order" goes through it.
+//! Every pseudo-random draw in the workspace goes through this module: the
+//! simulator's latency jitter, compute drift and skew ([`noise`]), the
+//! sweep runner's per-spec seed derivation, the fault layer's per-message
+//! decisions, the reliable endpoint's retransmission jitter, and the
+//! packet-level network's traffic ([`CounterRng`]). It is the single
+//! definition of "a well-mixed u64 from a handful of integers,
+//! independent of execution order".
 
 /// SplitMix64: Steele, Lea & Flood's 64-bit finalizer (the `splitmix64`
 /// output function). Bijective on `u64`, so distinct inputs never collide,
@@ -36,8 +36,7 @@ pub fn mix(words: &[u64]) -> u64 {
 /// A tiny counter-mode stream over [`splitmix64`]: draw `i` of stream
 /// `seed` is `splitmix64(seed ^ splitmix64(i))`. Unlike a stateful RNG,
 /// any draw can be computed independently of the others, which is what
-/// makes simulation results independent of event-processing order (the
-/// sharded engine's latency/drift draws are exactly these).
+/// makes simulation results independent of event-processing order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterRng {
     seed: u64,
@@ -71,6 +70,36 @@ impl CounterRng {
     pub fn next_in(&mut self, bound: u64) -> u64 {
         self.next_u64() % (bound + 1)
     }
+
+    /// The next draw as a Bernoulli trial: `true` with probability `p`
+    /// (the top 53 bits as a uniform in `[0, 1)`, compared against `p`).
+    #[inline]
+    pub fn next_bool(&mut self, p: f64) -> bool {
+        ((self.next_u64() >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
+    }
+}
+
+/// The simulator's noise streams, one tag per kind of draw (see
+/// [`noise`]). The tags are ASCII: `LAT`, `DRF`, `SKW`.
+pub mod stream {
+    /// Latency jitter: drawn by the source of every message whose
+    /// clamped jitter is non-zero.
+    pub const LATENCY: u64 = 0x004C_4154;
+    /// Compute drift: drawn by the computing processor for every
+    /// non-zero compute when drift is on.
+    pub const DRIFT: u64 = 0x0044_5246;
+    /// Systematic skew: drawn once per processor, as its draw 0.
+    pub const SKEW: u64 = 0x0053_4B57;
+}
+
+/// The one noise rule of both simulator engines: draw `k` of processor
+/// `proc` on `stream` under `seed`, uniform on `0..=max`. `k` counts the
+/// processor's earlier latency and drift draws, so what a processor sees
+/// depends only on its own progress — not on the global event order, the
+/// engine, or how processors are partitioned into lanes.
+#[inline]
+pub fn noise(seed: u64, stream: u64, proc: u64, k: u64, max: u64) -> u64 {
+    mix(&[seed, stream, proc, k]) % (max + 1)
 }
 
 #[cfg(test)]
@@ -107,5 +136,9 @@ mod tests {
         for _ in 0..256 {
             assert!(c.next_in(5) <= 5);
         }
+        // Bernoulli trials: the extremes are exact, a half is near half.
+        assert!((0..256).all(|_| c.next_bool(1.0) && !c.next_bool(0.0)));
+        let heads = (0..4096).filter(|_| c.next_bool(0.5)).count();
+        assert!((1792..2304).contains(&heads), "{heads}");
     }
 }

@@ -14,8 +14,7 @@
 use crate::patterns::Permutation;
 use crate::routing::{dimension_order_next_hop, Router};
 use crate::topology::Network;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use logp_core::rng::CounterRng;
 use std::collections::VecDeque;
 
 /// A packet in the router network.
@@ -108,7 +107,7 @@ pub fn simulate_load(net: &Network, offered: f64, cfg: &PacketSimConfig) -> Load
     assert!((0.0..=1.0).contains(&offered));
     let n = net.adj.len();
     let routes = build_routes(net);
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (offered * 1e6) as u64);
+    let mut rng = CounterRng::new(cfg.seed ^ (offered * 1e6) as u64);
     // Per-node FIFO of transit packets; one forward per directed link per
     // cycle means: per node, at most one packet per outgoing neighbor.
     let mut queues: Vec<VecDeque<Packet>> = vec![VecDeque::new(); n];
@@ -120,8 +119,8 @@ pub fn simulate_load(net: &Network, offered: f64, cfg: &PacketSimConfig) -> Load
         // Injection phase (endpoints only, not during drain).
         if t < cfg.warmup_cycles + cfg.measure_cycles {
             for &e in endpoints {
-                if rng.gen_bool(offered) {
-                    let dst = endpoints[rng.gen_range(0..endpoints.len())];
+                if rng.next_bool(offered) {
+                    let dst = endpoints[rng.next_in(endpoints.len() as u64 - 1) as usize];
                     if dst != e {
                         queues[e as usize].push_back(Packet {
                             dst,

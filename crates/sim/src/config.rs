@@ -63,8 +63,9 @@ pub struct SimConfig {
     /// destination, ready-queue depth, utilization). `0` disables gauge
     /// sampling; a positive value implies `record_metrics`.
     pub metrics_grid: Cycles,
-    /// Seed for all pseudo-random draws (jitter, drift). Two runs with the
-    /// same seed and programs are bit-identical.
+    /// Seed for all pseudo-random draws (jitter, drift, skew; see
+    /// [`logp_core::rng::noise`]). Two runs with the same seed and
+    /// programs are bit-identical, on either engine.
     pub seed: u64,
     /// Hard cap on simulated events, to turn runaway programs into errors
     /// instead of hangs.
@@ -81,10 +82,9 @@ pub struct SimConfig {
     /// the processors into that many contiguous lanes synchronized by
     /// conservative `o + L` lookahead windows; results are bit-identical
     /// across every lane count `>= 2`, and match the classic engine's
-    /// workload-level outcome whenever both sample the same randomness
-    /// (`latency_jitter == 0`, `drift_ppk == 0`). The sharded engine
-    /// enforces the source-side ⌈L/g⌉ window only (no destination
-    /// backpressure), and runs needing gauge sampling
+    /// workload-level outcome wherever destination admission does not
+    /// bind: the sharded engine enforces the source-side ⌈L/g⌉ window
+    /// only (no destination backpressure). Runs needing gauge sampling
     /// (`metrics_grid > 0`) fall back to the classic engine.
     pub shards: u32,
     /// Streaming observability sink: lifecycle records flow here as they

@@ -17,7 +17,10 @@
 //!   serviced only while the command queue is empty (the processor is a
 //!   single sequential execution unit);
 //! * `compute(c)` occupies the processor for exactly `c` cycles (perturbed
-//!   if drift is configured).
+//!   if drift or skew is configured);
+//! * every jitter, drift and skew draw is the counter-mode rule
+//!   [`logp_core::rng::noise`], keyed by the drawing processor and its
+//!   count of earlier draws, so it does not depend on the event order.
 //!
 //! The engine is single-threaded and bit-deterministic for a given
 //! `(programs, model, config)` triple: same-cycle events are ordered by
@@ -35,9 +38,8 @@ use crate::obs::{
 use crate::process::{Command, Ctx, Process};
 use crate::trace::{Activity, ProcStats, SimStats, Span, Trace};
 use logp_core::hier::Hierarchy;
+use logp_core::rng::{noise, stream};
 use logp_core::{Cycles, LogP, ProcId};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 pub mod calendar;
@@ -686,7 +688,10 @@ pub struct Sim {
     /// yet completed (network window + NI buffer occupancy).
     outstanding_to: Vec<u64>,
     dst_waiters: Vec<VecDeque<ProcId>>,
-    rng: SmallRng,
+    /// Per-processor count of latency and drift draws so far, the `k`
+    /// of [`logp_core::rng::noise`]; empty when `latency_jitter` and
+    /// `drift_ppk` are both 0, as nothing is drawn.
+    draws: Vec<u64>,
     /// Per-processor systematic compute scale in parts-per-1024 (1024 =
     /// nominal speed), drawn once at construction from `proc_skew_ppk`;
     /// empty — every processor nominal — when that is 0.
@@ -736,9 +741,9 @@ pub struct Sim {
     /// Processor → owning lane.
     lane_of: Vec<u32>,
     /// Per-processor counters feeding the low 36 bits of every canonical
-    /// event key that processor issues (and its latency/drift draws), so
-    /// keys and draws depend only on processor-local execution order —
-    /// never on how processors are partitioned into lanes.
+    /// event key that processor issues, so keys depend only on
+    /// processor-local execution order — never on how processors are
+    /// partitioned into lanes.
     pctr: Vec<u64>,
     /// Per-source release-time rings: the network-release instants of the
     /// source's in-flight messages, kept sorted. Replaces the classic
@@ -774,12 +779,13 @@ impl Sim {
             config.record_metrics = true;
         }
         let p = model.p as usize;
-        let mut rng = SmallRng::seed_from_u64(config.seed);
-        let skew = config.proc_skew_ppk as i64;
-        let skewed = if skew == 0 { 0 } else { p };
+        let skew = config.proc_skew_ppk as u64;
+        let skewed = if skew == 0 { 0 } else { model.p as u64 };
         let proc_scale: Vec<i64> = (0..skewed)
-            .map(|_| 1024 + rng.gen_range(-skew..=skew))
+            .map(|q| 1024 + noise(config.seed, stream::SKEW, q, 0, 2 * skew) as i64 - skew as i64)
             .collect();
+        let noisy = config.latency_jitter != 0 || config.drift_ppk != 0;
+        let draws = vec![0; if noisy { p } else { 0 }];
         let procs: Vec<ProcState> = (0..p)
             .map(|_| ProcState::new(Box::new(crate::process::Passive)))
             .collect();
@@ -818,7 +824,7 @@ impl Sim {
             in_flight_to: Vec::new(),
             outstanding_to: Vec::new(),
             dst_waiters: Vec::new(),
-            rng,
+            draws,
             proc_scale,
             trace: Trace::default(),
             stats: SimStats {
@@ -1230,39 +1236,30 @@ impl Sim {
         ring.front().filter(|_| ring.len() as u64 >= self.capacity)
     }
 
-    /// A uniform draw from `0..=max` for processor `p`: the one place
-    /// the engines' noise sources differ. The classic engine draws from a
-    /// sequential generator in global event order; the lanes draw
-    /// counter-mode (`logp_core::rng`), a pure function of `(seed, stream,
-    /// p, ctr)`, so what each processor sees is independent of the lane
-    /// count. The two are different (equally legitimate) streams; they
-    /// coincide exactly when nothing is drawn.
+    /// Processor `p`'s next draw on `stream`, uniform on `0..=max`.
     #[inline]
-    fn noise<const SHARDED: bool>(&mut self, p: ProcId, stream: u64, max: u64) -> u64 {
-        if SHARDED {
-            let ctr = self.bump_pctr(p);
-            logp_core::rng::mix(&[self.config.seed, stream, p as u64, ctr]) % (max + 1)
-        } else {
-            self.rng.gen_range(0..=max)
-        }
+    fn noise(&mut self, p: ProcId, stream: u64, max: u64) -> u64 {
+        let k = self.draws[p as usize];
+        self.draws[p as usize] = k + 1;
+        noise(self.config.seed, stream, p as u64, k, max)
     }
 
     /// The flight time of a message `src` injects over a link of latency
     /// `l`: `l` less the configured jitter.
     #[inline]
-    fn draw_latency<const SHARDED: bool>(&mut self, src: ProcId, l: Cycles) -> Cycles {
+    fn draw_latency(&mut self, src: ProcId, l: Cycles) -> Cycles {
         let j = self.config.latency_jitter.min(l.saturating_sub(1));
         if j == 0 {
             l
         } else {
-            l - self.noise::<SHARDED>(src, 0x004C_4154, j)
+            l - self.noise(src, stream::LATENCY, j)
         }
     }
 
     /// The duration of a nominally `cycles`-long compute on `proc`, under
     /// its systematic skew and the configured per-compute drift.
     #[inline]
-    fn draw_compute<const SHARDED: bool>(&mut self, proc: ProcId, cycles: Cycles) -> Cycles {
+    fn draw_compute(&mut self, proc: ProcId, cycles: Cycles) -> Cycles {
         let ppk = self.config.drift_ppk as i64;
         if cycles == 0 || (ppk == 0 && self.config.proc_skew_ppk == 0) {
             return cycles;
@@ -1270,7 +1267,7 @@ impl Sim {
         let noise = if ppk == 0 {
             0
         } else {
-            self.noise::<SHARDED>(proc, 0x0044_5246, 2 * ppk as u64) as i64 - ppk
+            self.noise(proc, stream::DRIFT, 2 * ppk as u64) as i64 - ppk
         };
         let scale = self.proc_scale.get(proc as usize).unwrap_or(&1024) + noise;
         let scaled = cycles as i128 * scale.max(0) as i128 / 1024;
@@ -1994,7 +1991,7 @@ impl Sim {
                         self.sched::<SHARDED>(t, EventKind::Wake(p));
                         return;
                     }
-                    let dur = self.draw_compute::<SHARDED>(p, cycles);
+                    let dur = self.draw_compute(p, cycles);
                     let Some(done) = self.end_of(p, "compute", dur) else {
                         return;
                     };
@@ -2202,7 +2199,7 @@ impl Sim {
         self.span(p, now, now + o, Activity::SendOverhead);
         // Inject.
         let words = bulk.unwrap_or(1);
-        let flight = stream + self.draw_latency::<SHARDED>(p, pl);
+        let flight = stream + self.draw_latency(p, pl);
         if FAULTS {
             self.inject_faulty::<OBS, SHARDED>(
                 p, dst, tag, data, words, meta, send_gate, o, flight,

@@ -36,10 +36,10 @@
 //!   function of processor-local execution order — identical however the
 //!   processors are grouped. Arrivals carry their *source's* counter, so
 //!   same-cycle arrivals chain into a destination's inbox in that order.
-//! * **Counter-mode randomness.** Latency jitter and compute drift are
-//!   drawn as `mix(seed, tag, proc, ctr)` ([`logp_core::rng`]) — a pure
-//!   function of the drawing processor's identity and progress, not of
-//!   global event interleaving.
+//! * **Counter-mode randomness.** Latency jitter, compute drift and skew
+//!   are drawn by [`logp_core::rng::noise`] — a pure function of the
+//!   drawing processor and its draw count, not of global event
+//!   interleaving — on this engine and the classic one alike.
 //! * **Source rings instead of `Release` events.** The classic engine's
 //!   per-message `Release` bookkeeping events would demand global time
 //!   order. Each source instead keeps a sorted ring of its in-flight
@@ -74,12 +74,8 @@
 //! gauge sampling (`metrics_grid > 0`) use the classic engine — the
 //! dispatch in [`Sim::run`] routes them there automatically.
 //!
-//! Because the classic engine draws jitter and drift from a sequential
-//! generator in global event order, the two engines sample different
-//! (equally legitimate) streams; they coincide exactly when
-//! `latency_jitter == 0` and `drift_ppk == 0`. Lane counts `>= 2` are
-//! bit-identical to each other in all configurations, including under
-//! observability and fault plans.
+//! Lane counts `>= 2` are bit-identical to each other in all
+//! configurations, including under observability and fault plans.
 
 use super::{Lane, Sim, SimError, SrcRing};
 use crate::obs::Cause;

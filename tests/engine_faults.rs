@@ -353,7 +353,9 @@ fn a_crashing_hot_spot_frees_every_slot_exactly_once() {
     const CRASH_AT: u64 = 41;
     for o in [5, 0] {
         let m = LogP::new(6, o, 4, 16).unwrap();
-        let plan = FaultPlan::new(7)
+        // A plan seed under which the crash finds the deep inboxes the
+        // assertions below ask for, on both machines and every engine.
+        let plan = FaultPlan::new(5)
             .with_drop_ppm(100_000)
             .with_dup_ppm(200_000)
             .with_delay(200_000, 5)

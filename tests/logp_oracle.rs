@@ -3,8 +3,9 @@
 //! (every flat runner of `tests/collective_identity.rs`, the §4
 //! applications, and the `Reliable<P>` runners under a zero-rate plan) on
 //! the five presets, and on `gen_workload` programs on the presets and on
-//! an `o > g` and an `o = 0` machine. Each case compares completion, every
-//! node's finish time, and per-processor busy and stall totals.
+//! an `o > g` and an `o = 0` machine, noise-free and under latency jitter,
+//! compute drift and skew. Each case compares completion, every node's
+//! finish time, and per-processor busy and stall totals.
 //!
 //! A replay keeps the command order production chose (`workload_from_obslog`),
 //! so these cases judge the timing of that order against the model: the o
@@ -51,6 +52,7 @@ use logp::prelude::*;
 use logp::sim::reliable::RetryConfig;
 use logp::sim::{replay_jsonl, FaultPlan, SinkSpec};
 use logp::wl::{gen_workload, preset, workload_from_obslog, FuzzConfig, Op, WlRun};
+use oracle::Noise;
 use std::time::Instant;
 
 /// The engine's side of a comparison: completion, node finish times, and
@@ -67,10 +69,22 @@ fn engine_side(run: &WlRun) -> (Cycles, Vec<Cycles>, Vec<Cycles>, Vec<Cycles>) {
 
 /// Classic engine == oracle on `wl` over `m`.
 fn agree(label: &str, wl: &Workload, m: &LogP) {
-    let run = run_workload(wl, m, SimConfig::default()).unwrap_or_else(|e| panic!("{label}: {e}"));
-    let o = oracle::run(wl, m);
+    agree_under(label, wl, m, Noise::default());
+}
+
+/// Classic engine == oracle on `wl` over `m` with `noise` drawn; the
+/// completion they agree on.
+fn agree_under(label: &str, wl: &Workload, m: &LogP, noise: Noise) -> Cycles {
+    let config = SimConfig::default()
+        .with_seed(noise.seed)
+        .with_jitter(noise.jitter)
+        .with_drift(noise.drift_ppk as u32)
+        .with_skew(noise.skew_ppk as u32);
+    let run = run_workload(wl, m, config).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let o = oracle::run(wl, m, noise);
     let want = (o.completion, o.node_times, o.busy, o.stall);
     assert_eq!(engine_side(&run), want, "{label}: engine != oracle");
+    run.completion
 }
 
 /// The program a built-in run executed: run it with a JSONL lifecycle
@@ -322,16 +336,40 @@ fn replays_of_every_runner_agree_on_the_presets() {
     assert_eq!(cases, 5 * 45);
 }
 
+/// Every fuzz program on every machine, noise-free and under jitter,
+/// jitter with drift, and drift with skew, each drawn from the program's
+/// seed.
 #[test]
 fn fuzz_programs_agree_on_the_presets_and_the_corner_machines() {
     let presets = presets::presets().into_iter().map(|(name, m, _)| (name, m));
     let machines: Vec<_> = presets.chain(corner_machines()).collect();
+    // (name, jitter, drift, skew), and how many cases each moved off the
+    // noise-free completion.
+    let noises = [
+        ("quiet", 0, 0, 0),
+        ("jitter", 3, 0, 0),
+        ("jitter+drift", 3, 64, 0),
+        ("drift+skew", 0, 64, 64),
+    ];
+    let mut moved = [0; 4];
     for seed in 0..64 {
         let wl = gen_workload(seed, &FuzzConfig::default());
         for (name, m) in &machines {
-            agree(&format!("seed {seed} on {name}"), &wl, m);
+            let mut quiet = None;
+            for (i, &(noise_name, jitter, drift_ppk, skew_ppk)) in noises.iter().enumerate() {
+                let noise = Noise {
+                    seed,
+                    jitter,
+                    drift_ppk,
+                    skew_ppk,
+                };
+                let label = format!("seed {seed} on {name}, {noise_name}");
+                let completion = agree_under(&label, &wl, m, noise);
+                moved[i] += usize::from(*quiet.get_or_insert(completion) != completion);
+            }
         }
     }
+    assert!(moved[1..].iter().all(|&n| n > 0), "noise moved {moved:?}");
 }
 
 /// Three processors send to a fourth at once on a machine whose window is
@@ -356,7 +394,7 @@ fn a_hot_spot_holds_capacity_on_the_classic_engine_but_not_on_lanes() {
     }
     let m = LogP::fig3().with_p(4);
     agree("hot spot", &wl, &m);
-    let o = oracle::run(&wl, &m);
+    let o = oracle::run(&wl, &m, Noise::default());
     assert!(o.stall.iter().any(|&s| s > 0), "the witness must stall");
     let lanes = run_workload(&wl, &m, SimConfig::default().with_shards(4)).unwrap();
     assert_eq!(lanes.result.vitals.capacity_relaxed, 1);
@@ -445,7 +483,7 @@ fn race_the_oracle() {
         let run = run_workload(&wl, &m, SimConfig::default()).expect("runs");
         let engine = t.elapsed().as_nanos() as f64 / run.result.stats.events as f64;
         let t = Instant::now();
-        let o = oracle::run(&wl, &m);
+        let o = oracle::run(&wl, &m, Noise::default());
         let oracle = t.elapsed().as_nanos() as f64 / o.tasks as f64;
         assert_eq!(
             (run.completion, &run.node_times),

@@ -6,9 +6,11 @@
 //! `LogPMachine`: three busy-until arrays (`procs`, `nic_sends`,
 //! `nic_recvs`), per-processor in-transit counts, and an agenda of tasks
 //! ordered by `(time, key)` with one handler per task. There is no slab,
-//! no calendar, no lane and no monomorph; `host_noise` and
-//! `network_noise` are the slots a noisy machine would fill, and stay
-//! `None` here.
+//! no calendar, no lane and no monomorph. `host_noise` and
+//! `network_noise` perturb compute and flight times by DESIGN.md's noise
+//! rule: the k-th draw of a processor on a stream is
+//! `mix(seed, stream, proc, k) % (max + 1)`, which an independent machine
+//! reproduces because it depends on no global event order.
 //!
 //! Capacity is the paper's (§3): at most ⌈L/g⌉ messages in transit from
 //! or to any processor — a message is in transit for its flight `L`, from
@@ -21,9 +23,21 @@
 //! in declaration order, and the i-th delivery on a `(src, dst, tag)`
 //! channel satisfies that channel's i-th `recv`.
 
+use logp_core::rng::{mix, stream};
 use logp_core::{Cycles, LogP};
 use logp_wl::{Op, Workload};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// The machine's noise, as `SimConfig` names it: latency jitter below
+/// `L`, per-compute drift and per-processor skew in parts per 1024, and
+/// the seed of every draw. The default draws nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Noise {
+    pub(crate) seed: u64,
+    pub(crate) jitter: Cycles,
+    pub(crate) drift_ppk: u64,
+    pub(crate) skew_ppk: u64,
+}
 
 /// What a run of the oracle reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,8 +114,11 @@ struct LogPMachine {
     agenda: BTreeMap<(Cycles, (u8, u64)), Task>,
     seq: u64,
     now: Cycles,
-    host_noise: Option<fn(usize, Cycles) -> Cycles>,
-    network_noise: Option<fn(usize, usize, Cycles) -> Cycles>,
+    noise: Noise,
+    /// Per processor: its skew in parts per 1024 (1024 is nominal), and
+    /// how many jitter and drift draws it has made.
+    scale: Vec<i64>,
+    draws: Vec<u64>,
     p: Vec<Proc>,
     /// Per node: its processor and operation, the dependencies it waits
     /// for, its successors, whether its message was delivered, and when
@@ -118,14 +135,18 @@ struct LogPMachine {
 }
 
 /// Run `wl`, which must be valid, on `m` re-dimensioned to `wl.procs`
-/// processors, with capacity enforced. A processor whose nodes all
-/// completed has nothing left to do: every message sent to it was
-/// received, and every processor takes part in every barrier.
-pub(crate) fn run(wl: &Workload, m: &LogP) -> Outcome {
+/// processors, with capacity enforced and `noise` drawn. A processor
+/// whose nodes all completed has nothing left to do: every message sent
+/// to it was received, and every processor takes part in every barrier.
+pub(crate) fn run(wl: &Workload, m: &LogP, noise: Noise) -> Outcome {
     let (n, k) = (wl.procs as usize, wl.nodes.len());
     let mut o = LogPMachine::default();
     (o.l, o.o, o.g, o.capacity) = (m.l, m.o, m.g, m.l.div_ceil(m.g));
     (o.procs, o.nic_sends, o.nic_recvs) = (vec![0; n], vec![0; n], vec![0; n]);
+    // Skew is each processor's draw 0 on its own stream.
+    let skew = noise.skew_ppk;
+    let scale = |q| 1024 + draw(noise.seed, stream::SKEW, q, 0, 2 * skew) as i64 - skew as i64;
+    (o.noise, o.scale, o.draws) = (noise, (0..n).map(scale).collect(), vec![0; n]);
     o.p = (0..n).map(|_| Proc::default()).collect();
     (o.succs, o.delivered, o.times) = (vec![Vec::new(); k], vec![false; k], vec![Cycles::MAX; k]);
     // The edges a processor's own completions carry: `after:`, and the
@@ -300,7 +321,7 @@ impl LogPMachine {
             }
             Op::Compute { cycles } => {
                 self.p[q].cmds.pop_front();
-                let cycles = cycles + self.host_noise.map_or(0, |f| f(q, cycles));
+                let cycles = self.host_noise(q, cycles);
                 (self.procs[q], self.p[q].engaged) = (now + cycles, true);
                 self.p[q].work += cycles;
                 self.at(now + cycles, Task::ComputeDone(q, id));
@@ -348,7 +369,7 @@ impl LogPMachine {
         };
         self.p[q].waiting_src = false;
         self.end_stall(q);
-        let flight = self.l + self.network_noise.map_or(0, |f| f(q, dst, now));
+        let flight = self.network_noise(q);
         (self.procs[q], self.nic_sends[q]) = (now + self.o, now + self.g);
         self.p[q].work += self.o;
         self.p[q].from += 1;
@@ -374,6 +395,37 @@ impl LogPMachine {
         self.at(now + self.o, Task::RecvDone(q, msg));
     }
 
+    // ---- Noise. ----
+
+    /// Processor `q`'s next draw on `tag`, uniform on `0..=max`.
+    fn draw(&mut self, q: usize, tag: u64, max: u64) -> u64 {
+        self.draws[q] += 1;
+        draw(self.noise.seed, tag, q, self.draws[q] - 1, max)
+    }
+
+    /// How long a `cycles`-long compute on `q` takes: scaled by its skew
+    /// plus a fresh drift draw, unless it is empty or neither is on.
+    fn host_noise(&mut self, q: usize, cycles: Cycles) -> Cycles {
+        let (drift, skew) = (self.noise.drift_ppk, self.noise.skew_ppk);
+        if cycles == 0 || drift + skew == 0 {
+            return cycles;
+        }
+        let drift = match drift {
+            0 => 0,
+            _ => self.draw(q, stream::DRIFT, 2 * drift) as i64 - drift as i64,
+        };
+        cycles * (self.scale[q] + drift).max(0) as u64 / 1024
+    }
+
+    /// The flight of a message `q` sends: `L` less a jitter draw, the
+    /// jitter capped at `L - 1`; no draw when that cap is 0.
+    fn network_noise(&mut self, q: usize) -> Cycles {
+        match self.noise.jitter.min(self.l.saturating_sub(1)) {
+            0 => self.l,
+            j => self.l - self.draw(q, stream::LATENCY, j),
+        }
+    }
+
     fn end_stall(&mut self, q: usize) {
         if let Some(since) = self.p[q].stall_since.take() {
             self.p[q].stall += self.now - since;
@@ -387,4 +439,9 @@ impl LogPMachine {
             self.advance(w);
         }
     }
+}
+
+/// Draw `k` of processor `q` on stream `tag`, uniform on `0..=max`.
+fn draw(seed: u64, tag: u64, q: usize, k: u64, max: u64) -> u64 {
+    mix(&[seed, tag, q as u64, k]) % (max + 1)
 }

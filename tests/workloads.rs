@@ -189,7 +189,7 @@ fn corpus_files_run_to_their_builtins_and_the_oracle() {
             projection(&want),
             "{path}: completion and per-processor stats vs the built-in"
         );
-        let o = oracle::run(&wl, &m);
+        let o = oracle::run(&wl, &m, oracle::Noise::default());
         let stats = &run.result.stats.procs;
         assert_eq!(o.completion, run.completion, "{path}: oracle completion");
         assert_eq!(o.node_times, run.node_times, "{path}: oracle node times");
