@@ -14,22 +14,16 @@ use logp_core::summation::min_sum_time;
 use logp_core::LogP;
 use logp_sim::SimConfig;
 
-pub fn run(args: &Args) {
+pub fn run(_: &Args) {
     // CM-5-like machine in 0.1 µs cycles.
     let m = LogP::new(60, 20, 40, 64).unwrap();
     let bsp = Bsp::from_logp(&m);
     let bsp_machine = BspMachine::from_model(&bsp);
     let n = 4096u64;
 
-    // The two LogP simulations dominate the wall clock and are
-    // independent; overlap them on the sweep pool.
     let logp_sum = min_sum_time(&m, n, m.p);
-    let (sim_bcast, sim_sum) = args.threads.install(|| {
-        rayon::join(
-            || run_optimal_broadcast(&m, SimConfig::default()).completion,
-            || run_optimal_sum(&m, logp_sum, SimConfig::default()).completion,
-        )
-    });
+    let sim_bcast = run_optimal_broadcast(&m, SimConfig::default()).completion;
+    let sim_sum = run_optimal_sum(&m, logp_sum, SimConfig::default()).completion;
 
     println!("§6 — predicted/executed time for the same problems under each model");
     println!("machine: {m} (CM-5 calibration, 1 cycle = 0.1 µs)\n");

@@ -5,14 +5,11 @@
 use logp_bench::{f2, Args, Table};
 use logp_core::broadcast::{optimal_broadcast_time, shape_broadcast_time, TreeShape};
 use logp_core::summation::min_sum_time;
-use logp_core::sweep::{crossover_par, sweep_par, Axis, Grid, Param};
+use logp_core::sweep::{crossover, sweep, Axis, Grid, Param};
 use logp_core::LogP;
 
-pub fn run(args: &Args) {
-    println!(
-        "§3.3/§7 — collectives across the (L, o, g, P) machine space ({} threads)\n",
-        args.threads.count()
-    );
+pub fn run(_: &Args) {
+    println!("§3.3/§7 — collectives across the (L, o, g, P) machine space\n");
 
     println!("broadcast times (cycles): optimal vs fixed shapes");
     let mut t = Table::new(&[
@@ -30,24 +27,22 @@ pub fn run(args: &Args) {
         g: Axis::list([4u64, 40]),
         p: Axis::list([64u64]),
     };
-    let pts = args.threads.install(|| {
-        sweep_par(
-            &grid,
-            &[
-                ("optimal", &|m: &LogP| optimal_broadcast_time(m)),
-                ("binomial", &|m: &LogP| {
-                    shape_broadcast_time(m, TreeShape::Binomial)
-                }),
-                ("binary", &|m: &LogP| {
-                    shape_broadcast_time(m, TreeShape::Binary)
-                }),
-                ("flat", &|m: &LogP| shape_broadcast_time(m, TreeShape::Flat)),
-                ("linear", &|m: &LogP| {
-                    shape_broadcast_time(m, TreeShape::Linear)
-                }),
-            ],
-        )
-    });
+    let pts = sweep(
+        &grid,
+        &[
+            ("optimal", &|m: &LogP| optimal_broadcast_time(m)),
+            ("binomial", &|m: &LogP| {
+                shape_broadcast_time(m, TreeShape::Binomial)
+            }),
+            ("binary", &|m: &LogP| {
+                shape_broadcast_time(m, TreeShape::Binary)
+            }),
+            ("flat", &|m: &LogP| shape_broadcast_time(m, TreeShape::Flat)),
+            ("linear", &|m: &LogP| {
+                shape_broadcast_time(m, TreeShape::Linear)
+            }),
+        ],
+    );
     for p in &pts {
         let v: Vec<u64> = p.metrics.iter().map(|m| m.1).collect();
         t.row(&[
@@ -64,15 +59,13 @@ pub fn run(args: &Args) {
 
     // Crossover: as L grows, the flat tree overtakes the chain.
     let base = LogP::new(1, 1, 8, 16).unwrap();
-    let x = args.threads.install(|| {
-        crossover_par(
-            &base,
-            Param::L,
-            &Axis::linear(1, 200, 1),
-            &|m| shape_broadcast_time(m, TreeShape::Linear),
-            &|m| shape_broadcast_time(m, TreeShape::Flat),
-        )
-    });
+    let x = crossover(
+        &base,
+        Param::L,
+        &Axis::linear(1, 200, 1),
+        &|m| shape_broadcast_time(m, TreeShape::Linear),
+        &|m| shape_broadcast_time(m, TreeShape::Flat),
+    );
     println!(
         "\ncrossover on {base}: flat broadcast overtakes the linear chain at L = {}",
         x.map_or("never".to_string(), |v| v.to_string())

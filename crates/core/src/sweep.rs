@@ -106,9 +106,6 @@ impl SweepPoint {
 /// A named cost function over machines.
 pub type NamedCost<'a> = (&'static str, &'a dyn Fn(&LogP) -> Cycles);
 
-/// A named cost function usable from multiple sweep workers at once.
-pub type NamedCostSync<'a> = (&'static str, &'a (dyn Fn(&LogP) -> Cycles + Sync));
-
 /// Run a set of named cost functions over every machine in the grid.
 pub fn sweep(grid: &Grid, algos: &[NamedCost<'_>]) -> Vec<SweepPoint> {
     grid.machines()
@@ -116,21 +113,6 @@ pub fn sweep(grid: &Grid, algos: &[NamedCost<'_>]) -> Vec<SweepPoint> {
         .map(|machine| SweepPoint {
             machine,
             metrics: algos.iter().map(|(n, f)| (*n, f(&machine))).collect(),
-        })
-        .collect()
-}
-
-/// [`sweep`] fanned across threads. Cost functions must be `Sync` (pure
-/// functions of the machine are); points come back in the same row-major
-/// grid order as the serial version, so the two are interchangeable.
-pub fn sweep_par(grid: &Grid, algos: &[NamedCostSync<'_>]) -> Vec<SweepPoint> {
-    use rayon::prelude::*;
-    let machines = grid.machines();
-    machines
-        .par_iter()
-        .map(|machine| SweepPoint {
-            machine: *machine,
-            metrics: algos.iter().map(|(n, f)| (*n, f(machine))).collect(),
         })
         .collect()
 }
@@ -149,38 +131,6 @@ pub fn crossover(
         let m = axis.apply(base, v)?;
         if challenger(&m) <= incumbent(&m) {
             return Some(v);
-        }
-    }
-    None
-}
-
-/// [`crossover`] with every axis point evaluated in parallel. The scan
-/// for the first overtaking point (and the bail-out on the first invalid
-/// machine) happens afterwards over the index-ordered results, so the
-/// answer is identical to the serial version at any thread count. Worth
-/// it only when the cost functions are expensive — e.g. each evaluation
-/// is a whole simulation.
-pub fn crossover_par(
-    base: &LogP,
-    axis: Param,
-    values: &Axis,
-    incumbent: &(dyn Fn(&LogP) -> Cycles + Sync),
-    challenger: &(dyn Fn(&LogP) -> Cycles + Sync),
-) -> Option<u64> {
-    use rayon::prelude::*;
-    let evaluated: Vec<Option<(u64, bool)>> = values
-        .values()
-        .par_iter()
-        .map(|&v| {
-            axis.apply(base, v)
-                .map(|m| (v, challenger(&m) <= incumbent(&m)))
-        })
-        .collect();
-    for e in evaluated {
-        match e {
-            None => return None, // invalid machine aborts, as in `crossover`
-            Some((v, true)) => return Some(v),
-            Some((_, false)) => {}
         }
     }
     None
@@ -261,37 +211,15 @@ mod tests {
     }
 
     #[test]
-    fn sweep_par_matches_serial_sweep() {
-        let grid = Grid {
-            l: Axis::geometric(1, 64, 2),
-            o: Axis::list([1, 2]),
-            g: Axis::fixed(2),
-            p: Axis::list([8, 32]),
-        };
-        let optimal = |m: &LogP| optimal_broadcast_time(m);
-        let binomial = |m: &LogP| shape_broadcast_time(m, TreeShape::Binomial);
-        let serial = sweep(&grid, &[("optimal", &optimal), ("binomial", &binomial)]);
-        let parallel = sweep_par(&grid, &[("optimal", &optimal), ("binomial", &binomial)]);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn crossover_par_matches_serial_crossover() {
+    fn crossover_aborts_on_the_first_invalid_machine() {
+        // At P = 4 the chain beats the flat tree, but a P above u32::MAX
+        // ahead of it makes `apply` bail first.
         let base = LogP::new(1, 1, 8, 16).unwrap();
         let linear = |m: &LogP| shape_broadcast_time(m, TreeShape::Linear);
         let flat = |m: &LogP| shape_broadcast_time(m, TreeShape::Flat);
-        let values = Axis::linear(1, 100, 1);
-        let serial = crossover(&base, Param::L, &values, &linear, &flat);
-        let parallel = crossover_par(&base, Param::L, &values, &linear, &flat);
-        assert_eq!(serial, parallel);
-        assert!(serial.is_some());
-        // P axis: values above u32::MAX make `apply` bail; both versions
-        // must agree on the abort semantics too.
-        let bad = Axis::list([u64::MAX, 4]);
-        assert_eq!(
-            crossover(&base, Param::P, &bad, &linear, &flat),
-            crossover_par(&base, Param::P, &bad, &linear, &flat),
-        );
+        let at = |values: &[u64]| crossover(&base, Param::P, &Axis::list(values), &flat, &linear);
+        assert_eq!(at(&[4]), Some(4));
+        assert_eq!(at(&[u64::MAX, 4]), None);
     }
 
     #[test]

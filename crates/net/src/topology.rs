@@ -290,7 +290,7 @@ impl Network {
     /// Widen every link by an integer `factor` (packets per cycle).
     /// Distances are unchanged; only saturation moves — a `factor`-wide
     /// network sustains `factor`× the offered load before its knee, which
-    /// the calibration proptests assert monotonically.
+    /// `saturation_knee_moves_up_with_link_bandwidth` asserts monotonically.
     pub fn scale_link_capacity(&mut self, factor: u32) {
         assert!(factor >= 1, "a link carries at least one packet per cycle");
         for caps in &mut self.cap {

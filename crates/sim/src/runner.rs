@@ -8,12 +8,12 @@
 //!
 //! * [`RunSpec`] — one simulation: machine, config, and a program
 //!   factory (`Fn(ProcId) -> Box<dyn Process>`, shared across threads).
-//! * [`run_batch`] — execute a slice of specs on a thread pool and
-//!   return results in spec order.
+//! * [`run_batch`] — execute a slice of specs across worker threads
+//!   and return results in spec order.
 //! * [`run_sweep`] — build one spec per machine in a
 //!   [`logp_core::sweep::Grid`] and batch-run them.
-//! * [`sweep_map`] — generic "parallel map in index order" for sweep
-//!   drivers whose per-point work is more than one simulation.
+//! * [`sweep_map`] — the one parallel primitive: map over sweep points,
+//!   results in index order. [`run_batch`] is a `sweep_map` over specs.
 //!
 //! # Determinism
 //!
@@ -29,8 +29,6 @@
 
 use logp_core::sweep::Grid;
 use logp_core::{LogP, ProcId};
-use rayon::prelude::*;
-use rayon::{ThreadPool, ThreadPoolBuilder};
 
 use crate::perfetto::write_artifacts;
 use crate::process::Process;
@@ -69,21 +67,6 @@ impl Threads {
                 .unwrap_or(1),
             Threads::Fixed(n) => (*n).max(1),
         }
-    }
-
-    fn pool(&self) -> ThreadPool {
-        ThreadPoolBuilder::new()
-            .num_threads(self.count())
-            .build()
-            .expect("thread pool construction cannot fail")
-    }
-
-    /// Run `f` with this policy governing rayon parallelism inside it —
-    /// the hook for sweeps that call parallel code (e.g.
-    /// `logp_core::sweep::sweep_par`) directly rather than through
-    /// [`run_batch`]/[`sweep_map`].
-    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.pool().install(f)
     }
 }
 
@@ -192,11 +175,8 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
 /// in spec order. Run `i` uses `derive_seed(spec[i].config.seed, i)`.
 pub fn run_batch(specs: &[RunSpec], threads: Threads) -> Vec<Result<SimResult, SimError>> {
     let indexed: Vec<usize> = (0..specs.len()).collect();
-    threads.pool().install(|| {
-        indexed
-            .par_iter()
-            .map(|&i| specs[i].run_with_seed(derive_seed(specs[i].config.seed, i as u64)))
-            .collect()
+    sweep_map(threads, &indexed, |&i| {
+        specs[i].run_with_seed(derive_seed(specs[i].config.seed, i as u64))
     })
 }
 
@@ -220,12 +200,12 @@ pub fn run_sweep(
         .collect()
 }
 
-/// Parallel map over arbitrary sweep items, results in index order.
+/// Map `f` over `items` on `threads` workers, results in index order.
 ///
-/// For sweep drivers whose per-point work is not a single `Sim::run` —
-/// e.g. measuring several algorithms per machine, or binary-searching a
-/// saturation point — this applies `f` to every item on a pool of
-/// `threads` workers. `f` must be deterministic in its argument for the
+/// One `std::thread::scope` over contiguous chunks, one chunk a worker,
+/// joined in chunk order; with one worker (or at most one item) `f` runs
+/// inline on the calling thread. A panic in `f` is re-raised with its own
+/// payload. `f` must be deterministic in its argument for the
 /// thread-count-independence guarantee to carry over.
 pub fn sweep_map<T, R, F>(threads: Threads, items: &[T], f: F) -> Vec<R>
 where
@@ -233,7 +213,21 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    threads.pool().install(|| items.par_iter().map(f).collect())
+    let workers = threads.count().min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|s| {
+        let chunks: Vec<_> = items
+            .chunks(items.len().div_ceil(workers))
+            .map(|chunk| s.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        chunks
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -325,8 +319,32 @@ mod tests {
 
     #[test]
     fn sweep_map_preserves_item_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = sweep_map(Threads::Fixed(8), &items, |&x| x * x);
-        assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
+        let items: Vec<u64> = (0..257).collect();
+        let squares: Vec<u64> = items.iter().map(|x| x * x).collect();
+        for n in [1, 2, 5, 16] {
+            let out = sweep_map(Threads::Fixed(n), &items, |&x| x * x);
+            assert_eq!(out, squares, "{n} threads");
+        }
+        // More workers than items, and no items at all.
+        assert_eq!(sweep_map(Threads::Fixed(8), &[3u64, 4], |&x| x + 1), [4, 5]);
+        assert!(sweep_map(Threads::Fixed(4), &[] as &[u64], |&x| x).is_empty());
+    }
+
+    #[test]
+    fn one_thread_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = sweep_map(Threads::Fixed(1), &[0u8; 3], |_| {
+            std::thread::current().id()
+        });
+        assert_eq!(ids, [caller; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep point 5 failed")]
+    fn a_panicking_sweep_point_reraises_its_own_message() {
+        let items: Vec<u64> = (0..8).collect();
+        sweep_map(Threads::Fixed(4), &items, |&x| {
+            assert_ne!(x, 5, "sweep point {x} failed");
+        });
     }
 }

@@ -8,18 +8,22 @@ use logp::algos::allreduce::run_reliable_allreduce;
 use logp::algos::broadcast::{run_reliable_broadcast, run_survivor_broadcast};
 use logp::algos::reduce::run_reliable_sum;
 use logp::algos::resilient::ResilientError;
+use logp::core::rng::CounterRng;
 use logp::prelude::*;
 use logp::sim::reliable::{Endpoint, RetryConfig};
 use logp::sim::runner::{sweep_map, Threads};
 use logp::sim::{Cause, FaultPlan};
-use proptest::prelude::*;
+
+#[path = "common/cases.rs"]
+mod cases;
+use cases::{check, check_machines, draw};
 
 const DROP_PPM: [u32; 3] = [0, 50_000, 150_000];
 
-/// A small random machine (modest parameters keep proptest fast).
-fn machine() -> impl Strategy<Value = LogP> {
-    (1u64..=20, 0u64..=8, 1u64..=10, 2u32..=16)
-        .prop_map(|(l, o, g, p)| LogP::new(l, o, g, p).expect("generated parameters are valid"))
+/// A small random machine (modest parameters keep the loops fast).
+fn machine(rng: &mut CounterRng) -> LogP {
+    let (l, o, g) = (draw(rng, 1..=20), draw(rng, 0..=8), draw(rng, 1..=10));
+    LogP::new(l, o, g, draw(rng, 2..=16) as u32).expect("generated parameters are valid")
 }
 
 fn retry_for(m: &LogP) -> RetryConfig {
@@ -83,99 +87,116 @@ fn reliable_ping_delivery(m: &LogP, seed: u64, drop_ppm: u32) -> u64 {
     got[0]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// A seeded fault plan replays bit-identically on 1, 4, and 8 worker
+/// threads: the whole measured sweep row must match.
+#[test]
+fn fault_sweep_is_thread_count_invariant() {
+    check_machines(
+        "fault_sweep_is_thread_count_invariant",
+        32,
+        machine,
+        |m, rng| {
+            let seed = draw(rng, 0..=9_999);
+            let rows1 = sweep_rows(&m, seed, Threads::Fixed(1));
+            assert_eq!(rows1, sweep_rows(&m, seed, Threads::Fixed(4)));
+            assert_eq!(rows1, sweep_rows(&m, seed, Threads::Fixed(8)));
+        },
+    );
+}
 
-    /// A seeded fault plan replays bit-identically on 1, 4, and 8 worker
-    /// threads: the whole measured sweep row must match.
-    #[test]
-    fn fault_sweep_is_thread_count_invariant(m in machine(), seed in 0u64..10_000) {
-        let rows1 = sweep_rows(&m, seed, Threads::Fixed(1));
-        let rows4 = sweep_rows(&m, seed, Threads::Fixed(4));
-        let rows8 = sweep_rows(&m, seed, Threads::Fixed(8));
-        prop_assert_eq!(&rows1, &rows4);
-        prop_assert_eq!(&rows1, &rows8);
-    }
-
-    /// Fault decisions are pure and monotone in the configured rate: a
-    /// message dropped at rate lo is also dropped at any rate hi >= lo.
-    #[test]
-    fn drop_decisions_are_monotone_in_rate(
-        seed in 0u64..u64::MAX,
-        src in 0u32..64, dst in 0u32..64, ident in 0u64..1_000_000, attempt in 0u64..8,
-        lo in 0u32..=1_000_000, delta in 0u32..=1_000_000,
-    ) {
-        let hi = lo.saturating_add(delta).min(1_000_000);
+/// Fault decisions are pure and monotone in the configured rate: a
+/// message dropped at rate lo is also dropped at any rate hi >= lo.
+#[test]
+fn drop_decisions_are_monotone_in_rate() {
+    check("drop_decisions_are_monotone_in_rate", 32, |rng| {
+        let seed = draw(rng, 0..=u64::MAX - 1);
+        let (src, dst) = (draw(rng, 0..=63) as u32, draw(rng, 0..=63) as u32);
+        let (ident, attempt) = (draw(rng, 0..=999_999), draw(rng, 0..=7));
+        let lo = draw(rng, 0..=1_000_000) as u32;
+        let hi = lo
+            .saturating_add(draw(rng, 0..=1_000_000) as u32)
+            .min(1_000_000);
         let plo = FaultPlan::new(seed).with_drop_ppm(lo);
         let phi = FaultPlan::new(seed).with_drop_ppm(hi);
         // Purity: same inputs, same decision.
-        prop_assert_eq!(
+        assert_eq!(
             plo.decide(src, dst, ident, attempt),
             plo.decide(src, dst, ident, attempt)
         );
         if plo.decide(src, dst, ident, attempt).drop {
-            prop_assert!(phi.decide(src, dst, ident, attempt).drop);
+            assert!(phi.decide(src, dst, ident, attempt).drop);
         }
-    }
+    });
+}
 
-    /// On a single reliable channel with drop-only faults, the delivery
-    /// time is monotone non-decreasing in the drop rate: raising the
-    /// rate only grows the set of dropped attempts, and the retransmit
-    /// schedule (exponential backoff, seeded jitter) is fixed per
-    /// attempt, so delivery can only move to a later attempt.
-    #[test]
-    fn single_channel_delivery_is_monotone_in_drop_rate(
-        m in machine(), seed in 0u64..10_000,
-    ) {
-        let mut last = 0u64;
-        for ppm in [0u32, 25_000, 100_000, 250_000] {
-            let t = reliable_ping_delivery(&m, seed, ppm);
-            prop_assert!(
-                t >= last,
-                "delivery at rho={} ({} cycles) earlier than at the lower rate ({last})",
-                ppm, t
-            );
-            last = t;
-        }
-    }
+/// On a single reliable channel with drop-only faults, the delivery
+/// time is monotone non-decreasing in the drop rate: raising the
+/// rate only grows the set of dropped attempts, and the retransmit
+/// schedule (exponential backoff, seeded jitter) is fixed per
+/// attempt, so delivery can only move to a later attempt.
+#[test]
+fn single_channel_delivery_is_monotone_in_drop_rate() {
+    check_machines(
+        "single_channel_delivery_is_monotone_in_drop_rate",
+        32,
+        machine,
+        |m, rng| {
+            let seed = draw(rng, 0..=9_999);
+            let mut last = 0u64;
+            for ppm in [0u32, 25_000, 100_000, 250_000] {
+                let t = reliable_ping_delivery(&m, seed, ppm);
+                assert!(
+                    t >= last,
+                    "delivery at rho={ppm} ({t} cycles) earlier than at the lower rate ({last})"
+                );
+                last = t;
+            }
+        },
+    );
+}
 
-    /// The sharded lane engine is lane-count invariant on random
-    /// machines: lane counts 2, 3, and 8 produce bit-identical
-    /// `SimResult`s whatever the jitter, observability, and fault-plan
-    /// combination — and the classic engine, which draws the same jitter,
-    /// agrees on the workload-level projection. The classic comparison
-    /// runs uncapped: destination
-    /// admission is exactly what the sharded engine relaxes, so capped
-    /// hot-spot traffic may legally complete earlier on lanes.
-    #[test]
-    fn sharded_runs_are_lane_count_invariant(
-        m in machine(), seed in 0u64..10_000, jitter in 0u64..=8,
-        observed in proptest::bool::ANY, faulty in proptest::bool::ANY,
-    ) {
-        let base = if observed { SimConfig::observed() } else { SimConfig::default() };
-        let mut config = base.with_jitter(jitter);
-        if faulty {
-            config = config.with_faults(FaultPlan::new(seed).with_drop_ppm(50_000));
-        }
-        let run = |config: &SimConfig, n: u32| {
-            let mut sim = Sim::new(m, config.clone().with_shards(n));
-            sim.set_all(|_| Box::new(ScatterStorm { rounds: 3 }));
-            sim.run().expect("scatter terminates without waiting on receptions")
-        };
-        let r2 = run(&config, 2);
-        let r3 = run(&config, 3);
-        let r8 = run(&config, 8);
-        prop_assert_eq!(&r2, &r3);
-        prop_assert_eq!(&r2, &r8);
-        let mut uncapped = config.clone();
-        uncapped.enforce_capacity = false;
-        let classic = run(&uncapped, 0);
-        let lanes = run(&uncapped, 2);
-        prop_assert_eq!(
-            workload_projection(&classic),
-            workload_projection(&lanes)
-        );
-    }
+/// The sharded lane engine is lane-count invariant on random
+/// machines: lane counts 2, 3, and 8 produce bit-identical
+/// `SimResult`s whatever the jitter, observability, and fault-plan
+/// combination — and the classic engine, which draws the same jitter,
+/// agrees on the workload-level projection. The classic comparison
+/// runs uncapped: destination
+/// admission is exactly what the sharded engine relaxes, so capped
+/// hot-spot traffic may legally complete earlier on lanes.
+#[test]
+fn sharded_runs_are_lane_count_invariant() {
+    check_machines(
+        "sharded_runs_are_lane_count_invariant",
+        32,
+        machine,
+        |m, rng| {
+            let (seed, jitter) = (draw(rng, 0..=9_999), draw(rng, 0..=8));
+            let (observed, faulty) = (rng.next_bool(0.5), rng.next_bool(0.5));
+            let base = if observed {
+                SimConfig::observed()
+            } else {
+                SimConfig::default()
+            };
+            let mut config = base.with_jitter(jitter);
+            if faulty {
+                config = config.with_faults(FaultPlan::new(seed).with_drop_ppm(50_000));
+            }
+            let run = |config: &SimConfig, n: u32| {
+                let mut sim = Sim::new(m, config.clone().with_shards(n));
+                sim.set_all(|_| Box::new(ScatterStorm { rounds: 3 }));
+                sim.run()
+                    .expect("scatter terminates without waiting on receptions")
+            };
+            let r2 = run(&config, 2);
+            assert_eq!(r2, run(&config, 3));
+            assert_eq!(r2, run(&config, 8));
+            let mut uncapped = config.clone();
+            uncapped.enforce_capacity = false;
+            let classic = run(&uncapped, 0);
+            let lanes = run(&uncapped, 2);
+            assert_eq!(workload_projection(&classic), workload_projection(&lanes));
+        },
+    );
 }
 
 /// Fire-and-forget traffic for the shard invariance property: timers,
@@ -273,29 +294,27 @@ fn reliable_collectives_survive_5pct_drops_on_all_presets() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Differential testing over random workload DAGs (`logp-wl`): any
-    /// generated program completes bit-identically on the classic
-    /// engine, the sharded engine at 2 and 4 lanes, and the parallel
-    /// window executor — with and without a (delay + duplicate) fault
-    /// plan. The machine keeps capacity slack (⌈L/g⌉ = 64) so the
-    /// classic engine's capacity stall, which the sharded engine
-    /// intentionally relaxes, never engages; drops are excluded because
-    /// a dropped delivery leaves a DAG recv permanently unsatisfied
-    /// (by design — `run_workload` reports it as `Incomplete`).
-    #[test]
-    fn fuzz_dags_are_engine_invariant_under_faults(
-        seed in 0u64..10_000,
-        faulty in proptest::bool::ANY,
-    ) {
-        use logp::wl::{gen_workload, run_workload, FuzzConfig};
+/// Differential testing over random workload DAGs (`logp-wl`): any
+/// generated program completes bit-identically on the classic
+/// engine and the sharded engine at 2 and 4 lanes — with and without a
+/// (delay + duplicate) fault plan. The machine keeps capacity slack
+/// (⌈L/g⌉ = 64) so the classic engine's capacity stall, which the
+/// sharded engine intentionally relaxes, never engages; drops are
+/// excluded because a dropped delivery leaves a DAG recv permanently
+/// unsatisfied (by design — `run_workload` reports it as `Incomplete`).
+#[test]
+fn fuzz_dags_are_engine_invariant_under_faults() {
+    use logp::wl::{gen_workload, run_workload, FuzzConfig};
+    check("fuzz_dags_are_engine_invariant_under_faults", 24, |rng| {
+        let (seed, faulty) = (draw(rng, 0..=9_999), rng.next_bool(0.5));
         let m = LogP::new(64, 2, 1, 8).expect("valid model");
         let wl = gen_workload(seed, &FuzzConfig::default());
         let base = if faulty {
-            SimConfig::default()
-                .with_faults(FaultPlan::new(seed ^ 0xFA17).with_delay(120_000, 9).with_dup_ppm(60_000))
+            SimConfig::default().with_faults(
+                FaultPlan::new(seed ^ 0xFA17)
+                    .with_delay(120_000, 9)
+                    .with_dup_ppm(60_000),
+            )
         } else {
             SimConfig::default()
         };
@@ -311,9 +330,9 @@ proptest! {
             )
         };
         let classic = fingerprint(base.clone());
-        prop_assert_eq!(&classic, &fingerprint(base.clone().with_shards(2)));
-        prop_assert_eq!(&classic, &fingerprint(base.with_shards(4)));
-    }
+        assert_eq!(classic, fingerprint(base.clone().with_shards(2)));
+        assert_eq!(classic, fingerprint(base.with_shards(4)));
+    });
 }
 
 /// A crashed root re-roots the broadcast on the lowest survivor; a plan
