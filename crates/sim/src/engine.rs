@@ -47,7 +47,7 @@ pub mod inline;
 pub mod shard;
 
 use calendar::Calendar;
-use inline::{CmdQueue, SrcRing};
+use inline::{CmdQueue, CmdSlab, Head, SrcRing};
 
 /// Latest instant a run may reach. Half the `u64` range, so no sum of a
 /// few in-range terms — and none of the calendar's slot arithmetic — can
@@ -302,7 +302,7 @@ struct ProcState {
     /// executing (the program is detached so the handler can borrow
     /// engine state without aliasing).
     program: Option<Box<dyn Process>>,
-    /// One command in place, a buffer only for a second behind it.
+    /// One command in place, a byte string only for a second behind it.
     cmds: CmdQueue,
     /// The inbox: arrived messages, oldest first, chained through
     /// [`Parked::next`] from `head` ([`NO_SLOT`] when empty) to `tail`
@@ -708,6 +708,9 @@ pub struct Sim {
     /// handler per event; reusing the allocation keeps the per-event cost
     /// allocation-free).
     cmd_scratch: Vec<Command>,
+    /// The queued commands that own heap memory, parked by their
+    /// processors' packed queues.
+    cmd_slab: CmdSlab,
     /// Reusable buffer for draining a destination's capacity waiters
     /// (`Release` / `RecvDone`), so waking senders never allocates.
     waiter_scratch: Vec<ProcId>,
@@ -835,6 +838,7 @@ impl Sim {
             release_pending: false,
             capacity: u64::MAX,
             cmd_scratch: Vec::with_capacity(8),
+            cmd_slab: CmdSlab::default(),
             waiter_scratch: Vec::new(),
             released_scratch: Vec::new(),
             msg_slab: MsgSlab::default(),
@@ -1838,7 +1842,7 @@ impl Sim {
         self.stats.procs_crashed += 1;
         self.end_stall::<OBS>(p);
         // Abandon queued commands (causal metadata stays in lockstep).
-        self.procs[idx].cmds.clear();
+        self.procs[idx].cmds.clear(&mut self.cmd_slab);
         if OBS {
             if let Some(st) = self.records() {
                 st.runs[idx].clear();
@@ -1915,7 +1919,9 @@ impl Sim {
         }
         self.procs[p as usize].program = Some(program);
         let issued = cmds.len();
-        self.procs[p as usize].cmds.append(&mut cmds);
+        self.procs[p as usize]
+            .cmds
+            .append(&mut cmds, &mut self.cmd_slab);
         if OBS && issued > 0 {
             self.push_meta(p, cause, issued);
         }
@@ -1954,8 +1960,8 @@ impl Sim {
             // Model-sized steps crept up to the limit: end the run here.
             let what = self.procs[idx]
                 .cmds
-                .front()
-                .map_or("receive", Command::name);
+                .front(&self.cmd_slab)
+                .map_or("receive", |h| h.name());
             self.end_of(p, what, 0);
             return;
         }
@@ -1979,13 +1985,13 @@ impl Sim {
                 }
             }
         }
-        if let Some(cmd) = self.procs[idx].cmds.front() {
-            match *cmd {
-                Command::Send { dst, .. } => self.send::<OBS, FAULTS, SHARDED>(p, dst, None),
-                Command::SendBulk(ref b) => {
-                    self.send::<OBS, FAULTS, SHARDED>(p, b.dst, Some(b.words))
+        if let Some(head) = self.procs[idx].cmds.front(&self.cmd_slab) {
+            match head {
+                Head::Send { dst } => self.send::<OBS, FAULTS, SHARDED>(p, dst, None),
+                Head::SendBulk { dst, words } => {
+                    self.send::<OBS, FAULTS, SHARDED>(p, dst, Some(words))
                 }
-                Command::Compute { cycles, tag } => {
+                Head::Compute { cycles, tag } => {
                     if now < self.procs[idx].busy_until {
                         let t = self.procs[idx].busy_until;
                         self.sched::<SHARDED>(t, EventKind::Wake(p));
@@ -1995,7 +2001,7 @@ impl Sim {
                     let Some(done) = self.end_of(p, "compute", dur) else {
                         return;
                     };
-                    self.procs[idx].cmds.pop_front();
+                    self.procs[idx].cmds.skip_front(&mut self.cmd_slab);
                     let meta = self.pop_meta::<OBS>(idx);
                     let st = &mut self.procs[idx];
                     st.busy_until = done;
@@ -2007,13 +2013,13 @@ impl Sim {
                     }
                     self.sched::<SHARDED>(done, EventKind::ComputeDone(p, tag));
                 }
-                Command::Barrier => {
+                Head::Barrier => {
                     if now < self.procs[idx].busy_until {
                         let t = self.procs[idx].busy_until;
                         self.sched::<SHARDED>(t, EventKind::Wake(p));
                         return;
                     }
-                    self.procs[idx].cmds.pop_front();
+                    self.procs[idx].cmds.skip_front(&mut self.cmd_slab);
                     let meta = self.pop_meta::<OBS>(idx);
                     let st = &mut self.procs[idx];
                     st.in_barrier = true;
@@ -2046,12 +2052,12 @@ impl Sim {
                         self.check_barrier();
                     }
                 }
-                Command::Timer { cycles, tag } => {
+                Head::Timer { cycles, tag } => {
                     // Arming is free: no overhead, no gap, no busy wait.
                     let Some(fire) = self.end_of(p, "timer", cycles) else {
                         return;
                     };
-                    self.procs[idx].cmds.pop_front();
+                    self.procs[idx].cmds.skip_front(&mut self.cmd_slab);
                     let meta = self.pop_meta::<OBS>(idx);
                     let seq = self.sched::<SHARDED>(fire, EventKind::TimerFire(p, tag));
                     if OBS {
@@ -2060,8 +2066,8 @@ impl Sim {
                     // Keep draining the command queue behind the timer.
                     self.advance::<OBS, FAULTS, SHARDED>(p);
                 }
-                Command::Halt => {
-                    self.procs[idx].cmds.pop_front();
+                Head::Halt => {
+                    self.procs[idx].cmds.skip_front(&mut self.cmd_slab);
                     self.pop_meta::<OBS>(idx);
                     self.procs[idx].halted = true;
                     self.alive -= 1;
@@ -2171,7 +2177,7 @@ impl Sim {
         }
         // Committed: dequeue by value so the payload moves instead of
         // cloning.
-        let (tag, data) = match self.procs[idx].cmds.pop_front() {
+        let (tag, data) = match self.procs[idx].cmds.pop_front(&mut self.cmd_slab) {
             Some(Command::Send { tag, data, .. }) => (tag, data),
             Some(Command::SendBulk(b)) => (b.tag, b.data),
             // `advance` saw a send at the front.
@@ -2380,10 +2386,13 @@ impl Sim {
             return Err(SimError::Deadlock { stuck });
         }
         #[cfg(debug_assertions)]
-        if sharded {
-            self.assert_slots_accounted::<true>();
-        } else {
-            self.assert_slots_accounted::<false>();
+        {
+            if sharded {
+                self.assert_slots_accounted::<true>();
+            } else {
+                self.assert_slots_accounted::<false>();
+            }
+            self.assert_cmds_accounted();
         }
         let cal = std::mem::take(&mut self.cal);
         self.fold_queue_vitals(&cal);
@@ -2439,6 +2448,24 @@ impl Sim {
             chained += left as usize;
         }
         assert_eq!(in_use, chained, "message slots leaked or freed twice");
+    }
+
+    /// Likewise a parked command: at quiescence the command slab holds
+    /// exactly the owning commands still queued, and only a halted
+    /// processor leaves commands behind (a crash abandons its queue).
+    #[cfg(debug_assertions)]
+    fn assert_cmds_accounted(&self) {
+        let mut queued = 0;
+        for (p, st) in self.procs.iter().enumerate() {
+            let left = st.cmds.parked();
+            assert!(left == 0 || st.halted, "live P{p} left {left} parked");
+            queued += left;
+        }
+        assert_eq!(
+            self.cmd_slab.len(),
+            queued,
+            "parked commands leaked or freed twice"
+        );
     }
 
     /// The fault plan's crash-stops as the plan lists them; none without
@@ -2663,6 +2690,15 @@ mod tests {
         assert!(size_of::<Parked>() <= 48);
         assert!(size_of::<SrcRing>() <= 32);
         assert!(size_of::<ProcState>() <= 120);
+        // Past a processor's first, a queued command is its fields.
+        let send = |data| Command::Send {
+            dst: 1,
+            tag: 0,
+            data,
+        };
+        assert!(inline::encoded_len(&send(Data::Empty)) <= 5);
+        assert!(inline::encoded_len(&send(Data::U64(7))) <= 13);
+        assert!(inline::encoded_len(&Command::Compute { cycles: 3, tag: 4 }) <= 17);
     }
 
     /// Processor 0 sends processor 1 three messages: 13 events.

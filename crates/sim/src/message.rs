@@ -24,8 +24,8 @@ pub enum Data {
     IdxF64(u64, f64),
     /// An indexed complex value (e.g. one FFT element in a remap). The
     /// index is 32 bits so that this, the only three-word variant, fits
-    /// the 24 bytes every other payload does: a queued send is 32 bytes
-    /// and a parked message 48 (pinned in `engine::tests`). A producer
+    /// the 24 bytes every other payload does: a `Command` is 32 bytes and
+    /// a parked message 48 (pinned in `engine::tests`). A producer
     /// converts with `u32::try_from`; [`Data::as_cplx`] widens it back.
     Cplx { idx: u32, re: f64, im: f64 },
     /// A shared block of words. The *model* still treats the message as

@@ -23,8 +23,9 @@ pub enum Command {
     /// and the whole payload is delivered as one message `L` later.
     /// Requires `SimConfig::loggp_big_g`. The fields sit behind one
     /// [`Box`] — an allocation a long message amortises by definition —
-    /// so that [`Command::Send`] is the largest variant and a queued
-    /// command is 32 bytes; [`Ctx::send_bulk`] builds it.
+    /// so that [`Command::Send`] is the largest variant and a command is
+    /// 32 bytes; [`Ctx::send_bulk`] builds it. (Queued behind a
+    /// processor's first command, a command takes only its fields.)
     SendBulk(Box<Bulk>),
     /// Perform `cycles` of local computation, then receive
     /// `on_compute_done(tag)`.

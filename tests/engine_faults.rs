@@ -12,8 +12,9 @@ use logp_core::LogP;
 use logp_sim::critpath::critical_path;
 use logp_sim::obs::UNSET;
 use logp_sim::process::{Ctx, Process, StartFn};
-use logp_sim::reliable::RetryConfig;
+use logp_sim::reliable::{Reliable, RetryConfig};
 use logp_sim::{Cause, Data, FaultPlan, Message, MsgRecord, SharedCell, Sim, SimConfig, SimError};
+use std::sync::Arc;
 
 fn model() -> LogP {
     LogP::new(6, 2, 4, 2).unwrap()
@@ -406,6 +407,58 @@ fn a_crashing_hot_spot_frees_every_slot_exactly_once() {
             }
         }
         assert_eq!(on_lanes[0], on_lanes[1], "o = {o}: 2 lanes vs 8");
+    }
+}
+
+/// A reliable rank that crashes with wire sends still queued abandons
+/// them, and its queue gives back every command it parked: each wire copy
+/// is a `Data::Seq` (here of a shared `Data::Block`), which a packed queue
+/// keeps in the engine's command slab. Debug builds check at the end of
+/// `Sim::run` that the slab then holds exactly the owning commands still
+/// queued — here only those of a rank that halted ahead of its own sends;
+/// every build checks that the crash cut the burst short and that no copy
+/// of the payload outlives the run.
+#[test]
+fn a_crashing_reliable_rank_releases_its_queued_wire_sends() {
+    const BURST: u64 = 8;
+    let m = LogP::new(6, 2, 4, 4).unwrap();
+    let block = Arc::new(vec![7u64; 4]);
+    let retry = Arc::new(RetryConfig::for_model(&m));
+    for shards in [0, 2, 8] {
+        let plan = FaultPlan::new(1).with_drop_ppm(100_000).with_crash(1, 9);
+        let config = SimConfig::default().with_shards(shards).with_faults(plan);
+        let mut sim = Sim::new(m, config);
+        sim.set_all(|q| {
+            let block = Arc::clone(&block);
+            match q {
+                1 => Box::new(Reliable::new(
+                    StartFn(move |ctx| {
+                        for i in 0..BURST {
+                            ctx.send(0, 1 + i as u32, Data::Block(Arc::clone(&block)));
+                        }
+                    }),
+                    Arc::clone(&retry),
+                    SharedCell::new(),
+                )),
+                2 => Box::new(StartFn(move |ctx| {
+                    ctx.halt();
+                    ctx.send(3, 0, Data::Block(Arc::clone(&block)));
+                    let inner = Box::new(Data::Block(Arc::clone(&block)));
+                    ctx.send(0, 0, Data::Seq { seq: 0, inner });
+                })),
+                _ => Box::new(Reliable::new(
+                    StartFn(|_| {}),
+                    Arc::clone(&retry),
+                    SharedCell::new(),
+                )),
+            }
+        });
+        let res = sim.run().expect("the survivors settle");
+        let sent = res.stats.procs[1].msgs_sent;
+        assert!(0 < sent && sent < BURST, "shards = {shards}: {sent} sent");
+        assert_eq!(res.stats.procs_crashed, 1, "shards = {shards}");
+        assert_eq!(res.stats.procs[2].msgs_sent, 0, "shards = {shards}");
+        assert_eq!(Arc::strong_count(&block), 1, "shards = {shards}");
     }
 }
 

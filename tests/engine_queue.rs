@@ -26,9 +26,13 @@
 //!   popped side by side with a `BinaryHeap`.
 //! * **The two in-place containers against the `VecDeque`s they replaced**
 //!   (`engine::inline`): a source's release ring over 2,000 seeded scripts
-//!   of jittered pushes and expiries, a command queue over 2,000 scripts of
-//!   handler batches, pops and crashes — and a processor that issues one
-//!   command at a time never allocates.
+//!   of jittered pushes and expiries; a command queue — its first command
+//!   in place, the rest packed into bytes, owning ones parked in a slab —
+//!   over 2,000 scripts of handler batches of every command and payload
+//!   variant (floats bit for bit, NaNs, zeros and infinities among them;
+//!   the largest ids, tags and cycles), front reads, pops, skips and
+//!   crashes, a crash releasing every payload it held — and a processor
+//!   that issues one command at a time never allocates.
 //! * **Zero-duration and overflow corners**, as explicit cases.
 
 use logp::algos::broadcast::run_reliable_broadcast;
@@ -37,9 +41,10 @@ use logp::core::hier::{Hierarchy, Level};
 use logp::core::rng::{mix, CounterRng};
 use logp::core::{LogP, ProcId};
 use logp::sim::engine::calendar::Calendar;
-use logp::sim::engine::inline::{CmdQueue, SrcRing};
+use logp::sim::engine::inline::{CmdQueue, CmdSlab, Head, SrcRing};
 use logp::sim::engine::TIME_LIMIT;
 use logp::sim::process::{Bulk, Command};
+use logp::sim::reliable::TIMER_NAMESPACE;
 use logp::sim::{
     Ctx, Data, FaultPlan, Message, Process, RetryConfig, SharedCell, Sim, SimConfig, SimError,
     SimResult,
@@ -47,6 +52,7 @@ use logp::sim::{
 use logp::wl::{
     gen_workload, load_workload, run_workload, run_workload_hier, FuzzConfig, WlRunError,
 };
+use std::sync::Arc;
 
 #[path = "common/counting.rs"]
 mod counting;
@@ -542,74 +548,198 @@ fn source_ring_matches_the_sorted_deque_it_replaced() {
     );
 }
 
-/// Any command a handler can issue.
-fn any_command(rng: &mut CounterRng) -> Command {
-    let (dst, tag) = (rng.next_in(7) as ProcId, rng.next_in(3) as u32);
-    let data = match rng.next_in(3) {
+/// A word: the extremes as often as a random one.
+fn any_word(rng: &mut CounterRng) -> u64 {
+    match rng.next_in(3) {
+        0 => 0,
+        1 => u64::MAX,
+        2 => TIMER_NAMESPACE | rng.next_in(99),
+        _ => rng.next_u64(),
+    }
+}
+
+/// A float whose bits must survive: NaNs with payloads, both zeros, both
+/// infinities, anything.
+fn any_float(rng: &mut CounterRng) -> f64 {
+    match rng.next_in(5) {
+        0 => f64::from_bits(0x7FF8_0000_0000_0000 | rng.next_in(0xF_FFFF)),
+        1 => f64::from_bits(0xFFF0_0000_0000_0001),
+        2 => -0.0,
+        3 => f64::INFINITY,
+        4 => f64::NEG_INFINITY,
+        _ => f64::from_bits(rng.next_u64()),
+    }
+}
+
+/// An id or a tag: zero (a send's tag then takes no bytes), the largest,
+/// anything.
+fn any_u32(rng: &mut CounterRng) -> u32 {
+    match rng.next_in(2) {
+        0 => 0,
+        1 => u32::MAX,
+        _ => rng.next_u64() as u32,
+    }
+}
+
+/// Any payload; a block shares `block`.
+fn any_data(rng: &mut CounterRng, block: &Arc<Vec<u64>>) -> Data {
+    match rng.next_in(7) {
         0 => Data::Empty,
-        1 => Data::U64(rng.next_u64()),
-        2 => Data::Pair(rng.next_u64(), 3),
-        _ => Data::Seq {
-            seq: rng.next_in(99),
-            inner: Box::new(Data::F64(0.5)),
+        1 => Data::U64(any_word(rng)),
+        2 => Data::F64(any_float(rng)),
+        3 => Data::Pair(any_word(rng), any_word(rng)),
+        4 => Data::IdxF64(any_word(rng), any_float(rng)),
+        5 => Data::Cplx {
+            idx: any_u32(rng),
+            re: any_float(rng),
+            im: any_float(rng),
         },
-    };
-    match rng.next_in(6) {
+        6 => Data::Block(Arc::clone(block)),
+        _ => Data::Seq {
+            seq: any_word(rng),
+            inner: Box::new(any_data(rng, block)),
+        },
+    }
+}
+
+/// Any command a handler can issue.
+fn any_command(rng: &mut CounterRng, block: &Arc<Vec<u64>>) -> Command {
+    let (dst, tag) = (any_u32(rng), any_u32(rng));
+    match rng.next_in(5) {
         0 => Command::Compute {
-            cycles: rng.next_in(50),
-            tag: rng.next_u64(),
+            cycles: any_word(rng),
+            tag: any_word(rng),
         },
         1 => Command::Timer {
-            cycles: rng.next_in(50),
-            tag: rng.next_u64(),
+            cycles: any_word(rng),
+            tag: any_word(rng),
         },
         2 => Command::Barrier,
         3 => Command::Halt,
         4 => Command::SendBulk(Box::new(Bulk {
             dst,
             tag,
-            data,
-            words: 1 + rng.next_in(9),
+            data: any_data(rng, block),
+            words: 1 + any_word(rng) / 2,
         })),
-        _ => Command::Send { dst, tag, data },
+        _ => Command::Send {
+            dst,
+            tag,
+            data: any_data(rng, block),
+        },
+    }
+}
+
+/// Equal payloads, floats bit for bit.
+fn same_data(a: &Data, b: &Data) -> bool {
+    match (a, b) {
+        (Data::F64(x), Data::F64(y)) => x.to_bits() == y.to_bits(),
+        (Data::IdxF64(i, x), Data::IdxF64(j, y)) => i == j && x.to_bits() == y.to_bits(),
+        (
+            Data::Cplx { idx, re, im },
+            Data::Cplx {
+                idx: j,
+                re: r,
+                im: m,
+            },
+        ) => idx == j && re.to_bits() == r.to_bits() && im.to_bits() == m.to_bits(),
+        (Data::Seq { seq, inner }, Data::Seq { seq: s, inner: i }) => {
+            seq == s && same_data(inner, i)
+        }
+        _ => a == b,
+    }
+}
+
+fn same(a: &Command, b: &Command) -> bool {
+    match (a, b) {
+        (
+            Command::Send { dst, tag, data },
+            Command::Send {
+                dst: d,
+                tag: t,
+                data: x,
+            },
+        ) => dst == d && tag == t && same_data(data, x),
+        (Command::SendBulk(a), Command::SendBulk(b)) => {
+            (a.dst, a.tag, a.words) == (b.dst, b.tag, b.words) && same_data(&a.data, &b.data)
+        }
+        _ => a == b,
+    }
+}
+
+/// Where a command's own heap memory is, if it has any: a queue moves
+/// it, never copies it.
+fn heap_of(cmd: &Command) -> Option<usize> {
+    let data = match cmd {
+        Command::SendBulk(b) => return Some(&**b as *const Bulk as usize),
+        Command::Send { data, .. } => data,
+        _ => return None,
+    };
+    match data {
+        Data::Seq { inner, .. } => Some(&**inner as *const Data as usize),
+        _ => None,
     }
 }
 
 /// One processor's queue under a seeded script, beside a
-/// `VecDeque<Command>`: handlers issuing 0–5 commands, the engine popping
-/// between them, a crash abandoning everything, the program re-issuing.
+/// `VecDeque<Command>`: handlers issuing 0–5 commands of every variant,
+/// the engine reading the front and popping or skipping it between them,
+/// a crash abandoning everything, the program re-issuing.
 fn run_queue_script(s: u64) {
     let mut rng = CounterRng::new(mix(&[0x434D_4451, s]));
+    let block = Arc::new(vec![s, 1, 2]);
+    let mut slab = CmdSlab::default();
     let mut queue = CmdQueue::default();
     let mut model = std::collections::VecDeque::new();
     let mut issued = Vec::new();
     for _ in 0..120 {
         match rng.next_in(9) {
             0..=3 => {
-                issued.extend((0..rng.next_in(5)).map(|_| any_command(&mut rng)));
-                model.extend(issued.iter().cloned());
-                queue.append(&mut issued);
+                issued.extend((0..rng.next_in(5)).map(|_| any_command(&mut rng, &block)));
+                model.extend(issued.iter().map(|c| (c.clone(), heap_of(c))));
+                queue.append(&mut issued, &mut slab);
                 assert!(issued.is_empty());
             }
             4..=7 => {
                 for _ in 0..=rng.next_in(3) {
-                    assert_eq!(queue.front(), model.front());
-                    assert_eq!(queue.pop_front(), model.pop_front());
+                    let want = model.pop_front();
+                    let head = queue.front(&slab);
+                    assert_eq!(head, want.as_ref().map(|(c, _)| Head::of(c)), "script {s}");
+                    if rng.next_in(3) == 0 {
+                        // What the engine does with a front it has read
+                        // all of: drop it undecoded.
+                        queue.skip_front(&mut slab);
+                        continue;
+                    }
+                    let got = queue.pop_front(&mut slab);
+                    match (got, want) {
+                        (Some(got), Some((want, heap))) => {
+                            assert!(same(&got, &want), "script {s}: {got:?} != {want:?}");
+                            assert_eq!(heap_of(&got), heap, "script {s}: {got:?} was copied");
+                        }
+                        (got, want) => assert!(got.is_none() && want.is_none(), "script {s}"),
+                    }
                 }
             }
             _ => {
-                queue.clear();
+                queue.clear(&mut slab);
                 model.clear();
+                assert!(slab.is_empty(), "script {s}");
+                assert_eq!(Arc::strong_count(&block), 1, "script {s}");
             }
         }
         assert_eq!(queue.len(), model.len(), "script {s}");
         assert_eq!(queue.is_empty(), model.is_empty());
-        assert_eq!(queue.front(), model.front());
+        assert_eq!(queue.parked(), slab.len());
+        assert_eq!(queue.front(&slab), model.front().map(|(c, _)| Head::of(c)));
     }
-    while let Some(want) = model.pop_front() {
-        assert_eq!(queue.pop_front(), Some(want), "script {s}");
+    while let Some((want, _)) = model.pop_front() {
+        let got = queue.pop_front(&mut slab).expect("as long as the model");
+        assert!(same(&got, &want), "script {s}: {got:?} != {want:?}");
     }
-    assert_eq!(queue.pop_front(), None);
+    assert!(queue.pop_front(&mut slab).is_none());
+    assert!(slab.is_empty());
+    assert_eq!(Arc::strong_count(&block), 1, "script {s}");
 }
 
 #[test]
@@ -622,6 +752,7 @@ fn command_queue_is_the_fifo_it_replaced() {
 /// a crash as well.
 #[test]
 fn one_command_at_a_time_never_allocates() {
+    let mut slab = CmdSlab::default();
     let mut queue = CmdQueue::default();
     let mut issued = Vec::with_capacity(4);
     let ((), spent) = counting::allocs(|| {
@@ -635,22 +766,22 @@ fn one_command_at_a_time_never_allocates() {
                 1 => Command::Compute { cycles: i, tag: i },
                 _ => Command::Barrier,
             });
-            queue.append(&mut issued);
+            queue.append(&mut issued, &mut slab);
             assert_eq!(queue.len(), 1);
             if i % 7 == 0 {
-                queue.clear();
+                queue.clear(&mut slab);
             } else {
-                assert!(queue.pop_front().is_some());
+                assert!(queue.pop_front(&mut slab).is_some());
             }
             assert!(queue.is_empty());
         }
     });
     assert_eq!(spent.calls, 0, "{spent:?}");
     // A second command behind the first is what takes a buffer: one, of
-    // exactly the two.
+    // the two (a byte each) and room for one more one-word send.
     issued.extend([Command::Barrier, Command::Halt]);
-    let ((), spent) = counting::allocs(|| queue.append(&mut issued));
-    assert_eq!((spent.calls, spent.bytes), (1, 64), "{spent:?}");
+    let ((), spent) = counting::allocs(|| queue.append(&mut issued, &mut slab));
+    assert_eq!((spent.calls, spent.bytes), (1, 18), "{spent:?}");
 }
 
 // ---------------------------------------------------------------------------
