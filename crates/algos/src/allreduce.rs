@@ -22,19 +22,26 @@ use logp_core::{Cycles, LogP, ProcId, Tree};
 use logp_sim::reliable::RetryConfig;
 use logp_sim::{FaultPlan, Sim, SimConfig, SimResult};
 
+const TAG_UP: u32 = 0x91;
+const TAG_DOWN: u32 = 0x92;
 const TAG_XCHG: u32 = 0x93;
 
 /// One combine addition per received partial sum.
 const PLAIN: Wire = Wire {
-    up: 0x91,
-    down: 0x92,
+    up: TAG_UP,
+    down: TAG_DOWN,
     combine: 1,
+    before: Vec::new(),
+    between: 0,
 };
 /// The reliable all-reduce has always combined on receipt; its results
 /// are pinned to that.
 const RELIABLE: Wire = Wire {
+    up: TAG_UP,
+    down: TAG_DOWN,
     combine: 0,
-    ..PLAIN
+    before: Vec::new(),
+    between: 0,
 };
 
 /// Result of an all-reduce run.

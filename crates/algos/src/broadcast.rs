@@ -19,6 +19,8 @@ const WIRE: Wire = Wire {
     up: 0,
     down: TAG_BCAST,
     combine: 0,
+    before: Vec::new(),
+    between: 0,
 };
 /// The datum on the wire (no runner reports it).
 const DATUM: f64 = 0xBEEF as f64;

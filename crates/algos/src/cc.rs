@@ -19,6 +19,7 @@
 //! global OR-reduction of "any label changed" decides termination.
 //! Results are verified against a sequential union-find.
 
+use logp_core::broadcast::{binomial_children, binomial_parent};
 use logp_core::{Cycles, LogP, ProcId};
 use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig, SimResult};
 use std::collections::HashMap;
@@ -150,14 +151,6 @@ impl CcProc {
         (v / self.p as u64) as usize
     }
 
-    fn binomial_children(me: ProcId, p: u32) -> Vec<ProcId> {
-        logp_core::broadcast::binomial_children(me, p)
-    }
-
-    fn binomial_parent(me: ProcId) -> ProcId {
-        logp_core::broadcast::binomial_parent(me)
-    }
-
     /// Send this round's pushes (then counts), tagged with the round.
     fn send_round(&mut self, ctx: &mut Ctx<'_>) {
         let me = ctx.me();
@@ -259,27 +252,23 @@ impl CcProc {
 
     fn try_report_up(&mut self, ctx: &mut Ctx<'_>, round: u64) {
         let me = ctx.me();
-        let expected = Self::binomial_children(me, self.p).len() as u32 + 1;
+        let expected = binomial_children(me, self.p).len() as u32 + 1;
         let buf = self.bufs.entry(self.round).or_default();
         if buf.changed_votes == expected {
             let flag = buf.changed_any as u64;
-            ctx.send(
-                Self::binomial_parent(me),
-                TAG_CHANGED,
-                Data::Pair(round, flag),
-            );
+            ctx.send(binomial_parent(me), TAG_CHANGED, Data::Pair(round, flag));
             buf.changed_votes = u32::MAX; // sent
         }
     }
 
     fn try_verdict(&mut self, ctx: &mut Ctx<'_>) {
         let p = self.p;
-        let expected = Self::binomial_children(0, p).len() as u32 + 1;
+        let expected = binomial_children(0, p).len() as u32 + 1;
         let buf = self.bufs.entry(self.round).or_default();
         if buf.changed_votes == expected {
             let verdict = buf.changed_any;
             let round = self.round as u64;
-            for c in Self::binomial_children(0, p) {
+            for c in binomial_children(0, p) {
                 ctx.send(c, TAG_VERDICT, Data::Pair(round, verdict as u64));
             }
             self.apply_verdict(verdict, ctx);
@@ -356,7 +345,7 @@ impl Process for CcProc {
             TAG_VERDICT => {
                 let (round, go_on) = msg.data.as_pair();
                 debug_assert_eq!(round as usize, self.round);
-                for c in Self::binomial_children(ctx.me(), self.p) {
+                for c in binomial_children(ctx.me(), self.p) {
                     ctx.send(c, TAG_VERDICT, msg.data.clone());
                 }
                 self.apply_verdict(go_on != 0, ctx);

@@ -14,11 +14,14 @@
 //!   every processor ends with every block; rounds are paced by the
 //!   larger of the injection interval and the data dependency (see
 //!   [`allgather_ring_time`]).
+//!
+//! All three are step programs ([`crate::step`]); scatter and gather are
+//! a single step of point-to-point sends.
 
 use crate::step::{run_steps, Arrival, Out, Steps};
 use logp_core::cost::stream_time;
 use logp_core::{Cycles, LogP, ProcId};
-use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
+use logp_sim::{Sim, SimConfig};
 
 const TAG_SCATTER: u32 = 0xD0;
 const TAG_GATHER: u32 = 0xD1;
@@ -43,120 +46,96 @@ pub fn allgather_ring_time(m: &LogP) -> Cycles {
 }
 
 // ---------------------------------------------------------------------
-// Scatter.
+// Scatter and gather.
 // ---------------------------------------------------------------------
 
-struct ScatterRoot {
-    values: Vec<u64>,
+/// One rank of a scatter or a gather: a single step in which it sends
+/// every `(destination, owner, word)` of `sends` and keeps the `expect`
+/// words it receives, each filed under the rank that owns it.
+struct Round {
+    tag: u32,
+    sends: Vec<(ProcId, ProcId, u64)>,
+    expect: usize,
+    got: Vec<(ProcId, u64)>,
 }
 
-impl Process for ScatterRoot {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        for d in 1..ctx.procs() {
-            ctx.send(d, TAG_SCATTER, Data::U64(self.values[d as usize]));
+impl Steps for Round {
+    type Final = Vec<(ProcId, u64)>;
+
+    fn send(&mut self, _: u32, out: &mut Out<'_, '_>) {
+        for &(dst, owner, word) in &self.sends {
+            out.send(dst, self.tag, owner as usize, word);
         }
     }
-}
 
-struct ScatterLeaf {
-    out: SharedCell<Vec<(ProcId, u64, Cycles)>>,
-}
+    fn expect(&self, _: u32) -> usize {
+        self.expect
+    }
 
-impl Process for ScatterLeaf {
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let rec = (ctx.me(), msg.data.as_u64(), ctx.now());
-        self.out.with(|o| o.push(rec));
+    fn fold(&mut self, _: u32, msgs: &[Arrival]) -> Cycles {
+        self.got = msgs.iter().map(|a| (a.idx() as ProcId, a.word)).collect();
+        0
+    }
+
+    fn finish(&mut self) -> Vec<(ProcId, u64)> {
+        std::mem::take(&mut self.got)
     }
 }
 
 /// Result of a scatter/gather run.
 #[derive(Debug, Clone)]
 pub struct CollectiveRun {
-    /// (processor, value, time) triples in arrival order.
+    /// (processor, value, time) triples in arrival order: a scatter's
+    /// leaf and the time its word arrived, or a gather's leaf and the
+    /// time the root held every word.
     pub received: Vec<(ProcId, u64, Cycles)>,
     pub completion: Cycles,
+}
+
+/// Run one round of `rank(q) = (sends, expect)` on every processor.
+fn run_round(
+    m: &LogP,
+    config: SimConfig,
+    tag: u32,
+    rank: impl Fn(ProcId) -> (Vec<(ProcId, ProcId, u64)>, usize),
+) -> CollectiveRun {
+    let run = run_steps(Sim::new(*m, config), 1, |q| {
+        let (sends, expect) = rank(q);
+        Round {
+            tag,
+            sends,
+            expect,
+            got: Vec::new(),
+        }
+    });
+    let received: Vec<_> = run
+        .finals
+        .into_iter()
+        .flat_map(|(_, got, t)| got.into_iter().map(move |(q, v)| (q, v, t)))
+        .collect();
+    assert_eq!(received.len(), m.p as usize - 1);
+    CollectiveRun {
+        received,
+        completion: run.result.stats.completion,
+    }
 }
 
 /// Scatter `values[d]` to processor `d` from processor 0.
 pub fn run_scatter(m: &LogP, values: &[u64], config: SimConfig) -> CollectiveRun {
     assert_eq!(values.len(), m.p as usize);
-    let out: SharedCell<Vec<(ProcId, u64, Cycles)>> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    sim.set_process(
-        0,
-        Box::new(ScatterRoot {
-            values: values.to_vec(),
-        }),
-    );
-    for d in 1..m.p {
-        sim.set_process(d, Box::new(ScatterLeaf { out: out.clone() }));
-    }
-    let r = sim.run().expect("scatter terminates");
-    let received = out.get();
-    assert_eq!(received.len(), m.p as usize - 1);
-    CollectiveRun {
-        received,
-        completion: r.stats.completion,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Gather.
-// ---------------------------------------------------------------------
-
-struct GatherLeaf {
-    value: u64,
-}
-
-impl Process for GatherLeaf {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.send(0, TAG_GATHER, Data::Pair(ctx.me() as u64, self.value));
-    }
-}
-
-struct GatherRoot {
-    got: Vec<(ProcId, u64, Cycles)>,
-    out: SharedCell<Vec<(ProcId, u64, Cycles)>>,
-}
-
-impl Process for GatherRoot {
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let (src, v) = msg.data.as_pair();
-        self.got.push((src as ProcId, v, ctx.now()));
-        if self.got.len() == ctx.procs() as usize - 1 {
-            let got = std::mem::take(&mut self.got);
-            self.out.with(|o| *o = got);
-        }
-    }
+    run_round(m, config, TAG_SCATTER, |q| match q {
+        0 => ((1..m.p).map(|d| (d, d, values[d as usize])).collect(), 0),
+        _ => (Vec::new(), 1),
+    })
 }
 
 /// Gather one word from every processor at processor 0.
 pub fn run_gather(m: &LogP, values: &[u64], config: SimConfig) -> CollectiveRun {
     assert_eq!(values.len(), m.p as usize);
-    let out: SharedCell<Vec<(ProcId, u64, Cycles)>> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    sim.set_process(
-        0,
-        Box::new(GatherRoot {
-            got: Vec::new(),
-            out: out.clone(),
-        }),
-    );
-    for d in 1..m.p {
-        sim.set_process(
-            d,
-            Box::new(GatherLeaf {
-                value: values[d as usize],
-            }),
-        );
-    }
-    let r = sim.run().expect("gather terminates");
-    let received = out.get();
-    assert_eq!(received.len(), m.p as usize - 1);
-    CollectiveRun {
-        received,
-        completion: r.stats.completion,
-    }
+    run_round(m, config, TAG_GATHER, |q| match q {
+        0 => (Vec::new(), m.p as usize - 1),
+        _ => (vec![(0, q, values[q as usize])], 0),
+    })
 }
 
 // ---------------------------------------------------------------------

@@ -31,6 +31,8 @@ const WIRE: Wire = Wire {
     up: 0xB1,
     down: 0xB2,
     combine: 1,
+    before: Vec::new(),
+    between: 0,
 };
 
 /// Result of one hierarchical (or flat-on-hierarchical) collective run.

@@ -2,27 +2,43 @@
 //!
 //! `run_optimal_sum` executes a `logp-core::summation::SumSchedule` on the
 //! simulator with real floating-point data and checks that the root holds
-//! the correct total at exactly the schedule's deadline. The schedule's
-//! computation pattern per processor (paper, Figure 4 right panel):
+//! the correct total at exactly the schedule's deadline. Every summation
+//! here is the one tree program of [`crate::tree`] run up the reverse of
+//! a tree, one addition charged per partial combined; what makes the
+//! schedule optimal is the local work it passes the driver beside that
+//! (paper, Figure 4 right panel):
 //!
-//! * an initial chain of local input additions, timed so the processor
-//!   goes idle exactly when its earliest child's partial sum arrives;
-//! * per received message: the reception (`o`), one combine addition, and
-//!   `s - o - 1` further local additions, where `s = max(g, o+1)`;
-//! * after the last combine, transmit the partial sum to the parent.
+//! * before its part starts, each rank computes an initial chain of local
+//!   input additions, timed so it goes idle exactly when its earliest
+//!   child's partial sum arrives (a leaf: its whole budget);
+//! * after every received partial but its last: the reception (`o`), the
+//!   combine, and `s - o - 1` further local additions, where
+//!   `s = max(g, o+1)`;
+//! * after the last combine, the rank transmits its partial sum to its
+//!   parent.
 //!
 //! A binomial-tree reduction with evenly distributed inputs serves as the
-//! baseline the optimal schedule is compared against.
+//! baseline the optimal schedule is compared against: the same program
+//! with each rank's local additions before its part and nothing between.
 
 use crate::resilient::{survivor_binomial_children, ResilientError, SurvivorMap};
-use crate::tree::{run_tree, Phases, Wire};
+use crate::tree::{run_tree, Phases, Run, Wire};
 use logp_core::summation::{optimal_sum_schedule, SumSchedule};
 use logp_core::{Cycles, LogP, ProcId, Tree};
 use logp_sim::reliable::RetryConfig;
-use logp_sim::{Ctx, Data, FaultPlan, Message, Process, SharedCell, Sim, SimConfig, SimResult};
+use logp_sim::{FaultPlan, Sim, SimConfig, SimResult};
 
 /// Tag for partial-sum messages.
 pub const TAG_PARTIAL: u32 = 0x50;
+
+/// One addition per partial combined; a runner adds its local work.
+const WIRE: Wire = Wire {
+    up: TAG_PARTIAL,
+    down: 0,
+    combine: 1,
+    before: Vec::new(),
+    between: 0,
+};
 
 /// The reliable summation has always combined on receipt; its results
 /// are pinned to that.
@@ -30,81 +46,9 @@ const RELIABLE: Wire = Wire {
     up: TAG_PARTIAL,
     down: 0,
     combine: 0,
+    before: Vec::new(),
+    between: 0,
 };
-
-const TAG_CHUNK: u64 = 1;
-const TAG_FINAL: u64 = 2;
-
-struct SumProc {
-    /// Values this processor owns.
-    local: Vec<f64>,
-    parent: Option<ProcId>,
-    /// Number of children (messages to combine).
-    k: u64,
-    /// Initial local-addition chain length, in additions.
-    initial_chain: Cycles,
-    /// Per-message trailing work: 1 combine + (s - o - 1) local additions.
-    chunk: Cycles,
-    received: u64,
-    partial: f64,
-    out: SharedCell<SumOutcome>,
-}
-
-/// What the host observes after the run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SumOutcome {
-    /// The root's total.
-    pub total: f64,
-    /// Simulated time at which the root finished its last addition.
-    pub root_done_at: Cycles,
-}
-
-impl SumProc {
-    fn finish(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(parent) = self.parent {
-            ctx.send(parent, TAG_PARTIAL, Data::F64(self.partial));
-        } else {
-            let outcome = SumOutcome {
-                total: self.partial,
-                root_done_at: ctx.now(),
-            };
-            self.out.with(|o| *o = outcome.clone());
-        }
-    }
-}
-
-impl Process for SumProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.partial = self.local.iter().sum();
-        // `initial_chain` additions of local inputs; for a leaf this is
-        // the whole job.
-        ctx.compute(
-            self.initial_chain,
-            if self.k == 0 { TAG_FINAL } else { TAG_CHUNK },
-        );
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        assert_eq!(msg.tag, TAG_PARTIAL);
-        self.partial += msg.data.as_f64();
-        self.received += 1;
-        if self.received < self.k {
-            // Combine (1 cycle) plus the between-messages local chain.
-            ctx.compute(self.chunk, TAG_CHUNK);
-        } else {
-            // Last combine: 1 cycle, then ship/record.
-            ctx.compute(1, TAG_FINAL);
-        }
-    }
-
-    fn on_compute_done(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        if tag == TAG_FINAL {
-            self.finish(ctx);
-        }
-        // TAG_CHUNK: now idle; the engine will deliver the next partial
-        // sum, whose arrival the schedule aligned with this moment.
-    }
-}
 
 /// Result of running a summation schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,55 +66,72 @@ pub struct SumRun {
     pub result: SimResult,
 }
 
+/// The sum of the synthetic inputs `first..first + count`.
+fn inputs_sum(first: u64, count: u64) -> f64 {
+    (first..first + count).map(|v| v as f64).sum()
+}
+
+/// A plain summation's run rooted at processor 0, as its runner reports it.
+fn plain(run: Run<f64>, procs: u32, inputs: u64) -> SumRun {
+    let &(_, total, done) = run
+        .finals
+        .iter()
+        .find(|f| f.0 == 0)
+        .expect("the root finishes");
+    SumRun {
+        total,
+        completion: done.max(run.result.stats.completion),
+        procs,
+        inputs,
+        result: run.result,
+    }
+}
+
 /// Execute an optimal summation schedule with synthetic input values
 /// `0, 1, 2, …` distributed per the schedule.
 pub fn run_sum_schedule(sched: &SumSchedule, config: SimConfig) -> SumRun {
     let m = sched.model;
     let s = m.g.max(m.o + 1);
-    let out: SharedCell<SumOutcome> = SharedCell::new();
-    let mut sim = Sim::new(m.with_p(sched.procs().max(1)), config);
-    let mut next_value = 0u64;
-    for node in &sched.nodes {
-        let local: Vec<f64> = (0..node.local_inputs)
-            .map(|_| {
-                let v = next_value as f64;
-                next_value += 1;
-                v
-            })
-            .collect();
-        let k = node.children.len() as u64;
-        let t = node.complete_at;
-        let initial_chain = if k == 0 {
+    let parents: Vec<Option<ProcId>> = sched.nodes.iter().map(|n| n.parent).collect();
+    let tree = Tree::from_parents(&parents).expect("a schedule is a tree");
+    let before = sched.nodes.iter().map(|node| {
+        let (k, t) = (node.children.len() as u64, node.complete_at);
+        if k == 0 {
             // A leaf completes at t having performed t additions.
             t
         } else {
             // Idle exactly at the earliest arrival:
             // t - (k-1)s - o - 1 additions from time 0.
             t - (k - 1) * s - m.o - 1
-        };
-        sim.set_process(
-            node.proc,
-            Box::new(SumProc {
-                local,
-                parent: node.parent,
-                k,
-                initial_chain,
-                chunk: s - m.o,
-                received: 0,
-                partial: 0.0,
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("summation schedule terminates");
-    let outcome = out.get();
-    SumRun {
-        total: outcome.total,
-        completion: outcome.root_done_at.max(result.stats.completion),
-        procs: sched.procs(),
-        inputs: sched.total_inputs,
-        result,
-    }
+        }
+    });
+    let wire = Wire {
+        before: before.collect(),
+        between: s - m.o - 1,
+        ..WIRE
+    };
+    // Inputs 0, 1, 2, … dealt out in processor order.
+    let first: Vec<u64> = sched
+        .nodes
+        .iter()
+        .scan(0, |next, node| {
+            *next += node.local_inputs;
+            Some(*next - node.local_inputs)
+        })
+        .collect();
+    let value = |q: ProcId| inputs_sum(first[q as usize], sched.nodes[q as usize].local_inputs);
+    let sim = Sim::new(m.with_p(sched.procs()), config);
+    let run = run_tree(
+        sim,
+        &wire,
+        0,
+        0..sched.procs(),
+        Phases::Up(&tree),
+        value,
+        None,
+    )
+    .expect("summation schedule terminates");
+    plain(run, sched.procs(), sched.total_inputs)
 }
 
 /// Build and execute the optimal schedule for time budget `t`.
@@ -180,84 +141,21 @@ pub fn run_optimal_sum(m: &LogP, t: Cycles, config: SimConfig) -> SumRun {
 }
 
 /// Baseline: binomial-tree reduction of `n` evenly distributed values.
-/// Returns (total, completion).
 pub fn run_binomial_sum(m: &LogP, n: u64, config: SimConfig) -> SumRun {
-    struct Node {
-        partial: f64,
-        /// Compute steps that must finish before shipping: one local chain
-        /// plus one combine per expected message.
-        steps_needed: u32,
-        steps_done: u32,
-        peer_when_done: Option<ProcId>,
-        local_adds: Cycles,
-        out: SharedCell<SumOutcome>,
-    }
-    impl Process for Node {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.compute(self.local_adds, 0);
-        }
-        fn on_compute_done(&mut self, _tag: u64, ctx: &mut Ctx<'_>) {
-            self.steps_done += 1;
-            if self.steps_done == self.steps_needed {
-                if let Some(parent) = self.peer_when_done {
-                    ctx.send(parent, TAG_PARTIAL, Data::F64(self.partial));
-                    ctx.halt();
-                } else {
-                    let oc = SumOutcome {
-                        total: self.partial,
-                        root_done_at: ctx.now(),
-                    };
-                    self.out.with(|o| *o = oc.clone());
-                    ctx.halt();
-                }
-            }
-        }
-        fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-            self.partial += msg.data.as_f64();
-            // One combine addition per received partial.
-            ctx.compute(1, 1);
-        }
-    }
-
-    let p = m.p;
-    let out: SharedCell<SumOutcome> = SharedCell::new();
-    // Each processor combines its children's partials, then sends to its
-    // parent in the canonical binomial tree.
-    let tree = Tree::binomial(p);
-    let mut parent = vec![None; p as usize];
-    for (q, kids) in tree.iter().enumerate() {
-        for &c in kids {
-            parent[c as usize] = Some(q as ProcId);
-        }
-    }
-    let mut sim = Sim::new(*m, config);
-    let mut start = 0u64;
-    for i in 0..p {
-        // `n` values dealt out in contiguous runs.
-        let count = n / p as u64 + if (i as u64) < n % p as u64 { 1 } else { 0 };
-        let local: f64 = (start..start + count).map(|v| v as f64).sum();
-        start += count;
-        sim.set_process(
-            i,
-            Box::new(Node {
-                partial: local,
-                steps_needed: tree[i as usize].len() as u32 + 1,
-                steps_done: 0,
-                peer_when_done: parent[i as usize],
-                local_adds: count.saturating_sub(1),
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("binomial sum terminates");
-    let oc = out.get();
-    SumRun {
-        total: oc.total,
-        completion: oc.root_done_at.max(result.stats.completion),
-        procs: p,
-        inputs: n,
-        result,
-    }
+    let p = u64::from(m.p);
+    // `n` values dealt out in contiguous runs.
+    let count = |q: ProcId| n / p + u64::from(u64::from(q) < n % p);
+    let first = |q: ProcId| u64::from(q) * (n / p) + u64::from(q).min(n % p);
+    let wire = Wire {
+        before: (0..m.p).map(|q| count(q).saturating_sub(1)).collect(),
+        ..WIRE
+    };
+    let value = |q| inputs_sum(first(q), count(q));
+    let tree = Tree::binomial(m.p);
+    let sim = Sim::new(*m, config);
+    let run = run_tree(sim, &wire, 0, 0..m.p, Phases::Up(&tree), value, None)
+        .expect("binomial sum terminates");
+    plain(run, m.p, n)
 }
 
 /// Summation of `n` synthetic inputs `0, 1, 2, …` that tolerates the

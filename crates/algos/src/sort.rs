@@ -19,6 +19,7 @@
 
 use crate::step::{run_steps, Arrival, Out, Steps};
 use crate::tree::{execute, Finals, Run};
+use logp_core::broadcast::binomial_children;
 use logp_core::{Cycles, LogP, ProcId};
 use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
 use std::collections::HashMap;
@@ -102,10 +103,6 @@ struct SplitterProc {
 }
 
 impl SplitterProc {
-    fn binomial_children(me: ProcId, p: u32) -> Vec<ProcId> {
-        logp_core::broadcast::binomial_children(me, p)
-    }
-
     fn begin_partition(&mut self, ctx: &mut Ctx<'_>) {
         // Partition sorted keys by the splitters; destination d gets keys
         // in (splitter[d-1], splitter[d]]. Build staggered send order.
@@ -212,7 +209,7 @@ impl Process for SplitterProc {
                 let p = ctx.procs();
                 let s = self.samples_per_proc;
                 self.splitters = (1..p as usize).map(|i| self.samples[i * s - 1]).collect();
-                for c in Self::binomial_children(0, p) {
+                for c in binomial_children(0, p) {
                     for (i, &sp) in self.splitters.iter().enumerate() {
                         ctx.send(c, TAG_SPLITTER, Data::Pair(i as u64, sp));
                     }
@@ -245,7 +242,7 @@ impl Process for SplitterProc {
                 }
                 self.splitters[i as usize] = sp;
                 // Forward down the binomial tree.
-                for c in Self::binomial_children(ctx.me(), ctx.procs()) {
+                for c in binomial_children(ctx.me(), ctx.procs()) {
                     ctx.send(c, TAG_SPLITTER, msg.data.clone());
                 }
                 self.splitter_count += 1;

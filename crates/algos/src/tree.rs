@@ -18,10 +18,13 @@ use logp_sim::reliable::{Reliable, RetryConfig};
 use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimResult};
 use std::sync::Arc;
 
-/// The two things that differ between one module's tree collectives and
-/// another's: the tags on the wire, and what a combine costs. A module
-/// whose collectives lack a phase leaves that phase's tag `0`.
-#[derive(Clone, Copy)]
+/// What differs between one run's tree collective and another's, beside
+/// the trees: the tags on the wire, and the local work a rank charges. A
+/// module whose collectives lack a phase leaves that phase's tag `0`.
+/// Only a timed reduction — §3.3's summation schedule and its binomial
+/// baseline — charges work beside its combines; the others leave
+/// `before` empty and `between` `0`.
+#[derive(Clone)]
 pub(crate) struct Wire {
     /// Tag of a partial travelling up.
     pub up: u32,
@@ -29,6 +32,13 @@ pub(crate) struct Wire {
     pub down: u32,
     /// Cycles charged per partial combined (`0`: combined on receipt).
     pub combine: Cycles,
+    /// Cycles each rank computes before its part of an up phase starts,
+    /// by processor; empty: a rank starts at once. A rank given its
+    /// share is charged it, `0` included.
+    pub before: Vec<Cycles>,
+    /// Cycles charged beside the combine after every partial but a
+    /// rank's last.
+    pub between: Cycles,
 }
 
 /// `(rank, what it ended up holding, when)`, in finishing order.
@@ -108,6 +118,10 @@ struct TreeProc {
     parent: ProcId,
     /// Children's partials not yet combined into `value`.
     awaiting: u32,
+    /// Computes charged and not yet done. Receptions can run ahead of
+    /// the combines they queue (`o ≥ g`), so a rank acts at the end of
+    /// its last compute, not of the one that saw its last partial come in.
+    computing: u32,
     out: SharedCell<Finals<f64>>,
 }
 
@@ -126,10 +140,10 @@ impl TreeProc {
         self.finish(ctx);
     }
 
-    /// Once every child's partial is in, pass the combined value up; the
-    /// root has the total, and turns around if there is a down phase.
+    /// Once every child's partial is in and combined, pass the value up;
+    /// the root has the total, and turns around if there is a down phase.
     fn try_up(&self, ctx: &mut Ctx<'_>) {
-        if self.awaiting > 0 {
+        if self.awaiting > 0 || self.computing > 0 {
             return;
         }
         if !self.root {
@@ -141,11 +155,20 @@ impl TreeProc {
             self.fan_out(ctx);
         }
     }
+
+    /// Charge local work; the rank looks again when it ends.
+    fn charge(&mut self, cycles: Cycles, ctx: &mut Ctx<'_>) {
+        self.computing += 1;
+        ctx.compute(cycles, 0);
+    }
 }
 
 impl Process for TreeProc {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.run.up {
+        if let Some(&cycles) = self.run.wire.before.get(ctx.me() as usize) {
+            // The rank's part starts when this ends.
+            self.charge(cycles, ctx);
+        } else if self.run.up {
             self.try_up(ctx);
         } else if self.root {
             self.fan_out(ctx);
@@ -154,7 +177,7 @@ impl Process for TreeProc {
 
     fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
         let v = msg.data.as_f64();
-        let wire = self.run.wire;
+        let wire = &self.run.wire;
         if msg.tag == wire.down {
             self.value = v;
             self.fan_out(ctx);
@@ -162,8 +185,9 @@ impl Process for TreeProc {
             debug_assert_eq!(msg.tag, wire.up);
             self.value += v;
             self.awaiting -= 1;
-            if wire.combine > 0 {
-                ctx.compute(wire.combine, 0);
+            let cycles = wire.combine + if self.awaiting > 0 { wire.between } else { 0 };
+            if cycles > 0 {
+                self.charge(cycles, ctx);
             } else {
                 self.try_up(ctx);
             }
@@ -171,6 +195,7 @@ impl Process for TreeProc {
     }
 
     fn on_compute_done(&mut self, _tag: u64, ctx: &mut Ctx<'_>) {
+        self.computing -= 1;
         self.try_up(ctx);
     }
 }
@@ -228,7 +253,7 @@ pub(crate) fn run_tree(
         }
     }
     let run = Arc::new(Shared {
-        wire: *wire,
+        wire: wire.clone(),
         up: up.is_some(),
         down,
     });
@@ -238,6 +263,7 @@ pub(crate) fn run_tree(
         root: q == root,
         parent: up.map_or(root, |_| parent[q as usize]),
         awaiting: up.map_or(0, |t| t[q as usize].len() as u32),
+        computing: 0,
         out,
     })
 }
@@ -245,6 +271,29 @@ pub(crate) fn run_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use logp_core::broadcast::{shape_children, TreeShape};
+    use logp_core::LogP;
+    use logp_sim::SimConfig;
+
+    /// With `o > g` a flat fan-in's receptions run back to back, ahead of
+    /// the combines each queues: the root receives 7 partials in
+    /// `[11, 46)`, then combines them in `[46, 53)`, and reports once.
+    #[test]
+    fn a_rank_acts_after_its_last_combine() {
+        let m = LogP::new(6, 5, 2, 8).unwrap();
+        let wire = Wire {
+            up: 1,
+            down: 0,
+            combine: 1,
+            before: Vec::new(),
+            between: 0,
+        };
+        let flat = owned(&shape_children(TreeShape::Flat, 8));
+        let sim = Sim::new(m, SimConfig::default());
+        let run = run_tree(sim, &wire, 0, 0..8, Phases::Up(&flat), f64::from, None).unwrap();
+        let root = run.finals.iter().find(|f| f.0 == 0);
+        assert_eq!(root, Some(&(0, 28.0, 53)));
+    }
 
     /// Beside the message-path pins of `logp-sim`: a rank's program is
     /// boxed once a processor, and 40 bytes keep the box out of the

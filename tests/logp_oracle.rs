@@ -1,7 +1,8 @@
 //! The classic engine held to the LogP oracle of `tests/oracle/`: on the
 //! `examples/workloads/` files, on the replays of the built-in runners
-//! (every flat runner of `tests/collective_identity.rs`, the §4
-//! applications, and the `Reliable<P>` runners under a zero-rate plan) on
+//! (every flat runner of `tests/collective_identity.rs`, scatter and
+//! gather, the §4 applications, and the `Reliable<P>` runners under a
+//! zero-rate plan) on
 //! the five presets, and on `gen_workload` programs on the presets and on
 //! an `o > g` and an `o = 0` machine, noise-free and under latency jitter,
 //! compute drift and skew. Each case compares completion, every node's
@@ -26,7 +27,7 @@ use logp::algos::broadcast::{
 };
 use logp::algos::cc::{run_cc, Graph};
 use logp::algos::fft::run_parallel_fft;
-use logp::algos::gather::run_allgather_ring;
+use logp::algos::gather::{run_allgather_ring, run_gather, run_scatter};
 use logp::algos::hier::{
     flat_tree, hier_tree, run_flat_allreduce_on, run_flat_broadcast_on, run_flat_sum_on,
     run_hier_allreduce, run_hier_broadcast, run_hier_sum, run_tree_allreduce_on,
@@ -246,6 +247,12 @@ fn for_each_runner(
     case("app.allgather_ring", m, &|c| {
         run_allgather_ring(&m, &words[..p as usize], c);
     });
+    case("scatter", m, &|c| {
+        run_scatter(&m, &words[..p as usize], c);
+    });
+    case("gather", m, &|c| {
+        run_gather(&m, &words[..p as usize], c);
+    });
     case("app.bitonic_sort", pow2, &|c| {
         run_bitonic_sort(&pow2, pow2_keys, c);
     });
@@ -333,7 +340,7 @@ fn replays_of_every_runner_agree_on_the_presets() {
             cases += 1;
         });
     }
-    assert_eq!(cases, 5 * 45);
+    assert_eq!(cases, 5 * 47);
 }
 
 /// Every fuzz program on every machine, noise-free and under jitter,

@@ -127,16 +127,22 @@ fn summation_capacity_laws() {
 }
 
 /// The executable optimal summation completes exactly at its deadline
-/// with the correct total, for arbitrary machines and budgets.
+/// with the correct total, for arbitrary machines and budgets, and is
+/// timed as Figure 4 is: every partial's reception starts the moment it
+/// arrives, and the root is busy for all `T` cycles.
 #[test]
 fn summation_schedule_is_exact() {
     check_machines("summation_schedule_is_exact", 48, machine, |m, rng| {
         let t = draw(rng, 1..=59);
-        let run = run_optimal_sum(&m, t, SimConfig::default());
+        let run = run_optimal_sum(&m, t, SimConfig::default().with_msg_log(true));
         assert_eq!(run.completion, t);
         assert_eq!(run.inputs, sum_capacity_bounded(&m, t, m.p));
         let expected: f64 = (0..run.inputs).map(|v| v as f64).sum();
         assert_eq!(run.total, expected);
+        for msg in &run.result.obs.msgs {
+            assert_eq!(msg.recv_start, msg.arrive, "{m} T={t}: {msg:?} waited");
+        }
+        assert_eq!(run.result.stats.procs[0].busy(), t, "{m} T={t}: root idle");
     });
 }
 
