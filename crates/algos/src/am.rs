@@ -16,7 +16,7 @@
 
 use logp_core::{Cycles, LogP, ProcId};
 use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 const TAG_READ_REQ: u32 = 0xE0; // Pair(request id, address)
 const TAG_READ_RESP: u32 = 0xE1; // IdxF64(request id, value)
@@ -31,13 +31,12 @@ pub struct MemoryNode {
     pub cells: Vec<f64>,
     /// Client half, if this node also issues requests.
     pub client: Option<Box<dyn AmClient>>,
-    pending: HashMap<u64, PendingKind>,
+    /// Ids of the reads and fetch-adds awaiting their response.
+    pending: HashSet<u64>,
     next_req: u64,
-}
-
-enum PendingKind {
-    Read,
-    Fadd,
+    /// Where [`run_two_node`] reads the segment back: every cell a write
+    /// or fetch-add changes is mirrored here.
+    mirror: Option<SharedCell<Vec<f64>>>,
 }
 
 /// A client program driving remote-memory operations through
@@ -52,7 +51,7 @@ pub trait AmClient: Send {
 /// The client-facing operations; wraps the simulator context.
 pub struct AmCtx<'a, 'b> {
     ctx: &'a mut Ctx<'b>,
-    pending: &'a mut HashMap<u64, PendingKind>,
+    pending: &'a mut HashSet<u64>,
     next_req: &'a mut u64,
 }
 
@@ -77,7 +76,7 @@ impl AmCtx<'_, '_> {
     pub fn read(&mut self, node: ProcId, addr: u64) -> u64 {
         let req = *self.next_req;
         *self.next_req += 1;
-        self.pending.insert(req, PendingKind::Read);
+        self.pending.insert(req);
         self.ctx.send(node, TAG_READ_REQ, Data::Pair(req, addr));
         req
     }
@@ -91,7 +90,7 @@ impl AmCtx<'_, '_> {
     pub fn fetch_add(&mut self, node: ProcId, addr: u64, delta: f64) -> u64 {
         let req = *self.next_req;
         *self.next_req += 1;
-        self.pending.insert(req, PendingKind::Fadd);
+        self.pending.insert(req);
         assert!(
             addr < 1 << 32 && req < 1 << 32,
             "fadd packs req and addr in 32 bits each"
@@ -107,8 +106,16 @@ impl MemoryNode {
         MemoryNode {
             cells,
             client,
-            pending: HashMap::new(),
+            pending: HashSet::new(),
             next_req: 0,
+            mirror: None,
+        }
+    }
+
+    fn store(&mut self, addr: usize, v: f64) {
+        self.cells[addr] = v;
+        if let Some(mirror) = &self.mirror {
+            mirror.with(|m| m[addr] = v);
         }
     }
 
@@ -148,22 +155,18 @@ impl Process for MemoryNode {
             }
             TAG_WRITE => {
                 let (addr, v) = msg.data.as_idx_f64();
-                self.cells[addr as usize] = v;
+                self.store(addr as usize, v);
             }
             TAG_FADD_REQ => {
                 let (packed, delta) = msg.data.as_idx_f64();
                 let (req, addr) = (packed >> 32, packed & 0xFFFF_FFFF);
                 let old = self.cells[addr as usize];
-                self.cells[addr as usize] = old + delta;
+                self.store(addr as usize, old + delta);
                 ctx.send(msg.src, TAG_FADD_RESP, Data::IdxF64(req, old));
             }
             TAG_READ_RESP | TAG_FADD_RESP => {
                 let (req, v) = msg.data.as_idx_f64();
-                let kind = self
-                    .pending
-                    .remove(&req)
-                    .expect("response matches a request");
-                let _ = kind;
+                assert!(self.pending.remove(&req), "response matches a request");
                 self.with_client(ctx, |c, am| c.on_value(req, v, am));
             }
             other => unreachable!("unknown AM tag {other}"),
@@ -172,7 +175,7 @@ impl Process for MemoryNode {
 }
 
 /// Run a two-node AM experiment: node 1 holds `cells`; node 0 runs the
-/// `client`; returns (final cells, completion, shared outcome).
+/// `client`; returns (final cells, completion).
 pub fn run_two_node<C: AmClient + 'static>(
     m: &LogP,
     cells: Vec<f64>,
@@ -180,33 +183,15 @@ pub fn run_two_node<C: AmClient + 'static>(
     config: SimConfig,
 ) -> (Vec<f64>, Cycles) {
     assert!(m.p >= 2);
-    let out: SharedCell<Vec<f64>> = SharedCell::new();
+    let out = SharedCell::of(cells.clone());
     let mut sim = Sim::new(*m, config);
     sim.set_process(
         0,
         Box::new(MemoryNode::new(Vec::new(), Some(Box::new(client)))),
     );
-    struct Exporter {
-        inner: MemoryNode,
-        out: SharedCell<Vec<f64>>,
-    }
-    impl Process for Exporter {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.inner.on_start(ctx);
-        }
-        fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-            self.inner.on_message(msg, ctx);
-            let cells = self.inner.cells.clone();
-            self.out.with(|o| *o = cells);
-        }
-    }
-    sim.set_process(
-        1,
-        Box::new(Exporter {
-            inner: MemoryNode::new(cells, None),
-            out: out.clone(),
-        }),
-    );
+    let mut memory = MemoryNode::new(cells, None);
+    memory.mirror = Some(out.clone());
+    sim.set_process(1, Box::new(memory));
     let r = sim.run().expect("AM experiment terminates");
     (out.get(), r.stats.completion)
 }

@@ -13,161 +13,88 @@
 //! 3. **Phase III** (blocked, fully local): for each owned `k1`, a
 //!    `P`-point FFT over `j2` produces `X[k1 + (n/P)·k2]`.
 //!
+//! The remap is [`crate::remap`]'s one program, so the FFT honours every
+//! [`RemapSchedule`], barriers included. Phase I runs on a rank's rows
+//! before the simulation starts and phase III when the rank is done;
+//! with a [`ComputeModel`] their cycles are charged before the rank's
+//! first element and after it is done.
+//!
 //! Outputs are checked against a sequential FFT of the whole input, and
 //! correctness must hold under latency jitter (message reordering) — the
 //! paper's correctness criterion for LogP algorithms.
 
 use super::compute_model::ComputeModel;
 use super::kernel::{fft_in_place, Cplx};
-use crate::remap::RemapSchedule;
+use crate::remap::{remap, Elements, RemapSchedule, RemapSpec};
 use logp_core::{Cycles, LogP, ProcId};
-use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
+use logp_sim::{Data, Sim, SimConfig};
 
-/// Tag for remapped FFT elements.
-pub const TAG_FFT_ELEM: u32 = 0xFF7;
-
-const TAG_PHASE1: u64 = 1;
-const TAG_LOAD: u64 = 2;
-const TAG_PHASE3: u64 = 3;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Compute1,
-    Exchange,
-    Compute3,
-    Done,
-}
-
-struct FftProc {
-    n: u64,
-    /// Phase-I input in `j1` order (this processor's cyclic rows).
-    local: Vec<Cplx>,
-    /// Twiddled phase-I output `Y'[k1]`, awaiting transmission.
+/// One rank's FFT elements: the twiddled phase-I outputs `Y'[k1]` it
+/// sends, and the phase-III rows it stages.
+struct Rows {
+    me: u64,
+    p: u64,
+    /// `k1` values a rank owns in phase III, `n/P²`.
+    block: u64,
     y: Vec<Cplx>,
-    /// Phase-III staging: `staging[k1_local * P + j2]`.
+    /// Phase-III staging: `staging[(k1 - me·block) · P + j2]`.
     staging: Vec<Cplx>,
-    /// Flattened send order: (dst, k1) pairs.
-    sends: Vec<(ProcId, u64)>,
-    next_send: usize,
-    expect_msgs: u64,
-    received: u64,
-    phase: Phase,
-    /// Per-element local memory cost during the exchange.
-    local_cost: Cycles,
-    phase1_cycles: Cycles,
-    phase3_cycles: Cycles,
-    out: SharedCell<Vec<(u64, f64, f64)>>,
 }
 
-impl FftProc {
-    fn k1_block(&self, p: u64) -> u64 {
-        // Number of k1 values per processor.
-        (self.n / p) / p
-    }
-
-    fn do_phase1(&mut self, ctx: &mut Ctx<'_>) {
-        let p = ctx.procs() as u64;
-        let me = ctx.me() as u64;
-        let n1 = self.n / p;
-        let mut y = std::mem::take(&mut self.local);
+impl Rows {
+    /// Phase I on the cyclic rows of `me` (`x[P·j1 + me]` in `j1`
+    /// order): an `n/P`-point FFT scaled by `ω_n^{me·k1}`, with the
+    /// rank's own block staged at once.
+    fn phase1(input: &[Cplx], me: u64, p: u64) -> Rows {
+        let n = input.len() as u64;
+        let block = n / p / p;
+        let mut y: Vec<Cplx> = (0..n / p).map(|j1| input[(j1 * p + me) as usize]).collect();
         fft_in_place(&mut y);
         for (k1, v) in y.iter_mut().enumerate() {
-            *v = v.mul(Cplx::omega(me * k1 as u64, self.n));
+            *v = v.mul(Cplx::omega(me * k1 as u64, n));
         }
-        // Stage own block directly.
-        let block = self.k1_block(p);
-        let my_lo = me * block;
-        for k1 in my_lo..my_lo + block {
-            let slot = ((k1 - my_lo) * p + me) as usize;
-            self.staging[slot] = y[k1 as usize];
-        }
-        self.y = y;
-        debug_assert_eq!(self.sends.len() as u64, n1 - block);
-    }
-
-    fn step_exchange(&mut self, ctx: &mut Ctx<'_>) {
-        if self.next_send < self.sends.len() {
-            ctx.compute(self.local_cost, TAG_LOAD);
-        } else {
-            self.maybe_start_phase3(ctx);
-        }
-    }
-
-    fn maybe_start_phase3(&mut self, ctx: &mut Ctx<'_>) {
-        if self.phase == Phase::Exchange
-            && self.next_send >= self.sends.len()
-            && self.received == self.expect_msgs
-        {
-            self.phase = Phase::Compute3;
-            ctx.compute(self.phase3_cycles, TAG_PHASE3);
-        }
-    }
-
-    fn do_phase3(&mut self, ctx: &mut Ctx<'_>) {
-        let p = ctx.procs() as u64;
-        let me = ctx.me() as u64;
-        let n1 = self.n / p;
-        let block = self.k1_block(p);
-        let my_lo = me * block;
-        let mut results = Vec::with_capacity((block * p) as usize);
+        let mut staging = vec![Cplx::ZERO; (block * p) as usize];
         for b in 0..block {
-            let k1 = my_lo + b;
-            let mut row: Vec<Cplx> =
-                self.staging[(b * p) as usize..((b + 1) * p) as usize].to_vec();
-            fft_in_place(&mut row);
-            for (k2, v) in row.iter().enumerate() {
-                let global = k1 + n1 * k2 as u64;
-                results.push((global, v.re, v.im));
-            }
+            staging[(b * p + me) as usize] = y[(me * block + b) as usize];
         }
-        self.out.with(|o| o.extend_from_slice(&results));
-        self.phase = Phase::Done;
+        Rows {
+            me,
+            p,
+            block,
+            y,
+            staging,
+        }
     }
 }
 
-impl Process for FftProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.compute(self.phase1_cycles, TAG_PHASE1);
-    }
+impl Elements for Rows {
+    /// The rank's `P`-point phase-III transforms, row after row.
+    type Final = Vec<Cplx>;
 
-    fn on_compute_done(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        match tag {
-            TAG_PHASE1 => {
-                self.do_phase1(ctx);
-                self.phase = Phase::Exchange;
-                self.step_exchange(ctx);
-            }
-            TAG_LOAD => {
-                let (dst, k1) = self.sends[self.next_send];
-                self.next_send += 1;
-                let v = self.y[k1 as usize];
-                ctx.send(
-                    dst,
-                    TAG_FFT_ELEM,
-                    Data::Cplx {
-                        idx: u32::try_from(k1).expect("run_parallel_fft checked n <= 2^32"),
-                        re: v.re,
-                        im: v.im,
-                    },
-                );
-                self.step_exchange(ctx);
-            }
-            TAG_PHASE3 => self.do_phase3(ctx),
-            other => unreachable!("unknown compute tag {other}"),
+    /// Element `i` is `k1 = dst·block + i mod block`: a destination's
+    /// block is sent in `k1` order.
+    fn element(&mut self, i: u64, dst: ProcId) -> Data {
+        let k1 = dst as u64 * self.block + i % self.block;
+        let v = self.y[k1 as usize];
+        Data::Cplx {
+            idx: u32::try_from(k1).expect("run_parallel_fft checked n <= 2^32"),
+            re: v.re,
+            im: v.im,
         }
     }
 
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        debug_assert_eq!(msg.tag, TAG_FFT_ELEM);
-        let p = ctx.procs() as u64;
-        let me = ctx.me() as u64;
-        let (k1, re, im) = msg.data.as_cplx();
-        let block = self.k1_block(p);
-        let b = k1 - me * block;
-        let slot = (b * p + msg.src as u64) as usize;
-        self.staging[slot] = Cplx::new(re, im);
-        self.received += 1;
-        self.maybe_start_phase3(ctx);
+    fn receive(&mut self, src: ProcId, data: &Data) {
+        let (k1, re, im) = data.as_cplx();
+        let slot = (k1 - self.me * self.block) * self.p + src as u64;
+        self.staging[slot as usize] = Cplx::new(re, im);
+    }
+
+    fn finish(&mut self) -> Vec<Cplx> {
+        let mut rows = std::mem::take(&mut self.staging);
+        for row in rows.chunks_mut(self.p as usize) {
+            fft_in_place(row);
+        }
+        rows
     }
 }
 
@@ -198,91 +125,43 @@ pub struct FftRun {
     pub total_stall: Cycles,
 }
 
-/// Build the staggered/naive send order for one processor: destination
-/// blocks of `k1` values, starting block chosen per schedule.
-fn send_order(me: ProcId, p: u32, n: u64, schedule: RemapSchedule) -> Vec<(ProcId, u64)> {
-    let block = (n / p as u64) / p as u64;
-    let start = match schedule {
-        RemapSchedule::Naive => 0,
-        RemapSchedule::Staggered | RemapSchedule::StaggeredBarrier => me + 1,
-    };
-    let mut order = Vec::with_capacity(((p as u64 - 1) * block) as usize);
-    for bi in 0..p {
-        let dst = (start + bi) % p;
-        if dst == me {
-            continue;
-        }
-        let lo = dst as u64 * block;
-        for k1 in lo..lo + block {
-            order.push((dst, k1));
-        }
-    }
-    order
-}
-
 /// Run the hybrid-layout FFT on the simulator with real data and verify
 /// nothing structurally (callers verify against a reference).
 pub fn run_parallel_fft(m: &LogP, input: &[Cplx], spec: &FftRunSpec, config: SimConfig) -> FftRun {
-    let p = m.p;
+    let p = m.p as u64;
     let n = spec.n;
     assert_eq!(input.len() as u64, n);
-    assert!(n.is_power_of_two() && (p as u64).is_power_of_two());
+    assert!(n.is_power_of_two() && p.is_power_of_two());
     assert!(
         n <= 1 << 32,
         "a remap element carries a 32-bit index: n = {n} exceeds 2^32"
     );
-    assert!(
-        n >= (p as u64) * (p as u64),
-        "hybrid layout requires n >= P² (n={n}, P={p})"
-    );
-    let n1 = n / p as u64;
-    let block = n1 / p as u64;
-    let cm = spec.compute;
-    let phase1_cycles = cm.map_or(0, |c| c.phase_cycles(n1, 1));
-    let phase3_cycles = cm.map_or(0, |c| c.phase_cycles(p as u64, block));
-
-    let out: SharedCell<Vec<(u64, f64, f64)>> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    for q in 0..p {
-        // Cyclic rows of processor q, in j1 order.
-        let local: Vec<Cplx> = (0..n1)
-            .map(|j1| input[(j1 * p as u64 + q as u64) as usize])
-            .collect();
-        sim.set_process(
-            q,
-            Box::new(FftProc {
-                n,
-                local,
-                y: Vec::new(),
-                staging: vec![Cplx::ZERO; (block * p as u64) as usize],
-                sends: send_order(q, p, n, spec.schedule),
-                next_send: 0,
-                expect_msgs: (p as u64 - 1) * block,
-                received: 0,
-                phase: Phase::Compute1,
-                local_cost: spec.local_cost,
-                phase1_cycles,
-                phase3_cycles,
-                out: out.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("FFT terminates");
-    let collected = out.get();
-    assert_eq!(
-        collected.len() as u64,
-        n,
-        "every output index must be produced"
-    );
+    assert!(n >= p * p, "hybrid layout requires n >= P² (n={n}, P={p})");
+    let (n1, block) = (n / p, n / p / p);
+    let work = spec.compute.map_or((0, 0), |c| {
+        (c.phase_cycles(n1, 1), c.phase_cycles(p, block))
+    });
+    let remap_spec = RemapSpec {
+        elems_per_pair: block,
+        local_cost: spec.local_cost,
+        schedule: spec.schedule,
+    };
+    let run = remap(Sim::new(*m, config), &remap_spec, Some(work), |q| {
+        Rows::phase1(input, q as u64, p)
+    });
+    // Rank q's row b holds X[k1 + n1·k2] for k1 = q·block + b.
     let mut output = vec![Cplx::ZERO; n as usize];
-    for (idx, re, im) in collected {
-        output[idx as usize] = Cplx::new(re, im);
+    for (q, rows, _) in &run.finals {
+        for (i, &v) in rows.iter().enumerate() {
+            let (b, k2) = (i as u64 / p, i as u64 % p);
+            output[(*q as u64 * block + b + n1 * k2) as usize] = v;
+        }
     }
     FftRun {
         output,
-        completion: result.stats.completion,
-        messages: result.stats.total_msgs,
-        total_stall: result.stats.procs.iter().map(|s| s.stall).sum(),
+        completion: run.result.stats.completion,
+        messages: run.result.stats.total_msgs,
+        total_stall: run.result.stats.procs.iter().map(|s| s.stall).sum(),
     }
 }
 
@@ -347,7 +226,11 @@ mod tests {
         let input = signal(n);
         let mut reference = input.clone();
         fft_in_place(&mut reference);
-        for schedule in [RemapSchedule::Naive, RemapSchedule::Staggered] {
+        for schedule in [
+            RemapSchedule::Naive,
+            RemapSchedule::Staggered,
+            RemapSchedule::StaggeredBarrier,
+        ] {
             for seed in [3u64, 17] {
                 let cfg = SimConfig::default().with_jitter(11).with_seed(seed);
                 let run = run_parallel_fft(&m, &input, &spec(n, schedule), cfg);
@@ -392,6 +275,34 @@ mod tests {
         );
         assert!(naive.completion > stag.completion);
         assert_eq!(naive.output.len(), stag.output.len());
+    }
+
+    #[test]
+    fn barrier_schedule_bounds_drift_contention() {
+        // The FFT's remap is the remap program, so its barrier schedule
+        // holds drifting processors in step as `run_remap`'s does.
+        let n = 1024;
+        let m = LogP::new(60, 20, 40, 8).unwrap();
+        let input = signal(n);
+        let run = |schedule| {
+            let spec = FftRunSpec {
+                n,
+                schedule,
+                local_cost: 10,
+                compute: None,
+            };
+            let cfg = SimConfig::default().with_drift(150).with_seed(11);
+            run_parallel_fft(&m, &input, &spec, cfg)
+        };
+        let stag = run(RemapSchedule::Staggered);
+        let sync = run(RemapSchedule::StaggeredBarrier);
+        assert!(
+            sync.total_stall < stag.total_stall,
+            "barriers must bound drift contention: sync {} vs stag {}",
+            sync.total_stall,
+            stag.total_stall
+        );
+        assert!(max_error(&sync.output, &stag.output) < 1e-12);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   larger of the injection interval and the data dependency (see
 //!   [`allgather_ring_time`]).
 //!
-//! All three are step programs ([`crate::step`]); scatter and gather are
+//! All three are step programs (`crate::step`); scatter and gather are
 //! a single step of point-to-point sends.
 
 use crate::step::{run_steps, Arrival, Out, Steps};

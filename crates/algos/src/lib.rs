@@ -19,15 +19,14 @@
 //! | [`gather`] ‡ | §6.6 | scatter / gather / ring all-gather primitives |
 //! | [`hier`] † | ext. | level-aware broadcast/sum/all-reduce on hierarchical machines |
 //! | [`kbroadcast`] †‡ | §3.3 ext. | k-item broadcast: pipelined trees (plain, reliable) vs scatter+all-gather |
-//! | [`remap`] | §4.1.2–4 | all-to-all schedules: naive/staggered/barrier |
-//! | [`fft`] | §4.1 | hybrid-layout FFT with real data + Fig. 6/7/8 driver |
+//! | [`remap`] | §4.1.2–4 | all-to-all schedules: naive/staggered/barrier; the one remap program behind `run_remap` and the FFT |
+//! | [`fft`] | §4.1 | hybrid-layout FFT with real data (local phases around the remap program) + Fig. 6/7/8 driver |
 //! | [`lu`] | §4.2.1 | pivoted LU, column-cyclic executable + layout costs |
 //! | [`sort`] ‡ | §4.2.2 | splitter (sample) sort vs bitonic |
 //! | [`radix`] | §4.2.2 \[7\] | distributed LSD radix sort, per-digit remaps |
 //! | [`cc`] | §4.2.3 | connected components, hot-spot contention + combining |
-//! | [`multithread`] | §3.2 | latency masking bounded by the capacity window |
-//! | [`bulk`] | §5.4 | long messages as trains + reorder-tolerant reassembly |
-//! | [`stencil`] ‡ | §6.4 | 1D Jacobi halo exchange; surface-to-volume economics |
+//! | [`multithread`] | §3.2 | latency masking bounded by the capacity window, a client of [`am`] |
+//! //! | [`stencil`] ‡ | §6.4 | 1D Jacobi halo exchange; surface-to-volume economics |
 //! | [`stencil2d`] ‡ | §6.4 | 5-point Jacobi on a √P×√P grid; 4b surface vs b² volume |
 //! | [`matmul`] ‡ | §6.6 | SUMMA on a √P×√P grid; 1D-vs-2D layout costs |
 //! | [`resilient`] | — | survivor remapping for fault-tolerant collectives; `ResilientError` |
@@ -35,7 +34,6 @@
 pub mod allreduce;
 pub mod am;
 pub mod broadcast;
-pub mod bulk;
 pub mod cc;
 pub mod fft;
 pub mod gather;

@@ -159,6 +159,10 @@ struct StepData {
     mults: Vec<(usize, f64)>,
 }
 
+/// What a rank reports when done: its `(j, column)`s and its row
+/// permutation.
+type Report = (Vec<(usize, Vec<f64>)>, Vec<usize>);
+
 struct LuProc {
     n: usize,
     /// Synchronize all processors between elimination steps (disables the
@@ -177,7 +181,7 @@ struct LuProc {
     updating: bool,
     my_index: ProcId,
     p: u32,
-    out: SharedCell<Vec<(usize, Vec<f64>)>>,
+    out: SharedCell<Vec<Report>>,
     /// Row permutation applied so far (identical on every processor).
     perm: Vec<usize>,
     done: bool,
@@ -337,8 +341,11 @@ impl LuProc {
             return;
         }
         self.done = true;
-        let cols = std::mem::take(&mut self.cols);
-        self.out.with(|o| o.extend(cols.iter().cloned()));
+        let report = (
+            std::mem::take(&mut self.cols),
+            std::mem::take(&mut self.perm),
+        );
+        self.out.with(|o| o.push(report));
         ctx.halt();
     }
 }
@@ -428,7 +435,7 @@ fn run_lu_column_cyclic_with(
     let n = a.n;
     let p = m.p;
     assert!(n >= p as usize, "need at least one column per processor");
-    let out: SharedCell<Vec<(usize, Vec<f64>)>> = SharedCell::new();
+    let out: SharedCell<Vec<Report>> = SharedCell::new();
     let mut sim = Sim::new(*m, config);
     for q in 0..p {
         let cols: Vec<(usize, Vec<f64>)> = (0..n)
@@ -454,34 +461,23 @@ fn run_lu_column_cyclic_with(
         );
     }
     let result = sim.run().expect("LU terminates");
-    let collected = out.get();
+    let reports = out.get();
+    let perm = reports[0].1.clone();
+    assert!(
+        reports.iter().all(|r| r.1 == perm),
+        "every rank applies the same row swaps"
+    );
     let mut lu = Matrix::zero(n);
-    for (j, col) in &collected {
+    for (j, col) in reports.iter().flat_map(|r| &r.0) {
         for (i, v) in col.iter().enumerate() {
             lu.set(i, *j, *v);
         }
     }
-    // All processors applied identical swaps; take the owner-side perm by
-    // recomputing from the sequential algorithm's convention: we stored it
-    // on every processor identically, so reconstruct from processor 0's
-    // view — simplest is to re-derive from the factors themselves; instead
-    // LuProc keeps perm per processor, and they are identical, so have
-    // processor 0 export it via the same cell (index n marks perm).
-    // (Handled below through a second pass over the sequential oracle in
-    // tests; for API completeness recompute here.)
-    let perm = recover_permutation(a, &lu);
     LuRun {
         factors: LuFactors { lu, perm },
         completion: result.stats.completion,
         messages: result.stats.total_msgs,
     }
-}
-
-/// Recover the row permutation from the factored matrix: the distributed
-/// algorithm applies the same pivoting rule as `lu_sequential`, so
-/// re-running the pivot decisions on the original matrix reproduces it.
-fn recover_permutation(a: &Matrix, _lu: &Matrix) -> Vec<usize> {
-    lu_sequential(a).perm
 }
 
 // ---------------------------------------------------------------------

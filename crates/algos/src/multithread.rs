@@ -18,14 +18,18 @@
 //! virtual processors needed to saturate is the round trip over the gap,
 //! [`saturation_threads`] = `⌈(2L + 4o)/g⌉` — beyond it extra threads
 //! buy nothing, exactly the plateau the paper predicts.
+//!
+//! The client is an [`AmClient`] of the [`crate::am`] veneer and the
+//! memory processor is that veneer's memory node: every operation is an
+//! [`AmCtx::read`] of cell 0 on processor 1.
 
+use crate::am::{run_two_node, AmClient, AmCtx};
 use logp_core::{Cycles, LogP};
 use logp_sim::runner::{sweep_map, Threads};
-use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
+use logp_sim::{SharedCell, SimConfig};
 
-const TAG_REQ: u32 = 0x80;
-const TAG_RESP: u32 = 0x81;
-
+/// `virtual_procs` virtual processors, each with one remote read
+/// outstanding until `total_ops` have been issued.
 struct Client {
     virtual_procs: u64,
     remaining_to_issue: u64,
@@ -34,36 +38,25 @@ struct Client {
     finished_at: SharedCell<Cycles>,
 }
 
-impl Process for Client {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+impl AmClient for Client {
+    fn on_start(&mut self, am: &mut AmCtx<'_, '_>) {
         // Launch one outstanding request per virtual processor.
         let initial = self.virtual_procs.min(self.remaining_to_issue);
         for _ in 0..initial {
-            ctx.send(1, TAG_REQ, Data::Empty);
-            self.remaining_to_issue -= 1;
+            am.read(1, 0);
         }
+        self.remaining_to_issue -= initial;
     }
 
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        debug_assert_eq!(msg.tag, TAG_RESP);
+    fn on_value(&mut self, _req: u64, _value: f64, am: &mut AmCtx<'_, '_>) {
         self.completed += 1;
         if self.remaining_to_issue > 0 {
             self.remaining_to_issue -= 1;
-            ctx.send(1, TAG_REQ, Data::Empty);
+            am.read(1, 0);
         } else if self.completed == self.total_ops {
-            let now = ctx.now();
+            let now = am.now();
             self.finished_at.with(|t| *t = now);
         }
-    }
-}
-
-/// The memory module: answers each request with a reply.
-struct Memory;
-
-impl Process for Memory {
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        debug_assert_eq!(msg.tag, TAG_REQ);
-        ctx.send(msg.src, TAG_RESP, Data::U64(0xDA7A));
     }
 }
 
@@ -83,20 +76,15 @@ pub struct MaskingPoint {
 pub fn masking_throughput(m: &LogP, v: u64, ops: u64, config: SimConfig) -> MaskingPoint {
     assert!(m.p >= 2, "needs a client and a memory processor");
     let finished: SharedCell<Cycles> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    sim.set_process(
-        0,
-        Box::new(Client {
-            virtual_procs: v,
-            remaining_to_issue: ops,
-            completed: 0,
-            total_ops: ops,
-            finished_at: finished.clone(),
-        }),
-    );
-    sim.set_process(1, Box::new(Memory));
-    let result = sim.run().expect("terminates");
-    let completion = finished.get().max(result.stats.completion);
+    let client = Client {
+        virtual_procs: v,
+        remaining_to_issue: ops,
+        completed: 0,
+        total_ops: ops,
+        finished_at: finished.clone(),
+    };
+    let (_, end) = run_two_node(m, vec![0.0], client, config);
+    let completion = finished.get().max(end);
     MaskingPoint {
         virtual_procs: v,
         ops,

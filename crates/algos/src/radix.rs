@@ -99,9 +99,8 @@ impl RadixProc {
             self.absorb_buffered_histograms();
             self.maybe_scatter_offsets(ctx);
         } else {
-            // Send sparse rows plus an end marker carrying the row count
-            // in the digit field's high bit... simpler: send the count of
-            // rows first, then the rows.
+            // Send an end marker carrying the row count (digit field
+            // 0xFFFF) first, then the sparse rows.
             ctx.send(
                 0,
                 TAG_HIST,
@@ -178,10 +177,7 @@ impl RadixProc {
             .filter(|&d| counts[d][0] > 0)
             .map(|d| (d as u16, offsets[d][0]))
             .collect();
-        let expected = own.len();
-        let buf = self.bufs.entry(self.pass).or_default();
-        buf.offsets = own;
-        let _ = expected;
+        self.bufs.entry(self.pass).or_default().offsets = own;
         self.redistribute(ctx);
     }
 

@@ -3,7 +3,7 @@
 //! `run_optimal_sum` executes a `logp-core::summation::SumSchedule` on the
 //! simulator with real floating-point data and checks that the root holds
 //! the correct total at exactly the schedule's deadline. Every summation
-//! here is the one tree program of [`crate::tree`] run up the reverse of
+//! here is the one tree program of `crate::tree` run up the reverse of
 //! a tree, one addition charged per partial combined; what makes the
 //! schedule optimal is the local work it passes the driver beside that
 //! (paper, Figure 4 right panel):

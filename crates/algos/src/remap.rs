@@ -19,7 +19,15 @@
 //!
 //! Each element also costs `local` cycles of memory traffic at the sender
 //! (§4.1.4's "roughly 1 µs of local computation per data point").
+//!
+//! Every all-to-all in the crate is one program: `RemapProc` runs a
+//! rank's elements under a schedule, and an `Elements` description says
+//! what the elements carry. [`run_remap`]'s elements are tagged words;
+//! the FFT's ([`crate::fft::parallel`]) are its twiddled phase-I outputs,
+//! with its local phases charged before the first element and after the
+//! rank is done.
 
+use crate::tree::{execute, Finals, Run};
 use logp_core::cost::staggered_remap_time;
 use logp_core::{Cycles, LogP, ProcId};
 use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
@@ -54,84 +62,106 @@ impl RemapSpec {
     pub fn elems_per_proc(&self, p: u32) -> u64 {
         self.elems_per_pair * (p as u64 - 1)
     }
+
+    /// Destination of element `i` of sender `me`: blocks of
+    /// `elems_per_pair` elements, one block a destination, in schedule
+    /// order and skipping `me`.
+    fn dest(&self, me: ProcId, p: u32, i: u64) -> ProcId {
+        let b = (i / self.elems_per_pair) as ProcId;
+        match self.schedule {
+            RemapSchedule::Naive => b + ProcId::from(b >= me),
+            RemapSchedule::Staggered | RemapSchedule::StaggeredBarrier => (me + 1 + b) % p,
+        }
+    }
 }
 
+/// What a rank's elements carry; [`RemapProc`] calls it.
+pub(crate) trait Elements: Send + 'static {
+    /// What the rank reports once it has sent and received every element.
+    type Final: Send + 'static;
+    /// The payload of element `i`, bound for `dst`.
+    fn element(&mut self, i: u64, dst: ProcId) -> Data;
+    /// File an element `src` sent.
+    fn receive(&mut self, src: ProcId, data: &Data);
+    /// What the rank holds at the end.
+    fn finish(&mut self) -> Self::Final;
+}
+
+const TAG_BEFORE: u64 = 6;
 const TAG_LOADED: u64 = 7;
+const TAG_AFTER: u64 = 8;
 
 /// One processor's remap program: for each element in schedule order,
-/// `local_cost` cycles of load, then a send. Receptions interleave via
-/// the engine's active-message polling.
-struct RemapProc {
-    /// Destination order, flattened: `dests[i]` is the target of element
-    /// `i`.
-    dests: Vec<ProcId>,
-    next: usize,
-    /// Load/store cycles charged before each send.
-    local_cost: Cycles,
-    /// Elements expected from every other processor.
-    expect: u64,
+/// `local_cost` cycles of load, then a send; under
+/// [`RemapSchedule::StaggeredBarrier`] a barrier after every destination
+/// block. Receptions interleave via the engine's active-message polling.
+/// The rank is done when it has sent every element and received as many;
+/// it reports then.
+struct RemapProc<E: Elements> {
+    elems: E,
+    spec: RemapSpec,
+    /// Cycles charged before the first element and after done, if any.
+    work: Option<(Cycles, Cycles)>,
+    /// Elements this rank sends, and as many it receives.
+    total: u64,
+    next: u64,
     received: u64,
-    /// Barrier after every `barrier_every` sends (0 = never).
-    barrier_every: u64,
     sent_since_barrier: u64,
-    sum_received: f64,
-    done: SharedCell<RemapOutcome>,
+    out: SharedCell<Finals<E::Final>>,
 }
 
-/// Aggregated outcome of a remap run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RemapOutcome {
-    /// Per-processor completion times (last element received).
-    pub finish_times: Vec<(ProcId, Cycles)>,
-    /// Checksum of received payloads, summed over processors.
-    pub checksum: f64,
-}
-
-impl RemapProc {
+impl<E: Elements> RemapProc<E> {
     fn step(&mut self, ctx: &mut Ctx<'_>) {
-        if self.next < self.dests.len() {
-            if self.barrier_every > 0 && self.sent_since_barrier == self.barrier_every {
+        if self.next < self.total {
+            if self.spec.schedule == RemapSchedule::StaggeredBarrier
+                && self.sent_since_barrier == self.spec.elems_per_pair
+            {
                 self.sent_since_barrier = 0;
                 ctx.barrier();
                 return; // resume from on_barrier_release
             }
-            ctx.compute(self.local_cost, TAG_LOADED);
+            ctx.compute(self.spec.local_cost, TAG_LOADED);
         } else {
             self.maybe_finish(ctx);
         }
     }
 
     fn maybe_finish(&mut self, ctx: &mut Ctx<'_>) {
-        if self.next >= self.dests.len() && self.received >= self.expect {
-            let me = ctx.me();
-            let now = ctx.now();
-            let sum = self.sum_received;
-            self.done.with(|o| {
-                o.finish_times.push((me, now));
-                o.checksum += sum;
-            });
+        if self.next >= self.total && self.received >= self.total {
+            if let Some((_, after)) = self.work {
+                ctx.compute(after, TAG_AFTER);
+            }
+            let rec = (ctx.me(), self.elems.finish(), ctx.now());
+            self.out.with(|o| o.push(rec));
         }
     }
 }
 
-impl Process for RemapProc {
+impl<E: Elements> Process for RemapProc<E> {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.dests.is_empty() {
-            self.maybe_finish(ctx);
-        } else {
-            self.step(ctx);
+        match self.work {
+            Some((before, _)) => ctx.compute(before, TAG_BEFORE),
+            None => self.step(ctx),
         }
     }
 
-    fn on_compute_done(&mut self, _tag: u64, ctx: &mut Ctx<'_>) {
-        // The load for element `next` completed; transmit it and schedule
-        // the next load. (The load compute is issued lazily in `step` so
-        // receptions can interleave at each element boundary.)
-        let dst = self.dests[self.next];
-        let payload = (ctx.me() as u64) << 32 | self.next as u64;
-        self.next += 1;
-        self.sent_since_barrier += 1;
-        ctx.send(dst, TAG_REMAP, Data::F64(payload as f64));
+    fn on_compute_done(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
+        match tag {
+            // The load for element `next` completed; transmit it and
+            // schedule the next load. (The load compute is issued lazily
+            // in `step` so receptions can interleave at each element
+            // boundary.)
+            TAG_LOADED => {
+                let me = ctx.me();
+                let dst = self.spec.dest(me, ctx.procs(), self.next);
+                let data = self.elems.element(self.next, dst);
+                self.next += 1;
+                self.sent_since_barrier += 1;
+                ctx.send(dst, TAG_REMAP, data);
+            }
+            TAG_AFTER => return,
+            _ => {}
+        }
         self.step(ctx);
     }
 
@@ -142,8 +172,55 @@ impl Process for RemapProc {
     fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
         debug_assert_eq!(msg.tag, TAG_REMAP);
         self.received += 1;
-        self.sum_received += msg.data.as_f64();
+        self.elems.receive(msg.src, &msg.data);
         self.maybe_finish(ctx);
+    }
+}
+
+/// Run `elems(rank)` on every processor of `sim` under `spec`, charging
+/// `work`'s cycles before each rank's first element and after it is done;
+/// a rank's final is stamped with the time it was done.
+pub(crate) fn remap<E: Elements>(
+    sim: Sim,
+    spec: &RemapSpec,
+    work: Option<(Cycles, Cycles)>,
+    mut elems: impl FnMut(ProcId) -> E,
+) -> Run<E::Final> {
+    let p = sim.model().p;
+    let total = spec.elems_per_proc(p);
+    let prog = |q, out| RemapProc {
+        elems: elems(q),
+        spec: *spec,
+        work,
+        total,
+        next: 0,
+        received: 0,
+        sent_since_barrier: 0,
+        out,
+    };
+    execute(sim, 0..p, None, prog).expect("every rank sends and receives every element")
+}
+
+/// §4.1.2's elements: each carries its sender and index, and a rank sums
+/// what it receives into a checksum.
+struct Tagged {
+    me: ProcId,
+    sum: f64,
+}
+
+impl Elements for Tagged {
+    type Final = f64;
+
+    fn element(&mut self, i: u64, _dst: ProcId) -> Data {
+        Data::F64(((self.me as u64) << 32 | i) as f64)
+    }
+
+    fn receive(&mut self, _src: ProcId, data: &Data) {
+        self.sum += data.as_f64();
+    }
+
+    fn finish(&mut self) -> f64 {
+        self.sum
     }
 }
 
@@ -174,67 +251,20 @@ impl RemapRun {
     }
 }
 
-/// Build the destination order for one sender under a schedule.
-fn dest_order(spec: &RemapSpec, me: ProcId, p: u32) -> Vec<ProcId> {
-    let mut dests = Vec::with_capacity(spec.elems_per_proc(p) as usize);
-    // Visit destination blocks in schedule-dependent order, skipping self.
-    let start = match spec.schedule {
-        RemapSchedule::Naive => 0,
-        RemapSchedule::Staggered | RemapSchedule::StaggeredBarrier => me + 1,
-    };
-    for b in 0..p {
-        let d = (start + b) % p;
-        if d == me {
-            continue;
-        }
-        for _ in 0..spec.elems_per_pair {
-            dests.push(d);
-        }
-    }
-    dests
-}
-
 /// Run a remap experiment.
 pub fn run_remap(m: &LogP, spec: &RemapSpec, config: SimConfig) -> RemapRun {
-    let p = m.p;
-    assert!(p >= 2, "remap needs at least two processors");
-    let done: SharedCell<RemapOutcome> = SharedCell::new();
-    let expect = spec.elems_per_pair * (p as u64 - 1);
-    let barrier_every = match spec.schedule {
-        RemapSchedule::StaggeredBarrier => spec.elems_per_pair,
-        _ => 0,
-    };
-    let mut sim = Sim::new(*m, config);
-    for i in 0..p {
-        sim.set_process(
-            i,
-            Box::new(RemapProc {
-                dests: dest_order(spec, i, p),
-                next: 0,
-                local_cost: spec.local_cost,
-                expect,
-                received: 0,
-                barrier_every,
-                sent_since_barrier: 0,
-                sum_received: 0.0,
-                done: done.clone(),
-            }),
-        );
-    }
-    let result = sim.run().expect("remap terminates");
-    let outcome = done.get();
-    assert_eq!(
-        outcome.finish_times.len(),
-        p as usize,
-        "every processor must finish the remap"
-    );
-    let completion = outcome.finish_times.iter().map(|f| f.1).max().unwrap_or(0);
+    assert!(m.p >= 2, "remap needs at least two processors");
+    let run = remap(Sim::new(*m, config), spec, None, |me| Tagged {
+        me,
+        sum: 0.0,
+    });
     RemapRun {
-        completion,
-        predicted: staggered_remap_time(m, expect, spec.local_cost),
-        messages: result.stats.total_msgs,
-        total_stall: result.stats.procs.iter().map(|s| s.stall).sum(),
-        checksum: outcome.checksum,
+        completion: run.finals.iter().map(|f| f.2).max().unwrap_or(0),
+        predicted: staggered_remap_time(m, spec.elems_per_proc(m.p), spec.local_cost),
+        messages: run.result.stats.total_msgs,
+        total_stall: run.result.stats.procs.iter().map(|s| s.stall).sum(),
+        // Summed in finishing order, from +0.0.
+        checksum: run.finals.iter().fold(0.0, |acc, f| acc + f.1),
     }
 }
 

@@ -1,10 +1,8 @@
 //! Messages exchanged between simulated processors.
 //!
 //! The basic LogP model assumes small messages — "a word (or small number
-//! of words)" — so payloads are compact values. Algorithms needing bulk
-//! transfers send message trains (see `logp-algos::bulk`), matching the
-//! model's treatment of long messages as repeated small ones unless the
-//! LogGP extension is in play.
+//! of words)" — so payloads are compact values. A long message is
+//! `Ctx::send_bulk`, priced by LogGP's `G` per word (§5.4).
 
 use logp_core::ProcId;
 use std::sync::Arc;
@@ -30,8 +28,8 @@ pub enum Data {
     Cplx { idx: u32, re: f64, im: f64 },
     /// A shared block of words. The *model* still treats the message as
     /// small; this exists so tests can ship structured payloads without
-    /// serializing. Use message trains for anything the model should
-    /// charge for.
+    /// serializing. A long message the model should charge for is
+    /// `Ctx::send_bulk` with its word count.
     Block(Arc<Vec<u64>>),
     /// A sequenced payload: an inner payload tagged with a per-sender
     /// sequence number. This is the wire format of the reliable-delivery

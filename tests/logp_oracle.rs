@@ -1,8 +1,8 @@
 //! The classic engine held to the LogP oracle of `tests/oracle/`: on the
 //! `examples/workloads/` files, on the replays of the built-in runners
 //! (every flat runner of `tests/collective_identity.rs`, scatter and
-//! gather, the §4 applications, and the `Reliable<P>` runners under a
-//! zero-rate plan) on
+//! gather, the §4 applications, §3.2's multithreading and shared-memory
+//! veneer, and the `Reliable<P>` runners under a zero-rate plan) on
 //! the five presets, and on `gen_workload` programs on the presets and on
 //! an `o > g` and an `o = 0` machine, noise-free and under latency jitter,
 //! compute drift and skew. Each case compares completion, every node's
@@ -21,6 +21,7 @@ mod presets;
 use logp::algos::allreduce::{
     run_allreduce_doubling, run_allreduce_reduce_bcast, run_reliable_allreduce,
 };
+use logp::algos::am::{run_two_node, AmClient, AmCtx};
 use logp::algos::broadcast::{
     run_optimal_broadcast, run_reliable_broadcast, run_shape_broadcast, run_survivor_broadcast,
     run_tree_broadcast,
@@ -39,6 +40,7 @@ use logp::algos::kbroadcast::{
 };
 use logp::algos::lu::{run_lu_column_cyclic, run_lu_column_cyclic_synchronized, Matrix};
 use logp::algos::matmul::run_summa;
+use logp::algos::multithread::{masking_throughput, saturation_threads};
 use logp::algos::radix::run_radix_sort;
 use logp::algos::reduce::{run_binomial_sum, run_optimal_sum, run_reliable_sum, run_sum_schedule};
 use logp::algos::remap::run_remap;
@@ -291,6 +293,19 @@ fn for_each_runner(
     case("app.fft", pow2, &|c| {
         run_parallel_fft(&pow2, &signal, &fft, c);
     });
+    case("app.fft.StaggeredBarrier", pow2, &|c| {
+        let spec = FftRunSpec {
+            schedule: RemapSchedule::StaggeredBarrier,
+            ..fft
+        };
+        run_parallel_fft(&pow2, &signal, &spec, c);
+    });
+    case("app.masking", m, &|c| {
+        masking_throughput(&m, saturation_threads(&m), 40, c);
+    });
+    case("app.am.two_node", m, &|c| {
+        run_two_node(&m, vec![1.0, 2.0], Mixed, c);
+    });
     for schedule in [
         RemapSchedule::Naive,
         RemapSchedule::Staggered,
@@ -299,6 +314,25 @@ fn for_each_runner(
         case(&format!("app.remap.{schedule:?}"), m, &|c| {
             run_remap(&m, &remap(schedule), c);
         });
+    }
+}
+
+/// A `run_two_node` client that reads, writes and fetch-adds, and on
+/// each of its first two answers fetch-adds and reads again.
+struct Mixed;
+
+impl AmClient for Mixed {
+    fn on_start(&mut self, am: &mut AmCtx<'_, '_>) {
+        am.read(1, 1);
+        am.write(1, 0, 10.0);
+        am.fetch_add(1, 0, 5.0);
+    }
+
+    fn on_value(&mut self, req: u64, value: f64, am: &mut AmCtx<'_, '_>) {
+        if req < 2 {
+            am.fetch_add(1, 1, value);
+            am.read(1, 0);
+        }
     }
 }
 
@@ -340,7 +374,7 @@ fn replays_of_every_runner_agree_on_the_presets() {
             cases += 1;
         });
     }
-    assert_eq!(cases, 5 * 47);
+    assert_eq!(cases, 5 * 50);
 }
 
 /// Every fuzz program on every machine, noise-free and under jitter,
