@@ -194,22 +194,16 @@ impl LuProc {
         (k % self.p as usize) as ProcId
     }
 
-    /// Children of `me` in a binomial broadcast rooted at `root`.
-    fn bcast_children(&self, root: ProcId) -> Vec<ProcId> {
+    /// Children of `me` in a binomial broadcast rooted at `root`: at
+    /// each power-of-two step past its own rank relative to the root, the
+    /// rank that step further on, while there is one.
+    fn bcast_children(&self, root: ProcId) -> impl Iterator<Item = ProcId> {
         let p = self.p;
         let rel = (self.my_index + p - root) % p;
-        let mut ch = Vec::new();
-        let mut step = 1u32;
-        while step < p {
-            if rel < step {
-                let c = rel + step;
-                if c < p {
-                    ch.push((c + root) % p);
-                }
-            }
-            step <<= 1;
-        }
-        ch
+        std::iter::successors(Some(1u32), |step| step.checked_mul(2))
+            .take_while(move |&step| step < p)
+            .filter(move |&step| rel < step && rel + step < p)
+            .map(move |step| (rel + step + root) % p)
     }
 
     fn column_mut(&mut self, j: usize) -> Option<&mut Vec<f64>> {
@@ -271,13 +265,12 @@ impl LuProc {
         // Broadcast pivot row index, then each multiplier, down the
         // binomial tree (a pipelined message train).
         let root = self.my_index;
-        let children = self.bcast_children(root);
-        for &c in &children {
+        for c in self.bcast_children(root) {
             ctx.send(c, TAG_PIVROW, Data::Pair(k as u64, piv as u64));
         }
         for (i, &v) in scaled.iter().enumerate().skip(k + 1) {
             let packed = (k as u64) << 32 | i as u64;
-            for &c in &children {
+            for c in self.bcast_children(root) {
                 ctx.send(c, TAG_MULT, Data::IdxF64(packed, v));
             }
         }

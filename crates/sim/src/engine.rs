@@ -2528,10 +2528,12 @@ impl Sim {
             }
         }
         self.start_all::<OBS, FAULTS, false>();
+        // Only a run with a metrics grid samples gauges between events.
+        let gauges = OBS && self.obs.as_deref().is_some_and(|o| o.gauges.is_some());
         while let Some((t, ord, kind)) = self.cal.pop::<true>(Cycles::MAX) {
             self.count_event()?;
             debug_assert!(t >= self.now, "time must not run backwards");
-            if OBS {
+            if gauges {
                 self.sample_gauges_to(t);
             }
             self.now = t;
@@ -2675,6 +2677,8 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::{JsonlSink, SinkSpec};
+    use std::path::{Path, PathBuf};
 
     /// Bytes a processor and bytes a message: what every processor costs
     /// before it does anything, and what a message occupies at each stop
@@ -2753,5 +2757,150 @@ mod tests {
             limit: PCTR_LIMIT,
         };
         assert_eq!(sim.count_event(), Err(exhausted));
+    }
+
+    /// Every record kind: each processor computes, arms a timer, sends
+    /// to every other one; the timer enters a barrier, whose release
+    /// sends once more.
+    struct Chatter;
+
+    impl Process for Chatter {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.compute(5, u64::from(ctx.me()));
+            ctx.timer(7, 1);
+            for k in 1..ctx.procs() {
+                ctx.send((ctx.me() + k) % ctx.procs(), k, Data::U64(k.into()));
+            }
+        }
+        fn on_timer(&mut self, _tag: u64, ctx: &mut Ctx<'_>) {
+            ctx.barrier();
+        }
+        fn on_barrier_release(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.send((ctx.me() + 5) % ctx.procs(), 9, Data::Empty);
+        }
+    }
+
+    /// What a run of `Chatter` on `p` processors returns, and the bytes
+    /// it leaves in the file of `config`'s sink — or, given `inline`, of
+    /// that sink called on the engine thread in its place.
+    fn sink_run(
+        p: u32,
+        config: &SimConfig,
+        inline: Option<InlineSink>,
+    ) -> (Result<SimResult, SimError>, Vec<u8>) {
+        let Some(SinkSpec::Jsonl(path) | SinkSpec::Perfetto(path)) = &config.sink else {
+            panic!("a file sink");
+        };
+        let mut sim = Sim::new(LogP::new(6, 2, 4, p).unwrap(), config.clone());
+        if let Some(sink) = inline {
+            let obs = sim.obs.as_deref_mut().expect("a sink is observation");
+            let records = obs.records.as_deref_mut().expect("and a record pipeline");
+            // The threaded sink is joined, its writer done with the file,
+            // before the inline sink creates it again.
+            records.sink = Box::new(NullSink);
+            records.sink = sink(path);
+        }
+        if p > 2 {
+            sim.set_all(|_| Box::new(Chatter));
+        }
+        let res = sim.run();
+        let bytes = std::fs::read(path).expect("the sink wrote its file");
+        let _ = std::fs::remove_file(path);
+        (res, bytes)
+    }
+
+    /// A file sink called on the engine thread, for a path.
+    type InlineSink = fn(&Path) -> Box<dyn ObsSink>;
+
+    fn inline_jsonl(path: &Path) -> Box<dyn ObsSink> {
+        Box::new(JsonlSink::create(path))
+    }
+
+    fn inline_perfetto(path: &Path) -> Box<dyn ObsSink> {
+        Box::new(crate::perfetto::PerfettoSink::create(path))
+    }
+
+    fn sink_path(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("logp_engine_{name}_{}", std::process::id()))
+    }
+
+    /// A file sink on its writer thread writes what it writes called on
+    /// the engine thread, on both engines, under every sampling policy,
+    /// over many batches (P = 64: 4,160 messages, 10 batches unsampled)
+    /// and over none (P = 2, idle: no record at all).
+    #[test]
+    fn file_sink_writes_the_inline_bytes_under_every_sampling_policy() {
+        let policies = [
+            ObsSampling::All,
+            ObsSampling::Stride(3),
+            ObsSampling::ProcSet(vec![0, 5, 17]),
+            ObsSampling::HeadTail(3),
+            ObsSampling::Reservoir { k: 50, seed: 7 },
+        ];
+        for (p, shards) in [(64, 0), (64, 4), (2, 0)] {
+            for policy in &policies {
+                for (spec, inline) in [
+                    (
+                        SinkSpec::Jsonl(sink_path("jsonl")),
+                        inline_jsonl as InlineSink,
+                    ),
+                    (SinkSpec::Perfetto(sink_path("perfetto")), inline_perfetto),
+                ] {
+                    let config = SimConfig::default()
+                        .with_sink(spec)
+                        .with_sampling(policy.clone())
+                        .with_shards(shards);
+                    let (threaded, bytes) = sink_run(p, &config, None);
+                    let (res, inline_bytes) = sink_run(p, &config, Some(inline));
+                    assert_eq!(threaded.unwrap(), res.unwrap());
+                    assert_eq!(bytes, inline_bytes, "P = {p}, {shards} lanes, {policy:?}");
+                }
+            }
+        }
+    }
+
+    /// A run that ends in another error still leaves what it streamed in
+    /// the file: the inline sink's bytes, a prefix of the whole run's.
+    #[test]
+    fn file_sink_of_a_failed_run_keeps_its_streamed_prefix() {
+        let path = sink_path("failed");
+        let whole = SimConfig::default().with_sink(SinkSpec::Jsonl(path));
+        let (res, all) = sink_run(64, &whole, None);
+        res.unwrap();
+        let cut = SimConfig {
+            max_events: 12_000,
+            ..whole
+        };
+        let (res, prefix) = sink_run(64, &cut, None);
+        let cut_short = SimError::MaxEventsExceeded { limit: 12_000 };
+        assert_eq!(res.err(), Some(cut_short));
+        let (res, inline) = sink_run(64, &cut, Some(inline_jsonl));
+        assert!(res.is_err());
+        assert_eq!(prefix, inline);
+        assert!(prefix.len() > 4 << 16 && prefix.len() < all.len());
+        assert!(all.starts_with(&prefix));
+    }
+
+    /// A file sink that cannot create its file fails the run with
+    /// `SimError::Sink`.
+    #[test]
+    fn file_sink_at_an_uncreatable_path_fails_the_run() {
+        let path = std::env::temp_dir()
+            .join("logp_no_such_dir")
+            .join("run.jsonl");
+        for spec in [
+            SinkSpec::Jsonl(path.clone()),
+            SinkSpec::Perfetto(path.clone()),
+        ] {
+            let mut sim = Sim::new(
+                LogP::new(6, 2, 4, 8).unwrap(),
+                SimConfig::default().with_sink(spec),
+            );
+            sim.set_all(|_| Box::new(Chatter));
+            match sim.run() {
+                Err(SimError::Sink(msg)) => assert!(msg.starts_with("create "), "{msg}"),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 }

@@ -336,11 +336,16 @@ impl Endpoint {
         let inc = self.incidents.as_deref();
         let dups_suppressed = inc.map_or(0, |i| i.dups_suppressed);
         EndpointStats {
-            retries: inc.map_or(0, |i| i.retries),
+            retries: self.retries(),
             acks_sent: self.seen.len() as u64 + dups_suppressed,
             dups_suppressed,
             failed: inc.map_or(0, |i| i.failed.len() as u64),
         }
+    }
+
+    /// Retransmissions so far.
+    fn retries(&self) -> u64 {
+        self.incidents.as_deref().map_or(0, |i| i.retries)
     }
 
     /// `(dst, seq)` of the messages abandoned after `max_retries`, in the
@@ -585,9 +590,9 @@ impl<P: Process> Process for Reliable<P> {
         if token & TIMER_NAMESPACE == 0 {
             return self.run(ctx, |p, ctx| p.on_timer(token, ctx));
         }
-        let before = self.ep.stats().retries;
+        let before = self.ep.retries();
         self.ep.on_timer(token, ctx);
-        if self.ep.stats().retries > before {
+        if self.ep.retries() > before {
             self.retries.with(|r| *r += 1);
         }
     }

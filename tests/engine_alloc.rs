@@ -352,6 +352,50 @@ fn the_online_aggregate_costs_a_processor_what_it_costs_at_any_p() {
     assert!(big <= 1.1 * small, "{small} at P = 128, {big} at P = 512");
 }
 
+/// What a file sink holds on the engine thread: the peak live bytes of a
+/// staggered all-to-all round at P = 128 through a JSONL sink — 48,768
+/// records, 2.5 MB packed, 38 batches — less the same run's through a
+/// null sink (the same record pipeline, nothing written). The engine
+/// thread packs records into 64 KiB batches and hands them to the sink's
+/// writer thread over a channel four deep, which hands them back
+/// emptied: no more than 4 + 2 batches ever exist (one being filled,
+/// four queued, one being written), whatever the run's length. The
+/// writer thread and its two channels take 1.7 KiB more; the bound
+/// allows 4 KiB for them. Measured: all six batches in a debug build
+/// (+394,933 bytes), three in a release one, where the writer keeps up.
+/// (The JSONL sink's own 64 KiB line buffer lives on the writer thread.)
+#[test]
+fn a_file_sink_holds_at_most_its_batches_on_the_engine_thread() {
+    const P: u32 = 128;
+    const BOUND: i64 = (4 + 2) * (64 << 10) + (4 << 10);
+    let peak = |config: SimConfig| {
+        let (res, a) = counting::allocs(|| {
+            let mut sim = Sim::new(LogP::new(6, 2, 4, P).expect("valid model"), config);
+            sim.set_all(|_| {
+                Box::new(StartFn(|ctx| {
+                    for k in 1..ctx.procs() {
+                        ctx.send((ctx.me() + k) % ctx.procs(), 0, Data::Empty);
+                    }
+                }))
+            });
+            sim.run().expect("the round completes")
+        });
+        assert_eq!(res.stats.total_msgs, u64::from(P) * u64::from(P - 1));
+        a.peak
+    };
+    let path = std::env::temp_dir().join(format!("logp_alloc_{}.jsonl", std::process::id()));
+    let null = peak(SimConfig::default().with_sink(SinkSpec::Null));
+    let jsonl = peak(SimConfig::default().with_sink(SinkSpec::Jsonl(path.clone())));
+    let bytes = std::fs::read(&path).expect("the sink wrote its file").len();
+    let _ = std::fs::remove_file(&path);
+    println!(
+        "peak live bytes: null sink {null}, JSONL {jsonl} (+{}), {bytes} bytes written",
+        jsonl - null
+    );
+    assert!(bytes > 64 * (64 << 10), "{bytes} bytes written");
+    assert!(jsonl - null <= BOUND, "{null} vs {jsonl}");
+}
+
 /// What a message costs while it waits in its sender's queue: a remap
 /// whose `on_start` queues a send to every other processor (the paper's
 /// §4.1 all-to-all, `p2p_dense`'s shape) allocates the 13 bytes a send
