@@ -17,304 +17,168 @@
 //! total) where splitter sort moves it once — the same volume argument
 //! as bitonic, softened by radix's fewer, larger passes.
 
+use crate::step::{run_steps, Arrival, Out, Steps};
 use logp_core::{Cycles, LogP, ProcId};
-use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
-use std::collections::HashMap;
+use logp_sim::{Sim, SimConfig};
 
-const TAG_HIST: u32 = 0xF0; // Pair(pass<<16|digit, count)
-const TAG_OFFS: u32 = 0xF1; // Pair(pass<<16|digit, global offset)
-const TAG_KEY: u32 = 0xF2; // Pair(pass<<40|rank, key)
+const TAG_HIST: u32 = 0xF0;
+const TAG_OFFS: u32 = 0xF1;
+const TAG_KEY: u32 = 0xF2;
 
-const STEP_HISTOGRAM: u64 = 1;
-const STEP_PLACE: u64 = 2;
+/// The steps of one pass, in order.
+const COUNT: u32 = 0;
+const ROWS: u32 = 1;
+const OFFSETS: u32 = 2;
+const KEYS: u32 = 3;
 
-#[derive(Debug, Default)]
-struct PassBuf {
-    offsets: HashMap<u16, u64>,
-    hist_rows: HashMap<ProcId, Vec<(u16, u64)>>,
-    keys: Vec<(u64, u64)>, // (global rank, key)
-}
+/// A digit no key of a rank holds, in rank 0's table of offsets.
+const NONE: u64 = u64::MAX;
 
-struct RadixProc {
+/// One rank of the radix sort, four steps a pass. At `COUNT` the rank
+/// builds its histogram of the pass's digit (one cycle a key) and tells
+/// rank 0 how many digits it holds; at `ROWS` it sends rank 0 one
+/// `(digit, count)` row for each. Rank 0 then knows every rank's count of
+/// every digit, and its exclusive scan, digit-major and rank-minor (which
+/// makes the pass stable), gives each rank the global rank of its first
+/// key of each digit; `OFFSETS` sends those. At `KEYS` every key goes to
+/// the rank owning its global rank, and each rank places what it got (one
+/// cycle a key).
+struct Radix {
+    me: ProcId,
+    p: u32,
     keys: Vec<u64>,
-    /// Incoming keys for the current pass, placed by local slot.
-    incoming: Vec<Option<u64>>,
-    placed: usize,
-    pass: u64,
-    passes: u64,
     digit_bits: u32,
-    block: usize,
-    bufs: HashMap<u64, PassBuf>,
-    /// Root-side accumulation of histograms.
-    hist_seen: usize,
-    phase_sent: bool,
-    out: SharedCell<Vec<(ProcId, Vec<u64>)>>,
+    /// This pass's count of each digit among the rank's keys; from the
+    /// offsets on, the global rank its next key of each digit takes.
+    hist: Vec<u64>,
+    /// Digits the rank holds this pass.
+    held: usize,
+    /// Rank 0: the rows the others announced.
+    rows: usize,
+    /// Rank 0: every rank's offset for every digit, digit-major.
+    offsets: Vec<u64>,
+    /// The keys of the pass, by place in the rank's block.
+    placed: Vec<u64>,
+    /// Keys that stay with the rank this pass.
+    kept: usize,
 }
 
-impl RadixProc {
-    fn radix(&self) -> u64 {
-        1 << self.digit_bits
-    }
+/// The `bits`-wide digit of `key` that the pass of step `s` sorts on.
+fn digit(bits: u32, s: u32, key: u64) -> usize {
+    ((key >> (s / 4 * bits)) & ((1 << bits) - 1)) as usize
+}
 
-    fn digit_of(&self, key: u64) -> u64 {
-        (key >> (self.pass as u32 * self.digit_bits)) & (self.radix() - 1)
-    }
-
-    fn begin_pass(&mut self, ctx: &mut Ctx<'_>) {
-        if self.pass >= self.passes {
-            let me = ctx.me();
-            let keys = std::mem::take(&mut self.keys);
-            self.out.with(|o| o.push((me, keys)));
-            ctx.halt();
-            return;
+impl Radix {
+    /// Rank 0: offsets from every rank's counts, given its own and each
+    /// `(rank, row)` the others sent.
+    fn scan(&mut self, rows: impl Iterator<Item = (usize, u64)>) {
+        let p = self.p as usize;
+        self.offsets = vec![0; self.hist.len() * p];
+        for (d, &c) in self.hist.iter().enumerate() {
+            self.offsets[d * p] = c;
         }
-        self.phase_sent = false;
-        // Histogram cost: one cycle per key.
-        ctx.compute(self.keys.len() as u64, STEP_HISTOGRAM);
-    }
-
-    fn send_histogram(&mut self, ctx: &mut Ctx<'_>) {
-        let mut hist = vec![0u64; self.radix() as usize];
-        for &k in &self.keys {
-            hist[self.digit_of(k) as usize] += 1;
+        for (q, row) in rows {
+            self.offsets[(row & 0xFFFF) as usize * p + q] = row >> 16;
         }
-        let me = ctx.me();
-        let rows: Vec<(u16, u64)> = hist
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(d, &c)| (d as u16, c))
-            .collect();
-        if me == 0 {
-            self.bufs
-                .entry(self.pass)
-                .or_default()
-                .hist_rows
-                .insert(0, rows);
-            self.hist_seen += 1;
-            // Peers that raced ahead may have delivered their complete
-            // pass-r histograms while this processor was still placing
-            // pass r-1 keys; those buffered rows were not counted at
-            // arrival time (wrong pass), so absorb them now.
-            self.absorb_buffered_histograms();
-            self.maybe_scatter_offsets(ctx);
-        } else {
-            // Send an end marker carrying the row count (digit field
-            // 0xFFFF) first, then the sparse rows.
-            ctx.send(
-                0,
-                TAG_HIST,
-                Data::Pair(self.pass << 16 | 0xFFFF, rows.len() as u64),
-            );
-            for (d, c) in rows {
-                ctx.send(0, TAG_HIST, Data::Pair(self.pass << 16 | d as u64, c));
-            }
+        let mut running = 0;
+        for slot in &mut self.offsets {
+            let count = *slot;
+            *slot = if count == 0 { NONE } else { running };
+            running += count;
         }
-    }
-
-    /// Count any fully buffered histograms for the current pass whose
-    /// end marker is still present (they arrived before this processor
-    /// entered the pass). Stripping the marker marks them as counted.
-    fn absorb_buffered_histograms(&mut self) {
-        let buf = self.bufs.entry(self.pass).or_default();
-        for row in buf.hist_rows.values_mut() {
-            let marker = row.iter().find(|(d, _)| *d == 0xFFFF).map(|(_, c)| *c);
-            if marker == Some(row.len() as u64 - 1) {
-                row.retain(|(d, _)| *d != 0xFFFF);
-                self.hist_seen += 1;
-            }
-        }
-    }
-
-    /// Root: once all histograms are in, compute digit-major global
-    /// offsets and send each processor its per-digit start ranks.
-    fn maybe_scatter_offsets(&mut self, ctx: &mut Ctx<'_>) {
-        let p = ctx.procs();
-        if ctx.me() != 0 || self.hist_seen < p as usize {
-            return;
-        }
-        self.hist_seen = 0;
-        let radix = self.radix() as usize;
-        let buf = self.bufs.entry(self.pass).or_default();
-        // counts[d][q]
-        let mut counts = vec![vec![0u64; p as usize]; radix];
-        for (q, rows) in &buf.hist_rows {
-            for &(d, c) in rows {
-                counts[d as usize][*q as usize] = c;
-            }
-        }
-        buf.hist_rows.clear();
-        // Digit-major, processor-minor exclusive scan.
-        let mut running = 0u64;
-        let mut offsets = vec![vec![0u64; p as usize]; radix];
-        for d in 0..radix {
-            for q in 0..p as usize {
-                offsets[d][q] = running;
-                running += counts[d][q];
-            }
-        }
-        // Scatter: processor q gets its offset for every digit it holds.
-        for q in 1..p {
-            for d in 0..radix {
-                if counts[d][q as usize] > 0 {
-                    ctx.send(
-                        q,
-                        TAG_OFFS,
-                        Data::Pair(self.pass << 16 | d as u64, offsets[d][q as usize]),
-                    );
-                }
-            }
-            // End marker: number of digit rows sent.
-            let rows = (0..radix).filter(|&d| counts[d][q as usize] > 0).count();
-            ctx.send(
-                q,
-                TAG_OFFS,
-                Data::Pair(self.pass << 16 | 0xFFFF, rows as u64),
-            );
-        }
-        // Root's own offsets apply immediately.
-        let own: HashMap<u16, u64> = (0..radix)
-            .filter(|&d| counts[d][0] > 0)
-            .map(|d| (d as u16, offsets[d][0]))
-            .collect();
-        self.bufs.entry(self.pass).or_default().offsets = own;
-        self.redistribute(ctx);
-    }
-
-    /// With offsets known: assign each local key its global rank and ship
-    /// it to the rank's owner.
-    fn redistribute(&mut self, ctx: &mut Ctx<'_>) {
-        if self.phase_sent {
-            return;
-        }
-        self.phase_sent = true;
-        let me = ctx.me();
-        let keys = std::mem::take(&mut self.keys);
-        let mut next_rank: HashMap<u16, u64> = self
-            .bufs
-            .entry(self.pass)
-            .or_default()
-            .offsets
-            .clone()
-            .into_iter()
-            .collect();
-        for k in keys {
-            let d = self.digit_of(k) as u16;
-            let rank = next_rank
-                .get_mut(&d)
-                .expect("every held digit has an offset");
-            let r = *rank;
-            *rank += 1;
-            let dst = (r / self.block as u64) as ProcId;
-            if dst == me {
-                self.place(r, k, ctx);
-            } else {
-                ctx.send(dst, TAG_KEY, Data::Pair(self.pass << 40 | r, k));
-            }
-        }
-        self.drain_buffered(ctx);
-    }
-
-    fn place(&mut self, rank: u64, key: u64, ctx: &mut Ctx<'_>) {
-        let slot = (rank % self.block as u64) as usize;
-        debug_assert!(self.incoming[slot].is_none(), "rank collision at {rank}");
-        self.incoming[slot] = Some(key);
-        self.placed += 1;
-        if self.placed == self.block {
-            self.keys = self
-                .incoming
-                .iter_mut()
-                .map(|s| s.take().expect("full"))
-                .collect();
-            self.placed = 0;
-            // Placement cost: one cycle per key.
-            ctx.compute(self.block as u64, STEP_PLACE);
-        }
-    }
-
-    fn drain_buffered(&mut self, ctx: &mut Ctx<'_>) {
-        let buffered = std::mem::take(&mut self.bufs.entry(self.pass).or_default().keys);
-        for (r, k) in buffered {
-            self.place(r, k, ctx);
+        for (d, h) in self.hist.iter_mut().enumerate() {
+            *h = self.offsets[d * p];
         }
     }
 }
 
-impl Process for RadixProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.begin_pass(ctx);
-    }
+impl Steps for Radix {
+    type Final = Vec<u64>;
 
-    fn on_compute_done(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        match tag {
-            STEP_HISTOGRAM => self.send_histogram(ctx),
-            STEP_PLACE => {
-                self.pass += 1;
-                self.begin_pass(ctx);
+    fn send(&mut self, s: u32, out: &mut Out<'_, '_>) {
+        let p = self.p as usize;
+        match s % 4 {
+            COUNT => {
+                self.hist.fill(0);
+                for &k in &self.keys {
+                    self.hist[digit(self.digit_bits, s, k)] += 1;
+                }
+                self.held = self.hist.iter().filter(|&&c| c > 0).count();
+                out.compute(self.keys.len() as u64);
+                if self.me != 0 {
+                    out.send(0, TAG_HIST, 0, self.held as u64);
+                }
             }
-            other => unreachable!("unknown step {other}"),
+            ROWS if self.me != 0 => {
+                // A row packs its count above its 16-bit digit; its index
+                // names the sender.
+                for (d, &c) in self.hist.iter().enumerate().filter(|h| *h.1 > 0) {
+                    out.send(0, TAG_HIST, self.me as usize, c << 16 | d as u64);
+                }
+            }
+            OFFSETS if self.me == 0 => {
+                for q in 1..p {
+                    for d in 0..self.hist.len() {
+                        let at = self.offsets[d * p + q];
+                        if at != NONE {
+                            out.send(q as ProcId, TAG_OFFS, d, at);
+                        }
+                    }
+                }
+            }
+            KEYS => {
+                let block = self.keys.len() as u64;
+                self.kept = 0;
+                for &k in &self.keys {
+                    let d = digit(self.digit_bits, s, k);
+                    let rank = self.hist[d];
+                    self.hist[d] += 1;
+                    let (dst, slot) = ((rank / block) as ProcId, (rank % block) as usize);
+                    if dst == self.me {
+                        self.placed[slot] = k;
+                        self.kept += 1;
+                    } else {
+                        out.send(dst, TAG_KEY, slot, k);
+                    }
+                }
+            }
+            _ => {}
         }
     }
 
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        match msg.tag {
-            TAG_HIST => {
-                let (packed, c) = msg.data.as_pair();
-                let (pass, d) = (packed >> 16, (packed & 0xFFFF) as u16);
-                let buf = self.bufs.entry(pass).or_default();
-                let row = buf.hist_rows.entry(msg.src).or_default();
-                if d == 0xFFFF {
-                    // End marker: c = expected row count; completeness is
-                    // (marker seen) && rows == c. Store the marker as a
-                    // sentinel row.
-                    row.push((0xFFFF, c));
-                } else {
-                    row.push((d, c));
-                }
-                // A processor's histogram is complete when the marker is
-                // present and the row count matches.
-                let complete = {
-                    let marker = row.iter().find(|(d, _)| *d == 0xFFFF).map(|(_, c)| *c);
-                    marker == Some(row.len() as u64 - 1)
-                };
-                if complete && pass == self.pass {
-                    // Strip the marker before counting this processor.
-                    let buf = self.bufs.entry(pass).or_default();
-                    let row = buf.hist_rows.get_mut(&msg.src).expect("present");
-                    row.retain(|(d, _)| *d != 0xFFFF);
-                    self.hist_seen += 1;
-                    self.maybe_scatter_offsets(ctx);
-                }
-            }
-            TAG_OFFS => {
-                let (packed, v) = msg.data.as_pair();
-                let (pass, d) = (packed >> 16, (packed & 0xFFFF) as u16);
-                let buf = self.bufs.entry(pass).or_default();
-                if d == 0xFFFF {
-                    buf.hist_rows.insert(ProcId::MAX, vec![(0xFFFF, v)]);
-                } else {
-                    buf.offsets.insert(d, v);
-                }
-                let expected = buf
-                    .hist_rows
-                    .get(&ProcId::MAX)
-                    .and_then(|r| r.first())
-                    .map(|(_, c)| *c as usize);
-                if pass == self.pass && expected == Some(self.bufs[&pass].offsets.len()) {
-                    self.redistribute(ctx);
-                }
-            }
-            TAG_KEY => {
-                let (packed, k) = msg.data.as_pair();
-                let (pass, rank) = (packed >> 40, packed & 0xFF_FFFF_FFFF);
-                if pass == self.pass && self.phase_sent {
-                    self.place(rank, k, ctx);
-                } else {
-                    self.bufs.entry(pass).or_default().keys.push((rank, k));
-                }
-            }
-            other => unreachable!("unknown tag {other}"),
+    fn expect(&self, s: u32) -> usize {
+        match (s % 4, self.me == 0) {
+            (COUNT, true) => self.p as usize - 1,
+            (ROWS, true) => self.rows,
+            (OFFSETS, false) => self.held,
+            (KEYS, _) => self.keys.len() - self.kept,
+            _ => 0,
         }
+    }
+
+    fn fold(&mut self, s: u32, msgs: &[Arrival]) -> Cycles {
+        match (s % 4, self.me == 0) {
+            (COUNT, true) => self.rows = msgs.iter().map(|a| a.word as usize).sum(),
+            (ROWS, true) => self.scan(msgs.iter().map(|a| (a.idx(), a.word))),
+            (OFFSETS, false) => {
+                for a in msgs {
+                    self.hist[a.idx()] = a.word;
+                }
+            }
+            (KEYS, _) => {
+                for a in msgs {
+                    self.placed[a.idx()] = a.word;
+                }
+                std::mem::swap(&mut self.keys, &mut self.placed);
+                return self.keys.len() as u64;
+            }
+            _ => {}
+        }
+        0
+    }
+
+    fn finish(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.keys)
     }
 }
 
@@ -348,35 +212,24 @@ pub fn run_radix_sort(
         "key_bits must cover the largest key"
     );
     let block = keys.len() / p as usize;
-    let passes = key_bits.div_ceil(digit_bits) as u64;
-    let out: SharedCell<Vec<(ProcId, Vec<u64>)>> = SharedCell::new();
-    let mut sim = Sim::new(*m, config);
-    for q in 0..p {
-        sim.set_process(
-            q,
-            Box::new(RadixProc {
-                keys: keys[q as usize * block..(q as usize + 1) * block].to_vec(),
-                incoming: vec![None; block],
-                placed: 0,
-                pass: 0,
-                passes,
-                digit_bits,
-                block,
-                bufs: HashMap::new(),
-                hist_seen: 0,
-                phase_sent: false,
-                out: out.clone(),
-            }),
-        );
-    }
-    let r = sim.run().expect("radix terminates");
-    let mut runs = out.get();
-    assert_eq!(runs.len(), p as usize, "every processor must finish");
-    runs.sort_by_key(|r| r.0);
+    let passes = key_bits.div_ceil(digit_bits);
+    let mut run = run_steps(Sim::new(*m, config), 4 * passes, |q| Radix {
+        me: q,
+        p,
+        keys: keys[q as usize * block..(q as usize + 1) * block].to_vec(),
+        digit_bits,
+        hist: vec![0; 1 << digit_bits],
+        held: 0,
+        rows: 0,
+        offsets: Vec::new(),
+        placed: vec![0; block],
+        kept: 0,
+    });
+    run.finals.sort_by_key(|f| f.0);
     RadixRun {
-        output: runs.into_iter().flat_map(|r| r.1).collect(),
-        completion: r.stats.completion,
-        messages: r.stats.total_msgs,
+        output: run.finals.into_iter().flat_map(|f| f.1).collect(),
+        completion: run.result.stats.completion,
+        messages: run.result.stats.total_msgs,
     }
 }
 
@@ -407,6 +260,24 @@ mod tests {
     }
 
     #[test]
+    fn radix_sorts_keys_at_every_digit_maximum() {
+        // Rank 1 holds nothing but 0xFFFF: every digit of it is the
+        // largest a 1-bit or 16-bit digit can be, and no other rank holds
+        // a key with that 16-bit digit.
+        let m = LogP::new(6, 2, 4, 4).unwrap();
+        let mut input = keys(32, 17, 0xFFFF);
+        input[8..16].fill(0xFFFF);
+        input[0] = 0xFFFE;
+        input[31] = 0;
+        let mut expect = input.clone();
+        expect.sort_unstable();
+        for digit_bits in [1, 16] {
+            let run = run_radix_sort(&m, &input, digit_bits, 16, SimConfig::default());
+            assert_eq!(run.output, expect, "{digit_bits}-bit digits");
+        }
+    }
+
+    #[test]
     fn radix_handles_skewed_keys() {
         // All keys share high digits: passes where one digit holds
         // everything (maximally unbalanced histograms).
@@ -420,15 +291,13 @@ mod tests {
 
     #[test]
     fn radix_survives_a_slow_root() {
-        // Regression: a peer can deliver its *entire* next-pass histogram
-        // while the root is still placing the previous pass's keys (the
-        // completeness check at arrival sees the wrong pass). Heavy
-        // per-processor skew plus jitter makes the root lag; before the
-        // buffered-histogram absorption fix this configuration hung and
-        // tripped the every-processor-must-finish assertion.
-        // Large blocks (1024 keys => 1024-cycle placement computes) and a
-        // narrow radix (16 rows => ~50-cycle histogram trains) let a 30%
-        // skew delay the root past entire peer histograms.
+        // A peer can deliver its *entire* next-pass histogram while the
+        // root is still placing the previous pass's keys; those rows must
+        // wait for their step. Heavy per-processor skew plus jitter makes
+        // the root lag: large blocks (1024 keys => 1024-cycle placement
+        // computes) and a narrow radix (16 rows => ~50-cycle histogram
+        // trains) let a 30% skew delay the root past entire peer
+        // histograms.
         let m = LogP::new(20, 2, 3, 8).unwrap();
         let input = keys(8192, 13, 1 << 12);
         let mut expect = input.clone();

@@ -18,22 +18,16 @@
 //! the sorted permutation of the input, including under latency jitter.
 
 use crate::step::{run_steps, Arrival, Out, Steps};
-use crate::tree::{execute, Finals, Run};
+use crate::tree::Run;
 use logp_core::broadcast::binomial_children;
 use logp_core::{Cycles, LogP, ProcId};
-use logp_sim::{Ctx, Data, Message, Process, SharedCell, Sim, SimConfig};
-use std::collections::HashMap;
+use logp_sim::{Sim, SimConfig};
 
 const TAG_SAMPLE: u32 = 0x31;
 const TAG_SPLITTER: u32 = 0x32;
 const TAG_KEY: u32 = 0x33;
 const TAG_COUNT: u32 = 0x34;
 const TAG_XCHG: u32 = 0x35;
-
-const STEP_LOCAL_SORT: u64 = 1;
-const STEP_SELECT: u64 = 2;
-const STEP_SEND: u64 = 3;
-const STEP_MERGE: u64 = 4;
 
 /// Comparison cost of one key-op, cycles.
 const CMP_COST: Cycles = 1;
@@ -54,12 +48,14 @@ pub struct SortRun {
     pub messages: u64,
 }
 
-/// Every rank's sorted run, concatenated in rank order.
-fn sorted(mut run: Run<Vec<u64>>, completion: Cycles) -> SortRun {
+/// Every rank's sorted run, concatenated in rank order. A rank is done
+/// when its last merge ends, after the fold that stamped its final; the
+/// run ends with the last of those merges.
+fn sorted(mut run: Run<Vec<u64>>) -> SortRun {
     run.finals.sort_by_key(|f| f.0);
     SortRun {
         output: run.finals.into_iter().flat_map(|f| f.1).collect(),
-        completion,
+        completion: run.result.stats.completion,
         messages: run.result.stats.total_msgs,
     }
 }
@@ -68,213 +64,133 @@ fn sorted(mut run: Run<Vec<u64>>, completion: Cycles) -> SortRun {
 // Splitter (sample) sort.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SsPhase {
-    LocalSort,
-    AwaitSplitters,
-    /// Processor 0 only: the splitter-selection sort is in flight.
-    SelectingSplitters,
-    Sending,
-    AwaitKeys,
-    Done,
-}
-
-struct SplitterProc {
+/// One rank of splitter sort, `d + 4` steps on `P = 2^d` ranks. Step 0
+/// sorts the local run. Step 1 sends `s` regular samples to rank 0, which
+/// sorts them all and picks `P - 1` splitters. Steps `2 ..= d + 1` carry
+/// the splitters down the binomial tree one level a step: a rank at depth
+/// `k` (`k` bits set) sends them to every child at step `2 + k`, the
+/// child with the largest subtree first, since it heads the longest chain
+/// of levels still to go. Step `d + 2` tells every other rank how many
+/// keys it gets, so step `d + 3` knows how many to wait for; it sends the
+/// keys (one cycle each) and merges what arrived.
+struct Splitter {
+    me: ProcId,
+    p: u32,
     keys: Vec<u64>,
-    /// Oversampling factor: samples per processor.
-    samples_per_proc: usize,
-    phase: SsPhase,
-    /// Gathered samples (processor 0 only).
-    samples: Vec<u64>,
-    samples_expected: usize,
+    /// Samples each rank sends.
+    samples: usize,
+    /// Rank 0's samples, then every rank's `P - 1` splitters.
     splitters: Vec<u64>,
-    /// Splitters received so far (non-root processors).
-    splitter_count: usize,
-    /// Outgoing keys grouped by destination, staggered order.
-    outgoing: Vec<(ProcId, u64)>,
-    next_send: usize,
-    /// Received keys for the final merge.
-    bucket: Vec<u64>,
-    /// Per-source announced counts.
-    counts: HashMap<ProcId, u64>,
-    received_keys: u64,
-    sent_done: bool,
-    out: SharedCell<Finals<Vec<u64>>>,
+    /// Keys the last step brings in.
+    incoming: usize,
 }
 
-impl SplitterProc {
-    fn begin_partition(&mut self, ctx: &mut Ctx<'_>) {
-        // Partition sorted keys by the splitters; destination d gets keys
-        // in (splitter[d-1], splitter[d]]. Build staggered send order.
-        let p = ctx.procs();
-        let me = ctx.me();
-        let mut by_dest: Vec<Vec<u64>> = vec![Vec::new(); p as usize];
-        for &k in &self.keys {
-            let d = self.splitters.partition_point(|&s| s < k) as ProcId;
-            by_dest[d as usize].push(k);
-        }
-        // Keep own bucket locally.
-        self.bucket.extend_from_slice(&by_dest[me as usize]);
-        by_dest[me as usize].clear();
-        // Announce counts first (jitter-safe termination), then keys in a
-        // staggered destination order.
-        for b in 0..p {
-            let d = (me + 1 + b) % p;
-            if d == me {
-                continue;
-            }
-            ctx.send(d, TAG_COUNT, Data::U64(by_dest[d as usize].len() as u64));
-        }
-        self.outgoing = (0..p)
-            .map(|b| (me + 1 + b) % p)
-            .filter(|&d| d != me)
-            .flat_map(|d| {
-                by_dest[d as usize]
-                    .iter()
-                    .map(move |&k| (d, k))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        self.phase = SsPhase::Sending;
-        self.next_send = 0;
-        self.step_send(ctx);
+impl Splitter {
+    /// Step of the count exchange; the key exchange is the one after.
+    fn counts_step(&self) -> u32 {
+        2 + self.p.ilog2()
     }
 
-    fn step_send(&mut self, ctx: &mut Ctx<'_>) {
-        if self.next_send < self.outgoing.len() {
-            let (d, k) = self.outgoing[self.next_send];
-            self.next_send += 1;
-            ctx.send(d, TAG_KEY, Data::U64(k));
-            // One cycle of local work per key moved (address computation).
-            ctx.compute(CMP_COST, STEP_SEND);
+    /// The part of the sorted run that goes to rank `d`: keys above
+    /// splitter `d - 1`, up to splitter `d`.
+    fn bucket(&self, d: ProcId) -> &[u64] {
+        let cut = |j: usize| match j {
+            0 => 0,
+            j if j == self.p as usize => self.keys.len(),
+            j => self.keys.partition_point(|&k| k <= self.splitters[j - 1]),
+        };
+        &self.keys[cut(d as usize)..cut(d as usize + 1)]
+    }
+
+    /// Every other rank, in the staggered order `me + 1, me + 2, …`.
+    fn others(&self) -> impl Iterator<Item = ProcId> {
+        let (me, p) = (self.me, self.p);
+        (1..p).map(move |b| (me + b) % p)
+    }
+}
+
+impl Steps for Splitter {
+    type Final = Vec<u64>;
+
+    fn send(&mut self, s: u32, out: &mut Out<'_, '_>) {
+        let counts = self.counts_step();
+        if s == 1 {
+            let stride = (self.keys.len() / (self.samples + 1)).max(1);
+            let sample = |i: usize| self.keys[(i * stride).min(self.keys.len() - 1)];
+            if self.me == 0 {
+                self.splitters = (1..=self.samples).map(sample).collect();
+            } else {
+                for i in 1..=self.samples {
+                    out.send(0, TAG_SAMPLE, i, sample(i));
+                }
+            }
+        } else if (2..counts).contains(&s) && self.me.count_ones() == s - 2 {
+            for c in binomial_children(self.me, self.p).into_iter().rev() {
+                for (i, &sp) in self.splitters.iter().enumerate() {
+                    out.send(c, TAG_SPLITTER, i, sp);
+                }
+            }
+        } else if s == counts {
+            for d in self.others() {
+                out.send(d, TAG_COUNT, 0, self.bucket(d).len() as u64);
+            }
+        } else if s == counts + 1 {
+            for d in self.others() {
+                for &k in self.bucket(d) {
+                    out.send(d, TAG_KEY, 0, k);
+                    // One cycle of local work per key moved.
+                    out.compute(CMP_COST);
+                }
+            }
+        }
+    }
+
+    fn expect(&self, s: u32) -> usize {
+        let (p, counts) = (self.p as usize, self.counts_step());
+        match s {
+            1 if self.me == 0 => self.samples * (p - 1),
+            s if (2..counts).contains(&s) && self.me.count_ones() == s - 1 => p - 1,
+            s if s == counts => p - 1,
+            s if s == counts + 1 => self.incoming,
+            _ => 0,
+        }
+    }
+
+    fn fold(&mut self, s: u32, msgs: &[Arrival]) -> Cycles {
+        let counts = self.counts_step();
+        if s == 0 {
+            self.keys.sort_unstable();
+            sort_cost(self.keys.len() as u64)
+        } else if s == 1 && self.me == 0 {
+            let mut pool = std::mem::take(&mut self.splitters);
+            pool.extend(msgs.iter().map(|a| a.word));
+            pool.sort_unstable();
+            self.splitters = (1..self.p as usize)
+                .map(|i| pool[i * self.samples - 1])
+                .collect();
+            sort_cost(pool.len() as u64)
+        } else if (2..counts).contains(&s) && !msgs.is_empty() {
+            self.splitters = vec![0; msgs.len()];
+            for a in msgs {
+                self.splitters[a.idx()] = a.word;
+            }
+            0
+        } else if s == counts {
+            self.incoming = msgs.iter().map(|a| a.word as usize).sum();
+            0
+        } else if s == counts + 1 {
+            let mut run = self.bucket(self.me).to_vec();
+            run.extend(msgs.iter().map(|a| a.word));
+            run.sort_unstable();
+            self.keys = run;
+            sort_cost(self.keys.len() as u64)
         } else {
-            self.sent_done = true;
-            self.phase = SsPhase::AwaitKeys;
-            self.maybe_merge(ctx);
+            0
         }
     }
 
-    fn maybe_merge(&mut self, ctx: &mut Ctx<'_>) {
-        if self.phase != SsPhase::AwaitKeys || !self.sent_done {
-            return;
-        }
-        let p = ctx.procs();
-        if self.counts.len() == p as usize - 1 {
-            let expected: u64 = self.counts.values().sum();
-            if self.received_keys == expected {
-                self.phase = SsPhase::Done;
-                ctx.compute(sort_cost(self.bucket.len() as u64), STEP_MERGE);
-            }
-        }
-    }
-}
-
-impl Process for SplitterProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.compute(sort_cost(self.keys.len() as u64), STEP_LOCAL_SORT);
-    }
-
-    fn on_compute_done(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
-        match tag {
-            STEP_LOCAL_SORT => {
-                self.keys.sort_unstable();
-                // Regular samples of the sorted run.
-                let p = ctx.procs();
-                let me = ctx.me();
-                let s = self.samples_per_proc;
-                let stride = (self.keys.len() / (s + 1)).max(1);
-                let mine: Vec<u64> = (1..=s)
-                    .map(|i| self.keys[(i * stride).min(self.keys.len() - 1)])
-                    .collect();
-                if me == 0 {
-                    self.samples.extend_from_slice(&mine);
-                    self.samples_expected = s * (p as usize - 1);
-                    self.phase = SsPhase::AwaitSplitters;
-                    self.maybe_select(ctx);
-                } else {
-                    for k in mine {
-                        ctx.send(0, TAG_SAMPLE, Data::U64(k));
-                    }
-                    self.phase = SsPhase::AwaitSplitters;
-                    // The splitter broadcast may already be fully buffered.
-                    if !self.splitters.is_empty() && self.splitter_count == self.splitters.len() {
-                        self.begin_partition(ctx);
-                    }
-                }
-            }
-            STEP_SELECT => {
-                // Processor 0: samples sorted; pick P-1 splitters and
-                // broadcast down a binomial tree.
-                self.samples.sort_unstable();
-                let p = ctx.procs();
-                let s = self.samples_per_proc;
-                self.splitters = (1..p as usize).map(|i| self.samples[i * s - 1]).collect();
-                for c in binomial_children(0, p) {
-                    for (i, &sp) in self.splitters.iter().enumerate() {
-                        ctx.send(c, TAG_SPLITTER, Data::Pair(i as u64, sp));
-                    }
-                }
-                self.begin_partition(ctx);
-            }
-            STEP_SEND => self.step_send(ctx),
-            STEP_MERGE => {
-                self.bucket.sort_unstable();
-                let me = ctx.me();
-                let now = ctx.now();
-                let run = std::mem::take(&mut self.bucket);
-                self.out.with(|o| o.push((me, run, now)));
-            }
-            other => unreachable!("unknown step {other}"),
-        }
-    }
-
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        match msg.tag {
-            TAG_SAMPLE => {
-                self.samples.push(msg.data.as_u64());
-                self.maybe_select(ctx);
-            }
-            TAG_SPLITTER => {
-                let (i, sp) = msg.data.as_pair();
-                if self.splitters.is_empty() {
-                    self.splitters = vec![0; ctx.procs() as usize - 1];
-                    self.counts.reserve(ctx.procs() as usize);
-                }
-                self.splitters[i as usize] = sp;
-                // Forward down the binomial tree.
-                for c in binomial_children(ctx.me(), ctx.procs()) {
-                    ctx.send(c, TAG_SPLITTER, msg.data.clone());
-                }
-                self.splitter_count += 1;
-                if self.splitter_count == self.splitters.len()
-                    && self.phase == SsPhase::AwaitSplitters
-                {
-                    self.begin_partition(ctx);
-                }
-            }
-            TAG_COUNT => {
-                self.counts.insert(msg.src, msg.data.as_u64());
-                self.maybe_merge(ctx);
-            }
-            TAG_KEY => {
-                self.bucket.push(msg.data.as_u64());
-                self.received_keys += 1;
-                self.maybe_merge(ctx);
-            }
-            other => unreachable!("unknown tag {other}"),
-        }
-    }
-}
-
-impl SplitterProc {
-    fn maybe_select(&mut self, ctx: &mut Ctx<'_>) {
-        // Processor 0 only: all samples in and local sort done.
-        if self.phase == SsPhase::AwaitSplitters
-            && self.samples.len() == self.samples_expected + self.samples_per_proc
-        {
-            self.phase = SsPhase::SelectingSplitters;
-            ctx.compute(sort_cost(self.samples.len() as u64), STEP_SELECT);
-        }
+    fn finish(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.keys)
     }
 }
 
@@ -282,31 +198,20 @@ impl SplitterProc {
 pub fn run_splitter_sort(m: &LogP, keys: &[u64], config: SimConfig) -> SortRun {
     let p = m.p;
     assert!(p >= 2 && (p as u64).is_power_of_two());
-    let samples_per_proc = (2 * (p as usize)).min(keys.len() / p as usize).max(1);
-    let run = execute(Sim::new(*m, config), 0..p, None, |q, out| {
+    let samples = (2 * (p as usize)).min(keys.len() / p as usize).max(1);
+    let run = run_steps(Sim::new(*m, config), p.ilog2() + 4, |q| {
         let local = dealt(keys, p, q);
         assert!(!local.is_empty(), "every processor needs at least one key");
-        SplitterProc {
+        Splitter {
+            me: q,
+            p,
             keys: local,
-            samples_per_proc,
-            phase: SsPhase::LocalSort,
-            samples: Vec::new(),
-            samples_expected: 0,
+            samples,
             splitters: Vec::new(),
-            splitter_count: 0,
-            outgoing: Vec::new(),
-            next_send: 0,
-            bucket: Vec::new(),
-            counts: HashMap::new(),
-            received_keys: 0,
-            sent_done: false,
-            out,
+            incoming: 0,
         }
-    })
-    .expect("splitter sort terminates");
-    // A rank finishes at the end of its merge.
-    let completion = run.finals.iter().map(|f| f.2).max().unwrap_or(0);
-    sorted(run, completion)
+    });
+    sorted(run)
 }
 
 /// The keys rank `q` of `p` is dealt round-robin.
@@ -407,10 +312,7 @@ pub fn run_bitonic_sort(m: &LogP, keys: &[u64], config: SimConfig) -> SortRun {
         me: q,
         run: dealt(keys, p, q),
     });
-    // A rank is done when its last merge ends, after the fold that
-    // stamped its final; the run ends with the last of those merges.
-    let completion = run.result.stats.completion;
-    sorted(run, completion)
+    sorted(run)
 }
 
 #[cfg(test)]
