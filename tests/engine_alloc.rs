@@ -93,8 +93,9 @@
 //! | P = 128   | 20,888        | 672        | 740                           |
 //! | P = 512   | 82,328        | 672        | 740, within 10 % of P = 128   |
 //!
-//! A queued send, by itself; and what a calendar still holds after a big
-//! batch: the last two tests.
+//! A queued send, by itself; what a calendar still holds after a big
+//! batch; and what a Perfetto sink keeps for processor ids up to
+//! `u32::MAX`: the last three tests.
 
 use logp::algos::allreduce::{
     run_allreduce_doubling, run_allreduce_reduce_bcast, run_reliable_allreduce,
@@ -104,7 +105,10 @@ use logp::core::broadcast::optimal_broadcast_tree;
 use logp::core::LogP;
 use logp::sim::engine::calendar::Calendar;
 use logp::sim::process::StartFn;
-use logp::sim::{Data, FaultPlan, RetryConfig, Sim, SimConfig, SimError, SinkSpec};
+use logp::sim::{
+    Activity, Data, FaultPlan, ObsSink, PerfettoSink, RetryConfig, Sim, SimConfig, SimError,
+    SinkSpec, Span,
+};
 
 #[path = "common/counting.rs"]
 mod counting;
@@ -474,4 +478,38 @@ fn a_calendar_keeps_no_storage_its_traffic_stopped_using() {
     println!("a calendar after a 16k batch and 1,000 one-event cycles: {a:?}");
     assert!(a.live <= 8 << 10, "{} bytes held", a.live);
     drop(cal);
+}
+
+/// A Perfetto sink names each processor once, and what it keeps for that
+/// grows with the processors named, not with the largest id: spans on six
+/// processors, the largest `u32::MAX`, stay within 64 KiB. The sink that
+/// kept a flag for every id up to the largest held 64 MiB for one span on
+/// processor 2^26.
+#[test]
+fn a_perfetto_sink_keeps_only_the_processors_it_named() {
+    const IDS: [u32; 6] = [0, 1, 2, 1 << 26, u32::MAX - 1, u32::MAX];
+    let (json, a) = counting::allocs(|| {
+        let mut json = Vec::new();
+        let mut sink = PerfettoSink::new(&mut json);
+        for round in 0..3 {
+            for proc in IDS {
+                let start = 10 * round;
+                let activity = Activity::Compute;
+                sink.on_span(&Span {
+                    proc,
+                    start,
+                    end: start + 5,
+                    activity,
+                });
+            }
+        }
+        sink.finish().expect("writes to memory");
+        drop(sink);
+        json
+    });
+    println!("a Perfetto sink over {} processors: {a:?}", IDS.len());
+    let json = String::from_utf8(json).expect("JSON is UTF-8");
+    assert_eq!(json.matches("\"thread_name\"").count(), IDS.len());
+    assert!(json.contains(&format!("\"tid\":{}", u32::MAX)));
+    assert!(a.peak <= 64 << 10, "{} bytes held at once", a.peak);
 }
