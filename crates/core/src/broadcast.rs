@@ -116,7 +116,17 @@ pub fn broadcast_reach(m: &LogP, t: Cycles) -> u64 {
 }
 
 /// Minimum time to broadcast one datum to all `P` processors: the smallest
-/// `t` with `broadcast_reach(t) >= P`.
+/// `t` with `broadcast_reach(t) >= P`, and the completion of
+/// [`optimal_broadcast_tree`], counted without building the tree.
+///
+/// The builder's send starts, ascending, are the merge of two sequences
+/// read back from themselves: each holder's first send at its ready time
+/// (the source at 0, each recipient `2o + L` after its send starts) and
+/// each sender's next, `g'` after its last. Only how many sends start at
+/// each instant matters to the count, so the merge runs on *rounds*, an
+/// instant and the sends that start then: one step a distinct start, never
+/// more than the `P - 1` sends nor than the cycles to the answer, and
+/// `O(P)` time and memory whatever `L`.
 ///
 /// ```
 /// use logp_core::LogP;
@@ -130,28 +140,32 @@ pub fn optimal_broadcast_time(m: &LogP) -> Cycles {
     }
     let gp = m.g.max(m.o);
     let p2p = m.point_to_point();
-    // reach(t) only increases at multiples of gcd-ish steps; simple scan is
-    // fine because reach grows geometrically (doubles every p2p cycles).
-    let mut t = p2p;
-    let mut table: Vec<u64> = Vec::new();
-    table.resize(p2p as usize, 1);
-    loop {
-        let i = t as usize;
-        if table.len() <= i {
-            table.resize(i + 1, 1);
+    let sends = u64::from(m.p - 1);
+    // Until its first recipient holds the datum the source sends alone,
+    // a round every `g'`. `fresh`: the round whose recipients send first
+    // next; `again`: the round whose senders send next again. Each step
+    // reads at most one round of each and appends one, so both cursors
+    // stay behind the end.
+    let alone = p2p.div_ceil(gp).min(sends);
+    let mut rounds: Vec<(Cycles, u64)> = (0..alone).map(|k| (k * gp, 1)).collect();
+    let (mut fresh, mut again, mut sent) = (0, rounds.len() - 1, alone);
+    while sent < sends {
+        let first = rounds[fresh].0.saturating_add(p2p);
+        let next = rounds[again].0.saturating_add(gp);
+        let at = first.min(next);
+        let mut n = 0;
+        if first == at {
+            n += rounds[fresh].1;
+            fresh += 1;
         }
-        let a = if i >= gp as usize {
-            table[i - gp as usize]
-        } else {
-            1
-        };
-        let b = table[i - p2p as usize];
-        table[i] = a.saturating_add(b);
-        if table[i] >= m.p as u64 {
-            return t;
+        if next == at {
+            n += rounds[again].1;
+            again += 1;
         }
-        t += 1;
+        rounds.push((at, n));
+        sent += n;
     }
+    rounds[rounds.len() - 1].0.saturating_add(p2p)
 }
 
 /// Build the optimal broadcast tree greedily.

@@ -8,11 +8,13 @@
 //!   through `iter()`, the same vectors out of every evaluator through
 //!   either view;
 //! * the hierarchical tree built with one optimal tree per *group*,
-//!   against `hier_broadcast_children`, which builds one per level.
+//!   against `hier_broadcast_children`, which builds one per level;
+//! * the table of reach by cycle `optimal_broadcast_time` filled up to
+//!   its answer, against the count of send rounds that replaced it.
 
 use logp_core::broadcast::{
-    binomial_children, optimal_broadcast_tree, shape_children, tree_broadcast_times, BroadcastTree,
-    TreeShape,
+    binomial_children, optimal_broadcast_time, optimal_broadcast_tree, shape_children,
+    tree_broadcast_times, BroadcastTree, TreeShape,
 };
 use logp_core::hier::{
     eval_allreduce, eval_broadcast, eval_reduce, hier_broadcast_children, Hierarchy, Level,
@@ -108,6 +110,77 @@ fn two_cursor_builder_is_the_heap_builder_node_for_node() {
         machines += 1;
     }
     assert_eq!(machines, 32 * 6 + 5);
+}
+
+/// What `optimal_broadcast_time` was: the reach `N(t) = N(t - g') +
+/// N(t - 2o - L)` tabled cycle by cycle, from `N(t) = 1` below `2o + L`,
+/// up to the first `t` that reaches `P` — one `u64` a cycle of the answer.
+fn table_broadcast_time(m: &LogP) -> Cycles {
+    if m.p <= 1 {
+        return 0;
+    }
+    let gp = m.g.max(m.o);
+    let p2p = m.point_to_point();
+    let mut t = p2p;
+    let mut table: Vec<u64> = Vec::new();
+    table.resize(p2p as usize, 1);
+    loop {
+        let i = t as usize;
+        if table.len() <= i {
+            table.resize(i + 1, 1);
+        }
+        let a = if i >= gp as usize {
+            table[i - gp as usize]
+        } else {
+            1
+        };
+        let b = table[i - p2p as usize];
+        table[i] = a.saturating_add(b);
+        if table[i] >= m.p as u64 {
+            return t;
+        }
+        t += 1;
+    }
+}
+
+/// The count of send rounds is the cycle table on the presets, the
+/// builder's corners at six sizes, and 240 seeded machines; and, where
+/// the table would fill 10^8 cycles, the tree's completion.
+#[test]
+fn the_broadcast_count_is_the_cycle_table() {
+    let corners = [
+        (6, 2, 4),
+        (10, 7, 3),
+        (9, 0, 4),
+        (1, 0, 1),
+        (12, 3, 1),
+        (2, 1, 40),
+        (3, 5, 5),
+        (60, 4, 8),
+        (1_000, 1, 1),
+    ];
+    let mut machines: Vec<LogP> = presets().collect();
+    for (l, o, g) in corners {
+        for p in [1, 2, 3, 8, 1000, 1 << 17] {
+            machines.push(LogP::new(l, o, g, p).expect("a valid machine"));
+        }
+    }
+    let mut rng = CounterRng::new(0xB0AD);
+    machines.extend((0..240).map(|_| {
+        let (l, o, g) = (1 + rng.next_in(400), rng.next_in(40), 1 + rng.next_in(60));
+        LogP::new(l, o, g, 1 + rng.next_in(1 << 14) as u32).expect("a valid machine")
+    }));
+    for m in &machines {
+        assert_eq!(optimal_broadcast_time(m), table_broadcast_time(m), "{m}");
+    }
+    for (l, o, g, p) in [(100_000_000, 1, 1, 8), (100_000_000, 3, 7, 1 << 12)] {
+        let m = LogP::new(l, o, g, p).expect("a valid machine");
+        let t = optimal_broadcast_time(&m);
+        assert_eq!(t, optimal_broadcast_tree(&m).completion(), "{m}");
+        if p == 8 {
+            assert_eq!(t, 100_000_008);
+        }
+    }
 }
 
 /// The child lists `BroadcastTree::children` used to return.

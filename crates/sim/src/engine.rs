@@ -2694,15 +2694,19 @@ mod tests {
         assert!(size_of::<Parked>() <= 48);
         assert!(size_of::<SrcRing>() <= 32);
         assert!(size_of::<ProcState>() <= 120);
-        // Past a processor's first, a queued command is its fields.
+        // Past a processor's first, a queued command is its fields, a
+        // send's destination the step from the send before it: none to
+        // the next processor, the whole `u32` at most.
         let send = |data| Command::Send {
             dst: 1,
             tag: 0,
             data,
         };
-        assert!(inline::encoded_len(&send(Data::Empty)) <= 5);
-        assert!(inline::encoded_len(&send(Data::U64(7))) <= 13);
-        assert!(inline::encoded_len(&Command::Compute { cycles: 3, tag: 4 }) <= 17);
+        assert!(inline::encoded_len(&send(Data::Empty), 0) <= 1);
+        assert!(inline::encoded_len(&send(Data::U64(7)), 0) <= 9);
+        assert!(inline::encoded_len(&send(Data::Empty), 1 << 20) <= 5);
+        assert!(inline::encoded_len(&send(Data::U64(7)), 1 << 20) <= 13);
+        assert!(inline::encoded_len(&Command::Compute { cycles: 3, tag: 4 }, 0) <= 17);
     }
 
     /// Processor 0 sends processor 1 three messages: 13 events.

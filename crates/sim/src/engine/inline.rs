@@ -1,7 +1,9 @@
 //! The two per-processor containers of the message path, each holding its
 //! common case in place: a tree rank has one or two messages in flight and
 //! queues one send, so neither allocates for it. Past its first command a
-//! queue packs each into a few bytes. Both are `pub` for the
+//! queue packs each into a few bytes, a send's destination as the step
+//! from the send before it: one byte for a bare send to the next
+//! processor, the common case of an all-to-all burst. Both are `pub` for the
 //! same reason [`super::calendar::Calendar`] is — `tests/engine_queue.rs`
 //! runs each against the `VecDeque` it replaced.
 
@@ -108,14 +110,17 @@ impl SrcRing {
 /// first. A processor that issues one command at a time — a ping-pong, a
 /// leaf of a tree — keeps it in place and never allocates. A second
 /// command queued behind the first moves both into one byte string,
-/// which then stays: a header byte a command and its fields, fixed-width
-/// little-endian — 5 bytes for a send of no payload under tag 0, 13 with
-/// one word, 17 for a compute. A command that owns heap memory — a
+/// which then stays: a header byte a command and its fields, little-endian.
+/// A send's destination is the step from the last send's before it, none
+/// for +1 — 1 byte for a send of no payload under tag 0 to the processor
+/// after the last one's, 9 with one word, and 5 and 13 at most; 17 for a
+/// compute. A command that owns heap memory — a
 /// `SendBulk`, a send of a `Data::Block` or `Data::Seq` — parks whole in
 /// the engine's [`CmdSlab`], and the string holds its slot.
 ///
 /// The string's first buffer is what the handler issued and 16 bytes
-/// more, room for one more send of a word. An append that does not fit
+/// more: the last 4 hold the destination of the last send written, the
+/// rest is room for one more send of a word. An append that does not fit
 /// moves the unread bytes down first and only then grows, and the cursor
 /// resets when the string drains, so a queue that holds k commands at a
 /// time allocates once.
@@ -129,13 +134,18 @@ enum Repr {
 }
 
 /// `buf[read..end]` is the queue: `count` commands. The whole buffer is
-/// initialized, so a command is written field by field in place.
+/// initialized, so a command is written field by field in place. Its last
+/// `TAIL` bytes are the destination of the last in-place send written, the
+/// writer's base for the next one's step; `dst` is the reader's, that of
+/// the last in-place send read. Both start at 0, and they are equal
+/// whenever the queue is empty.
 #[derive(Debug)]
 struct Packed {
     buf: Box<[u8]>,
     read: u32,
     end: u32,
     count: u32,
+    dst: ProcId,
 }
 
 impl Default for Repr {
@@ -228,9 +238,12 @@ impl CmdSlab {
 
 // A packed command: a header byte, then its fields.
 //
-// * A send of an in-place payload: `dst: u32`, `tag: u32` only when
-//   the header has `TAGGED`, then the payload by op — nothing, one
-//   word, two, or `Cplx`'s `idx: u32, re, im`; an `f64` as its bits.
+// * A send of an in-place payload: its destination as the header's
+//   form says, from the last in-place send's before it — `NEXT`, one
+//   more, in no bytes; `STEP8` or `STEP16`, a signed step of `i8` or
+//   `i16` (wrapping in `u32`); `ABS`, `dst: u32` itself. Then `tag: u32`
+//   only when the header has `TAGGED`, then the payload by op — nothing,
+//   one word, two, or `Cplx`'s `idx: u32, re, im`; an `f64` as its bits.
 // * `PARKED`: the slab slot, `u32`.
 // * `COMPUTE`, `TIMER`: `cycles: u64, tag: u64`.
 // * `BARRIER`, `HALT`: nothing.
@@ -249,23 +262,34 @@ const HALT: u8 = 10;
 const OP: u8 = 0x0F;
 /// A send whose tag is not zero.
 const TAGGED: u8 = 0x10;
+/// How a send's destination is packed.
+const FORM: u8 = 0x60;
+const NEXT: u8 = 0x00;
+const STEP8: u8 = 0x20;
+const STEP16: u8 = 0x40;
+const ABS: u8 = 0x60;
+/// Destination bytes of each form, by `(h & FORM) >> 5`.
+const DST: [u8; 4] = [0, 1, 2, 4];
 /// Payload bytes of the send ops.
 const PAYLOAD: [u8; 6] = [0, 8, 8, 16, 16, 20];
-/// Room a first buffer leaves past its batch: one more send of up to a
-/// word appends without growing it.
+/// The bytes a first buffer has past its batch: the last destination
+/// written, and room for one more send of a word up to a 16-bit step
+/// away.
 const SLACK: usize = 16;
+/// The bytes at a buffer's end that hold the last destination written.
+const TAIL: usize = 4;
 /// The longest command: a tagged send of a `Data::Cplx`.
 const MAX_LEN: usize = 1 + 4 + 4 + 20;
 
 /// A command's encoded length, by its header byte.
-const LEN: [u8; 32] = {
-    let mut len = [1; 32];
+const LEN: [u8; 256] = {
+    let mut len = [1; 256];
     let mut h = 0;
     while h < len.len() {
         let op = h as u8 & OP;
         if op <= CPLX {
             let tag = if h as u8 & TAGGED != 0 { 4 } else { 0 };
-            len[h] = 5 + tag + PAYLOAD[op as usize];
+            len[h] = 1 + dst_len(h as u8) as u8 + tag + PAYLOAD[op as usize];
         } else if op == PARKED {
             len[h] = 5;
         } else if op == COMPUTE || op == TIMER {
@@ -276,20 +300,36 @@ const LEN: [u8; 32] = {
     len
 };
 
+/// The destination bytes of a send whose header is `h`; 0 for any other
+/// command, whose fields then start at 1 as well.
+const fn dst_len(h: u8) -> usize {
+    DST[((h & FORM) >> 5) as usize] as usize
+}
+
+/// `cmd`'s header byte behind an in-place send to `*last`, which moves to
+/// `cmd`'s destination if `cmd` is one.
 #[inline(always)]
-fn header(cmd: &Command) -> u8 {
+fn header(cmd: &Command, last: &mut ProcId) -> u8 {
     match cmd {
-        Command::Send { tag, data, .. } => {
+        Command::Send { dst, tag, data } => {
+            let op = match data {
+                Data::Empty => NIL,
+                Data::U64(_) => U64,
+                Data::F64(_) => F64,
+                Data::Pair(..) => PAIR,
+                Data::IdxF64(..) => IDX_F64,
+                Data::Cplx { .. } => CPLX,
+                Data::Block(_) | Data::Seq { .. } => return PARKED,
+            };
             let tagged = if *tag != 0 { TAGGED } else { 0 };
-            match data {
-                Data::Empty => NIL | tagged,
-                Data::U64(_) => U64 | tagged,
-                Data::F64(_) => F64 | tagged,
-                Data::Pair(..) => PAIR | tagged,
-                Data::IdxF64(..) => IDX_F64 | tagged,
-                Data::Cplx { .. } => CPLX | tagged,
-                Data::Block(_) | Data::Seq { .. } => PARKED,
-            }
+            let form = match dst.wrapping_sub(*last) as i32 {
+                1 => NEXT,
+                -0x80..=0x7F => STEP8,
+                -0x8000..=0x7FFF => STEP16,
+                _ => ABS,
+            };
+            *last = *dst;
+            op | tagged | form
         }
         Command::SendBulk(_) => PARKED,
         Command::Compute { .. } => COMPUTE,
@@ -299,9 +339,17 @@ fn header(cmd: &Command) -> u8 {
     }
 }
 
-/// The bytes `cmd` takes in a packed queue.
-pub fn encoded_len(cmd: &Command) -> usize {
-    LEN[header(cmd) as usize] as usize
+/// The bytes `cmd` takes in a packed queue whose last in-place send
+/// before it went to `last`.
+pub fn encoded_len(cmd: &Command, mut last: ProcId) -> usize {
+    LEN[header(cmd, &mut last) as usize] as usize
+}
+
+/// The bytes `cmds` take in a packed queue, behind an in-place send to
+/// `last`.
+fn packed_len<'a>(cmds: impl Iterator<Item = &'a Command>, mut last: ProcId) -> usize {
+    cmds.map(|cmd| LEN[header(cmd, &mut last) as usize] as usize)
+        .sum()
 }
 
 fn put<const N: usize>(out: &mut [u8], at: usize, field: [u8; N]) {
@@ -320,19 +368,27 @@ fn u64_at(b: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(w)
 }
 
-/// Write `cmd`, whose header is `h`, into `out`, its `LEN[h]` bytes;
-/// park it in `slab` if it owns heap memory.
+/// Write `cmd`, whose header behind an in-place send to `last` is `h`,
+/// into `out`, its `LEN[h]` bytes; park it in `slab` if it owns heap
+/// memory.
 #[inline(always)]
-fn encode(cmd: Command, h: u8, out: &mut [u8], slab: &mut CmdSlab) {
+fn encode(cmd: Command, h: u8, last: ProcId, out: &mut [u8], slab: &mut CmdSlab) {
     out[0] = h;
     match cmd {
         Command::Send { dst, tag, data } if h != PARKED => {
-            put(out, 1, dst.to_le_bytes());
+            let step = dst.wrapping_sub(last);
+            match h & FORM {
+                STEP8 => out[1] = step as u8,
+                STEP16 => put(out, 1, (step as u16).to_le_bytes()),
+                ABS => put(out, 1, dst.to_le_bytes()),
+                _ => {}
+            }
+            let at = 1 + dst_len(h);
             let at = if tag != 0 {
-                put(out, 5, tag.to_le_bytes());
-                9
+                put(out, at, tag.to_le_bytes());
+                at + 4
             } else {
-                5
+                at
             };
             match data {
                 Data::U64(v) => put(out, at, v.to_le_bytes()),
@@ -363,21 +419,32 @@ fn encode(cmd: Command, h: u8, out: &mut [u8], slab: &mut CmdSlab) {
     }
 }
 
-/// The command at the start of `b`, moved out of the slab if parked.
+/// The destination of the in-place send at the start of `b`, behind one
+/// to `last`.
 #[inline(always)]
-fn decode(b: &[u8], slab: &mut CmdSlab) -> Command {
+fn dst_at(b: &[u8], last: ProcId) -> ProcId {
+    let step = match b[0] & FORM {
+        NEXT => 1,
+        STEP8 => b[1] as i8 as u32,
+        STEP16 => i16::from_le_bytes([b[1], b[2]]) as u32,
+        _ => return u32_at(b, 1),
+    };
+    last.wrapping_add(step)
+}
+
+/// The command at the start of `b`, moved out of the slab if parked; if
+/// it is an in-place send, to `dst`.
+#[inline(always)]
+fn decode(b: &[u8], dst: ProcId, slab: &mut CmdSlab) -> Command {
     let h = b[0];
     // Where a send's payload starts; a non-send has no `TAGGED` bit.
+    let at = 1 + dst_len(h);
     let (tag, at) = if h & TAGGED != 0 {
-        (u32_at(b, 5), 9)
+        (u32_at(b, at), at + 4)
     } else {
-        (0, 5)
+        (0, at)
     };
-    let send = |data| Command::Send {
-        dst: u32_at(b, 1),
-        tag,
-        data,
-    };
+    let send = |data| Command::Send { dst, tag, data };
     let word = |k: usize| u64_at(b, at + 8 * k);
     match h & OP {
         NIL => send(Data::Empty),
@@ -404,9 +471,10 @@ fn decode(b: &[u8], slab: &mut CmdSlab) -> Command {
     }
 }
 
-/// The [`Head`] of the command at the start of `b`.
+/// The [`Head`] of the command at the start of `b`, behind an in-place
+/// send to `last`.
 #[inline(always)]
-fn head(b: &[u8], slab: &CmdSlab) -> Head {
+fn head(b: &[u8], last: ProcId, slab: &CmdSlab) -> Head {
     match b[0] & OP {
         PARKED => Head::of(&slab.slots[u32_at(b, 1) as usize]),
         COMPUTE => Head::Compute {
@@ -419,7 +487,9 @@ fn head(b: &[u8], slab: &CmdSlab) -> Head {
         },
         BARRIER => Head::Barrier,
         HALT => Head::Halt,
-        _ => Head::Send { dst: u32_at(b, 1) },
+        _ => Head::Send {
+            dst: dst_at(b, last),
+        },
     }
 }
 
@@ -443,6 +513,7 @@ impl Packed {
             read: 0,
             end: 0,
             count: 0,
+            dst: 0,
         }
     }
 
@@ -455,6 +526,18 @@ impl Packed {
         vec![0; cap].into_boxed_slice()
     }
 
+    /// Where the room for commands ends and the last destination written
+    /// starts.
+    #[inline(always)]
+    fn tail(&self) -> usize {
+        self.buf.len() - TAIL
+    }
+
+    /// The destination of the last in-place send written.
+    fn written(&self) -> ProcId {
+        u32_at(&self.buf, self.tail())
+    }
+
     #[inline(always)]
     fn unread(&self) -> &[u8] {
         &self.buf[self.read as usize..self.end as usize]
@@ -462,15 +545,17 @@ impl Packed {
 
     #[inline(never)]
     fn front(&self, slab: &CmdSlab) -> Option<Head> {
-        (self.count > 0).then(|| head(self.unread(), slab))
+        (self.count > 0).then(|| head(self.unread(), self.dst, slab))
     }
 
     #[inline(never)]
     fn skip(&mut self, slab: &mut CmdSlab) {
         if self.count > 0 {
-            let b = self.unread();
-            if b[0] & OP == PARKED {
-                slab.take(u32_at(b, 1));
+            let b = &self.buf[self.read as usize..self.end as usize];
+            match b[0] & OP {
+                PARKED => drop(slab.take(u32_at(b, 1))),
+                op if op <= CPLX => self.dst = dst_at(b, self.dst),
+                _ => {}
             }
             self.consume(LEN[b[0] as usize]);
         }
@@ -481,8 +566,11 @@ impl Packed {
         if self.count == 0 {
             return None;
         }
-        let b = self.unread();
-        let (cmd, len) = (decode(b, slab), LEN[b[0] as usize]);
+        let b = &self.buf[self.read as usize..self.end as usize];
+        if b[0] & OP <= CPLX {
+            self.dst = dst_at(b, self.dst);
+        }
+        let (cmd, len) = (decode(b, self.dst, slab), LEN[b[0] as usize]);
         self.consume(len);
         Some(cmd)
     }
@@ -501,28 +589,34 @@ impl Packed {
     /// Add `cmds` at the back; the caller has made room for them.
     #[inline(always)]
     fn push_all(&mut self, cmds: impl Iterator<Item = Command>, slab: &mut CmdSlab) {
-        let mut end = self.end as usize;
+        let (mut end, mut last) = (self.end as usize, self.written());
         for cmd in cmds {
-            let h = header(&cmd);
+            let before = last;
+            let h = header(&cmd, &mut last);
             let len = LEN[h as usize] as usize;
-            encode(cmd, h, &mut self.buf[end..end + len], slab);
+            encode(cmd, h, before, &mut self.buf[end..end + len], slab);
             end += len;
             self.count += 1;
         }
+        let tail = self.tail();
+        debug_assert!(end <= tail);
+        put(&mut self.buf, tail, last.to_le_bytes());
         self.end = end as u32;
     }
 
     /// Room for `need` more bytes: the unread bytes moved down, and only
     /// if that is not enough a buffer twice the size (or of what it must
-    /// hold, if more).
+    /// hold, if more), the writer's destination moved with them.
     #[cold]
     #[inline(never)]
     fn make_room(&mut self, need: usize) {
-        let (read, end) = (self.read as usize, self.end as usize);
+        let (read, end, tail) = (self.read as usize, self.end as usize, self.tail());
         let unread = end - read;
-        if unread + need > self.buf.len() {
-            let mut buf = Self::buffer((2 * self.buf.len()).max(unread + need));
+        if unread + need > tail {
+            let mut buf = Self::buffer((2 * self.buf.len()).max(unread + need + TAIL));
             buf[..unread].copy_from_slice(&self.buf[read..end]);
+            let at = buf.len() - TAIL;
+            buf[at..].copy_from_slice(&self.buf[tail..]);
             self.buf = buf;
         } else {
             self.buf.copy_within(read..end, 0);
@@ -583,7 +677,7 @@ impl CmdQueue {
                 for slot in parked_slots(q.unread()) {
                     slab.take(slot);
                 }
-                (q.read, q.end, q.count) = (0, 0, 0);
+                (q.read, q.end, q.count, q.dst) = (0, 0, 0, q.written());
             }
         }
     }
@@ -612,16 +706,16 @@ impl CmdQueue {
         match &mut self.0 {
             Repr::Inline(slot) => {
                 let first = slot.take();
-                let need: usize = first.iter().chain(&*issued).map(encoded_len).sum();
+                let need = packed_len(first.iter().chain(&*issued), 0);
                 let mut q = Packed::with_capacity(need + SLACK);
                 q.push_all(first.into_iter().chain(issued.drain(..)), slab);
                 self.0 = Repr::Packed(q);
             }
             Repr::Packed(q) => {
                 // Room for the longest commands, or else for exactly these.
-                let room = q.buf.len() - q.end as usize;
+                let room = q.tail() - q.end as usize;
                 if issued.len() * MAX_LEN > room {
-                    let need = issued.iter().map(encoded_len).sum();
+                    let need = packed_len(issued.iter(), q.written());
                     if need > room {
                         q.make_room(need);
                     }

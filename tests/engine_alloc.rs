@@ -402,21 +402,25 @@ fn a_file_sink_holds_at_most_its_batches_on_the_engine_thread() {
 
 /// What a message costs while it waits in its sender's queue: a remap
 /// whose `on_start` queues a send to every other processor (the paper's
-/// §4.1 all-to-all, `p2p_dense`'s shape) allocates the 13 bytes a send
-/// of one word under tag 0 packs into, and next to nothing else, per
-/// send: 15.43 measured, the other 2.43 being the whole machine
-/// (`Sim::new`, the classic engine's arrays, each processor's first
-/// injection) and each queue's 16 spare bytes, spread over 255 sends a
-/// processor. The run is cut at its first event, so the traffic that
-/// follows is not in the count. With the record pipeline on (a null
-/// sink) the commands of one handler invocation share one run-queue
-/// entry, so a send costs what it does without the pipeline plus the
-/// pipeline's own state, spread the same way: 19.40 measured — 1.62 for
-/// the in-flight record slab, 2.01 for each processor's first run-queue
-/// buffer (four 128-byte entries), 0.34 for the per-processor arrays.
-/// Bounds: the measured values and 10 %. A queued send was a 32-byte
-/// command before the queue packed them (34.37 and 38.34 measured); one
-/// `(cause, submit)` entry per queued command cost 24 bytes more.
+/// §4.1 all-to-all, `p2p_dense`'s shape) allocates the 9 bytes a send
+/// of one word under tag 0 to the processor after the last one's packs
+/// into, and next to nothing else, per send: 11.45 measured, the other
+/// 2.45 being the whole machine (`Sim::new`, the classic engine's arrays,
+/// each processor's first injection), each queue's 16 spare bytes (4 of
+/// them its last destination), and the byte or two of step of its first
+/// send and of the one that wraps from P − 1 to 0, spread over 255 sends
+/// a processor. With no payload a send is its header byte: 3.45 measured.
+/// The run is cut at its first event, so the traffic that follows is not
+/// in the count. With the record pipeline on (a null sink) the commands
+/// of one handler invocation share one run-queue entry, so a send costs
+/// what it does without the pipeline plus the pipeline's own state,
+/// spread the same way: 15.42 measured — 1.62 for the in-flight record
+/// slab, 2.01 for each processor's first run-queue buffer (four 128-byte
+/// entries), 0.34 for the per-processor arrays. Bounds: the measured
+/// values and 10 %. A queued send was a 32-byte command before the queue
+/// packed them (34.37 and 38.34 measured), and 13 bytes while it packed
+/// its destination whole (15.43 and 19.40); one `(cause, submit)` entry
+/// per queued command cost 24 bytes more.
 #[test]
 fn a_queued_send_costs_its_fields() {
     const P: u32 = 256;
@@ -425,17 +429,28 @@ fn a_queued_send_costs_its_fields() {
         max_events: 0,
         ..SimConfig::default()
     };
-    for (what, config, bound) in [
-        ("unobserved", cut.clone(), 17.0),
-        ("null sink", cut.with_sink(SinkSpec::Null), 21.4),
+    for (what, word, config, bound) in [
+        ("unobserved", true, cut.clone(), 12.6),
+        (
+            "null sink",
+            true,
+            cut.clone().with_sink(SinkSpec::Null),
+            17.0,
+        ),
+        ("no payload", false, cut, 3.8),
     ] {
         let a = allocs(|| {
             let mut sim = Sim::new(machine(P), config);
             sim.set_all(|_| {
-                Box::new(StartFn(|ctx| {
+                Box::new(StartFn(move |ctx| {
                     for k in 1..ctx.procs() {
                         let dst = (ctx.me() + k) % ctx.procs();
-                        ctx.send(dst, 0, Data::U64(u64::from(k)));
+                        let data = if word {
+                            Data::U64(u64::from(k))
+                        } else {
+                            Data::Empty
+                        };
+                        ctx.send(dst, 0, data);
                     }
                 }))
             });

@@ -30,9 +30,11 @@
 //!   in place, the rest packed into bytes, owning ones parked in a slab —
 //!   over 2,000 scripts of handler batches of every command and payload
 //!   variant (floats bit for bit, NaNs, zeros and infinities among them;
-//!   the largest ids, tags and cycles), front reads, pops, skips and
-//!   crashes, a crash releasing every payload it held — and a processor
-//!   that issues one command at a time never allocates.
+//!   the largest ids, tags and cycles; destinations a step from the send
+//!   before of every packed form), front reads, pops, skips and crashes, a
+//!   crash releasing every payload it held, and one script across a
+//!   compaction, a growth and a drain — and a processor that issues one
+//!   command at a time never allocates.
 //! * **Zero-duration and overflow corners**, as explicit cases.
 
 use logp::algos::broadcast::run_reliable_broadcast;
@@ -581,6 +583,33 @@ fn any_u32(rng: &mut CounterRng) -> u32 {
     }
 }
 
+/// A destination a step from `last`: runs of +1 as often as anything,
+/// steps of 0 and ±1, at the edges of `i8` and `i16` and past them, and
+/// the neighbours of 0 and `u32::MAX`.
+fn any_dst(rng: &mut CounterRng, last: u32) -> u32 {
+    const EDGES: [i64; 8] = [127, 128, -128, -129, 32_767, 32_768, -32_768, -32_769];
+    let step = match rng.next_in(9) {
+        0..=2 => 1,
+        3 => 0,
+        4 => -1,
+        5 => EDGES[rng.next_in(7) as usize],
+        6 => rng.next_in(1 << 17) as i64 - (1 << 16),
+        7 => return [0, 1, u32::MAX - 1, u32::MAX][rng.next_in(3) as usize],
+        _ => return rng.next_u64() as u32,
+    };
+    last.wrapping_add(step as u32)
+}
+
+/// How a send to `dst` behind one to `last` packs: `[+1, i8, i16, u32]`.
+fn form(dst: u32, last: u32) -> usize {
+    match dst.wrapping_sub(last) as i32 {
+        1 => 0,
+        -0x80..=0x7F => 1,
+        -0x8000..=0x7FFF => 2,
+        _ => 3,
+    }
+}
+
 /// Any payload; a block shares `block`.
 fn any_data(rng: &mut CounterRng, block: &Arc<Vec<u64>>) -> Data {
     match rng.next_in(7) {
@@ -602,10 +631,11 @@ fn any_data(rng: &mut CounterRng, block: &Arc<Vec<u64>>) -> Data {
     }
 }
 
-/// Any command a handler can issue.
-fn any_command(rng: &mut CounterRng, block: &Arc<Vec<u64>>) -> Command {
-    let (dst, tag) = (any_u32(rng), any_u32(rng));
-    match rng.next_in(5) {
+/// Any command a handler can issue, half of them sends; a send goes to a
+/// step from `*last`, which moves to it.
+fn any_command(rng: &mut CounterRng, block: &Arc<Vec<u64>>, last: &mut u32) -> Command {
+    let (dst, tag) = (any_dst(rng, *last), any_u32(rng));
+    match rng.next_in(9) {
         0 => Command::Compute {
             cycles: any_word(rng),
             tag: any_word(rng),
@@ -622,11 +652,14 @@ fn any_command(rng: &mut CounterRng, block: &Arc<Vec<u64>>) -> Command {
             data: any_data(rng, block),
             words: 1 + any_word(rng) / 2,
         })),
-        _ => Command::Send {
-            dst,
-            tag,
-            data: any_data(rng, block),
-        },
+        _ => {
+            *last = dst;
+            Command::Send {
+                dst,
+                tag,
+                data: any_data(rng, block),
+            }
+        }
     }
 }
 
@@ -684,18 +717,29 @@ fn heap_of(cmd: &Command) -> Option<usize> {
 /// One processor's queue under a seeded script, beside a
 /// `VecDeque<Command>`: handlers issuing 0–5 commands of every variant,
 /// the engine reading the front and popping or skipping it between them,
-/// a crash abandoning everything, the program re-issuing.
-fn run_queue_script(s: u64) {
+/// a crash abandoning everything, the program re-issuing. Adds to `forms`
+/// the sends of each packed form issued behind a send, and to `drains` the
+/// times pops emptied a queue of more than one command.
+fn run_queue_script(s: u64, forms: &mut [u64; 4], drains: &mut u64) {
     let mut rng = CounterRng::new(mix(&[0x434D_4451, s]));
     let block = Arc::new(vec![s, 1, 2]);
     let mut slab = CmdSlab::default();
     let mut queue = CmdQueue::default();
     let mut model = std::collections::VecDeque::new();
     let mut issued = Vec::new();
+    let mut last = 0;
     for _ in 0..120 {
+        let deep = model.len() > 1;
         match rng.next_in(9) {
             0..=3 => {
-                issued.extend((0..rng.next_in(5)).map(|_| any_command(&mut rng, &block)));
+                for _ in 0..rng.next_in(5) {
+                    let before = last;
+                    let cmd = any_command(&mut rng, &block, &mut last);
+                    if let Command::Send { dst, .. } = cmd {
+                        forms[form(dst, before)] += 1;
+                    }
+                    issued.push(cmd);
+                }
                 model.extend(issued.iter().map(|c| (c.clone(), heap_of(c))));
                 queue.append(&mut issued, &mut slab);
                 assert!(issued.is_empty());
@@ -720,6 +764,7 @@ fn run_queue_script(s: u64) {
                         (got, want) => assert!(got.is_none() && want.is_none(), "script {s}"),
                     }
                 }
+                *drains += u64::from(deep && model.is_empty());
             }
             _ => {
                 queue.clear(&mut slab);
@@ -733,18 +778,93 @@ fn run_queue_script(s: u64) {
         assert_eq!(queue.parked(), slab.len());
         assert_eq!(queue.front(&slab), model.front().map(|(c, _)| Head::of(c)));
     }
+    drain(&mut queue, &mut slab, model, s);
+    assert_eq!(Arc::strong_count(&block), 1, "script {s}");
+}
+
+/// Pop `queue` empty beside `model`, reading the front before each pop.
+fn drain(
+    queue: &mut CmdQueue,
+    slab: &mut CmdSlab,
+    mut model: std::collections::VecDeque<(Command, Option<usize>)>,
+    s: u64,
+) {
     while let Some((want, _)) = model.pop_front() {
-        let got = queue.pop_front(&mut slab).expect("as long as the model");
+        assert_eq!(queue.front(slab), Some(Head::of(&want)), "script {s}");
+        let got = queue.pop_front(slab).expect("as long as the model");
         assert!(same(&got, &want), "script {s}: {got:?} != {want:?}");
     }
-    assert!(queue.pop_front(&mut slab).is_none());
+    assert!(queue.front(slab).is_none() && queue.pop_front(slab).is_none());
     assert!(slab.is_empty());
-    assert_eq!(Arc::strong_count(&block), 1, "script {s}");
+}
+
+/// A send's destination packed as the step from the one before survives
+/// the unread bytes moving down, a growth into a new buffer, the cursor
+/// resetting when the queue drains, and a crash: its step counts from the
+/// last destination written whatever happened to the bytes.
+fn across_compaction_growth_and_drain() {
+    type Model = std::collections::VecDeque<(Command, Option<usize>)>;
+    fn append(
+        queue: &mut CmdQueue,
+        slab: &mut CmdSlab,
+        model: &mut Model,
+        mut cmds: Vec<Command>,
+    ) -> counting::Allocs {
+        model.extend(cmds.iter().map(|c| (c.clone(), None)));
+        counting::allocs(|| queue.append(&mut cmds, slab)).1
+    }
+    let send = |dst| Command::Send {
+        dst,
+        tag: 0,
+        data: Data::Empty,
+    };
+    let (mut slab, mut queue, mut model) = (CmdSlab::default(), CmdQueue::default(), Model::new());
+    // A barrier and a send a step of -1 from 0: 3 bytes, then 12 of room
+    // and 4 of the last destination, in one buffer.
+    let batch = vec![Command::Barrier, send(u32::MAX)];
+    let spent = append(&mut queue, &mut slab, &mut model, batch);
+    assert_eq!((spent.calls, spent.bytes), (1, 19), "{spent:?}");
+    queue.skip_front(&mut slab);
+    model.pop_front();
+    // 13 sends to the next processor, from `u32::MAX` round to 12: a byte
+    // each, 1 more than the room left, which the send unread makes by
+    // moving down.
+    let batch = (0..13).map(send).collect();
+    let spent = append(&mut queue, &mut slab, &mut model, batch);
+    assert_eq!(spent.calls, 0, "{spent:?}");
+    // One more, and the buffer doubles.
+    let spent = append(&mut queue, &mut slab, &mut model, vec![send(13)]);
+    assert_eq!((spent.calls, spent.bytes), (1, 38), "{spent:?}");
+    drain(&mut queue, &mut slab, std::mem::take(&mut model), u64::MAX);
+    // Drained, the cursor resets; the next steps count from 13.
+    let far = 13u32.wrapping_sub(40_000);
+    let batch = vec![send(14), send(14), send(13), send(far), send(u32::MAX)];
+    append(&mut queue, &mut slab, &mut model, batch);
+    drain(&mut queue, &mut slab, std::mem::take(&mut model), u64::MAX);
+    // A crash abandons what it queued; the next step counts from the last
+    // destination written, 5, though that send never left.
+    append(
+        &mut queue,
+        &mut slab,
+        &mut Model::new(),
+        vec![send(5), Command::Halt],
+    );
+    queue.clear(&mut slab);
+    let batch = vec![send(6), send(7), Command::Halt];
+    append(&mut queue, &mut slab, &mut model, batch);
+    drain(&mut queue, &mut slab, model, u64::MAX);
 }
 
 #[test]
 fn command_queue_is_the_fifo_it_replaced() {
-    (0..2_000).for_each(run_queue_script);
+    let (mut forms, mut drains) = ([0; 4], 0);
+    for s in 0..2_000 {
+        run_queue_script(s, &mut forms, &mut drains);
+    }
+    // Every form, and many drains.
+    assert!(forms.iter().all(|&n| n > 10_000), "{forms:?}");
+    assert!(drains > 5_000, "{drains} drains");
+    across_compaction_growth_and_drain();
 }
 
 /// The queue-depth-1 floor: a ping-pong, a leaf of a tree. One command
@@ -778,7 +898,8 @@ fn one_command_at_a_time_never_allocates() {
     });
     assert_eq!(spent.calls, 0, "{spent:?}");
     // A second command behind the first is what takes a buffer: one, of
-    // the two (a byte each) and room for one more one-word send.
+    // the two (a byte each), room for one more one-word send and the last
+    // destination written.
     issued.extend([Command::Barrier, Command::Halt]);
     let ((), spent) = counting::allocs(|| queue.append(&mut issued, &mut slab));
     assert_eq!((spent.calls, spent.bytes), (1, 18), "{spent:?}");
