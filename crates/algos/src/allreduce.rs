@@ -82,6 +82,7 @@ pub fn run_allreduce_reduce_bcast(m: &LogP, values: &[f64], config: SimConfig) -
 /// whose id differs in bit `s`, and adds the one it gets.
 struct Doubling {
     me: ProcId,
+    rounds: u32,
     value: f64,
 }
 
@@ -104,6 +105,10 @@ impl Steps for Doubling {
     fn finish(&mut self) -> f64 {
         self.value
     }
+
+    fn steps(&self) -> u32 {
+        self.rounds
+    }
 }
 
 /// Recursive-doubling all-reduce (requires power-of-two `P`).
@@ -115,10 +120,12 @@ pub fn run_allreduce_doubling(m: &LogP, values: &[f64], config: SimConfig) -> Al
     );
     assert_eq!(values.len(), p as usize);
     let rounds = logp_core::cost::log2_exact(p as u64);
-    let run = run_steps(Sim::new(*m, config), rounds, |q| Doubling {
+    let run = run_steps(Sim::new(*m, config), 0..p, None, |q| Doubling {
         me: q,
+        rounds,
         value: values[q as usize],
-    });
+    })
+    .expect("every rank folds its last step once");
     finish(&run.finals, run.result, values.iter().sum())
 }
 

@@ -80,6 +80,10 @@ impl Steps for Round {
     fn finish(&mut self) -> Vec<(ProcId, u64)> {
         std::mem::take(&mut self.got)
     }
+
+    fn steps(&self) -> u32 {
+        1
+    }
 }
 
 /// Result of a scatter/gather run.
@@ -99,7 +103,7 @@ fn run_round(
     tag: u32,
     rank: impl Fn(ProcId) -> (Vec<(ProcId, ProcId, u64)>, usize),
 ) -> CollectiveRun {
-    let run = run_steps(Sim::new(*m, config), 1, |q| {
+    let run = run_steps(Sim::new(*m, config), 0..m.p, None, |q| {
         let (sends, expect) = rank(q);
         Round {
             tag,
@@ -107,7 +111,8 @@ fn run_round(
             expect,
             got: Vec::new(),
         }
-    });
+    })
+    .expect("every rank folds its last step once");
     let received: Vec<_> = run
         .finals
         .into_iter()
@@ -173,6 +178,10 @@ impl Steps for Ring {
     fn finish(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.blocks)
     }
+
+    fn steps(&self) -> u32 {
+        self.p - 1
+    }
 }
 
 /// Result of an all-gather.
@@ -189,11 +198,12 @@ pub fn run_allgather_ring(m: &LogP, values: &[u64], config: SimConfig) -> AllGat
     let p = m.p;
     assert_eq!(values.len(), p as usize);
     assert!(p >= 2);
-    let run = run_steps(Sim::new(*m, config), p - 1, |q| {
+    let run = run_steps(Sim::new(*m, config), 0..m.p, None, |q| {
         let mut blocks = vec![0; p as usize];
         blocks[q as usize] = values[q as usize];
         Ring { me: q, p, blocks }
-    });
+    })
+    .expect("every rank folds its last step once");
     let reference = &run.finals[0].1;
     for (q, blocks, _) in &run.finals {
         assert_eq!(

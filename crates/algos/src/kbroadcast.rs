@@ -17,11 +17,11 @@
 
 use crate::resilient::{survivor_tree_children, ResilientError, SurvivorMap};
 use crate::step::{run_steps, Arrival, Out, Steps};
-use crate::tree::{execute, Finals, Run};
+use crate::tree::Run;
 use logp_core::broadcast::{optimal_broadcast_tree, shape_children, TreeShape};
 use logp_core::{Cycles, LogP, ProcId, Tree};
 use logp_sim::reliable::RetryConfig;
-use logp_sim::{Ctx, Data, FaultPlan, Message, Process, SharedCell, Sim, SimConfig, SimResult};
+use logp_sim::{FaultPlan, Sim, SimConfig, SimResult};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -42,64 +42,56 @@ pub struct KBcastRun {
 // Tree pipelining (works for any tree).
 // ---------------------------------------------------------------------
 
-struct PipeProc {
+/// One rank of the pipeline: one step, in which the root streams the
+/// items item-major to its children (every subtree's pipeline keeps
+/// moving), and every other rank relays each item down its part of the
+/// tree as it arrives.
+struct Pipe {
     /// The run's one tree; this rank forwards to `tree[me]`.
     tree: Arc<Tree>,
-    items: Vec<Option<u64>>,
-    received: usize,
-    is_root: bool,
-    out: SharedCell<Finals<Vec<u64>>>,
-    done: bool,
+    me: ProcId,
+    root: bool,
+    items: Vec<u64>,
 }
 
-impl PipeProc {
-    fn forward(&mut self, idx: u64, v: u64, ctx: &mut Ctx<'_>) {
-        for &c in &self.tree[ctx.me() as usize] {
-            ctx.send(c, TAG_ITEM, Data::Pair(idx, v));
-        }
-    }
+impl Steps for Pipe {
+    type Final = Vec<u64>;
 
-    fn maybe_finish(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.done && self.received == self.items.len() {
-            self.done = true;
-            let me = ctx.me();
-            let now = ctx.now();
-            let items = self
-                .items
-                .iter()
-                .map(|i| i.expect("all received"))
-                .collect();
-            self.out.with(|o| o.push((me, items, now)));
-        }
-    }
-}
-
-impl Process for PipeProc {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.is_root {
-            // Root holds everything; stream items in order, interleaving
-            // children per item (item-major order keeps every subtree's
-            // pipeline moving).
-            let items: Vec<u64> = self
-                .items
-                .iter()
-                .map(|i| i.expect("root holds all"))
-                .collect();
-            self.received = items.len();
-            for (idx, v) in items.into_iter().enumerate() {
-                self.forward(idx as u64, v, ctx);
+    fn send(&mut self, _: u32, out: &mut Out<'_, '_>) {
+        if self.root {
+            for (idx, &v) in self.items.iter().enumerate() {
+                for &c in self.relay(0) {
+                    out.send(c, TAG_ITEM, idx, v);
+                }
             }
-            self.maybe_finish(ctx);
         }
     }
 
-    fn on_message(&mut self, msg: &Message, ctx: &mut Ctx<'_>) {
-        let (idx, v) = msg.data.as_pair();
-        debug_assert!(self.items[idx as usize].is_none());
-        self.items[idx as usize] = Some(v);
-        self.received += 1;
-        self.forward(idx, v, ctx);
-        self.maybe_finish(ctx);
+    fn expect(&self, _: u32) -> usize {
+        if self.root {
+            0
+        } else {
+            self.items.len()
+        }
+    }
+
+    fn fold(&mut self, _: u32, msgs: &[Arrival]) -> Cycles {
+        for a in msgs {
+            self.items[a.idx()] = a.word;
+        }
+        0
+    }
+
+    fn finish(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.items)
+    }
+
+    fn steps(&self) -> u32 {
+        1
+    }
+
+    fn relay(&self, _: u32) -> &[ProcId] {
+        &self.tree[self.me as usize]
     }
 }
 
@@ -114,17 +106,15 @@ fn run_tree_pipeline(
     retry: Option<RetryConfig>,
 ) -> Result<KBcastRun, ResilientError> {
     let tree = Arc::new(children);
-    let run = execute(sim, ranks, retry, |q, out| PipeProc {
+    let run = run_steps(sim, ranks, retry, |q| Pipe {
         tree: tree.clone(),
+        me: q,
+        root: q == root,
         items: if q == root {
-            items.iter().map(|&v| Some(v)).collect()
+            items.to_vec()
         } else {
-            vec![None; items.len()]
+            vec![0; items.len()]
         },
-        received: 0,
-        is_root: q == root,
-        out,
-        done: false,
     })?;
     Ok(delivered(run, items))
 }
@@ -244,13 +234,17 @@ impl Steps for ScatterGather {
     fn finish(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.items)
     }
+
+    fn steps(&self) -> u32 {
+        self.p
+    }
 }
 
 /// Scatter + ring all-gather broadcast of `items`.
 pub fn run_kbcast_scatter_gather(m: &LogP, items: &[u64], config: SimConfig) -> KBcastRun {
     let p = m.p;
     assert!(p >= 2);
-    let run = run_steps(Sim::new(*m, config), p, |q| ScatterGather {
+    let run = run_steps(Sim::new(*m, config), 0..m.p, None, |q| ScatterGather {
         me: q,
         p,
         items: if q == 0 {
@@ -258,7 +252,8 @@ pub fn run_kbcast_scatter_gather(m: &LogP, items: &[u64], config: SimConfig) -> 
         } else {
             vec![0; items.len()]
         },
-    });
+    })
+    .expect("every rank folds its last step once");
     delivered(run, items)
 }
 

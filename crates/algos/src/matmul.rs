@@ -113,6 +113,10 @@ impl Steps for Summa {
     fn finish(&mut self) -> Vec<f64> {
         std::mem::take(&mut self.c)
     }
+
+    fn steps(&self) -> u32 {
+        self.sqrt_p
+    }
 }
 
 /// Result of a distributed matrix multiplication.
@@ -142,7 +146,7 @@ pub fn run_summa(m: &LogP, a: &Matrix, b: &Matrix, config: SimConfig) -> MatmulR
         }
         v
     };
-    let run = run_steps(Sim::new(*m, config), sqrt_p, |q| {
+    let run = run_steps(Sim::new(*m, config), 0..m.p, None, |q| {
         let (row, col) = (q / sqrt_p, q % sqrt_p);
         Summa {
             row,
@@ -154,7 +158,8 @@ pub fn run_summa(m: &LogP, a: &Matrix, b: &Matrix, config: SimConfig) -> MatmulR
             c: vec![0.0; t * t],
             panels: vec![0.0; 2 * t * t],
         }
-    });
+    })
+    .expect("every rank folds its last step once");
     let mut c = Matrix::zero(n);
     for (q, tile, _) in run.finals {
         let (gr, gc) = (q / sqrt_p, q % sqrt_p);

@@ -48,6 +48,7 @@ struct Radix {
     p: u32,
     keys: Vec<u64>,
     digit_bits: u32,
+    passes: u32,
     /// This pass's count of each digit among the rank's keys; from the
     /// offsets on, the global rank its next key of each digit takes.
     hist: Vec<u64>,
@@ -180,6 +181,10 @@ impl Steps for Radix {
     fn finish(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.keys)
     }
+
+    fn steps(&self) -> u32 {
+        4 * self.passes
+    }
 }
 
 /// Result of a radix sort run.
@@ -213,18 +218,20 @@ pub fn run_radix_sort(
     );
     let block = keys.len() / p as usize;
     let passes = key_bits.div_ceil(digit_bits);
-    let mut run = run_steps(Sim::new(*m, config), 4 * passes, |q| Radix {
+    let mut run = run_steps(Sim::new(*m, config), 0..m.p, None, |q| Radix {
         me: q,
         p,
         keys: keys[q as usize * block..(q as usize + 1) * block].to_vec(),
         digit_bits,
+        passes,
         hist: vec![0; 1 << digit_bits],
         held: 0,
         rows: 0,
         offsets: Vec::new(),
         placed: vec![0; block],
         kept: 0,
-    });
+    })
+    .expect("every rank folds its last step once");
     run.finals.sort_by_key(|f| f.0);
     RadixRun {
         output: run.finals.into_iter().flat_map(|f| f.1).collect(),

@@ -76,6 +76,10 @@ impl Steps for Scan {
     fn finish(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.values)
     }
+
+    fn steps(&self) -> u32 {
+        self.rounds + 2
+    }
 }
 
 /// Result of a scan run.
@@ -97,7 +101,7 @@ pub fn run_scan(m: &LogP, values: &[u64], config: SimConfig) -> ScanRun {
     );
     let block = values.len() / p as usize;
     let rounds = logp_core::cost::log2_ceil(p as u64) as u32;
-    let mut run = run_steps(Sim::new(*m, config), rounds + 2, |q| {
+    let mut run = run_steps(Sim::new(*m, config), 0..m.p, None, |q| {
         let at = q as usize * block;
         Scan {
             me: q,
@@ -107,7 +111,8 @@ pub fn run_scan(m: &LogP, values: &[u64], config: SimConfig) -> ScanRun {
             carry: 0,
             partial: 0,
         }
-    });
+    })
+    .expect("every rank folds its last step once");
     run.finals.sort_by_key(|f| f.0);
     ScanRun {
         prefix: run.finals.into_iter().flat_map(|f| f.1).collect(),

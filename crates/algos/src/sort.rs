@@ -192,6 +192,10 @@ impl Steps for Splitter {
     fn finish(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.keys)
     }
+
+    fn steps(&self) -> u32 {
+        self.p.ilog2() + 4
+    }
 }
 
 /// Run splitter sort over `keys` (distributed round-robin).
@@ -199,7 +203,7 @@ pub fn run_splitter_sort(m: &LogP, keys: &[u64], config: SimConfig) -> SortRun {
     let p = m.p;
     assert!(p >= 2 && (p as u64).is_power_of_two());
     let samples = (2 * (p as usize)).min(keys.len() / p as usize).max(1);
-    let run = run_steps(Sim::new(*m, config), p.ilog2() + 4, |q| {
+    let run = run_steps(Sim::new(*m, config), 0..m.p, None, |q| {
         let local = dealt(keys, p, q);
         assert!(!local.is_empty(), "every processor needs at least one key");
         Splitter {
@@ -210,7 +214,8 @@ pub fn run_splitter_sort(m: &LogP, keys: &[u64], config: SimConfig) -> SortRun {
             splitters: Vec::new(),
             incoming: 0,
         }
-    });
+    })
+    .expect("every rank folds its last step once");
     sorted(run)
 }
 
@@ -233,6 +238,7 @@ fn dealt(keys: &[u64], p: u32, q: ProcId) -> Vec<u64> {
 /// the union.
 struct Bitonic {
     me: ProcId,
+    steps: u32,
     run: Vec<u64>,
 }
 
@@ -294,6 +300,10 @@ impl Steps for Bitonic {
     fn finish(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.run)
     }
+
+    fn steps(&self) -> u32 {
+        self.steps
+    }
 }
 
 /// Run bitonic sort over `keys` (distributed round-robin; `n` must be a
@@ -308,10 +318,12 @@ pub fn run_bitonic_sort(m: &LogP, keys: &[u64], config: SimConfig) -> SortRun {
     );
     let d = logp_core::cost::log2_exact(p as u64);
     let steps = 1 + d * (d + 1) / 2;
-    let run = run_steps(Sim::new(*m, config), steps, |q| Bitonic {
+    let run = run_steps(Sim::new(*m, config), 0..m.p, None, |q| Bitonic {
         me: q,
+        steps,
         run: dealt(keys, p, q),
-    });
+    })
+    .expect("every rank folds its last step once");
     sorted(run)
 }
 

@@ -38,6 +38,7 @@ pub fn comm_fraction(m: &LogP, block: u64) -> f64 {
 /// One rank of the ring: at each step it sends its edge values to its
 /// neighbours, takes theirs into its ghost cells and sweeps its block.
 struct Jacobi {
+    sweeps: u32,
     left: ProcId,
     right: ProcId,
     /// The block between two ghost cells: `u[0]` and `u[b + 1]`.
@@ -75,6 +76,10 @@ impl Steps for Jacobi {
     fn finish(&mut self) -> Vec<f64> {
         self.u[1..self.u.len() - 1].to_vec()
     }
+
+    fn steps(&self) -> u32 {
+        self.sweeps
+    }
 }
 
 /// Result of a distributed Jacobi run.
@@ -97,17 +102,19 @@ pub fn run_jacobi(m: &LogP, field: &[f64], iters: u64, config: SimConfig) -> Jac
     assert_eq!(field.len() % p as usize, 0, "field must split evenly");
     let block = field.len() / p as usize;
     assert!(block >= 1);
-    let steps = u32::try_from(iters).expect("one step an iteration");
-    let mut run = run_steps(Sim::new(*m, config), steps, |q| {
+    let sweeps = u32::try_from(iters).expect("one step an iteration");
+    let mut run = run_steps(Sim::new(*m, config), 0..m.p, None, |q| {
         let mut u = vec![0.0; block + 2];
         u[1..=block].copy_from_slice(&field[q as usize * block..(q as usize + 1) * block]);
         Jacobi {
+            sweeps,
             left: (q + p - 1) % p,
             right: (q + 1) % p,
             scratch: u.clone(),
             u,
         }
-    });
+    })
+    .expect("every rank folds its last step once");
     run.finals.sort_by_key(|f| f.0);
     let result = run.result;
     let st = &result.stats.procs[0];

@@ -45,6 +45,7 @@ pub fn comm_fraction_2d(m: &LogP, b: u64) -> f64 {
 /// neighbours, one message a value, takes theirs into its ghost ring and
 /// sweeps its tile.
 struct Jacobi2d {
+    sweeps: u32,
     /// North, south, west and east neighbours.
     nbr: [ProcId; 4],
     b: usize,
@@ -114,6 +115,10 @@ impl Steps for Jacobi2d {
             .map(|(r, c)| self.at(r, c))
             .collect()
     }
+
+    fn steps(&self) -> u32 {
+        self.sweeps
+    }
 }
 
 /// Result of a 2D Jacobi run.
@@ -137,8 +142,8 @@ pub fn run_jacobi2d(m: &LogP, field: &[Vec<f64>], iters: u64, config: SimConfig)
     assert!(field.iter().all(|r| r.len() == n), "field must be square");
     assert_eq!(n % grid as usize, 0, "n must divide by the grid side");
     let b = n / grid as usize;
-    let steps = u32::try_from(iters).expect("one step an iteration");
-    let run = run_steps(Sim::new(*m, config), steps, |q| {
+    let sweeps = u32::try_from(iters).expect("one step an iteration");
+    let run = run_steps(Sim::new(*m, config), 0..m.p, None, |q| {
         let (x, y) = (q % grid, q / grid);
         let mut u = vec![0.0; (b + 2) * (b + 2)];
         for r in 0..b {
@@ -148,6 +153,7 @@ pub fn run_jacobi2d(m: &LogP, field: &[Vec<f64>], iters: u64, config: SimConfig)
         }
         let g = grid;
         Jacobi2d {
+            sweeps,
             nbr: [
                 (y + g - 1) % g * g + x,
                 (y + 1) % g * g + x,
@@ -158,7 +164,8 @@ pub fn run_jacobi2d(m: &LogP, field: &[Vec<f64>], iters: u64, config: SimConfig)
             scratch: u.clone(),
             u,
         }
-    });
+    })
+    .expect("every rank folds its last step once");
     let result = run.result;
     let mut out_field = vec![0.0; n * n];
     for (q, tile, _) in run.finals {
