@@ -91,10 +91,12 @@ const SCENARIOS: &[Scenario] = &[
     exp("tbl_avg_distance", "§5.1: topology average distances", tbl_avg_distance::run),
     exp("saturation", "§5.3: latency-vs-load knee", saturation::run),
     exp("capacity_limit", "§3.2: multithreading saturation", capacity_limit::run),
-    exp("lu_layouts", "§4.2.1: LU layout comparison", lu_layouts::run),
+    exp("lu_layouts", "§4.2.1: LU layout comparison", lu_layouts::run)
+        .checked(lu_layouts::check),
     exp("sort_compare", "§4.2.2: splitter vs radix vs bitonic sort", sort_compare::run)
         .checked(sort_compare::check),
-    exp("cc_contention", "§4.2.3: hot-spot contention", cc_contention::run),
+    exp("cc_contention", "§4.2.3: hot-spot contention", cc_contention::run)
+        .checked(cc_contention::check),
     exp("sweep_collectives", "§7: the (L,o,g,P) machine space", sweep_collectives::run),
     exp("model_compare", "§6: PRAM vs BSP vs LogP", model_compare::run),
     exp("param_extraction", "§7: measure L,o,g of a black box", param_extraction::run),

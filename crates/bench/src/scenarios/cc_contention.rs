@@ -2,17 +2,78 @@
 //! PRAM ignores the convergecast onto component representatives; LogP
 //! makes it visible, and combining mitigates it.
 
-use logp_algos::cc::{cc_sequential, run_cc, Graph};
+use logp_algos::cc::{cc_sequential, run_cc, CcRun, Graph};
 use logp_bench::{f2, Args, Table};
 use logp_core::LogP;
 use logp_sim::runner::sweep_map;
 use logp_sim::SimConfig;
 
-pub fn run(args: &Args) {
+/// The machine, and each graph's name and naive and combining runs, every
+/// run's labels checked against sequential union-find: a 256-leaf star
+/// (2048 under `--full`), a random graph and disjoint cliques.
+fn runs(args: &Args) -> (LogP, Vec<(String, CcRun, CcRun)>) {
     let m = LogP::new(60, 20, 40, 8).unwrap();
     let star_n = args.pick(256u64, 2048);
     let rnd_n = args.pick(128u64, 512);
+    let graphs = [
+        (format!("star({star_n})"), Graph::star(star_n)),
+        (
+            format!("random({rnd_n}, {})", rnd_n * 3),
+            Graph::random(rnd_n, rnd_n * 3, 5),
+        ),
+        ("cliques(8x16)".to_string(), Graph::cliques(8, 16)),
+    ];
+    // Each (graph, variant) pair is an independent simulation: fan the
+    // six across the worker pool; runs come back in declaration order.
+    let cases: Vec<(usize, bool)> = (0..graphs.len())
+        .flat_map(|gi| [(gi, false), (gi, true)])
+        .collect();
+    let cfg = args.obs.apply(SimConfig::default());
+    let mut runs = sweep_map(args.threads, &cases, |&(gi, combining)| {
+        let run = run_cc(&m, &graphs[gi].1, combining, cfg.clone());
+        let name = &graphs[gi].0;
+        assert_eq!(
+            run.labels,
+            cc_sequential(&graphs[gi].1),
+            "{name} combining = {combining} must be correct"
+        );
+        run
+    })
+    .into_iter();
+    let pairs = graphs
+        .into_iter()
+        .map(|(name, _)| {
+            let naive = runs.next().expect("a naive run");
+            (name, naive, runs.next().expect("a combining run"))
+        })
+        .collect();
+    (m, pairs)
+}
 
+/// Labels equal union-find on every graph; combining cuts the star hub
+/// owner's inbound messages by more than 3x; and combining finishes first
+/// on the random graph.
+pub fn check(args: &Args) {
+    let (_, runs) = runs(args);
+    let (star, naive, comb) = &runs[0];
+    assert!(
+        naive.max_recv > 3 * comb.max_recv,
+        "{star}: the hub owner receives {} messages naive, {} combining",
+        naive.max_recv,
+        comb.max_recv
+    );
+    let (random, naive, comb) = &runs[1];
+    assert!(
+        comb.completion < naive.completion,
+        "{random}: combining {} cycles, naive {}",
+        comb.completion,
+        naive.completion
+    );
+    println!("cc_contention --check: all pins hold");
+}
+
+pub fn run(args: &Args) {
+    let (m, runs) = runs(args);
     println!("§4.2.3 — connected components on {m}\n");
     let mut t = Table::new(&[
         "graph",
@@ -22,44 +83,23 @@ pub fn run(args: &Args) {
         "max recv by one proc",
         "stall cycles",
     ]);
-    // Each (graph, variant) pair is an independent simulation: fan the
-    // six across the worker pool; rows come back in declaration order.
-    let graphs = [
-        (format!("star({star_n})"), Graph::star(star_n)),
-        (
-            format!("random({rnd_n}, {})", rnd_n * 3),
-            Graph::random(rnd_n, rnd_n * 3, 5),
-        ),
-        ("cliques(8x16)".to_string(), Graph::cliques(8, 16)),
-    ];
-    let cases: Vec<(usize, &str, bool)> = (0..graphs.len())
-        .flat_map(|gi| [(gi, "naive", false), (gi, "combining", true)])
-        .collect();
-    let cfg = args.obs.apply(SimConfig::default());
-    let runs = sweep_map(args.threads, &cases, |&(gi, _, combining)| {
-        run_cc(&m, &graphs[gi].1, combining, cfg.clone())
-    });
-    for ((gi, variant, _), run) in cases.iter().zip(&runs) {
-        let (name, g) = &graphs[*gi];
-        // Per-spec artifacts: one file per (graph, variant) case.
-        args.obs.write(&format!("{name}_{variant}"), &run.result);
-        assert_eq!(
-            run.labels,
-            cc_sequential(g),
-            "{name} {variant} must be correct"
-        );
-        t.row(&[
-            name.clone(),
-            variant.to_string(),
-            run.completion.to_string(),
-            run.messages.to_string(),
-            run.max_recv.to_string(),
-            run.total_stall.to_string(),
-        ]);
+    for (name, naive, comb) in &runs {
+        for (variant, run) in [("naive", naive), ("combining", comb)] {
+            // Per-spec artifacts: one file per (graph, variant) case.
+            args.obs.write(&format!("{name}_{variant}"), &run.result);
+            t.row(&[
+                name.clone(),
+                variant.to_string(),
+                run.completion.to_string(),
+                run.messages.to_string(),
+                run.max_recv.to_string(),
+                run.total_stall.to_string(),
+            ]);
+        }
     }
     t.print();
 
-    let (naive, comb) = (&runs[0], &runs[1]); // star naive / star combining
+    let (_, naive, comb) = &runs[0];
     println!(
         "\nstar hot spot: combining cuts the hub owner's inbound load by {}x and\n\
          the capacity stalls by {}x (paper: contention \"considerably mitigated\").\n\
